@@ -252,6 +252,27 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The bytes the commit before the slicing-by-8 CRC encoded for this
+    /// two-section snapshot (dumped there): the GMCK format did not move,
+    /// and a snapshot written then still restores.
+    #[test]
+    fn encoded_bytes_match_the_pre_slicing_golden() {
+        const GOLDEN: &[u8] = b"GMCK\x01\0\0\0\x07\0\0\0\x64\0\0\0\x02\0\0\0\
+            \x06values\x04\0\0\0\0\0\0\0\x01\x02\x03\x04\
+            \x06halted\x02\0\0\0\0\0\0\0\x00\x01\
+            \x5c\x83\x9c\x5f";
+        let built = SnapshotBuilder::new(7, 100)
+            .section("values", vec![1, 2, 3, 4])
+            .section("halted", vec![0, 1])
+            .encode();
+        assert_eq!(built, GOLDEN);
+
+        let snap = Snapshot::decode(GOLDEN).unwrap();
+        assert_eq!((snap.superstep, snap.num_nodes), (7, 100));
+        assert_eq!(snap.section("values"), Some(&[1u8, 2, 3, 4][..]));
+        assert_eq!(snap.section("halted"), Some(&[0u8, 1][..]));
+    }
+
     #[test]
     fn encoding_is_deterministic() {
         assert_eq!(sample().encode(), sample().encode());

@@ -845,6 +845,34 @@ mod tests {
         JobSpec::from_json(&doc).unwrap()
     }
 
+    /// The bytes the commit before the slicing-by-8 CRC framed for this
+    /// payload (dumped there): the GMJL record format did not move, and a
+    /// daemon upgraded in place replays the segments it wrote before.
+    #[test]
+    fn framed_bytes_match_the_pre_slicing_golden() {
+        const PAYLOAD: &[u8] = br#"{"type":"started","id":"j-000001","attempt":1}"#;
+        const GOLDEN: &[u8] = b"\x2e\0\0\0\
+            {\"type\":\"started\",\"id\":\"j-000001\",\"attempt\":1}\
+            \x33\x5d\xa3\xc7";
+        assert_eq!(frame(PAYLOAD), GOLDEN);
+
+        let dir = fresh_dir("golden");
+        fs::create_dir_all(&dir).unwrap();
+        let path = segment_path(&dir, 1);
+        let mut segment = MAGIC.to_vec();
+        segment.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        segment.extend_from_slice(GOLDEN);
+        fs::write(&path, &segment).unwrap();
+        let (records, dropped) = read_segment(&path);
+        assert_eq!(dropped, 0);
+        assert_eq!(records.len(), 1);
+        assert_eq!(
+            records[0].get("id").and_then(Json::as_str),
+            Some("j-000001")
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     fn registry() -> Arc<MetricsRegistry> {
         Arc::new(MetricsRegistry::new())
     }

@@ -61,6 +61,7 @@ impl Graph {
     }
 
     /// Out-neighbors of `n` with the connecting edge ids, in CSR order.
+    #[inline]
     pub fn out_neighbors(&self, n: NodeId) -> OutNeighbors<'_> {
         let lo = self.out_offsets[n.index()] as usize;
         let hi = self.out_offsets[n.index() + 1] as usize;
@@ -72,6 +73,7 @@ impl Graph {
     }
 
     /// In-neighbors of `n` with the connecting (forward) edge ids.
+    #[inline]
     pub fn in_neighbors(&self, n: NodeId) -> InNeighbors<'_> {
         let lo = self.in_offsets[n.index()] as usize;
         let hi = self.in_offsets[n.index() + 1] as usize;
@@ -174,6 +176,7 @@ pub struct OutNeighbors<'a> {
 impl Iterator for OutNeighbors<'_> {
     type Item = (NodeId, EdgeId);
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         let t = *self.targets.get(self.pos)?;
         let e = EdgeId(self.base + self.pos as u32);
@@ -200,6 +203,7 @@ pub struct InNeighbors<'a> {
 impl Iterator for InNeighbors<'_> {
     type Item = (NodeId, EdgeId);
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         let s = *self.sources.get(self.pos)?;
         let e = EdgeId(self.edge_ids[self.pos]);

@@ -10,6 +10,7 @@
 use gm_obs::json::{self, Json};
 use gm_obs::{Category, Event, Field, Kind, TraceFormat, Tracer};
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn span(name: &'static str, cat: Category, tid: u32, ts: u64, dur: u64) -> Event {
     Event {
@@ -65,7 +66,14 @@ fn scenario() -> Vec<Event> {
 }
 
 fn export_chrome() -> String {
-    let path = std::env::temp_dir().join(format!("gm_obs_golden_{}.json", std::process::id()));
+    // Two tests export, on threads of one process: a per-call sequence
+    // number keeps each in a file of its own.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "gm_obs_golden_{}_{}.json",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let tracer = Tracer::to_file(&path, TraceFormat::Chrome).expect("create trace file");
     for ev in scenario() {
         tracer.emit(ev);

@@ -197,16 +197,19 @@ impl Drop for Governor {
 /// Writes one sealed bucket as a CRC-checked spill file; returns the file
 /// size in bytes.
 pub(crate) fn write_spill<M: Persist>(path: &Path, bucket: &[(u32, M)]) -> Result<u64, CkptError> {
-    let mut payload = Vec::new();
-    (bucket.len() as u64).persist(&mut payload);
-    for (dst, m) in bucket {
-        dst.persist(&mut payload);
-        m.persist(&mut payload);
-    }
-    let mut file = Vec::with_capacity(payload.len() + 8);
+    // One buffer, sized from the in-memory entry width (an over-estimate
+    // of the encoded width for fixed-size messages), header first and the
+    // CRC patched in once the payload behind it is complete.
+    let mut file = Vec::with_capacity(16 + std::mem::size_of_val(bucket));
     file.extend_from_slice(SPILL_MAGIC);
-    file.extend_from_slice(&crc32(&payload).to_le_bytes());
-    file.extend_from_slice(&payload);
+    file.extend_from_slice(&[0; 4]);
+    (bucket.len() as u64).persist(&mut file);
+    for (dst, m) in bucket {
+        dst.persist(&mut file);
+        m.persist(&mut file);
+    }
+    let crc = crc32(&file[8..]);
+    file[4..8].copy_from_slice(&crc.to_le_bytes());
     std::fs::write(path, &file)?;
     Ok(file.len() as u64)
 }
@@ -268,6 +271,31 @@ mod tests {
         let mut back: Vec<(u32, u64)> = Vec::new();
         read_spill_into(&path, 4, &mut back).unwrap();
         assert_eq!(back, bucket, "replay preserves bucket order exactly");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The bytes the commit before the slicing-by-8 CRC and the
+    /// single-buffer encode wrote for this bucket (dumped there): the
+    /// GMSP format did not move, and a file written then still replays.
+    #[test]
+    fn spill_file_bytes_match_the_pre_slicing_golden() {
+        const GOLDEN: &[u8] = b"GMSP\x77\x98\x78\xd0\
+            \x04\0\0\0\0\0\0\0\
+            \x03\0\0\0\x1e\0\0\0\0\0\0\0\
+            \x01\0\0\0\x0a\0\0\0\0\0\0\0\
+            \x03\0\0\0\x1f\0\0\0\0\0\0\0\
+            \0\0\0\0\0\0\0\0\0\0\0\0";
+        let bucket: Vec<(u32, u64)> = vec![(3, 30), (1, 10), (3, 31), (0, 0)];
+
+        let path = tmp("golden");
+        let written = write_spill(&path, &bucket).unwrap();
+        assert_eq!(written, GOLDEN.len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), GOLDEN);
+
+        std::fs::write(&path, GOLDEN).unwrap();
+        let mut back: Vec<(u32, u64)> = Vec::new();
+        read_spill_into(&path, 4, &mut back).unwrap();
+        assert_eq!(back, bucket);
         std::fs::remove_file(&path).unwrap();
     }
 

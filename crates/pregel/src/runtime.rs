@@ -2900,8 +2900,13 @@ impl<P: VertexProgram> WorkerState<P> {
             // sender ids, so it only moves forward.
             let mut sw = 0usize;
             let mut seg_start = 0usize;
+            // The segment's id range and store, looked up once per segment
+            // instead of once per in-edge.
+            let mut lo_id = starts[0];
+            let mut hi_id = starts[1];
+            let mut store: &VertexStore<P> = &guards[0];
             for (src, eid) in graph.in_neighbors(NodeId(self.base + local as u32)) {
-                while src.0 >= starts[sw + 1] {
+                while src.0 >= hi_id {
                     // Segment boundary: meter the fold results as the
                     // messages sender-worker `sw` would have put on the
                     // wire.
@@ -2920,18 +2925,21 @@ impl<P: VertexProgram> WorkerState<P> {
                         seg_start = inbox.len();
                     }
                     sw += 1;
+                    lo_id = hi_id;
+                    hi_id = starts[sw + 1];
+                    store = &guards[sw];
                 }
-                let src_local = (src.0 - starts[sw]) as usize;
+                let src_local = (src.0 - lo_id) as usize;
                 let m = match mode {
-                    PullMode::Captured => match &guards[sw].captured[src_local] {
+                    PullMode::Captured => match &store.captured[src_local] {
                         Some(m) => m.clone(),
                         None => continue,
                     },
                     PullMode::Recomputed => {
-                        if !guards[sw].sent[src_local] {
+                        if !store.sent[src_local] {
                             continue;
                         }
-                        program.pull_message(graph, src, eid, &guards[sw].values[src_local])
+                        program.pull_message(graph, src, eid, &store.values[src_local])
                     }
                     PullMode::Unsupported => {
                         unreachable!("gather phase dispatched with no pull mode")

@@ -18,9 +18,17 @@ use gm_pregel::{
 };
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gm-metrics-schema-{}-{tag}", std::process::id()));
+    // Both tests of this file run the scenario, on threads of one process:
+    // a per-call sequence number keeps them out of each other's directory.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "gm-metrics-schema-{}-{}-{tag}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
