@@ -9,8 +9,8 @@
 use super::ENVELOPE;
 use gm_graph::{Graph, NodeId};
 use gm_pregel::{
-    run_with_recovery, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics,
-    Persist, PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
+    run, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics, Persist,
+    PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
 };
 
 /// Per-vertex state.
@@ -122,7 +122,7 @@ pub fn run_avg_teen(
         age: ages[n.index()],
         teen_cnt: 0,
     };
-    let result = run_with_recovery(graph, &mut program, init, config)?;
+    let result = run(graph, &mut program, init, config)?;
     Ok(AvgTeenOutcome {
         teen_cnt: result.values.iter().map(|v| v.teen_cnt).collect(),
         avg: program.avg,

@@ -15,8 +15,8 @@
 use super::ENVELOPE;
 use gm_graph::{Graph, NodeId};
 use gm_pregel::{
-    run_with_recovery, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics,
-    Persist, PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
+    run, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics, Persist,
+    PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
 };
 
 const NIL: u32 = u32::MAX;
@@ -219,7 +219,7 @@ pub fn run_bipartite_matching(
         "side marks must be per-vertex"
     );
     let mut program = Matching { count: 0 };
-    let result = run_with_recovery(
+    let result = run(
         graph,
         &mut program,
         |n| V {

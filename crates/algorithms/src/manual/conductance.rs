@@ -9,8 +9,8 @@
 use super::ENVELOPE;
 use gm_graph::{Graph, NodeId};
 use gm_pregel::{
-    run_with_recovery, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics,
-    Persist, PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
+    run, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics, Persist,
+    PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
 };
 
 /// Messages: the id announcement of the preamble, or a crossing-edge mark.
@@ -203,7 +203,7 @@ pub fn run_conductance(
         cross: 0,
         result: 0.0,
     };
-    let result = run_with_recovery(
+    let result = run(
         graph,
         &mut program,
         |n| V {

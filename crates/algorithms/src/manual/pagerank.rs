@@ -6,8 +6,8 @@
 use super::ENVELOPE;
 use gm_graph::{Graph, NodeId};
 use gm_pregel::{
-    run_with_recovery, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics,
-    Persist, PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
+    run, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics, Persist,
+    PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
 };
 
 struct Pagerank {
@@ -112,7 +112,7 @@ pub fn run_pagerank(
         max_iter,
         cnt: 0,
     };
-    let result = run_with_recovery(graph, &mut program, |_: NodeId| 0.0, config)?;
+    let result = run(graph, &mut program, |_: NodeId| 0.0, config)?;
     Ok(PagerankOutcome {
         pr: result.values,
         iterations: program.cnt,

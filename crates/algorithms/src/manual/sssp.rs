@@ -4,8 +4,8 @@
 use super::ENVELOPE;
 use gm_graph::{Graph, NodeId};
 use gm_pregel::{
-    run_with_recovery, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics,
-    Persist, PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
+    run, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics, Persist,
+    PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
 };
 
 /// Per-vertex state.
@@ -124,7 +124,7 @@ pub fn run_sssp(
         "weights must be per-edge"
     );
     let mut program = Sssp { root, weights };
-    let result = run_with_recovery(
+    let result = run(
         graph,
         &mut program,
         |_| V {

@@ -1649,7 +1649,7 @@ impl<'a> Gen<'a> {
         out.line("use gm_graph::{EdgeId, Graph, NodeId};");
         out.line("use gm_interp::{CompiledOutcome, PickRng, RunError, TraceStep};");
         out.line("use gm_pregel::{");
-        out.line("    run_with_recovery, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision,");
+        out.line("    ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision,");
         out.line("    Persist, PregelConfig, PullMode, ReduceOp, VertexContext, VertexProgram,");
         out.line("};");
         out.line("use std::collections::HashMap;");
@@ -2198,7 +2198,7 @@ impl<'a> Gen<'a> {
         }
         out.line("in_nbrs: Vec::new(),");
         out.close("};");
-        out.line("let result = run_with_recovery(graph, &mut prog, init, config)?;");
+        out.line("let result = gm_pregel::run(graph, &mut prog, init, config)?;");
         out.line("let mut node_props: HashMap<String, Vec<Value>> = HashMap::new();");
         for ((field, repr), (orig, _)) in self.prop_fields.iter().zip(&p.node_props) {
             out.line(&format!(

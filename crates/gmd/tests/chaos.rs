@@ -139,6 +139,10 @@ fn newest_segment(journal: &Path) -> PathBuf {
     segs.pop().expect("at least one segment")
 }
 
+fn segment_len(seg: &Path) -> u64 {
+    std::fs::metadata(seg).expect("segment metadata").len()
+}
+
 #[test]
 fn kill_nine_mid_superstep_then_restart_reaches_terminal_bit_identical_states() {
     let dir = fresh_dir("kill9");
@@ -155,9 +159,15 @@ fn kill_nine_mid_superstep_then_restart_reaches_terminal_bit_identical_states() 
             ids.push(client.submit(&job_body(tenant)).expect("submit"));
         }
     }
+    // The journal as it stood when the last acceptance was acknowledged:
+    // its final record is that acceptance.
+    let accepted_seg = newest_segment(&journal);
+    let accepted_len = segment_len(&accepted_seg);
 
     // Kill only once the crash will have teeth: a checkpoint snapshot is
-    // durable on disk AND some job is observably mid-run.
+    // durable on disk AND some job is observably mid-run. Also wait for
+    // at least one record behind the last acceptance, so the tail the
+    // test tears below is never an acknowledged job's.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let snapshot_on_disk = std::fs::read_dir(journal.join("ckpt"))
@@ -177,7 +187,9 @@ fn kill_nine_mid_superstep_then_restart_reaches_terminal_bit_identical_states() 
                 .as_deref()
                 == Some("running")
         });
-        if snapshot_on_disk && running {
+        let seg = newest_segment(&journal);
+        let past_acceptance = seg != accepted_seg || segment_len(&seg) > accepted_len;
+        if snapshot_on_disk && running && past_acceptance {
             break;
         }
         assert!(

@@ -88,9 +88,12 @@ fn second_signal_escalates_a_stuck_drain_and_leaves_the_journal_terminal() {
     let client = Client::new(wait_addr(&addr_file)).with_timeout(Duration::from_secs(10));
 
     // One effectively-endless job hogs the single runner; a second job
-    // queues behind it and can only ever terminate via the drain.
+    // queues behind it and can only ever terminate via the drain. A
+    // negative `e` keeps `diff > e` true on every iteration (the L1 delta
+    // is never negative), so only `max_iter` could end the loop; a tiny
+    // positive `e` would not do, PageRank reaches an exact fixed point.
     let long = r#"{"tenant":"acme","graph":"big","program":"pagerank",
-        "args":{"e":1e-30,"d":0.85,"max_iter":100000},"seed":7}"#;
+        "args":{"e":-1.0,"d":0.85,"max_iter":100000},"seed":7}"#;
     let running = client.submit(long).expect("long job");
     let queued = client.submit(long).expect("queued job");
 

@@ -18,8 +18,8 @@ use gm_core::value::{apply_reduce, Value};
 use gm_core::{Compiled, Pullability};
 use gm_graph::{EdgeId, Graph, NodeId};
 use gm_pregel::{
-    run_with_recovery, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics,
-    Persist, PregelConfig, PregelError, PullMode, ReduceOp, VertexContext, VertexProgram,
+    run, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics, Persist,
+    PregelConfig, PregelError, PullMode, ReduceOp, VertexContext, VertexProgram,
 };
 use std::collections::HashMap;
 use std::error::Error;
@@ -309,7 +309,7 @@ pub fn run_compiled(
         finished: false,
     };
 
-    let result = run_with_recovery(graph, &mut machine, init, config)?;
+    let result = run(graph, &mut machine, init, config)?;
 
     let mut node_props: HashMap<String, Vec<Value>> = HashMap::new();
     for (name, &i) in &prop_idx {

@@ -30,7 +30,6 @@
 //! [`VertexProgram::save_master_state`]: crate::VertexProgram::save_master_state
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use crate::globals::{AggMap, Globals};
 use crate::metrics::Metrics;
@@ -114,33 +113,27 @@ impl CheckpointConfig {
     }
 }
 
-/// Retry policy for [`run_with_recovery`](crate::run_with_recovery).
+/// Restart policy [`run`](crate::run) supervises with, attached to
+/// [`PregelConfig::recovery`](crate::PregelConfig). Restarts follow each
+/// other immediately: a restart resumes from a snapshot in-process, so
+/// there is nothing to wait out.
 #[derive(Clone, Debug)]
 pub struct RecoveryPolicy {
     /// Maximum restarts after recoverable failures before giving up and
     /// returning the error.
     pub max_restarts: u32,
-    /// Base delay between restarts; attempt `i` (1-based) sleeps
-    /// `backoff × i` (linear backoff). Zero disables sleeping.
-    pub backoff: Duration,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        RecoveryPolicy {
-            max_restarts: 3,
-            backoff: Duration::ZERO,
-        }
+        RecoveryPolicy { max_restarts: 3 }
     }
 }
 
 impl RecoveryPolicy {
-    /// Policy with an explicit restart budget and no backoff.
+    /// Policy with an explicit restart budget.
     pub fn with_max_restarts(max_restarts: u32) -> Self {
-        RecoveryPolicy {
-            max_restarts,
-            ..Self::default()
-        }
+        RecoveryPolicy { max_restarts }
     }
 }
 
@@ -241,25 +234,40 @@ where
     })
 }
 
+/// The vertex-indexed sections of a snapshot, each in vertex order: one
+/// worker's range, or all of them concatenated in ascending worker order.
+#[derive(Default)]
+pub(crate) struct VertexSections {
+    pub values: Vec<u8>,
+    pub halted: Vec<u8>,
+    pub inbox: Vec<u8>,
+}
+
+impl VertexSections {
+    /// Appends the next worker's range.
+    pub fn append(&mut self, next: &VertexSections) {
+        self.values.extend_from_slice(&next.values);
+        self.halted.extend_from_slice(&next.halted);
+        self.inbox.extend_from_slice(&next.inbox);
+    }
+}
+
 /// Assembles the snapshot container from the coordinator state, the
-/// worker-captured vertex sections (already concatenated in ascending
-/// vertex order), the program's master bytes, and the metrics so far.
-#[allow(clippy::too_many_arguments)]
+/// program's master bytes, the whole graph's vertex sections, and the
+/// metrics so far.
 pub(crate) fn build_snapshot(
     superstep: u32,
     num_nodes: u32,
     coord: &CoordState,
     master: Vec<u8>,
-    values: Vec<u8>,
-    halted: Vec<u8>,
-    inbox: Vec<u8>,
+    vertices: VertexSections,
     metrics: &Metrics,
 ) -> SnapshotBuilder {
     SnapshotBuilder::new(superstep, num_nodes)
         .section(SEC_COORD, encode_coord(coord))
         .section(SEC_MASTER, master)
-        .section(SEC_VALUES, values)
-        .section(SEC_HALTED, halted)
-        .section(SEC_INBOX, inbox)
+        .section(SEC_VALUES, vertices.values)
+        .section(SEC_HALTED, vertices.halted)
+        .section(SEC_INBOX, vertices.inbox)
         .section(SEC_METRICS, metrics.to_bytes())
 }

@@ -26,7 +26,7 @@
 //!   [`PregelError::BudgetExceeded`](crate::PregelError::BudgetExceeded)
 //!   when over.
 //!
-//! All three funnel into `run_with_recovery`'s checkpoint-restart policy.
+//! All three funnel into [`run`](crate::run)'s checkpoint-restart policy.
 //!
 //! # Spill-file format
 //!

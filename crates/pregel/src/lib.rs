@@ -18,7 +18,7 @@
 //!
 //! The runtime is multi-threaded — vertices are partitioned into contiguous,
 //! edge-balanced ranges, each owned by a worker on a **persistent thread
-//! pool** (threads live for the whole run and park between phases). Messages
+//! pool** (threads live for the whole run; one worker runs inline). Messages
 //! cross workers through a **zero-copy exchange**: senders bucket messages
 //! by destination worker, buckets are routed at the barrier as whole `Vec`s,
 //! and destination workers *move* each message into double-buffered inboxes.
@@ -37,7 +37,7 @@
 //! BSP frontier (values, halted flags, pending inboxes, globals,
 //! aggregates, master state, metrics) into checksummed files at a
 //! configurable interval, [`run`] can resume a run exactly where the
-//! newest valid snapshot left off, and [`run_with_recovery`] supervises
+//! newest valid snapshot left off, and under [`PregelConfig::recovery`] it
 //! restarts after worker failures (injectable deterministically via
 //! [`FaultPlan`]). Recovery activity is reported in [`RecoveryStats`].
 //!
@@ -118,18 +118,37 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! # Layers
+//!
+//! | module | what it owns |
+//! |---|---|
+//! | `config` | [`PregelConfig`], [`Schedule`] |
+//! | `error` | [`PregelError`], worker failures, failure attribution |
+//! | `supervise` | [`run`]: validation, resume, restart loop, post-mortems |
+//! | `coordinator` | the superstep loop: checkpoint, master, direction, barrier merge, governance checks |
+//! | `worker` | worker state, the compute and snapshot phases, the executor (inline or pool), partitioning |
+//! | `exchange` | combine, meter, spill, deliver, gather |
+//! | `checkpoint`, `govern`, `postmortem`, `metrics` | snapshot mapping, budgets and spill files, crash bundles, counters |
 
 mod checkpoint;
+mod config;
+mod coordinator;
+mod error;
+mod exchange;
 mod globals;
 mod govern;
 mod metrics;
 mod persist;
 mod postmortem;
 mod program;
-mod runtime;
+mod supervise;
 mod value;
+mod worker;
 
 pub use checkpoint::{CheckpointConfig, RecoveryPolicy};
+pub use config::{PregelConfig, Schedule, ENV_DENSE_THRESHOLD, ENV_SCHEDULE};
+pub use error::PregelError;
 pub use globals::{AggMap, Globals};
 pub use govern::{
     ResourceBudget, ENV_MAX_MSG_BYTES, ENV_MAX_RESIDENT_BYTES, ENV_SPILL_DIR,
@@ -140,10 +159,7 @@ pub use postmortem::{
     PostMortemConfig, ENV_FLIGHT_RECORDER_EVENTS, ENV_POST_MORTEM_DIR, ENV_POST_MORTEM_KEEP,
 };
 pub use program::{MasterContext, MasterDecision, PullMode, VertexContext, VertexProgram};
-pub use runtime::{
-    run, run_with_recovery, PregelConfig, PregelError, PregelResult, Schedule, ENV_DENSE_THRESHOLD,
-    ENV_SCHEDULE,
-};
+pub use supervise::{run, PregelResult};
 pub use value::{GlobalValue, ReduceOp};
 
 // Checkpointing building blocks, re-exported so programs implementing
@@ -153,3 +169,10 @@ pub use gm_ckpt::{
     ByteReader, CheckpointStore, CkptError, FaultKind, FaultPlan, FaultPlanBuilder, Persist,
     Snapshot,
 };
+
+/// Whole-run tests: each drives [`run`] through every layer at once, so
+/// they sit beside the layers rather than inside one of them.
+#[cfg(test)]
+mod runtime {
+    mod tests;
+}

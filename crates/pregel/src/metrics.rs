@@ -137,7 +137,7 @@ pub struct RecoveryStats {
     /// Times the recovery supervisor restarted the job after a failure.
     pub restarts: u32,
     /// Supersteps executed by failed attempts whose work was thrown away —
-    /// accumulated across [`run_with_recovery`](crate::run_with_recovery)
+    /// accumulated across supervised [`run`](crate::run)
     /// restarts, so the cost of recovering is visible, not just the fact
     /// that it happened.
     pub wasted_supersteps: u32,

@@ -24,8 +24,9 @@
 //!
 //! [`PregelError::PostMortem`]: crate::PregelError::PostMortem
 
+use crate::config::{PregelConfig, Schedule};
+use crate::error::{failure_site, PregelError};
 use crate::metrics::Metrics;
-use crate::runtime::{failure_site, PregelConfig, PregelError, Schedule};
 use gm_graph::Graph;
 use gm_obs::json::Json;
 use gm_obs::recorder::{FlightRecorder, DEFAULT_CAPACITY};

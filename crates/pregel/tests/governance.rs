@@ -8,8 +8,8 @@
 
 use gm_graph::gen;
 use gm_pregel::{
-    run, run_with_recovery, CheckpointConfig, FaultPlan, MasterContext, MasterDecision,
-    PregelConfig, PregelError, RecoveryPolicy, ResourceBudget, VertexContext, VertexProgram,
+    run, CheckpointConfig, FaultPlan, MasterContext, MasterDecision, PregelConfig, PregelError,
+    RecoveryPolicy, ResourceBudget, VertexContext, VertexProgram,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -111,7 +111,7 @@ fn transient_hang_is_recovered_from_checkpoint() {
         .with_checkpoints(CheckpointConfig::new(&dir, 2))
         .with_faults(FaultPlan::builder().hang_in_compute(5, Some(0)).build())
         .with_recovery(RecoveryPolicy::with_max_restarts(2));
-    let r = run_with_recovery(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap();
+    let r = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap();
     assert_eq!(r.values, base.values);
     assert_eq!(r.metrics.supersteps, base.metrics.supersteps);
     assert_eq!(r.metrics.total_messages, base.metrics.total_messages);
@@ -139,7 +139,7 @@ fn deterministic_hang_is_quarantined() {
                 .build(),
         )
         .with_recovery(RecoveryPolicy::with_max_restarts(2));
-    let (err, _) = run_with_recovery(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg)
+    let (err, _) = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg)
         .unwrap_err()
         .detach_post_mortem();
     match err {
@@ -161,19 +161,22 @@ fn spill_write_failure_is_structured_and_recoverable() {
     let g = gen::cycle(12);
     let spilling = ResourceBudget::unbounded().with_max_message_bytes(1);
 
-    // Plain run: the injected write failure surfaces as SpillFailed.
-    let cfg = PregelConfig::with_workers(2)
-        .with_budget(spilling.clone())
-        .with_faults(FaultPlan::builder().fail_spill_write(3).build());
-    let (err, _) = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg)
-        .unwrap_err()
-        .detach_post_mortem();
-    match err {
-        PregelError::SpillFailed { superstep, op, .. } => {
-            assert_eq!(superstep, 3);
-            assert_eq!(op, "write");
+    // Plain run: the injected write failure surfaces as SpillFailed, on
+    // the inline executor and on the pool alike.
+    for workers in [1usize, 2] {
+        let cfg = PregelConfig::with_workers(workers)
+            .with_budget(spilling.clone())
+            .with_faults(FaultPlan::builder().fail_spill_write(3).build());
+        let (err, _) = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg)
+            .unwrap_err()
+            .detach_post_mortem();
+        match err {
+            PregelError::SpillFailed { superstep, op, .. } => {
+                assert_eq!(superstep, 3, "workers = {workers}");
+                assert_eq!(op, "write");
+            }
+            other => panic!("workers = {workers}: expected spill failure, got {other}"),
         }
-        other => panic!("expected spill failure, got {other}"),
     }
 
     // Supervised run: the same failure is transient, so recovery replays
@@ -192,7 +195,7 @@ fn spill_write_failure_is_structured_and_recoverable() {
         .with_checkpoints(CheckpointConfig::new(&dir, 2))
         .with_faults(FaultPlan::builder().fail_spill_write(3).build())
         .with_recovery(RecoveryPolicy::with_max_restarts(1));
-    let r = run_with_recovery(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap();
+    let r = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap();
     assert_eq!(r.values, base.values);
     assert_eq!(r.metrics.supersteps, base.metrics.supersteps);
     assert_eq!(r.metrics.total_messages, base.metrics.total_messages);
@@ -297,11 +300,11 @@ fn cancellation_token_stops_the_run_at_a_superstep_boundary() {
     let r = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap();
     assert_eq!(r.metrics.supersteps, 9);
 
-    // And run_with_recovery must not retry a cancellation: it is not
+    // And a supervised run must not retry a cancellation: it is not
     // recoverable, so the error comes back directly (no quarantine
     // wrapper from exhausted restarts).
     cancel.store(true, Ordering::Relaxed);
     let cfg = cfg.with_recovery(RecoveryPolicy::with_max_restarts(3));
-    let err = run_with_recovery(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap_err();
+    let err = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap_err();
     assert!(matches!(err, PregelError::Cancelled { .. }), "{err}");
 }

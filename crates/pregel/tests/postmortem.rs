@@ -7,9 +7,8 @@
 use gm_obs::json::{parse, Json};
 use gm_obs::metrics::MetricsRegistry;
 use gm_pregel::{
-    run, run_with_recovery, CheckpointConfig, FaultPlan, MasterContext, MasterDecision,
-    PostMortemConfig, PregelConfig, PregelError, RecoveryPolicy, ResourceBudget, VertexContext,
-    VertexProgram,
+    run, CheckpointConfig, FaultPlan, MasterContext, MasterDecision, PostMortemConfig,
+    PregelConfig, PregelError, RecoveryPolicy, ResourceBudget, VertexContext, VertexProgram,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -222,7 +221,7 @@ fn quarantine_keeps_the_newest_bundle_and_a_clean_signature() {
         )
         .with_recovery(RecoveryPolicy::with_max_restarts(2))
         .with_post_mortem(PostMortemConfig::new(&dir));
-    let err = run_with_recovery(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap_err();
+    let err = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap_err();
 
     // Each attempt wrote its own bundle; the distinct paths must not stop
     // the supervisor from recognising the identical failure signature.
