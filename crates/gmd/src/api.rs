@@ -23,39 +23,26 @@ fn error_body(status: u16, pairs: Vec<(String, Json)>) -> Response {
 }
 
 fn reject_response(reject: Reject) -> Response {
-    let slug = |s: &str| ("error".to_owned(), Json::Str(s.to_owned()));
+    let slug = ("error".to_owned(), Json::Str(reject.slug().to_owned()));
     let msg = |s: String| ("message".to_owned(), Json::Str(s));
     match reject {
-        Reject::Draining => error_body(
-            503,
-            vec![slug("draining"), msg("daemon is shutting down".to_owned())],
-        )
-        .with_retry_after(1),
+        Reject::Draining => error_body(503, vec![slug, msg("daemon is shutting down".to_owned())])
+            .with_retry_after(1),
         Reject::UnknownGraph(name) => error_body(
             400,
-            vec![
-                slug("unknown_graph"),
-                msg(format!("no graph named {name:?} is loaded")),
-            ],
+            vec![slug, msg(format!("no graph named {name:?} is loaded"))],
         ),
-        Reject::UnknownProgram(name) => error_body(
-            400,
-            vec![
-                slug("unknown_program"),
-                msg(format!("no builtin named {name:?}")),
-            ],
-        ),
+        Reject::UnknownProgram(name) => {
+            error_body(400, vec![slug, msg(format!("no builtin named {name:?}"))])
+        }
         Reject::CompileError(diagnostics) => error_body(
             400,
-            vec![
-                slug("compile_error"),
-                ("diagnostics".to_owned(), Json::Str(diagnostics)),
-            ],
+            vec![slug, ("diagnostics".to_owned(), Json::Str(diagnostics))],
         ),
         Reject::Quarantined { kind, count } => error_body(
             429,
             vec![
-                slug("quarantined"),
+                slug,
                 ("kind".to_owned(), Json::Str(kind)),
                 ("failures".to_owned(), Json::UInt(u64::from(count))),
             ],
@@ -68,7 +55,7 @@ fn reject_response(reject: Reject) -> Response {
         } => error_body(
             429,
             vec![
-                slug("over_capacity"),
+                slug,
                 ("budget".to_owned(), Json::Str(what.to_owned())),
                 ("requested".to_owned(), Json::UInt(requested)),
                 ("capacity".to_owned(), Json::UInt(capacity)),
@@ -77,10 +64,7 @@ fn reject_response(reject: Reject) -> Response {
         .with_retry_after(5),
         Reject::QueueFull { cap } => error_body(
             429,
-            vec![
-                slug("queue_full"),
-                ("capacity".to_owned(), Json::UInt(cap as u64)),
-            ],
+            vec![slug, ("capacity".to_owned(), Json::UInt(cap as u64))],
         )
         .with_retry_after(1),
         Reject::Shedding { retry_after } => {
@@ -88,7 +72,7 @@ fn reject_response(reject: Reject) -> Response {
             error_body(
                 503,
                 vec![
-                    slug("shedding"),
+                    slug,
                     msg("brownout: shedding low-priority work".to_owned()),
                     (
                         "retry_after_ms".to_owned(),
@@ -99,9 +83,9 @@ fn reject_response(reject: Reject) -> Response {
             .with_retry_after(seconds)
         }
         Reject::JournalUnavailable(message) => {
-            error_body(503, vec![slug("journal_unavailable"), msg(message)]).with_retry_after(1)
+            error_body(503, vec![slug, msg(message)]).with_retry_after(1)
         }
-        Reject::BadRequest(message) => error_body(400, vec![slug("bad_request"), msg(message)]),
+        Reject::BadRequest(message) => error_body(400, vec![slug, msg(message)]),
     }
 }
 

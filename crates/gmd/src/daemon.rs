@@ -1,215 +1,31 @@
-//! The daemon core: graph store, admission control, the fair scheduler,
-//! and the bounded job-runner pool.
+//! The daemon core: graph store, program resolution, the runner pool,
+//! and the glue that applies the pure scheduler's (`sched`) decisions.
 //!
 //! Concurrency model: `max_concurrent` runner threads block on a condvar
-//! over one scheduler mutex. Submission (from HTTP handler threads)
-//! enqueues under that mutex; runners pick work *round-robin across
-//! tenants, FIFO within a tenant*, and only when the job's budget
-//! reservation fits next to everything already running — so admission
-//! rejects the impossible, the scheduler delays the currently
-//! unaffordable, and running jobs are never oversubscribed.
+//! over the one scheduler mutex. Submission, dispatch, the end of an
+//! attempt and drain each take that lock, ask the scheduler, then do the
+//! journal, job-record and metrics side effects its answer names. Work
+//! runs *round-robin across tenants, FIFO within a tenant*, and only when
+//! its budget reservation fits beside everything already running.
 
 use crate::job::{JobRecord, JobResult, JobSpec, JobState};
-use crate::journal::{Journal, JournalConfig, JournalRecord, Replay, ReplayedJob};
-use crate::retry::{RetryBudget, RetryPolicy};
-use gm_algorithms::native::{NativeAlgorithm, NativeRun};
+use crate::journal::{Journal, JournalRecord, Replay};
+use crate::sched::{Decision, Failure, Job, Scheduler};
+use gm_algorithms::native::NativeRun;
 use gm_core::seqinterp::ArgValue;
 use gm_core::value::Value;
 use gm_core::Compiled;
-use gm_graph::io::{read_edge_list_file_with, LoadPolicy, LoadedGraph};
-use gm_interp::{run_compiled, RunError};
+use gm_graph::io::LoadedGraph;
+use gm_interp::run_compiled;
 use gm_obs::metrics::MetricsRegistry;
-use gm_pregel::{CheckpointConfig, PostMortemConfig, PregelConfig, ResourceBudget};
+use gm_pregel::{CheckpointConfig, PregelConfig, ResourceBudget};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// One graph to load at startup: a name plus either an edge-list path or
-/// a generator spec (`rmat:<nodes>:<edges>:<seed>` /
-/// `uniform:<nodes>:<edges>:<seed>`), as given to `--graph name=<spec>`.
-#[derive(Clone, Debug)]
-pub struct GraphSpec {
-    /// Name jobs refer to the snapshot by.
-    pub name: String,
-    /// Path or generator spec.
-    pub source: String,
-}
-
-impl GraphSpec {
-    /// Parses a `name=<path-or-generator>` argument.
-    pub fn parse(arg: &str) -> Result<GraphSpec, String> {
-        let (name, source) = arg
-            .split_once('=')
-            .ok_or_else(|| format!("--graph wants name=<path|rmat:n:m:seed>, got {arg:?}"))?;
-        if name.is_empty() || source.is_empty() {
-            return Err(format!(
-                "--graph wants a non-empty name and source: {arg:?}"
-            ));
-        }
-        Ok(GraphSpec {
-            name: name.to_owned(),
-            source: source.to_owned(),
-        })
-    }
-
-    fn load(&self) -> Result<LoadedGraph, String> {
-        let gen3 = |spec: &str| -> Result<(u32, usize, u64), String> {
-            let parts: Vec<&str> = spec.split(':').collect();
-            let [n, m, s] = parts[..] else {
-                return Err(format!(
-                    "generator spec wants <nodes>:<edges>:<seed>: {spec:?}"
-                ));
-            };
-            Ok((
-                n.parse()
-                    .map_err(|e| format!("bad node count {n:?}: {e}"))?,
-                m.parse()
-                    .map_err(|e| format!("bad edge count {m:?}: {e}"))?,
-                s.parse().map_err(|e| format!("bad seed {s:?}: {e}"))?,
-            ))
-        };
-        if let Some(spec) = self.source.strip_prefix("rmat:") {
-            let (n, m, s) = gen3(spec)?;
-            return Ok(synthetic(gm_graph::gen::rmat(n, m, s), s));
-        }
-        if let Some(spec) = self.source.strip_prefix("uniform:") {
-            let (n, m, s) = gen3(spec)?;
-            return Ok(synthetic(gm_graph::gen::uniform_random(n, m, s), s));
-        }
-        read_edge_list_file_with(&self.source, LoadPolicy::Strict)
-            .map_err(|e| format!("cannot load graph {}: {e}", self.name))
-    }
-}
-
-/// Wraps a generated graph with seeded edge weights uniform in `1..=16`,
-/// drawn from the graph's own seed.
-fn synthetic(graph: gm_graph::Graph, seed: u64) -> LoadedGraph {
-    let mut rng = gm_graph::rng::SplitMix64::new(seed);
-    let weights = (0..graph.num_edges())
-        .map(|_| rng.below(16) as i64 + 1)
-        .collect();
-    LoadedGraph {
-        graph,
-        weights,
-        stats: Default::default(),
-    }
-}
-
-/// Daemon-level configuration (the CLI populates this from flags).
-#[derive(Clone, Debug)]
-pub struct DaemonConfig {
-    /// Listen address (`host:port`, port 0 for ephemeral).
-    pub listen: String,
-    /// Graphs to load at startup.
-    pub graphs: Vec<GraphSpec>,
-    /// Runner threads — the maximum number of concurrently executing
-    /// jobs.
-    pub max_concurrent: usize,
-    /// Maximum queued (accepted but not yet running) jobs across all
-    /// tenants.
-    pub queue_cap: usize,
-    /// Default per-job Pregel worker count (a job may override).
-    pub default_workers: usize,
-    /// Server-level in-flight message-byte budget jobs reserve from.
-    pub total_message_bytes: u64,
-    /// Server-level resident value-store budget jobs reserve from.
-    pub total_resident_bytes: u64,
-    /// Deadline applied to jobs that do not set one (`None` = no
-    /// deadline).
-    pub default_deadline: Option<Duration>,
-    /// Post-mortem bundle capture for failed jobs.
-    pub post_mortem: Option<PostMortemConfig>,
-    /// Identical failures of one (graph, program) signature before new
-    /// submissions of it are refused.
-    pub quarantine_threshold: u32,
-    /// How long [`Daemon::drain`] waits for running jobs before
-    /// cancelling them.
-    pub drain_timeout: Duration,
-    /// Serve builtins through the compiled-in `gm-core::rustgen` modules
-    /// instead of the PIR interpreter. Selection uses the same rule as
-    /// `gmc run --backend native`: a builtin runs natively only when its
-    /// freshly emitted Rust is byte-identical to the checked-in module,
-    /// so results stay bit-for-bit pinned to the interpreter.
-    pub native_builtins: bool,
-    /// Write-ahead job journal (`--journal-dir`). `None` keeps the
-    /// pre-PR-10 in-memory-only behaviour.
-    pub journal: Option<JournalConfig>,
-    /// Terminal job records kept in memory, oldest evicted first
-    /// (`0` = unlimited).
-    pub job_history_keep: usize,
-    /// Daemon-wide retry policy for transiently-failed jobs.
-    pub retry: RetryPolicy,
-    /// Brownout degradation: shed queued work under sustained
-    /// reservation saturation. `None` disables shedding.
-    pub brownout: Option<BrownoutConfig>,
-    /// Escalation latch: set (by a second SIGINT/SIGTERM) to turn a
-    /// graceful drain into an immediate cooperative abort.
-    pub abort: Arc<AtomicBool>,
-}
-
-/// Brownout degradation knobs: when budget reservations stay saturated
-/// past `hold`, queued work is shed lowest-priority-first down to
-/// `shed_to`, and further submissions get `503 shedding` until the
-/// saturation clears.
-#[derive(Clone, Debug)]
-pub struct BrownoutConfig {
-    /// Fraction of either server-level byte budget at which the daemon
-    /// counts as saturated.
-    pub saturation: f64,
-    /// How long saturation must persist before shedding starts.
-    pub hold: Duration,
-    /// Queue depth shedding drains down to (and the admission ceiling
-    /// while the brownout is active).
-    pub shed_to: usize,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        BrownoutConfig {
-            saturation: 0.9,
-            hold: Duration::from_secs(2),
-            shed_to: 8,
-        }
-    }
-}
-
-impl Default for DaemonConfig {
-    fn default() -> Self {
-        DaemonConfig {
-            listen: "127.0.0.1:0".to_owned(),
-            graphs: Vec::new(),
-            max_concurrent: 4,
-            queue_cap: 64,
-            default_workers: 2,
-            total_message_bytes: 1 << 30,
-            total_resident_bytes: 4u64 << 30,
-            default_deadline: None,
-            post_mortem: PostMortemConfig::from_env(),
-            quarantine_threshold: 2,
-            drain_timeout: Duration::from_secs(10),
-            native_builtins: true,
-            journal: None,
-            job_history_keep: 0,
-            retry: RetryPolicy::default(),
-            brownout: None,
-            abort: Arc::new(AtomicBool::new(false)),
-        }
-    }
-}
-
-impl DaemonConfig {
-    /// A job's fair-share message budget: what it reserves when it does
-    /// not ask for an explicit amount.
-    pub fn fair_message_bytes(&self) -> u64 {
-        (self.total_message_bytes / self.max_concurrent.max(1) as u64).max(1)
-    }
-
-    /// A job's fair-share resident budget.
-    pub fn fair_resident_bytes(&self) -> u64 {
-        (self.total_resident_bytes / self.max_concurrent.max(1) as u64).max(1)
-    }
-}
+pub use crate::config::{BrownoutConfig, DaemonConfig, GraphSpec};
 
 /// Why a submission was refused at the door.
 #[derive(Clone, Debug)]
@@ -257,78 +73,89 @@ pub enum Reject {
     BadRequest(String),
 }
 
-struct QueuedJob {
-    id: String,
-    spec: JobSpec,
+impl Reject {
+    /// The structured `error` slug (also the `reason` label of
+    /// `gm_jobs_rejected_total`).
+    pub(crate) fn slug(&self) -> &'static str {
+        match self {
+            Reject::Draining => "draining",
+            Reject::UnknownGraph(_) => "unknown_graph",
+            Reject::UnknownProgram(_) => "unknown_program",
+            Reject::CompileError(_) => "compile_error",
+            Reject::Quarantined { .. } => "quarantined",
+            Reject::OverCapacity { .. } => "over_capacity",
+            Reject::QueueFull { .. } => "queue_full",
+            Reject::Shedding { .. } => "shedding",
+            Reject::JournalUnavailable(_) => "journal_unavailable",
+            Reject::BadRequest(_) => "bad_request",
+        }
+    }
+}
+
+/// What a runner executes: the compiled program and, for a builtin
+/// served by a compiled-in `rustgen` module, its native entry point.
+#[derive(Clone)]
+struct Program {
     compiled: Arc<Compiled>,
-    /// Native entry point, when the job is a builtin served by a
-    /// compiled-in `rustgen` module.
     native: Option<NativeRun>,
-    /// Reserved message bytes (explicit request or fair share).
-    msg_bytes: u64,
-    /// Reserved resident bytes.
-    res_bytes: u64,
-    submitted: Instant,
-    /// Attempts already burned (0 for a fresh submission; >0 after
-    /// retries or a crash-replay requeue).
-    attempt: u32,
 }
 
-/// A retried job parked until its backoff elapses.
-struct Delayed {
-    not_before: Instant,
-    job: QueuedJob,
+impl Program {
+    fn backend(&self) -> &'static str {
+        if self.native.is_some() {
+            "native"
+        } else {
+            "interp"
+        }
+    }
 }
 
+type QueuedJob = Job<Program>;
+
+/// Job records plus terminal ids in completion order, for oldest-first
+/// history GC.
 #[derive(Default)]
-struct Sched {
-    /// Per-tenant FIFO queues.
-    queues: BTreeMap<String, VecDeque<QueuedJob>>,
-    /// Round-robin position over the (sorted) tenant list.
-    cursor: usize,
-    queued: usize,
-    running: usize,
-    reserved_msg: u64,
-    reserved_res: u64,
-    draining: bool,
-    shutdown: bool,
-    /// Retried jobs waiting out their backoff (not counted in `queued`
-    /// until promoted).
-    delayed: Vec<Delayed>,
-    /// When reservation saturation was first observed (brownout timer).
-    saturated_since: Option<Instant>,
-    /// Whether the brownout is currently shedding.
-    brownout: bool,
+struct Jobs {
+    records: HashMap<String, JobRecord>,
+    history: VecDeque<String>,
 }
 
-struct Quarantine {
-    kind: String,
-    count: u32,
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+fn new_record(id: &str, spec: &JobSpec, backend: &'static str, attempts: u32) -> JobRecord {
+    JobRecord {
+        id: id.to_owned(),
+        tenant: spec.tenant.clone(),
+        graph: spec.graph.clone(),
+        program: spec.program.label(),
+        backend,
+        state: JobState::Queued,
+        wall_ms: None,
+        attempts,
+    }
 }
 
 /// Shared daemon state; HTTP handlers and runners both hold an `Arc`.
+///
+/// Two locks, always taken in this order: `sched` (every scheduling
+/// decision) before `jobs` (the records clients read).
 pub struct State {
     config: DaemonConfig,
     graphs: BTreeMap<String, Arc<LoadedGraph>>,
-    builtins: BTreeMap<String, Arc<Compiled>>,
-    /// Builtins whose emitted Rust matched a compiled-in native module,
-    /// by builtin name (empty when `native_builtins` is off).
-    native_builtins: BTreeMap<String, &'static NativeAlgorithm>,
+    /// Builtins by name, compiled once at startup.
+    builtins: BTreeMap<String, Program>,
     registry: Arc<MetricsRegistry>,
-    jobs: Mutex<HashMap<String, JobRecord>>,
-    sched: Mutex<Sched>,
+    jobs: Mutex<Jobs>,
+    sched: Mutex<Scheduler<Program>>,
     work_cv: Condvar,
     job_seq: AtomicU64,
     /// Shared cooperative-cancellation token: set during a timed-out
     /// drain so stragglers stop at their next superstep boundary.
     cancel: Arc<AtomicBool>,
-    quarantine: Mutex<HashMap<(String, String), Quarantine>>,
     /// Write-ahead job journal (`Some` when `--journal-dir` is set).
     journal: Option<Journal>,
-    /// Per-tenant retry token buckets.
-    retry_budget: RetryBudget,
-    /// Terminal job ids in completion order, for oldest-first history GC.
-    history: Mutex<VecDeque<String>>,
 }
 
 impl State {
@@ -355,261 +182,153 @@ impl State {
 
     /// Whether the daemon is refusing new work.
     pub fn draining(&self) -> bool {
-        self.sched
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .draining
+        self.lock_sched().draining()
     }
 
     /// Currently running job count.
     pub fn running(&self) -> usize {
-        self.sched.lock().unwrap_or_else(|e| e.into_inner()).running
+        self.lock_sched().running()
     }
 
     /// A snapshot of one job's record.
     pub fn job(&self, id: &str) -> Option<JobRecord> {
-        self.jobs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(id)
-            .cloned()
+        self.lock_jobs().records.get(id).cloned()
     }
 
-    fn lock_sched(&self) -> MutexGuard<'_, Sched> {
+    fn lock_sched(&self) -> MutexGuard<'_, Scheduler<Program>> {
         self.sched.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn lock_jobs(&self) -> MutexGuard<'_, HashMap<String, JobRecord>> {
+    fn lock_jobs(&self) -> MutexGuard<'_, Jobs> {
         self.jobs.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Validates, admits, and enqueues a job. Returns the job id.
-    pub fn submit(self: &Arc<Self>, mut spec: JobSpec) -> Result<String, Reject> {
-        let graph = spec.graph.clone();
-        if !self.graphs.contains_key(&graph) {
-            return Err(Reject::UnknownGraph(graph));
+    fn update_record(&self, id: &str, update: impl FnOnce(&mut JobRecord)) {
+        if let Some(rec) = self.lock_jobs().records.get_mut(id) {
+            update(rec);
         }
-        // Resolve the program *before* taking any lock: compiling inline
-        // source is the slow part and must not serialize submissions.
-        let (compiled, native) = match &spec.program {
-            crate::ProgramSpec::Builtin(name) => (
-                self.builtins
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| Reject::UnknownProgram(name.clone()))?,
-                self.native_builtins.get(name.as_str()).map(|a| a.run),
-            ),
-            crate::ProgramSpec::Source(src) => (
-                Arc::new(greenmarl::service::compile_source(src).map_err(Reject::CompileError)?),
-                None,
-            ),
-        };
-        let label = spec.program.label();
-        {
-            let q = self.quarantine.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = q.get(&(graph.clone(), label.clone())) {
-                if entry.count >= self.config.quarantine_threshold {
-                    self.reject_metric("quarantined");
-                    return Err(Reject::Quarantined {
-                        kind: entry.kind.clone(),
-                        count: entry.count,
-                    });
-                }
-            }
-        }
-        let msg_bytes = spec
-            .max_message_bytes
-            .unwrap_or_else(|| self.config.fair_message_bytes());
-        let res_bytes = spec
-            .max_resident_bytes
-            .unwrap_or_else(|| self.config.fair_resident_bytes());
-        if msg_bytes > self.config.total_message_bytes {
-            self.reject_metric("over_capacity");
-            return Err(Reject::OverCapacity {
-                what: "message_bytes",
-                requested: msg_bytes,
-                capacity: self.config.total_message_bytes,
-            });
-        }
-        if res_bytes > self.config.total_resident_bytes {
-            self.reject_metric("over_capacity");
-            return Err(Reject::OverCapacity {
-                what: "resident_bytes",
-                requested: res_bytes,
-                capacity: self.config.total_resident_bytes,
-            });
-        }
+    }
 
+    /// Resolves a spec into a runnable job (id unassigned): graph and
+    /// program lookup, inline compilation, and reservation sizes. Shared
+    /// by submission and crash replay; runs before any lock is taken,
+    /// because compiling inline source is the slow part and must not
+    /// serialize submissions.
+    fn resolve(&self, mut spec: JobSpec) -> Result<QueuedJob, Reject> {
+        if !self.graphs.contains_key(&spec.graph) {
+            return Err(Reject::UnknownGraph(spec.graph));
+        }
+        let program = match &spec.program {
+            crate::ProgramSpec::Builtin(name) => (self.builtins.get(name).cloned())
+                .ok_or_else(|| Reject::UnknownProgram(name.clone()))?,
+            crate::ProgramSpec::Source(src) => Program {
+                compiled: Arc::new(
+                    greenmarl::service::compile_source(src).map_err(Reject::CompileError)?,
+                ),
+                native: None,
+            },
+        };
         // Pin the effective worker count when journalling: checkpoint
         // resume after a crash must re-run with the same parallelism so
         // floating-point reductions stay bit-identical.
         if self.journal.is_some() {
             spec.workers = Some(spec.workers.unwrap_or(self.config.default_workers));
         }
+        // A job that names no budget reserves its fair share.
+        let fair = |total: u64| (total / self.config.max_concurrent.max(1) as u64).max(1);
+        Ok(Job {
+            id: String::new(),
+            msg_bytes: (spec.max_message_bytes).unwrap_or(fair(self.config.total_message_bytes)),
+            res_bytes: (spec.max_resident_bytes).unwrap_or(fair(self.config.total_resident_bytes)),
+            spec,
+            submitted: Instant::now(),
+            attempt: 0,
+            payload: program,
+        })
+    }
 
+    /// Validates, admits, and enqueues a job. Returns the job id.
+    pub fn submit(self: &Arc<Self>, spec: JobSpec) -> Result<String, Reject> {
+        let mut job = self.resolve(spec)?;
         let mut sched = self.lock_sched();
-        let shed = self.update_brownout(&mut sched, Instant::now());
-        let admitted = 'admit: {
-            if sched.draining {
-                self.reject_metric("draining");
-                break 'admit Err(Reject::Draining);
-            }
-            if let Some(b) = &self.config.brownout {
-                if sched.brownout && sched.queued >= b.shed_to {
-                    self.reject_metric("shedding");
-                    break 'admit Err(Reject::Shedding {
-                        retry_after: b.hold,
-                    });
-                }
-            }
-            if sched.queued >= self.config.queue_cap {
-                self.reject_metric("queue_full");
-                break 'admit Err(Reject::QueueFull {
-                    cap: self.config.queue_cap,
-                });
-            }
-            let id = format!("job-{}", self.job_seq.fetch_add(1, Ordering::Relaxed));
-            let record = JobRecord {
-                id: id.clone(),
-                tenant: spec.tenant.clone(),
-                graph,
-                program: label,
-                backend: if native.is_some() { "native" } else { "interp" },
-                state: JobState::Queued,
-                wall_ms: None,
-                attempts: 0,
-            };
+        let (shed, verdict) = sched.admit(&job, Instant::now());
+        let admitted = verdict.and_then(|()| {
+            job.id = format!("job-{}", self.job_seq.fetch_add(1, Ordering::Relaxed));
             // Write-ahead discipline: the acceptance is journalled
             // *before* it becomes observable; if the journal cannot
             // persist it, the daemon must not accept.
             if let Some(journal) = &self.journal {
-                if let Err(e) = journal.append(&JournalRecord::Accepted {
-                    id: id.clone(),
-                    backend: record.backend.to_owned(),
-                    spec: spec.clone(),
-                }) {
-                    self.reject_metric("journal_unavailable");
-                    break 'admit Err(Reject::JournalUnavailable(e.to_string()));
-                }
+                journal
+                    .append(&JournalRecord::Accepted {
+                        id: job.id.clone(),
+                        backend: job.payload.backend().to_owned(),
+                        spec: job.spec.clone(),
+                    })
+                    .map_err(|e| Reject::JournalUnavailable(e.to_string()))?;
             }
-            self.lock_jobs().insert(id.clone(), record);
-            let tenant = spec.tenant.clone();
-            sched
-                .queues
-                .entry(tenant.clone())
-                .or_default()
-                .push_back(QueuedJob {
-                    id: id.clone(),
-                    spec,
-                    compiled,
-                    native,
-                    msg_bytes,
-                    res_bytes,
-                    submitted: Instant::now(),
-                    attempt: 0,
-                });
-            sched.queued += 1;
-            Ok((id, tenant, sched.queued))
-        };
+            let record = new_record(&job.id, &job.spec, job.payload.backend(), 0);
+            self.lock_jobs().records.insert(job.id.clone(), record);
+            let (id, tenant) = (job.id.clone(), job.spec.tenant.clone());
+            sched.enqueue(job);
+            self.publish(&sched);
+            Ok((id, tenant))
+        });
         drop(sched);
-        self.fail_shed(shed);
-        let (id, tenant, depth) = admitted?;
-        self.registry
-            .counter_with(
-                "gm_jobs_submitted_total",
-                "jobs accepted",
-                &[("tenant", &tenant)],
-            )
-            .inc();
-        self.set_queue_depth(depth);
+        for job in shed {
+            self.count(
+                "gm_jobs_shed_total",
+                "queued jobs shed during brownout",
+                &[("tenant", &job.spec.tenant)],
+            );
+            self.fail_unrun(
+                &job.id,
+                job.attempt,
+                ms_since(job.submitted),
+                "shed",
+                "brownout: shed under sustained saturation",
+            );
+        }
+        let (id, tenant) = admitted.inspect_err(|reject| {
+            self.count(
+                "gm_jobs_rejected_total",
+                "jobs refused at admission",
+                &[("reason", reject.slug())],
+            );
+        })?;
+        self.count(
+            "gm_jobs_submitted_total",
+            "jobs accepted",
+            &[("tenant", &tenant)],
+        );
         self.work_cv.notify_all();
         Ok(id)
     }
 
-    /// Evaluates the brownout condition under the scheduler lock. Once
-    /// reservation saturation has persisted past the hold, queued work
-    /// is dequeued lowest-priority-first (newest-first within a
-    /// priority) down to the shed floor; the returned jobs must be
-    /// failed by the caller *after* dropping the lock.
-    fn update_brownout(&self, sched: &mut Sched, now: Instant) -> Vec<QueuedJob> {
-        let Some(b) = &self.config.brownout else {
-            return Vec::new();
-        };
-        let saturated = sched.reserved_msg as f64
-            >= b.saturation * self.config.total_message_bytes as f64
-            || sched.reserved_res as f64 >= b.saturation * self.config.total_resident_bytes as f64;
-        if !saturated {
-            sched.saturated_since = None;
-            sched.brownout = false;
-            return Vec::new();
-        }
-        let since = *sched.saturated_since.get_or_insert(now);
-        if now.duration_since(since) < b.hold {
-            return Vec::new();
-        }
-        sched.brownout = true;
-        let mut shed = Vec::new();
-        while sched.queued > b.shed_to {
-            let mut victim: Option<(String, usize, i64, Instant)> = None;
-            for (tenant, q) in &sched.queues {
-                for (i, job) in q.iter().enumerate() {
-                    let better = match &victim {
-                        None => true,
-                        Some((_, _, p, s)) => {
-                            job.spec.priority < *p
-                                || (job.spec.priority == *p && job.submitted > *s)
-                        }
-                    };
-                    if better {
-                        victim = Some((tenant.clone(), i, job.spec.priority, job.submitted));
-                    }
-                }
-            }
-            let Some((tenant, idx, _, _)) = victim else {
-                break;
-            };
-            let q = sched.queues.get_mut(&tenant).expect("victim's queue");
-            let job = q.remove(idx).expect("victim's index");
-            if q.is_empty() {
-                sched.queues.remove(&tenant);
-            }
-            sched.queued -= 1;
-            shed.push(job);
-        }
-        shed
-    }
-
-    /// Fails shed jobs (journal + record + metrics) outside the
-    /// scheduler lock.
-    fn fail_shed(self: &Arc<Self>, shed: Vec<QueuedJob>) {
-        for job in shed {
-            let wall_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
-            let message = "brownout: shed under sustained saturation".to_owned();
-            self.journal_append(&JournalRecord::Failed {
-                id: job.id.clone(),
+    /// Fails a job that never ran — shed by the brownout, flushed by
+    /// drain (`kind` "cancelled"), or replayed but no longer runnable.
+    fn fail_unrun(&self, id: &str, attempts: u32, wall_ms: f64, kind: &str, message: &str) {
+        let (id_, message_) = (id.to_owned(), message.to_owned());
+        self.journal_append(&if kind == "cancelled" {
+            JournalRecord::Cancelled {
+                id: id_,
                 wall_ms,
-                kind: "shed".to_owned(),
-                message: message.clone(),
+                message: message_,
+            }
+        } else {
+            JournalRecord::Failed {
+                id: id_,
+                wall_ms,
+                kind: kind.to_owned(),
+                message: message_,
                 bundle: None,
-            });
-            self.registry
-                .counter_with(
-                    "gm_jobs_shed_total",
-                    "queued jobs shed during brownout",
-                    &[("tenant", &job.spec.tenant)],
-                )
-                .inc();
-            self.finish_job(
-                &job.id,
-                JobState::Failed {
-                    kind: "shed".to_owned(),
-                    message,
-                    bundle: None,
-                },
-                wall_ms,
-                job.attempt,
-            );
-        }
+            }
+        });
+        let state = JobState::Failed {
+            kind: kind.to_owned(),
+            message: message.to_owned(),
+            bundle: None,
+        };
+        self.finish_job(id, state, wall_ms, attempts);
     }
 
     /// Best-effort journal append for transitions that must not fail the
@@ -619,195 +338,109 @@ impl State {
     fn journal_append(&self, rec: &JournalRecord) {
         let Some(journal) = &self.journal else { return };
         if journal.append(rec).is_err() {
-            self.registry
-                .counter_with(
-                    "gm_journal_append_errors_total",
-                    "journal appends that failed after acceptance",
-                    &[("type", rec.kind())],
-                )
-                .inc();
+            self.count(
+                "gm_journal_append_errors_total",
+                "journal appends that failed after acceptance",
+                &[("type", rec.kind())],
+            );
         }
     }
 
-    /// Moves a job to a terminal state and applies oldest-first history
-    /// GC when `--job-history-keep` bounds the in-memory records.
+    /// Moves a job to a terminal state (its terminal record already
+    /// journalled) and applies oldest-first history GC when
+    /// `--job-history-keep` bounds the in-memory records.
     fn finish_job(&self, id: &str, state: JobState, wall_ms: f64, attempts: u32) {
-        {
-            let mut jobs = self.lock_jobs();
-            if let Some(rec) = jobs.get_mut(id) {
-                rec.state = state;
-                rec.wall_ms = Some(wall_ms);
-                rec.attempts = attempts;
-            }
+        let mut jobs = self.lock_jobs();
+        let Jobs { records, history } = &mut *jobs;
+        if let Some(rec) = records.get_mut(id) {
+            rec.state = state;
+            rec.wall_ms = Some(wall_ms);
+            rec.attempts = attempts;
         }
+        history.push_back(id.to_owned());
         let keep = self.config.job_history_keep;
-        let mut evict = Vec::new();
-        {
-            let mut history = self.history.lock().unwrap_or_else(|e| e.into_inner());
-            history.push_back(id.to_owned());
-            if keep > 0 {
-                while history.len() > keep {
-                    evict.push(history.pop_front().expect("len checked"));
+        let excess = if keep == 0 {
+            0
+        } else {
+            history.len().saturating_sub(keep)
+        };
+        for victim in history.drain(..excess) {
+            records.remove(&victim);
+        }
+    }
+
+    fn count(&self, name: &str, help: &str, labels: &[(&str, &str)]) {
+        self.registry.counter_with(name, help, labels).inc();
+    }
+
+    /// Publishes the scheduler's queue depth and running count.
+    fn publish(&self, sched: &Scheduler<Program>) {
+        let depth = ("gm_jobs_queue_depth", "accepted jobs waiting for a runner");
+        let running = ("gm_jobs_running", "jobs currently executing");
+        self.registry
+            .gauge(depth.0, depth.1)
+            .set(sched.queued() as f64);
+        self.registry
+            .gauge(running.0, running.1)
+            .set(sched.running() as f64);
+    }
+
+    /// Blocks until the scheduler dispatches a job; `None` once the
+    /// daemon stops.
+    fn next_job(&self) -> Option<QueuedJob> {
+        let mut sched = self.lock_sched();
+        loop {
+            if sched.shutdown {
+                return None;
+            }
+            let now = Instant::now();
+            for id in sched.promote_due(now) {
+                self.update_record(&id, |rec| rec.state = JobState::Queued);
+            }
+            if let Some(job) = sched.pick() {
+                self.publish(&sched);
+                return Some(job);
+            }
+            // With retried jobs parked, sleep only until the earliest
+            // backoff elapses.
+            sched = match sched.next_due() {
+                Some(due) => {
+                    let wait = due
+                        .saturating_duration_since(now)
+                        .max(Duration::from_millis(1));
+                    let waited = self.work_cv.wait_timeout(sched, wait);
+                    waited.unwrap_or_else(|e| e.into_inner()).0
                 }
-            }
-        }
-        if !evict.is_empty() {
-            let mut jobs = self.lock_jobs();
-            for victim in evict {
-                jobs.remove(&victim);
-            }
-        }
-    }
-
-    fn reject_metric(&self, reason: &str) {
-        self.registry
-            .counter_with(
-                "gm_jobs_rejected_total",
-                "jobs refused at admission",
-                &[("reason", reason)],
-            )
-            .inc();
-    }
-
-    fn set_queue_depth(&self, depth: usize) {
-        self.registry
-            .gauge("gm_jobs_queue_depth", "accepted jobs waiting for a runner")
-            .set(depth as f64);
-    }
-
-    fn set_running(&self, running: usize) {
-        self.registry
-            .gauge("gm_jobs_running", "jobs currently executing")
-            .set(running as f64);
-    }
-
-    /// Picks the next runnable job: round-robin over tenants, FIFO within
-    /// each, skipping tenants whose front job does not currently fit the
-    /// remaining budget.
-    fn pick(&self, sched: &mut Sched) -> Option<QueuedJob> {
-        let tenants: Vec<String> = sched.queues.keys().cloned().collect();
-        if tenants.is_empty() {
-            return None;
-        }
-        let n = tenants.len();
-        for i in 0..n {
-            let tenant = &tenants[(sched.cursor + i) % n];
-            let Some(queue) = sched.queues.get_mut(tenant) else {
-                continue;
+                None => self.work_cv.wait(sched).unwrap_or_else(|e| e.into_inner()),
             };
-            let Some(front) = queue.front() else {
-                continue;
-            };
-            let fits = sched.reserved_msg + front.msg_bytes <= self.config.total_message_bytes
-                && sched.reserved_res + front.res_bytes <= self.config.total_resident_bytes;
-            if !fits {
-                continue;
-            }
-            let job = queue.pop_front().expect("front checked above");
-            if queue.is_empty() {
-                sched.queues.remove(tenant);
-            }
-            // Advance past the chosen tenant so the next pick starts at
-            // its successor — round-robin, not lowest-name-wins.
-            sched.cursor = (sched.cursor + i + 1) % n.max(1);
-            sched.queued -= 1;
-            sched.running += 1;
-            sched.reserved_msg += job.msg_bytes;
-            sched.reserved_res += job.res_bytes;
-            return Some(job);
-        }
-        None
-    }
-
-    /// Promotes retried jobs whose backoff has elapsed back into their
-    /// tenant queues.
-    fn promote_due(&self, sched: &mut Sched) {
-        let now = Instant::now();
-        let mut i = 0;
-        while i < sched.delayed.len() {
-            if sched.delayed[i].not_before <= now {
-                let d = sched.delayed.swap_remove(i);
-                if let Some(rec) = self.lock_jobs().get_mut(&d.job.id) {
-                    rec.state = JobState::Queued;
-                }
-                sched
-                    .queues
-                    .entry(d.job.spec.tenant.clone())
-                    .or_default()
-                    .push_back(d.job);
-                sched.queued += 1;
-            } else {
-                i += 1;
-            }
         }
     }
 
     fn runner_loop(self: &Arc<Self>) {
-        loop {
-            let job = {
-                let mut sched = self.lock_sched();
-                loop {
-                    if sched.shutdown {
-                        return;
-                    }
-                    self.promote_due(&mut sched);
-                    if let Some(job) = self.pick(&mut sched) {
-                        let depth = sched.queued;
-                        let running = sched.running;
-                        drop(sched);
-                        self.set_queue_depth(depth);
-                        self.set_running(running);
-                        break job;
-                    }
-                    // With retried jobs parked, sleep only until the
-                    // earliest backoff elapses.
-                    match sched.delayed.iter().map(|d| d.not_before).min() {
-                        Some(due) => {
-                            let wait = due
-                                .saturating_duration_since(Instant::now())
-                                .max(Duration::from_millis(1));
-                            let (s, _) = self
-                                .work_cv
-                                .wait_timeout(sched, wait)
-                                .unwrap_or_else(|e| e.into_inner());
-                            sched = s;
-                        }
-                        None => {
-                            sched = self.work_cv.wait(sched).unwrap_or_else(|e| e.into_inner());
-                        }
-                    }
-                }
-            };
+        while let Some(job) = self.next_job() {
             self.execute(job);
-            let mut sched = self.lock_sched();
-            // Reservation release must mirror pick() exactly.
-            sched.running -= 1;
-            let running = sched.running;
-            drop(sched);
-            self.set_running(running);
             self.work_cv.notify_all();
         }
     }
 
-    /// Runs one job attempt, updates its record and metrics, and
-    /// releases its byte reservations (the caller releases the
-    /// running-slot count). Transient failures within the retry budget
-    /// re-park the job with full-jitter backoff instead of finishing it.
+    /// Runs one job attempt, hands the outcome to the scheduler, and
+    /// applies the decision: journal record, job record, metrics.
     fn execute(self: &Arc<Self>, job: QueuedJob) {
-        let attempt = job.attempt + 1;
+        let attempt = job.attempt;
         self.journal_append(&JournalRecord::Started {
             id: job.id.clone(),
             attempt,
         });
-        if let Some(rec) = self.lock_jobs().get_mut(&job.id) {
+        self.update_record(&job.id, |rec| {
             rec.state = JobState::Running;
             rec.attempts = attempt;
-        }
+        });
         let graph = self.graphs[&job.spec.graph].clone();
+        let program = &job.payload;
         let mut args = job.spec.arg_values();
         // Like `gmc run`: the first declared edge-property parameter is
         // fed from the snapshot's weight column unless supplied.
-        if let Some((name, _)) = job.compiled.program.edge_props.first() {
+        if let Some((name, _)) = program.compiled.program.edge_props.first() {
             args.entry(name.clone()).or_insert_with(|| {
                 ArgValue::EdgeProp(graph.weights.iter().map(|&w| Value::Int(w)).collect())
             });
@@ -851,112 +484,77 @@ impl State {
             }
         }
 
-        let outcome = match job.native {
+        let outcome = match program.native {
             Some(run) => run(&graph.graph, &args, job.spec.seed, &config),
-            None => run_compiled(&graph.graph, &job.compiled, &args, job.spec.seed, &config),
+            None => run_compiled(
+                &graph.graph,
+                &program.compiled,
+                &args,
+                job.spec.seed,
+                &config,
+            ),
         };
-        let wall_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
-        let tenant = job.spec.tenant.clone();
+        let wall_ms = ms_since(job.submitted);
+        let outcome = (outcome.map(|out| JobResult::from_outcome(&out, job.spec.include_props)))
+            .map_err(Failure::from);
+        let (id, tenant) = (job.id.clone(), job.spec.tenant.clone());
+        let mut sched = self.lock_sched();
+        let decision = sched.finish(job, outcome.as_ref().err(), Instant::now());
+        self.publish(&sched);
+        if let (Decision::Retry { delay }, Err(f)) = (&decision, &outcome) {
+            // Recorded under the scheduler lock: a drain must not flush
+            // the parked job before its `retrying` record lands.
+            self.journal_append(&JournalRecord::Retrying {
+                id: id.clone(),
+                attempt,
+                kind: f.kind.clone(),
+                delay_ms: delay.as_millis() as u64,
+            });
+            let kind = f.kind.clone();
+            self.update_record(&id, |rec| rec.state = JobState::Retrying { attempt, kind });
+            drop(sched);
+            let labels = [("tenant", tenant.as_str()), ("kind", f.kind.as_str())];
+            self.count(
+                "gm_jobs_retried_total",
+                "transient failures scheduled for retry",
+                &labels,
+            );
+            return;
+        }
+        drop(sched);
+        let labels = [("tenant", tenant.as_str())];
         let state = match outcome {
-            Ok(out) => {
-                let result = JobResult::from_outcome(&out, job.spec.include_props);
+            Ok(result) => {
                 self.journal_append(&JournalRecord::Completed {
-                    id: job.id.clone(),
+                    id: id.clone(),
                     wall_ms,
                     result: result.clone(),
                 });
-                self.registry
-                    .counter_with(
-                        "gm_jobs_completed_total",
-                        "jobs finished successfully",
-                        &[("tenant", &tenant)],
-                    )
-                    .inc();
+                self.count(
+                    "gm_jobs_completed_total",
+                    "jobs finished successfully",
+                    &labels,
+                );
                 JobState::Completed(result)
             }
-            Err(err) => {
-                let (kind, message, bundle) = match err {
-                    RunError::BadArgument(m) => ("bad_argument".to_owned(), m, None),
-                    RunError::Pregel(e) => {
-                        let rendered = e.to_string();
-                        let kind = e.kind().to_owned();
-                        let (_, bundle) = e.detach_post_mortem();
-                        (kind, rendered, bundle)
-                    }
-                };
-                let policy = self.config.retry.for_spec(&job.spec);
-                let draining = self.lock_sched().draining;
-                if RetryPolicy::is_transient(&kind)
-                    && attempt <= policy.max_retries
-                    && !draining
-                    && self.retry_budget.try_take(&tenant)
-                {
-                    // Transient and within budget: park with backoff
-                    // instead of finishing. The failure does NOT count
-                    // toward quarantine.
-                    let seed = {
-                        let mut h = crate::Fnv1a::default();
-                        h.update(job.id.as_bytes());
-                        h.finish()
-                    };
-                    let delay = policy.delay(attempt, seed);
-                    self.journal_append(&JournalRecord::Retrying {
-                        id: job.id.clone(),
-                        attempt,
-                        kind: kind.clone(),
-                        delay_ms: delay.as_millis() as u64,
-                    });
-                    if let Some(rec) = self.lock_jobs().get_mut(&job.id) {
-                        rec.state = JobState::Retrying {
-                            attempt,
-                            kind: kind.clone(),
-                        };
-                        rec.attempts = attempt;
-                    }
-                    self.registry
-                        .counter_with(
-                            "gm_jobs_retried_total",
-                            "transient failures scheduled for retry",
-                            &[("tenant", &tenant), ("kind", &kind)],
-                        )
-                        .inc();
-                    let msg_bytes = job.msg_bytes;
-                    let res_bytes = job.res_bytes;
-                    let not_before = Instant::now() + delay;
-                    let mut sched = self.lock_sched();
-                    sched.reserved_msg -= msg_bytes;
-                    sched.reserved_res -= res_bytes;
-                    sched.delayed.push(Delayed {
-                        not_before,
-                        job: QueuedJob { attempt, ..job },
-                    });
-                    return;
-                }
+            Err(f) => {
+                // A running job stopped by a drain's cancel is journalled
+                // as `failed` (kind "cancelled"), keeping its bundle.
                 self.journal_append(&JournalRecord::Failed {
-                    id: job.id.clone(),
+                    id: id.clone(),
                     wall_ms,
-                    kind: kind.clone(),
-                    message: message.clone(),
-                    bundle: bundle.clone(),
+                    kind: f.kind.clone(),
+                    message: f.message.clone(),
+                    bundle: f.bundle.clone(),
                 });
-                self.note_failure(&job.spec.graph, &job.spec.program.label(), &kind);
-                self.registry
-                    .counter_with(
-                        "gm_jobs_failed_total",
-                        "jobs finished in failure",
-                        &[("tenant", &tenant)],
-                    )
-                    .inc();
+                self.count("gm_jobs_failed_total", "jobs finished in failure", &labels);
                 JobState::Failed {
-                    kind,
-                    message,
-                    bundle,
+                    kind: f.kind,
+                    message: f.message,
+                    bundle: f.bundle,
                 }
             }
         };
-        if let Some(journal) = &self.journal {
-            journal.remove_checkpoints(&job.id);
-        }
         self.registry
             .histogram_with(
                 "gm_job_latency_ms",
@@ -964,156 +562,65 @@ impl State {
                 &[("tenant", &tenant)],
             )
             .observe(wall_ms);
-        self.finish_job(&job.id, state, wall_ms, attempt);
-        let mut sched = self.lock_sched();
-        sched.reserved_msg -= job.msg_bytes;
-        sched.reserved_res -= job.res_bytes;
-    }
-
-    /// Records a failure signature; repeated identical kinds accumulate
-    /// toward quarantine, a different kind resets the signature.
-    fn note_failure(&self, graph: &str, label: &str, kind: &str) {
-        // Cancellation is the host stopping the job, not the job
-        // misbehaving — it must not poison the signature.
-        if kind == "cancelled" {
-            return;
-        }
-        let mut q = self.quarantine.lock().unwrap_or_else(|e| e.into_inner());
-        let entry = q
-            .entry((graph.to_owned(), label.to_owned()))
-            .or_insert_with(|| Quarantine {
-                kind: kind.to_owned(),
-                count: 0,
-            });
-        if entry.kind == kind {
-            entry.count += 1;
-        } else {
-            entry.kind = kind.to_owned();
-            entry.count = 1;
+        self.finish_job(&id, state, wall_ms, attempt);
+        if let Some(journal) = &self.journal {
+            journal.remove_checkpoints(&id);
         }
     }
 
     /// Applies the journal replay at startup: terminal jobs become
-    /// history, non-terminal jobs are re-queued (pre-admitted — they
-    /// already passed admission before the crash).
-    fn apply_replay(self: &Arc<Self>, replay: Replay) {
+    /// history; the rest are re-resolved and re-queued (pre-admitted —
+    /// they passed admission before the crash), or failed when their
+    /// graph or program is gone.
+    fn apply_replay(&self, replay: Replay) {
         for job in replay.jobs {
-            let record = JobRecord {
-                id: job.id.clone(),
-                tenant: job.spec.tenant.clone(),
-                graph: job.spec.graph.clone(),
-                program: job.spec.program.label(),
-                backend: if job.backend == "native" {
-                    "native"
-                } else {
-                    "interp"
-                },
-                state: JobState::Queued,
-                wall_ms: None,
-                attempts: job.attempts,
+            let backend = if job.backend == "native" {
+                "native"
+            } else {
+                "interp"
             };
+            let mut record = new_record(&job.id, &job.spec, backend, job.attempts);
             if !job.needs_requeue() {
-                let mut rec = record;
-                rec.state = job.state;
-                rec.wall_ms = job.wall_ms;
-                self.lock_jobs().insert(job.id.clone(), rec);
-                self.history
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push_back(job.id);
+                record.state = job.state;
+                record.wall_ms = job.wall_ms;
+                let mut jobs = self.lock_jobs();
+                jobs.records.insert(job.id.clone(), record);
+                jobs.history.push_back(job.id);
                 continue;
             }
-            self.lock_jobs().insert(job.id.clone(), record);
-            self.requeue_replayed(job);
-        }
-    }
-
-    /// Re-queues one non-terminal replayed job, re-resolving its program
-    /// against the restarted daemon's catalogue.
-    fn requeue_replayed(self: &Arc<Self>, job: ReplayedJob) {
-        if !self.graphs.contains_key(&job.spec.graph) {
-            return self.fail_replayed(
-                &job,
-                "unknown_graph",
-                format!("graph {:?} is not loaded after restart", job.spec.graph),
-            );
-        }
-        let (compiled, native) = match &job.spec.program {
-            crate::ProgramSpec::Builtin(name) => {
-                let Some(c) = self.builtins.get(name).cloned() else {
-                    return self.fail_replayed(
-                        &job,
-                        "unknown_program",
-                        format!("builtin {name:?} is unknown after restart"),
-                    );
-                };
-                (c, self.native_builtins.get(name.as_str()).map(|a| a.run))
+            match self.resolve(job.spec) {
+                Ok(mut queued) => {
+                    record.backend = queued.payload.backend();
+                    self.lock_jobs().records.insert(job.id.clone(), record);
+                    queued.id = job.id;
+                    queued.attempt = job.attempts;
+                    self.lock_sched().enqueue(queued);
+                }
+                Err(reject) => {
+                    self.lock_jobs().records.insert(job.id.clone(), record);
+                    let message = match &reject {
+                        Reject::UnknownGraph(g) => {
+                            format!("graph {g:?} is not loaded after restart")
+                        }
+                        Reject::UnknownProgram(p) => {
+                            format!("builtin {p:?} is unknown after restart")
+                        }
+                        Reject::CompileError(diagnostics) => diagnostics.clone(),
+                        other => format!("{other:?}"),
+                    };
+                    let wall_ms = job.wall_ms.unwrap_or(0.0);
+                    self.fail_unrun(&job.id, job.attempts, wall_ms, reject.slug(), &message);
+                }
             }
-            crate::ProgramSpec::Source(src) => match greenmarl::service::compile_source(src) {
-                Ok(c) => (Arc::new(c), None),
-                Err(e) => return self.fail_replayed(&job, "compile_error", e),
-            },
-        };
-        let msg_bytes = job
-            .spec
-            .max_message_bytes
-            .unwrap_or_else(|| self.config.fair_message_bytes());
-        let res_bytes = job
-            .spec
-            .max_resident_bytes
-            .unwrap_or_else(|| self.config.fair_resident_bytes());
-        if let Some(rec) = self.lock_jobs().get_mut(&job.id) {
-            rec.backend = if native.is_some() { "native" } else { "interp" };
         }
-        let mut sched = self.lock_sched();
-        sched
-            .queues
-            .entry(job.spec.tenant.clone())
-            .or_default()
-            .push_back(QueuedJob {
-                id: job.id.clone(),
-                spec: job.spec,
-                compiled,
-                native,
-                msg_bytes,
-                res_bytes,
-                submitted: Instant::now(),
-                attempt: job.attempts,
-            });
-        sched.queued += 1;
-        let depth = sched.queued;
-        drop(sched);
-        self.set_queue_depth(depth);
-        self.work_cv.notify_all();
-    }
-
-    /// Fails a replayed job that can no longer run (its graph or
-    /// program disappeared across the restart).
-    fn fail_replayed(self: &Arc<Self>, job: &ReplayedJob, kind: &str, message: String) {
-        let wall_ms = job.wall_ms.unwrap_or(0.0);
-        self.journal_append(&JournalRecord::Failed {
-            id: job.id.clone(),
-            wall_ms,
-            kind: kind.to_owned(),
-            message: message.clone(),
-            bundle: None,
-        });
-        self.finish_job(
-            &job.id,
-            JobState::Failed {
-                kind: kind.to_owned(),
-                message,
-                bundle: None,
-            },
-            wall_ms,
-            job.attempts,
-        );
+        self.publish(&self.lock_sched());
     }
 }
 
 /// A running daemon: HTTP server + runner pool over shared [`State`].
 pub struct Daemon {
     state: Arc<State>,
+    addr: SocketAddr,
     server: Option<gm_obs::http::HttpServer>,
     runners: Vec<std::thread::JoinHandle<()>>,
 }
@@ -1138,23 +645,20 @@ impl Daemon {
             }
         }
         let mut builtins = BTreeMap::new();
-        let mut native_builtins = BTreeMap::new();
         for (name, src) in builtin_sources() {
             let compiled = greenmarl::service::compile_source(src)
                 .map_err(|e| format!("builtin {name} failed to compile: {e}"))?;
-            if config.native_builtins {
-                // Same selection rule as `gmc run --backend native`: only
-                // adopt the compiled-in module when it is byte-identical
-                // to what the emitter would produce today.
-                if let Some(alg) = gm_core::rustgen::emit_rust(&compiled.program)
-                    .ok()
-                    .as_deref()
-                    .and_then(gm_algorithms::native::find_for_generated)
-                {
-                    native_builtins.insert(name.to_owned(), alg);
-                }
-            }
-            builtins.insert(name.to_owned(), Arc::new(compiled));
+            // Same selection rule as `gmc run --backend native`: only
+            // adopt the compiled-in module when it is byte-identical to
+            // what the emitter would produce today.
+            let emitted = (config.native_builtins)
+                .then(|| gm_core::rustgen::emit_rust(&compiled.program).ok())
+                .flatten();
+            let native = (emitted.as_deref())
+                .and_then(gm_algorithms::native::find_for_generated)
+                .map(|alg| alg.run);
+            let compiled = Arc::new(compiled);
+            builtins.insert(name.to_owned(), Program { compiled, native });
         }
         let registry = Arc::new(MetricsRegistry::new());
         // Open (and replay) the journal before anything is observable:
@@ -1168,21 +672,16 @@ impl Daemon {
             None => (None, None),
         };
         let job_seq = replay.as_ref().map(|r| r.max_job_seq + 1).unwrap_or(1);
-        let retry_budget = RetryBudget::new(&config.retry);
         let state = Arc::new(State {
             registry,
             graphs,
             builtins,
-            native_builtins,
-            jobs: Mutex::new(HashMap::new()),
-            sched: Mutex::new(Sched::default()),
+            jobs: Mutex::new(Jobs::default()),
+            sched: Mutex::new(Scheduler::new(&config)),
             work_cv: Condvar::new(),
             job_seq: AtomicU64::new(job_seq),
             cancel: Arc::new(AtomicBool::new(false)),
-            quarantine: Mutex::new(HashMap::new()),
             journal,
-            retry_budget,
-            history: Mutex::new(VecDeque::new()),
             config,
         });
         if let Some(replay) = replay {
@@ -1202,14 +701,15 @@ impl Daemon {
             .map_err(|e| format!("cannot bind {}: {e}", state.config.listen))?;
         Ok(Daemon {
             state,
+            addr: server.addr(),
             server: Some(server),
             runners,
         })
     }
 
     /// The bound listen address.
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.server.as_ref().expect("server runs until drop").addr()
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
     }
 
     /// The shared state (tests and the CLI reach metrics through it).
@@ -1225,37 +725,23 @@ impl Daemon {
         let state = self.state.clone();
         let deadline = Instant::now() + state.config.drain_timeout;
 
-        let mut sched = state.lock_sched();
-        sched.draining = true;
         // Queued jobs (including retried jobs waiting out a backoff) are
         // failed at once: they have no partial work to lose, and clients
         // polling them need a terminal answer.
-        let mut flushed: Vec<QueuedJob> = sched
-            .queues
-            .iter_mut()
-            .flat_map(|(_, q)| q.drain(..))
-            .collect();
-        sched.queues.clear();
-        flushed.extend(sched.delayed.drain(..).map(|d| d.job));
-        sched.queued = 0;
-        drop(sched);
-        state.set_queue_depth(0);
+        let flushed = {
+            let mut sched = state.lock_sched();
+            let flushed = sched.drain();
+            state.publish(&sched);
+            flushed
+        };
         for job in flushed {
-            let wall_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
-            state.journal_append(&JournalRecord::Cancelled {
-                id: job.id.clone(),
-                wall_ms,
-                message: "daemon draining".to_owned(),
-            });
-            state.finish_job(
+            let wall_ms = ms_since(job.submitted);
+            state.fail_unrun(
                 &job.id,
-                JobState::Failed {
-                    kind: "cancelled".to_owned(),
-                    message: "daemon draining".to_owned(),
-                    bundle: None,
-                },
-                wall_ms,
                 job.attempt,
+                wall_ms,
+                "cancelled",
+                "daemon draining",
             );
         }
 
@@ -1266,7 +752,7 @@ impl Daemon {
         // signal (the abort latch) skips the grace entirely.
         let hard_deadline = deadline + state.config.drain_timeout;
         let mut sched = state.lock_sched();
-        while sched.running > 0 {
+        while sched.running() > 0 {
             let now = Instant::now();
             if now >= hard_deadline {
                 break;
@@ -1285,20 +771,21 @@ impl Daemon {
             let wait = until
                 .saturating_duration_since(now)
                 .clamp(Duration::from_millis(10), Duration::from_millis(100));
-            let (s, _) = state
-                .work_cv
-                .wait_timeout(sched, wait)
-                .unwrap_or_else(|e| e.into_inner());
-            sched = s;
+            let waited = state.work_cv.wait_timeout(sched, wait);
+            sched = waited.unwrap_or_else(|e| e.into_inner()).0;
         }
-        sched.shutdown = true;
         drop(sched);
-        state.work_cv.notify_all();
+        self.stop_runners();
+        self.server.take(); // drop stops the accept loop
+        graceful
+    }
+
+    fn stop_runners(&mut self) {
+        self.state.lock_sched().shutdown = true;
+        self.state.work_cv.notify_all();
         for handle in self.runners.drain(..) {
             let _ = handle.join();
         }
-        self.server.take(); // drop stops the accept loop
-        graceful
     }
 }
 
@@ -1306,13 +793,7 @@ impl Drop for Daemon {
     fn drop(&mut self) {
         // Non-drain teardown (tests, panics): stop runners without
         // waiting for queued work.
-        let mut sched = self.state.lock_sched();
-        sched.shutdown = true;
-        drop(sched);
-        self.state.work_cv.notify_all();
-        for handle in self.runners.drain(..) {
-            let _ = handle.join();
-        }
+        self.stop_runners();
     }
 }
 

@@ -19,9 +19,10 @@
 //! * **Deadlines** — a per-job deadline arms the superstep watchdog; an
 //!   overrunning job dies with a structured `deadline_exceeded` failure
 //!   while its bundle documents why.
-//! * **Quarantine** — a (graph, program) pair that fails identically
-//!   twice is refused further submissions until the daemon restarts,
-//!   breaking crash loops at the front door.
+//! * **Quarantine** — a (graph, program) pair whose terminal failures
+//!   repeat identically `quarantine_threshold` times (default 2) is
+//!   refused further submissions until the daemon restarts, breaking
+//!   crash loops at the front door.
 //! * **Forensics** — failures are sealed into post-mortem bundles
 //!   (retention-capped via `GM_POST_MORTEM_KEEP`) and surfaced in the
 //!   job's status document.
@@ -42,6 +43,11 @@
 //! library pipeline as `gmc` with the PIR verifier forced on — malformed
 //! tenant programs become structured `400`s, not daemon crashes.
 //!
+//! Layers: [`sched`] decides (admission, fairness, retry, quarantine,
+//! brownout, drain — pure, no locks, clocks or I/O); [`daemon`] locks it,
+//! runs jobs and applies its decisions; [`journal`] is the write-ahead
+//! log; [`api`] the HTTP surface; [`config`] the daemon's inputs.
+//!
 //! Results are returned with per-property FNV-1a fingerprints (see
 //! [`fingerprint_values`]) so clients can assert bit-identical agreement
 //! with local runs without shipping whole columns; small jobs can opt
@@ -49,15 +55,16 @@
 
 pub mod api;
 pub mod client;
+pub mod config;
 pub mod daemon;
 pub mod job;
 pub mod journal;
-pub mod retry;
+pub mod sched;
 
 pub use daemon::{Daemon, DaemonConfig, GraphSpec};
 pub use job::{JobSpec, ProgramSpec};
 pub use journal::{Journal, JournalConfig, JournalRecord, Replay};
-pub use retry::RetryPolicy;
+pub use sched::RetryPolicy;
 
 use gm_core::value::Value;
 

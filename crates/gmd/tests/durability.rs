@@ -184,8 +184,11 @@ fn brownout_sheds_lowest_priority_newest_first_and_rejects_submissions() {
     let state = daemon.state().clone();
 
     // A long job occupies the single runner; three more queue behind it.
+    // It must outlast the 450ms sleep below by a wide margin: `e` < 0
+    // never converges, so it runs all 2000 iterations (a converging
+    // 400-iteration run took ~400ms on a 2-core box and raced the sleep).
     let long = r#"{"tenant":"acme","graph":"big","program":"pagerank",
-        "args":{"e":1e-30,"d":0.85,"max_iter":400},"seed":7}"#;
+        "args":{"e":-1.0,"d":0.85,"max_iter":2000},"seed":7}"#;
     let job = |tenant: &str, priority: i64| {
         format!(
             r#"{{"tenant":"{tenant}","graph":"big","program":"pagerank",
