@@ -264,7 +264,10 @@ fn native_spill_is_invisible_and_matches_interpreter() {
             base.metrics.spill.buckets_spilled, 0,
             "{name}: baseline spilled"
         );
-        if base.metrics.total_messages > 0 {
+        // Gathered supersteps bypass the message budget, so only pushed
+        // messages can spill (`GM_SCHEDULE=auto` may gather them all).
+        let pushed = |s: &gm_pregel::SuperstepMetrics| !s.pulled && s.messages_sent > 0;
+        if base.metrics.per_superstep.iter().any(pushed) {
             assert!(
                 gov.metrics.spill.buckets_spilled > 0,
                 "{name}: the 1-byte budget must force spills"
@@ -284,39 +287,43 @@ fn native_recovery_is_exact_and_matches_interpreter() {
     for (name, src, graph, args, seed) in algorithm_cases() {
         let alg = native_for(src);
         let compiled = compiled_for(name, src);
-        let plain = PregelConfig::with_workers(2);
-        let base = (alg.run)(&graph, &args, seed, &plain)
-            .unwrap_or_else(|e| panic!("{name} native plain: {e}"));
-        let fail_at = (base.metrics.supersteps / 2).max(1);
+        // Under pull and auto the snapshots fall right after gathered
+        // supersteps, so their inboxes are folded from captured payloads.
+        for schedule in [Schedule::Push, Schedule::Pull, Schedule::Auto] {
+            let plain = PregelConfig::with_workers(2).with_schedule(schedule);
+            let base = (alg.run)(&graph, &args, seed, &plain)
+                .unwrap_or_else(|e| panic!("{name} native plain {schedule:?}: {e}"));
+            let fail_at = (base.metrics.supersteps / 2).max(1);
 
-        let faulty = |tag: &str| PregelConfig {
-            checkpoint: Some(CheckpointConfig::new(fresh_dir(tag), 2)),
-            faults: FaultPlan::builder()
-                .panic_in_compute(fail_at, Some(0))
-                .build(),
-            recovery: Some(RecoveryPolicy::with_max_restarts(2)),
-            ..PregelConfig::with_workers(2)
-        };
+            let faulty = |tag: &str| PregelConfig {
+                checkpoint: Some(CheckpointConfig::new(fresh_dir(tag), 2)),
+                faults: FaultPlan::builder()
+                    .panic_in_compute(fail_at, Some(0))
+                    .build(),
+                recovery: Some(RecoveryPolicy::with_max_restarts(2)),
+                ..plain.clone()
+            };
 
-        let nat = (alg.run)(&graph, &args, seed, &faulty("nat"))
-            .unwrap_or_else(|e| panic!("{name} native recovery: {e}"));
-        let interp = run_compiled(&graph, &compiled, &args, seed, &faulty("interp"))
-            .unwrap_or_else(|e| panic!("{name} interp recovery: {e}"));
+            let nat = (alg.run)(&graph, &args, seed, &faulty("nat"))
+                .unwrap_or_else(|e| panic!("{name} native recovery {schedule:?}: {e}"));
+            let interp = run_compiled(&graph, &compiled, &args, seed, &faulty("interp"))
+                .unwrap_or_else(|e| panic!("{name} interp recovery {schedule:?}: {e}"));
 
-        assert_eq!(
-            nat.metrics.recovery.restarts, 1,
-            "{name}: injected fault at superstep {fail_at} never tripped"
-        );
-        assert_eq!(
-            outcome(&nat),
-            outcome(&base),
-            "{name}: recovery changed the native result"
-        );
-        assert_eq!(
-            outcome(&nat),
-            outcome(&interp),
-            "{name}: native diverged from interpreter through recovery"
-        );
+            assert_eq!(
+                nat.metrics.recovery.restarts, 1,
+                "{name} {schedule:?}: injected fault at superstep {fail_at} never tripped"
+            );
+            assert_eq!(
+                outcome(&nat),
+                outcome(&base),
+                "{name} {schedule:?}: recovery changed the native result"
+            );
+            assert_eq!(
+                outcome(&nat),
+                outcome(&interp),
+                "{name} {schedule:?}: native diverged from interpreter through recovery"
+            );
+        }
     }
 }
 
@@ -340,40 +347,51 @@ fn snapshots(dir: &Path) -> Vec<(String, PathBuf)> {
 fn native_snapshots_are_byte_identical_between_runs() {
     for (name, src, graph, args, seed) in algorithm_cases() {
         let alg = native_for(src);
-        let ckpt = |dir: &Path| PregelConfig {
+        let ckpt = |dir: &Path, schedule: Schedule| PregelConfig {
             checkpoint: Some(CheckpointConfig::new(dir, 1)),
-            ..PregelConfig::with_workers(2)
+            ..PregelConfig::with_workers(2).with_schedule(schedule)
         };
-        let (da, db) = (fresh_dir("det-a"), fresh_dir("det-b"));
-        (alg.run)(&graph, &args, seed, &ckpt(&da)).unwrap_or_else(|e| panic!("{name} run A: {e}"));
-        (alg.run)(&graph, &args, seed, &ckpt(&db)).unwrap_or_else(|e| panic!("{name} run B: {e}"));
-
+        // Run B repeats A exactly; pull and auto must write the same bytes
+        // as push, including inboxes left captured by a gathered superstep.
+        let runs = [
+            ("B", Schedule::Push),
+            ("pull", Schedule::Pull),
+            ("auto", Schedule::Auto),
+        ];
+        let da = fresh_dir("det-a");
+        (alg.run)(&graph, &args, seed, &ckpt(&da, Schedule::Push))
+            .unwrap_or_else(|e| panic!("{name} run A: {e}"));
         let a = snapshots(&da);
-        let b = snapshots(&db);
         assert!(!a.is_empty(), "{name}: no snapshots written");
-        assert_eq!(
-            a.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-            b.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-            "{name}: runs checkpointed different supersteps"
-        );
-        for ((file, pa), (_, pb)) in a.iter().zip(&b) {
-            let sa = Snapshot::read(pa).expect("read snapshot A");
-            let sb = Snapshot::read(pb).expect("read snapshot B");
-            let secs_a: Vec<&str> = sa.section_names().collect();
-            let secs_b: Vec<&str> = sb.section_names().collect();
-            assert_eq!(secs_a, secs_b, "{name}/{file}: section sets differ");
-            for sec in secs_a {
-                if sec == "metrics" {
-                    continue; // wall-clock durations, legitimately run-specific
+        for (run, schedule) in runs {
+            let db = fresh_dir("det-b");
+            (alg.run)(&graph, &args, seed, &ckpt(&db, schedule))
+                .unwrap_or_else(|e| panic!("{name} run {run}: {e}"));
+            let b = snapshots(&db);
+            assert_eq!(
+                a.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+                b.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+                "{name}: runs A and {run} checkpointed different supersteps"
+            );
+            for ((file, pa), (_, pb)) in a.iter().zip(&b) {
+                let sa = Snapshot::read(pa).expect("read snapshot A");
+                let sb = Snapshot::read(pb).expect("read snapshot B");
+                let secs_a: Vec<&str> = sa.section_names().collect();
+                let secs_b: Vec<&str> = sb.section_names().collect();
+                assert_eq!(secs_a, secs_b, "{name}/{file}: section sets differ");
+                for sec in secs_a {
+                    if sec == "metrics" {
+                        continue; // wall-clock durations, legitimately run-specific
+                    }
+                    assert_eq!(
+                        sa.section(sec),
+                        sb.section(sec),
+                        "{name}/{file}: section `{sec}` differs between runs A and {run}"
+                    );
                 }
-                assert_eq!(
-                    sa.section(sec),
-                    sb.section(sec),
-                    "{name}/{file}: section `{sec}` differs between identical runs"
-                );
             }
+            let _ = std::fs::remove_dir_all(&db);
         }
         let _ = std::fs::remove_dir_all(&da);
-        let _ = std::fs::remove_dir_all(&db);
     }
 }

@@ -473,7 +473,7 @@ fn read_segment(path: &Path) -> (Vec<Json>, u64) {
     if buf.len() < 8 || &buf[0..4] != MAGIC {
         return (Vec::new(), 1);
     }
-    let version = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
+    let version = le_u32(&buf, 4);
     if version != FORMAT_VERSION {
         return (Vec::new(), 1);
     }
@@ -485,7 +485,7 @@ fn read_segment(path: &Path) -> (Vec<Json>, u64) {
             dropped += 1; // torn length field
             break;
         }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes"));
+        let len = le_u32(&buf, pos);
         let Some(end) = (len <= MAX_RECORD_BYTES)
             .then(|| pos.checked_add(8 + len as usize))
             .flatten()
@@ -495,7 +495,7 @@ fn read_segment(path: &Path) -> (Vec<Json>, u64) {
             break;
         };
         let payload = &buf[pos + 4..end - 4];
-        let crc = u32::from_le_bytes(buf[end - 4..end].try_into().expect("4 bytes"));
+        let crc = le_u32(&buf, end - 4);
         if crc32(payload) != crc {
             dropped += 1; // corrupt record
             break;
@@ -512,6 +512,12 @@ fn read_segment(path: &Path) -> (Vec<Json>, u64) {
         pos = end;
     }
     (out, dropped)
+}
+
+/// The little-endian `u32` at `buf[at..at + 4]`; every caller has checked
+/// that those bytes exist.
+fn le_u32(buf: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
 }
 
 /// Folds raw records into per-job outcomes. Idempotent under record
@@ -598,10 +604,8 @@ fn fold(records: Vec<Json>, dropped: &mut u64) -> Vec<ReplayedJob> {
             }
         }
     }
-    order
-        .into_iter()
-        .map(|id| map.remove(&id).expect("order tracks map"))
-        .collect()
+    // `order` lists each key of `map` once, so nothing is skipped.
+    order.into_iter().filter_map(|id| map.remove(&id)).collect()
 }
 
 fn frame(payload: &[u8]) -> Vec<u8> {

@@ -84,6 +84,16 @@ impl Graph {
         }
     }
 
+    /// In-neighbors of `n` as bare source ids, in the same order as
+    /// [`Graph::in_neighbors`]: ascending by forward edge id, hence by
+    /// source.
+    #[inline]
+    pub fn in_sources(&self, n: NodeId) -> &[u32] {
+        let lo = self.in_offsets[n.index()] as usize;
+        let hi = self.in_offsets[n.index() + 1] as usize;
+        &self.in_sources[lo..hi]
+    }
+
     /// The target vertex of edge `e`.
     ///
     /// # Panics

@@ -17,7 +17,7 @@ use crate::globals::AggMap;
 use crate::metrics::{Metrics, RegistryFeed, SuperstepMetrics};
 use crate::program::{MasterContext, MasterDecision, PullMode, VertexProgram};
 use crate::supervise::FailedRun;
-use crate::worker::{read_lock, write_lock, Executor, Shared, Step, WorkerState};
+use crate::worker::{read_lock, write_lock, Executor, Pending, Shared, Step, WorkerState};
 use gm_ckpt::{CheckpointStore, Persist};
 use gm_obs::{Category, Tracer};
 use std::sync::atomic::Ordering;
@@ -100,6 +100,9 @@ where
 
     // Empty outbox buckets recycled from the previous exchange, per sender.
     let mut spares: Vec<RawOutbox<P::Message>> = (0..num_workers).map(|_| Vec::new()).collect();
+    // A fresh run has nothing pending and a resumed one restored its
+    // inboxes, so only a captured superstep leaves messages outside them.
+    let mut pending = Pending::Delivered;
 
     loop {
         if superstep >= config.max_supersteps {
@@ -127,7 +130,7 @@ where
                 let ckpt_start_us = tracer.map(Tracer::now_us);
                 let ckpt_started = Instant::now();
                 let outs = exec
-                    .each(superstep, WorkerState::snapshot, vec![(); num_workers])
+                    .each(superstep, WorkerState::snapshot, vec![pending; num_workers])
                     .map_err(lost)?;
                 let mut vertices = VertexSections::default();
                 for out in &outs {
@@ -325,6 +328,7 @@ where
         let step_in = Step {
             superstep,
             mode,
+            pending,
             deadline_at,
         };
 
@@ -405,8 +409,10 @@ where
             // ---- gather phase: receivers pull over in-edges ----
             // No buckets crossed worker boundaries (sends were absorbed at
             // the sink), so the exchange slot runs a gather instead: every
-            // worker reads all value stores and folds its own inboxes. The
-            // untouched outbox buckets go straight back to their senders.
+            // worker meters what push would have delivered and counts the
+            // vertices it wakes (recomputed payloads are also written to
+            // its inboxes). The untouched outbox buckets go straight back
+            // to their senders.
             spares = computes
                 .into_iter()
                 .map(|out| {
@@ -477,6 +483,10 @@ where
             );
         }
         active_vertices = not_halted + reactivated;
+        pending = match mode {
+            PullMode::Captured => Pending::Captured(superstep),
+            PullMode::Unsupported | PullMode::Recomputed => Pending::Delivered,
+        };
 
         // ---- barrier governance checks (coordinator) ----
         // Resident estimate: the value store plus the messages now parked

@@ -8,10 +8,19 @@
 //!   destination worker [`deliver`](WorkerState::deliver)s them — moving
 //!   each message into its `inbox_out` in ascending sender-worker order,
 //!   replaying spill files in place — before swapping the double buffer.
-//! * **pull** — a gathered superstep replaces the transpose and delivery:
-//!   every worker [`gather`](WorkerState::gather)s its vertices' messages
-//!   over the reverse CSR from the senders' stores, producing the same
-//!   inbox contents and meters a push superstep would.
+//! * **pull** — a gathered superstep replaces the transpose and delivery
+//!   with a [`gather`](WorkerState::gather): every worker walks its
+//!   vertices' in-edges over the reverse CSR and reads the senders' side
+//!   through one routine, [`Fill`]. Under [`PullMode::Recomputed`] the
+//!   walk re-evaluates each payload and writes the folded messages into
+//!   `inbox_out`, because the next compute overwrites the sender values it
+//!   reads. Under [`PullMode::Captured`] the payloads stay in the senders'
+//!   [`Captured`] columns and the barrier only meters, writing no message
+//!   (without a combiner compute already metered the broadcasts
+//!   sender-side, so only halted receivers are walked); the next compute
+//!   folds each receiver's inbox on demand. Either way the meters, pending
+//!   count and reactivations are the ones a push superstep would produce,
+//!   at the same barrier.
 
 use crate::error::WorkerFailure;
 use crate::govern::{read_spill_into, write_spill};
@@ -19,9 +28,10 @@ use crate::metrics::SuperstepMetrics;
 use crate::program::{PullMode, VertexProgram};
 use crate::worker::{check_deadline, read_lock, Shared, Step, VertexStore, WorkerState};
 use gm_ckpt::{CkptError, Persist};
-use gm_graph::NodeId;
+use gm_graph::{Graph, NodeId};
 use gm_obs::{Category, Tracer};
 use std::path::PathBuf;
+use std::sync::RwLockReadGuard;
 use std::time::{Duration, Instant};
 
 /// One bucket per worker, as filled by the vertex kernels (indexed by
@@ -72,6 +82,14 @@ impl Meter {
             self.remote_messages += messages;
             self.remote_bytes += bytes;
         }
+    }
+
+    /// Meters one uncombined broadcast of a `bytes`-byte payload as the
+    /// copies push would route: `local` to the sender's own worker,
+    /// `remote` to others.
+    pub fn broadcast(&mut self, local: u64, remote: u64, bytes: u64) {
+        self.add(local, local * bytes, false);
+        self.add(remote, remote * bytes, true);
     }
 
     /// Meters one sender worker's segment of a gathered inbox.
@@ -279,29 +297,197 @@ pub(crate) struct DeliverOut<M> {
 /// equivalent push superstep would have put on the wire, per sender-worker
 /// segment, so structural metrics stay bit-identical across schedules.
 pub(crate) struct GatherOut {
-    /// Messages folded into this worker's inboxes (next superstep's
-    /// pending).
+    /// Messages pending for this worker's vertices (next superstep's
+    /// pending), whether written to its inboxes or left captured.
     pub delivered: u64,
     /// Halted vertices reactivated by a gathered message.
     pub reactivated: u32,
     pub meter: Meter,
 }
 
+/// One worker's broadcast payloads from one [`PullMode::Captured`]
+/// superstep, by local vertex: a payload column plus a presence bitset, so
+/// the gather's random reads touch one bit and the payload itself rather
+/// than an `Option` up to twice its size.
+pub(crate) struct Captured<M> {
+    /// Meaningful only where `present` is set; other slots hold stale or
+    /// filler payloads.
+    payloads: Vec<M>,
+    present: Vec<u64>,
+}
+
+impl<M> Default for Captured<M> {
+    fn default() -> Self {
+        Captured {
+            payloads: Vec::new(),
+            present: Vec::new(),
+        }
+    }
+}
+
+impl<M: Clone> Captured<M> {
+    /// Forgets every capture, for a range of `len` vertices; both
+    /// allocations are kept.
+    pub fn reset(&mut self, len: usize) {
+        self.present.clear();
+        self.present.resize(len.div_ceil(64), 0);
+    }
+
+    pub fn set(&mut self, local: usize, m: M) {
+        self.present[local / 64] |= 1u64 << (local % 64);
+        match self.payloads.get_mut(local) {
+            Some(slot) => *slot = m,
+            // Slots skipped on the way take `m` as filler; their presence
+            // bits stay clear.
+            None => self.payloads.resize(local + 1, m),
+        }
+    }
+
+    /// The presence bitset and the payload column, for a hot loop that
+    /// tests a vertex's bit before reading its payload.
+    fn parts(&self) -> (&[u64], &[M]) {
+        (&self.present, &self.payloads)
+    }
+}
+
+/// The senders' side of a gathered superstep, one entry per worker.
+enum Senders<'s, P: VertexProgram> {
+    Captured(Vec<RwLockReadGuard<'s, Captured<P::Message>>>),
+    /// Which send sites fired, and the post-kernel values the payloads
+    /// are re-evaluated against.
+    Recomputed(Vec<RwLockReadGuard<'s, VertexStore<P>>>),
+}
+
+/// Rebuilds any receiver's inbox of a gathered superstep from the senders'
+/// side. The one routine behind the gather phase, the inbox that compute
+/// folds after a [`PullMode::Captured`] superstep, and that inbox's
+/// checkpoint.
+///
+/// Determinism mirrors push exactly. `in_sources` lists in-edges in
+/// forward-edge-id order — (sender ascending, adjacency position
+/// ascending) — which is precisely the order the push path's stable
+/// sort-by-destination leaves a sender bucket in, and the walk splits them
+/// into ascending sender-worker segments just like delivery appends
+/// buckets in ascending sender-worker order. The combiner folds within a
+/// segment only (push combines within one sender's bucket only), so the
+/// inbox contents, message/byte meters and reactivation counts are
+/// bit-identical to a push superstep's.
+pub(crate) struct Fill<'s, P: VertexProgram> {
+    graph: &'s Graph,
+    starts: &'s [u32],
+    program: &'s P,
+    combining: bool,
+    senders: Senders<'s, P>,
+}
+
+impl<'s, P: VertexProgram> Fill<'s, P> {
+    /// Reads the payloads captured at `superstep`. Read-locks every
+    /// worker's column of that superstep's parity until dropped.
+    pub fn captured(shared: &'s Shared<'_, P>, program: &'s P, superstep: u32) -> Self {
+        let columns = shared.captured[superstep as usize % 2]
+            .iter()
+            .map(read_lock)
+            .collect();
+        Self::new(shared, program, Senders::Captured(columns))
+    }
+
+    /// Re-evaluates the payloads of this superstep's fired send sites.
+    /// Read-locks every worker's store until dropped.
+    pub fn recomputed(shared: &'s Shared<'_, P>, program: &'s P) -> Self {
+        let stores = shared.stores.iter().map(read_lock).collect();
+        Self::new(shared, program, Senders::Recomputed(stores))
+    }
+
+    fn new(shared: &'s Shared<'_, P>, program: &'s P, senders: Senders<'s, P>) -> Self {
+        Fill {
+            graph: shared.graph,
+            starts: &shared.starts,
+            program,
+            combining: program.has_combiner(),
+            senders,
+        }
+    }
+
+    /// Appends `receiver`'s messages to `inbox` in push delivery order,
+    /// and hands `segment` each sender worker's share of them after the
+    /// combiner fold.
+    pub fn fill(
+        &self,
+        receiver: u32,
+        inbox: &mut Vec<P::Message>,
+        mut segment: impl FnMut(usize, &[P::Message]),
+    ) {
+        let sources = self.graph.in_sources(NodeId(receiver));
+        // In step with `sources`; only recomputed payloads need edge ids.
+        let mut in_edges = self.graph.in_neighbors(NodeId(receiver));
+        let (mut at, mut w) = (0, 0);
+        while let Some(&first) = sources.get(at) {
+            // The segment of sender worker `w`, which owns ids `lo..hi`:
+            // the run of sources below `hi`. Workers only move forward.
+            while first >= self.starts[w + 1] {
+                w += 1;
+            }
+            let (lo, hi) = (self.starts[w], self.starts[w + 1]);
+            let end = at + sources[at..].iter().take_while(|&&s| s < hi).count();
+            let seg = inbox.len();
+            match &self.senders {
+                Senders::Captured(columns) => {
+                    let (present, payloads) = columns[w].parts();
+                    for &src in &sources[at..end] {
+                        let local = (src - lo) as usize;
+                        if present[local / 64] & (1u64 << (local % 64)) != 0 {
+                            self.fold(inbox, seg, payloads[local].clone());
+                        }
+                    }
+                }
+                Senders::Recomputed(stores) => {
+                    let store = &stores[w];
+                    for (src, edge) in in_edges.by_ref().take(end - at) {
+                        let local = (src.0 - lo) as usize;
+                        if store.sent[local] {
+                            let value = &store.values[local];
+                            let m = self.program.pull_message(self.graph, src, edge, value);
+                            self.fold(inbox, seg, m);
+                        }
+                    }
+                }
+            }
+            segment(w, &inbox[seg..]);
+            at = end;
+        }
+    }
+
+    /// Appends `m` to the segment starting at `seg`, folding it into the
+    /// segment's last message when the program's combiner allows.
+    #[inline]
+    fn fold(&self, inbox: &mut Vec<P::Message>, seg: usize, m: P::Message) {
+        if self.combining && inbox.len() > seg {
+            if let Some(prev) = inbox.last_mut() {
+                if let Some(combined) = self.program.combine(prev, &m) {
+                    *prev = combined;
+                    return;
+                }
+            }
+        }
+        inbox.push(m);
+    }
+}
+
 impl<P: VertexProgram> WorkerState<P> {
-    /// A gathered superstep's replacement for exchange + delivery: each
-    /// owned vertex walks its in-edges (reverse CSR) and folds the
-    /// senders' messages in place, without the messages ever entering an
-    /// outbox.
+    /// A gathered superstep's replacement for exchange + delivery: walks
+    /// every owned vertex's in-edges through [`Fill`] and meters each
+    /// sender-worker segment as the messages that worker would have put
+    /// on the wire. A [`PullMode::Recomputed`] walk writes the messages
+    /// into `inbox_out` and swaps the double buffer, as delivery does. A
+    /// [`PullMode::Captured`] walk folds each inbox into the reused scratch
+    /// vector and drops it: the next compute folds it again from the
+    /// captured columns, which nothing overwrites until the superstep
+    /// after.
     ///
-    /// Determinism mirrors push exactly. `in_neighbors` yields in-edges in
-    /// forward-edge-id order — (sender ascending, adjacency position
-    /// ascending) — which is precisely the order the push path's stable
-    /// sort-by-destination leaves a sender bucket in, and senders group
-    /// into ascending worker segments just like delivery appends buckets
-    /// in ascending sender-worker order. The combiner folds within a
-    /// segment only (push combines within one sender's bucket only), so
-    /// the resulting inbox contents, message/byte meters, and reactivation
-    /// counts are bit-identical to a push superstep's.
+    /// Without a combiner, every captured payload reaches each of its
+    /// sender's out-neighbours unchanged, so compute already metered the
+    /// broadcasts sender-side ([`WorkerState::broadcasts`]) and the walk
+    /// visits only halted vertices, to count those a message wakes.
     pub fn gather(
         &mut self,
         shared: &Shared<'_, P>,
@@ -311,88 +497,60 @@ impl<P: VertexProgram> WorkerState<P> {
             superstep,
             mode,
             deadline_at,
+            ..
         } = step;
-        let worker = self.index as u32;
+        let worker = self.index;
         let tracer = shared.tracer.as_ref();
         let start_us = tracer.map(Tracer::now_us);
-        let (graph, starts) = (shared.graph, &shared.starts);
         let program = read_lock(&shared.program);
         let program: &P = &program;
-        // Every store read-locked for the whole phase. Safe: compute and
-        // gather are barrier-separated, so no worker holds its write lock
-        // here.
-        let guards: Vec<_> = shared.stores.iter().map(read_lock).collect();
-        let has_combiner = program.has_combiner();
-        let mut delivered: u64 = 0;
+        // Safe to read-lock every store or column for the whole phase:
+        // compute and gather are barrier-separated, so no worker holds its
+        // write lock here.
+        let (fill, eager) = match mode {
+            PullMode::Captured => (Fill::captured(shared, program, superstep), false),
+            PullMode::Recomputed => (Fill::recomputed(shared, program), true),
+            PullMode::Unsupported => unreachable!("gather phase dispatched with no pull mode"),
+        };
+        let sender_metered = !eager && !program.has_combiner();
+        let mut meter = std::mem::take(&mut self.broadcasts);
+        let mut delivered = meter.messages;
         let mut reactivated: u32 = 0;
-        let mut meter = Meter::default();
+        let mut scratch = std::mem::take(&mut self.scratch);
         for local in 0..self.halted.len() {
             // Cooperative watchdog, same cadence as the compute loop.
             if local & 0xFF == 0 {
-                check_deadline(deadline_at, worker)?;
+                check_deadline(deadline_at, worker as u32)?;
             }
-            let inbox = &mut self.inbox_out[local];
-            debug_assert!(inbox.is_empty());
-            // Sender-worker segment cursor; in-edges arrive with ascending
-            // sender ids, so it only moves forward.
-            let mut sw = 0usize;
-            let mut seg_start = 0usize;
-            // The segment's id range and store, looked up once per segment
-            // instead of once per in-edge.
-            let mut lo_id = starts[0];
-            let mut hi_id = starts[1];
-            let mut store: &VertexStore<P> = &guards[0];
-            for (src, eid) in graph.in_neighbors(NodeId(self.base + local as u32)) {
-                while src.0 >= hi_id {
-                    // Segment boundary: meter the fold results as the
-                    // messages sender-worker `sw` would have put on the
-                    // wire.
-                    meter.segment(program, &inbox[seg_start..], sw != self.index);
-                    seg_start = inbox.len();
-                    sw += 1;
-                    lo_id = hi_id;
-                    hi_id = starts[sw + 1];
-                    store = &guards[sw];
-                }
-                let src_local = (src.0 - lo_id) as usize;
-                let m = match mode {
-                    PullMode::Captured => match &store.captured[src_local] {
-                        Some(m) => m.clone(),
-                        None => continue,
-                    },
-                    PullMode::Recomputed => {
-                        if !store.sent[src_local] {
-                            continue;
-                        }
-                        program.pull_message(graph, src, eid, &store.values[src_local])
-                    }
-                    PullMode::Unsupported => {
-                        unreachable!("gather phase dispatched with no pull mode")
-                    }
-                };
-                if has_combiner && inbox.len() > seg_start {
-                    let prev = inbox.last_mut().expect("segment is non-empty");
-                    match program.combine(prev, &m) {
-                        Some(combined) => *prev = combined,
-                        None => inbox.push(m),
-                    }
-                } else {
-                    inbox.push(m);
-                }
+            if sender_metered && !self.halted[local] {
+                continue;
             }
-            // Close the final segment.
-            meter.segment(program, &inbox[seg_start..], sw != self.index);
-            delivered += inbox.len() as u64;
+            let inbox = if eager {
+                &mut self.inbox_out[local]
+            } else {
+                scratch.clear();
+                &mut scratch
+            };
+            debug_assert!(!eager || inbox.is_empty());
+            fill.fill(self.base + local as u32, inbox, |w, segment| {
+                if !sender_metered {
+                    meter.segment(program, segment, w != worker);
+                }
+            });
+            if !sender_metered {
+                delivered += inbox.len() as u64;
+            }
             if self.halted[local] && !inbox.is_empty() {
                 reactivated += 1;
             }
         }
-        drop(guards);
+        drop(fill);
+        self.scratch = scratch;
         if let Some(t) = tracer {
             t.span(
                 "gather",
                 Category::Runtime,
-                worker + 1,
+                worker as u32 + 1,
                 start_us.unwrap_or(0),
                 vec![
                     ("superstep", superstep.into()),
@@ -402,9 +560,11 @@ impl<P: VertexProgram> WorkerState<P> {
                 ],
             );
         }
-        // Same double-buffer handoff as delivery: the gathered messages
-        // become the next superstep's `inbox_in`.
-        std::mem::swap(&mut self.inbox_in, &mut self.inbox_out);
+        if eager {
+            // Same double-buffer handoff as delivery: the gathered messages
+            // become the next superstep's `inbox_in`.
+            std::mem::swap(&mut self.inbox_in, &mut self.inbox_out);
+        }
         Ok(GatherOut {
             delivered,
             reactivated,

@@ -19,7 +19,7 @@ pub enum PullMode {
     /// The kernel's single neighbor-broadcast payload is independent of
     /// the connecting edge: the sender evaluates it once, the runtime
     /// captures it in a per-vertex slot, and each receiver clones it from
-    /// that slot at gather time.
+    /// that slot when its inbox is folded, just before its next kernel.
     Captured,
     /// The payload depends on the connecting edge (e.g. SSSP's
     /// `dist + e.len`): the sender only marks that its send fired, and

@@ -9,6 +9,7 @@ use crate::checkpoint::{decode_snapshot, ResumeState};
 use crate::config::{PregelConfig, Schedule};
 use crate::coordinator::{drive, CkptRunner, DriveInit};
 use crate::error::{failure_site, PregelError};
+use crate::exchange::Captured;
 use crate::globals::Globals;
 use crate::govern::Governor;
 use crate::metrics::Metrics;
@@ -422,6 +423,11 @@ where
         program: RwLock::new(program),
         globals: RwLock::new(globals),
         stores: stores.into_iter().map(RwLock::new).collect::<Vec<_>>(),
+        captured: [(); 2].map(|()| {
+            (0..num_workers)
+                .map(|_| RwLock::new(Captured::default()))
+                .collect()
+        }),
         starts,
         tracer: tracer_handle.clone(),
         faults: config.faults.clone(),

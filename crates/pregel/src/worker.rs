@@ -11,6 +11,13 @@
 //! meter, spill) and later delivers into `inbox_out` before the buffers
 //! swap.
 //!
+//! After a [`PullMode::Captured`] superstep the pending messages are in no
+//! inbox: they are still the senders' payloads in [`Shared::captured`]
+//! ([`Pending::Captured`]). The next compute folds each receiver's
+//! messages into one reused scratch vector just before its kernel runs,
+//! and a checkpoint taken in between folds them the same way, so it
+//! serializes the inbox a push run would hold.
+//!
 //! A phase is a plain function of one worker's state, the [`Shared`] run
 //! state and a per-worker input. [`Executor::each`] runs it on every worker
 //! and returns the outputs in ascending worker order — the order every
@@ -22,7 +29,7 @@
 
 use crate::checkpoint::VertexSections;
 use crate::error::{PregelError, WorkerFailure};
-use crate::exchange::{seal, RawOutbox, Sealed};
+use crate::exchange::{seal, Captured, Fill, Meter, RawOutbox, Sealed};
 use crate::globals::{AggMap, Globals};
 use crate::govern::Governor;
 use crate::program::{PullMode, PullSink, VertexContext, VertexProgram};
@@ -47,6 +54,13 @@ pub(crate) struct Shared<'a, P: VertexProgram> {
     /// read locks on all stores (phases are barrier-separated, so the two
     /// access patterns never overlap).
     pub stores: Vec<RwLock<VertexStore<P>>>,
+    /// Captured broadcast payloads, one column per worker, double-buffered
+    /// by superstep parity: a [`PullMode::Captured`] superstep `s` writes
+    /// `captured[s % 2]` while its compute folds superstep `s - 1`'s
+    /// payloads out of the other buffer. Each column has its own lock,
+    /// apart from the stores, because that fold reads every worker's
+    /// column while each worker writes its own.
+    pub captured: [Vec<RwLock<Captured<P::Message>>>; 2],
     /// Worker range starts; worker `w` owns `starts[w]..starts[w + 1]`.
     pub starts: Vec<u32>,
     /// Trace destination, cloned out of the config; `None` disables all
@@ -69,15 +83,12 @@ pub(crate) fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 }
 
 /// One worker's per-vertex state, kept in [`Shared`] so gathered
-/// supersteps can read other workers' vertices. `captured`/`sent` are
-/// intra-superstep pull scratch: reset at the top of every gathered
-/// compute phase and consumed by the same superstep's gather, so they
-/// never need to be checkpointed.
+/// supersteps can read other workers' vertices. `sent` is intra-superstep
+/// pull scratch: reset at the top of every [`PullMode::Recomputed`]
+/// compute phase and consumed by the same superstep's gather, so it never
+/// needs to be checkpointed.
 pub(crate) struct VertexStore<P: VertexProgram> {
     pub values: Vec<P::VertexValue>,
-    /// Captured broadcast payload per local vertex
-    /// ([`PullMode::Captured`] supersteps).
-    pub captured: Vec<Option<P::Message>>,
     /// Whether the vertex's send site fired
     /// ([`PullMode::Recomputed`] supersteps).
     pub sent: Vec<bool>,
@@ -87,12 +98,22 @@ impl<P: VertexProgram> VertexStore<P> {
     pub fn from_values(values: Vec<P::VertexValue>) -> Self {
         VertexStore {
             values,
-            // Sized lazily at the first gathered superstep; push-only runs
-            // never allocate them.
-            captured: Vec::new(),
+            // Sized lazily at the first recomputed superstep; other runs
+            // never allocate it.
             sent: Vec::new(),
         }
     }
+}
+
+/// Where the messages a superstep consumes are.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Pending {
+    /// In every worker's `inbox_in`: delivered by push, gathered eagerly
+    /// under [`PullMode::Recomputed`], or restored from a snapshot.
+    Delivered,
+    /// Still in the columns captured at this superstep; each receiver's
+    /// inbox is folded from them when it is needed.
+    Captured(u32),
 }
 
 /// What every worker is told about the superstep a phase belongs to.
@@ -100,8 +121,10 @@ impl<P: VertexProgram> VertexStore<P> {
 pub(crate) struct Step {
     pub superstep: u32,
     /// The direction: `Unsupported` routes (push); otherwise compute
-    /// absorbs sends into the worker's store and gather folds them.
+    /// absorbs sends (captured or marked) and gather reads them.
     pub mode: PullMode,
+    /// Where this superstep's incoming messages are.
+    pub pending: Pending,
     /// Cooperative watchdog cutoff for this superstep, when budgeted.
     pub deadline_at: Option<Instant>,
 }
@@ -131,8 +154,17 @@ pub(crate) struct WorkerState<P: VertexProgram> {
     /// Messages delivered for the next superstep; swapped with `inbox_in`
     /// at the end of each delivery, retaining both buffers' capacity.
     pub inbox_out: Vec<Vec<P::Message>>,
-    /// The vertex whose kernel is running, so a caught panic can be
-    /// attributed to it; `None` outside the vertex loop.
+    /// One receiver's inbox folded from captured payloads, reused from
+    /// vertex to vertex so it stays cache-resident.
+    pub scratch: Vec<P::Message>,
+    /// This superstep's captured broadcasts, metered sender-side by
+    /// compute when the program has no combiner; handed to the gather.
+    pub broadcasts: Meter,
+    /// Per owned vertex, its out-edges into this worker's own range: the
+    /// local share of a broadcast. Built at the first captured superstep.
+    local_out: Vec<u32>,
+    /// The vertex whose inbox fold or kernel is running, so a caught panic
+    /// can be attributed to it; `None` outside the vertex loop.
     running: Option<u32>,
 }
 
@@ -177,6 +209,9 @@ impl<P: VertexProgram> WorkerState<P> {
             halted,
             inbox_in,
             inbox_out: (0..len).map(|_| Vec::new()).collect(),
+            scratch: Vec::new(),
+            broadcasts: Meter::default(),
+            local_out: Vec::new(),
             running: None,
         }
     }
@@ -186,7 +221,7 @@ impl<P: VertexProgram> WorkerState<P> {
     pub fn snapshot(
         &mut self,
         shared: &Shared<'_, P>,
-        (): (),
+        pending: Pending,
     ) -> Result<VertexSections, WorkerFailure>
     where
         P::VertexValue: Persist,
@@ -203,8 +238,24 @@ impl<P: VertexProgram> WorkerState<P> {
             h.persist(&mut halted);
         }
         let mut inbox = Vec::new();
-        for slot in &self.inbox_in {
-            slot.persist(&mut inbox);
+        match pending {
+            Pending::Delivered => {
+                for slot in &self.inbox_in {
+                    slot.persist(&mut inbox);
+                }
+            }
+            // Folded exactly as the next compute would, so the bytes do
+            // not depend on the schedule.
+            Pending::Captured(at) => {
+                let program = read_lock(&shared.program);
+                let fill = Fill::captured(shared, &**program, at);
+                let scratch = &mut self.scratch;
+                for local in 0..self.halted.len() {
+                    scratch.clear();
+                    fill.fill(self.base + local as u32, scratch, |_, _| {});
+                    scratch.persist(&mut inbox);
+                }
+            }
         }
         if let Some(t) = tracer {
             t.span(
@@ -239,6 +290,7 @@ impl<P: VertexProgram> WorkerState<P> {
         let Step {
             superstep,
             mode,
+            pending,
             deadline_at,
         } = step;
         let worker = self.index as u32;
@@ -272,31 +324,60 @@ impl<P: VertexProgram> WorkerState<P> {
         let mut outbox = spare;
         outbox.resize_with(shared.starts.len() - 1, Vec::new);
         debug_assert!(outbox.iter().all(|b| b.is_empty()));
-        let VertexStore {
-            values,
-            captured,
-            sent,
-        } = &mut *store;
+        let VertexStore { values, sent } = &mut *store;
         let len = values.len();
         // Intra-superstep gather scratch: reset here, consumed by this
         // superstep's gather phase. A vertex the loop below skips sends
         // nothing, exactly like push.
+        let mut captured = None;
+        let meter_broadcasts = mode == PullMode::Captured && !program.has_combiner();
         match mode {
             PullMode::Unsupported => {}
             PullMode::Captured => {
-                captured.clear();
-                captured.resize(len, None);
+                let mut column = write_lock(&shared.captured[superstep as usize % 2][self.index]);
+                column.reset(len);
+                captured = Some(column);
+                if meter_broadcasts && self.local_out.len() != len {
+                    let own = self.base..self.base + len as u32;
+                    self.local_out = own
+                        .clone()
+                        .map(|v| {
+                            let targets = shared.graph.out_neighbors(NodeId(v));
+                            targets.filter(|(t, _)| own.contains(&t.0)).count() as u32
+                        })
+                        .collect();
+                }
             }
             PullMode::Recomputed => {
                 sent.clear();
                 sent.resize(len, false);
             }
         }
+        // Messages still captured by the previous superstep are folded
+        // receiver by receiver into one reused vector; they never land in
+        // `inbox_in`.
+        let fill = match pending {
+            Pending::Delivered => None,
+            Pending::Captured(at) => Some(Fill::captured(shared, &**program, at)),
+        };
+        let mut scratch = std::mem::take(&mut self.scratch);
         let mut agg = AggMap::new();
         let mut computed: u32 = 0;
         let mut voted_halt: u32 = 0;
         for local in 0..len {
-            if self.halted[local] && self.inbox_in[local].is_empty() {
+            let id = self.base + local as u32;
+            self.running = Some(id);
+            // Folded before the halted check, so a halted vertex that
+            // receives nothing is still skipped.
+            let messages: &[P::Message] = match &fill {
+                None => &self.inbox_in[local],
+                Some(fill) => {
+                    scratch.clear();
+                    fill.fill(id, &mut scratch, |_, _| {});
+                    &scratch
+                }
+            };
+            if self.halted[local] && messages.is_empty() {
                 continue;
             }
             // Cooperative watchdog: cheap enough to leave in the hot loop
@@ -305,11 +386,11 @@ impl<P: VertexProgram> WorkerState<P> {
             if local & 0xFF == 0 {
                 check_deadline(deadline_at, worker)?;
             }
-            self.running = Some(self.base + local as u32);
             self.halted[local] = false;
             computed += 1;
+            let mut slot = None;
             let mut ctx = VertexContext {
-                id: NodeId(self.base + local as u32),
+                id: NodeId(id),
                 superstep,
                 graph: shared.graph,
                 broadcast: &globals,
@@ -319,18 +400,29 @@ impl<P: VertexProgram> WorkerState<P> {
                 halted: &mut self.halted[local],
                 pull: match mode {
                     PullMode::Unsupported => PullSink::Route,
-                    PullMode::Captured => PullSink::Capture(&mut captured[local]),
+                    PullMode::Captured => PullSink::Capture(&mut slot),
                     PullMode::Recomputed => PullSink::Mark(&mut sent[local]),
                 },
             };
-            program.vertex_compute(&mut ctx, &mut values[local], &self.inbox_in[local]);
+            program.vertex_compute(&mut ctx, &mut values[local], messages);
             if self.halted[local] {
                 voted_halt += 1;
+            }
+            if let (Some(column), Some(m)) = (captured.as_mut(), slot) {
+                if meter_broadcasts {
+                    let local_copies = self.local_out[local];
+                    let remote_copies = shared.graph.out_degree(NodeId(id)) - local_copies;
+                    let bytes = program.message_bytes(&m);
+                    self.broadcasts
+                        .broadcast(local_copies.into(), remote_copies.into(), bytes);
+                }
+                column.set(local, m);
             }
             // Drain the slot but keep its capacity for the next delivery.
             self.inbox_in[local].clear();
         }
         self.running = None;
+        self.scratch = scratch;
         let compute_time = compute_started.elapsed();
         if let Some(t) = tracer {
             t.span_at(
