@@ -20,6 +20,7 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf, pos: 0 }
     }
 
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -30,6 +31,7 @@ impl<'a> ByteReader<'a> {
 
     /// Consume exactly `n` bytes, failing with `Truncated` if the buffer
     /// is too short.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
         if self.remaining() < n {
             return Err(CkptError::Truncated);
@@ -52,15 +54,18 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    #[inline]
     pub fn read_u8(&mut self) -> Result<u8, CkptError> {
         Ok(self.take(1)?[0])
     }
 
+    #[inline]
     pub fn read_u32(&mut self) -> Result<u32, CkptError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
+    #[inline]
     pub fn read_u64(&mut self) -> Result<u64, CkptError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
@@ -112,18 +117,22 @@ impl Persist for () {
 }
 
 impl Persist for u8 {
+    #[inline]
     fn persist(&self, out: &mut Vec<u8>) {
         out.push(*self);
     }
+    #[inline]
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
         r.read_u8()
     }
 }
 
 impl Persist for bool {
+    #[inline]
     fn persist(&self, out: &mut Vec<u8>) {
         out.push(*self as u8);
     }
+    #[inline]
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
         match r.read_u8()? {
             0 => Ok(false),
@@ -134,36 +143,44 @@ impl Persist for bool {
 }
 
 impl Persist for u32 {
+    #[inline]
     fn persist(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
+    #[inline]
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
         r.read_u32()
     }
 }
 
 impl Persist for u64 {
+    #[inline]
     fn persist(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
+    #[inline]
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
         r.read_u64()
     }
 }
 
 impl Persist for i64 {
+    #[inline]
     fn persist(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
+    #[inline]
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
         r.read_u64().map(|v| v as i64)
     }
 }
 
 impl Persist for usize {
+    #[inline]
     fn persist(&self, out: &mut Vec<u8>) {
         (*self as u64).persist(out);
     }
+    #[inline]
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
         let v = r.read_u64()?;
         v.try_into()
@@ -172,19 +189,23 @@ impl Persist for usize {
 }
 
 impl Persist for f64 {
+    #[inline]
     fn persist(&self, out: &mut Vec<u8>) {
         self.to_bits().persist(out);
     }
+    #[inline]
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
         Ok(f64::from_bits(r.read_u64()?))
     }
 }
 
 impl Persist for std::time::Duration {
+    #[inline]
     fn persist(&self, out: &mut Vec<u8>) {
         self.as_secs().persist(out);
         self.subsec_nanos().persist(out);
     }
+    #[inline]
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
         let secs = u64::restore(r)?;
         let nanos = u32::restore(r)?;
@@ -211,6 +232,7 @@ impl Persist for String {
 }
 
 impl<T: Persist> Persist for Option<T> {
+    #[inline]
     fn persist(&self, out: &mut Vec<u8>) {
         match self {
             None => out.push(0),
@@ -220,6 +242,7 @@ impl<T: Persist> Persist for Option<T> {
             }
         }
     }
+    #[inline]
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
         match r.read_u8()? {
             0 => Ok(None),
@@ -252,21 +275,25 @@ impl<T: Persist> Persist for Vec<T> {
 }
 
 impl<A: Persist, B: Persist> Persist for (A, B) {
+    #[inline]
     fn persist(&self, out: &mut Vec<u8>) {
         self.0.persist(out);
         self.1.persist(out);
     }
+    #[inline]
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
         Ok((A::restore(r)?, B::restore(r)?))
     }
 }
 
 impl<A: Persist, B: Persist, C: Persist> Persist for (A, B, C) {
+    #[inline]
     fn persist(&self, out: &mut Vec<u8>) {
         self.0.persist(out);
         self.1.persist(out);
         self.2.persist(out);
     }
+    #[inline]
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
         Ok((A::restore(r)?, B::restore(r)?, C::restore(r)?))
     }

@@ -113,7 +113,7 @@ impl Snapshot {
             return Err(CkptError::BadMagic);
         }
         let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
+        let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
         let actual = crc32(body);
         if stored != actual {
             return Err(CkptError::ChecksumMismatch {
@@ -173,11 +173,18 @@ impl Snapshot {
 mod tests {
     use super::*;
 
+    /// 300 repeatable filler bytes: long enough that a snapshot holding
+    /// them is checksummed by the folding kernel.
+    fn long_section() -> Vec<u8> {
+        (0..300u32).map(|i| (i * 37 % 251) as u8).collect()
+    }
+
     fn sample() -> SnapshotBuilder {
         SnapshotBuilder::new(7, 100)
             .section("values", vec![1, 2, 3, 4])
             .section("halted", vec![0, 1])
             .section("empty", Vec::new())
+            .section("long", long_section())
     }
 
     #[test]
@@ -188,6 +195,7 @@ mod tests {
         assert_eq!(snap.section("values"), Some(&[1u8, 2, 3, 4][..]));
         assert_eq!(snap.section("halted"), Some(&[0u8, 1][..]));
         assert_eq!(snap.section("empty"), Some(&[][..]));
+        assert_eq!(snap.section("long"), Some(&long_section()[..]));
         assert_eq!(snap.section("missing"), None);
         assert!(matches!(
             snap.require("missing"),
@@ -195,7 +203,7 @@ mod tests {
         ));
         assert_eq!(
             snap.section_names().collect::<Vec<_>>(),
-            vec!["values", "halted", "empty"]
+            vec!["values", "halted", "empty", "long"]
         );
     }
 
@@ -271,6 +279,25 @@ mod tests {
         assert_eq!((snap.superstep, snap.num_nodes), (7, 100));
         assert_eq!(snap.section("values"), Some(&[1u8, 2, 3, 4][..]));
         assert_eq!(snap.section("halted"), Some(&[0u8, 1][..]));
+
+        // A 300-byte section puts the checksummed body (352 bytes) on the
+        // folding CRC kernel. Dumped with the slicing-by-8 table kernel at
+        // commit 6064121: folding did not move the format either.
+        let values = long_section();
+        let mut folded = b"GMCK\x01\0\0\0\x09\0\0\0\x2c\x01\0\0\x02\0\0\0\
+            \x06values\x2c\x01\0\0\0\0\0\0"
+            .to_vec();
+        folded.extend_from_slice(&values);
+        folded.extend_from_slice(b"\x06halted\x02\0\0\0\0\0\0\0\x00\x01\x99\x50\x46\x2f");
+        let built = SnapshotBuilder::new(9, 300)
+            .section("values", values.clone())
+            .section("halted", vec![0, 1])
+            .encode();
+        assert_eq!(built, folded);
+
+        let snap = Snapshot::decode(&folded).unwrap();
+        assert_eq!((snap.superstep, snap.num_nodes), (9, 300));
+        assert_eq!(snap.section("values"), Some(&values[..]));
     }
 
     #[test]

@@ -860,19 +860,31 @@ mod tests {
             \x33\x5d\xa3\xc7";
         assert_eq!(frame(PAYLOAD), GOLDEN);
 
+        // An `accepted` record long enough (203 bytes) for the folding
+        // CRC kernel, framed with the slicing-by-8 table kernel at commit
+        // 6064121: folding did not move the format either.
+        const ACCEPTED: &[u8] = br#"{"backend":"interp","id":"j-000002","spec":{"args":{"d":0.85,"root":"n:3"},"checkpoint_every":2,"graph":"g","priority":1,"program":"pagerank","seed":7,"tenant":"acme-labs","workers":2},"type":"accepted"}"#;
+        let accepted_golden = [&b"\xcb\0\0\0"[..], ACCEPTED, b"\x05\x89\x81\x30"].concat();
+        assert_eq!(frame(ACCEPTED), accepted_golden);
+
         let dir = fresh_dir("golden");
         fs::create_dir_all(&dir).unwrap();
         let path = segment_path(&dir, 1);
         let mut segment = MAGIC.to_vec();
         segment.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         segment.extend_from_slice(GOLDEN);
+        segment.extend_from_slice(&accepted_golden);
         fs::write(&path, &segment).unwrap();
         let (records, dropped) = read_segment(&path);
         assert_eq!(dropped, 0);
-        assert_eq!(records.len(), 1);
+        assert_eq!(records.len(), 2);
         assert_eq!(
             records[0].get("id").and_then(Json::as_str),
             Some("j-000001")
+        );
+        assert_eq!(
+            records[1].get("id").and_then(Json::as_str),
+            Some("j-000002")
         );
         fs::remove_dir_all(&dir).unwrap();
     }

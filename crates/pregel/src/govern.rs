@@ -296,20 +296,65 @@ mod tests {
         let mut back: Vec<(u32, u64)> = Vec::new();
         read_spill_into(&path, 4, &mut back).unwrap();
         assert_eq!(back, bucket);
+
+        // A bucket long enough for the folding CRC kernel (248 checksummed
+        // bytes), dumped with the slicing-by-8 table kernel at commit
+        // 6064121: folding did not move the format either.
+        const FOLDED: &[u8] = b"GMSP\xf7\x42\x04\x96\
+            \x14\0\0\0\0\0\0\0\
+            \0\0\0\0\0\0\0\0\0\0\xf0\xbf\x07\0\0\0\0\0\0\0\0\0\xec\xbf\
+            \x01\0\0\0\0\0\0\0\0\0\xe8\xbf\x08\0\0\0\0\0\0\0\0\0\xe4\xbf\
+            \x02\0\0\0\0\0\0\0\0\0\xe0\xbf\x09\0\0\0\0\0\0\0\0\0\xd8\xbf\
+            \x03\0\0\0\0\0\0\0\0\0\xd0\xbf\x0a\0\0\0\0\0\0\0\0\0\xc0\xbf\
+            \x04\0\0\0\0\0\0\0\0\0\0\0\x0b\0\0\0\0\0\0\0\0\0\xc0\x3f\
+            \x05\0\0\0\0\0\0\0\0\0\xd0\x3f\x0c\0\0\0\0\0\0\0\0\0\xd8\x3f\
+            \x06\0\0\0\0\0\0\0\0\0\xe0\x3f\0\0\0\0\0\0\0\0\0\0\xe4\x3f\
+            \x07\0\0\0\0\0\0\0\0\0\xe8\x3f\x01\0\0\0\0\0\0\0\0\0\xec\x3f\
+            \x08\0\0\0\0\0\0\0\0\0\xf0\x3f\x02\0\0\0\0\0\0\0\0\0\xf2\x3f\
+            \x09\0\0\0\0\0\0\0\0\0\xf4\x3f\x03\0\0\0\0\0\0\0\0\0\xf6\x3f";
+        let bucket: Vec<(u32, f64)> = (0..20u32)
+            .map(|i| ((i * 7) % 13, f64::from(i) * 0.125 - 1.0))
+            .collect();
+        let written = write_spill(&path, &bucket).unwrap();
+        assert_eq!(written, FOLDED.len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), FOLDED);
+
+        std::fs::write(&path, FOLDED).unwrap();
+        let mut back: Vec<(u32, f64)> = Vec::new();
+        read_spill_into(&path, 20, &mut back).unwrap();
+        assert_eq!(back, bucket);
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Every one-bit flip and every truncation of a bucket long enough for
+    /// the folding CRC kernel is rejected with an error, never replayed.
     #[test]
     fn corrupted_spill_file_fails_checksum() {
         let path = tmp("corrupt");
-        write_spill(&path, &[(1u32, 7u64), (2, 8)]).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() - 3;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let mut back: Vec<(u32, u64)> = Vec::new();
-        let err = read_spill_into(&path, 2, &mut back).unwrap_err();
-        assert!(matches!(err, CkptError::ChecksumMismatch { .. }), "{err}");
+        let bucket: Vec<(u32, u64)> = (0..24u32).map(|i| (i % 5, u64::from(i) << 33)).collect();
+        write_spill(&path, &bucket).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let replay = |file: &[u8]| {
+            std::fs::write(&path, file).unwrap();
+            let mut back: Vec<(u32, u64)> = Vec::new();
+            read_spill_into(&path, bucket.len() as u64, &mut back)
+        };
+        for i in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[i] ^= 1 << (i % 8);
+            match replay(&bad) {
+                Err(CkptError::BadMagic) if i < 4 => {}
+                Err(CkptError::ChecksumMismatch { .. }) if i >= 4 => {}
+                other => panic!("bit flip in byte {i}: {other:?}"),
+            }
+        }
+        for keep in 0..bytes.len() {
+            match replay(&bytes[..keep]) {
+                Err(CkptError::Truncated) if keep < 8 => {}
+                Err(CkptError::ChecksumMismatch { .. }) if keep >= 8 => {}
+                other => panic!("truncation to {keep} bytes: {other:?}"),
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
