@@ -100,13 +100,18 @@ fn submit(state: &Arc<State>, req: &Request) -> Response {
         Ok(spec) => spec,
         Err(m) => return reject_response(Reject::BadRequest(m)),
     };
-    match state.submit(spec) {
-        Ok(id) => Response::new(
+    match state.accept(spec) {
+        // A result-cache hit is accepted already completed.
+        Ok((id, cached)) => Response::new(
             202,
             "application/json",
             body(Json::obj([
                 ("id".to_owned(), Json::Str(id)),
-                ("status".to_owned(), Json::Str("queued".to_owned())),
+                (
+                    "status".to_owned(),
+                    Json::Str(if cached { "completed" } else { "queued" }.to_owned()),
+                ),
+                ("cached".to_owned(), Json::Bool(cached)),
             ])),
         ),
         Err(reject) => reject_response(reject),

@@ -45,8 +45,10 @@
 //!
 //! Layers: [`sched`] decides (admission, fairness, retry, quarantine,
 //! brownout, drain — pure, no locks, clocks or I/O); [`daemon`] locks it,
-//! runs jobs and applies its decisions; [`journal`] is the write-ahead
-//! log; [`api`] the HTTP surface; [`config`] the daemon's inputs.
+//! runs jobs and applies its decisions; `cache` indexes completed jobs
+//! so a repeated spec completes at submit without running; [`journal`]
+//! is the write-ahead log; [`api`] the HTTP surface; [`config`] the
+//! daemon's inputs.
 //!
 //! Results are returned with per-property FNV-1a fingerprints (see
 //! [`fingerprint_values`]) so clients can assert bit-identical agreement
@@ -54,6 +56,7 @@
 //! into full columns with `"include_props": true`.
 
 pub mod api;
+mod cache;
 pub mod client;
 pub mod config;
 pub mod daemon;
@@ -98,24 +101,38 @@ impl Fnv1a {
 /// `f64` goes through Rust's shortest-roundtrip `Display`, so two runs
 /// producing bit-identical doubles render (and hash) identically.
 pub fn render_value(v: &Value) -> String {
-    match v {
-        Value::Int(x) => format!("i:{x}"),
-        Value::Double(x) => format!("d:{x}"),
-        Value::Bool(x) => format!("b:{x}"),
-        Value::Node(x) => format!("n:{x}"),
-        Value::Edge(x) => format!("e:{x}"),
-    }
+    let mut out = String::new();
+    write_value(&mut out, v);
+    out
+}
+
+/// Appends [`render_value`]'s rendering of `v` to `out`.
+fn write_value(out: &mut String, v: &Value) {
+    use std::fmt::Write;
+    // Writing into a `String` cannot fail.
+    let _ = match v {
+        Value::Int(x) => write!(out, "i:{x}"),
+        Value::Double(x) => write!(out, "d:{x}"),
+        Value::Bool(x) => write!(out, "b:{x}"),
+        Value::Node(x) => write!(out, "n:{x}"),
+        Value::Edge(x) => write!(out, "e:{x}"),
+    };
 }
 
 /// Fingerprints a value column: FNV-1a 64 over the tagged renderings,
 /// newline-separated, as a fixed-width hex string. Clients compare this
 /// against the same function applied to a local
 /// [`gm_interp::run_compiled`] outcome to assert bit-identical results.
+/// Every value renders into one reused buffer, so a column costs no
+/// allocation per value.
 pub fn fingerprint_values(values: &[Value]) -> String {
     let mut h = Fnv1a::default();
+    let mut line = String::with_capacity(32);
     for v in values {
-        h.update(render_value(v).as_bytes());
-        h.update(b"\n");
+        line.clear();
+        write_value(&mut line, v);
+        line.push('\n');
+        h.update(line.as_bytes());
     }
     format!("{:016x}", h.finish())
 }
@@ -136,6 +153,22 @@ mod tests {
             fingerprint_values(&[Value::Int(1)]),
             fingerprint_values(&[Value::Node(1)])
         );
+    }
+
+    #[test]
+    fn fingerprint_hashes_the_newline_joined_renderings() {
+        let column = [
+            Value::Int(-3),
+            Value::Double(0.1),
+            Value::Double(-0.0),
+            Value::Bool(true),
+            Value::Node(7),
+            Value::Edge(9),
+        ];
+        let mut h = Fnv1a::default();
+        h.update(b"i:-3\nd:0.1\nd:-0\nb:true\nn:7\ne:9\n");
+        assert_eq!(fingerprint_values(&column), format!("{:016x}", h.finish()));
+        assert_eq!(render_value(&Value::Double(-0.0)), "d:-0");
     }
 
     #[test]

@@ -260,3 +260,115 @@ fn job_history_keep_evicts_oldest_terminal_records() {
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+fn newest_segment(journal: &std::path::Path) -> PathBuf {
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(journal)
+        .expect("journal dir")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "gmj"))
+        .collect();
+    segs.sort();
+    segs.pop().expect("at least one segment")
+}
+
+const QUICK: &str = r#"{"tenant":"acme","graph":"g","program":"pagerank",
+    "args":{"e":1e-30,"d":0.85,"max_iter":5},"seed":3}"#;
+
+#[test]
+fn hits_replay_as_completed_and_the_cache_starts_empty_after_a_restart() {
+    let dir = fresh_dir("cache-restart");
+    let mut config = base_config(&[("g", "rmat:300:1500:7")]);
+    config.journal = Some(JournalConfig::new(dir.join("journal")));
+    let want;
+    {
+        let daemon = Daemon::start(config.clone()).expect("first start");
+        let state = daemon.state().clone();
+        let run = state.submit(spec(QUICK)).expect("submit");
+        let run = wait_terminal(&state, &run);
+        assert!(!run.cached);
+        want = fingerprints_of(&run);
+        for id in ["job-2", "job-3"] {
+            assert_eq!(state.submit(spec(QUICK)).expect("submit"), id);
+            let hit = state.job(id).expect("a hit is terminal at once");
+            assert!(hit.cached);
+            assert_eq!(fingerprints_of(&hit), want);
+        }
+    }
+    let daemon = Daemon::start(config).expect("second start");
+    let state = daemon.state().clone();
+    for id in ["job-2", "job-3"] {
+        let rec = state.job(id).expect("hit replayed");
+        assert_eq!(rec.state.status(), "completed", "{id}");
+        assert_eq!(fingerprints_of(&rec), want, "{id}");
+    }
+    // Replay does not seed the cache: the first repeat runs.
+    let fresh = state.submit(spec(QUICK)).expect("submit");
+    let rec = wait_terminal(&state, &fresh);
+    assert!(!rec.cached, "the cache starts empty");
+    assert_eq!(rec.attempts, 1);
+    assert_eq!(fingerprints_of(&rec), want);
+    let again = state.submit(spec(QUICK)).expect("submit");
+    assert!(state.job(&again).expect("hit").cached);
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_hit_whose_completed_frame_is_torn_reruns_bit_identically() {
+    let dir = fresh_dir("cache-torn");
+    let mut config = base_config(&[("g", "rmat:300:1500:7")]);
+    config.journal = Some(JournalConfig::new(dir.join("journal")));
+    let want;
+    {
+        let daemon = Daemon::start(config.clone()).expect("first start");
+        let state = daemon.state().clone();
+        let run = state.submit(spec(QUICK)).expect("submit");
+        want = fingerprints_of(&wait_terminal(&state, &run));
+        let hit = state.submit(spec(QUICK)).expect("submit");
+        assert_eq!(hit, "job-2");
+        assert!(state.job(&hit).expect("hit").cached);
+    }
+    // The hit's `completed` record is the segment's last frame: tear it.
+    let seg = newest_segment(&dir.join("journal"));
+    let bytes = std::fs::read(&seg).expect("read segment");
+    std::fs::write(&seg, &bytes[..bytes.len() - 3]).expect("tear tail");
+
+    let daemon = Daemon::start(config).expect("second start");
+    let state = daemon.state().clone();
+    let rec = wait_terminal(&state, "job-2");
+    assert!(!rec.cached, "replayed as accepted and run");
+    assert_eq!(rec.attempts, 1);
+    assert_eq!(fingerprints_of(&rec), want);
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_hit_whose_journal_batch_fails_is_refused() {
+    let dir = fresh_dir("cache-fault");
+    let mut config = base_config(&[("g", "rmat:300:1500:7")]);
+    let mut journal = JournalConfig::new(dir.join("journal"));
+    // Records 0-2 are the run's accepted, started and completed; the
+    // hit's batch is records 3 and 4.
+    journal.faults = gm_ckpt::FaultPlan::builder().fail_journal_append(4).build();
+    config.journal = Some(journal);
+    let daemon = Daemon::start(config).expect("start");
+    let state = daemon.state().clone();
+    let run = state.submit(spec(QUICK)).expect("submit");
+    wait_terminal(&state, &run);
+    match state.submit(spec(QUICK)) {
+        Err(Reject::JournalUnavailable(message)) => {
+            assert!(message.contains("record 4"), "{message}");
+        }
+        other => panic!("expected journal_unavailable, got {other:?}"),
+    }
+    assert!(
+        state.job("job-2").is_none(),
+        "a refused hit is not observable"
+    );
+    let hit = state.submit(spec(QUICK)).expect("the next batch lands");
+    assert!(state.job(&hit).expect("hit").cached);
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}

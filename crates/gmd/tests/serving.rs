@@ -558,3 +558,167 @@ fn builtins_are_served_natively_and_stay_bit_identical_to_the_interpreter() {
         Some("completed")
     );
 }
+
+/// Submits `body` and waits for its terminal status document.
+fn run_to_end(client: &Client, body: &str) -> Json {
+    let id = client.submit(body).expect("accepted");
+    client
+        .wait(&id, Duration::from_secs(120))
+        .expect("terminal")
+}
+
+fn cached(status: &Json) -> bool {
+    match status.get("cached") {
+        Some(Json::Bool(b)) => *b,
+        other => panic!("status document without `cached`: {other:?}"),
+    }
+}
+
+fn completed(status: &Json) -> bool {
+    status.get("status").and_then(Json::as_str) == Some("completed")
+}
+
+#[test]
+fn a_repeated_spec_completes_at_submit_from_the_result_cache() {
+    let daemon = Daemon::start(base_config(&[("g", "rmat:200:900:5")])).expect("daemon starts");
+    let client = Client::new(daemon.addr()).with_timeout(Duration::from_secs(30));
+    let job = |tenant: &str| {
+        format!(
+            r#"{{"tenant":"{tenant}","graph":"g","program":"pagerank",{PAGERANK_ARGS},"seed":3}}"#
+        )
+    };
+
+    let first = run_to_end(&client, &job("acme"));
+    assert!(completed(&first) && !cached(&first), "{first:?}");
+
+    // The repeat is accepted already completed: no queue, no run.
+    let (status, reply) = client.post("/v1/jobs", &job("acme")).unwrap();
+    assert_eq!(status, 202);
+    let reply = gm_obs::json::parse(&reply).unwrap();
+    assert_eq!(
+        reply.get("status").and_then(Json::as_str),
+        Some("completed")
+    );
+    assert_eq!(reply.get("cached"), Some(&Json::Bool(true)));
+    let id = reply.get("id").and_then(Json::as_str).unwrap();
+    let (_, repeat) = client.get_json(&format!("/v1/jobs/{id}")).unwrap();
+    assert!(completed(&repeat) && cached(&repeat), "{repeat:?}");
+    assert_eq!(fingerprints_of(&repeat), fingerprints_of(&first));
+    assert_eq!(
+        repeat.get("result").and_then(|r| r.get("supersteps")),
+        first.get("result").and_then(|r| r.get("supersteps"))
+    );
+    assert!(repeat.get("wall_ms").is_some());
+
+    // The tenant is not part of the key.
+    let other_tenant = run_to_end(&client, &job("globex"));
+    assert!(cached(&other_tenant));
+    assert_eq!(fingerprints_of(&other_tenant), fingerprints_of(&first));
+
+    let exposition = daemon.state().registry().render_prometheus();
+    for needle in [
+        "gm_jobs_cache_hits_total{tenant=\"acme\"} 1",
+        "gm_jobs_cache_hits_total{tenant=\"globex\"} 1",
+        "gm_jobs_completed_total{tenant=\"acme\"} 2",
+        // Hits are observed in the latency histogram like runs.
+        "gm_job_latency_ms_count{tenant=\"acme\"} 2",
+    ] {
+        assert!(exposition.contains(needle), "missing {needle}");
+    }
+}
+
+#[test]
+fn any_change_to_the_key_misses_the_result_cache() {
+    let daemon = Daemon::start(base_config(&[
+        ("g", "rmat:200:900:5"),
+        ("h", "rmat:200:900:5"),
+    ]))
+    .expect("daemon starts");
+    let client = Client::new(daemon.addr()).with_timeout(Duration::from_secs(30));
+    let sssp = |graph: &str, extra: &str| {
+        format!(
+            r#"{{"tenant":"t","graph":"{graph}","program":"sssp","args":{{"root":"n:1"}}{extra}}}"#
+        )
+    };
+    let pagerank = |e: &str| {
+        format!(
+            r#"{{"tenant":"t","graph":"g","program":"pagerank","args":{{"e":{e},"d":0.85,"max_iter":4}}}}"#
+        )
+    };
+    let inline = |trailer: &str| {
+        let src = gm_algorithms::sources::SSSP.replace('"', "\\\"");
+        let src = format!("{src}{trailer}").replace('\n', "\\n");
+        format!(r#"{{"tenant":"t","graph":"g","source":"{src}","args":{{"root":"n:1"}}}}"#)
+    };
+    // Each spec differs from the one before it in one key field only:
+    // the seed, the worker count, the graph, one arg's sign bit, the
+    // inline source text.
+    let specs = [
+        sssp("g", ""),
+        sssp("g", r#","seed":1"#),
+        sssp("g", r#","seed":1,"workers":1"#),
+        sssp("h", r#","seed":1,"workers":1"#),
+        pagerank("0.0"),
+        pagerank("-0.0"),
+        inline(""),
+        inline("\n"),
+    ];
+    for spec in &specs {
+        let status = run_to_end(&client, spec);
+        assert!(completed(&status), "{spec}: {status:?}");
+        assert!(!cached(&status), "{spec} must miss: {status:?}");
+    }
+    // Each was cached under its own key.
+    for spec in &specs {
+        assert!(cached(&run_to_end(&client, spec)), "{spec} must hit");
+    }
+}
+
+#[test]
+fn include_props_failures_and_history_eviction_bypass_the_result_cache() {
+    let mut config = base_config(&[("g", "rmat:200:900:5")]);
+    config.quarantine_threshold = 100;
+    config.job_history_keep = 1;
+    let daemon = Daemon::start(config).expect("daemon starts");
+    let client = Client::new(daemon.addr()).with_timeout(Duration::from_secs(30));
+    let plain = r#"{"tenant":"t","graph":"g","program":"sssp","args":{"root":"n:2"}}"#;
+    let props =
+        r#"{"tenant":"t","graph":"g","program":"sssp","args":{"root":"n:2"},"include_props":true}"#;
+
+    // A run asked for full columns is neither served from nor stored in
+    // the cache.
+    for _ in 0..2 {
+        let status = run_to_end(&client, props);
+        assert!(completed(&status) && !cached(&status));
+        assert!(status.get("result").and_then(|r| r.get("props")).is_some());
+    }
+    let first = run_to_end(&client, plain);
+    assert!(!cached(&first), "include_props runs seed nothing");
+    let status = run_to_end(&client, props);
+    assert!(!cached(&status), "include_props never hits");
+
+    // A failed job is never cached: the repeat runs (and fails) again.
+    let starved = r#"{"tenant":"t","graph":"g","program":"pagerank",
+        "args":{"e":0.0,"d":0.85,"max_iter":5},"seed":9,"max_resident_bytes":1}"#;
+    for _ in 0..2 {
+        let status = run_to_end(&client, starved);
+        assert_eq!(status.get("status").and_then(Json::as_str), Some("failed"));
+        assert!(!cached(&status));
+        assert_eq!(status.get("attempts").and_then(Json::as_u64), Some(1));
+    }
+
+    // `--job-history-keep 1`: the newest record is a hit, so the entry
+    // survives; a different job evicts that record, and the entry with
+    // it.
+    assert!(!cached(&run_to_end(&client, plain)));
+    assert!(cached(&run_to_end(&client, plain)));
+    assert!(!cached(&run_to_end(
+        &client,
+        r#"{"tenant":"t","graph":"g","program":"sssp","args":{"root":"n:3"}}"#
+    )));
+    let status = run_to_end(&client, plain);
+    assert!(
+        completed(&status) && !cached(&status),
+        "evicted: {status:?}"
+    );
+}
