@@ -7,7 +7,9 @@
 //! and repeats for `--kills` rounds. At the end every journalled job
 //! must reach a terminal `completed` state, and every completed job's
 //! result fingerprints must be bit-identical to a fresh, uninterrupted
-//! submission of the same spec against the final daemon.
+//! submission of the same spec against the final daemon. That oracle
+//! asks for `include_props`, so the daemon's result cache cannot answer
+//! it, and its status must say `"cached": false`.
 //!
 //! ```text
 //! chaos --gmd target/release/gmd [--dir PATH] [--graph g=rmat:600:3000:7]
@@ -177,11 +179,12 @@ fn wait_addr(dir: &Path) -> SocketAddr {
 
 /// A deliberately long PageRank (`e` never converges) with per-superstep
 /// checkpoints, so a SIGKILL reliably lands mid-run with durable state.
-fn job_body(tenant: &str, graph: &str, seed: u64) -> String {
+fn job_body(tenant: &str, graph: &str, seed: u64, include_props: bool) -> String {
     format!(
         r#"{{"tenant":"{tenant}","graph":"{graph}","program":"pagerank",
             "args":{{"e":1e-30,"d":0.85,"max_iter":60}},
-            "seed":{seed},"workers":2,"checkpoint_every":1}}"#
+            "seed":{seed},"workers":2,"checkpoint_every":1,
+            "include_props":{include_props}}}"#
     )
 }
 
@@ -233,7 +236,7 @@ fn main() -> ExitCode {
     let mut ids = Vec::new();
     for i in 0..flags.jobs {
         let tenant = &flags.tenants[i % flags.tenants.len()];
-        match client.submit(&job_body(tenant, &graph_name, flags.seed)) {
+        match client.submit(&job_body(tenant, &graph_name, flags.seed, false)) {
             Ok(id) => ids.push(id),
             Err(e) => {
                 eprintln!("chaos: submission {i} rejected: {e}");
@@ -305,8 +308,11 @@ fn main() -> ExitCode {
 
     // Bit-identity oracle: a fresh, uninterrupted run of the same spec
     // on the surviving daemon. Every crashed-and-recovered job must
-    // match it fingerprint-for-fingerprint.
-    let oracle_id = match client.submit(&job_body(&flags.tenants[0], &graph_name, flags.seed)) {
+    // match it fingerprint-for-fingerprint. `include_props` keeps the
+    // daemon's result cache from answering it with a recovered job's
+    // own result.
+    let oracle_body = job_body(&flags.tenants[0], &graph_name, flags.seed, true);
+    let oracle_id = match client.submit(&oracle_body) {
         Ok(id) => id,
         Err(e) => {
             eprintln!("chaos: oracle submission rejected: {e}");
@@ -314,6 +320,10 @@ fn main() -> ExitCode {
         }
     };
     let oracle = match client.wait(&oracle_id, Duration::from_secs(120)) {
+        Ok(status) if status.get("cached") != Some(&Json::Bool(false)) => {
+            eprintln!("chaos: oracle job was not a fresh run: {status:?}");
+            return ExitCode::FAILURE;
+        }
         Ok(status) => fingerprints_of(&status),
         Err(e) => {
             eprintln!("chaos: oracle job failed: {e}");

@@ -97,6 +97,17 @@ fn job_body(tenant: &str) -> String {
     )
 }
 
+/// [`job_body`] asking for the property columns too. The daemon's result
+/// cache never answers such a job, so it always runs.
+fn uncached_job_body(tenant: &str) -> String {
+    format!(
+        r#"{{"tenant":"{tenant}","graph":"g","program":"pagerank",
+            "args":{{"e":1e-30,"d":0.85,"max_iter":60}},
+            "seed":{SEED},"workers":{WORKERS},"checkpoint_every":1,
+            "include_props":true}}"#
+    )
+}
+
 /// The same run, uninterrupted and in-process: identical compile
 /// pipeline, interpreter, graph, args, seed, and worker count as the
 /// daemon — the bit-identity oracle.
@@ -259,6 +270,29 @@ fn kill_nine_mid_superstep_then_restart_reaches_terminal_bit_identical_states() 
         status.get("status").and_then(Json::as_str),
         Some("completed")
     );
+
+    // That repeat may be answered from the result cache, which the
+    // recovered jobs filled. A job the cache cannot answer really runs
+    // on the restarted daemon, bit-identical to the reference.
+    let run = client
+        .submit(&uncached_job_body("globex"))
+        .expect("post-restart uncached submit");
+    let status = client
+        .wait(&run, Duration::from_secs(60))
+        .expect("uncached job");
+    assert_eq!(status.get("cached"), Some(&Json::Bool(false)), "{status}");
+    assert_eq!(
+        status.get("status").and_then(Json::as_str),
+        Some("completed")
+    );
+    for (prop, want) in &reference {
+        let got = status
+            .get("result")
+            .and_then(|r| r.get("fingerprints"))
+            .and_then(|f| f.get(prop))
+            .and_then(Json::as_str);
+        assert_eq!(got, Some(want.as_str()), "post-restart run: {prop}");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
