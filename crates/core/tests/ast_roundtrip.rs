@@ -6,89 +6,92 @@ use gm_core::ast::*;
 use gm_core::parser::parse;
 use gm_core::pretty::program_to_string;
 use gm_core::types::Ty;
-use proptest::prelude::*;
+use gm_graph::rng::{check, SplitMix64};
 
-fn ident() -> impl Strategy<Value = String> {
-    // Avoid keywords and type names.
-    "[a-z][a-z0-9_]{0,6}".prop_filter("reserved word", |s| {
-        !matches!(
-            s.as_str(),
-            "min" | "max" // recombine into reduction-assignment tokens
-        )
-    })
+/// A lowercase identifier matching `[a-z][a-z0-9_]{0,6}` (so never a
+/// keyword or type name), except `min`/`max`, which recombine into
+/// reduction-assignment tokens.
+fn ident(rng: &mut SplitMix64) -> String {
+    const TAIL: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_";
+    let mut s = String::from(char::from(b'a' + rng.below(26) as u8));
+    for _ in 0..rng.below(7) {
+        s.push(char::from(TAIL[rng.below(TAIL.len() as u64) as usize]));
+    }
+    if matches!(s.as_str(), "min" | "max") {
+        s.push('_');
+    }
+    s
 }
 
-fn scalar_ty() -> impl Strategy<Value = Ty> {
-    prop_oneof![
-        Just(Ty::Int),
-        Just(Ty::Long),
-        Just(Ty::Float),
-        Just(Ty::Double),
-        Just(Ty::Bool),
-        Just(Ty::Node),
-    ]
+fn pick<T: Clone>(rng: &mut SplitMix64, items: &[T]) -> T {
+    items[rng.below(items.len() as u64) as usize].clone()
 }
 
-fn literal() -> impl Strategy<Value = ExprKind> {
-    prop_oneof![
-        (-100i64..100).prop_map(ExprKind::IntLit),
-        (-100i64..100).prop_map(|v| ExprKind::FloatLit(v as f64 / 4.0)),
-        any::<bool>().prop_map(ExprKind::BoolLit),
-        Just(ExprKind::Nil),
-    ]
+fn literal(rng: &mut SplitMix64) -> ExprKind {
+    match rng.below(4) {
+        0 => ExprKind::IntLit(rng.below(200) as i64 - 100),
+        1 => ExprKind::FloatLit((rng.below(200) as i64 - 100) as f64 / 4.0),
+        2 => ExprKind::BoolLit(rng.chance(0.5)),
+        _ => ExprKind::Nil,
+    }
 }
 
-fn expr(vars: Vec<String>) -> impl Strategy<Value = Expr> {
-    let leaf = {
-        let vars = vars.clone();
-        prop_oneof![
-            literal().prop_map(Expr::synth),
-            (0..vars.len().max(1)).prop_map(move |i| {
-                if vars.is_empty() {
-                    Expr::int(1)
-                } else {
-                    Expr::var(&vars[i % vars.len()])
-                }
-            }),
-        ]
-    };
-    leaf.prop_recursive(3, 24, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), any::<u8>(), inner.clone()).prop_map(|(a, op, b)| {
-                let ops = [
-                    BinOp::Add,
-                    BinOp::Sub,
-                    BinOp::Mul,
-                    BinOp::Div,
-                    BinOp::Eq,
-                    BinOp::Lt,
-                    BinOp::Ge,
-                ];
-                Expr::binary(ops[op as usize % ops.len()], a, b)
-            }),
-            inner.clone().prop_map(|e| Expr::synth(ExprKind::Unary {
-                op: UnOp::Neg,
-                expr: Box::new(e),
-            })),
-            inner.clone().prop_map(|e| Expr::synth(ExprKind::Unary {
-                op: UnOp::Abs,
-                expr: Box::new(e),
-            })),
-            (inner.clone(), inner.clone(), inner).prop_map(|(c, a, b)| Expr::synth(
-                ExprKind::Ternary {
-                    cond: Box::new(c),
-                    then_val: Box::new(a),
-                    else_val: Box::new(b),
-                }
-            )),
-        ]
-    })
+/// The chance of an operator node at each remaining level of nesting (up
+/// to three), as proptest's `prop_recursive(3, 24, 2)` drew them.
+const BRANCH: [f64; 4] = [0.0, 0.375, 0.9, 0.9];
+
+fn expr(rng: &mut SplitMix64, vars: &[String], level: usize) -> Expr {
+    if level == 0 {
+        return if rng.chance(0.5) {
+            Expr::synth(literal(rng))
+        } else {
+            Expr::var(&pick(rng, vars))
+        };
+    }
+    if !rng.chance(BRANCH[level]) {
+        return expr(rng, vars, level - 1);
+    }
+    let (shape, op) = (rng.below(4), rng.below(7) as usize);
+    let mut sub = || Box::new(expr(rng, vars, level - 1));
+    let unary = |op, expr| Expr::synth(ExprKind::Unary { op, expr });
+    match shape {
+        0 => {
+            let ops = [
+                BinOp::Add,
+                BinOp::Sub,
+                BinOp::Mul,
+                BinOp::Div,
+                BinOp::Eq,
+                BinOp::Lt,
+                BinOp::Ge,
+            ];
+            Expr::binary(ops[op], *sub(), *sub())
+        }
+        1 => unary(UnOp::Neg, sub()),
+        2 => unary(UnOp::Abs, sub()),
+        _ => Expr::synth(ExprKind::Ternary {
+            cond: sub(),
+            then_val: sub(),
+            else_val: sub(),
+        }),
+    }
 }
 
-fn stmt(vars: Vec<String>, depth: u32) -> BoxedStrategy<Stmt> {
-    let assign = {
-        let vars = vars.clone();
-        (0..vars.len().max(1), expr(vars.clone()), any::<u8>()).prop_map(move |(i, e, op)| {
+fn stmts(rng: &mut SplitMix64, vars: &[String], depth: u32, len: std::ops::Range<u64>) -> Block {
+    Block::of(
+        (0..rng.range(len))
+            .map(|_| stmt(rng, vars, depth))
+            .collect(),
+    )
+}
+
+/// Assignments, `If` and `While`, weighted 3:1:1 while `depth` allows
+/// nesting.
+fn stmt(rng: &mut SplitMix64, vars: &[String], depth: u32) -> Stmt {
+    let kind = if depth == 0 { 0 } else { rng.below(5) };
+    Stmt::synth(match kind {
+        0..=2 => {
+            let name = pick(rng, vars);
             let ops = [
                 AssignOp::Assign,
                 AssignOp::Add,
@@ -96,113 +99,122 @@ fn stmt(vars: Vec<String>, depth: u32) -> BoxedStrategy<Stmt> {
                 AssignOp::Min,
                 AssignOp::Max,
             ];
-            let name = if vars.is_empty() {
-                "x".to_owned()
-            } else {
-                vars[i % vars.len()].clone()
-            };
-            Stmt::synth(StmtKind::Assign {
+            StmtKind::Assign {
                 target: Target::Scalar(name),
-                op: ops[op as usize % ops.len()],
-                value: e,
-            })
-        })
-    };
-    if depth == 0 {
-        return assign.boxed();
-    }
-    let nested_if = {
-        let vars = vars.clone();
-        (
-            expr(vars.clone()),
-            prop::collection::vec(stmt(vars.clone(), depth - 1), 1..3),
-            prop::option::of(prop::collection::vec(stmt(vars, depth - 1), 1..3)),
-        )
-            .prop_map(|(cond, then_s, else_s)| {
-                Stmt::synth(StmtKind::If {
-                    cond,
-                    then_branch: Block::of(then_s),
-                    else_branch: else_s.map(Block::of),
-                })
-            })
-    };
-    let nested_while = {
-        let vars = vars.clone();
-        (
-            expr(vars.clone()),
-            prop::collection::vec(stmt(vars, depth - 1), 1..3),
-        )
-            .prop_map(|(cond, body)| {
-                Stmt::synth(StmtKind::While {
-                    cond,
-                    body: Block::of(body),
-                    do_while: false,
-                })
-            })
-    };
-    prop_oneof![3 => assign, 1 => nested_if, 1 => nested_while].boxed()
-}
-
-fn program() -> impl Strategy<Value = Program> {
-    (
-        prop::collection::vec((ident(), scalar_ty()), 1..4),
-        prop::collection::vec(Just(()), 0..1),
-    )
-        .prop_flat_map(|(decls, _)| {
-            // Deduplicate declared names.
-            let mut names = Vec::new();
-            let mut unique = Vec::new();
-            for (n, t) in decls {
-                if !names.contains(&n) {
-                    names.push(n.clone());
-                    unique.push((n, t));
-                }
+                value: expr(rng, vars, 3),
+                op: pick(rng, &ops),
             }
-            let vars: Vec<String> = unique.iter().map(|(n, _)| n.clone()).collect();
-            prop::collection::vec(stmt(vars, 2), 0..5).prop_map(move |stmts| {
-                let mut body = Vec::new();
-                for (n, t) in &unique {
-                    body.push(Stmt::synth(StmtKind::VarDecl {
-                        ty: t.clone(),
-                        name: n.clone(),
-                        init: Some(match t {
-                            Ty::Bool => Expr::bool(false),
-                            Ty::Node => Expr::synth(ExprKind::Nil),
-                            Ty::Float | Ty::Double => Expr::synth(ExprKind::FloatLit(0.0)),
-                            _ => Expr::int(0),
-                        }),
-                    }));
-                }
-                body.extend(stmts);
-                Program {
-                    procedures: vec![Procedure {
-                        name: "generated".into(),
-                        params: vec![Param {
-                            name: "G".into(),
-                            ty: Ty::Graph,
-                            span: gm_core::Span::synthetic(),
-                        }],
-                        ret: None,
-                        body: Block::of(body),
-                        span: gm_core::Span::synthetic(),
-                    }],
-                }
-            })
-        })
+        }
+        3 => StmtKind::If {
+            cond: expr(rng, vars, 3),
+            then_branch: stmts(rng, vars, depth - 1, 1..3),
+            else_branch: rng.chance(0.5).then(|| stmts(rng, vars, depth - 1, 1..3)),
+        },
+        _ => StmtKind::While {
+            cond: expr(rng, vars, 3),
+            body: stmts(rng, vars, depth - 1, 1..3),
+            do_while: false,
+        },
+    })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// print(parse(print(ast))) == print(ast): the printer emits valid
-    /// Green-Marl and reaches a fixed point.
-    #[test]
-    fn pretty_print_parse_fixed_point(p in program()) {
-        let printed = program_to_string(&p);
-        let reparsed = parse(&printed).unwrap_or_else(|e| {
-            panic!("printer emitted invalid source:\n{}\n---\n{printed}", e.render(&printed));
-        });
-        let printed2 = program_to_string(&reparsed);
-        prop_assert_eq!(printed, printed2);
+fn program(rng: &mut SplitMix64) -> Program {
+    let tys = [Ty::Int, Ty::Long, Ty::Float, Ty::Double, Ty::Bool, Ty::Node];
+    // One to three declarations, deduplicated by name.
+    let mut decls: Vec<(String, Ty)> = Vec::new();
+    for _ in 0..rng.range(1..4) {
+        let (name, ty) = (ident(rng), pick(rng, &tys));
+        if decls.iter().all(|(n, _)| *n != name) {
+            decls.push((name, ty));
+        }
     }
+    let vars: Vec<String> = decls.iter().map(|(n, _)| n.clone()).collect();
+    let mut body: Vec<Stmt> = decls
+        .into_iter()
+        .map(|(name, ty)| {
+            let init = Some(match ty {
+                Ty::Bool => Expr::bool(false),
+                Ty::Node => Expr::synth(ExprKind::Nil),
+                Ty::Float | Ty::Double => Expr::synth(ExprKind::FloatLit(0.0)),
+                _ => Expr::int(0),
+            });
+            Stmt::synth(StmtKind::VarDecl { ty, name, init })
+        })
+        .collect();
+    body.extend(stmts(rng, &vars, 2, 0..5).stmts);
+    Program {
+        procedures: vec![Procedure {
+            name: "generated".into(),
+            params: vec![Param {
+                name: "G".into(),
+                ty: Ty::Graph,
+                span: gm_core::Span::synthetic(),
+            }],
+            ret: None,
+            body: Block::of(body),
+            span: gm_core::Span::synthetic(),
+        }],
+    }
+}
+
+/// print(parse(print(ast))) == print(ast): the printer emits valid
+/// Green-Marl and reaches a fixed point.
+fn assert_fixed_point(printed: &str) {
+    let reparsed = parse(printed).unwrap_or_else(|e| {
+        panic!(
+            "printer emitted invalid source:\n{}\n---\n{printed}",
+            e.render(printed)
+        );
+    });
+    assert_eq!(printed, program_to_string(&reparsed));
+}
+
+#[test]
+fn pretty_print_parse_fixed_point() {
+    check("pretty_print_parse_fixed_point", 64, |rng| {
+        assert_fixed_point(&program_to_string(&program(rng)));
+    });
+}
+
+/// A shrunk case proptest once found, pinned as the source it printed: a
+/// negative float literal under unary minus, and `Abs`/`Nil` operands in
+/// `While` conditions.
+#[test]
+fn regression_negative_float_under_neg_and_abs_nil_in_while() {
+    assert_fixed_point(
+        "Procedure generated(G: Graph) {
+    Bool f76_t7_ = False;
+    If ((0 + (-(0 + (-1.75))))) {
+        f76_t7_ += (-(-True));
+        f76_t7_ += |(-f76_t7_)|;
+    } Else {
+        While (((-(-f76_t7_)) ? (-(f76_t7_ >= f76_t7_)) : (f76_t7_ + (f76_t7_ * f76_t7_)))) {
+            f76_t7_ -= |(-False)|;
+        }
+        While (((-NIL) / ((-f76_t7_) >= f76_t7_))) {
+            f76_t7_ = |(NIL ? True : f76_t7_)|;
+            f76_t7_ += (|(-18.75)| / |(-84)|);
+        }
+    }
+}
+",
+    );
+}
+
+/// A shrunk case proptest once found, pinned as the source it printed: a
+/// `Node`-typed variable in arithmetic and ternaries.
+#[test]
+fn regression_node_var_in_arithmetic_and_ternaries() {
+    assert_fixed_point(
+        "Procedure generated(G: Graph) {
+    Node r50ox7 = NIL;
+    While (((0 + 1.0) * (r50ox7 ? (NIL == True) : (r50ox7 >= r50ox7)))) {
+        r50ox7 = |(|27|)|;
+        While ((|NIL| - (96 ? 26 : |(-22.0)|))) {
+            r50ox7 max= ((True ? r50ox7 : 10.75) < (|r50ox7| ? NIL : r50ox7));
+        }
+    }
+}
+",
+    );
 }

@@ -2,8 +2,8 @@
 //!
 //! Dependency-free like everything else here: one request per
 //! connection (`Connection: close`), which matches the server side and
-//! keeps the client trivially correct. Used by the `chaos` harness, the
-//! benchmark's serving workloads, and the serving tests.
+//! keeps the client trivially correct. Used by the `kill -9` chaos test,
+//! the benchmark's serving workloads, and the serving tests.
 
 use gm_obs::json::{parse, Json};
 use std::io::{Read, Write};

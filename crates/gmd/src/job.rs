@@ -340,6 +340,38 @@ impl JobResult {
             total_message_bytes: outcome.metrics.total_message_bytes,
         }
     }
+
+    /// The result's journalled fields: everything but the `props`
+    /// columns, which only the status document carries.
+    pub(crate) fn journal_fields(&self) -> BTreeMap<String, Json> {
+        BTreeMap::from([
+            (
+                "ret".to_owned(),
+                self.ret.as_ref().map(value_json).unwrap_or(Json::Null),
+            ),
+            (
+                "globals".to_owned(),
+                Json::obj(self.globals.iter().map(|(k, v)| (k.clone(), value_json(v)))),
+            ),
+            (
+                "fingerprints".to_owned(),
+                Json::obj(
+                    self.fingerprints
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Json::Str(v.clone()))),
+                ),
+            ),
+            (
+                "supersteps".to_owned(),
+                Json::UInt(u64::from(self.supersteps)),
+            ),
+            ("total_messages".to_owned(), Json::UInt(self.total_messages)),
+            (
+                "total_message_bytes".to_owned(),
+                Json::UInt(self.total_message_bytes),
+            ),
+        ])
+    }
 }
 
 /// Where a job is in its lifetime.
@@ -414,7 +446,7 @@ pub struct JobRecord {
     pub cached: bool,
 }
 
-pub(crate) fn value_json(v: &Value) -> Json {
+fn value_json(v: &Value) -> Json {
     match v {
         Value::Int(x) => Json::Int(*x),
         Value::Double(x) => Json::Num(*x),
@@ -448,50 +480,16 @@ impl JobRecord {
         }
         match &self.state {
             JobState::Completed(r) => {
-                let mut result = vec![
-                    (
-                        "ret".to_owned(),
-                        r.ret.as_ref().map(value_json).unwrap_or(Json::Null),
-                    ),
-                    (
-                        "globals".to_owned(),
-                        Json::obj(
-                            r.globals
-                                .iter()
-                                .map(|(k, v)| (k.clone(), value_json(v)))
-                                .collect::<Vec<_>>(),
-                        ),
-                    ),
-                    (
-                        "fingerprints".to_owned(),
-                        Json::obj(
-                            r.fingerprints
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                                .collect::<Vec<_>>(),
-                        ),
-                    ),
-                    ("supersteps".to_owned(), Json::UInt(u64::from(r.supersteps))),
-                    ("total_messages".to_owned(), Json::UInt(r.total_messages)),
-                    (
-                        "total_message_bytes".to_owned(),
-                        Json::UInt(r.total_message_bytes),
-                    ),
-                ];
+                let mut result = r.journal_fields();
                 if let Some(props) = &r.props {
-                    result.push((
+                    result.insert(
                         "props".to_owned(),
-                        Json::obj(
-                            props
-                                .iter()
-                                .map(|(k, col)| {
-                                    (k.clone(), Json::Arr(col.iter().map(value_json).collect()))
-                                })
-                                .collect::<Vec<_>>(),
-                        ),
-                    ));
+                        Json::obj(props.iter().map(|(k, col)| {
+                            (k.clone(), Json::Arr(col.iter().map(value_json).collect()))
+                        })),
+                    );
                 }
-                pairs.push(("result".to_owned(), Json::obj(result)));
+                pairs.push(("result".to_owned(), Json::Obj(result)));
             }
             JobState::Failed {
                 kind,

@@ -43,7 +43,7 @@
 //! crash *during* compaction replays duplicated records, which the fold
 //! absorbs idempotently.
 
-use crate::job::{value_json, JobResult, JobSpec, JobState};
+use crate::job::{JobResult, JobSpec, JobState};
 use gm_ckpt::{crc32, FaultPlan};
 use gm_obs::json::{parse, Json};
 use gm_obs::metrics::MetricsRegistry;
@@ -154,39 +154,6 @@ fn value_from_json(doc: &Json) -> Result<gm_core::value::Value, String> {
     }
 }
 
-fn result_json(r: &JobResult) -> Json {
-    Json::obj([
-        (
-            "ret".to_owned(),
-            r.ret.as_ref().map(value_json).unwrap_or(Json::Null),
-        ),
-        (
-            "globals".to_owned(),
-            Json::obj(
-                r.globals
-                    .iter()
-                    .map(|(k, v)| (k.clone(), value_json(v)))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-        (
-            "fingerprints".to_owned(),
-            Json::obj(
-                r.fingerprints
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-        ("supersteps".to_owned(), Json::UInt(u64::from(r.supersteps))),
-        ("total_messages".to_owned(), Json::UInt(r.total_messages)),
-        (
-            "total_message_bytes".to_owned(),
-            Json::UInt(r.total_message_bytes),
-        ),
-    ])
-}
-
 fn result_from_json(doc: &Json) -> Result<JobResult, String> {
     let obj_field = |key: &str| -> Result<BTreeMap<String, Json>, String> {
         match doc.get(key) {
@@ -284,7 +251,7 @@ impl JournalRecord {
                 wall_ms, result, ..
             } => {
                 pairs.push(("wall_ms".to_owned(), Json::Num(*wall_ms)));
-                pairs.push(("result".to_owned(), result_json(result)));
+                pairs.push(("result".to_owned(), Json::Obj(result.journal_fields())));
             }
             JournalRecord::Failed {
                 wall_ms,

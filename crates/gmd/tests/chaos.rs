@@ -1,11 +1,14 @@
 //! Chaos acceptance: `kill -9` the real `gmd` binary mid-superstep under
-//! concurrent two-tenant load, tear the journal tail, restart, and
-//! assert that every journalled job reaches a terminal state with
-//! per-column fingerprints bit-identical to an uninterrupted local run.
+//! concurrent two-tenant load, restart it and kill it again mid-run, tear
+//! the journal tail, restart, and assert that every journalled job
+//! reaches a terminal state with per-column fingerprints bit-identical to
+//! an uninterrupted local run.
 //!
 //! This drives the actual binary (via `CARGO_BIN_EXE_gmd`), not the
 //! library: SIGKILL must hit a separate process for the write-ahead
-//! journal to be the only survivor.
+//! journal to be the only survivor. A failing run keeps its scratch
+//! directory (journal segments, checkpoints, daemon stderr per leg) and
+//! prints its path.
 
 use gm_core::seqinterp::ArgValue;
 use gm_interp::run_compiled;
@@ -33,11 +36,27 @@ impl Drop for Guard {
     }
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gmd-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create test dir");
-    dir
+/// The test's scratch directory: removed when the test passes, kept and
+/// printed when it panics.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("gmd-chaos-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create test dir");
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("chaos: FAILED, artifacts kept in {}", self.0.display());
+        } else {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 }
 
 fn spawn_daemon(dir: &Path, leg: &str) -> Guard {
@@ -68,6 +87,14 @@ fn spawn_daemon(dir: &Path, leg: &str) -> Guard {
         .spawn()
         .expect("spawn gmd");
     Guard(child)
+}
+
+/// A client for the daemon of the current leg: the kernel may hand each
+/// restart a different ephemeral port.
+fn connect(dir: &Path) -> Client {
+    Client::new(wait_addr(dir))
+        .with_timeout(Duration::from_secs(10))
+        .with_reconnect(Duration::from_secs(10))
 }
 
 fn wait_addr(dir: &Path) -> SocketAddr {
@@ -150,35 +177,23 @@ fn newest_segment(journal: &Path) -> PathBuf {
     segs.pop().expect("at least one segment")
 }
 
-fn segment_len(seg: &Path) -> u64 {
-    std::fs::metadata(seg).expect("segment metadata").len()
+/// Where the journal ends: the newest segment and its length.
+fn journal_end(journal: &Path) -> (PathBuf, u64) {
+    let seg = newest_segment(journal);
+    let len = std::fs::metadata(&seg).expect("segment metadata").len();
+    (seg, len)
 }
 
-#[test]
-fn kill_nine_mid_superstep_then_restart_reaches_terminal_bit_identical_states() {
-    let dir = fresh_dir("kill9");
-    let journal = dir.join("journal");
-
-    // Leg 1: daemon under two-tenant load.
-    let mut daemon = spawn_daemon(&dir, "first");
-    let addr = wait_addr(&dir);
-    let client = Client::new(addr).with_timeout(Duration::from_secs(10));
-
-    let mut ids = Vec::new();
-    for tenant in ["acme", "globex"] {
-        for _ in 0..2 {
-            ids.push(client.submit(&job_body(tenant)).expect("submit"));
-        }
-    }
-    // The journal as it stood when the last acceptance was acknowledged:
-    // its final record is that acceptance.
-    let accepted_seg = newest_segment(&journal);
-    let accepted_len = segment_len(&accepted_seg);
-
-    // Kill only once the crash will have teeth: a checkpoint snapshot is
-    // durable on disk AND some job is observably mid-run. Also wait for
-    // at least one record behind the last acceptance, so the tail the
-    // test tears below is never an acknowledged job's.
+/// Waits until a SIGKILL will have teeth: a checkpoint snapshot is
+/// durable on disk, some job is observably mid-run, and the journal has
+/// grown past `base`, so the tail the test tears is never an acknowledged
+/// acceptance. Returns `false` if every job finished first.
+fn wait_until_armed(
+    client: &Client,
+    ids: &[String],
+    journal: &Path,
+    base: &(PathBuf, u64),
+) -> bool {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let snapshot_on_disk = std::fs::read_dir(journal.join("ckpt"))
@@ -190,18 +205,21 @@ fn kill_nine_mid_superstep_then_restart_reaches_terminal_bit_identical_states() 
                 })
             })
             .unwrap_or(false);
-        let running = ids.iter().any(|id| {
-            client
-                .get_json(&format!("/v1/jobs/{id}"))
-                .ok()
-                .and_then(|(_, doc)| doc.get("status").and_then(Json::as_str).map(str::to_owned))
-                .as_deref()
-                == Some("running")
-        });
-        let seg = newest_segment(&journal);
-        let past_acceptance = seg != accepted_seg || segment_len(&seg) > accepted_len;
-        if snapshot_on_disk && running && past_acceptance {
-            break;
+        let statuses: Vec<Option<String>> = ids
+            .iter()
+            .map(|id| {
+                let doc = client.get_json(&format!("/v1/jobs/{id}")).ok()?.1;
+                doc.get("status").and_then(Json::as_str).map(str::to_owned)
+            })
+            .collect();
+        let running = statuses.iter().any(|s| s.as_deref() == Some("running"));
+        let (seg, len) = journal_end(journal);
+        let past_base = seg != base.0 || len > base.1;
+        if snapshot_on_disk && running && past_base {
+            return true;
+        }
+        if past_base && statuses.iter().all(|s| s.as_deref() == Some("completed")) {
+            return false;
         }
         assert!(
             Instant::now() < deadline,
@@ -209,8 +227,45 @@ fn kill_nine_mid_superstep_then_restart_reaches_terminal_bit_identical_states() 
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    daemon.0.kill().expect("SIGKILL");
-    daemon.0.wait().expect("reap");
+}
+
+#[test]
+fn kill_nine_mid_superstep_then_restart_reaches_terminal_bit_identical_states() {
+    let scratch = Scratch::new("kill9");
+    let dir = &scratch.0;
+    let journal = dir.join("journal");
+
+    // Leg 0: daemon under two-tenant load.
+    let mut daemon = spawn_daemon(dir, "leg0");
+    let mut client = connect(dir);
+    let mut ids = Vec::new();
+    for tenant in ["acme", "globex"] {
+        for _ in 0..2 {
+            ids.push(client.submit(&job_body(tenant)).expect("submit"));
+        }
+    }
+    // The journal as it stood when the last acceptance was acknowledged:
+    // its final record is that acceptance.
+    let mut base = journal_end(&journal);
+
+    // Two kill rounds: mid-run under load, then mid-run again on the
+    // daemon that replayed the first crash (whose compacted segment ends
+    // in acceptances, hence the new base).
+    for round in 1..=2 {
+        let armed = wait_until_armed(&client, &ids, &journal, &base);
+        assert!(
+            armed || round > 1,
+            "every job finished before the first kill"
+        );
+        eprintln!("chaos: round {round}: SIGKILL (mid-run: {armed})");
+        daemon.0.kill().expect("SIGKILL");
+        daemon.0.wait().expect("reap");
+        if round == 1 {
+            daemon = spawn_daemon(dir, "leg1");
+            client = connect(dir);
+            base = journal_end(&journal);
+        }
+    }
     drop(daemon);
 
     // Tear the journal tail: the torn record must be detected by CRC
@@ -223,11 +278,8 @@ fn kill_nine_mid_superstep_then_restart_reaches_terminal_bit_identical_states() 
     // Leg 2: restart over the same journal. Every job must reach a
     // terminal state; completed jobs must be bit-identical to the
     // uninterrupted reference.
-    let _daemon = spawn_daemon(&dir, "second");
-    let addr = wait_addr(&dir);
-    let client = Client::new(addr)
-        .with_timeout(Duration::from_secs(10))
-        .with_reconnect(Duration::from_secs(10));
+    let _daemon = spawn_daemon(dir, "leg2");
+    let client = connect(dir);
 
     let reference = local_reference();
     assert!(!reference.is_empty(), "pagerank exports node properties");
@@ -293,6 +345,4 @@ fn kill_nine_mid_superstep_then_restart_reaches_terminal_bit_identical_states() 
             .and_then(Json::as_str);
         assert_eq!(got, Some(want.as_str()), "post-restart run: {prop}");
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

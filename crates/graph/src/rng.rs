@@ -6,7 +6,8 @@
 //! numbers for the same seed on every platform and in every build of this
 //! repository. Every seeded draw in the workspace (graph generators,
 //! `PickRandom`, BC root sampling, the daemon's synthetic weights and
-//! retry jitter) comes from here.
+//! retry jitter) comes from here, and so do the cases of the property
+//! tests, through [`check`].
 
 /// A seeded SplitMix64 stream.
 #[derive(Clone, Debug)]
@@ -43,9 +44,53 @@ impl SplitMix64 {
         self.next_u64() % n
     }
 
+    /// Uniform in the half-open `range`, by [`below`](Self::below).
+    pub fn range(&mut self, range: std::ops::Range<u64>) -> u64 {
+        range.start + self.below(range.end - range.start)
+    }
+
     /// `true` with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
+    }
+}
+
+/// The environment variable that, when set to a positive count, replaces
+/// every property's own case count (the nightly deep-fuzz run raises it).
+const CASES_ENV: &str = "GM_PROP_CASES";
+
+/// The number of cases a property runs: `env` (the value of
+/// [`CASES_ENV`]) when it parses as a positive count, else `default`.
+fn case_count(env: Option<&str>, default: u32) -> u32 {
+    env.and_then(|v| v.trim().parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(default)
+}
+
+/// The seed of case `case` of property `name`: FNV-1a of the name, mixed
+/// with the case index. Fixed for ever, so every run draws the same cases.
+fn case_seed(name: &str, case: u32) -> u64 {
+    let fnv = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    SplitMix64::new(fnv ^ u64::from(case)).next_u64()
+}
+
+/// Runs property `name` for `cases` cases (or as many as a positive
+/// `GM_PROP_CASES` says), each on a fresh stream whose seed is fixed by
+/// the name and the case index. There is no shrinking:
+/// when a case panics, the name, case index, seed and case count go to
+/// stderr and the panic resumes. Case `i` draws the same input in every
+/// run that reaches it, so a failure replays with the same count.
+pub fn check(name: &str, cases: u32, mut property: impl FnMut(&mut SplitMix64)) {
+    let cases = case_count(std::env::var(CASES_ENV).ok().as_deref(), cases);
+    for case in 0..cases {
+        let seed = case_seed(name, case);
+        let run = std::panic::AssertUnwindSafe(|| property(&mut SplitMix64::new(seed)));
+        if let Err(panic) = std::panic::catch_unwind(run) {
+            eprintln!("property `{name}` failed at case {case} of {cases} (seed {seed:#018x})");
+            std::panic::resume_unwind(panic);
+        }
     }
 }
 
@@ -72,6 +117,33 @@ mod tests {
                 assert!(rng.below(n) < n, "below({n})");
             }
         }
+    }
+
+    #[test]
+    fn case_count_reads_a_positive_count_or_keeps_the_default() {
+        assert_eq!(case_count(None, 32), 32);
+        assert_eq!(case_count(Some("640"), 32), 640);
+        for garbage in ["", "0", "-5", "many", "6.5"] {
+            assert_eq!(case_count(Some(garbage), 32), 32, "{garbage:?}");
+        }
+    }
+
+    #[test]
+    fn check_runs_every_case_on_its_own_fixed_seed() {
+        let mut seen = Vec::new();
+        check("fixed-seeds", 8, |rng| seen.push(rng.next_u64()));
+        // Only the count may come from the environment; the seeds never do.
+        let expected: Vec<u64> = (0..seen.len() as u32)
+            .map(|i| SplitMix64::new(case_seed("fixed-seeds", i)).next_u64())
+            .collect();
+        assert_eq!(seen, expected);
+        assert_ne!(case_seed("fixed-seeds", 0), case_seed("other", 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "drew")]
+    fn check_resumes_the_failing_case_panic() {
+        check("always-fails", 8, |rng| panic!("drew {}", rng.next_u64()));
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Property-based and feature tests for the BSP runtime itself.
 
+use gm_graph::rng::check;
 use gm_graph::{gen, GraphBuilder, NodeId};
 use gm_pregel::{
     run, GlobalValue, MasterContext, MasterDecision, PregelConfig, ReduceOp, VertexContext,
     VertexProgram,
 };
-use proptest::prelude::*;
+
+/// Cases per property: each runs several whole BSP jobs.
+const CASES: u32 = 24;
 
 /// Sums incoming integer messages for a fixed number of rounds; generic
 /// over combining.
@@ -52,62 +55,65 @@ impl VertexProgram for RelaySum {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Results and total bytes are identical for every worker count.
-    #[test]
-    fn worker_count_invariance(n in 1u32..60, m in 0usize..300, seed in 0u64..500, rounds in 1u32..4) {
+/// Results and total bytes are identical for every worker count.
+#[test]
+fn worker_count_invariance() {
+    check("worker_count_invariance", CASES, |rng| {
+        let (n, m) = (rng.range(1..60) as u32, rng.below(300) as usize);
+        let (seed, rounds) = (rng.below(500), rng.range(1..4) as u32);
         let g = gen::uniform_random(n, m, seed);
-        let base = run(
-            &g,
-            &mut RelaySum { rounds, combining: false },
-            |_| 0i64,
-            &PregelConfig::sequential(),
-        )
-        .unwrap();
+        let relay = || RelaySum {
+            rounds,
+            combining: false,
+        };
+        let base = run(&g, &mut relay(), |_| 0i64, &PregelConfig::sequential()).unwrap();
         for workers in [2usize, 5] {
             let r = run(
                 &g,
-                &mut RelaySum { rounds, combining: false },
+                &mut relay(),
                 |_| 0i64,
                 &PregelConfig::with_workers(workers),
             )
             .unwrap();
-            prop_assert_eq!(&r.values, &base.values, "workers = {}", workers);
-            prop_assert_eq!(r.metrics.supersteps, base.metrics.supersteps);
-            prop_assert_eq!(r.metrics.total_message_bytes, base.metrics.total_message_bytes);
+            assert_eq!(&r.values, &base.values, "workers = {}", workers);
+            assert_eq!(r.metrics.supersteps, base.metrics.supersteps);
+            assert_eq!(
+                r.metrics.total_message_bytes,
+                base.metrics.total_message_bytes
+            );
         }
-    }
+    });
+}
 
-    /// Combining preserves the summed results while never increasing the
-    /// message count.
-    #[test]
-    fn combining_preserves_sums(n in 1u32..60, m in 0usize..300, seed in 0u64..500) {
+/// Combining preserves the summed results while never increasing the
+/// message count.
+#[test]
+fn combining_preserves_sums() {
+    check("combining_preserves_sums", CASES, |rng| {
+        let (n, m, seed) = (
+            rng.range(1..60) as u32,
+            rng.below(300) as usize,
+            rng.below(500),
+        );
         let g = gen::uniform_random(n, m, seed);
+        let relay = |combining| RelaySum {
+            rounds: 2,
+            combining,
+        };
         for workers in [1usize, 3] {
-            let plain = run(
-                &g,
-                &mut RelaySum { rounds: 2, combining: false },
-                |_| 0i64,
-                &PregelConfig::with_workers(workers),
-            )
-            .unwrap();
-            let combined = run(
-                &g,
-                &mut RelaySum { rounds: 2, combining: true },
-                |_| 0i64,
-                &PregelConfig::with_workers(workers),
-            )
-            .unwrap();
-            prop_assert_eq!(&plain.values, &combined.values);
-            prop_assert!(combined.metrics.total_messages <= plain.metrics.total_messages);
+            let config = PregelConfig::with_workers(workers);
+            let plain = run(&g, &mut relay(false), |_| 0i64, &config).unwrap();
+            let combined = run(&g, &mut relay(true), |_| 0i64, &config).unwrap();
+            assert_eq!(&plain.values, &combined.values);
+            assert!(combined.metrics.total_messages <= plain.metrics.total_messages);
         }
-    }
+    });
+}
 
-    /// Aggregates reach the master identically for any worker count.
-    #[test]
-    fn aggregate_invariance(n in 1u32..60, seed in 0u64..500) {
+/// Aggregates reach the master identically for any worker count.
+#[test]
+fn aggregate_invariance() {
+    check("aggregate_invariance", CASES, |rng| {
         struct MinId {
             observed: Option<i64>,
         }
@@ -135,6 +141,7 @@ proptest! {
                 ctx.reduce_global("m", ReduceOp::Min, GlobalValue::Int(id * 3 - 7));
             }
         }
+        let (n, seed) = (rng.range(1..60) as u32, rng.below(500));
         let g = gen::uniform_random(n, 0, seed);
         let mut expected = None;
         for workers in [1usize, 2, 4] {
@@ -142,11 +149,11 @@ proptest! {
             run(&g, &mut p, |_| (), &PregelConfig::with_workers(workers)).unwrap();
             match &expected {
                 None => expected = Some(p.observed),
-                Some(e) => prop_assert_eq!(e, &p.observed),
+                Some(e) => assert_eq!(e, &p.observed),
             }
         }
-        prop_assert_eq!(expected.flatten(), Some(-7));
-    }
+        assert_eq!(expected.flatten(), Some(-7));
+    });
 }
 
 #[test]

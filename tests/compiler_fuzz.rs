@@ -1,5 +1,5 @@
 //! Compiler fuzzing with translation validation: generate random (but
-//! well-typed) Green-Marl programs with proptest, then check that
+//! well-typed) Green-Marl programs from seeded streams, then check that
 //!
 //! 1. the full pipeline compiles them (or rejects them with a diagnostic —
 //!    never panics), with the PIR verifier re-checking the program after
@@ -18,204 +18,97 @@ use gm_core::seqinterp::{run_procedure, ArgValue};
 use gm_core::value::Value;
 use gm_core::{compile, CompileOptions};
 use gm_graph::gen;
+use gm_graph::rng::{check, SplitMix64};
 use gm_interp::run_compiled;
 use gm_pregel::{CheckpointConfig, FaultPlan, PregelConfig, RecoveryPolicy};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use proptest::prelude::*;
-
 /// Integer vertex properties available to generated programs.
 const PROPS: [&str; 3] = ["pa", "pb", "pc"];
 
+/// The chance of an operator node at each remaining level of nesting (up
+/// to two), as proptest's `prop_recursive(2, 8, 2)` drew them.
+const BRANCH: [f64; 3] = [0.0, 0.5, 0.9];
+
+fn pick<'a, T>(rng: &mut SplitMix64, items: &'a [T]) -> &'a T {
+    &items[rng.below(items.len() as u64) as usize]
+}
+
 /// A random pure expression over integer scalars, rendered as source.
-/// `iters` lists node variables whose properties may be read; `props`
+/// `var` is the node variable whose properties may be read; `props`
 /// restricts which properties (pulls must not read what they write —
 /// that is a data race in Green-Marl; real programs double-buffer).
-fn expr_strategy(iters: Vec<String>, props: Vec<usize>) -> impl Strategy<Value = String> {
-    let leaf = {
-        let iters = iters.clone();
-        prop_oneof![
-            (0i64..20).prop_map(|v| v.to_string()),
-            (0..props.len(), 0..iters.len().max(1)).prop_map(move |(p, i)| {
-                if iters.is_empty() {
-                    "1".to_owned()
-                } else {
-                    format!("{}.{}", iters[i % iters.len()], PROPS[props[p]])
-                }
-            }),
-        ]
-    };
-    leaf.prop_recursive(2, 8, 2, |inner| {
-        (
-            inner.clone(),
-            prop_oneof![Just("+"), Just("-"), Just("*")],
-            inner,
-        )
-            .prop_map(|(a, op, b)| format!("({a} {op} {b})"))
-    })
+fn expr(rng: &mut SplitMix64, var: &str, props: &[usize], level: usize) -> String {
+    if level == 0 {
+        return if rng.chance(0.5) {
+            rng.below(20).to_string()
+        } else {
+            format!("{var}.{}", PROPS[*pick(rng, props)])
+        };
+    }
+    if !rng.chance(BRANCH[level]) {
+        return expr(rng, var, props, level - 1);
+    }
+    let a = expr(rng, var, props, level - 1);
+    let op = pick(rng, &["+", "-", "*"]);
+    let b = expr(rng, var, props, level - 1);
+    format!("({a} {op} {b})")
 }
 
 /// A filter over one node variable (always boolean), reading only the
-/// given properties.
-fn filter_strategy(var: String, props: Vec<usize>) -> impl Strategy<Value = String> {
-    (
-        0..props.len(),
-        0i64..10,
-        prop_oneof![Just(">"), Just("<"), Just("==")],
-    )
-        .prop_map(move |(p, k, cmp)| format!("({}.{} % 7) {cmp} {k}", var, PROPS[props[p]]))
+/// given properties, inside `open`/`close`; empty half the time.
+fn filter(rng: &mut SplitMix64, var: &str, props: &[usize], [open, close]: [char; 2]) -> String {
+    if rng.chance(0.5) {
+        return String::new();
+    }
+    let p = PROPS[*pick(rng, props)];
+    let k = rng.below(10);
+    let cmp = pick(rng, &[">", "<", "=="]);
+    format!("{open}({var}.{p} % 7) {cmp} {k}{close}")
 }
 
-/// One vertex-parallel statement group.
-#[derive(Debug, Clone)]
-enum Piece {
-    /// `Foreach (n)(f?) { n.prop op= expr(n); }`
-    Local {
-        prop: usize,
-        filter: Option<String>,
-        expr: String,
-        reduce: bool,
-    },
-    /// Push: `Foreach (n) { Foreach (t: n.Nbrs)(f?) { t.prop += expr(n,t-own-reads-not-allowed→expr(n)); } }`
-    Push {
-        prop: usize,
-        out_edges: bool,
-        filter: Option<String>,
-        expr: String,
-    },
-    /// Pull: `Foreach (n) { n.prop = Sum(t: n.InNbrs)(f?){expr(t)}; }`
-    Pull {
-        prop: usize,
-        in_edges: bool,
-        filter: Option<String>,
-        expr: String,
-    },
-    /// Global reduction: `S += expr(n)` under a filter.
-    Reduce {
-        filter: Option<String>,
-        expr: String,
-    },
-}
-
-fn piece_strategy() -> impl Strategy<Value = Piece> {
-    prop_oneof![
-        (
-            0..PROPS.len(),
-            prop::option::of(filter_strategy("n".into(), vec![0, 1, 2])),
-            expr_strategy(vec!["n".into()], vec![0, 1, 2]),
-            any::<bool>()
-        )
-            .prop_map(|(prop, filter, expr, reduce)| Piece::Local {
-                prop,
-                filter,
-                expr,
-                reduce
-            }),
-        (
-            0..PROPS.len(),
-            any::<bool>(),
-            prop::option::of(filter_strategy("t".into(), vec![0, 1, 2])),
-            expr_strategy(vec!["n".into()], vec![0, 1, 2])
-        )
-            .prop_map(|(prop, out_edges, filter, expr)| Piece::Push {
-                prop,
-                out_edges,
-                filter,
-                expr
-            }),
-        // Pulls write PROPS[prop] but read (in body AND filter) only the
-        // other two properties — reading what the region writes is a data
-        // race in Green-Marl (real programs double-buffer, cf. SSSP).
-        (0..PROPS.len(), any::<bool>())
-            .prop_flat_map(|(prop, in_edges)| {
-                let readable: Vec<usize> = (0..PROPS.len()).filter(|&p| p != prop).collect();
-                (
-                    prop::option::of(filter_strategy("t".into(), readable.clone())),
-                    expr_strategy(vec!["t".into()], readable),
-                )
-                    .prop_map(move |(filter, expr)| (prop, in_edges, filter, expr))
-            })
-            .prop_map(|(prop, in_edges, filter, expr)| Piece::Pull {
-                prop,
-                in_edges,
-                filter,
-                expr
-            }),
-        (
-            prop::option::of(filter_strategy("n".into(), vec![0, 1, 2])),
-            expr_strategy(vec!["n".into()], vec![0, 1, 2])
-        )
-            .prop_map(|(filter, expr)| Piece::Reduce { filter, expr }),
-    ]
+/// One vertex-parallel statement group, as source whose iterators are
+/// `$n` and `$t` ([`render`] numbers them per piece): a local write, a
+/// push to neighbours, a pull (`Sum`) from them, or a global reduction.
+fn piece(rng: &mut SplitMix64) -> String {
+    let prop = *pick(rng, &PROPS);
+    let (n, t, all) = ("$n", "$t", &[0, 1, 2]);
+    match rng.below(4) {
+        0 => {
+            let (filter, expr) = (filter(rng, n, all, ['(', ')']), expr(rng, n, all, 2));
+            let op = pick(rng, &["+=", "="]);
+            format!("Foreach ($n: G.Nodes){filter} {{ $n.{prop} {op} {expr}; }}")
+        }
+        1 => {
+            let dir = pick(rng, &["Nbrs", "InNbrs"]);
+            let (filter, expr) = (filter(rng, t, all, ['(', ')']), expr(rng, n, all, 2));
+            format!("Foreach ($n: G.Nodes) {{ Foreach ($t: $n.{dir}){filter} {{ $t.{prop} += {expr}; }} }}")
+        }
+        // Pulls write `prop` but read (in body AND filter) only the other
+        // two properties — reading what the region writes is a data race
+        // in Green-Marl (real programs double-buffer, cf. SSSP).
+        2 => {
+            let readable: Vec<usize> = (0..3).filter(|&p| PROPS[p] != prop).collect();
+            let dir = pick(rng, &["Nbrs", "InNbrs"]);
+            let filter = filter(rng, t, &readable, ['[', ']']);
+            let expr = expr(rng, t, &readable, 2);
+            format!("Foreach ($n: G.Nodes) {{ $n.{prop} = Sum($t: $n.{dir}){filter}{{{expr}}}; }}")
+        }
+        _ => {
+            let (filter, expr) = (filter(rng, n, all, ['(', ')']), expr(rng, n, all, 2));
+            format!("Foreach ($n: G.Nodes){filter} {{ S += {expr}; }}")
+        }
+    }
 }
 
 /// Renders a whole program from the pieces, optionally wrapping the middle
 /// section in a bounded While loop.
-fn render(pieces: &[Piece], loop_rounds: Option<u8>) -> String {
+fn render(pieces: &[impl AsRef<str>], loop_rounds: Option<u8>) -> String {
     let mut body = String::new();
-    let mut k = 0usize;
-    for piece in pieces {
-        k += 1;
-        let f = |filt: &Option<String>, from: &str, to: String| {
-            filt.as_ref()
-                .map(|flt| format!("({})", flt.replace(from, &to)))
-                .unwrap_or_default()
-        };
-        match piece {
-            Piece::Local {
-                prop,
-                filter,
-                expr,
-                reduce,
-            } => {
-                let op = if *reduce { "+=" } else { "=" };
-                body.push_str(&format!(
-                    "    Foreach (n{k}: G.Nodes){} {{ n{k}.{} {op} {}; }}\n",
-                    f(filter, "n.", format!("n{k}.")),
-                    PROPS[*prop],
-                    expr.replace("n.", &format!("n{k}.")),
-                ));
-            }
-            Piece::Push {
-                prop,
-                out_edges,
-                filter,
-                expr,
-            } => {
-                let dir = if *out_edges { "Nbrs" } else { "InNbrs" };
-                body.push_str(&format!(
-                    "    Foreach (n{k}: G.Nodes) {{\n        Foreach (t{k}: n{k}.{dir}){} {{ t{k}.{} += {}; }}\n    }}\n",
-                    f(filter, "t.", format!("t{k}.")),
-                    PROPS[*prop],
-                    expr.replace("n.", &format!("n{k}.")),
-                ));
-            }
-            Piece::Pull {
-                prop,
-                in_edges,
-                filter,
-                expr,
-            } => {
-                let dir = if *in_edges { "InNbrs" } else { "Nbrs" };
-                let filter_group = filter
-                    .as_ref()
-                    .map(|flt| format!("[{}]", flt.replace("t.", &format!("t{k}."))))
-                    .unwrap_or_default();
-                body.push_str(&format!(
-                    "    Foreach (n{k}: G.Nodes) {{ n{k}.{} = Sum(t{k}: n{k}.{dir}){filter_group}{{{}}}; }}\n",
-                    PROPS[*prop],
-                    expr.replace("t.", &format!("t{k}.")),
-                ));
-            }
-            Piece::Reduce { filter, expr } => {
-                body.push_str(&format!(
-                    "    Foreach (n{k}: G.Nodes){} {{ S += {}; }}\n",
-                    f(filter, "n.", format!("n{k}.")),
-                    expr.replace("n.", &format!("n{k}.")),
-                ));
-            }
-        }
+    for (k, piece) in (1..).zip(pieces) {
+        let piece = piece.as_ref().replace("$n", &format!("n{k}"));
+        body += &format!("    {}\n", piece.replace("$t", &format!("t{k}")));
     }
     let body = match loop_rounds {
         Some(r) => format!(
@@ -261,7 +154,7 @@ fn fresh_ckpt_dir() -> std::path::PathBuf {
 /// 1, 2, and 4 workers plus a leg that checkpoints every superstep,
 /// kills worker 0 mid-run, and recovers from the snapshot.
 fn check_translation_validation(
-    pieces: &[Piece],
+    pieces: &[impl AsRef<str>],
     rounds: Option<u8>,
     n: u32,
     m_per_n: usize,
@@ -327,41 +220,26 @@ fn check_translation_validation(
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn random_programs_agree_with_the_oracle(
-        pieces in prop::collection::vec(piece_strategy(), 1..5),
-        rounds in prop::option::of(1u8..4),
-        n in 2u32..40,
-        m_per_n in 0usize..6,
-        seed in 0u64..1000,
-    ) {
-        check_translation_validation(&pieces, rounds, n, m_per_n, seed);
-    }
+#[test]
+fn random_programs_agree_with_the_oracle() {
+    check("random_programs_agree_with_the_oracle", 32, |rng| {
+        let pieces: Vec<String> = (0..rng.range(1..5)).map(|_| piece(rng)).collect();
+        let rounds = rng.chance(0.5).then(|| rng.range(1..4) as u8);
+        let (n, m_per_n) = (rng.range(2..40) as u32, rng.below(6) as usize);
+        check_translation_validation(&pieces, rounds, n, m_per_n, rng.below(1000));
+    });
 }
 
-/// The shrunk seed from `compiler_fuzz.proptest-regressions`, promoted to
-/// a deterministic named test: a pull-direction push (`InNbrs`) followed
+/// A seed proptest once shrank a failure to, promoted to a deterministic
+/// named test: a pull-direction push (`InNbrs`) followed
 /// by a plain local write inside a two-round `While` loop — a shape that
 /// once diverged from the oracle. Pinning it here keeps the case covered
 /// on every CI run without re-running the whole fuzz campaign.
 #[test]
 fn regression_push_innbrs_then_local_in_loop() {
     let pieces = [
-        Piece::Push {
-            prop: 1,
-            out_edges: false,
-            filter: None,
-            expr: "((0 + n.pb) * (3 * n.pb))".to_owned(),
-        },
-        Piece::Local {
-            prop: 0,
-            filter: None,
-            expr: "((n.pb + 0) * (n.pb * 7))".to_owned(),
-            reduce: false,
-        },
+        "Foreach ($n: G.Nodes) { Foreach ($t: $n.InNbrs) { $t.pb += ((0 + $n.pb) * (3 * $n.pb)); } }",
+        "Foreach ($n: G.Nodes) { $n.pa = (($n.pb + 0) * ($n.pb * 7)); }",
     ];
     check_translation_validation(&pieces, Some(2), 30, 5, 249);
 }
@@ -371,30 +249,12 @@ fn regression_push_innbrs_then_local_in_loop() {
 #[test]
 fn regression_each_piece_shape_alone() {
     let shapes = [
-        Piece::Local {
-            prop: 2,
-            filter: Some("(n.pa % 7) < 4".to_owned()),
-            expr: "(n.pc + 3)".to_owned(),
-            reduce: true,
-        },
-        Piece::Push {
-            prop: 0,
-            out_edges: true,
-            filter: Some("(t.pb % 7) == 2".to_owned()),
-            expr: "(n.pa * 2)".to_owned(),
-        },
-        Piece::Pull {
-            prop: 1,
-            in_edges: true,
-            filter: Some("(t.pa % 7) > 1".to_owned()),
-            expr: "(t.pc - 1)".to_owned(),
-        },
-        Piece::Reduce {
-            filter: None,
-            expr: "(n.pb + n.pc)".to_owned(),
-        },
+        "Foreach ($n: G.Nodes)(($n.pa % 7) < 4) { $n.pc += ($n.pc + 3); }",
+        "Foreach ($n: G.Nodes) { Foreach ($t: $n.Nbrs)(($t.pb % 7) == 2) { $t.pa += ($n.pa * 2); } }",
+        "Foreach ($n: G.Nodes) { $n.pb = Sum($t: $n.InNbrs)[($t.pa % 7) > 1]{($t.pc - 1)}; }",
+        "Foreach ($n: G.Nodes) { S += ($n.pb + $n.pc); }",
     ];
     for shape in shapes {
-        check_translation_validation(std::slice::from_ref(&shape), Some(2), 12, 3, 7);
+        check_translation_validation(&[shape], Some(2), 12, 3, 7);
     }
 }
