@@ -1,0 +1,872 @@
+//! The vertex-kernel lowering shared by every execution leg.
+//!
+//! The PIR reuses named AST expressions. This module resolves every name
+//! in a vertex kernel to a slot once, folds `INF`/`NIL` literals into
+//! constants, computes the kernel's flags (snapshotting, edge-dependent
+//! sends, the pull send site), and flattens the kernel into [`CInstr`]
+//! programs. `gm-interp` executes the result allocation-free;
+//! [`crate::rustgen`] prints it as native Rust. Both legs therefore agree
+//! on name resolution by construction:
+//!
+//! * a `_pl_<field>` read is the current handler's payload field, and is
+//!   an error outside a receive handler;
+//! * a variable is a kernel local only once the `Local` instruction that
+//!   introduces it has been lowered (so `x = x + 1` first reads the
+//!   global `x`), and the filter never sees body locals;
+//! * broadcast globals get slots in first-use order: receive handlers in
+//!   PIR order, then the filter, then the body.
+
+use crate::ast::{AssignOp, BinOp, Expr, ExprKind, UnOp};
+use crate::pir::{
+    PregelProgram, RecvAction, VInstr, VertexKernel, EDGE, IN_NBRS_TAG, PAYLOAD_PREFIX, SELF,
+};
+use crate::types::Ty;
+use crate::value::{Value, NIL_NODE};
+use std::collections::HashMap;
+
+/// A name-free expression.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CExpr {
+    /// Literal (including resolved `INF`/`NIL`).
+    Const(Value),
+    /// Own property by slot (position in `PregelProgram::node_props`).
+    Prop(usize),
+    /// Property of the connecting edge, by slot (position in
+    /// `PregelProgram::edge_props`).
+    EdgeProp(usize),
+    /// Message payload field by position.
+    Payload(usize),
+    /// Kernel local by slot.
+    Local(usize),
+    /// Broadcast global by per-kernel slot.
+    Global(usize),
+    /// The executing vertex's id.
+    SelfId,
+    /// `Degree()` of the executing vertex.
+    OutDegree,
+    /// `InDegree()` (length of the in-neighbor array).
+    InDegree,
+    /// `G.NumNodes()`.
+    NumNodes,
+    /// `G.NumEdges()`.
+    NumEdges,
+    /// Unary operation.
+    Un(UnOp, Box<CExpr>),
+    /// Binary operation (`&&`/`||` short-circuit).
+    Bin(BinOp, Box<CExpr>, Box<CExpr>),
+    /// Conditional with optional result coercion.
+    Ternary {
+        /// Condition.
+        cond: Box<CExpr>,
+        /// True branch.
+        then_val: Box<CExpr>,
+        /// False branch.
+        else_val: Box<CExpr>,
+        /// Result type to coerce to (from the checker's annotation).
+        coerce: Option<Ty>,
+    },
+}
+
+/// A name-free vertex instruction.
+#[derive(Clone, Debug)]
+pub enum CInstr {
+    /// Local slot write.
+    Local {
+        /// Slot.
+        slot: usize,
+        /// Operator.
+        op: AssignOp,
+        /// Value.
+        value: CExpr,
+        /// Declared type (for coercion).
+        ty: Ty,
+    },
+    /// Own property write.
+    WriteOwn {
+        /// Property slot.
+        prop: usize,
+        /// Operator (`Defer` buffers to kernel end).
+        op: AssignOp,
+        /// Value.
+        value: CExpr,
+        /// Property type (for coercion).
+        ty: Ty,
+    },
+    /// Global reduction.
+    ReduceGlobal {
+        /// Global name (the aggregation map is string-keyed).
+        name: String,
+        /// Operator.
+        op: AssignOp,
+        /// Value.
+        value: CExpr,
+    },
+    /// Send to all out-neighbors.
+    SendToNbrs {
+        /// Message tag.
+        tag: u8,
+        /// Payload expressions.
+        payload: Vec<CExpr>,
+        /// Whether any payload expression reads the connecting edge
+        /// (otherwise the payload is evaluated once and shared).
+        edge_dependent: bool,
+    },
+    /// Send to the materialized in-neighbors.
+    SendToInNbrs {
+        /// Message tag.
+        tag: u8,
+        /// Payload expressions.
+        payload: Vec<CExpr>,
+    },
+    /// Send to one vertex.
+    SendTo {
+        /// Destination.
+        dst: CExpr,
+        /// Message tag.
+        tag: u8,
+        /// Payload expressions.
+        payload: Vec<CExpr>,
+    },
+    /// Preamble: ship the own id to out-neighbors.
+    SendIdToNbrs,
+    /// Conditional.
+    If {
+        /// Condition.
+        cond: CExpr,
+        /// True branch.
+        then_branch: Vec<CInstr>,
+        /// False branch.
+        else_branch: Vec<CInstr>,
+    },
+}
+
+/// A receive step.
+#[derive(Clone, Debug)]
+pub struct CStep {
+    /// Optional guard.
+    pub guard: Option<CExpr>,
+    /// The action.
+    pub action: CAction,
+}
+
+/// Receive actions.
+#[derive(Clone, Debug)]
+pub enum CAction {
+    /// Own property write.
+    WriteOwn {
+        /// Property slot.
+        prop: usize,
+        /// Operator.
+        op: AssignOp,
+        /// Value.
+        value: CExpr,
+        /// Property type.
+        ty: Ty,
+    },
+    /// Global reduction.
+    ReduceGlobal {
+        /// Global name.
+        name: String,
+        /// Operator.
+        op: AssignOp,
+        /// Value.
+        value: CExpr,
+    },
+    /// Store the sender id into the in-neighbor array.
+    StoreInNbr,
+}
+
+/// A receive handler.
+#[derive(Clone, Debug)]
+pub struct CRecv {
+    /// Message tag handled.
+    pub tag: u8,
+    /// Optional handler-level guard.
+    pub guard: Option<CExpr>,
+    /// Steps per message.
+    pub steps: Vec<CStep>,
+}
+
+/// A kernel's single neighbor-broadcast site, recorded so gathered (pull)
+/// supersteps can re-evaluate the payload receiver-side. Only present when
+/// the body contains exactly one `SendToNbrs`/`SendIdToNbrs` — the same
+/// condition the pullability analysis requires, so a `Pullable` verdict
+/// implies the site is recorded.
+#[derive(Clone, Debug)]
+pub struct CSendSite {
+    /// Message tag (`IN_NBRS_TAG` for the preamble's id broadcast).
+    pub tag: u8,
+    /// Payload expressions, slot-resolved in the kernel (so `Global`
+    /// slots line up with the kernel's `reads_globals`).
+    pub payload: Vec<CExpr>,
+}
+
+/// A lowered vertex kernel.
+#[derive(Clone, Debug)]
+pub struct CKernel {
+    /// Receive handlers in PIR order, the `IN_NBRS_TAG` preamble excluded.
+    pub recvs: Vec<CRecv>,
+    /// Index into `recvs` per tag (`None` = drop).
+    pub recv_by_tag: Vec<Option<usize>>,
+    /// Whether `IN_NBRS_TAG` messages are stored.
+    pub stores_in_nbrs: bool,
+    /// Body gate.
+    pub filter: Option<CExpr>,
+    /// Body program.
+    pub body: Vec<CInstr>,
+    /// Per local slot: the local's name and the type of its first write.
+    pub locals: Vec<(String, Ty)>,
+    /// Broadcast globals read by this kernel, in slot order.
+    pub reads_globals: Vec<String>,
+    /// Whether the receive phase reads own properties (snapshot needed).
+    pub snapshot_needed: bool,
+    /// The body's single neighbor-broadcast site, if there is exactly one.
+    pub send_site: Option<CSendSite>,
+}
+
+impl CKernel {
+    /// The handler for messages tagged `tag`, if any.
+    pub fn handler(&self, tag: u8) -> Option<&CRecv> {
+        let i = (*self.recv_by_tag.get(tag as usize)?)?;
+        Some(&self.recvs[i])
+    }
+}
+
+/// The whole program, lowered.
+#[derive(Clone, Debug)]
+pub struct Lowered {
+    /// Kernel per state (`None` for master-only states).
+    pub kernels: Vec<Option<CKernel>>,
+    /// Serialized size per tag.
+    pub msg_bytes: Vec<u64>,
+    /// Serialized size of preamble messages.
+    pub in_nbrs_bytes: u64,
+}
+
+/// Lowers every vertex kernel of `program`. Fails on a name that does not
+/// resolve or an `INF` without a numeric type; verified PIR has neither.
+pub fn lower(program: &PregelProgram) -> Result<Lowered, String> {
+    let slots = |cols: &[(String, Ty)]| -> HashMap<String, usize> {
+        cols.iter()
+            .enumerate()
+            .map(|(i, (n, _))| (n.clone(), i))
+            .collect()
+    };
+    let props = slots(&program.node_props);
+    let edges = slots(&program.edge_props);
+    let kernels = program
+        .states
+        .iter()
+        .map(|s| {
+            s.vertex
+                .as_ref()
+                .map(|k| lower_kernel(program, k, &props, &edges))
+                .transpose()
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Lowered {
+        kernels,
+        msg_bytes: (0..program.messages.len())
+            .map(|t| program.message_bytes(t as u8))
+            .collect(),
+        in_nbrs_bytes: program.in_nbrs_message_bytes(),
+    })
+}
+
+/// `INF` (or `-INF`) at the checker's annotated type.
+pub fn inf(e: &Expr, negative: bool) -> Result<Value, String> {
+    match &e.ty {
+        Some(ty @ (Ty::Int | Ty::Long | Ty::Float | Ty::Double)) => {
+            Ok(Value::inf_for(ty, negative))
+        }
+        Some(other) => Err(format!("INF has no meaning at type {other}")),
+        None => Err("INF expression lacks a type annotation".to_owned()),
+    }
+}
+
+type R<T> = Result<T, String>;
+
+struct Cx<'a> {
+    program: &'a PregelProgram,
+    props: &'a HashMap<String, usize>,
+    edges: &'a HashMap<String, usize>,
+    global_slot: HashMap<String, usize>,
+    reads_globals: Vec<String>,
+    local_slot: HashMap<String, usize>,
+    locals: Vec<(String, Ty)>,
+    /// Payload field name → position, for the current handler.
+    payload: HashMap<String, usize>,
+}
+
+impl Cx<'_> {
+    fn global(&mut self, name: &str) -> usize {
+        if let Some(&s) = self.global_slot.get(name) {
+            return s;
+        }
+        let s = self.reads_globals.len();
+        self.global_slot.insert(name.to_owned(), s);
+        self.reads_globals.push(name.to_owned());
+        s
+    }
+
+    fn local(&mut self, name: &str, ty: &Ty) -> usize {
+        if let Some(&s) = self.local_slot.get(name) {
+            return s;
+        }
+        let s = self.locals.len();
+        self.local_slot.insert(name.to_owned(), s);
+        self.locals.push((name.to_owned(), ty.clone()));
+        s
+    }
+
+    /// The slot of a written own property, and its type.
+    fn prop(&self, prop: &str, what: &str) -> R<(usize, Ty)> {
+        let slot = *self
+            .props
+            .get(prop)
+            .ok_or_else(|| format!("{what} unknown property `{prop}`"))?;
+        Ok((slot, self.program.node_props[slot].1.clone()))
+    }
+
+    fn exprs(&mut self, es: &[Expr]) -> R<Vec<CExpr>> {
+        es.iter().map(|e| self.expr(e)).collect()
+    }
+
+    fn expr(&mut self, e: &Expr) -> R<CExpr> {
+        let boxed = |cx: &mut Self, e: &Expr| cx.expr(e).map(Box::new);
+        Ok(match &e.kind {
+            ExprKind::IntLit(v) => CExpr::Const(Value::Int(*v)),
+            ExprKind::FloatLit(v) => CExpr::Const(Value::Double(*v)),
+            ExprKind::BoolLit(v) => CExpr::Const(Value::Bool(*v)),
+            ExprKind::Inf { negative } => CExpr::Const(inf(e, *negative)?),
+            ExprKind::Nil => CExpr::Const(Value::Node(NIL_NODE)),
+            ExprKind::Var(name) if name == SELF => CExpr::SelfId,
+            ExprKind::Var(name) if name.starts_with(PAYLOAD_PREFIX) => {
+                let field = name.trim_start_matches(PAYLOAD_PREFIX);
+                CExpr::Payload(
+                    *self
+                        .payload
+                        .get(field)
+                        .ok_or_else(|| format!("unknown payload field `{field}`"))?,
+                )
+            }
+            ExprKind::Var(name) => match self.local_slot.get(name) {
+                Some(&slot) => CExpr::Local(slot),
+                None => CExpr::Global(self.global(name)),
+            },
+            ExprKind::Prop { obj, prop } if obj == SELF => CExpr::Prop(
+                *self
+                    .props
+                    .get(prop)
+                    .ok_or_else(|| format!("unknown property `{prop}`"))?,
+            ),
+            ExprKind::Prop { obj, prop } if obj == EDGE => CExpr::EdgeProp(
+                *self
+                    .edges
+                    .get(prop)
+                    .ok_or_else(|| format!("unknown edge property `{prop}`"))?,
+            ),
+            ExprKind::Prop { obj, .. } => return Err(format!("unresolved property base `{obj}`")),
+            ExprKind::Unary { op, expr } => CExpr::Un(*op, boxed(self, expr)?),
+            ExprKind::Binary { op, lhs, rhs } => {
+                CExpr::Bin(*op, boxed(self, lhs)?, boxed(self, rhs)?)
+            }
+            ExprKind::Ternary {
+                cond,
+                then_val,
+                else_val,
+            } => CExpr::Ternary {
+                cond: boxed(self, cond)?,
+                then_val: boxed(self, then_val)?,
+                else_val: boxed(self, else_val)?,
+                coerce: e.ty.clone().filter(Ty::is_value),
+            },
+            ExprKind::Call { obj, method, .. } => match method.as_str() {
+                "NumNodes" => CExpr::NumNodes,
+                "NumEdges" => CExpr::NumEdges,
+                "Degree" | "OutDegree" | "NumNbrs" if obj == SELF => CExpr::OutDegree,
+                "InDegree" if obj == SELF => CExpr::InDegree,
+                other => return Err(format!("vertex built-in `{obj}.{other}()` not supported")),
+            },
+            ExprKind::Agg(_) => return Err("aggregate expression reached code generation".into()),
+        })
+    }
+
+    fn instrs(&mut self, is: &[VInstr]) -> R<Vec<CInstr>> {
+        is.iter().map(|i| self.instr(i)).collect()
+    }
+
+    fn instr(&mut self, i: &VInstr) -> R<CInstr> {
+        Ok(match i {
+            VInstr::Local {
+                name,
+                op,
+                value,
+                ty,
+            } => {
+                let value = self.expr(value)?;
+                CInstr::Local {
+                    slot: self.local(name, ty),
+                    op: *op,
+                    value,
+                    ty: ty.clone(),
+                }
+            }
+            VInstr::WriteOwn { prop, op, value } => {
+                let what = if *op == AssignOp::Defer {
+                    "deferred write to"
+                } else {
+                    "write to"
+                };
+                let (prop, ty) = self.prop(prop, what)?;
+                CInstr::WriteOwn {
+                    prop,
+                    op: *op,
+                    value: self.expr(value)?,
+                    ty,
+                }
+            }
+            VInstr::ReduceGlobal { name, op, value } => CInstr::ReduceGlobal {
+                name: name.clone(),
+                op: *op,
+                value: self.expr(value)?,
+            },
+            VInstr::SendToNbrs { tag, payload } => {
+                let payload = self.exprs(payload)?;
+                let edge_dependent = payload
+                    .iter()
+                    .any(|e| reads(e, &|l| matches!(l, CExpr::EdgeProp(_))));
+                CInstr::SendToNbrs {
+                    tag: *tag,
+                    payload,
+                    edge_dependent,
+                }
+            }
+            VInstr::SendToInNbrs { tag, payload } => CInstr::SendToInNbrs {
+                tag: *tag,
+                payload: self.exprs(payload)?,
+            },
+            VInstr::SendTo { dst, tag, payload } => CInstr::SendTo {
+                dst: self.expr(dst)?,
+                tag: *tag,
+                payload: self.exprs(payload)?,
+            },
+            VInstr::SendIdToNbrs => CInstr::SendIdToNbrs,
+            VInstr::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => CInstr::If {
+                cond: self.expr(cond)?,
+                then_branch: self.instrs(then_branch)?,
+                else_branch: self.instrs(else_branch)?,
+            },
+        })
+    }
+}
+
+/// Whether `e` has a leaf satisfying `leaf`.
+fn reads(e: &CExpr, leaf: &impl Fn(&CExpr) -> bool) -> bool {
+    match e {
+        CExpr::Un(_, inner) => reads(inner, leaf),
+        CExpr::Bin(_, a, b) => reads(a, leaf) || reads(b, leaf),
+        CExpr::Ternary {
+            cond,
+            then_val,
+            else_val,
+            ..
+        } => reads(cond, leaf) || reads(then_val, leaf) || reads(else_val, leaf),
+        leaf_expr => leaf(leaf_expr),
+    }
+}
+
+fn lower_kernel(
+    program: &PregelProgram,
+    k: &VertexKernel,
+    props: &HashMap<String, usize>,
+    edges: &HashMap<String, usize>,
+) -> R<CKernel> {
+    let mut cx = Cx {
+        program,
+        props,
+        edges,
+        global_slot: HashMap::new(),
+        reads_globals: Vec::new(),
+        local_slot: HashMap::new(),
+        locals: Vec::new(),
+        payload: HashMap::new(),
+    };
+
+    let mut recvs = Vec::new();
+    let mut recv_by_tag: Vec<Option<usize>> = vec![None; program.messages.len()];
+    let mut stores_in_nbrs = false;
+    for r in &k.recvs {
+        if r.tag == IN_NBRS_TAG {
+            stores_in_nbrs = true;
+            continue;
+        }
+        cx.payload = program.messages[r.tag as usize]
+            .fields
+            .iter()
+            .enumerate()
+            .map(|(i, (n, _))| (n.clone(), i))
+            .collect();
+        let guard = r.guard.as_ref().map(|g| cx.expr(g)).transpose()?;
+        let mut steps = Vec::new();
+        for s in &r.steps {
+            steps.push(CStep {
+                guard: s.guard.as_ref().map(|g| cx.expr(g)).transpose()?,
+                action: match &s.action {
+                    RecvAction::WriteOwn { prop, op, value } => {
+                        let (prop, ty) = cx.prop(prop, "receive writes")?;
+                        CAction::WriteOwn {
+                            prop,
+                            op: *op,
+                            value: cx.expr(value)?,
+                            ty,
+                        }
+                    }
+                    RecvAction::ReduceGlobal { name, op, value } => CAction::ReduceGlobal {
+                        name: name.clone(),
+                        op: *op,
+                        value: cx.expr(value)?,
+                    },
+                    RecvAction::StoreInNbr => CAction::StoreInNbr,
+                },
+            });
+        }
+        recv_by_tag[r.tag as usize] = Some(recvs.len());
+        recvs.push(CRecv {
+            tag: r.tag,
+            guard,
+            steps,
+        });
+        cx.payload.clear();
+    }
+
+    let reads_prop = |e: &CExpr| reads(e, &|l| matches!(l, CExpr::Prop(_)));
+    let snapshot_needed = recvs.iter().any(|r| {
+        r.guard.as_ref().is_some_and(reads_prop)
+            || r.steps.iter().any(|s| {
+                s.guard.as_ref().is_some_and(reads_prop)
+                    || match &s.action {
+                        CAction::WriteOwn { value, .. } | CAction::ReduceGlobal { value, .. } => {
+                            reads_prop(value)
+                        }
+                        CAction::StoreInNbr => false,
+                    }
+            })
+    });
+
+    let filter = k.filter.as_ref().map(|f| cx.expr(f)).transpose()?;
+    let body = cx.instrs(&k.body)?;
+    let mut sites = nbr_send_sites(&body);
+    let send_site = (sites.len() == 1).then(|| sites.remove(0));
+
+    Ok(CKernel {
+        recvs,
+        recv_by_tag,
+        stores_in_nbrs,
+        filter,
+        body,
+        locals: cx.locals,
+        reads_globals: cx.reads_globals,
+        snapshot_needed,
+        send_site,
+    })
+}
+
+/// Every neighbor-broadcast site in `body` (`SendToNbrs`, and the
+/// preamble's `SendIdToNbrs` as an `IN_NBRS_TAG` send of the own id).
+pub fn nbr_send_sites(body: &[CInstr]) -> Vec<CSendSite> {
+    let mut out = Vec::new();
+    for i in body {
+        match i {
+            CInstr::SendToNbrs { tag, payload, .. } => out.push(CSendSite {
+                tag: *tag,
+                payload: payload.clone(),
+            }),
+            CInstr::SendIdToNbrs => out.push(CSendSite {
+                tag: IN_NBRS_TAG,
+                payload: vec![CExpr::SelfId],
+            }),
+            CInstr::If {
+                then_branch,
+                else_branch,
+                ..
+            } => {
+                out.extend(nbr_send_sites(then_branch));
+                out.extend(nbr_send_sites(else_branch));
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pir::{MessageLayout, RecvHandler, RecvStep, State, Transition};
+
+    fn add(a: Expr, b: Expr) -> Expr {
+        Expr::binary(BinOp::Add, a, b)
+    }
+
+    fn local(name: &str, op: AssignOp, value: Expr) -> VInstr {
+        VInstr::Local {
+            name: name.into(),
+            op,
+            value,
+            ty: Ty::Int,
+        }
+    }
+
+    fn send_nbrs(payload: Expr) -> VInstr {
+        VInstr::SendToNbrs {
+            tag: 0,
+            payload: vec![payload],
+        }
+    }
+
+    /// A handler for tag 0 (payload field `v`) writing `value` into `x`.
+    fn recv(guard: Option<Expr>, value: Expr) -> RecvHandler {
+        RecvHandler {
+            tag: 0,
+            guard,
+            steps: vec![RecvStep {
+                guard: None,
+                action: RecvAction::WriteOwn {
+                    prop: "x".into(),
+                    op: AssignOp::Assign,
+                    value,
+                },
+            }],
+        }
+    }
+
+    /// Lowers a one-state program around the given kernel parts: property
+    /// `x`, edge property `w`, message tag 0 with field `v`, tag 1 empty.
+    fn lower_kernel_of(
+        recvs: Vec<RecvHandler>,
+        filter: Option<Expr>,
+        body: Vec<VInstr>,
+    ) -> Result<CKernel, String> {
+        let program = PregelProgram {
+            name: "p".into(),
+            graph_param: "G".into(),
+            scalar_params: vec![],
+            node_props: vec![("x".into(), Ty::Int)],
+            edge_props: vec![("w".into(), Ty::Int)],
+            globals: vec![("v".into(), Ty::Int)],
+            messages: vec![
+                MessageLayout {
+                    tag: 0,
+                    fields: vec![("v".into(), Ty::Int)],
+                },
+                MessageLayout {
+                    tag: 1,
+                    fields: vec![],
+                },
+            ],
+            uses_in_nbrs: false,
+            combinable: vec![None, None],
+            ret: None,
+            pullable: vec![],
+            states: vec![State {
+                master: vec![],
+                vertex: Some(VertexKernel {
+                    recvs,
+                    filter,
+                    body,
+                    reads_globals: vec![],
+                }),
+                post: vec![],
+                transition: Transition::Halt,
+            }],
+        };
+        let mut lowered = lower(&program)?;
+        Ok(lowered.kernels.remove(0).expect("vertex state"))
+    }
+
+    fn value_of(i: &CInstr) -> &CExpr {
+        match i {
+            CInstr::Local { value, .. } | CInstr::WriteOwn { value, .. } => value,
+            other => panic!("no value in {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_payload_field_shadows_a_same_named_global_inside_its_handler() {
+        let pl_v = Expr::var(&format!("{PAYLOAD_PREFIX}v"));
+        let k = lower_kernel_of(
+            vec![recv(None, add(pl_v.clone(), Expr::var("v")))],
+            None,
+            vec![],
+        )
+        .unwrap();
+        let CAction::WriteOwn { value, .. } = &k.recvs[0].steps[0].action else {
+            panic!("{:?}", k.recvs[0]);
+        };
+        let want = CExpr::Bin(
+            BinOp::Add,
+            Box::new(CExpr::Payload(0)),
+            Box::new(CExpr::Global(0)),
+        );
+        assert_eq!(*value, want);
+        assert_eq!(k.reads_globals, ["v"]);
+        // The payload goes out of scope with its handler.
+        let err = lower_kernel_of(vec![recv(None, Expr::int(1))], None, vec![send_nbrs(pl_v)])
+            .unwrap_err();
+        assert_eq!(err, "unknown payload field `v`");
+    }
+
+    #[test]
+    fn a_local_reads_the_global_until_its_local_instruction_is_lowered() {
+        let body = vec![
+            local("x", AssignOp::Assign, add(Expr::var("x"), Expr::int(1))),
+            local("x", AssignOp::Add, Expr::var("x")),
+        ];
+        let k = lower_kernel_of(vec![], None, body).unwrap();
+        let first = CExpr::Bin(
+            BinOp::Add,
+            Box::new(CExpr::Global(0)),
+            Box::new(CExpr::Const(Value::Int(1))),
+        );
+        assert_eq!(*value_of(&k.body[0]), first);
+        assert_eq!(*value_of(&k.body[1]), CExpr::Local(0));
+        assert_eq!(k.reads_globals, ["x"]);
+        assert_eq!(k.locals, [("x".to_owned(), Ty::Int)]);
+    }
+
+    #[test]
+    fn the_filter_never_sees_body_locals() {
+        let body = vec![local("y", AssignOp::Assign, Expr::var("y"))];
+        let k = lower_kernel_of(vec![], Some(Expr::var("y")), body).unwrap();
+        assert_eq!(k.filter, Some(CExpr::Global(0)));
+        assert_eq!(*value_of(&k.body[0]), CExpr::Global(0));
+        assert_eq!(k.locals.len(), 1);
+    }
+
+    #[test]
+    fn global_slots_are_numbered_receive_then_filter_then_body() {
+        let recvs = vec![recv(Some(Expr::var("c")), Expr::var("d"))];
+        let body = vec![send_nbrs(add(Expr::var("a"), Expr::var("c")))];
+        let k = lower_kernel_of(recvs, Some(Expr::var("b")), body).unwrap();
+        assert_eq!(k.reads_globals, ["c", "d", "b", "a"]);
+        assert_eq!(k.recvs[0].guard, Some(CExpr::Global(0)));
+        assert_eq!(k.filter, Some(CExpr::Global(2)));
+        let CInstr::SendToNbrs { payload, .. } = &k.body[0] else {
+            panic!("{:?}", k.body);
+        };
+        let want = CExpr::Bin(
+            BinOp::Add,
+            Box::new(CExpr::Global(3)),
+            Box::new(CExpr::Global(0)),
+        );
+        assert_eq!(payload[0], want);
+    }
+
+    #[test]
+    fn edge_dependent_marks_exactly_the_sends_whose_payload_reads_the_edge() {
+        let body = vec![
+            send_nbrs(add(Expr::prop(SELF, "x"), Expr::int(1))),
+            send_nbrs(add(Expr::int(1), Expr::prop(EDGE, "w"))),
+        ];
+        let k = lower_kernel_of(vec![], None, body).unwrap();
+        let flags: Vec<bool> = k
+            .body
+            .iter()
+            .map(|i| match i {
+                CInstr::SendToNbrs { edge_dependent, .. } => *edge_dependent,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(flags, [false, true]);
+    }
+
+    #[test]
+    fn a_snapshot_is_needed_only_when_a_handler_reads_own_properties() {
+        let pl_v = Expr::var(&format!("{PAYLOAD_PREFIX}v"));
+        let reads_payload = lower_kernel_of(vec![recv(None, pl_v.clone())], None, vec![]);
+        assert!(!reads_payload.unwrap().snapshot_needed);
+        let own_in_guard = Some(Expr::binary(BinOp::Lt, pl_v.clone(), Expr::prop(SELF, "x")));
+        let reads_own = lower_kernel_of(vec![recv(own_in_guard, pl_v)], None, vec![]);
+        assert!(reads_own.unwrap().snapshot_needed);
+        // Body reads never need one.
+        let body = vec![send_nbrs(Expr::prop(SELF, "x"))];
+        assert!(!lower_kernel_of(vec![], None, body).unwrap().snapshot_needed);
+    }
+
+    #[test]
+    fn the_send_site_is_recorded_only_for_a_single_neighbor_broadcast() {
+        let guarded = VInstr::If {
+            cond: Expr::bool(true),
+            then_branch: vec![send_nbrs(Expr::prop(SELF, "x"))],
+            else_branch: vec![],
+        };
+        let site = lower_kernel_of(vec![], None, vec![guarded.clone()])
+            .unwrap()
+            .send_site
+            .expect("one site");
+        assert_eq!((site.tag, site.payload), (0, vec![CExpr::Prop(0)]));
+
+        let preamble = lower_kernel_of(vec![], None, vec![VInstr::SendIdToNbrs]).unwrap();
+        let site = preamble.send_site.expect("the id broadcast");
+        assert_eq!((site.tag, site.payload), (IN_NBRS_TAG, vec![CExpr::SelfId]));
+
+        let two = vec![guarded, send_nbrs(Expr::int(1))];
+        assert!(lower_kernel_of(vec![], None, two)
+            .unwrap()
+            .send_site
+            .is_none());
+        let point_to_point = VInstr::SendTo {
+            dst: Expr::var(SELF),
+            tag: 1,
+            payload: vec![],
+        };
+        let k = lower_kernel_of(vec![], None, vec![point_to_point]).unwrap();
+        assert!(k.send_site.is_none());
+    }
+
+    #[test]
+    fn receive_handlers_keep_pir_order_and_index_by_tag() {
+        let empty = RecvHandler {
+            tag: 1,
+            guard: None,
+            steps: vec![],
+        };
+        let k = lower_kernel_of(vec![empty, recv(None, Expr::int(0))], None, vec![]).unwrap();
+        let tags: Vec<u8> = k.recvs.iter().map(|r| r.tag).collect();
+        assert_eq!(tags, [1, 0]);
+        assert_eq!(k.handler(0).map(|r| r.tag), Some(0));
+        assert_eq!(k.handler(1).map(|r| r.tag), Some(1));
+        assert!(k.handler(7).is_none());
+    }
+
+    #[test]
+    fn unresolved_names_and_meaningless_inf_are_errors() {
+        let unknown = vec![send_nbrs(Expr::prop(SELF, "nope"))];
+        assert_eq!(
+            lower_kernel_of(vec![], None, unknown).unwrap_err(),
+            "unknown property `nope`"
+        );
+        let write = vec![VInstr::WriteOwn {
+            prop: "nope".into(),
+            op: AssignOp::Defer,
+            value: Expr::int(0),
+        }];
+        assert_eq!(
+            lower_kernel_of(vec![], None, write).unwrap_err(),
+            "deferred write to unknown property `nope`"
+        );
+        let bool_inf = Expr::typed(ExprKind::Inf { negative: false }, Ty::Bool);
+        assert_eq!(
+            lower_kernel_of(vec![], Some(bool_inf), vec![]).unwrap_err(),
+            "INF has no meaning at type Bool"
+        );
+        let int_inf = Expr::typed(ExprKind::Inf { negative: true }, Ty::Long);
+        let k = lower_kernel_of(vec![], Some(int_inf), vec![]).unwrap();
+        assert_eq!(k.filter, Some(CExpr::Const(Value::Int(i64::MIN))));
+    }
+}

@@ -18,8 +18,10 @@
 //!    applies intra-loop state merging. In debug/test builds, [`verify`]
 //!    re-checks PIR well-formedness after translation and after every
 //!    optimization pass (see [`CompileOptions::verify`]).
-//! 6. **Backends** — [`javagen`] emits GPS-style Java source;
-//!    the `gm-interp` crate executes the state machine directly.
+//! 6. **Backends** — [`javagen`] emits GPS-style Java source. Vertex
+//!    kernels are lowered once into slot-resolved form ([`kernel`]); the
+//!    `gm-interp` crate executes that form directly and [`rustgen`] prints
+//!    it as native Rust.
 //!
 //! A shared-memory [`seqinterp`] gives Green-Marl its reference semantics
 //! and serves as the differential-testing oracle.
@@ -30,6 +32,7 @@ pub mod canonical;
 pub mod compiler;
 pub mod diag;
 pub mod javagen;
+pub mod kernel;
 pub mod lexer;
 pub mod normalize;
 pub mod optimize;

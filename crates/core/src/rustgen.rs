@@ -1,9 +1,13 @@
 //! Native Rust code generation: compiles a verified [`PregelProgram`] into
 //! the source of a monomorphized [`gm_pregel::VertexProgram`] implementation.
 //!
-//! Where `gm-interp` executes the PIR by dispatching on tagged
-//! [`crate::value::Value`]s per expression node, this backend emits a Rust
-//! module with:
+//! Vertex kernels come from the same lowering `gm-interp` executes
+//! ([`crate::kernel`]): names are already resolved to property, edge,
+//! payload, local and broadcast-global slots, and the kernel flags
+//! (snapshotting, edge-dependent sends, the pull send site) are already
+//! computed, so this backend only maps slots to native field names. Where
+//! `gm-interp` dispatches on tagged [`crate::value::Value`]s per expression
+//! node, this backend emits a Rust module with:
 //!
 //! * a `VertexValue` struct holding one **native field per node property**
 //!   (`i64`/`f64`/`bool`/`u32`), plus the in-neighbor array;
@@ -34,12 +38,11 @@
 //! built-in registry by source equality.
 
 use crate::ast::{AssignOp, BinOp, Expr, ExprKind, UnOp};
-use crate::pir::{
-    MInstr, PregelProgram, RecvAction, RecvHandler, State, Transition, VInstr, VertexKernel, EDGE,
-    IN_NBRS_TAG, PAYLOAD_PREFIX, SELF,
-};
+use crate::kernel::{self, CAction, CExpr, CInstr, CKernel, Lowered};
+use crate::pir::{MInstr, PregelProgram, State, Transition, IN_NBRS_TAG};
 use crate::pullability::{self, Pullability};
 use crate::types::Ty;
+use crate::value::{Value, NIL_NODE};
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
@@ -60,6 +63,12 @@ impl fmt::Display for RustgenError {
 }
 
 impl Error for RustgenError {}
+
+impl From<String> for RustgenError {
+    fn from(message: String) -> RustgenError {
+        RustgenError { message }
+    }
+}
 
 type R<T> = Result<T, RustgenError>;
 
@@ -169,6 +178,18 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
+/// Renders a constant (literal, resolved `INF`/`NIL`) at its native type.
+fn const_te(v: Value) -> TE {
+    match v {
+        Value::Int(x) => TE::new(fmt_i64(x), Repr::I64),
+        Value::Double(x) => TE::new(fmt_f64(x), Repr::F64),
+        Value::Bool(x) => TE::new(if x { "true" } else { "false" }, Repr::Bool),
+        Value::Node(NIL_NODE) => TE::new("u32::MAX", Repr::Node),
+        Value::Node(x) => TE::new(format!("{x}u32"), Repr::Node),
+        Value::Edge(x) => TE::new(format!("{x}u32"), Repr::Edge),
+    }
+}
+
 const KEYWORDS: &[&str] = &[
     "as", "async", "await", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern",
     "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub",
@@ -267,13 +288,6 @@ impl Buf {
     }
 }
 
-/// One kernel's single neighbor-broadcast site (mirrors the interpreter's
-/// `CSendSite`), recorded so `pull_message` can re-emit the payload.
-enum SendSite<'a> {
-    Tagged(u8, &'a [Expr]),
-    InNbrsId,
-}
-
 /// The generator: name tables plus state collected while emitting kernels
 /// (broadcast-global order, aggregate representations, helper usage).
 struct Gen<'a> {
@@ -281,10 +295,8 @@ struct Gen<'a> {
     struct_name: String,
     /// Per node property (aligned with `p.node_props`): field name, repr.
     prop_fields: Vec<(String, Repr)>,
-    prop_by_name: HashMap<String, usize>,
     /// Per edge property (aligned with `p.edge_props`): field name, repr.
     edge_fields: Vec<(String, Repr)>,
-    edge_by_name: HashMap<String, usize>,
     /// Per global (aligned with `p.globals`): field name (sans `g_`), repr.
     global_fields: Vec<(String, Repr)>,
     global_by_name: HashMap<String, usize>,
@@ -297,8 +309,6 @@ struct Gen<'a> {
     reads_globals: Vec<Vec<usize>>,
     /// Aggregate key → the repr every vertex-side `ReduceGlobal` pushes.
     agg_repr: HashMap<String, Repr>,
-    /// Per state: neighbor-broadcast sites found in the body.
-    sites: Vec<Vec<SendSite<'a>>>,
     uses_div: bool,
     uses_mod: bool,
     temp: usize,
@@ -309,24 +319,20 @@ impl<'a> Gen<'a> {
         let mut prop_used: HashSet<String> = HashSet::new();
         prop_used.insert("in_nbrs".to_owned());
         let mut prop_fields = Vec::new();
-        let mut prop_by_name = HashMap::new();
-        for (i, (name, ty)) in p.node_props.iter().enumerate() {
+        for (name, ty) in &p.node_props {
             let repr = Repr::of_ty(ty).map_err(|e| RustgenError {
                 message: format!("node property `{name}`: {}", e.message),
             })?;
             prop_fields.push((sanitize(name, &mut prop_used), repr));
-            prop_by_name.insert(name.clone(), i);
         }
 
         let mut edge_used = HashSet::new();
         let mut edge_fields = Vec::new();
-        let mut edge_by_name = HashMap::new();
-        for (i, (name, ty)) in p.edge_props.iter().enumerate() {
+        for (name, ty) in &p.edge_props {
             let repr = Repr::of_ty(ty).map_err(|e| RustgenError {
                 message: format!("edge property `{name}`: {}", e.message),
             })?;
             edge_fields.push((sanitize(name, &mut edge_used), repr));
-            edge_by_name.insert(name.clone(), i);
         }
 
         let mut global_used = HashSet::new();
@@ -372,9 +378,7 @@ impl<'a> Gen<'a> {
         Ok(Gen {
             struct_name: camel(&p.name),
             prop_fields,
-            prop_by_name,
             edge_fields,
-            edge_by_name,
             global_fields,
             global_by_name,
             msg_variants,
@@ -382,7 +386,6 @@ impl<'a> Gen<'a> {
             pullable,
             reads_globals: vec![Vec::new(); p.states.len()],
             agg_repr: HashMap::new(),
-            sites: (0..p.states.len()).map(|_| Vec::new()).collect(),
             uses_div: false,
             uses_mod: false,
             temp: 0,
@@ -618,16 +621,16 @@ impl<'a> Gen<'a> {
     }
 }
 
-// ---- master-side emission (mirrors gm_interp::eval::MasterEnv) ----
+// ---- master-side emission ----
 
 impl<'a> Gen<'a> {
     fn master_expr(&mut self, e: &Expr) -> R<TE> {
         match &e.kind {
-            ExprKind::IntLit(v) => Ok(TE::new(fmt_i64(*v), Repr::I64)),
-            ExprKind::FloatLit(v) => Ok(TE::new(fmt_f64(*v), Repr::F64)),
-            ExprKind::BoolLit(v) => Ok(TE::new(if *v { "true" } else { "false" }, Repr::Bool)),
-            ExprKind::Inf { negative } => self.inf_te(e, *negative),
-            ExprKind::Nil => Ok(TE::new("u32::MAX", Repr::Node)),
+            ExprKind::IntLit(v) => Ok(const_te(Value::Int(*v))),
+            ExprKind::FloatLit(v) => Ok(const_te(Value::Double(*v))),
+            ExprKind::BoolLit(v) => Ok(const_te(Value::Bool(*v))),
+            ExprKind::Inf { negative } => Ok(const_te(kernel::inf(e, *negative)?)),
+            ExprKind::Nil => Ok(const_te(Value::Node(NIL_NODE))),
             ExprKind::Var(name) => match self.global_by_name.get(name) {
                 Some(&i) => Ok(self.global_te(i)),
                 None => err(format!("unknown master global `{name}`")),
@@ -649,7 +652,7 @@ impl<'a> Gen<'a> {
                 let c = self.master_expr(cond)?;
                 let t = self.master_expr(then_val)?;
                 let f = self.master_expr(else_val)?;
-                self.ternary_te(e, c, t, f)
+                self.ternary_te(e.ty.as_ref().filter(|ty| ty.is_value()), c, t, f)
             }
             ExprKind::Call { method, .. } => match method.as_str() {
                 "NumNodes" => Ok(TE::new("(self.graph.num_nodes() as i64)", Repr::I64)),
@@ -667,36 +670,15 @@ impl<'a> Gen<'a> {
         }
     }
 
-    fn inf_te(&self, e: &Expr, negative: bool) -> R<TE> {
-        match &e.ty {
-            Some(Ty::Int | Ty::Long) => Ok(TE::new(
-                if negative { "i64::MIN" } else { "i64::MAX" },
-                Repr::I64,
-            )),
-            Some(Ty::Float | Ty::Double) => Ok(TE::new(
-                if negative {
-                    "f64::NEG_INFINITY"
-                } else {
-                    "f64::INFINITY"
-                },
-                Repr::F64,
-            )),
-            Some(other) => err(format!("INF has no meaning at type {other}")),
-            None => err("INF expression lacks a type annotation"),
-        }
-    }
-
-    /// Shared ternary assembly: branch-wise coercion when the checker
-    /// annotated a value type (the interpreter coerces the taken branch),
-    /// identical branch reprs otherwise. Only the taken branch evaluates.
-    fn ternary_te(&mut self, e: &Expr, c: TE, t: TE, f: TE) -> R<TE> {
+    /// Shared ternary assembly: branch-wise coercion to `coerce` (the
+    /// checker's value-type annotation; the interpreter coerces the taken
+    /// branch), identical branch reprs otherwise. Only the taken branch
+    /// evaluates.
+    fn ternary_te(&mut self, coerce: Option<&Ty>, c: TE, t: TE, f: TE) -> R<TE> {
         if c.repr != Repr::Bool {
             return err("ternary condition is not boolean");
         }
-        let coerce = match &e.ty {
-            Some(ty) if ty.is_value() => Some(Repr::of_ty(ty)?),
-            _ => None,
-        };
+        let coerce = coerce.map(Repr::of_ty).transpose()?;
         match coerce {
             Some(target) => {
                 let t = self.coerce_te(t, target)?;
@@ -922,7 +904,7 @@ impl<'a> Gen<'a> {
     }
 }
 
-// ---- vertex-side emission (mirrors gm_interp::{precompile, exec}) ----
+// ---- vertex-side emission: prints the lowered kernels of [`crate::kernel`] ----
 
 /// Where a vertex-context expression is being evaluated, which decides how
 /// leaves render (snapshot vs. live property reads, pull-side renames).
@@ -931,74 +913,88 @@ enum VPlace {
     /// Receive handler: property reads go to the snapshot bindings when the
     /// kernel needs one; payload bindings are in scope.
     Recv { snap: bool },
-    /// Filter or body (filter simply has no locals registered yet).
+    /// Filter or body.
     Body,
     /// `pull_message`: the *sender's* row via `src_value`, no locals.
     Pull,
 }
 
-/// Per-kernel emission state. Replicates the interpreter's `precompile::Cx`
-/// name-resolution rules exactly: payload fields shadow globals inside
-/// their handler, and a variable resolves to a local only once the `Local`
-/// instruction introducing it has been lowered.
+/// Per-kernel emission state: the native names of one lowered kernel's
+/// local, broadcast-global and payload slots.
 struct KernelCx<'a, 'g> {
     g: &'g mut Gen<'a>,
-    /// Payload bindings for the current handler: field → (binding, repr).
-    payload: HashMap<String, (String, Repr)>,
-    /// Registered locals: name → (field, repr).
-    locals: HashMap<String, (String, Repr)>,
-    local_used: HashSet<String>,
-    /// Declaration order of locals (field, repr).
-    local_order: Vec<(String, Repr)>,
-    /// Broadcast globals read by this kernel, in first-use order.
-    globals_order: Vec<usize>,
-    globals_seen: HashSet<usize>,
+    k: &'g CKernel,
+    /// Per local slot: field name (sans `l_`), repr.
+    locals: Vec<(String, Repr)>,
+    /// Per broadcast-global slot: index into `p.globals`.
+    globals: Vec<usize>,
+    /// Per payload position of the current handler: field name, repr.
+    payload: Vec<(String, Repr)>,
 }
 
 impl<'a, 'g> KernelCx<'a, 'g> {
-    fn new(g: &'g mut Gen<'a>) -> Self {
-        KernelCx {
+    fn new(g: &'g mut Gen<'a>, k: &'g CKernel) -> R<Self> {
+        let mut used = HashSet::new();
+        let locals = k
+            .locals
+            .iter()
+            .map(|(name, ty)| Ok((sanitize(name, &mut used), Repr::of_ty(ty)?)))
+            .collect::<R<_>>()?;
+        let globals = k
+            .reads_globals
+            .iter()
+            .map(|name| match g.global_by_name.get(name) {
+                Some(&i) => Ok(i),
+                None => err(format!("unknown broadcast global `{name}`")),
+            })
+            .collect::<R<_>>()?;
+        Ok(KernelCx {
             g,
-            payload: HashMap::new(),
-            locals: HashMap::new(),
-            local_used: HashSet::new(),
-            local_order: Vec::new(),
-            globals_order: Vec::new(),
-            globals_seen: HashSet::new(),
-        }
+            k,
+            locals,
+            globals,
+            payload: Vec::new(),
+        })
     }
 
-    fn global(&mut self, name: &str) -> R<TE> {
-        let Some(&i) = self.g.global_by_name.get(name) else {
-            return err(format!("unknown broadcast global `{name}`"));
-        };
-        if self.globals_seen.insert(i) {
-            self.globals_order.push(i);
-        }
-        Ok(self.g.global_te(i))
-    }
-
-    fn prop_te(&self, name: &str, place: VPlace) -> R<TE> {
-        let Some(&i) = self.g.prop_by_name.get(name) else {
-            return err(format!("unknown property `{name}`"));
-        };
-        let (field, repr) = self.g.prop_fields[i].clone();
-        let s = match place {
-            VPlace::Recv { snap: true } => format!("snap_{field}"),
-            VPlace::Recv { snap: false } | VPlace::Body => format!("value.{field}"),
-            VPlace::Pull => format!("src_value.{field}"),
-        };
-        Ok(TE::new(s, repr))
-    }
-
-    fn expr(&mut self, e: &Expr, place: VPlace, edge: Option<&str>) -> R<TE> {
-        match &e.kind {
-            ExprKind::IntLit(v) => Ok(TE::new(fmt_i64(*v), Repr::I64)),
-            ExprKind::FloatLit(v) => Ok(TE::new(fmt_f64(*v), Repr::F64)),
-            ExprKind::BoolLit(v) => Ok(TE::new(if *v { "true" } else { "false" }, Repr::Bool)),
-            ExprKind::Inf { negative } => self.g.inf_te(e, *negative),
-            ExprKind::Nil => Ok(TE::new("u32::MAX", Repr::Node)),
-            ExprKind::Var(name) if name == SELF => Ok(TE::new(
+    fn expr(&mut self, e: &CExpr, place: VPlace, edge: Option<&str>) -> R<TE> {
+        match e {
+            CExpr::Const(v) => Ok(const_te(*v)),
+            CExpr::Prop(slot) => {
+                let (field, repr) = &self.g.prop_fields[*slot];
+                let s = match place {
+                    VPlace::Recv { snap: true } => format!("snap_{field}"),
+                    VPlace::Recv { snap: false } | VPlace::Body => format!("value.{field}"),
+                    VPlace::Pull => format!("src_value.{field}"),
+                };
+                Ok(TE::new(s, *repr))
+            }
+            CExpr::EdgeProp(slot) => {
+                let Some(edge) = edge else {
+                    return err(format!(
+                        "edge property `{}` read outside a neighbor-send payload",
+                        self.g.p.edge_props[*slot].0
+                    ));
+                };
+                let (field, repr) = &self.g.edge_fields[*slot];
+                Ok(TE::new(format!("self.ep_{field}[{edge}]"), *repr))
+            }
+            CExpr::Payload(i) => {
+                let (field, repr) = &self.payload[*i];
+                Ok(TE::new(format!("p_{field}"), *repr))
+            }
+            CExpr::Local(slot) => {
+                if place == VPlace::Pull {
+                    return err(format!(
+                        "pull payload reads kernel local `{}` — pullability bug",
+                        self.k.locals[*slot].0
+                    ));
+                }
+                let (field, repr) = &self.locals[*slot];
+                Ok(TE::new(format!("l_{field}"), *repr))
+            }
+            CExpr::Global(slot) => Ok(self.g.global_te(self.globals[*slot])),
+            CExpr::SelfId => Ok(TE::new(
                 if place == VPlace::Pull {
                     "src.0"
                 } else {
@@ -1006,76 +1002,41 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                 },
                 Repr::Node,
             )),
-            ExprKind::Var(name) if name.starts_with(PAYLOAD_PREFIX) => {
-                let field = name.trim_start_matches(PAYLOAD_PREFIX);
-                match self.payload.get(field) {
-                    Some((binding, repr)) => Ok(TE::new(binding.clone(), *repr)),
-                    None => err(format!("unknown payload field `{field}`")),
-                }
-            }
-            ExprKind::Var(name) => {
-                if let Some((field, repr)) = self.locals.get(name) {
-                    if place == VPlace::Pull {
-                        return err(format!(
-                            "pull payload reads kernel local `{name}` — pullability bug"
-                        ));
-                    }
-                    return Ok(TE::new(format!("l_{field}"), *repr));
-                }
-                self.global(name)
-            }
-            ExprKind::Prop { obj, prop } if obj == SELF => self.prop_te(prop, place),
-            ExprKind::Prop { obj, prop } if obj == EDGE => {
-                let Some(&i) = self.g.edge_by_name.get(prop) else {
-                    return err(format!("unknown edge property `{prop}`"));
-                };
-                let Some(edge) = edge else {
-                    return err(format!(
-                        "edge property `{prop}` read outside a neighbor-send payload"
-                    ));
-                };
-                let (field, repr) = self.g.edge_fields[i].clone();
-                Ok(TE::new(format!("self.ep_{field}[{edge}]"), repr))
-            }
-            ExprKind::Prop { obj, .. } => err(format!("unresolved property base `{obj}`")),
-            ExprKind::Unary { op, expr } => {
-                let v = self.expr(expr, place, edge)?;
+            CExpr::NumNodes => Ok(TE::new("(self.graph.num_nodes() as i64)", Repr::I64)),
+            CExpr::NumEdges => Ok(TE::new("(self.graph.num_edges() as i64)", Repr::I64)),
+            CExpr::OutDegree => Ok(TE::new(
+                if place == VPlace::Pull {
+                    "(graph.out_degree(src) as i64)"
+                } else {
+                    "(out_degree as i64)"
+                },
+                Repr::I64,
+            )),
+            CExpr::InDegree => Ok(match place {
+                VPlace::Recv { .. } => TE::new("in_deg", Repr::I64),
+                VPlace::Body => TE::new("(value.in_nbrs.len() as i64)", Repr::I64),
+                VPlace::Pull => TE::new("(src_value.in_nbrs.len() as i64)", Repr::I64),
+            }),
+            CExpr::Un(op, inner) => {
+                let v = self.expr(inner, place, edge)?;
                 self.g.un_te(*op, v)
             }
-            ExprKind::Binary { op, lhs, rhs } => {
+            CExpr::Bin(op, lhs, rhs) => {
                 let l = self.expr(lhs, place, edge)?;
                 let r = self.expr(rhs, place, edge)?;
                 self.g.bin_te(*op, l, r)
             }
-            ExprKind::Ternary {
+            CExpr::Ternary {
                 cond,
                 then_val,
                 else_val,
+                coerce,
             } => {
                 let c = self.expr(cond, place, edge)?;
                 let t = self.expr(then_val, place, edge)?;
                 let f = self.expr(else_val, place, edge)?;
-                self.g.ternary_te(e, c, t, f)
+                self.g.ternary_te(coerce.as_ref(), c, t, f)
             }
-            ExprKind::Call { obj, method, .. } => match method.as_str() {
-                "NumNodes" => Ok(TE::new("(self.graph.num_nodes() as i64)", Repr::I64)),
-                "NumEdges" => Ok(TE::new("(self.graph.num_edges() as i64)", Repr::I64)),
-                "Degree" | "OutDegree" | "NumNbrs" if obj == SELF => Ok(TE::new(
-                    if place == VPlace::Pull {
-                        "(graph.out_degree(src) as i64)"
-                    } else {
-                        "(out_degree as i64)"
-                    },
-                    Repr::I64,
-                )),
-                "InDegree" if obj == SELF => Ok(match place {
-                    VPlace::Recv { .. } => TE::new("in_deg", Repr::I64),
-                    VPlace::Body => TE::new("(value.in_nbrs.len() as i64)", Repr::I64),
-                    VPlace::Pull => TE::new("(src_value.in_nbrs.len() as i64)", Repr::I64),
-                }),
-                other => err(format!("vertex built-in `{obj}.{other}()` not supported")),
-            },
-            ExprKind::Agg(_) => err("aggregate expression reached code generation"),
         }
     }
 
@@ -1084,7 +1045,7 @@ impl<'a, 'g> KernelCx<'a, 'g> {
     fn msg_literal(
         &mut self,
         tag: u8,
-        payload: &[Expr],
+        payload: &[CExpr],
         place: VPlace,
         edge: Option<&str>,
     ) -> R<String> {
@@ -1111,36 +1072,11 @@ impl<'a, 'g> KernelCx<'a, 'g> {
         Ok(format!("Msg::{variant} {{ {} }}", parts.join(", ")))
     }
 
-    /// Registers (or checks) the local introduced by a `Local` instruction.
-    /// Must be called *after* its value expression has been emitted, to
-    /// match the interpreter's resolution order.
-    fn register_local(&mut self, name: &str, repr: Repr) -> R<String> {
-        if let Some((field, r)) = self.locals.get(name) {
-            if *r != repr {
-                return err(format!(
-                    "local `{name}` written at both {} and {}",
-                    r.name(),
-                    repr.name()
-                ));
-            }
-            return Ok(field.clone());
-        }
-        let field = sanitize(name, &mut self.local_used);
-        self.locals.insert(name.to_owned(), (field.clone(), repr));
-        self.local_order.push((field.clone(), repr));
-        Ok(field)
-    }
-
-    fn emit_vinstrs(
-        &mut self,
-        instrs: &[VInstr],
-        buf: &mut Buf,
-        deferred: &HashMap<usize, String>,
-    ) -> R<()> {
+    fn emit_vinstrs(&mut self, instrs: &[CInstr], buf: &mut Buf) -> R<()> {
         for i in instrs {
             match i {
-                VInstr::Local {
-                    name,
+                CInstr::Local {
+                    slot,
                     op,
                     value,
                     ty,
@@ -1148,7 +1084,15 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                     let repr = Repr::of_ty(ty)?;
                     let te = self.expr(value, VPlace::Body, None)?;
                     let te = self.g.coerce_te(te, repr)?;
-                    let field = self.register_local(name, repr)?;
+                    let (field, first) = self.locals[*slot].clone();
+                    if first != repr {
+                        return err(format!(
+                            "local `{}` written at both {} and {}",
+                            self.k.locals[*slot].0,
+                            first.name(),
+                            repr.name()
+                        ));
+                    }
                     let tmp = self.g.fresh_temp();
                     buf.line(&format!("let {tmp}: {} = {};", repr.rust(), te.s));
                     let red = match op {
@@ -1157,20 +1101,16 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                     };
                     buf.line(&format!("l_{field} = {red};"));
                 }
-                VInstr::WriteOwn { prop, op, value } => {
-                    let Some(&pi) = self.g.prop_by_name.get(prop) else {
-                        return err(format!("write to unknown property `{prop}`"));
-                    };
-                    let (field, repr) = self.g.prop_fields[pi].clone();
+                CInstr::WriteOwn {
+                    prop, op, value, ..
+                } => {
+                    let (field, repr) = self.g.prop_fields[*prop].clone();
                     let te = self.expr(value, VPlace::Body, None)?;
                     let te = self.g.coerce_te(te, repr)?;
                     let tmp = self.g.fresh_temp();
                     buf.line(&format!("let {tmp}: {} = {};", repr.rust(), te.s));
                     if *op == AssignOp::Defer {
-                        let d = deferred
-                            .get(&pi)
-                            .expect("deferred targets are pre-collected");
-                        buf.line(&format!("{d} = Some({tmp});"));
+                        buf.line(&format!("d_{field} = Some({tmp});"));
                     } else {
                         let red = self
                             .g
@@ -1178,15 +1118,19 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                         buf.line(&format!("value.{field} = {red};"));
                     }
                 }
-                VInstr::ReduceGlobal { name, op, value } => {
+                CInstr::ReduceGlobal { name, op, value } => {
                     let te = self.expr(value, VPlace::Body, None)?;
                     self.g.record_agg(name, te.repr)?;
                     let opname = self.g.reduce_op_name(*op)?;
                     let gv = self.g.gv_wrap(&te);
                     buf.line(&format!("ctx.reduce_global(\"{name}\", {opname}, {gv});"));
                 }
-                VInstr::SendToNbrs { tag, payload } => {
-                    if payload.iter().any(reads_edge_prop) {
+                CInstr::SendToNbrs {
+                    tag,
+                    payload,
+                    edge_dependent,
+                } => {
+                    if *edge_dependent {
                         buf.open("if !ctx.mark_send() {");
                         buf.open("for (t, e) in ctx.out_neighbors() {");
                         let m = self.msg_literal(*tag, payload, VPlace::Body, Some("e.index()"))?;
@@ -1198,7 +1142,7 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                         buf.line(&format!("ctx.send_to_nbrs({m});"));
                     }
                 }
-                VInstr::SendToInNbrs { tag, payload } => {
+                CInstr::SendToInNbrs { tag, payload } => {
                     let m = self.msg_literal(*tag, payload, VPlace::Body, None)?;
                     let tmp = self.g.fresh_temp();
                     buf.line(&format!("let {tmp}: Msg = {m};"));
@@ -1206,7 +1150,7 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                     buf.line(&format!("ctx.send(NodeId(nbr), {tmp});"));
                     buf.close("}");
                 }
-                VInstr::SendTo { dst, tag, payload } => {
+                CInstr::SendTo { dst, tag, payload } => {
                     let d = self.expr(dst, VPlace::Body, None)?;
                     if d.repr != Repr::Node {
                         return err("SendTo destination is not a node");
@@ -1216,10 +1160,10 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                     let m = self.msg_literal(*tag, payload, VPlace::Body, None)?;
                     buf.line(&format!("ctx.send(NodeId({tmp}), {m});"));
                 }
-                VInstr::SendIdToNbrs => {
+                CInstr::SendIdToNbrs => {
                     buf.line("ctx.send_to_nbrs(Msg::InNbr { sender: self_id });");
                 }
-                VInstr::If {
+                CInstr::If {
                     cond,
                     then_branch,
                     else_branch,
@@ -1229,13 +1173,13 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                         return err("vertex If condition is not boolean");
                     }
                     buf.open(&format!("if {} {{", c.s));
-                    self.emit_vinstrs(then_branch, buf, deferred)?;
+                    self.emit_vinstrs(then_branch, buf)?;
                     if else_branch.is_empty() {
                         buf.close("}");
                     } else {
                         buf.close("} else {");
                         buf.ind += 1;
-                        self.emit_vinstrs(else_branch, buf, deferred)?;
+                        self.emit_vinstrs(else_branch, buf)?;
                         buf.close("}");
                     }
                 }
@@ -1245,45 +1189,17 @@ impl<'a, 'g> KernelCx<'a, 'g> {
     }
 }
 
-/// Whether a payload expression reads the connecting edge (decides the
-/// shared-vs-per-edge send path, like `precompile::reads_edge`).
-fn reads_edge_prop(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Prop { obj, .. } => obj == EDGE,
-        ExprKind::Unary { expr, .. } => reads_edge_prop(expr),
-        ExprKind::Binary { lhs, rhs, .. } => reads_edge_prop(lhs) || reads_edge_prop(rhs),
-        ExprKind::Ternary {
-            cond,
-            then_val,
-            else_val,
-        } => reads_edge_prop(cond) || reads_edge_prop(then_val) || reads_edge_prop(else_val),
-        _ => false,
-    }
-}
-
-/// Whether an expression reads the executing vertex's own properties
-/// (decides receive-phase snapshotting, like `precompile::reads_prop`).
-fn reads_self_prop(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Prop { obj, .. } => obj == SELF,
-        ExprKind::Unary { expr, .. } => reads_self_prop(expr),
-        ExprKind::Binary { lhs, rhs, .. } => reads_self_prop(lhs) || reads_self_prop(rhs),
-        ExprKind::Ternary {
-            cond,
-            then_val,
-            else_val,
-        } => reads_self_prop(cond) || reads_self_prop(then_val) || reads_self_prop(else_val),
-        _ => false,
-    }
-}
-
-fn collect_deferred(instrs: &[VInstr], out: &mut Vec<String>) {
+/// Own-property slots the body writes with `<=` (deferred to kernel end),
+/// in first-write order.
+fn collect_deferred(instrs: &[CInstr], out: &mut Vec<usize>) {
     for i in instrs {
         match i {
-            VInstr::WriteOwn { prop, op, .. } if *op == AssignOp::Defer && !out.contains(prop) => {
-                out.push(prop.clone());
-            }
-            VInstr::If {
+            CInstr::WriteOwn {
+                prop,
+                op: AssignOp::Defer,
+                ..
+            } if !out.contains(prop) => out.push(*prop),
+            CInstr::If {
                 then_branch,
                 else_branch,
                 ..
@@ -1296,38 +1212,15 @@ fn collect_deferred(instrs: &[VInstr], out: &mut Vec<String>) {
     }
 }
 
-fn collect_sites<'e>(instrs: &'e [VInstr], out: &mut Vec<SendSite<'e>>) {
-    for i in instrs {
-        match i {
-            VInstr::SendToNbrs { tag, payload } => out.push(SendSite::Tagged(*tag, payload)),
-            VInstr::SendIdToNbrs => out.push(SendSite::InNbrsId),
-            VInstr::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                collect_sites(then_branch, out);
-                collect_sites(else_branch, out);
-            }
-            _ => {}
-        }
-    }
-}
-
 impl<'a> Gen<'a> {
     /// Emits all `vertex_{i}` inherent methods (indent level 1), filling
-    /// `reads_globals`, `agg_repr`, and `sites` along the way.
-    fn emit_vertex_fns(&mut self) -> R<Buf> {
+    /// `reads_globals` and `agg_repr` along the way.
+    fn emit_vertex_fns(&mut self, lowered: &Lowered) -> R<Buf> {
         let mut b = Buf::new(1);
-        let p = self.p;
-        for (i, s) in p.states.iter().enumerate() {
-            let Some(kernel) = s.vertex.as_ref() else {
+        for (i, kernel) in lowered.kernels.iter().enumerate() {
+            let Some(kernel) = kernel else {
                 continue;
             };
-            let mut sites = Vec::new();
-            collect_sites(&kernel.body, &mut sites);
-            self.sites[i] = sites;
-
             b.line(&format!("fn vertex_{i}("));
             b.line("    &self,");
             b.line("    ctx: &mut VertexContext<'_, '_, Msg>,");
@@ -1343,42 +1236,19 @@ impl<'a> Gen<'a> {
         Ok(b)
     }
 
-    /// Emits one kernel's receive phase + body, mirroring the interpreter's
+    /// Emits one kernel's receive phase + body, with the interpreter's
     /// `vertex_compute` structure statement for statement.
-    fn emit_kernel(&mut self, state: usize, kernel: &'a VertexKernel, b: &mut Buf) -> R<()> {
-        let reads = |o: &Option<Expr>| o.as_ref().is_some_and(reads_self_prop);
-        let snapshot_needed = kernel
-            .recvs
-            .iter()
-            .filter(|h| h.tag != IN_NBRS_TAG)
-            .any(|h| {
-                reads(&h.guard)
-                    || h.steps.iter().any(|st| {
-                        reads(&st.guard)
-                            || match &st.action {
-                                RecvAction::WriteOwn { value, .. }
-                                | RecvAction::ReduceGlobal { value, .. } => reads_self_prop(value),
-                                RecvAction::StoreInNbr => false,
-                            }
-                    })
-            });
-        let stores_in_nbrs = kernel.recvs.iter().any(|h| h.tag == IN_NBRS_TAG);
-        let handlers: Vec<&'a RecvHandler> = kernel
-            .recvs
-            .iter()
-            .filter(|h| h.tag != IN_NBRS_TAG)
-            .collect();
-
-        let mut cx = KernelCx::new(self);
+    fn emit_kernel(&mut self, state: usize, kernel: &CKernel, b: &mut Buf) -> R<()> {
+        let mut cx = KernelCx::new(self, kernel)?;
         let place = VPlace::Recv {
-            snap: snapshot_needed,
+            snap: kernel.snapshot_needed,
         };
 
         // ---- receive phase ----
-        if !handlers.is_empty() || stores_in_nbrs {
+        if !kernel.recvs.is_empty() || kernel.stores_in_nbrs {
             b.open("if !messages.is_empty() {");
-            if snapshot_needed {
-                for (field, repr) in cx.g.prop_fields.clone() {
+            if kernel.snapshot_needed {
+                for (field, repr) in &cx.g.prop_fields {
                     b.line(&format!(
                         "let snap_{field}: {} = value.{field};",
                         repr.rust()
@@ -1388,18 +1258,8 @@ impl<'a> Gen<'a> {
             b.open("for msg in messages.iter() {");
             b.line("let in_deg: i64 = value.in_nbrs.len() as i64;");
             b.open("match *msg {");
-            for h in &handlers {
+            for h in &kernel.recvs {
                 let (variant, vfields) = cx.g.msg_variants[h.tag as usize].clone();
-                let orig_fields: Vec<String> = cx.g.p.messages[h.tag as usize]
-                    .fields
-                    .iter()
-                    .map(|(n, _)| n.clone())
-                    .collect();
-                cx.payload.clear();
-                for (orig, (fname, frepr)) in orig_fields.iter().zip(&vfields) {
-                    cx.payload
-                        .insert(orig.clone(), (format!("p_{fname}"), *frepr));
-                }
                 let pattern = if vfields.is_empty() {
                     format!("Msg::{variant} {{}}")
                 } else {
@@ -1412,6 +1272,7 @@ impl<'a> Gen<'a> {
                             .join(", ")
                     )
                 };
+                cx.payload = vfields;
                 b.open(&format!("{pattern} => {{"));
                 if let Some(g) = &h.guard {
                     let gte = cx.expr(g, place, None)?;
@@ -1437,11 +1298,10 @@ impl<'a> Gen<'a> {
                         b.open(&format!("if {g} {{"));
                     }
                     match &st.action {
-                        RecvAction::WriteOwn { prop, op, value } => {
-                            let Some(&pi) = cx.g.prop_by_name.get(prop) else {
-                                return err(format!("receive writes unknown property `{prop}`"));
-                            };
-                            let (field, repr) = cx.g.prop_fields[pi].clone();
+                        CAction::WriteOwn {
+                            prop, op, value, ..
+                        } => {
+                            let (field, repr) = cx.g.prop_fields[*prop].clone();
                             let te = cx.expr(value, place, None)?;
                             let te = cx.g.coerce_te(te, repr)?;
                             let tmp = cx.g.fresh_temp();
@@ -1450,15 +1310,15 @@ impl<'a> Gen<'a> {
                                 cx.g.reduce_expr(*op, &format!("value.{field}"), &tmp, repr)?;
                             b.line(&format!("value.{field} = {red};"));
                         }
-                        RecvAction::ReduceGlobal { name, op, value } => {
+                        CAction::ReduceGlobal { name, op, value } => {
                             let te = cx.expr(value, place, None)?;
                             cx.g.record_agg(name, te.repr)?;
                             let opname = cx.g.reduce_op_name(*op)?;
                             let gv = cx.g.gv_wrap(&te);
                             b.line(&format!("ctx.reduce_global(\"{name}\", {opname}, {gv});"));
                         }
-                        RecvAction::StoreInNbr => {
-                            let Some((fname, frepr)) = vfields.first() else {
+                        CAction::StoreInNbr => {
+                            let Some((fname, frepr)) = cx.payload.first() else {
                                 return err("StoreInNbr on a message with no payload");
                             };
                             if *frepr != Repr::Node {
@@ -1473,7 +1333,7 @@ impl<'a> Gen<'a> {
                 }
                 b.close("}");
             }
-            if stores_in_nbrs {
+            if kernel.stores_in_nbrs {
                 b.open("Msg::InNbr { sender: p_sender } => {");
                 b.line("value.in_nbrs.push(p_sender);");
                 b.close("}");
@@ -1483,10 +1343,8 @@ impl<'a> Gen<'a> {
             b.close("}");
             b.close("}");
         }
-        cx.payload.clear();
 
-        // ---- body phase (filter is lowered before the body, so its
-        // variables resolve to globals, never to body locals) ----
+        // ---- body phase ----
         let filter_te = match &kernel.filter {
             Some(f) => {
                 let te = cx.expr(f, VPlace::Body, None)?;
@@ -1498,73 +1356,51 @@ impl<'a> Gen<'a> {
             None => None,
         };
 
-        let mut deferred_props = Vec::new();
-        collect_deferred(&kernel.body, &mut deferred_props);
-        let mut deferred: HashMap<usize, String> = HashMap::new();
-        let mut deferred_fields: Vec<(String, Repr)> = Vec::new();
-        for prop in &deferred_props {
-            let Some(&pi) = cx.g.prop_by_name.get(prop) else {
-                return err(format!("deferred write to unknown property `{prop}`"));
-            };
-            let (field, repr) = cx.g.prop_fields[pi].clone();
-            deferred.insert(pi, format!("d_{field}"));
-            deferred_fields.push((field, repr));
-        }
-
+        let mut deferred = Vec::new();
+        collect_deferred(&kernel.body, &mut deferred);
         let body_ind = b.ind + usize::from(filter_te.is_some());
         let mut body_buf = Buf::new(body_ind);
-        cx.emit_vinstrs(&kernel.body, &mut body_buf, &deferred)?;
+        cx.emit_vinstrs(&kernel.body, &mut body_buf)?;
 
-        for (field, repr) in &deferred_fields {
+        for &prop in &deferred {
+            let (field, repr) = &cx.g.prop_fields[prop];
             b.line(&format!(
                 "let mut d_{field}: Option<{}> = None;",
                 repr.rust()
             ));
         }
-        let locals = cx.local_order.clone();
-        match &filter_te {
-            Some(f) => {
-                b.line(&format!("let filter_ok: bool = {f};"));
-                b.open("if filter_ok {");
-                for (field, repr) in &locals {
-                    b.line(&format!(
-                        "let mut l_{field}: {} = {};",
-                        repr.rust(),
-                        repr.default_expr()
-                    ));
-                }
-                b.push_buf(&body_buf);
-                b.close("}");
-            }
-            None => {
-                for (field, repr) in &locals {
-                    b.line(&format!(
-                        "let mut l_{field}: {} = {};",
-                        repr.rust(),
-                        repr.default_expr()
-                    ));
-                }
-                b.push_buf(&body_buf);
-            }
+        if let Some(f) = &filter_te {
+            b.line(&format!("let filter_ok: bool = {f};"));
+            b.open("if filter_ok {");
         }
-        for (field, _) in &deferred_fields {
+        for (field, repr) in &cx.locals {
+            b.line(&format!(
+                "let mut l_{field}: {} = {};",
+                repr.rust(),
+                repr.default_expr()
+            ));
+        }
+        b.push_buf(&body_buf);
+        if filter_te.is_some() {
+            b.close("}");
+        }
+        for &prop in &deferred {
+            let field = &cx.g.prop_fields[prop].0;
             b.open(&format!("if let Some(x) = d_{field} {{"));
             b.line(&format!("value.{field} = x;"));
             b.close("}");
         }
 
-        let order = cx.globals_order.clone();
-        drop(cx);
-        self.reads_globals[state] = order;
+        self.reads_globals[state] = cx.globals;
         Ok(())
     }
 
     /// Emits the `match self.cur_state` arms of `pull_message` for every
     /// `Recomputed`-pullable state. Returns `None` when no state needs one.
-    fn emit_pull_arms(&mut self) -> R<Option<Buf>> {
+    fn emit_pull_arms(&mut self, lowered: &Lowered) -> R<Option<Buf>> {
         let mut b = Buf::new(3);
         let mut any = false;
-        for i in 0..self.p.states.len() {
+        for (i, kernel) in lowered.kernels.iter().enumerate() {
             if !matches!(
                 self.pullable[i],
                 Pullability::Pullable {
@@ -1574,26 +1410,23 @@ impl<'a> Gen<'a> {
                 continue;
             }
             any = true;
-            let site: Option<(u8, &'a [Expr])> = match self.sites[i].as_slice() {
-                [SendSite::Tagged(t, payload)] => Some((*t, *payload)),
-                [SendSite::InNbrsId] => None,
-                sites => {
-                    return err(format!(
-                        "state {i} is Recomputed-pullable but has {} send sites",
-                        sites.len()
-                    ))
-                }
+            let (Some(kernel), Some(site)) =
+                (kernel, kernel.as_ref().and_then(|k| k.send_site.as_ref()))
+            else {
+                let sites = kernel
+                    .as_ref()
+                    .map_or(0, |k| kernel::nbr_send_sites(&k.body).len());
+                return err(format!(
+                    "state {i} is Recomputed-pullable but has {sites} send sites"
+                ));
             };
-            match site {
-                Some((tag, payload)) => {
-                    let mut cx = KernelCx::new(self);
-                    let m = cx.msg_literal(tag, payload, VPlace::Pull, Some("edge.index()"))?;
-                    drop(cx);
-                    b.line(&format!("{i}usize => {m},"));
-                }
-                None => {
-                    b.line(&format!("{i}usize => Msg::InNbr {{ sender: src.0 }},"));
-                }
+            if site.tag == IN_NBRS_TAG {
+                b.line(&format!("{i}usize => Msg::InNbr {{ sender: src.0 }},"));
+            } else {
+                let mut cx = KernelCx::new(self, kernel)?;
+                let m =
+                    cx.msg_literal(site.tag, &site.payload, VPlace::Pull, Some("edge.index()"))?;
+                b.line(&format!("{i}usize => {m},"));
             }
         }
         Ok(any.then_some(b))
@@ -1620,11 +1453,12 @@ impl<'a> Gen<'a> {
             return err("program has no states");
         }
         // Kernel emission first: it fills `agg_repr` (consulted when
-        // lowering master-side `FoldAgg`), `sites` (pull arms), and
-        // `reads_globals` (the broadcast list in `master_compute`).
-        let vertex_fns = self.emit_vertex_fns()?;
+        // lowering master-side `FoldAgg`) and `reads_globals` (the
+        // broadcast list in `master_compute`).
+        let lowered = kernel::lower(self.p)?;
+        let vertex_fns = self.emit_vertex_fns(&lowered)?;
         let master_fns = self.emit_master_state_fns()?;
-        let pull_arms = self.emit_pull_arms()?;
+        let pull_arms = self.emit_pull_arms(&lowered)?;
         if matches!(
             self.struct_name.as_str(),
             "Msg" | "VertexValue" | "Graph" | "Value" | "PickRng"
@@ -2386,6 +2220,17 @@ mod tests {
         let rs = emit_rust(&compiled.program).expect("emits");
         assert!(rs.contains("fn has_combiner"), "{rs}");
         assert!(rs.contains("wrapping_add"), "{rs}");
+    }
+
+    #[test]
+    fn an_unresolved_kernel_name_is_a_rustgen_error() {
+        let mut compiled = compile(NBR_SUM, &CompileOptions::default()).expect("compiles");
+        compiled
+            .program
+            .node_props
+            .retain(|(name, _)| name != "bar");
+        let e = emit_rust(&compiled.program).expect_err("`bar` no longer resolves");
+        assert_eq!(e.to_string(), "rustgen: unknown property `bar`");
     }
 
     #[test]

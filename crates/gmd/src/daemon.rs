@@ -602,6 +602,9 @@ impl State {
             .with_registry(self.registry.clone())
             .with_cancel(self.cancel.clone());
         config.post_mortem = self.config.post_mortem.clone();
+        if let Some(journal) = &self.config.journal {
+            config.faults = journal.faults.clone();
+        }
         // Arm crash checkpoints when journalling: a later attempt (or a
         // restarted daemon) resumes from the newest valid snapshot, and
         // each durable snapshot is echoed into the journal.

@@ -72,7 +72,9 @@ pub struct JournalConfig {
     /// Default snapshot interval for jobs that do not set
     /// `checkpoint_every` themselves; `None` arms no checkpoints.
     pub checkpoint_every: Option<u32>,
-    /// Deterministic fault injection for journal appends (tests only).
+    /// The daemon's fault plan (tests only): journal appends consult it,
+    /// and every job's `PregelConfig::faults` is a clone of it, so a
+    /// `.times(n)` budget is shared across jobs and retry attempts.
     pub faults: FaultPlan,
 }
 

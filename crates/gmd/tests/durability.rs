@@ -3,6 +3,7 @@
 //! everything `kill -9` chaos (see `tests/chaos.rs`) exercises at the
 //! process level, pinned here deterministically at the API level.
 
+use gm_ckpt::FaultPlan;
 use gm_obs::json::parse;
 use gmd::daemon::{BrownoutConfig, Reject};
 use gmd::{Daemon, DaemonConfig, GraphSpec, JobSpec, JournalConfig, RetryPolicy};
@@ -127,10 +128,19 @@ fn restart_requeues_journalled_jobs_bit_identically_and_resumes_ids() {
 
 #[test]
 fn transient_failures_retry_until_the_budget_exhausts() {
-    // A 1ms per-superstep deadline against a 4000-node interpreted
-    // PageRank trips deterministically — and identically on retry, so
-    // the job burns its whole budget and then fails terminally.
+    // Worker 0 wedges in superstep 0 of each of the first three attempts
+    // until the 1ms superstep deadline cancels it, so the job burns its
+    // whole retry budget and then fails terminally. The fault, not the
+    // kernel's speed, trips the deadline: a fast release build cannot
+    // finish the superstep in time and escape it.
+    let dir = fresh_dir("retry");
     let mut config = base_config(&[("big", "rmat:4000:20000:7")]);
+    let mut journal = JournalConfig::new(dir.join("journal"));
+    journal.faults = FaultPlan::builder()
+        .hang_in_compute(0, Some(0))
+        .times(3)
+        .build();
+    config.journal = Some(journal);
     config.retry = RetryPolicy {
         max_retries: 2,
         base: Duration::from_millis(1),
@@ -168,6 +178,8 @@ fn transient_failures_retry_until_the_budget_exhausts() {
     let id = state.submit(spec(one_shot)).expect("submit");
     let rec = wait_terminal(&state, &id);
     assert_eq!(rec.attempts, 1, "max_retries:0 means a single attempt");
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

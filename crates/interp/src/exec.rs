@@ -1,7 +1,7 @@
-//! Allocation-light evaluation of precompiled expressions.
+//! Allocation-light evaluation of lowered kernel expressions.
 
-use crate::precompile::CExpr;
 use gm_core::ast::BinOp;
+use gm_core::kernel::CExpr;
 use gm_core::value::{apply_bin, apply_un, Value};
 
 /// Evaluation context for one vertex.
@@ -32,7 +32,7 @@ pub struct EvalCx<'a> {
     pub num_edges: u32,
 }
 
-/// Evaluates a precompiled expression.
+/// Evaluates a lowered expression.
 ///
 /// # Panics
 ///

@@ -1,16 +1,16 @@
 //! The state-machine driver: implements [`gm_pregel::VertexProgram`] for a
 //! compiled [`PregelProgram`].
 //!
-//! Kernels are precompiled into slot-resolved programs
-//! ([`crate::precompile`]) so the hot per-vertex path performs no string
+//! Kernels are lowered into slot-resolved programs
+//! ([`gm_core::kernel`]) so the hot per-vertex path performs no string
 //! hashing and no map lookups; broadcast globals are materialized once per
 //! superstep by the master; message payloads are shared via `Arc` so a
 //! fan-out to ten thousand neighbors clones a pointer, not a vector.
 
 use crate::eval::{MasterEnv, PickRng};
 use crate::exec::{eval, EvalCx};
-use crate::precompile::{precompile, CAction, CInstr, Precompiled};
 use gm_core::ast::AssignOp;
+use gm_core::kernel::{self, CAction, CExpr, CInstr, Lowered};
 use gm_core::pir::{MInstr, PregelProgram, StateId, Transition, IN_NBRS_TAG};
 use gm_core::seqinterp::ArgValue;
 use gm_core::types::Ty;
@@ -199,12 +199,10 @@ pub fn run_compiled(
 ) -> Result<CompiledOutcome, RunError> {
     let program = &compiled.program;
 
-    // Property index maps and initial columns.
-    let mut prop_idx = HashMap::new();
+    // Initial property columns.
     let mut prop_tys = Vec::new();
     let mut columns: Vec<Option<Vec<Value>>> = Vec::new();
-    for (i, (name, ty)) in program.node_props.iter().enumerate() {
-        prop_idx.insert(name.clone(), i);
+    for (name, ty) in &program.node_props {
         prop_tys.push(ty.clone());
         match args.get(name) {
             Some(ArgValue::NodeProp(v)) => {
@@ -224,10 +222,8 @@ pub fn run_compiled(
         }
     }
 
-    let mut edge_idx = HashMap::new();
     let mut edge_cols = Vec::new();
-    for (i, (name, ty)) in program.edge_props.iter().enumerate() {
-        edge_idx.insert(name.clone(), i);
+    for (name, ty) in &program.edge_props {
         let values = match args.get(name) {
             Some(ArgValue::EdgeProp(v)) => {
                 if v.len() != graph.num_edges() as usize {
@@ -268,7 +264,8 @@ pub fn run_compiled(
         }
     }
 
-    let pre = precompile(program, &prop_idx, &edge_idx);
+    // Verified PIR always lowers; a failure is a compiler bug.
+    let pre = kernel::lower(program).unwrap_or_else(|e| panic!("{e}"));
 
     let defaults: Vec<Value> = prop_tys.iter().map(Value::default_for).collect();
     let init = |n: NodeId| VertexData {
@@ -312,7 +309,7 @@ pub fn run_compiled(
     let result = run(graph, &mut machine, init, config)?;
 
     let mut node_props: HashMap<String, Vec<Value>> = HashMap::new();
-    for (name, &i) in &prop_idx {
+    for (i, (name, _)) in program.node_props.iter().enumerate() {
         node_props.insert(
             name.clone(),
             result.values.iter().map(|v| v.props[i]).collect(),
@@ -340,7 +337,7 @@ pub fn run_compiled(
 
 struct Machine<'a> {
     program: &'a PregelProgram,
-    pre: Precompiled,
+    pre: Lowered,
     /// Pullability verdict per state (aligned with `program.states`).
     pullable: Vec<Pullability>,
     global_tys: &'a HashMap<String, Ty>,
@@ -621,15 +618,11 @@ impl VertexProgram for Machine<'_> {
                     }
                     continue;
                 }
-                let Some(handler) = kernel
-                    .recv_by_tag
-                    .get(msg.tag as usize)
-                    .and_then(|h| h.as_ref())
-                else {
+                let Some(handler) = kernel.handler(msg.tag) else {
                     continue; // dangling message — dropped, as in the paper
                 };
                 let in_nbrs_len = value.in_nbrs.len();
-                let eval_recv = |props: &[Value], e: &crate::precompile::CExpr| -> Value {
+                let eval_recv = |props: &[Value], e: &CExpr| -> Value {
                     eval(
                         e,
                         &EvalCx {
@@ -687,7 +680,7 @@ impl VertexProgram for Machine<'_> {
 
         // ---- body phase ----
         let VertexData { props, in_nbrs } = value;
-        let mut locals = vec![Value::Int(0); kernel.num_locals];
+        let mut locals = vec![Value::Int(0); kernel.locals.len()];
         let mut deferred: Vec<(usize, Value)> = Vec::new();
         let filter_ok = match &kernel.filter {
             Some(f) => {
