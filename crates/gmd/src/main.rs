@@ -46,7 +46,9 @@ fn usage() -> ExitCode {
     eprintln!("           [--max-retries N] [--retry-base-ms N] [--retry-cap-ms N]");
     eprintln!("           [--retry-tenant-tokens N] [--retry-tenant-refill-ms N]");
     eprintln!("           [--brownout-hold-ms N] [--brownout-saturation F] [--brownout-shed-to N]");
-    eprintln!("           [--no-native-builtins]");
+    eprintln!(
+        "           [--no-native-builtins]  (run every program, builtin or inline, interpreted)"
+    );
     ExitCode::FAILURE
 }
 
