@@ -1,12 +1,13 @@
-//! The vertex-kernel lowering shared by every execution leg.
+//! The lowering shared by every execution leg, vertex and master side.
 //!
 //! The PIR reuses named AST expressions. This module resolves every name
-//! in a vertex kernel to a slot once, folds `INF`/`NIL` literals into
-//! constants, computes the kernel's flags (snapshotting, edge-dependent
-//! sends, the pull send site), and flattens the kernel into [`CInstr`]
-//! programs. `gm-interp` executes the result allocation-free;
-//! [`crate::rustgen`] prints it as native Rust. Both legs therefore agree
-//! on name resolution by construction:
+//! in a state once — vertex kernels, master blocks, post blocks and
+//! transitions — to a slot, folds `INF`/`NIL` literals into constants,
+//! computes the kernel's flags (snapshotting, edge-dependent sends, the
+//! pull send site), and flattens the code into [`CInstr`] and [`CMInstr`]
+//! programs over one expression form, [`CExpr`]. `gm-interp` executes the
+//! result allocation-free; [`crate::rustgen`] prints it as native Rust.
+//! Both legs therefore agree on name resolution by construction:
 //!
 //! * a `_pl_<field>` read is the current handler's payload field, and is
 //!   an error outside a receive handler;
@@ -14,11 +15,15 @@
 //!   introduces it has been lowered (so `x = x + 1` first reads the
 //!   global `x`), and the filter never sees body locals;
 //! * broadcast globals get slots in first-use order: receive handlers in
-//!   PIR order, then the filter, then the body.
+//!   PIR order, then the filter, then the body;
+//! * in master code every variable is a program global, `Global(i)` is
+//!   position `i` of `PregelProgram::globals`, and vertex-only leaves
+//!   (properties, aggregates) are errors; `PickRandom` is master-only.
 
 use crate::ast::{AssignOp, BinOp, Expr, ExprKind, UnOp};
 use crate::pir::{
-    PregelProgram, RecvAction, VInstr, VertexKernel, EDGE, IN_NBRS_TAG, PAYLOAD_PREFIX, SELF,
+    MInstr, PregelProgram, RecvAction, Transition, VInstr, VertexKernel, EDGE, IN_NBRS_TAG,
+    PAYLOAD_PREFIX, SELF,
 };
 use crate::types::Ty;
 use crate::value::{Value, NIL_NODE};
@@ -38,7 +43,8 @@ pub enum CExpr {
     Payload(usize),
     /// Kernel local by slot.
     Local(usize),
-    /// Broadcast global by per-kernel slot.
+    /// Global by slot: a position in the kernel's broadcast row in vertex
+    /// code, in `PregelProgram::globals` in master code.
     Global(usize),
     /// The executing vertex's id.
     SelfId,
@@ -50,6 +56,8 @@ pub enum CExpr {
     NumNodes,
     /// `G.NumEdges()`.
     NumEdges,
+    /// `G.PickRandom()` (master code only).
+    PickRandom,
     /// Unary operation.
     Un(UnOp, Box<CExpr>),
     /// Binary operation (`&&`/`||` short-circuit).
@@ -216,8 +224,9 @@ pub struct CKernel {
     pub body: Vec<CInstr>,
     /// Per local slot: the local's name and the type of its first write.
     pub locals: Vec<(String, Ty)>,
-    /// Broadcast globals read by this kernel, in slot order.
-    pub reads_globals: Vec<String>,
+    /// Per broadcast slot: the position in `PregelProgram::globals` of a
+    /// global this kernel reads.
+    pub reads_globals: Vec<usize>,
     /// Whether the receive phase reads own properties (snapshot needed).
     pub snapshot_needed: bool,
     /// The body's single neighbor-broadcast site, if there is exactly one.
@@ -232,19 +241,76 @@ impl CKernel {
     }
 }
 
+/// A name-free master instruction; `slot` is a position in
+/// `PregelProgram::globals`.
+#[derive(Clone, Debug)]
+pub enum CMInstr {
+    /// `global op= value`.
+    Assign {
+        /// Target global.
+        slot: usize,
+        /// Operator.
+        op: AssignOp,
+        /// Value.
+        value: CExpr,
+        /// The global's type (for coercion).
+        ty: Ty,
+    },
+    /// Folds the vertex aggregate under `agg_key` into a global (no-op in
+    /// a master block, and when no vertex wrote the aggregate).
+    FoldAgg {
+        /// Target global.
+        slot: usize,
+        /// Combining operator.
+        op: AssignOp,
+        /// Aggregation key (the aggregation map is string-keyed).
+        agg_key: String,
+    },
+    /// Conditional.
+    If {
+        /// Condition.
+        cond: CExpr,
+        /// True branch.
+        then_branch: Vec<CMInstr>,
+        /// False branch.
+        else_branch: Vec<CMInstr>,
+    },
+    /// Sets the return value and halts after this master block.
+    SetReturn {
+        /// The returned value, if any.
+        value: Option<CExpr>,
+        /// The declared return type (for coercion).
+        coerce: Option<Ty>,
+    },
+}
+
+/// The master side of one state.
+#[derive(Clone, Debug)]
+pub struct CMaster {
+    /// Run on arrival, before the vertex phase.
+    pub master: Vec<CMInstr>,
+    /// Run at the start of the next superstep (aggregate folds).
+    pub post: Vec<CMInstr>,
+    /// Where to go next.
+    pub transition: Transition<CExpr>,
+}
+
 /// The whole program, lowered.
 #[derive(Clone, Debug)]
 pub struct Lowered {
     /// Kernel per state (`None` for master-only states).
     pub kernels: Vec<Option<CKernel>>,
+    /// Master side per state.
+    pub masters: Vec<CMaster>,
     /// Serialized size per tag.
     pub msg_bytes: Vec<u64>,
     /// Serialized size of preamble messages.
     pub in_nbrs_bytes: u64,
 }
 
-/// Lowers every vertex kernel of `program`. Fails on a name that does not
-/// resolve or an `INF` without a numeric type; verified PIR has neither.
+/// Lowers every state of `program`. Fails on a name that does not
+/// resolve, an `INF` without a numeric type, or a leaf used on the wrong
+/// side; verified PIR has none of these.
 pub fn lower(program: &PregelProgram) -> Result<Lowered, String> {
     let slots = |cols: &[(String, Ty)]| -> HashMap<String, usize> {
         cols.iter()
@@ -254,18 +320,45 @@ pub fn lower(program: &PregelProgram) -> Result<Lowered, String> {
     };
     let props = slots(&program.node_props);
     let edges = slots(&program.edge_props);
-    let kernels = program
-        .states
-        .iter()
-        .map(|s| {
-            s.vertex
-                .as_ref()
-                .map(|k| lower_kernel(program, k, &props, &edges))
-                .transpose()
-        })
-        .collect::<Result<_, _>>()?;
+    let globals = slots(&program.globals);
+    let cx = |master| Cx {
+        program,
+        props: &props,
+        edges: &edges,
+        globals: &globals,
+        master,
+        reads_globals: Vec::new(),
+        local_slot: HashMap::new(),
+        locals: Vec::new(),
+        payload: HashMap::new(),
+    };
+    let mut kernels = Vec::new();
+    let mut masters = Vec::new();
+    for s in &program.states {
+        let kernel = s.vertex.as_ref().map(|k| lower_kernel(cx(false), k));
+        kernels.push(kernel.transpose()?);
+        let mut m = cx(true);
+        masters.push(CMaster {
+            master: m.minstrs(&s.master)?,
+            post: m.minstrs(&s.post)?,
+            transition: match &s.transition {
+                Transition::Goto(id) => Transition::Goto(*id),
+                Transition::Branch {
+                    cond,
+                    then_to,
+                    else_to,
+                } => Transition::Branch {
+                    cond: m.expr(cond)?,
+                    then_to: *then_to,
+                    else_to: *else_to,
+                },
+                Transition::Halt => Transition::Halt,
+            },
+        });
+    }
     Ok(Lowered {
         kernels,
+        masters,
         msg_bytes: (0..program.messages.len())
             .map(|t| program.message_bytes(t as u8))
             .collect(),
@@ -290,8 +383,12 @@ struct Cx<'a> {
     program: &'a PregelProgram,
     props: &'a HashMap<String, usize>,
     edges: &'a HashMap<String, usize>,
-    global_slot: HashMap<String, usize>,
-    reads_globals: Vec<String>,
+    /// Global name → position in `program.globals`.
+    globals: &'a HashMap<String, usize>,
+    /// Lowering master code rather than a vertex kernel.
+    master: bool,
+    /// Per broadcast slot: the global's position in `program.globals`.
+    reads_globals: Vec<usize>,
     local_slot: HashMap<String, usize>,
     locals: Vec<(String, Ty)>,
     /// Payload field name → position, for the current handler.
@@ -299,14 +396,28 @@ struct Cx<'a> {
 }
 
 impl Cx<'_> {
-    fn global(&mut self, name: &str) -> usize {
-        if let Some(&s) = self.global_slot.get(name) {
-            return s;
+    /// A variable read as a global: its position in `program.globals` in
+    /// master code, its broadcast slot in a kernel.
+    fn global(&mut self, name: &str) -> R<usize> {
+        let side = if self.master { "master" } else { "broadcast" };
+        let index = self.global_index(name, side)?;
+        if self.master {
+            return Ok(index);
         }
-        let s = self.reads_globals.len();
-        self.global_slot.insert(name.to_owned(), s);
-        self.reads_globals.push(name.to_owned());
-        s
+        let slot = self.reads_globals.iter().position(|&g| g == index);
+        Ok(slot.unwrap_or_else(|| {
+            self.reads_globals.push(index);
+            self.reads_globals.len() - 1
+        }))
+    }
+
+    /// The position of global `name` in `program.globals`; `what` names
+    /// the reference in the error.
+    fn global_index(&self, name: &str, what: &str) -> R<usize> {
+        self.globals
+            .get(name)
+            .copied()
+            .ok_or_else(|| format!("unknown {what} global `{name}`"))
     }
 
     fn local(&mut self, name: &str, ty: &Ty) -> usize {
@@ -340,6 +451,10 @@ impl Cx<'_> {
             ExprKind::BoolLit(v) => CExpr::Const(Value::Bool(*v)),
             ExprKind::Inf { negative } => CExpr::Const(inf(e, *negative)?),
             ExprKind::Nil => CExpr::Const(Value::Node(NIL_NODE)),
+            ExprKind::Var(name) if self.master => CExpr::Global(self.global(name)?),
+            ExprKind::Prop { .. } | ExprKind::Agg(_) if self.master => {
+                return Err("vertex-context expression reached the master".into())
+            }
             ExprKind::Var(name) if name == SELF => CExpr::SelfId,
             ExprKind::Var(name) if name.starts_with(PAYLOAD_PREFIX) => {
                 let field = name.trim_start_matches(PAYLOAD_PREFIX);
@@ -352,7 +467,7 @@ impl Cx<'_> {
             }
             ExprKind::Var(name) => match self.local_slot.get(name) {
                 Some(&slot) => CExpr::Local(slot),
-                None => CExpr::Global(self.global(name)),
+                None => CExpr::Global(self.global(name)?),
             },
             ExprKind::Prop { obj, prop } if obj == SELF => CExpr::Prop(
                 *self
@@ -386,6 +501,10 @@ impl Cx<'_> {
                 "NumEdges" => CExpr::NumEdges,
                 "Degree" | "OutDegree" | "NumNbrs" if obj == SELF => CExpr::OutDegree,
                 "InDegree" if obj == SELF => CExpr::InDegree,
+                "PickRandom" if self.master => CExpr::PickRandom,
+                other if self.master => {
+                    return Err(format!("master built-in `{other}` not supported"))
+                }
                 other => return Err(format!("vertex built-in `{obj}.{other}()` not supported")),
             },
             ExprKind::Agg(_) => return Err("aggregate expression reached code generation".into()),
@@ -463,6 +582,42 @@ impl Cx<'_> {
             },
         })
     }
+
+    fn minstrs(&mut self, is: &[MInstr]) -> R<Vec<CMInstr>> {
+        is.iter().map(|i| self.minstr(i)).collect()
+    }
+
+    fn minstr(&mut self, i: &MInstr) -> R<CMInstr> {
+        Ok(match i {
+            MInstr::Assign { name, op, value } => {
+                let slot = self.global_index(name, "assigned")?;
+                CMInstr::Assign {
+                    slot,
+                    op: *op,
+                    value: self.expr(value)?,
+                    ty: self.program.globals[slot].1.clone(),
+                }
+            }
+            MInstr::FoldAgg { name, op, agg_key } => CMInstr::FoldAgg {
+                slot: self.global_index(name, "folded")?,
+                op: *op,
+                agg_key: agg_key.clone(),
+            },
+            MInstr::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => CMInstr::If {
+                cond: self.expr(cond)?,
+                then_branch: self.minstrs(then_branch)?,
+                else_branch: self.minstrs(else_branch)?,
+            },
+            MInstr::SetReturn(value) => CMInstr::SetReturn {
+                value: value.as_ref().map(|e| self.expr(e)).transpose()?,
+                coerce: self.program.ret.clone(),
+            },
+        })
+    }
 }
 
 /// Whether `e` has a leaf satisfying `leaf`.
@@ -480,23 +635,8 @@ fn reads(e: &CExpr, leaf: &impl Fn(&CExpr) -> bool) -> bool {
     }
 }
 
-fn lower_kernel(
-    program: &PregelProgram,
-    k: &VertexKernel,
-    props: &HashMap<String, usize>,
-    edges: &HashMap<String, usize>,
-) -> R<CKernel> {
-    let mut cx = Cx {
-        program,
-        props,
-        edges,
-        global_slot: HashMap::new(),
-        reads_globals: Vec::new(),
-        local_slot: HashMap::new(),
-        locals: Vec::new(),
-        payload: HashMap::new(),
-    };
-
+fn lower_kernel(mut cx: Cx<'_>, k: &VertexKernel) -> R<CKernel> {
+    let program = cx.program;
     let mut recvs = Vec::new();
     let mut recv_by_tag: Vec<Option<usize>> = vec![None; program.messages.len()];
     let mut stores_in_nbrs = false;
@@ -607,7 +747,16 @@ pub fn nbr_send_sites(body: &[CInstr]) -> Vec<CSendSite> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pir::{MessageLayout, RecvHandler, RecvStep, State, Transition};
+    use crate::parser::parse_expr;
+    use crate::pir::{MessageLayout, RecvHandler, RecvStep, State};
+
+    /// The test program's globals: all `Int` but `r`, a `Double`.
+    const GLOBALS: [&str; 8] = ["a", "b", "c", "d", "r", "v", "x", "y"];
+
+    /// Names of the globals a kernel broadcasts, in slot order.
+    fn broadcast(k: &CKernel) -> Vec<&str> {
+        k.reads_globals.iter().map(|&g| GLOBALS[g]).collect()
+    }
 
     fn add(a: Expr, b: Expr) -> Expr {
         Expr::binary(BinOp::Add, a, b)
@@ -645,20 +794,19 @@ mod tests {
         }
     }
 
-    /// Lowers a one-state program around the given kernel parts: property
-    /// `x`, edge property `w`, message tag 0 with field `v`, tag 1 empty.
-    fn lower_kernel_of(
-        recvs: Vec<RecvHandler>,
-        filter: Option<Expr>,
-        body: Vec<VInstr>,
-    ) -> Result<CKernel, String> {
+    /// Lowers a one-state program around `state`: property `x`, edge
+    /// property `w`, [`GLOBALS`], message tag 0 with field `v`, tag 1
+    /// empty, and an `Int` return.
+    fn lower_state(state: State) -> Result<Lowered, String> {
         let program = PregelProgram {
             name: "p".into(),
             graph_param: "G".into(),
             scalar_params: vec![],
             node_props: vec![("x".into(), Ty::Int)],
             edge_props: vec![("w".into(), Ty::Int)],
-            globals: vec![("v".into(), Ty::Int)],
+            globals: (GLOBALS.iter())
+                .map(|&g| (g.into(), if g == "r" { Ty::Double } else { Ty::Int }))
+                .collect(),
             messages: vec![
                 MessageLayout {
                     tag: 0,
@@ -671,22 +819,50 @@ mod tests {
             ],
             uses_in_nbrs: false,
             combinable: vec![None, None],
-            ret: None,
+            ret: Some(Ty::Int),
             pullable: vec![],
-            states: vec![State {
-                master: vec![],
-                vertex: Some(VertexKernel {
-                    recvs,
-                    filter,
-                    body,
-                    reads_globals: vec![],
-                }),
-                post: vec![],
-                transition: Transition::Halt,
-            }],
+            states: vec![state],
         };
-        let mut lowered = lower(&program)?;
+        lower(&program)
+    }
+
+    /// Lowers a one-state program around the given kernel parts.
+    fn lower_kernel_of(
+        recvs: Vec<RecvHandler>,
+        filter: Option<Expr>,
+        body: Vec<VInstr>,
+    ) -> Result<CKernel, String> {
+        let mut lowered = lower_state(State {
+            master: vec![],
+            vertex: Some(VertexKernel {
+                recvs,
+                filter,
+                body,
+                reads_globals: vec![],
+            }),
+            post: vec![],
+            transition: Transition::Halt,
+        })?;
         Ok(lowered.kernels.remove(0).expect("vertex state"))
+    }
+
+    /// Lowers a master-only state: `master` then `transition`.
+    fn lower_master_of(master: Vec<MInstr>, transition: Transition) -> Result<CMaster, String> {
+        let mut lowered = lower_state(State {
+            master,
+            vertex: None,
+            post: vec![],
+            transition,
+        })?;
+        Ok(lowered.masters.remove(0))
+    }
+
+    fn assign(name: &str, value: Expr) -> MInstr {
+        MInstr::Assign {
+            name: name.into(),
+            op: AssignOp::Assign,
+            value,
+        }
     }
 
     fn value_of(i: &CInstr) -> &CExpr {
@@ -714,7 +890,7 @@ mod tests {
             Box::new(CExpr::Global(0)),
         );
         assert_eq!(*value, want);
-        assert_eq!(k.reads_globals, ["v"]);
+        assert_eq!(broadcast(&k), ["v"]);
         // The payload goes out of scope with its handler.
         let err = lower_kernel_of(vec![recv(None, Expr::int(1))], None, vec![send_nbrs(pl_v)])
             .unwrap_err();
@@ -735,7 +911,7 @@ mod tests {
         );
         assert_eq!(*value_of(&k.body[0]), first);
         assert_eq!(*value_of(&k.body[1]), CExpr::Local(0));
-        assert_eq!(k.reads_globals, ["x"]);
+        assert_eq!(broadcast(&k), ["x"]);
         assert_eq!(k.locals, [("x".to_owned(), Ty::Int)]);
     }
 
@@ -753,7 +929,7 @@ mod tests {
         let recvs = vec![recv(Some(Expr::var("c")), Expr::var("d"))];
         let body = vec![send_nbrs(add(Expr::var("a"), Expr::var("c")))];
         let k = lower_kernel_of(recvs, Some(Expr::var("b")), body).unwrap();
-        assert_eq!(k.reads_globals, ["c", "d", "b", "a"]);
+        assert_eq!(broadcast(&k), ["c", "d", "b", "a"]);
         assert_eq!(k.recvs[0].guard, Some(CExpr::Global(0)));
         assert_eq!(k.filter, Some(CExpr::Global(2)));
         let CInstr::SendToNbrs { payload, .. } = &k.body[0] else {
@@ -868,5 +1044,133 @@ mod tests {
         let int_inf = Expr::typed(ExprKind::Inf { negative: true }, Ty::Long);
         let k = lower_kernel_of(vec![], Some(int_inf), vec![]).unwrap();
         assert_eq!(k.filter, Some(CExpr::Const(Value::Int(i64::MIN))));
+    }
+
+    #[test]
+    fn master_globals_index_program_globals() {
+        let fold = MInstr::FoldAgg {
+            name: "d".into(),
+            op: AssignOp::Add,
+            agg_key: "d".into(),
+        };
+        let m = lower_master_of(
+            vec![assign("r", parse_expr("a + y").unwrap()), fold],
+            Transition::Branch {
+                cond: Expr::var("x"),
+                then_to: 0,
+                else_to: 0,
+            },
+        )
+        .unwrap();
+        let CMInstr::Assign {
+            slot, value, ty, ..
+        } = &m.master[0]
+        else {
+            panic!("{:?}", m.master);
+        };
+        let a_plus_y = CExpr::Bin(
+            BinOp::Add,
+            Box::new(CExpr::Global(0)),
+            Box::new(CExpr::Global(7)),
+        );
+        assert_eq!((*slot, value, ty), (4, &a_plus_y, &Ty::Double));
+        assert!(matches!(m.master[1], CMInstr::FoldAgg { slot: 3, .. }));
+        let Transition::Branch { cond, .. } = &m.transition else {
+            panic!("{:?}", m.transition);
+        };
+        assert_eq!(*cond, CExpr::Global(6));
+        // `PickRandom` is a master leaf; a kernel cannot draw.
+        let pick = parse_expr("G.PickRandom()").unwrap();
+        let m = lower_master_of(vec![assign("v", pick.clone())], Transition::Halt).unwrap();
+        assert!(matches!(
+            &m.master[0],
+            CMInstr::Assign {
+                value: CExpr::PickRandom,
+                ..
+            }
+        ));
+        assert_eq!(
+            lower_kernel_of(vec![], Some(pick), vec![]).unwrap_err(),
+            "vertex built-in `G.PickRandom()` not supported"
+        );
+    }
+
+    #[test]
+    fn unknown_globals_are_lowering_errors() {
+        let err = |master| lower_master_of(master, Transition::Halt).unwrap_err();
+        assert_eq!(
+            err(vec![assign("nope", Expr::int(1))]),
+            "unknown assigned global `nope`"
+        );
+        assert_eq!(
+            err(vec![assign("a", Expr::var("nope"))]),
+            "unknown master global `nope`"
+        );
+        let fold = MInstr::FoldAgg {
+            name: "nope".into(),
+            op: AssignOp::Add,
+            agg_key: "nope".into(),
+        };
+        assert_eq!(err(vec![fold]), "unknown folded global `nope`");
+        let branch = Transition::Branch {
+            cond: Expr::var("nope"),
+            then_to: 0,
+            else_to: 0,
+        };
+        assert_eq!(
+            lower_master_of(vec![], branch).unwrap_err(),
+            "unknown master global `nope`"
+        );
+        assert_eq!(
+            lower_kernel_of(vec![], Some(Expr::var("nope")), vec![]).unwrap_err(),
+            "unknown broadcast global `nope`"
+        );
+    }
+
+    #[test]
+    fn properties_and_aggregates_in_master_code_are_lowering_errors() {
+        for src in ["n.x + 1", "Sum(n: G.Nodes){n.x}"] {
+            let value = parse_expr(src).unwrap();
+            let ret = MInstr::SetReturn(Some(value));
+            assert_eq!(
+                lower_master_of(vec![ret], Transition::Halt).unwrap_err(),
+                "vertex-context expression reached the master",
+                "{src}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_master_ternary_keeps_its_coercion() {
+        let ternary = |ty| {
+            let e = parse_expr("x > 0 ? a : r").unwrap();
+            Expr::typed(e.kind, ty)
+        };
+        let m = lower_master_of(
+            vec![
+                MInstr::SetReturn(Some(ternary(Ty::Double))),
+                assign("a", ternary(Ty::Graph)),
+            ],
+            Transition::Halt,
+        )
+        .unwrap();
+        let coerce_of = |i: &CMInstr| match i {
+            CMInstr::SetReturn {
+                value: Some(CExpr::Ternary { coerce, .. }),
+                ..
+            }
+            | CMInstr::Assign {
+                value: CExpr::Ternary { coerce, .. },
+                ..
+            } => coerce.clone(),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(coerce_of(&m.master[0]), Some(Ty::Double));
+        // A non-value annotation is no coercion.
+        assert_eq!(coerce_of(&m.master[1]), None);
+        let CMInstr::SetReturn { coerce, .. } = &m.master[0] else {
+            unreachable!()
+        };
+        assert_eq!(*coerce, Some(Ty::Int));
     }
 }

@@ -179,15 +179,16 @@ pub struct State {
     pub transition: Transition,
 }
 
-/// Control-flow decision after a state.
+/// Control-flow decision after a state. `E` is the condition's form:
+/// named AST here, slot-resolved in [`crate::kernel::CMaster`].
 #[derive(Clone, Debug)]
-pub enum Transition {
+pub enum Transition<E = Expr> {
     /// Unconditional successor.
     Goto(StateId),
     /// Conditional successor; `cond` is evaluated master-side.
     Branch {
         /// Condition over master globals.
-        cond: Expr,
+        cond: E,
         /// Successor when true.
         then_to: StateId,
         /// Successor when false.

@@ -1,9 +1,9 @@
 //! Native Rust code generation: compiles a verified [`PregelProgram`] into
 //! the source of a monomorphized [`gm_pregel::VertexProgram`] implementation.
 //!
-//! Vertex kernels come from the same lowering `gm-interp` executes
-//! ([`crate::kernel`]): names are already resolved to property, edge,
-//! payload, local and broadcast-global slots, and the kernel flags
+//! Vertex kernels and master code come from the same lowering `gm-interp`
+//! executes ([`crate::kernel`]): names are already resolved to property,
+//! edge, payload, local and global slots, and the kernel flags
 //! (snapshotting, edge-dependent sends, the pull send site) are already
 //! computed, so this backend only maps slots to native field names. Where
 //! `gm-interp` dispatches on tagged [`crate::value::Value`]s per expression
@@ -37,9 +37,9 @@
 //! `gmc run --backend native` match user-compiled programs against the
 //! built-in registry by source equality.
 
-use crate::ast::{AssignOp, BinOp, Expr, ExprKind, UnOp};
-use crate::kernel::{self, CAction, CExpr, CInstr, CKernel, Lowered};
-use crate::pir::{MInstr, PregelProgram, State, Transition, IN_NBRS_TAG};
+use crate::ast::{AssignOp, BinOp, UnOp};
+use crate::kernel::{self, CAction, CExpr, CInstr, CKernel, CMInstr, Lowered};
+use crate::pir::{PregelProgram, Transition, IN_NBRS_TAG};
 use crate::pullability::{self, Pullability};
 use crate::types::Ty;
 use crate::value::{Value, NIL_NODE};
@@ -299,14 +299,10 @@ struct Gen<'a> {
     edge_fields: Vec<(String, Repr)>,
     /// Per global (aligned with `p.globals`): field name (sans `g_`), repr.
     global_fields: Vec<(String, Repr)>,
-    global_by_name: HashMap<String, usize>,
     /// Per message tag: variant name, fields (sanitized name, repr).
     msg_variants: Vec<(String, Vec<(String, Repr)>)>,
     ret_repr: Option<Repr>,
     pullable: Vec<Pullability>,
-    /// Per state: broadcast-global indices in first-use order (vertex
-    /// states only), filled while emitting kernels.
-    reads_globals: Vec<Vec<usize>>,
     /// Aggregate key → the repr every vertex-side `ReduceGlobal` pushes.
     agg_repr: HashMap<String, Repr>,
     uses_div: bool,
@@ -337,18 +333,11 @@ impl<'a> Gen<'a> {
 
         let mut global_used = HashSet::new();
         let mut global_fields = Vec::new();
-        let mut global_by_name = HashMap::new();
-        for (i, (name, ty)) in p.globals.iter().enumerate() {
+        for (name, ty) in &p.globals {
             let repr = Repr::of_ty(ty).map_err(|e| RustgenError {
                 message: format!("global `{name}`: {}", e.message),
             })?;
             global_fields.push((sanitize(name, &mut global_used), repr));
-            global_by_name.insert(name.clone(), i);
-        }
-        for (name, _) in &p.scalar_params {
-            if !global_by_name.contains_key(name) {
-                return err(format!("scalar parameter `{name}` is not a master global"));
-            }
         }
 
         let mut msg_variants = Vec::new();
@@ -380,11 +369,9 @@ impl<'a> Gen<'a> {
             prop_fields,
             edge_fields,
             global_fields,
-            global_by_name,
             msg_variants,
             ret_repr,
             pullable,
-            reads_globals: vec![Vec::new(); p.states.len()],
             agg_repr: HashMap::new(),
             uses_div: false,
             uses_mod: false,
@@ -624,52 +611,6 @@ impl<'a> Gen<'a> {
 // ---- master-side emission ----
 
 impl<'a> Gen<'a> {
-    fn master_expr(&mut self, e: &Expr) -> R<TE> {
-        match &e.kind {
-            ExprKind::IntLit(v) => Ok(const_te(Value::Int(*v))),
-            ExprKind::FloatLit(v) => Ok(const_te(Value::Double(*v))),
-            ExprKind::BoolLit(v) => Ok(const_te(Value::Bool(*v))),
-            ExprKind::Inf { negative } => Ok(const_te(kernel::inf(e, *negative)?)),
-            ExprKind::Nil => Ok(const_te(Value::Node(NIL_NODE))),
-            ExprKind::Var(name) => match self.global_by_name.get(name) {
-                Some(&i) => Ok(self.global_te(i)),
-                None => err(format!("unknown master global `{name}`")),
-            },
-            ExprKind::Unary { op, expr } => {
-                let v = self.master_expr(expr)?;
-                self.un_te(*op, v)
-            }
-            ExprKind::Binary { op, lhs, rhs } => {
-                let l = self.master_expr(lhs)?;
-                let r = self.master_expr(rhs)?;
-                self.bin_te(*op, l, r)
-            }
-            ExprKind::Ternary {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                let c = self.master_expr(cond)?;
-                let t = self.master_expr(then_val)?;
-                let f = self.master_expr(else_val)?;
-                self.ternary_te(e.ty.as_ref().filter(|ty| ty.is_value()), c, t, f)
-            }
-            ExprKind::Call { method, .. } => match method.as_str() {
-                "NumNodes" => Ok(TE::new("(self.graph.num_nodes() as i64)", Repr::I64)),
-                "NumEdges" => Ok(TE::new("(self.graph.num_edges() as i64)", Repr::I64)),
-                "PickRandom" => Ok(TE::new(
-                    "({ let n = self.graph.num_nodes(); \
-                     assert!(n > 0, \"PickRandom on an empty graph\"); self.rng.pick(n) })",
-                    Repr::Node,
-                )),
-                other => err(format!("master built-in `{other}` not supported")),
-            },
-            ExprKind::Prop { .. } | ExprKind::Agg(_) => {
-                err("vertex-context expression reached the master")
-            }
-        }
-    }
-
     /// Shared ternary assembly: branch-wise coercion to `coerce` (the
     /// checker's value-type annotation; the interpreter coerces the taken
     /// branch), identical branch reprs otherwise. Only the taken branch
@@ -704,126 +645,23 @@ impl<'a> Gen<'a> {
         }
     }
 
-    /// Emits a master instruction list. `has_agg` is true inside `post_N`
-    /// functions, whose `agg` parameter carries the vertex aggregates; in
-    /// plain master blocks the interpreter passes `None`, making `FoldAgg`
-    /// a no-op, so none is emitted there.
-    fn emit_minstrs(&mut self, instrs: &[MInstr], buf: &mut Buf, has_agg: bool) -> R<()> {
-        for m in instrs {
-            buf.line("if self.finished {");
-            buf.line("    return;");
-            buf.line("}");
-            match m {
-                MInstr::Assign { name, op, value } => {
-                    let Some(&gi) = self.global_by_name.get(name) else {
-                        return err(format!("assignment to unknown global `{name}`"));
-                    };
-                    let (field, repr) = self.global_fields[gi].clone();
-                    let te = self.master_expr(value)?;
-                    let te = self.coerce_te(te, repr)?;
-                    let tmp = self.fresh_temp();
-                    buf.line(&format!("let {tmp}: {} = {};", repr.rust(), te.s));
-                    let red = self.reduce_expr(*op, &format!("self.g_{field}"), &tmp, repr)?;
-                    buf.line(&format!("self.g_{field} = {red};"));
-                }
-                MInstr::FoldAgg { name, op, agg_key } => {
-                    if !has_agg {
-                        continue;
-                    }
-                    let Some(&arepr) = self.agg_repr.get(agg_key) else {
-                        // No vertex ever reduces this key, so `ctx.agg`
-                        // always returns None at runtime: fold is dead.
-                        continue;
-                    };
-                    let Some(&gi) = self.global_by_name.get(name) else {
-                        return err(format!("aggregate fold into unknown global `{name}`"));
-                    };
-                    let (field, grepr) = self.global_fields[gi].clone();
-                    if arepr != grepr && !(arepr == Repr::I64 && grepr == Repr::F64) {
-                        return err(format!(
-                            "aggregate `{agg_key}` ({}) folds into `{name}` ({}) — \
-                             narrowing fold not representable natively",
-                            arepr.name(),
-                            grepr.name()
-                        ));
-                    }
-                    let (variant, bind_repr) = match arepr {
-                        Repr::I64 => ("GlobalValue::Int(x)", Repr::I64),
-                        Repr::F64 => ("GlobalValue::Double(x)", Repr::F64),
-                        Repr::Bool => ("GlobalValue::Bool(x)", Repr::Bool),
-                        Repr::Node => ("GlobalValue::Node(x)", Repr::Node),
-                        Repr::Edge => return err(format!("aggregate `{agg_key}` has edge repr")),
-                    };
-                    buf.open("if let Some(ctx) = agg {");
-                    buf.open(&format!("if let Some(gv) = ctx.agg(\"{agg_key}\") {{"));
-                    buf.line(&format!(
-                        "let inc: {} = match gv {{ {variant} => x, \
-                         other => panic!(\"aggregate `{agg_key}` holds {{other:?}}\") }};",
-                        bind_repr.rust()
-                    ));
-                    let inc = self.coerce_te(TE::new("inc", arepr), grepr)?;
-                    let red = self.reduce_expr(*op, &format!("self.g_{field}"), &inc.s, grepr)?;
-                    buf.line(&format!("self.g_{field} = {red};"));
-                    buf.close("}");
-                    buf.close("}");
-                }
-                MInstr::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => {
-                    let c = self.master_expr(cond)?;
-                    if c.repr != Repr::Bool {
-                        return err("master If condition is not boolean");
-                    }
-                    buf.open(&format!("if {} {{", c.s));
-                    self.emit_minstrs(then_branch, buf, has_agg)?;
-                    if else_branch.is_empty() {
-                        buf.close("}");
-                    } else {
-                        buf.close("} else {");
-                        buf.ind += 1;
-                        self.emit_minstrs(else_branch, buf, has_agg)?;
-                        buf.close("}");
-                    }
-                }
-                MInstr::SetReturn(e) => {
-                    match e {
-                        Some(e) => {
-                            let te = self.master_expr(e)?;
-                            let te =
-                                match self.ret_repr {
-                                    Some(r) => self.coerce_te(te, r)?,
-                                    None => return err(
-                                        "Return with a value in a procedure with no return type",
-                                    ),
-                                };
-                            buf.line(&format!("self.ret = Some({});", te.s));
-                        }
-                        None => {
-                            if self.ret_repr.is_some() {
-                                buf.line("self.ret = None;");
-                            }
-                        }
-                    }
-                    buf.line("self.finished = true;");
-                    buf.line("return;");
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Emits the per-state master/post/transition functions and their
     /// dispatchers, as inherent methods (indent level 1).
-    fn emit_master_state_fns(&mut self) -> R<Buf> {
+    fn emit_master_state_fns(&mut self, lowered: &Lowered) -> R<Buf> {
         let mut b = Buf::new(1);
-        let states: Vec<&State> = self.p.states.iter().collect();
-
-        for (i, s) in states.iter().enumerate() {
+        // Master code has no locals, and its global slot `i` is `p.globals[i]`.
+        let globals = (0..self.p.globals.len()).collect();
+        let mut cx = KernelCx {
+            g: self,
+            local_names: &[],
+            locals: Vec::new(),
+            globals,
+            payload: Vec::new(),
+        };
+        for (i, s) in lowered.masters.iter().enumerate() {
             if !s.master.is_empty() {
                 b.open(&format!("fn master_{i}(&mut self) {{"));
-                self.emit_minstrs(&s.master, &mut b, false)?;
+                cx.emit_minstrs(&s.master, &mut b, false)?;
                 b.close("}");
                 b.line("");
             }
@@ -831,46 +669,35 @@ impl<'a> Gen<'a> {
                 b.open(&format!(
                     "fn post_{i}(&mut self, agg: Option<&MasterContext<'_>>) {{"
                 ));
-                self.emit_minstrs(&s.post, &mut b, true)?;
+                cx.emit_minstrs(&s.post, &mut b, true)?;
                 b.close("}");
                 b.line("");
             }
+            b.open(&format!("fn transition_{i}(&mut self) -> Option<usize> {{"));
             match &s.transition {
-                Transition::Goto(t) => {
-                    b.open(&format!("fn transition_{i}(&mut self) -> Option<usize> {{"));
-                    b.line(&format!("Some({t}usize)"));
-                    b.close("}");
-                }
+                Transition::Goto(t) => b.line(&format!("Some({t}usize)")),
                 Transition::Branch {
                     cond,
                     then_to,
                     else_to,
                 } => {
-                    let c = self.master_expr(cond)?;
-                    if c.repr != Repr::Bool {
-                        return err("transition condition is not boolean");
-                    }
-                    b.open(&format!("fn transition_{i}(&mut self) -> Option<usize> {{"));
-                    b.open(&format!("if {} {{", c.s));
+                    let c = cx.cond(cond, VPlace::Body, "transition condition")?;
+                    b.open(&format!("if {c} {{"));
                     b.line(&format!("Some({then_to}usize)"));
                     b.close("} else {");
                     b.ind += 1;
                     b.line(&format!("Some({else_to}usize)"));
                     b.close("}");
-                    b.close("}");
                 }
-                Transition::Halt => {
-                    b.open(&format!("fn transition_{i}(&mut self) -> Option<usize> {{"));
-                    b.line("None");
-                    b.close("}");
-                }
+                Transition::Halt => b.line("None"),
             }
+            b.close("}");
             b.line("");
         }
 
         b.open("fn run_master(&mut self, state: usize) {");
         b.open("match state {");
-        for (i, s) in states.iter().enumerate() {
+        for (i, s) in lowered.masters.iter().enumerate() {
             if !s.master.is_empty() {
                 b.line(&format!("{i} => self.master_{i}(),"));
             }
@@ -882,7 +709,7 @@ impl<'a> Gen<'a> {
 
         b.open("fn run_post(&mut self, state: usize, agg: Option<&MasterContext<'_>>) {");
         b.open("match state {");
-        for (i, s) in states.iter().enumerate() {
+        for (i, s) in lowered.masters.iter().enumerate() {
             if !s.post.is_empty() {
                 b.line(&format!("{i} => self.post_{i}(agg),"));
             }
@@ -894,7 +721,7 @@ impl<'a> Gen<'a> {
 
         b.open("fn run_transition(&mut self, state: usize) -> Option<usize> {");
         b.open("match state {");
-        for i in 0..states.len() {
+        for i in 0..lowered.masters.len() {
             b.line(&format!("{i} => self.transition_{i}(),"));
         }
         b.line("_ => None,");
@@ -904,55 +731,47 @@ impl<'a> Gen<'a> {
     }
 }
 
-// ---- vertex-side emission: prints the lowered kernels of [`crate::kernel`] ----
+// ---- printing lowered code: the kernels and master code of [`crate::kernel`] ----
 
-/// Where a vertex-context expression is being evaluated, which decides how
+/// Where an expression is being evaluated, which decides how vertex
 /// leaves render (snapshot vs. live property reads, pull-side renames).
 #[derive(Clone, Copy, PartialEq)]
 enum VPlace {
     /// Receive handler: property reads go to the snapshot bindings when the
     /// kernel needs one; payload bindings are in scope.
     Recv { snap: bool },
-    /// Filter or body.
+    /// Filter, body, or master code (which has no vertex leaves).
     Body,
     /// `pull_message`: the *sender's* row via `src_value`, no locals.
     Pull,
 }
 
-/// Per-kernel emission state: the native names of one lowered kernel's
-/// local, broadcast-global and payload slots.
+/// Emission state for lowered code, one kernel's or the master's: the
+/// native names of its local, global and payload slots.
 struct KernelCx<'a, 'g> {
     g: &'g mut Gen<'a>,
-    k: &'g CKernel,
+    /// Per local slot: the local's name and type.
+    local_names: &'g [(String, Ty)],
     /// Per local slot: field name (sans `l_`), repr.
     locals: Vec<(String, Repr)>,
-    /// Per broadcast-global slot: index into `p.globals`.
+    /// Per global slot: index into `p.globals`.
     globals: Vec<usize>,
     /// Per payload position of the current handler: field name, repr.
     payload: Vec<(String, Repr)>,
 }
 
 impl<'a, 'g> KernelCx<'a, 'g> {
+    /// A kernel's context: its locals and its broadcast row.
     fn new(g: &'g mut Gen<'a>, k: &'g CKernel) -> R<Self> {
         let mut used = HashSet::new();
-        let locals = k
-            .locals
-            .iter()
+        let locals = (k.locals.iter())
             .map(|(name, ty)| Ok((sanitize(name, &mut used), Repr::of_ty(ty)?)))
-            .collect::<R<_>>()?;
-        let globals = k
-            .reads_globals
-            .iter()
-            .map(|name| match g.global_by_name.get(name) {
-                Some(&i) => Ok(i),
-                None => err(format!("unknown broadcast global `{name}`")),
-            })
             .collect::<R<_>>()?;
         Ok(KernelCx {
             g,
-            k,
+            local_names: &k.locals,
             locals,
-            globals,
+            globals: k.reads_globals.clone(),
             payload: Vec::new(),
         })
     }
@@ -987,7 +806,7 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                 if place == VPlace::Pull {
                     return err(format!(
                         "pull payload reads kernel local `{}` — pullability bug",
-                        self.k.locals[*slot].0
+                        self.local_names[*slot].0
                     ));
                 }
                 let (field, repr) = &self.locals[*slot];
@@ -1004,6 +823,11 @@ impl<'a, 'g> KernelCx<'a, 'g> {
             )),
             CExpr::NumNodes => Ok(TE::new("(self.graph.num_nodes() as i64)", Repr::I64)),
             CExpr::NumEdges => Ok(TE::new("(self.graph.num_edges() as i64)", Repr::I64)),
+            CExpr::PickRandom => Ok(TE::new(
+                "({ let n = self.graph.num_nodes(); \
+                 assert!(n > 0, \"PickRandom on an empty graph\"); self.rng.pick(n) })",
+                Repr::Node,
+            )),
             CExpr::OutDegree => Ok(TE::new(
                 if place == VPlace::Pull {
                     "(graph.out_degree(src) as i64)"
@@ -1040,6 +864,40 @@ impl<'a, 'g> KernelCx<'a, 'g> {
         }
     }
 
+    /// Prints `e` as a condition; `what` names it in the error.
+    fn cond(&mut self, e: &CExpr, place: VPlace, what: &str) -> R<String> {
+        let te = self.expr(e, place, None)?;
+        if te.repr != Repr::Bool {
+            return err(format!("{what} is not boolean"));
+        }
+        Ok(te.s)
+    }
+
+    /// Emits `let <tmp>: <repr> = <e coerced to repr>;` and returns `<tmp>`.
+    fn emit_temp(&mut self, buf: &mut Buf, e: &CExpr, place: VPlace, repr: Repr) -> R<String> {
+        let te = self.expr(e, place, None)?;
+        let te = self.g.coerce_te(te, repr)?;
+        let tmp = self.g.fresh_temp();
+        buf.line(&format!("let {tmp}: {} = {};", repr.rust(), te.s));
+        Ok(tmp)
+    }
+
+    /// Emits `target op= e` at `repr`, through a typed temporary.
+    fn emit_write(
+        &mut self,
+        buf: &mut Buf,
+        target: &str,
+        op: AssignOp,
+        e: &CExpr,
+        place: VPlace,
+        repr: Repr,
+    ) -> R<()> {
+        let tmp = self.emit_temp(buf, e, place, repr)?;
+        let red = self.g.reduce_expr(op, target, &tmp, repr)?;
+        buf.line(&format!("{target} = {red};"));
+        Ok(())
+    }
+
     /// Renders a message construction `Msg::Mk { f: <expr>, ... }` with
     /// struct-literal field order equal to payload evaluation order.
     fn msg_literal(
@@ -1072,6 +930,102 @@ impl<'a, 'g> KernelCx<'a, 'g> {
         Ok(format!("Msg::{variant} {{ {} }}", parts.join(", ")))
     }
 
+    /// Emits a master instruction list. `has_agg` is true inside `post_N`
+    /// functions, whose `agg` parameter carries the vertex aggregates; in
+    /// plain master blocks the interpreter passes `None`, making `FoldAgg`
+    /// a no-op, so none is emitted there.
+    fn emit_minstrs(&mut self, instrs: &[CMInstr], buf: &mut Buf, has_agg: bool) -> R<()> {
+        for m in instrs {
+            buf.line("if self.finished {");
+            buf.line("    return;");
+            buf.line("}");
+            match m {
+                CMInstr::Assign {
+                    slot, op, value, ..
+                } => {
+                    let (field, repr) = self.g.global_fields[*slot].clone();
+                    let target = format!("self.g_{field}");
+                    self.emit_write(buf, &target, *op, value, VPlace::Body, repr)?;
+                }
+                CMInstr::FoldAgg { slot, op, agg_key } => {
+                    if !has_agg {
+                        continue;
+                    }
+                    let Some(&arepr) = self.g.agg_repr.get(agg_key) else {
+                        // No vertex ever reduces this key, so `ctx.agg`
+                        // always returns None at runtime: fold is dead.
+                        continue;
+                    };
+                    let (field, grepr) = self.g.global_fields[*slot].clone();
+                    if arepr != grepr && !(arepr == Repr::I64 && grepr == Repr::F64) {
+                        return err(format!(
+                            "aggregate `{agg_key}` ({}) folds into `{}` ({}) — \
+                             narrowing fold not representable natively",
+                            arepr.name(),
+                            self.g.p.globals[*slot].0,
+                            grepr.name()
+                        ));
+                    }
+                    let (variant, bind_repr) = match arepr {
+                        Repr::I64 => ("GlobalValue::Int(x)", Repr::I64),
+                        Repr::F64 => ("GlobalValue::Double(x)", Repr::F64),
+                        Repr::Bool => ("GlobalValue::Bool(x)", Repr::Bool),
+                        Repr::Node => ("GlobalValue::Node(x)", Repr::Node),
+                        Repr::Edge => return err(format!("aggregate `{agg_key}` has edge repr")),
+                    };
+                    buf.open("if let Some(ctx) = agg {");
+                    buf.open(&format!("if let Some(gv) = ctx.agg(\"{agg_key}\") {{"));
+                    buf.line(&format!(
+                        "let inc: {} = match gv {{ {variant} => x, \
+                         other => panic!(\"aggregate `{agg_key}` holds {{other:?}}\") }};",
+                        bind_repr.rust()
+                    ));
+                    let inc = self.g.coerce_te(TE::new("inc", arepr), grepr)?;
+                    let red = self
+                        .g
+                        .reduce_expr(*op, &format!("self.g_{field}"), &inc.s, grepr)?;
+                    buf.line(&format!("self.g_{field} = {red};"));
+                    buf.close("}");
+                    buf.close("}");
+                }
+                CMInstr::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                } => {
+                    let c = self.cond(cond, VPlace::Body, "master If condition")?;
+                    buf.open(&format!("if {c} {{"));
+                    self.emit_minstrs(then_branch, buf, has_agg)?;
+                    if else_branch.is_empty() {
+                        buf.close("}");
+                    } else {
+                        buf.close("} else {");
+                        buf.ind += 1;
+                        self.emit_minstrs(else_branch, buf, has_agg)?;
+                        buf.close("}");
+                    }
+                }
+                CMInstr::SetReturn { value, .. } => {
+                    match (value, self.g.ret_repr) {
+                        (Some(e), Some(repr)) => {
+                            let te = self.expr(e, VPlace::Body, None)?;
+                            let te = self.g.coerce_te(te, repr)?;
+                            buf.line(&format!("self.ret = Some({});", te.s));
+                        }
+                        (Some(_), None) => {
+                            return err("Return with a value in a procedure with no return type")
+                        }
+                        (None, Some(_)) => buf.line("self.ret = None;"),
+                        (None, None) => {}
+                    }
+                    buf.line("self.finished = true;");
+                    buf.line("return;");
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn emit_vinstrs(&mut self, instrs: &[CInstr], buf: &mut Buf) -> R<()> {
         for i in instrs {
             match i {
@@ -1082,40 +1036,27 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                     ty,
                 } => {
                     let repr = Repr::of_ty(ty)?;
-                    let te = self.expr(value, VPlace::Body, None)?;
-                    let te = self.g.coerce_te(te, repr)?;
                     let (field, first) = self.locals[*slot].clone();
                     if first != repr {
                         return err(format!(
                             "local `{}` written at both {} and {}",
-                            self.k.locals[*slot].0,
+                            self.local_names[*slot].0,
                             first.name(),
                             repr.name()
                         ));
                     }
-                    let tmp = self.g.fresh_temp();
-                    buf.line(&format!("let {tmp}: {} = {};", repr.rust(), te.s));
-                    let red = match op {
-                        AssignOp::Assign => tmp.clone(),
-                        op => self.g.reduce_expr(*op, &format!("l_{field}"), &tmp, repr)?,
-                    };
-                    buf.line(&format!("l_{field} = {red};"));
+                    self.emit_write(buf, &format!("l_{field}"), *op, value, VPlace::Body, repr)?;
                 }
                 CInstr::WriteOwn {
                     prop, op, value, ..
                 } => {
                     let (field, repr) = self.g.prop_fields[*prop].clone();
-                    let te = self.expr(value, VPlace::Body, None)?;
-                    let te = self.g.coerce_te(te, repr)?;
-                    let tmp = self.g.fresh_temp();
-                    buf.line(&format!("let {tmp}: {} = {};", repr.rust(), te.s));
                     if *op == AssignOp::Defer {
+                        let tmp = self.emit_temp(buf, value, VPlace::Body, repr)?;
                         buf.line(&format!("d_{field} = Some({tmp});"));
                     } else {
-                        let red = self
-                            .g
-                            .reduce_expr(*op, &format!("value.{field}"), &tmp, repr)?;
-                        buf.line(&format!("value.{field} = {red};"));
+                        let target = format!("value.{field}");
+                        self.emit_write(buf, &target, *op, value, VPlace::Body, repr)?;
                     }
                 }
                 CInstr::ReduceGlobal { name, op, value } => {
@@ -1168,11 +1109,8 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                     then_branch,
                     else_branch,
                 } => {
-                    let c = self.expr(cond, VPlace::Body, None)?;
-                    if c.repr != Repr::Bool {
-                        return err("vertex If condition is not boolean");
-                    }
-                    buf.open(&format!("if {} {{", c.s));
+                    let c = self.cond(cond, VPlace::Body, "vertex If condition")?;
+                    buf.open(&format!("if {c} {{"));
                     self.emit_vinstrs(then_branch, buf)?;
                     if else_branch.is_empty() {
                         buf.close("}");
@@ -1214,7 +1152,7 @@ fn collect_deferred(instrs: &[CInstr], out: &mut Vec<usize>) {
 
 impl<'a> Gen<'a> {
     /// Emits all `vertex_{i}` inherent methods (indent level 1), filling
-    /// `reads_globals` and `agg_repr` along the way.
+    /// `agg_repr` along the way.
     fn emit_vertex_fns(&mut self, lowered: &Lowered) -> R<Buf> {
         let mut b = Buf::new(1);
         for (i, kernel) in lowered.kernels.iter().enumerate() {
@@ -1229,7 +1167,7 @@ impl<'a> Gen<'a> {
             b.open(") {");
             b.line("let self_id: u32 = ctx.id().0;");
             b.line("let out_degree: u32 = ctx.out_degree();");
-            self.emit_kernel(i, kernel, &mut b)?;
+            self.emit_kernel(kernel, &mut b)?;
             b.close("}");
             b.line("");
         }
@@ -1238,7 +1176,7 @@ impl<'a> Gen<'a> {
 
     /// Emits one kernel's receive phase + body, with the interpreter's
     /// `vertex_compute` structure statement for statement.
-    fn emit_kernel(&mut self, state: usize, kernel: &CKernel, b: &mut Buf) -> R<()> {
+    fn emit_kernel(&mut self, kernel: &CKernel, b: &mut Buf) -> R<()> {
         let mut cx = KernelCx::new(self, kernel)?;
         let place = VPlace::Recv {
             snap: kernel.snapshot_needed,
@@ -1275,25 +1213,15 @@ impl<'a> Gen<'a> {
                 cx.payload = vfields;
                 b.open(&format!("{pattern} => {{"));
                 if let Some(g) = &h.guard {
-                    let gte = cx.expr(g, place, None)?;
-                    if gte.repr != Repr::Bool {
-                        return err("receive guard is not boolean");
-                    }
-                    b.open(&format!("if !({}) {{", gte.s));
+                    let g = cx.cond(g, place, "receive guard")?;
+                    b.open(&format!("if !({g}) {{"));
                     b.line("continue;");
                     b.close("}");
                 }
                 for st in &h.steps {
-                    let guard = match &st.guard {
-                        Some(g) => {
-                            let gte = cx.expr(g, place, None)?;
-                            if gte.repr != Repr::Bool {
-                                return err("receive step guard is not boolean");
-                            }
-                            Some(gte.s)
-                        }
-                        None => None,
-                    };
+                    let guard = (st.guard.as_ref())
+                        .map(|g| cx.cond(g, place, "receive step guard"))
+                        .transpose()?;
                     if let Some(g) = &guard {
                         b.open(&format!("if {g} {{"));
                     }
@@ -1302,13 +1230,7 @@ impl<'a> Gen<'a> {
                             prop, op, value, ..
                         } => {
                             let (field, repr) = cx.g.prop_fields[*prop].clone();
-                            let te = cx.expr(value, place, None)?;
-                            let te = cx.g.coerce_te(te, repr)?;
-                            let tmp = cx.g.fresh_temp();
-                            b.line(&format!("let {tmp}: {} = {};", repr.rust(), te.s));
-                            let red =
-                                cx.g.reduce_expr(*op, &format!("value.{field}"), &tmp, repr)?;
-                            b.line(&format!("value.{field} = {red};"));
+                            cx.emit_write(b, &format!("value.{field}"), *op, value, place, repr)?;
                         }
                         CAction::ReduceGlobal { name, op, value } => {
                             let te = cx.expr(value, place, None)?;
@@ -1345,16 +1267,9 @@ impl<'a> Gen<'a> {
         }
 
         // ---- body phase ----
-        let filter_te = match &kernel.filter {
-            Some(f) => {
-                let te = cx.expr(f, VPlace::Body, None)?;
-                if te.repr != Repr::Bool {
-                    return err("vertex filter is not boolean");
-                }
-                Some(te.s)
-            }
-            None => None,
-        };
+        let filter_te = (kernel.filter.as_ref())
+            .map(|f| cx.cond(f, VPlace::Body, "vertex filter"))
+            .transpose()?;
 
         let mut deferred = Vec::new();
         collect_deferred(&kernel.body, &mut deferred);
@@ -1390,8 +1305,6 @@ impl<'a> Gen<'a> {
             b.line(&format!("value.{field} = x;"));
             b.close("}");
         }
-
-        self.reads_globals[state] = cx.globals;
         Ok(())
     }
 
@@ -1452,12 +1365,11 @@ impl<'a> Gen<'a> {
         if self.p.states.is_empty() {
             return err("program has no states");
         }
-        // Kernel emission first: it fills `agg_repr` (consulted when
-        // lowering master-side `FoldAgg`) and `reads_globals` (the
-        // broadcast list in `master_compute`).
+        // Kernel emission first: it fills `agg_repr`, consulted when
+        // printing master-side `FoldAgg`.
         let lowered = kernel::lower(self.p)?;
         let vertex_fns = self.emit_vertex_fns(&lowered)?;
-        let master_fns = self.emit_master_state_fns()?;
+        let master_fns = self.emit_master_state_fns(&lowered)?;
         let pull_arms = self.emit_pull_arms(&lowered)?;
         if matches!(
             self.struct_name.as_str(),
@@ -1512,7 +1424,7 @@ impl<'a> Gen<'a> {
         out.close("}");
         out.line("");
 
-        self.emit_trait_impl(&mut out, &name, pull_arms.as_ref())?;
+        self.emit_trait_impl(&mut out, &name, &lowered, pull_arms.as_ref())?;
         out.line("");
         self.emit_run_fn(&mut out, &name)?;
         self.emit_helpers(&mut out);
@@ -1666,7 +1578,13 @@ impl<'a> Gen<'a> {
         out.line("");
     }
 
-    fn emit_trait_impl(&self, out: &mut Buf, name: &str, pull_arms: Option<&Buf>) -> R<()> {
+    fn emit_trait_impl(
+        &self,
+        out: &mut Buf,
+        name: &str,
+        lowered: &Lowered,
+        pull_arms: Option<&Buf>,
+    ) -> R<()> {
         let p = self.p;
         let has_msgs = !self.msg_variants.is_empty() || p.uses_in_nbrs;
         out.open(&format!("impl VertexProgram for {name}<'_> {{"));
@@ -1812,19 +1730,14 @@ impl<'a> Gen<'a> {
         out.close("}");
         out.close("}");
         out.line("ctx.put_global(\"_state\", GlobalValue::Int(current as i64));");
-        let any_broadcast = p
-            .states
-            .iter()
-            .enumerate()
-            .any(|(i, s)| s.vertex.is_some() && !self.reads_globals[i].is_empty());
-        if any_broadcast {
+        let broadcasting: Vec<(usize, &CKernel)> = (lowered.kernels.iter().enumerate())
+            .filter_map(|(i, k)| Some((i, k.as_ref().filter(|k| !k.reads_globals.is_empty())?)))
+            .collect();
+        if !broadcasting.is_empty() {
             out.open("match current {");
-            for (i, s) in p.states.iter().enumerate() {
-                if s.vertex.is_none() || self.reads_globals[i].is_empty() {
-                    continue;
-                }
+            for (i, k) in broadcasting {
                 out.open(&format!("{i}usize => {{"));
-                for &gi in &self.reads_globals[i] {
+                for &gi in &k.reads_globals {
                     let orig = &p.globals[gi].0;
                     let te = self.global_te(gi);
                     out.line(&format!("ctx.put_global({orig:?}, {});", self.gv_wrap(&te)));
@@ -1983,7 +1896,9 @@ impl<'a> Gen<'a> {
             ));
         }
         for (pname, pty) in &p.scalar_params {
-            let gi = self.global_by_name[pname];
+            let Some(gi) = p.globals.iter().position(|(g, _)| g == pname) else {
+                return err(format!("scalar parameter `{pname}` is not a master global"));
+            };
             let (field, grepr) = &self.global_fields[gi];
             let prepr = Repr::of_ty(pty)?;
             if prepr != *grepr {

@@ -60,7 +60,13 @@ impl Value {
     /// Panics on unconvertible combinations — the type checker rules those
     /// out before execution.
     pub fn coerce(self, ty: &Ty) -> Value {
-        match (self, ty) {
+        self.try_coerce(ty).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Value::coerce`], with an unconvertible combination (a value that
+    /// did not pass the type checker, such as a job argument) as an error.
+    pub fn try_coerce(self, ty: &Ty) -> Result<Value, String> {
+        Ok(match (self, ty) {
             (Value::Int(v), Ty::Int | Ty::Long) => Value::Int(v),
             (Value::Int(v), Ty::Float | Ty::Double) => Value::Double(v as f64),
             (Value::Double(v), Ty::Float | Ty::Double) => Value::Double(v),
@@ -68,8 +74,8 @@ impl Value {
             (Value::Bool(v), Ty::Bool) => Value::Bool(v),
             (Value::Node(v), Ty::Node) => Value::Node(v),
             (Value::Edge(v), Ty::Edge) => Value::Edge(v),
-            (v, t) => panic!("cannot coerce {v:?} to {t}"),
-        }
+            (v, t) => return Err(format!("cannot coerce {v:?} to {t}")),
+        })
     }
 
     /// Integer payload.
@@ -383,6 +389,8 @@ mod tests {
         assert_eq!(Value::Int(3).coerce(&Ty::Double), Value::Double(3.0));
         assert_eq!(Value::Double(3.7).coerce(&Ty::Int), Value::Int(3));
         assert_eq!(Value::Bool(true).coerce(&Ty::Bool), Value::Bool(true));
+        let err = Value::Bool(true).try_coerce(&Ty::Node).unwrap_err();
+        assert_eq!(err, "cannot coerce Bool(true) to Node");
     }
 
     #[test]

@@ -245,6 +245,13 @@ impl State {
             return Err(Reject::UnknownGraph(spec.graph));
         }
         let program = self.programs.get(&spec.program)?;
+        // A scalar argument of the wrong type would fail inside the run;
+        // refuse it here, before it is queued (or, on replay, requeued).
+        for (name, ty) in &program.compiled.program.scalar_params {
+            if let Some(Err(e)) = spec.args.get(name).map(|v| v.try_coerce(ty)) {
+                return Err(Reject::BadRequest(format!("argument `{name}`: {e}")));
+            }
+        }
         // Pin the effective worker count when journalling: checkpoint
         // resume after a crash must re-run with the same parallelism so
         // floating-point reductions stay bit-identical.
@@ -728,7 +735,9 @@ impl State {
                         Reject::UnknownProgram(p) => {
                             format!("builtin {p:?} is unknown after restart")
                         }
-                        Reject::CompileError(diagnostics) => diagnostics.clone(),
+                        Reject::CompileError(message) | Reject::BadRequest(message) => {
+                            message.clone()
+                        }
                         Reject::JournalUnavailable(e) => {
                             format!("could not journal the move to the interpreter: {e}")
                         }

@@ -5,6 +5,7 @@
 //! `gm_interp::run_compiled`, so comparing against a local `run_compiled`
 //! at the same graph/args/seed/workers *is* comparing against `gmc run`).
 
+use gm_ckpt::FaultPlan;
 use gm_core::seqinterp::ArgValue;
 use gm_core::value::Value;
 use gm_graph::io::LoadedGraph;
@@ -12,7 +13,7 @@ use gm_interp::run_compiled;
 use gm_obs::json::Json;
 use gm_pregel::{PostMortemConfig, PregelConfig, ResourceBudget};
 use gmd::client::{Client, SubmitError};
-use gmd::{fingerprint_values, Daemon, DaemonConfig, GraphSpec};
+use gmd::{fingerprint_values, Daemon, DaemonConfig, GraphSpec, JournalConfig};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -369,15 +370,46 @@ fn queue_cap_bounds_accepted_work() {
 }
 
 #[test]
+fn a_wrongly_typed_argument_is_refused_and_the_runner_stays_up() {
+    for native in [true, false] {
+        let mut config = base_config(&[("g", "rmat:100:400:5")]);
+        config.max_concurrent = 1;
+        config.native_builtins = native;
+        let daemon = Daemon::start(config).expect("daemon starts");
+        let client = Client::new(daemon.addr());
+        match client.submit(r#"{"graph":"g","program":"sssp","args":{"root":true}}"#) {
+            Err(SubmitError::Rejected { status, body }) => {
+                assert_eq!(status, 400);
+                assert_eq!(
+                    body.get("error").and_then(Json::as_str),
+                    Some("bad_request")
+                );
+            }
+            other => panic!("expected bad_request (native: {native}), got {other:?}"),
+        }
+        // The one runner is free: a valid job runs to completion.
+        let status = run_to_end(
+            &client,
+            r#"{"graph":"g","program":"sssp","args":{"root":"n:0"}}"#,
+        );
+        assert!(completed(&status), "native: {native}: {status:?}");
+    }
+}
+
+#[test]
 fn deadlines_produce_bundles_and_repeat_failures_quarantine() {
     let bundles = fresh_dir("bundles");
     let mut config = base_config(&[("big", "rmat:4000:20000:3")]);
     config.post_mortem = Some(PostMortemConfig::new(&bundles));
+    // The first job's worker 0 hangs in superstep 0 until the deadline
+    // cancels it; the fault trips once, so later jobs run clean.
+    let mut journal = JournalConfig::new(fresh_dir("deadline-journal"));
+    journal.faults = FaultPlan::builder().hang_in_compute(0, Some(0)).build();
+    config.journal = Some(journal);
     let daemon = Daemon::start(config).expect("daemon starts");
     let client = Client::new(daemon.addr());
 
-    // A 1ms per-superstep deadline against a 4000-node interpreted
-    // PageRank: some superstep overruns long before convergence.
+    // A 1ms per-superstep deadline: the hung superstep overruns it.
     let id = client
         .submit(r#"{"tenant":"a","graph":"big","program":"pagerank","args":{"e":0.0,"d":0.85,"max_iter":50},"deadline_ms":1}"#)
         .expect("accepted");

@@ -1,10 +1,8 @@
-//! Expression evaluation for master and vertex contexts.
+//! The master's seeded `PickRandom` RNG. Master code itself is lowered by
+//! [`gm_core::kernel`] and runs through the same [`crate::exec::eval`] as
+//! vertex kernels.
 
-use gm_core::ast::{BinOp, Expr, ExprKind};
-use gm_core::value::{apply_bin, apply_un, Value, NIL_NODE};
 use gm_graph::rng::SplitMix64;
-use gm_graph::Graph;
-use std::collections::HashMap;
 
 /// The seeded RNG behind `G.PickRandom()`, with a draw counter so that
 /// checkpoint snapshots can restore the stream position exactly.
@@ -48,138 +46,67 @@ impl PickRng {
     }
 }
 
-/// Master-side evaluation environment: globals plus the graph and the
-/// master RNG (for `PickRandom`).
-pub struct MasterEnv<'a> {
-    /// Master variables.
-    pub globals: &'a mut HashMap<String, Value>,
-    /// The input graph (for `NumNodes`/`NumEdges`/`PickRandom`).
-    pub graph: &'a Graph,
-    /// Seeded RNG driving `PickRandom`.
-    pub rng: &'a mut PickRng,
-}
-
-impl MasterEnv<'_> {
-    /// Evaluates a master-context expression.
-    ///
-    /// # Panics
-    ///
-    /// Panics on references the type checker ruled out (unknown globals).
-    pub fn eval(&mut self, e: &Expr) -> Value {
-        match &e.kind {
-            ExprKind::IntLit(v) => Value::Int(*v),
-            ExprKind::FloatLit(v) => Value::Double(*v),
-            ExprKind::BoolLit(v) => Value::Bool(*v),
-            ExprKind::Inf { negative } => Value::inf_for(e.ty(), *negative),
-            ExprKind::Nil => Value::Node(NIL_NODE),
-            ExprKind::Var(name) => *self
-                .globals
-                .get(name)
-                .unwrap_or_else(|| panic!("unknown master global `{name}`")),
-            ExprKind::Unary { op, expr } => {
-                let v = self.eval(expr);
-                apply_un(*op, v)
-            }
-            ExprKind::Binary { op, lhs, rhs } => match op {
-                BinOp::And => {
-                    if !self.eval(lhs).as_bool() {
-                        Value::Bool(false)
-                    } else {
-                        Value::Bool(self.eval(rhs).as_bool())
-                    }
-                }
-                BinOp::Or => {
-                    if self.eval(lhs).as_bool() {
-                        Value::Bool(true)
-                    } else {
-                        Value::Bool(self.eval(rhs).as_bool())
-                    }
-                }
-                _ => {
-                    let l = self.eval(lhs);
-                    let r = self.eval(rhs);
-                    apply_bin(*op, l, r)
-                }
-            },
-            ExprKind::Ternary {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                let v = if self.eval(cond).as_bool() {
-                    self.eval(then_val)
-                } else {
-                    self.eval(else_val)
-                };
-                match &e.ty {
-                    Some(t) if t.is_value() => v.coerce(t),
-                    _ => v,
-                }
-            }
-            ExprKind::Call { method, .. } => match method.as_str() {
-                "NumNodes" => Value::Int(self.graph.num_nodes() as i64),
-                "NumEdges" => Value::Int(self.graph.num_edges() as i64),
-                "PickRandom" => {
-                    let n = self.graph.num_nodes();
-                    assert!(n > 0, "PickRandom on an empty graph");
-                    Value::Node(self.rng.pick(n))
-                }
-                other => panic!("master built-in `{other}` not supported"),
-            },
-            ExprKind::Prop { .. } | ExprKind::Agg(_) => {
-                panic!("vertex-context expression reached the master: {e:?}")
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gm_core::parser::parse_expr;
-    use gm_core::types::Ty;
+    use crate::exec::{eval, EvalCx};
+    use gm_core::kernel::{self, CMInstr};
+    use gm_core::value::Value;
+    use gm_core::{compile, CompileOptions};
+    use gm_graph::Graph;
+    use std::cell::RefCell;
+
+    /// Compiles `src`, lowers it, and evaluates its `Return` value as
+    /// master code over `args` (every other global at zero).
+    fn master_return(src: &str, args: &[(&str, Value)], g: &Graph, rng: &mut PickRng) -> Value {
+        let program = compile(src, &CompileOptions::default()).unwrap().program;
+        let lowered = kernel::lower(&program).unwrap();
+        let globals: Vec<Value> = (program.globals.iter())
+            .map(|(name, _)| {
+                args.iter()
+                    .find(|(a, _)| a == name)
+                    .map_or(Value::Int(0), |a| a.1)
+            })
+            .collect();
+        let value = (lowered.masters.iter().flat_map(|m| &m.master))
+            .find_map(|i| match i {
+                CMInstr::SetReturn { value, .. } => value.clone(),
+                _ => None,
+            })
+            .expect("a Return");
+        let rng = RefCell::new(rng);
+        let cx = EvalCx {
+            globals: &globals,
+            num_nodes: g.num_nodes(),
+            num_edges: g.num_edges(),
+            rng: Some(&rng),
+            ..EvalCx::default()
+        };
+        eval(&value, &cx)
+    }
 
     #[test]
     fn master_eval_basics() {
         let g = gm_graph::gen::path(5);
-        let mut globals = HashMap::from([
-            ("k".to_owned(), Value::Int(3)),
-            ("f".to_owned(), Value::Bool(false)),
-        ]);
         let mut rng = PickRng::seed_from_u64(1);
-        let mut env = MasterEnv {
-            globals: &mut globals,
-            graph: &g,
-            rng: &mut rng,
-        };
-        let mut e = parse_expr("k * 2 + G.NumNodes()").unwrap();
-        // Annotate types the checker would provide.
-        fn annotate(e: &mut gm_core::ast::Expr) {
-            e.ty = Some(Ty::Int);
-            if let ExprKind::Binary { lhs, rhs, .. } = &mut e.kind {
-                annotate(lhs);
-                annotate(rhs);
-            }
-        }
-        annotate(&mut e);
-        assert_eq!(env.eval(&e), Value::Int(11));
+        let src = "Procedure f(G: Graph, k: Int) : Int { Return k * 2 + G.NumNodes(); }";
+        let v = master_return(src, &[("k", Value::Int(3))], &g, &mut rng);
+        assert_eq!(v, Value::Int(11));
 
-        let e2 = parse_expr("!f || f").unwrap();
-        assert_eq!(env.eval(&e2), Value::Bool(true));
+        let src = "Procedure f(G: Graph, b: Bool) : Bool { Return !b || b; }";
+        let v = master_return(src, &[("b", Value::Bool(false))], &g, &mut rng);
+        assert_eq!(v, Value::Bool(true));
     }
 
     #[test]
     fn master_pick_random_is_seeded() {
         let g = gm_graph::gen::path(100);
         let pick = |seed| {
-            let mut globals = HashMap::new();
             let mut rng = PickRng::seed_from_u64(seed);
-            let mut env = MasterEnv {
-                globals: &mut globals,
-                graph: &g,
-                rng: &mut rng,
-            };
-            env.eval(&parse_expr("G.PickRandom()").unwrap())
+            let src = "Procedure f(G: Graph) : Node { Return G.PickRandom(); }";
+            let v = master_return(src, &[], &g, &mut rng);
+            assert_eq!(rng.draws(), 1);
+            v
         };
         assert_eq!(pick(7), pick(7));
     }

@@ -1,10 +1,14 @@
-//! Allocation-light evaluation of lowered kernel expressions.
+//! Allocation-light evaluation of lowered expressions, vertex and master
+//! side.
 
+use crate::eval::PickRng;
 use gm_core::ast::BinOp;
 use gm_core::kernel::CExpr;
 use gm_core::value::{apply_bin, apply_un, Value};
+use std::cell::RefCell;
 
-/// Evaluation context for one vertex.
+/// Evaluation context: one vertex, or the master.
+#[derive(Default)]
 pub struct EvalCx<'a> {
     /// Live property row.
     pub props: &'a [Value],
@@ -14,7 +18,8 @@ pub struct EvalCx<'a> {
     pub payload: &'a [Value],
     /// Kernel locals.
     pub locals: &'a [Value],
-    /// Broadcast globals in kernel slot order.
+    /// Globals by slot: the kernel's broadcast row, or every program
+    /// global in master code.
     pub globals: &'a [Value],
     /// The executing vertex.
     pub self_id: u32,
@@ -30,6 +35,8 @@ pub struct EvalCx<'a> {
     pub num_nodes: u32,
     /// Graph edge count.
     pub num_edges: u32,
+    /// The master's RNG behind `PickRandom` (`None` in vertex code).
+    pub rng: Option<&'a RefCell<&'a mut PickRng>>,
 }
 
 /// Evaluates a lowered expression.
@@ -54,6 +61,11 @@ pub fn eval(e: &CExpr, cx: &EvalCx<'_>) -> Value {
         CExpr::InDegree => Value::Int(cx.in_nbrs_len as i64),
         CExpr::NumNodes => Value::Int(cx.num_nodes as i64),
         CExpr::NumEdges => Value::Int(cx.num_edges as i64),
+        CExpr::PickRandom => {
+            let rng = cx.rng.expect("PickRandom is master code");
+            assert!(cx.num_nodes > 0, "PickRandom on an empty graph");
+            Value::Node(rng.borrow_mut().pick(cx.num_nodes))
+        }
         CExpr::Un(op, inner) => apply_un(*op, eval(inner, cx)),
         CExpr::Bin(BinOp::And, a, b) => {
             if !eval(a, cx).as_bool() {
@@ -98,17 +110,13 @@ mod tests {
     fn cx<'a>(props: &'a [Value], locals: &'a [Value]) -> EvalCx<'a> {
         EvalCx {
             props,
-            snapshot: None,
-            payload: &[],
             locals,
-            globals: &[],
             self_id: 3,
             out_degree: 5,
             in_nbrs_len: 2,
-            edge_cols: &[],
-            edge: 0,
             num_nodes: 10,
             num_edges: 20,
+            ..EvalCx::default()
         }
     }
 

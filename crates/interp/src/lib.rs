@@ -7,11 +7,11 @@
 //! and real global-object traffic, so the measured timesteps and network
 //! I/O are those of the generated program.
 //!
-//! Vertex kernels run in the slot-resolved form of
+//! Vertex kernels and master code run in the slot-resolved form of
 //! [`gm_core::kernel::lower`], the same lowering `gm_core::rustgen` prints
 //! as native Rust, so the interpreted and native legs share one set of
 //! name-resolution rules; this crate adds the value-dispatching executor,
-//! the master state machine and the argument/outcome plumbing.
+//! the state-machine driver and the argument/outcome plumbing.
 //!
 //! # Example
 //!

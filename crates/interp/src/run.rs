@@ -1,19 +1,21 @@
 //! The state-machine driver: implements [`gm_pregel::VertexProgram`] for a
 //! compiled [`PregelProgram`].
 //!
-//! Kernels are lowered into slot-resolved programs
-//! ([`gm_core::kernel`]) so the hot per-vertex path performs no string
-//! hashing and no map lookups; broadcast globals are materialized once per
-//! superstep by the master; message payloads are shared via `Arc` so a
-//! fan-out to ten thousand neighbors clones a pointer, not a vector.
+//! The whole machine — vertex kernels, master blocks, post blocks and
+//! transitions — runs in the slot-resolved form of [`gm_core::kernel`],
+//! through the one evaluator [`crate::exec::eval`], so neither the hot
+//! per-vertex path nor the master performs string hashing or map lookups.
+//! Globals live in a slot-indexed row; the ones a kernel reads are
+//! materialized once per superstep by the master; message payloads are
+//! shared via `Arc` so a fan-out to ten thousand neighbors clones a
+//! pointer, not a vector.
 
-use crate::eval::{MasterEnv, PickRng};
+use crate::eval::PickRng;
 use crate::exec::{eval, EvalCx};
 use gm_core::ast::AssignOp;
-use gm_core::kernel::{self, CAction, CExpr, CInstr, Lowered};
-use gm_core::pir::{MInstr, PregelProgram, StateId, Transition, IN_NBRS_TAG};
+use gm_core::kernel::{self, CAction, CExpr, CInstr, CMInstr, Lowered};
+use gm_core::pir::{PregelProgram, StateId, Transition, IN_NBRS_TAG};
 use gm_core::seqinterp::ArgValue;
-use gm_core::types::Ty;
 use gm_core::value::{apply_reduce, Value};
 use gm_core::{Compiled, Pullability};
 use gm_graph::{EdgeId, Graph, NodeId};
@@ -21,6 +23,7 @@ use gm_pregel::{
     run, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics, Persist,
     PregelConfig, PregelError, PullMode, ReduceOp, VertexContext, VertexProgram,
 };
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -244,23 +247,23 @@ pub fn run_compiled(
     }
 
     // Master globals: params from args, locals at defaults.
-    let mut globals = HashMap::new();
-    let mut global_tys = HashMap::new();
-    for (name, ty) in &program.globals {
-        global_tys.insert(name.clone(), ty.clone());
-        globals.insert(name.clone(), Value::default_for(ty));
-    }
+    let mut globals: Vec<Value> = (program.globals.iter())
+        .map(|(_, ty)| Value::default_for(ty))
+        .collect();
     for (name, ty) in &program.scalar_params {
-        match args.get(name) {
-            Some(ArgValue::Scalar(v)) => {
-                globals.insert(name.clone(), v.coerce(ty));
-            }
+        let v = match args.get(name) {
+            Some(ArgValue::Scalar(v)) => v
+                .try_coerce(ty)
+                .map_err(|e| RunError::BadArgument(format!("`{name}`: {e}")))?,
             Some(_) => return Err(RunError::BadArgument(format!("`{name}` must be a scalar"))),
             None => {
                 return Err(RunError::BadArgument(format!(
                     "missing scalar argument `{name}`"
                 )))
             }
+        };
+        if let Some(slot) = program.globals.iter().position(|(g, _)| g == name) {
+            globals[slot] = v;
         }
     }
 
@@ -280,32 +283,7 @@ pub fn run_compiled(
         in_nbrs: Vec::new(),
     };
 
-    // Per-state pullability verdicts: recorded by the compiler pass when it
-    // ran, recomputed here otherwise (hand-built PIR in tests).
-    let pullable = if program.pullable.len() == program.states.len() {
-        program.pullable.clone()
-    } else {
-        gm_core::pullability::analyze(program)
-    };
-
-    let mut machine = Machine {
-        program,
-        pre,
-        pullable,
-        global_tys: &global_tys,
-        edge_cols: &edge_cols,
-        graph,
-        globals,
-        seed,
-        rng: PickRng::seed_from_u64(seed),
-        prev_state: None,
-        cur_state: 0,
-        cur_globals: Vec::new(),
-        state_log: Vec::new(),
-        ret: None,
-        finished: false,
-    };
-
+    let mut machine = Machine::new(program, &pre, &edge_cols, graph, globals, seed);
     let result = run(graph, &mut machine, init, config)?;
 
     let mut node_props: HashMap<String, Vec<Value>> = HashMap::new();
@@ -329,7 +307,9 @@ pub fn run_compiled(
     Ok(CompiledOutcome {
         ret: machine.ret,
         node_props,
-        globals: machine.globals,
+        globals: (program.globals.iter().map(|(name, _)| name.clone()))
+            .zip(machine.globals)
+            .collect(),
         metrics: result.metrics,
         trace,
     })
@@ -337,13 +317,13 @@ pub fn run_compiled(
 
 struct Machine<'a> {
     program: &'a PregelProgram,
-    pre: Lowered,
+    pre: &'a Lowered,
     /// Pullability verdict per state (aligned with `program.states`).
     pullable: Vec<Pullability>,
-    global_tys: &'a HashMap<String, Ty>,
     edge_cols: &'a [Vec<Value>],
     graph: &'a Graph,
-    globals: HashMap<String, Value>,
+    /// Master globals by slot (aligned with `program.globals`).
+    globals: Vec<Value>,
     seed: u64,
     rng: PickRng,
     prev_state: Option<StateId>,
@@ -357,67 +337,90 @@ struct Machine<'a> {
     finished: bool,
 }
 
-impl Machine<'_> {
-    fn run_minstrs(&mut self, instrs: &[MInstr], agg: Option<&MasterContext<'_>>) {
+impl<'a> Machine<'a> {
+    /// A machine at its entry state, with master globals `globals`.
+    fn new(
+        program: &'a PregelProgram,
+        pre: &'a Lowered,
+        edge_cols: &'a [Vec<Value>],
+        graph: &'a Graph,
+        globals: Vec<Value>,
+        seed: u64,
+    ) -> Self {
+        // Per-state pullability verdicts: recorded by the compiler pass
+        // when it ran, recomputed here otherwise (hand-built PIR in tests).
+        let pullable = if program.pullable.len() == program.states.len() {
+            program.pullable.clone()
+        } else {
+            gm_core::pullability::analyze(program)
+        };
+        Machine {
+            program,
+            pre,
+            pullable,
+            edge_cols,
+            graph,
+            globals,
+            seed,
+            rng: PickRng::seed_from_u64(seed),
+            prev_state: None,
+            cur_state: 0,
+            cur_globals: Vec::new(),
+            state_log: Vec::new(),
+            ret: None,
+            finished: false,
+        }
+    }
+
+    /// Evaluates master code: every global by slot, the graph size and
+    /// the master's RNG; no vertex.
+    fn master_eval(&mut self, e: &CExpr) -> Value {
+        let rng = RefCell::new(&mut self.rng);
+        let cx = EvalCx {
+            globals: &self.globals,
+            num_nodes: self.graph.num_nodes(),
+            num_edges: self.graph.num_edges(),
+            rng: Some(&rng),
+            ..EvalCx::default()
+        };
+        eval(e, &cx)
+    }
+
+    fn run_minstrs(&mut self, instrs: &[CMInstr], agg: Option<&MasterContext<'_>>) {
         for m in instrs {
             if self.finished {
                 return;
             }
             match m {
-                MInstr::Assign { name, op, value } => {
-                    let v = {
-                        let mut env = MasterEnv {
-                            globals: &mut self.globals,
-                            graph: self.graph,
-                            rng: &mut self.rng,
-                        };
-                        env.eval(value)
-                    };
-                    let ty = self.global_tys[name].clone();
-                    let v = v.coerce(&ty);
-                    let cur = self.globals[name];
-                    self.globals.insert(name.clone(), apply_reduce(*op, cur, v));
+                CMInstr::Assign {
+                    slot,
+                    op,
+                    value,
+                    ty,
+                } => {
+                    let v = self.master_eval(value).coerce(ty);
+                    self.globals[*slot] = apply_reduce(*op, self.globals[*slot], v);
                 }
-                MInstr::FoldAgg { name, op, agg_key } => {
-                    if let Some(ctx) = agg {
-                        if let Some(gv) = ctx.agg(agg_key) {
-                            let cur = self.globals[name];
-                            let v = from_g(gv);
-                            self.globals.insert(name.clone(), apply_reduce(*op, cur, v));
-                        }
+                CMInstr::FoldAgg { slot, op, agg_key } => {
+                    if let Some(gv) = agg.and_then(|ctx| ctx.agg(agg_key)) {
+                        self.globals[*slot] = apply_reduce(*op, self.globals[*slot], from_g(gv));
                     }
                 }
-                MInstr::If {
+                CMInstr::If {
                     cond,
                     then_branch,
                     else_branch,
                 } => {
-                    let c = {
-                        let mut env = MasterEnv {
-                            globals: &mut self.globals,
-                            graph: self.graph,
-                            rng: &mut self.rng,
-                        };
-                        env.eval(cond).as_bool()
-                    };
-                    if c {
+                    if self.master_eval(cond).as_bool() {
                         self.run_minstrs(then_branch, agg);
                     } else {
                         self.run_minstrs(else_branch, agg);
                     }
                 }
-                MInstr::SetReturn(e) => {
-                    self.ret = e.as_ref().map(|e| {
-                        let mut env = MasterEnv {
-                            globals: &mut self.globals,
-                            graph: self.graph,
-                            rng: &mut self.rng,
-                        };
-                        let v = env.eval(e);
-                        match &self.program.ret {
-                            Some(t) => v.coerce(t),
-                            None => v,
-                        }
+                CMInstr::SetReturn { value, coerce } => {
+                    self.ret = value.as_ref().map(|e| {
+                        let v = self.master_eval(e);
+                        coerce.as_ref().map_or(v, |t| v.coerce(t))
                     });
                     self.finished = true;
                 }
@@ -425,25 +428,18 @@ impl Machine<'_> {
         }
     }
 
-    fn eval_transition(&mut self, t: &Transition) -> Option<StateId> {
+    fn eval_transition(&mut self, t: &Transition<CExpr>) -> Option<StateId> {
         match t {
             Transition::Goto(id) => Some(*id),
             Transition::Branch {
                 cond,
                 then_to,
                 else_to,
-            } => {
-                let mut env = MasterEnv {
-                    globals: &mut self.globals,
-                    graph: self.graph,
-                    rng: &mut self.rng,
-                };
-                if env.eval(cond).as_bool() {
-                    Some(*then_to)
-                } else {
-                    Some(*else_to)
-                }
-            }
+            } => Some(if self.master_eval(cond).as_bool() {
+                *then_to
+            } else {
+                *else_to
+            }),
             Transition::Halt => None,
         }
     }
@@ -517,9 +513,6 @@ impl VertexProgram for Machine<'_> {
         // after the sender's kernel ran — reproduces the pushed payload.
         let cx = EvalCx {
             props: &src_value.props,
-            snapshot: None,
-            payload: &[],
-            locals: &[],
             globals: &self.cur_globals,
             self_id: src.0,
             out_degree: graph.out_degree(src),
@@ -528,6 +521,7 @@ impl VertexProgram for Machine<'_> {
             edge: edge.index(),
             num_nodes: graph.num_nodes(),
             num_edges: graph.num_edges(),
+            ..EvalCx::default()
         };
         Msg {
             tag: site.tag,
@@ -539,15 +533,15 @@ impl VertexProgram for Machine<'_> {
         if self.finished {
             return MasterDecision::Halt;
         }
+        let masters = &self.pre.masters;
         let mut current = match self.prev_state {
             None => 0,
             Some(prev) => {
-                let post = self.program.states[prev].post.clone();
-                self.run_minstrs(&post, Some(ctx));
+                self.run_minstrs(&masters[prev].post, Some(ctx));
                 if self.finished {
                     return MasterDecision::Halt;
                 }
-                match self.eval_transition(&self.program.states[prev].transition.clone()) {
+                match self.eval_transition(&masters[prev].transition) {
                     Some(id) => id,
                     None => return MasterDecision::Halt,
                 }
@@ -561,17 +555,15 @@ impl VertexProgram for Machine<'_> {
                 steps < 10_000_000,
                 "master state machine did not reach a vertex state"
             );
-            let master = self.program.states[current].master.clone();
-            self.run_minstrs(&master, None);
+            self.run_minstrs(&masters[current].master, None);
             if self.finished {
                 return MasterDecision::Halt;
             }
-            if self.program.states[current].vertex.is_some() {
+            if self.pre.kernels[current].is_some() {
                 break;
             }
-            let post = self.program.states[current].post.clone();
-            self.run_minstrs(&post, None);
-            match self.eval_transition(&self.program.states[current].transition.clone()) {
+            self.run_minstrs(&masters[current].post, None);
+            match self.eval_transition(&masters[current].transition) {
                 Some(next) => current = next,
                 None => return MasterDecision::Halt,
             }
@@ -585,10 +577,10 @@ impl VertexProgram for Machine<'_> {
         self.cur_globals = kernel
             .reads_globals
             .iter()
-            .map(|g| self.globals[g])
+            .map(|&g| self.globals[g])
             .collect();
-        for (name, v) in kernel.reads_globals.iter().zip(&self.cur_globals) {
-            ctx.put_global(name, to_g(*v));
+        for (&g, v) in kernel.reads_globals.iter().zip(&self.cur_globals) {
+            ctx.put_global(&self.program.globals[g].0, to_g(*v));
         }
         self.cur_state = current;
         self.prev_state = Some(current);
@@ -629,15 +621,14 @@ impl VertexProgram for Machine<'_> {
                             props,
                             snapshot: snapshot.as_deref(),
                             payload: &msg.payload,
-                            locals: &[],
                             globals: &self.cur_globals,
                             self_id,
                             out_degree,
                             in_nbrs_len,
                             edge_cols: self.edge_cols,
-                            edge: 0,
                             num_nodes: self.graph.num_nodes(),
                             num_edges: self.graph.num_edges(),
+                            ..EvalCx::default()
                         },
                     )
                 };
@@ -686,17 +677,15 @@ impl VertexProgram for Machine<'_> {
             Some(f) => {
                 let cx = EvalCx {
                     props,
-                    snapshot: None,
-                    payload: &[],
                     locals: &locals,
                     globals: &self.cur_globals,
                     self_id,
                     out_degree,
                     in_nbrs_len: in_nbrs.len(),
                     edge_cols: self.edge_cols,
-                    edge: 0,
                     num_nodes: self.graph.num_nodes(),
                     num_edges: self.graph.num_edges(),
+                    ..EvalCx::default()
                 };
                 eval(f, &cx).as_bool()
             }
@@ -731,12 +720,14 @@ impl VertexProgram for Machine<'_> {
         if let Some(v) = &self.ret {
             put_value(v, out);
         }
-        let mut names: Vec<&String> = self.globals.keys().collect();
-        names.sort();
-        names.len().persist(out);
-        for name in names {
-            name.persist(out);
-            put_value(&self.globals[name], out);
+        // By name, in sorted order: the bytes do not depend on slot order.
+        let names = &self.program.globals;
+        let mut order: Vec<usize> = (0..names.len()).collect();
+        order.sort_by(|&a, &b| names[a].0.cmp(&names[b].0));
+        order.len().persist(out);
+        for slot in order {
+            names[slot].0.persist(out);
+            put_value(&self.globals[slot], out);
         }
         self.state_log.len().persist(out);
         for &s in &self.state_log {
@@ -756,13 +747,18 @@ impl VertexProgram for Machine<'_> {
             None
         };
         let n = usize::restore(r)?;
-        let mut globals = HashMap::with_capacity(n);
+        if n != self.globals.len() {
+            return Err(CkptError::Decode(format!(
+                "snapshot holds {n} globals, the program has {}",
+                self.globals.len()
+            )));
+        }
         for _ in 0..n {
             let name = String::restore(r)?;
-            let v = get_value(r)?;
-            globals.insert(name, v);
+            let slot = (self.program.globals.iter().position(|(g, _)| *g == name))
+                .ok_or_else(|| CkptError::Decode(format!("snapshot global `{name}` is unknown")))?;
+            self.globals[slot] = get_value(r)?;
         }
-        self.globals = globals;
         let n = usize::restore(r)?;
         let mut log = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
@@ -793,8 +789,6 @@ impl Machine<'_> {
             ($edge:expr) => {
                 EvalCx {
                     props,
-                    snapshot: None,
-                    payload: &[],
                     locals,
                     globals: &self.cur_globals,
                     self_id,
@@ -804,6 +798,7 @@ impl Machine<'_> {
                     edge: $edge,
                     num_nodes: self.graph.num_nodes(),
                     num_edges: self.graph.num_edges(),
+                    ..EvalCx::default()
                 }
             };
         }
@@ -1174,5 +1169,50 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, RunError::BadArgument(_)));
         assert!(err.to_string().contains("k"));
+    }
+
+    #[test]
+    fn a_wrongly_typed_scalar_argument_is_a_bad_argument() {
+        let g = gm_graph::gen::path(3);
+        let compiled = compile(
+            "Procedure f(G: Graph, root: Node) : Node { Return root; }",
+            &CompileOptions::default(),
+        )
+        .unwrap();
+        let args = HashMap::from([("root".to_owned(), ArgValue::Scalar(Value::Bool(true)))]);
+        let err = run_compiled(&g, &compiled, &args, 0, &PregelConfig::sequential()).unwrap_err();
+        assert!(matches!(err, RunError::BadArgument(_)));
+        assert_eq!(
+            err.to_string(),
+            "bad argument: `root`: cannot coerce Bool(true) to Node"
+        );
+    }
+
+    #[test]
+    fn master_state_restores_by_name_and_rejects_an_unknown_global() {
+        let g = gm_graph::gen::path(3);
+        let compiled = |src| compile(src, &CompileOptions::default()).unwrap().program;
+        let (a, b) = (
+            compiled("Procedure f(G: Graph, k: Int) : Int { Return k + 1; }"),
+            compiled("Procedure f(G: Graph, j: Int) : Int { Return j + 1; }"),
+        );
+        let (pre_a, pre_b) = (kernel::lower(&a).unwrap(), kernel::lower(&b).unwrap());
+        let row = |p: &PregelProgram, v| vec![Value::Int(v); p.globals.len()];
+        let mut saved = Vec::new();
+        Machine::new(&a, &pre_a, &[], &g, row(&a, 7), 0).save_master_state(&mut saved);
+
+        let mut same = Machine::new(&a, &pre_a, &[], &g, row(&a, 0), 0);
+        same.restore_master_state(&mut ByteReader::new(&saved))
+            .unwrap();
+        assert_eq!(same.globals, row(&a, 7));
+
+        let mut other = Machine::new(&b, &pre_b, &[], &g, row(&b, 0), 0);
+        let err = other
+            .restore_master_state(&mut ByteReader::new(&saved))
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("snapshot global `k` is unknown"),
+            "{err}"
+        );
     }
 }
