@@ -14,11 +14,13 @@
 //! * a variable is a kernel local only once the `Local` instruction that
 //!   introduces it has been lowered (so `x = x + 1` first reads the
 //!   global `x`), and the filter never sees body locals;
-//! * broadcast globals get slots in first-use order: receive handlers in
-//!   PIR order, then the filter, then the body;
-//! * in master code every variable is a program global, `Global(i)` is
-//!   position `i` of `PregelProgram::globals`, and vertex-only leaves
-//!   (properties, aggregates) are errors; `PickRandom` is master-only.
+//! * `Global(i)` is position `i` of `PregelProgram::globals` on both
+//!   sides; a kernel lists the globals it reads (its broadcast) in
+//!   first-use order: receive handlers in PIR order, then the filter, then
+//!   the body;
+//! * in master code every variable is a program global, and vertex-only
+//!   leaves (properties, aggregates) are errors; `PickRandom` is
+//!   master-only.
 
 use crate::ast::{AssignOp, BinOp, Expr, ExprKind, UnOp};
 use crate::pir::{
@@ -43,8 +45,7 @@ pub enum CExpr {
     Payload(usize),
     /// Kernel local by slot.
     Local(usize),
-    /// Global by slot: a position in the kernel's broadcast row in vertex
-    /// code, in `PregelProgram::globals` in master code.
+    /// Global by slot (position in `PregelProgram::globals`).
     Global(usize),
     /// The executing vertex's id.
     SelfId,
@@ -204,8 +205,7 @@ pub struct CRecv {
 pub struct CSendSite {
     /// Message tag (`IN_NBRS_TAG` for the preamble's id broadcast).
     pub tag: u8,
-    /// Payload expressions, slot-resolved in the kernel (so `Global`
-    /// slots line up with the kernel's `reads_globals`).
+    /// Payload expressions, slot-resolved in the kernel.
     pub payload: Vec<CExpr>,
 }
 
@@ -224,8 +224,8 @@ pub struct CKernel {
     pub body: Vec<CInstr>,
     /// Per local slot: the local's name and the type of its first write.
     pub locals: Vec<(String, Ty)>,
-    /// Per broadcast slot: the position in `PregelProgram::globals` of a
-    /// global this kernel reads.
+    /// The globals this kernel reads (positions in
+    /// `PregelProgram::globals`), in first-use order: its broadcast.
     pub reads_globals: Vec<usize>,
     /// Whether the receive phase reads own properties (snapshot needed).
     pub snapshot_needed: bool,
@@ -387,7 +387,7 @@ struct Cx<'a> {
     globals: &'a HashMap<String, usize>,
     /// Lowering master code rather than a vertex kernel.
     master: bool,
-    /// Per broadcast slot: the global's position in `program.globals`.
+    /// The globals a kernel reads, in first-use order.
     reads_globals: Vec<usize>,
     local_slot: HashMap<String, usize>,
     locals: Vec<(String, Ty)>,
@@ -396,19 +396,15 @@ struct Cx<'a> {
 }
 
 impl Cx<'_> {
-    /// A variable read as a global: its position in `program.globals` in
-    /// master code, its broadcast slot in a kernel.
+    /// A variable read as a global: its position in `program.globals`,
+    /// recorded in a kernel's broadcast on first use.
     fn global(&mut self, name: &str) -> R<usize> {
         let side = if self.master { "master" } else { "broadcast" };
         let index = self.global_index(name, side)?;
-        if self.master {
-            return Ok(index);
-        }
-        let slot = self.reads_globals.iter().position(|&g| g == index);
-        Ok(slot.unwrap_or_else(|| {
+        if !self.master && !self.reads_globals.contains(&index) {
             self.reads_globals.push(index);
-            self.reads_globals.len() - 1
-        }))
+        }
+        Ok(index)
     }
 
     /// The position of global `name` in `program.globals`; `what` names
@@ -887,7 +883,7 @@ mod tests {
         let want = CExpr::Bin(
             BinOp::Add,
             Box::new(CExpr::Payload(0)),
-            Box::new(CExpr::Global(0)),
+            Box::new(CExpr::Global(5)),
         );
         assert_eq!(*value, want);
         assert_eq!(broadcast(&k), ["v"]);
@@ -906,7 +902,7 @@ mod tests {
         let k = lower_kernel_of(vec![], None, body).unwrap();
         let first = CExpr::Bin(
             BinOp::Add,
-            Box::new(CExpr::Global(0)),
+            Box::new(CExpr::Global(6)),
             Box::new(CExpr::Const(Value::Int(1))),
         );
         assert_eq!(*value_of(&k.body[0]), first);
@@ -919,8 +915,8 @@ mod tests {
     fn the_filter_never_sees_body_locals() {
         let body = vec![local("y", AssignOp::Assign, Expr::var("y"))];
         let k = lower_kernel_of(vec![], Some(Expr::var("y")), body).unwrap();
-        assert_eq!(k.filter, Some(CExpr::Global(0)));
-        assert_eq!(*value_of(&k.body[0]), CExpr::Global(0));
+        assert_eq!(k.filter, Some(CExpr::Global(7)));
+        assert_eq!(*value_of(&k.body[0]), CExpr::Global(7));
         assert_eq!(k.locals.len(), 1);
     }
 
@@ -930,15 +926,16 @@ mod tests {
         let body = vec![send_nbrs(add(Expr::var("a"), Expr::var("c")))];
         let k = lower_kernel_of(recvs, Some(Expr::var("b")), body).unwrap();
         assert_eq!(broadcast(&k), ["c", "d", "b", "a"]);
-        assert_eq!(k.recvs[0].guard, Some(CExpr::Global(0)));
-        assert_eq!(k.filter, Some(CExpr::Global(2)));
+        // Expressions name globals by program position, not broadcast slot.
+        assert_eq!(k.recvs[0].guard, Some(CExpr::Global(2)));
+        assert_eq!(k.filter, Some(CExpr::Global(1)));
         let CInstr::SendToNbrs { payload, .. } = &k.body[0] else {
             panic!("{:?}", k.body);
         };
         let want = CExpr::Bin(
             BinOp::Add,
-            Box::new(CExpr::Global(3)),
             Box::new(CExpr::Global(0)),
+            Box::new(CExpr::Global(2)),
         );
         assert_eq!(payload[0], want);
     }

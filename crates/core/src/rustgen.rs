@@ -1,5 +1,5 @@
 //! Native Rust code generation: compiles a verified [`PregelProgram`] into
-//! the source of a monomorphized [`gm_pregel::VertexProgram`] implementation.
+//! the source of a monomorphized execution leg (`gm_interp::Leg`).
 //!
 //! Vertex kernels and master code come from the same lowering `gm-interp`
 //! executes ([`crate::kernel`]): names are already resolved to property,
@@ -13,13 +13,21 @@
 //!   (`i64`/`f64`/`bool`/`u32`), plus the in-neighbor array;
 //! * a `Msg` enum with one **monomorphized variant per message tag** and
 //!   native payload fields — no `Arc<[Value]>`, no tag byte at runtime;
-//! * vertex/master state functions with all expressions **inlined at their
-//!   native types**, combiners and aggregator folds included;
-//! * the pullability contract (`pull_supported`/`pull_mode`/`pull_message`)
-//!   baked in from the compiler's per-state verdicts, so `Schedule::Pull`
-//!   and `Schedule::Auto` keep working natively;
-//! * a `run` entry with the same signature semantics as
-//!   `gm_interp::run_compiled`, returning the same `CompiledOutcome`.
+//! * a typed `Globals` struct, one native field per master global;
+//! * vertex kernels and per-state master/post/transition code with all
+//!   expressions **inlined at their native types**, combiners and
+//!   aggregator folds included;
+//! * `pull_message` for the compiler's `Recomputed` states, so
+//!   `Schedule::Pull` and `Schedule::Auto` keep working natively;
+//! * a `SIGNATURE` table — names, scalar types, vertex states, kernel
+//!   global reads, pull verdicts — equal to the one `gm-interp` derives
+//!   from the same PIR, and a `run` entry that hands it and the module's
+//!   leg to the program shell `gm_interp::run_compiled` runs too.
+//!
+//! Everything that does not depend on how code runs — the master driver
+//! loop, argument binding, the snapshot's master section, the outcome and
+//! trace — is shared, not printed: this backend prints only data layout
+//! and code.
 //!
 //! **Bit-exactness contract.** The generated program must be bit-for-bit
 //! identical to the interpreter: same values, same per-superstep structural
@@ -133,6 +141,22 @@ impl Repr {
             Repr::Node => "Node",
             Repr::Edge => "Edge",
         }
+    }
+}
+
+/// Renders a native value wrapped back into a tagged [`Value`].
+fn value_wrap(expr: &str, repr: Repr) -> String {
+    format!("Value::{}({expr})", repr.name())
+}
+
+/// The [`Value`] accessor that unwraps a value of `repr`.
+fn value_unwrap(repr: Repr) -> &'static str {
+    match repr {
+        Repr::I64 => "as_int",
+        Repr::F64 => "as_f64",
+        Repr::Bool => "as_bool",
+        Repr::Node => "as_node",
+        Repr::Edge => "as_edge",
     }
 }
 
@@ -305,51 +329,29 @@ struct Gen<'a> {
     pullable: Vec<Pullability>,
     /// Aggregate key → the repr every vertex-side `ReduceGlobal` pushes.
     agg_repr: HashMap<String, Repr>,
-    uses_div: bool,
-    uses_mod: bool,
     temp: usize,
 }
 
 impl<'a> Gen<'a> {
     fn new(p: &'a PregelProgram) -> R<Gen<'a>> {
-        let mut prop_used: HashSet<String> = HashSet::new();
-        prop_used.insert("in_nbrs".to_owned());
-        let mut prop_fields = Vec::new();
-        for (name, ty) in &p.node_props {
-            let repr = Repr::of_ty(ty).map_err(|e| RustgenError {
-                message: format!("node property `{name}`: {}", e.message),
-            })?;
-            prop_fields.push((sanitize(name, &mut prop_used), repr));
-        }
-
-        let mut edge_used = HashSet::new();
-        let mut edge_fields = Vec::new();
-        for (name, ty) in &p.edge_props {
-            let repr = Repr::of_ty(ty).map_err(|e| RustgenError {
-                message: format!("edge property `{name}`: {}", e.message),
-            })?;
-            edge_fields.push((sanitize(name, &mut edge_used), repr));
-        }
-
-        let mut global_used = HashSet::new();
-        let mut global_fields = Vec::new();
-        for (name, ty) in &p.globals {
-            let repr = Repr::of_ty(ty).map_err(|e| RustgenError {
-                message: format!("global `{name}`: {}", e.message),
-            })?;
-            global_fields.push((sanitize(name, &mut global_used), repr));
-        }
-
+        // Native field names and reprs of one column list, `what` naming
+        // each entry in errors.
+        let fields = |cols: &[(String, Ty)], used: &mut HashSet<String>, what: &str| {
+            (cols.iter())
+                .map(|(name, ty)| match Repr::of_ty(ty) {
+                    Ok(repr) => Ok((sanitize(name, used), repr)),
+                    Err(e) => err(format!("{what} `{name}`: {}", e.message)),
+                })
+                .collect::<R<Vec<_>>>()
+        };
+        let mut prop_used = HashSet::from(["in_nbrs".to_owned()]);
+        let prop_fields = fields(&p.node_props, &mut prop_used, "node property")?;
+        let edge_fields = fields(&p.edge_props, &mut HashSet::new(), "edge property")?;
+        let global_fields = fields(&p.globals, &mut HashSet::new(), "global")?;
         let mut msg_variants = Vec::new();
         for m in &p.messages {
-            let mut field_used = HashSet::new();
-            let mut fields = Vec::new();
-            for (fname, fty) in &m.fields {
-                let repr = Repr::of_ty(fty).map_err(|e| RustgenError {
-                    message: format!("message {} field `{fname}`: {}", m.tag, e.message),
-                })?;
-                fields.push((sanitize(fname, &mut field_used), repr));
-            }
+            let what = format!("message {} field", m.tag);
+            let fields = fields(&m.fields, &mut HashSet::new(), &what)?;
             msg_variants.push((format!("M{}", m.tag), fields));
         }
 
@@ -373,8 +375,6 @@ impl<'a> Gen<'a> {
             ret_repr,
             pullable,
             agg_repr: HashMap::new(),
-            uses_div: false,
-            uses_mod: false,
             temp: 0,
             p,
         })
@@ -387,7 +387,7 @@ impl<'a> Gen<'a> {
 
     fn global_te(&self, idx: usize) -> TE {
         let (f, repr) = &self.global_fields[idx];
-        TE::new(format!("self.g_{f}"), *repr)
+        TE::new(format!("g.{f}"), *repr)
     }
 
     // ---- shared operation rendering (mirrors gm_core::value) ----
@@ -408,7 +408,7 @@ impl<'a> Gen<'a> {
     }
 
     /// Renders `apply_bin(op, l, r)`.
-    fn bin_te(&mut self, op: BinOp, l: TE, r: TE) -> R<TE> {
+    fn bin_te(&self, op: BinOp, l: TE, r: TE) -> R<TE> {
         use BinOp::*;
         match op {
             Add | Sub | Mul | Div => {
@@ -424,10 +424,10 @@ impl<'a> Gen<'a> {
                         Add => TE::new(format!("{}.wrapping_add({})", l.s, r.s), Repr::I64),
                         Sub => TE::new(format!("{}.wrapping_sub({})", l.s, r.s), Repr::I64),
                         Mul => TE::new(format!("{}.wrapping_mul({})", l.s, r.s), Repr::I64),
-                        Div => {
-                            self.uses_div = true;
-                            TE::new(format!("gm_div_i64({}, {})", l.s, r.s), Repr::I64)
-                        }
+                        Div => TE::new(
+                            format!("gm_core::value::div_i64({}, {})", l.s, r.s),
+                            Repr::I64,
+                        ),
                         _ => unreachable!(),
                     })
                 } else {
@@ -445,8 +445,8 @@ impl<'a> Gen<'a> {
             }
             Mod => {
                 if l.repr == Repr::I64 && r.repr == Repr::I64 {
-                    self.uses_mod = true;
-                    Ok(TE::new(format!("gm_mod_i64({}, {})", l.s, r.s), Repr::I64))
+                    let s = format!("gm_core::value::mod_i64({}, {})", l.s, r.s);
+                    Ok(TE::new(s, Repr::I64))
                 } else {
                     err("% on non-integers (the interpreter would panic here)")
                 }
@@ -565,17 +565,6 @@ impl<'a> Gen<'a> {
         }
     }
 
-    /// Renders a native value wrapped back into a tagged [`Value`].
-    fn value_wrap(&self, expr: &str, repr: Repr) -> String {
-        match repr {
-            Repr::I64 => format!("Value::Int({expr})"),
-            Repr::F64 => format!("Value::Double({expr})"),
-            Repr::Bool => format!("Value::Bool({expr})"),
-            Repr::Node => format!("Value::Node({expr})"),
-            Repr::Edge => format!("Value::Edge({expr})"),
-        }
-    }
-
     fn reduce_op_name(&self, op: AssignOp) -> R<&'static str> {
         Ok(match op {
             AssignOp::Add => "ReduceOp::Sum",
@@ -645,89 +634,58 @@ impl<'a> Gen<'a> {
         }
     }
 
-    /// Emits the per-state master/post/transition functions and their
-    /// dispatchers, as inherent methods (indent level 1).
-    fn emit_master_state_fns(&mut self, lowered: &Lowered) -> R<Buf> {
-        let mut b = Buf::new(1);
-        // Master code has no locals, and its global slot `i` is `p.globals[i]`.
-        let globals = (0..self.p.globals.len()).collect();
+    /// Emits the leg's `master`, `post` and `transition` methods: one match
+    /// arm per state that has code (indent level 1).
+    fn emit_master_fns(&mut self, lowered: &Lowered, b: &mut Buf) -> R<()> {
+        // Master code has no locals.
         let mut cx = KernelCx {
             g: self,
             local_names: &[],
             locals: Vec::new(),
-            globals,
             payload: Vec::new(),
         };
+        let blocks = [
+            ("fn master(&self, state: usize, g: &mut Globals, m: &mut Master<'_>) {", false),
+            ("fn post(&self, state: usize, g: &mut Globals, m: &mut Master<'_>, agg: Option<&MasterContext<'_>>) {", true),
+        ];
+        for (header, post) in blocks {
+            b.open(header);
+            b.open("match state {");
+            for (i, s) in lowered.masters.iter().enumerate() {
+                let block = if post { &s.post } else { &s.master };
+                if !block.is_empty() {
+                    b.open(&format!("{i} => {{"));
+                    cx.emit_minstrs(block, b, post)?;
+                    b.close("}");
+                }
+            }
+            b.line("_ => {}");
+            b.close("}");
+            b.close("}");
+            b.line("");
+        }
+        b.open("fn transition(&self, state: usize, g: &Globals, m: &mut Master<'_>) -> Option<usize> {");
+        b.open("match state {");
         for (i, s) in lowered.masters.iter().enumerate() {
-            if !s.master.is_empty() {
-                b.open(&format!("fn master_{i}(&mut self) {{"));
-                cx.emit_minstrs(&s.master, &mut b, false)?;
-                b.close("}");
-                b.line("");
-            }
-            if !s.post.is_empty() {
-                b.open(&format!(
-                    "fn post_{i}(&mut self, agg: Option<&MasterContext<'_>>) {{"
-                ));
-                cx.emit_minstrs(&s.post, &mut b, true)?;
-                b.close("}");
-                b.line("");
-            }
-            b.open(&format!("fn transition_{i}(&mut self) -> Option<usize> {{"));
             match &s.transition {
-                Transition::Goto(t) => b.line(&format!("Some({t}usize)")),
+                Transition::Goto(t) => b.line(&format!("{i} => Some({t}),")),
                 Transition::Branch {
                     cond,
                     then_to,
                     else_to,
                 } => {
-                    let c = cx.cond(cond, VPlace::Body, "transition condition")?;
-                    b.open(&format!("if {c} {{"));
-                    b.line(&format!("Some({then_to}usize)"));
-                    b.close("} else {");
-                    b.ind += 1;
-                    b.line(&format!("Some({else_to}usize)"));
-                    b.close("}");
+                    let c = cx.cond(cond, VPlace::Master, "transition condition")?;
+                    b.line(&format!(
+                        "{i} => Some(if {c} {{ {then_to} }} else {{ {else_to} }}),"
+                    ));
                 }
-                Transition::Halt => b.line("None"),
+                Transition::Halt => {}
             }
-            b.close("}");
-            b.line("");
-        }
-
-        b.open("fn run_master(&mut self, state: usize) {");
-        b.open("match state {");
-        for (i, s) in lowered.masters.iter().enumerate() {
-            if !s.master.is_empty() {
-                b.line(&format!("{i} => self.master_{i}(),"));
-            }
-        }
-        b.line("_ => {}");
-        b.close("}");
-        b.close("}");
-        b.line("");
-
-        b.open("fn run_post(&mut self, state: usize, agg: Option<&MasterContext<'_>>) {");
-        b.open("match state {");
-        for (i, s) in lowered.masters.iter().enumerate() {
-            if !s.post.is_empty() {
-                b.line(&format!("{i} => self.post_{i}(agg),"));
-            }
-        }
-        b.line("_ => {}");
-        b.close("}");
-        b.close("}");
-        b.line("");
-
-        b.open("fn run_transition(&mut self, state: usize) -> Option<usize> {");
-        b.open("match state {");
-        for i in 0..lowered.masters.len() {
-            b.line(&format!("{i} => self.transition_{i}(),"));
         }
         b.line("_ => None,");
         b.close("}");
         b.close("}");
-        Ok(b)
+        Ok(())
     }
 }
 
@@ -740,28 +698,28 @@ enum VPlace {
     /// Receive handler: property reads go to the snapshot bindings when the
     /// kernel needs one; payload bindings are in scope.
     Recv { snap: bool },
-    /// Filter, body, or master code (which has no vertex leaves).
+    /// Filter or body.
     Body,
+    /// Master code: no vertex leaves; the graph and RNG come from `m`.
+    Master,
     /// `pull_message`: the *sender's* row via `src_value`, no locals.
     Pull,
 }
 
 /// Emission state for lowered code, one kernel's or the master's: the
-/// native names of its local, global and payload slots.
+/// native names of its local and payload slots.
 struct KernelCx<'a, 'g> {
     g: &'g mut Gen<'a>,
     /// Per local slot: the local's name and type.
     local_names: &'g [(String, Ty)],
     /// Per local slot: field name (sans `l_`), repr.
     locals: Vec<(String, Repr)>,
-    /// Per global slot: index into `p.globals`.
-    globals: Vec<usize>,
     /// Per payload position of the current handler: field name, repr.
     payload: Vec<(String, Repr)>,
 }
 
 impl<'a, 'g> KernelCx<'a, 'g> {
-    /// A kernel's context: its locals and its broadcast row.
+    /// A kernel's context: its locals.
     fn new(g: &'g mut Gen<'a>, k: &'g CKernel) -> R<Self> {
         let mut used = HashSet::new();
         let locals = (k.locals.iter())
@@ -771,7 +729,6 @@ impl<'a, 'g> KernelCx<'a, 'g> {
             g,
             local_names: &k.locals,
             locals,
-            globals: k.reads_globals.clone(),
             payload: Vec::new(),
         })
     }
@@ -783,7 +740,9 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                 let (field, repr) = &self.g.prop_fields[*slot];
                 let s = match place {
                     VPlace::Recv { snap: true } => format!("snap_{field}"),
-                    VPlace::Recv { snap: false } | VPlace::Body => format!("value.{field}"),
+                    VPlace::Recv { snap: false } | VPlace::Body | VPlace::Master => {
+                        format!("value.{field}")
+                    }
                     VPlace::Pull => format!("src_value.{field}"),
                 };
                 Ok(TE::new(s, *repr))
@@ -812,7 +771,7 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                 let (field, repr) = &self.locals[*slot];
                 Ok(TE::new(format!("l_{field}"), *repr))
             }
-            CExpr::Global(slot) => Ok(self.g.global_te(self.globals[*slot])),
+            CExpr::Global(slot) => Ok(self.g.global_te(*slot)),
             CExpr::SelfId => Ok(TE::new(
                 if place == VPlace::Pull {
                     "src.0"
@@ -821,13 +780,23 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                 },
                 Repr::Node,
             )),
-            CExpr::NumNodes => Ok(TE::new("(self.graph.num_nodes() as i64)", Repr::I64)),
-            CExpr::NumEdges => Ok(TE::new("(self.graph.num_edges() as i64)", Repr::I64)),
-            CExpr::PickRandom => Ok(TE::new(
-                "({ let n = self.graph.num_nodes(); \
-                 assert!(n > 0, \"PickRandom on an empty graph\"); self.rng.pick(n) })",
-                Repr::Node,
-            )),
+            CExpr::NumNodes | CExpr::NumEdges => {
+                let graph = match place {
+                    VPlace::Master => "m.graph",
+                    VPlace::Pull => "graph",
+                    _ => "ctx.graph()",
+                };
+                let what = if matches!(e, CExpr::NumNodes) {
+                    "nodes"
+                } else {
+                    "edges"
+                };
+                Ok(TE::new(format!("({graph}.num_{what}() as i64)"), Repr::I64))
+            }
+            CExpr::PickRandom if place == VPlace::Master => {
+                Ok(TE::new("m.pick_random()", Repr::Node))
+            }
+            CExpr::PickRandom => err("PickRandom outside master code"),
             CExpr::OutDegree => Ok(TE::new(
                 if place == VPlace::Pull {
                     "(graph.out_degree(src) as i64)"
@@ -838,7 +807,7 @@ impl<'a, 'g> KernelCx<'a, 'g> {
             )),
             CExpr::InDegree => Ok(match place {
                 VPlace::Recv { .. } => TE::new("in_deg", Repr::I64),
-                VPlace::Body => TE::new("(value.in_nbrs.len() as i64)", Repr::I64),
+                VPlace::Body | VPlace::Master => TE::new("(value.in_nbrs.len() as i64)", Repr::I64),
                 VPlace::Pull => TE::new("(src_value.in_nbrs.len() as i64)", Repr::I64),
             }),
             CExpr::Un(op, inner) => {
@@ -934,18 +903,18 @@ impl<'a, 'g> KernelCx<'a, 'g> {
     /// functions, whose `agg` parameter carries the vertex aggregates; in
     /// plain master blocks the interpreter passes `None`, making `FoldAgg`
     /// a no-op, so none is emitted there.
+    ///
+    /// `Return` returns from the whole block, so no later instruction runs
+    /// once the machine finished.
     fn emit_minstrs(&mut self, instrs: &[CMInstr], buf: &mut Buf, has_agg: bool) -> R<()> {
         for m in instrs {
-            buf.line("if self.finished {");
-            buf.line("    return;");
-            buf.line("}");
             match m {
                 CMInstr::Assign {
                     slot, op, value, ..
                 } => {
                     let (field, repr) = self.g.global_fields[*slot].clone();
-                    let target = format!("self.g_{field}");
-                    self.emit_write(buf, &target, *op, value, VPlace::Body, repr)?;
+                    let target = format!("g.{field}");
+                    self.emit_write(buf, &target, *op, value, VPlace::Master, repr)?;
                 }
                 CMInstr::FoldAgg { slot, op, agg_key } => {
                     if !has_agg {
@@ -983,8 +952,8 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                     let inc = self.g.coerce_te(TE::new("inc", arepr), grepr)?;
                     let red = self
                         .g
-                        .reduce_expr(*op, &format!("self.g_{field}"), &inc.s, grepr)?;
-                    buf.line(&format!("self.g_{field} = {red};"));
+                        .reduce_expr(*op, &format!("g.{field}"), &inc.s, grepr)?;
+                    buf.line(&format!("g.{field} = {red};"));
                     buf.close("}");
                     buf.close("}");
                 }
@@ -993,7 +962,7 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                     then_branch,
                     else_branch,
                 } => {
-                    let c = self.cond(cond, VPlace::Body, "master If condition")?;
+                    let c = self.cond(cond, VPlace::Master, "master If condition")?;
                     buf.open(&format!("if {c} {{"));
                     self.emit_minstrs(then_branch, buf, has_agg)?;
                     if else_branch.is_empty() {
@@ -1006,19 +975,18 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                     }
                 }
                 CMInstr::SetReturn { value, .. } => {
-                    match (value, self.g.ret_repr) {
+                    let ret = match (value, self.g.ret_repr) {
                         (Some(e), Some(repr)) => {
-                            let te = self.expr(e, VPlace::Body, None)?;
+                            let te = self.expr(e, VPlace::Master, None)?;
                             let te = self.g.coerce_te(te, repr)?;
-                            buf.line(&format!("self.ret = Some({});", te.s));
+                            format!("Some({})", value_wrap(&te.s, repr))
                         }
                         (Some(_), None) => {
                             return err("Return with a value in a procedure with no return type")
                         }
-                        (None, Some(_)) => buf.line("self.ret = None;"),
-                        (None, None) => {}
-                    }
-                    buf.line("self.finished = true;");
+                        (None, _) => "None".to_owned(),
+                    };
+                    buf.line(&format!("m.finish({ret});"));
                     buf.line("return;");
                 }
             }
@@ -1161,6 +1129,7 @@ impl<'a> Gen<'a> {
             };
             b.line(&format!("fn vertex_{i}("));
             b.line("    &self,");
+            b.line("    g: &Globals,");
             b.line("    ctx: &mut VertexContext<'_, '_, Msg>,");
             b.line("    value: &mut VertexValue,");
             b.line("    messages: &[Msg],");
@@ -1308,7 +1277,7 @@ impl<'a> Gen<'a> {
         Ok(())
     }
 
-    /// Emits the `match self.cur_state` arms of `pull_message` for every
+    /// Emits the `match state` arms of `pull_message` for every
     /// `Recomputed`-pullable state. Returns `None` when no state needs one.
     fn emit_pull_arms(&mut self, lowered: &Lowered) -> R<Option<Buf>> {
         let mut b = Buf::new(3);
@@ -1334,12 +1303,12 @@ impl<'a> Gen<'a> {
                 ));
             };
             if site.tag == IN_NBRS_TAG {
-                b.line(&format!("{i}usize => Msg::InNbr {{ sender: src.0 }},"));
+                b.line(&format!("{i} => Msg::InNbr {{ sender: src.0 }},"));
             } else {
                 let mut cx = KernelCx::new(self, kernel)?;
                 let m =
                     cx.msg_literal(site.tag, &site.payload, VPlace::Pull, Some("edge.index()"))?;
-                b.line(&format!("{i}usize => {m},"));
+                b.line(&format!("{i} => {m},"));
             }
         }
         Ok(any.then_some(b))
@@ -1348,17 +1317,21 @@ impl<'a> Gen<'a> {
 
 // ---- whole-module assembly ----
 
-fn repr_suffix(repr: Repr) -> &'static str {
-    match repr {
-        Repr::I64 => "i64",
-        Repr::F64 => "f64",
-        Repr::Bool => "bool",
-        Repr::Node => "node",
-        Repr::Edge => "edge",
-    }
-}
-
-const ALL_REPRS: [Repr; 5] = [Repr::I64, Repr::F64, Repr::Bool, Repr::Node, Repr::Edge];
+/// Type names a generated module defines or imports, which the program's
+/// own struct must not shadow.
+const RESERVED: &[&str] = &[
+    "Globals",
+    "Graph",
+    "Leg",
+    "Master",
+    "Msg",
+    "Row",
+    "Signature",
+    "State",
+    "Ty",
+    "Value",
+    "VertexValue",
+];
 
 impl<'a> Gen<'a> {
     fn emit(mut self) -> R<String> {
@@ -1368,22 +1341,21 @@ impl<'a> Gen<'a> {
         // Kernel emission first: it fills `agg_repr`, consulted when
         // printing master-side `FoldAgg`.
         let lowered = kernel::lower(self.p)?;
-        let vertex_fns = self.emit_vertex_fns(&lowered)?;
-        let master_fns = self.emit_master_state_fns(&lowered)?;
+        let mut vertex_fns = self.emit_vertex_fns(&lowered)?;
+        // No blank line before the impl's closing brace.
+        vertex_fns.s.truncate(vertex_fns.s.trim_end().len() + 1);
+        let mut master_fns = Buf::new(1);
+        self.emit_master_fns(&lowered, &mut master_fns)?;
         let pull_arms = self.emit_pull_arms(&lowered)?;
-        if matches!(
-            self.struct_name.as_str(),
-            "Msg" | "VertexValue" | "Graph" | "Value" | "PickRng"
-        ) {
+        if RESERVED.contains(&self.struct_name.as_str()) {
             self.struct_name.push_str("Prog");
         }
         let name = self.struct_name.clone();
-        let p = self.p;
 
         let mut out = Buf::new(0);
         out.line(&format!(
             "//! @generated by `gm-core::rustgen` from the Green-Marl procedure `{}`.",
-            p.name
+            self.p.name
         ));
         out.line("//! DO NOT EDIT: regenerate with `gmc emit-rust` (goldens: rerun the");
         out.line("//! `rustgen_golden` test with `GM_UPDATE_GOLDEN=1`).");
@@ -1391,43 +1363,45 @@ impl<'a> Gen<'a> {
         out.line("#![allow(dead_code, non_snake_case, unreachable_patterns, unused_assignments, unused_imports, unused_mut, unused_parens, unused_variables)]");
         out.line("");
         out.line("use gm_core::seqinterp::ArgValue;");
+        out.line("use gm_core::types::Ty;");
         out.line("use gm_core::value::Value;");
         out.line("use gm_graph::{EdgeId, Graph, NodeId};");
-        out.line("use gm_interp::{CompiledOutcome, PickRng, RunError, TraceStep};");
+        out.line("use gm_interp::shell::{Leg, Master, Row, Signature, State};");
+        out.line("use gm_interp::{CompiledOutcome, RunError};");
         out.line("use gm_pregel::{");
-        out.line("    ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision,");
-        out.line("    Persist, PregelConfig, PullMode, ReduceOp, VertexContext, VertexProgram,");
+        out.line("    ByteReader, CkptError, GlobalValue, MasterContext, Persist, PregelConfig, PullMode,");
+        out.line("    ReduceOp, VertexContext,");
         out.line("};");
         out.line("use std::collections::HashMap;");
         out.line("");
 
-        let flags: Vec<&str> = p
-            .states
-            .iter()
-            .map(|s| if s.vertex.is_some() { "true" } else { "false" })
-            .collect();
-        out.line(&format!(
-            "const IS_VERTEX_STATE: [bool; {}] = [{}];",
-            p.states.len(),
-            flags.join(", ")
-        ));
-        out.line("");
-
-        self.emit_vertex_value(&mut out);
+        self.emit_signature(&mut out, &lowered)?;
+        out.line("/// Per-vertex state: one native field per node property.");
+        out.line("#[derive(Clone, Debug)]");
+        emit_row(&mut out, "VertexValue", &self.prop_fields, true);
+        self.emit_vertex_persist(&mut out);
+        out.line("/// The master globals: one native field per global.");
+        emit_row(&mut out, "Globals", &self.global_fields, false);
         self.emit_msg_enum(&mut out);
-        self.emit_struct(&mut out, &name);
 
-        out.open(&format!("impl {name}<'_> {{"));
-        out.push_buf(&master_fns);
+        out.line("/// The compiled program's vertex side: its edge columns.");
+        if self.edge_fields.is_empty() {
+            out.line(&format!("pub struct {name} {{}}"));
+        } else {
+            out.open(&format!("pub struct {name} {{"));
+            for (field, repr) in &self.edge_fields {
+                out.line(&format!("ep_{field}: Vec<{}>,", repr.rust()));
+            }
+            out.close("}");
+        }
         out.line("");
+        out.open(&format!("impl {name} {{"));
         out.push_buf(&vertex_fns);
         out.close("}");
         out.line("");
-
-        self.emit_trait_impl(&mut out, &name, &lowered, pull_arms.as_ref())?;
+        self.emit_leg_impl(&mut out, &name, &master_fns, pull_arms.as_ref())?;
         out.line("");
-        self.emit_run_fn(&mut out, &name)?;
-        self.emit_helpers(&mut out);
+        self.emit_run_fn(&mut out, &name);
 
         let mut s = out.s;
         while s.ends_with("\n\n") {
@@ -1436,16 +1410,58 @@ impl<'a> Gen<'a> {
         Ok(s)
     }
 
-    fn emit_vertex_value(&self, out: &mut Buf) {
-        out.line("/// Per-vertex state: one native field per node property.");
-        out.line("#[derive(Clone, Debug)]");
-        out.open("pub struct VertexValue {");
-        for (field, repr) in &self.prop_fields {
-            out.line(&format!("pub {field}: {},", repr.rust()));
+    /// Emits `SIGNATURE`, the table `gm_interp::with_signature` derives
+    /// from the same PIR.
+    fn emit_signature(&self, out: &mut Buf, lowered: &Lowered) -> R<()> {
+        let p = self.p;
+        for (pname, pty) in &p.scalar_params {
+            let global = p.globals.iter().position(|(g, _)| g == pname);
+            if let Some(gi) =
+                global.filter(|&gi| Repr::of_ty(pty).ok() != Some(self.global_fields[gi].1))
+            {
+                return err(format!(
+                    "scalar parameter `{pname}` has type {pty} but its global is {}",
+                    self.global_fields[gi].1.name()
+                ));
+            }
         }
-        out.line("pub in_nbrs: Vec<u32>,");
-        out.close("}");
+        let table = |cols: &[(String, Ty)]| {
+            let cols: Vec<String> =
+                (cols.iter().map(|(n, ty)| format!("({n:?}, Ty::{ty:?})"))).collect();
+            format!("&[{}]", cols.join(", "))
+        };
+        out.line("/// The program's interface, as `gm_interp::with_signature` derives it.");
+        out.open("pub static SIGNATURE: Signature<'static> = Signature {");
+        out.line(&format!("globals: {},", table(&p.globals)));
+        out.line(&format!("node_props: {},", table(&p.node_props)));
+        out.line(&format!("edge_props: {},", table(&p.edge_props)));
+        out.line(&format!("params: {},", table(&p.scalar_params)));
+        match &p.ret {
+            Some(ty) => out.line(&format!("ret: Some(Ty::{ty:?}),")),
+            None => out.line("ret: None,"),
+        }
+        out.open("states: &[");
+        for (k, pull) in lowered.kernels.iter().zip(&self.pullable) {
+            let kernel = match k {
+                Some(k) => format!("Some(&{:?})", k.reads_globals),
+                None => "None".to_owned(),
+            };
+            let pull = match pull {
+                Pullability::Pullable { edge_dependent } if *edge_dependent => "Recomputed",
+                Pullability::Pullable { .. } => "Captured",
+                _ => "Unsupported",
+            };
+            out.line(&format!(
+                "State {{ kernel: {kernel}, pull: PullMode::{pull} }},"
+            ));
+        }
+        out.close("],");
+        out.close("};");
         out.line("");
+        Ok(())
+    }
+
+    fn emit_vertex_persist(&self, out: &mut Buf) {
         out.open("impl Persist for VertexValue {");
         out.open("fn persist(&self, out: &mut Vec<u8>) {");
         for (field, _) in &self.prop_fields {
@@ -1555,41 +1571,21 @@ impl<'a> Gen<'a> {
         out.line("");
     }
 
-    fn emit_struct(&self, out: &mut Buf, name: &str) {
-        out.line("/// The compiled program: master-side state plus edge columns.");
-        out.open(&format!("pub struct {name}<'a> {{"));
-        out.line("graph: &'a Graph,");
-        for (field, repr) in &self.edge_fields {
-            out.line(&format!("ep_{field}: Vec<{}>,", repr.rust()));
-        }
-        for (field, repr) in &self.global_fields {
-            out.line(&format!("g_{field}: {},", repr.rust()));
-        }
-        out.line("seed: u64,");
-        out.line("rng: PickRng,");
-        out.line("prev_state: Option<usize>,");
-        out.line("cur_state: usize,");
-        out.line("state_log: Vec<usize>,");
-        if let Some(r) = self.ret_repr {
-            out.line(&format!("ret: Option<{}>,", r.rust()));
-        }
-        out.line("finished: bool,");
-        out.close("}");
-        out.line("");
-    }
-
-    fn emit_trait_impl(
+    fn emit_leg_impl(
         &self,
         out: &mut Buf,
         name: &str,
-        lowered: &Lowered,
+        master_fns: &Buf,
         pull_arms: Option<&Buf>,
     ) -> R<()> {
         let p = self.p;
         let has_msgs = !self.msg_variants.is_empty() || p.uses_in_nbrs;
-        out.open(&format!("impl VertexProgram for {name}<'_> {{"));
+        out.open(&format!("impl Leg for {name} {{"));
+        out.line("type Globals = Globals;");
         out.line("type VertexValue = VertexValue;");
         out.line("type Message = Msg;");
+        out.line("");
+        out.push_buf(master_fns);
         out.line("");
         out.open("fn message_bytes(&self, m: &Msg) -> u64 {");
         if has_msgs {
@@ -1648,43 +1644,18 @@ impl<'a> Gen<'a> {
             out.close("}");
         }
 
-        let any_pullable = self
-            .pullable
-            .iter()
-            .any(|x| matches!(x, Pullability::Pullable { .. }));
-        if any_pullable {
-            out.line("");
-            out.open("fn pull_supported(&self) -> bool {");
-            out.line("true");
-            out.close("}");
-            out.line("");
-            out.open("fn pull_mode(&self) -> PullMode {");
-            out.open("match self.cur_state {");
-            for (i, x) in self.pullable.iter().enumerate() {
-                match x {
-                    Pullability::Pullable {
-                        edge_dependent: false,
-                    } => out.line(&format!("{i}usize => PullMode::Captured,")),
-                    Pullability::Pullable {
-                        edge_dependent: true,
-                    } => out.line(&format!("{i}usize => PullMode::Recomputed,")),
-                    _ => {}
-                }
-            }
-            out.line("_ => PullMode::Unsupported,");
-            out.close("}");
-            out.close("}");
-        }
         if let Some(arms) = pull_arms {
             out.line("");
             out.line("fn pull_message(");
             out.line("    &self,");
+            out.line("    state: usize,");
+            out.line("    g: &Globals,");
             out.line("    graph: &Graph,");
             out.line("    src: NodeId,");
             out.line("    edge: EdgeId,");
             out.line("    src_value: &VertexValue,");
             out.open(") -> Msg {");
-            out.open("match self.cur_state {");
+            out.open("match state {");
             out.push_buf(arms);
             out.line("s => panic!(\"pull_message called in push-only state {s}\"),");
             out.close("}");
@@ -1692,401 +1663,98 @@ impl<'a> Gen<'a> {
         }
 
         out.line("");
-        out.open("fn master_compute(&mut self, ctx: &mut MasterContext<'_>) -> MasterDecision {");
-        out.open("if self.finished {");
-        out.line("return MasterDecision::Halt;");
-        out.close("}");
-        out.open("let mut current: usize = match self.prev_state {");
-        out.line("None => 0,");
-        out.open("Some(prev) => {");
-        out.line("self.run_post(prev, Some(&*ctx));");
-        out.open("if self.finished {");
-        out.line("return MasterDecision::Halt;");
-        out.close("}");
-        out.open("match self.run_transition(prev) {");
-        out.line("Some(next) => next,");
-        out.line("None => return MasterDecision::Halt,");
-        out.close("}");
-        out.close("}");
-        out.close("};");
-        out.line("let mut steps: u64 = 0;");
-        out.open("loop {");
-        out.line("steps += 1;");
-        out.open("assert!(");
-        out.line("steps < 10_000_000,");
-        out.line("\"master state machine did not reach a vertex state\"");
-        out.close(");");
-        out.line("self.run_master(current);");
-        out.open("if self.finished {");
-        out.line("return MasterDecision::Halt;");
-        out.close("}");
-        out.open("if IS_VERTEX_STATE[current] {");
-        out.line("break;");
-        out.close("}");
-        out.line("self.run_post(current, None);");
-        out.open("match self.run_transition(current) {");
-        out.line("Some(next) => current = next,");
-        out.line("None => return MasterDecision::Halt,");
-        out.close("}");
-        out.close("}");
-        out.line("ctx.put_global(\"_state\", GlobalValue::Int(current as i64));");
-        let broadcasting: Vec<(usize, &CKernel)> = (lowered.kernels.iter().enumerate())
-            .filter_map(|(i, k)| Some((i, k.as_ref().filter(|k| !k.reads_globals.is_empty())?)))
-            .collect();
-        if !broadcasting.is_empty() {
-            out.open("match current {");
-            for (i, k) in broadcasting {
-                out.open(&format!("{i}usize => {{"));
-                for &gi in &k.reads_globals {
-                    let orig = &p.globals[gi].0;
-                    let te = self.global_te(gi);
-                    out.line(&format!("ctx.put_global({orig:?}, {});", self.gv_wrap(&te)));
-                }
-                out.close("}");
-            }
-            out.line("_ => {}");
-            out.close("}");
-        }
-        out.line("self.cur_state = current;");
-        out.line("self.prev_state = Some(current);");
-        out.line("self.state_log.push(current);");
-        out.line("MasterDecision::Continue");
-        out.close("}");
-
-        out.line("");
         out.line("fn vertex_compute(");
         out.line("    &self,");
+        out.line("    state: usize,");
+        out.line("    g: &Globals,");
         out.line("    ctx: &mut VertexContext<'_, '_, Msg>,");
         out.line("    value: &mut VertexValue,");
         out.line("    messages: &[Msg],");
         out.open(") {");
-        out.open("match self.cur_state {");
+        out.open("match state {");
         for (i, s) in p.states.iter().enumerate() {
             if s.vertex.is_some() {
-                out.line(&format!(
-                    "{i}usize => self.vertex_{i}(ctx, value, messages),"
-                ));
+                out.line(&format!("{i} => self.vertex_{i}(g, ctx, value, messages),"));
             }
         }
         out.line("_ => {}");
         out.close("}");
         out.close("}");
-
-        let mut sorted_globals: Vec<usize> = (0..p.globals.len()).collect();
-        sorted_globals.sort_by(|&x, &y| p.globals[x].0.cmp(&p.globals[y].0));
-        out.line("");
-        out.open("fn save_master_state(&self, out: &mut Vec<u8>) {");
-        out.line("self.rng.draws().persist(out);");
-        out.line("self.prev_state.map(|s| s as u64).persist(out);");
-        out.line("self.finished.persist(out);");
-        if self.ret_repr.is_some() {
-            out.line("self.ret.is_some().persist(out);");
-            out.open("if let Some(v) = self.ret {");
-            out.line("v.persist(out);");
-            out.close("}");
-        }
-        for &gi in &sorted_globals {
-            out.line(&format!(
-                "self.g_{}.persist(out);",
-                self.global_fields[gi].0
-            ));
-        }
-        out.line("self.state_log.len().persist(out);");
-        out.open("for &s in &self.state_log {");
-        out.line("(s as u64).persist(out);");
-        out.close("}");
-        out.close("}");
-        out.line("");
-        out.open(
-            "fn restore_master_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CkptError> {",
-        );
-        out.line("let draws = u64::restore(r)?;");
-        out.line("self.rng = PickRng::replay(self.seed, draws, self.graph.num_nodes());");
-        out.line("let prev: Option<u64> = Persist::restore(r)?;");
-        out.line("self.prev_state = prev.map(|s| s as usize);");
-        out.line("self.finished = Persist::restore(r)?;");
-        if self.ret_repr.is_some() {
-            out.open("self.ret = if bool::restore(r)? {");
-            out.line("Some(Persist::restore(r)?)");
-            out.close("} else {");
-            out.ind += 1;
-            out.line("None");
-            out.close("};");
-        }
-        for &gi in &sorted_globals {
-            out.line(&format!(
-                "self.g_{} = Persist::restore(r)?;",
-                self.global_fields[gi].0
-            ));
-        }
-        out.line("let n = usize::restore(r)?;");
-        out.line("let mut log = Vec::with_capacity(n.min(1 << 20));");
-        out.open("for _ in 0..n {");
-        out.line("log.push(u64::restore(r)? as usize);");
-        out.close("}");
-        out.line("self.state_log = log;");
-        out.line("Ok(())");
-        out.close("}");
         out.close("}");
         Ok(())
     }
 
-    fn emit_run_fn(&self, out: &mut Buf, name: &str) -> R<()> {
-        let p = self.p;
-        out.line("/// Entry point: argument conventions, error strings, and outcome shape");
-        out.line("/// are identical to `gm_interp::run_compiled` for this program.");
+    fn emit_run_fn(&self, out: &mut Buf, name: &str) {
+        out.line("/// Entry point: the shared `gm_interp` shell around this leg.");
         out.line("pub fn run(");
         out.line("    graph: &Graph,");
         out.line("    args: &HashMap<String, ArgValue>,");
         out.line("    seed: u64,");
         out.line("    config: &PregelConfig,");
         out.open(") -> Result<CompiledOutcome, RunError> {");
-        for ((field, repr), (orig, _)) in self.prop_fields.iter().zip(&p.node_props) {
-            let elem = format!("elem_{}", repr_suffix(*repr));
-            out.open(&format!(
-                "let col_{field}: Option<Vec<{}>> = match args.get({orig:?}) {{",
-                repr.rust()
-            ));
-            out.open("Some(ArgValue::NodeProp(v)) => {");
-            out.open("if v.len() != graph.num_nodes() as usize {");
-            out.line(&format!(
-                "return Err(RunError::BadArgument(\"node property `{orig}` has wrong length\".to_owned()));"
-            ));
-            out.close("}");
-            out.line(&format!("Some(v.iter().map({elem}).collect())"));
-            out.close("}");
-            out.open("Some(_) => {");
-            out.line(&format!(
-                "return Err(RunError::BadArgument(\"`{orig}` must be a node property\".to_owned()));"
-            ));
-            out.close("}");
-            out.line("None => None,");
-            out.close("};");
-        }
-        for ((field, repr), (orig, _)) in self.edge_fields.iter().zip(&p.edge_props) {
-            let elem = format!("elem_{}", repr_suffix(*repr));
-            out.open(&format!(
-                "let ep_{field}: Vec<{}> = match args.get({orig:?}) {{",
-                repr.rust()
-            ));
-            out.open("Some(ArgValue::EdgeProp(v)) => {");
-            out.open("if v.len() != graph.num_edges() as usize {");
-            out.line(&format!(
-                "return Err(RunError::BadArgument(\"edge property `{orig}` has wrong length\".to_owned()));"
-            ));
-            out.close("}");
-            out.line(&format!("v.iter().map({elem}).collect()"));
-            out.close("}");
-            out.open("Some(_) => {");
-            out.line(&format!(
-                "return Err(RunError::BadArgument(\"`{orig}` must be an edge property\".to_owned()));"
-            ));
-            out.close("}");
-            out.line(&format!(
-                "None => vec![{}; graph.num_edges() as usize],",
-                repr.default_expr()
-            ));
-            out.close("};");
-        }
-        for (field, repr) in &self.global_fields {
-            out.line(&format!(
-                "let mut g_{field}: {} = {};",
-                repr.rust(),
-                repr.default_expr()
-            ));
-        }
-        for (pname, pty) in &p.scalar_params {
-            let Some(gi) = p.globals.iter().position(|(g, _)| g == pname) else {
-                return err(format!("scalar parameter `{pname}` is not a master global"));
-            };
-            let (field, grepr) = &self.global_fields[gi];
-            let prepr = Repr::of_ty(pty)?;
-            if prepr != *grepr {
-                return err(format!(
-                    "scalar parameter `{pname}` has type {pty} but its global is {}",
-                    grepr.name()
+        let call = "gm_interp::run_leg(&SIGNATURE, graph, args, seed, config,";
+        if self.edge_fields.is_empty() {
+            out.line(&format!("{call} |_| {name} {{}})"));
+        } else {
+            out.open(&format!("{call} |b| {name} {{"));
+            for (i, (field, repr)) in self.edge_fields.iter().enumerate() {
+                let elem = value_unwrap(*repr);
+                out.line(&format!(
+                    "ep_{field}: b.edge({i}).map(Value::{elem}).collect(),"
                 ));
             }
-            out.open(&format!("match args.get({pname:?}) {{"));
-            out.line(&format!(
-                "Some(ArgValue::Scalar(v)) => g_{field} = scalar_{}(*v, \"{pty}\"),",
-                repr_suffix(prepr)
-            ));
-            out.line(&format!(
-                "Some(_) => return Err(RunError::BadArgument(\"`{pname}` must be a scalar\".to_owned())),"
-            ));
-            out.line(&format!(
-                "None => return Err(RunError::BadArgument(\"missing scalar argument `{pname}`\".to_owned())),"
-            ));
-            out.close("}");
+            out.close("})");
         }
-        out.open(&format!("let mut prog = {name} {{"));
-        out.line("graph,");
-        for (field, _) in &self.edge_fields {
-            out.line(&format!("ep_{field},"));
-        }
-        for (field, _) in &self.global_fields {
-            out.line(&format!("g_{field},"));
-        }
-        out.line("seed,");
-        out.line("rng: PickRng::seed_from_u64(seed),");
-        out.line("prev_state: None,");
-        out.line("cur_state: 0,");
-        out.line("state_log: Vec::new(),");
-        if self.ret_repr.is_some() {
-            out.line("ret: None,");
-        }
-        out.line("finished: false,");
-        out.close("};");
-        out.open("let init = |n: NodeId| VertexValue {");
-        for (field, repr) in &self.prop_fields {
-            out.open(&format!("{field}: match &col_{field} {{"));
-            out.line("Some(c) => c[n.index()],");
-            out.line(&format!("None => {},", repr.default_expr()));
-            out.close("},");
-        }
-        out.line("in_nbrs: Vec::new(),");
-        out.close("};");
-        out.line("let result = gm_pregel::run(graph, &mut prog, init, config)?;");
-        out.line("let mut node_props: HashMap<String, Vec<Value>> = HashMap::new();");
-        for ((field, repr), (orig, _)) in self.prop_fields.iter().zip(&p.node_props) {
-            out.line(&format!(
-                "node_props.insert({orig:?}.to_owned(), result.values.iter().map(|v| {}).collect());",
-                self.value_wrap(&format!("v.{field}"), *repr)
-            ));
-        }
-        out.line("let mut globals: HashMap<String, Value> = HashMap::new();");
-        for ((field, repr), (orig, _)) in self.global_fields.iter().zip(&p.globals) {
-            out.line(&format!(
-                "globals.insert({orig:?}.to_owned(), {});",
-                self.value_wrap(&format!("prog.g_{field}"), *repr)
-            ));
-        }
-        out.line("let supersteps = &result.metrics.per_superstep;");
-        out.open("let trace: Vec<TraceStep> = prog.state_log.iter().zip(supersteps).map(|(&state, m)| TraceStep {");
-        out.line("state,");
-        out.line("active_vertices: m.active_vertices,");
-        out.line("messages_sent: m.messages_sent,");
-        out.line("message_bytes: m.message_bytes,");
-        out.close("}).collect();");
-        out.open("Ok(CompiledOutcome {");
-        match self.ret_repr {
-            Some(r) => out.line(&format!("ret: prog.ret.map(Value::{}),", r.name())),
-            None => out.line("ret: None,"),
-        }
-        out.line("node_props,");
-        out.line("globals,");
-        out.line("metrics: result.metrics,");
-        out.line("trace,");
-        out.close("})");
-        out.close("}");
-        out.line("");
-        Ok(())
-    }
-
-    fn emit_helpers(&self, out: &mut Buf) {
-        if self.uses_div {
-            out.open("fn gm_div_i64(x: i64, y: i64) -> i64 {");
-            out.open("if y == 0 {");
-            out.line("panic!(\"integer division by zero\");");
-            out.close("}");
-            out.line("x / y");
-            out.close("}");
-            out.line("");
-        }
-        if self.uses_mod {
-            out.open("fn gm_mod_i64(x: i64, y: i64) -> i64 {");
-            out.open("if y == 0 {");
-            out.line("panic!(\"integer modulo by zero\");");
-            out.close("}");
-            out.line("x % y");
-            out.close("}");
-            out.line("");
-        }
-        let mut elem_needed: Vec<Repr> = Vec::new();
-        for (_, r) in self.prop_fields.iter().chain(&self.edge_fields) {
-            if !elem_needed.contains(r) {
-                elem_needed.push(*r);
-            }
-        }
-        for repr in ALL_REPRS {
-            if elem_needed.contains(&repr) {
-                self.emit_elem_helper(out, repr);
-            }
-        }
-        let mut scalar_needed: Vec<Repr> = Vec::new();
-        for (_, ty) in &self.p.scalar_params {
-            if let Ok(r) = Repr::of_ty(ty) {
-                if !scalar_needed.contains(&r) {
-                    scalar_needed.push(r);
-                }
-            }
-        }
-        for repr in ALL_REPRS {
-            if scalar_needed.contains(&repr) {
-                self.emit_scalar_helper(out, repr);
-            }
-        }
-    }
-
-    fn emit_elem_helper(&self, out: &mut Buf, repr: Repr) {
-        out.open(&format!(
-            "fn elem_{}(v: &Value) -> {} {{",
-            repr_suffix(repr),
-            repr.rust()
-        ));
-        out.open("match v {");
-        match repr {
-            Repr::I64 => out.line("Value::Int(x) => *x,"),
-            Repr::F64 => {
-                out.line("Value::Int(x) => *x as f64,");
-                out.line("Value::Double(x) => *x,");
-            }
-            Repr::Bool => out.line("Value::Bool(x) => *x,"),
-            Repr::Node => out.line("Value::Node(x) => *x,"),
-            Repr::Edge => out.line("Value::Edge(x) => *x,"),
-        }
-        out.line(&format!(
-            "other => panic!(\"expected {} column element, got {{other:?}}\"),",
-            repr.name()
-        ));
-        out.close("}");
-        out.close("}");
-        out.line("");
-    }
-
-    fn emit_scalar_helper(&self, out: &mut Buf, repr: Repr) {
-        out.open(&format!(
-            "fn scalar_{}(v: Value, ty: &str) -> {} {{",
-            repr_suffix(repr),
-            repr.rust()
-        ));
-        out.open("match v {");
-        match repr {
-            Repr::I64 => {
-                out.line("Value::Int(x) => x,");
-                out.line("Value::Double(x) => x as i64,");
-            }
-            Repr::F64 => {
-                out.line("Value::Int(x) => x as f64,");
-                out.line("Value::Double(x) => x,");
-            }
-            Repr::Bool => out.line("Value::Bool(x) => x,"),
-            Repr::Node => out.line("Value::Node(x) => x,"),
-            Repr::Edge => out.line("Value::Edge(x) => x,"),
-        }
-        out.line("other => panic!(\"cannot coerce {other:?} to {ty}\"),");
-        out.close("}");
         out.close("}");
         out.line("");
     }
 }
 
+/// Emits struct `name` with one native field per `fields` entry (plus the
+/// in-neighbor array for a vertex row) and its `Row` impl.
+fn emit_row(out: &mut Buf, name: &str, fields: &[(String, Repr)], in_nbrs: bool) {
+    out.open(&format!("pub struct {name} {{"));
+    for (field, repr) in fields {
+        out.line(&format!("pub {field}: {},", repr.rust()));
+    }
+    if in_nbrs {
+        out.line("pub in_nbrs: Vec<u32>,");
+    }
+    out.close("}");
+    out.line("");
+    out.open(&format!("impl Row for {name} {{"));
+    out.open("fn build(_: usize, v: impl Fn(usize) -> Value) -> Self {");
+    out.open(&format!("{name} {{"));
+    for (slot, (field, repr)) in fields.iter().enumerate() {
+        out.line(&format!("{field}: v({slot}).{}(),", value_unwrap(*repr)));
+    }
+    if in_nbrs {
+        out.line("in_nbrs: Vec::new(),");
+    }
+    out.close("}");
+    out.close("}");
+    out.line("");
+    out.open("fn get(&self, slot: usize) -> Value {");
+    out.open("match slot {");
+    for (slot, (field, repr)) in fields.iter().enumerate() {
+        out.line(&format!(
+            "{slot} => {},",
+            value_wrap(&format!("self.{field}"), *repr)
+        ));
+    }
+    out.line("_ => unreachable!(),");
+    out.close("}");
+    out.close("}");
+    out.close("}");
+    out.line("");
+}
+
 /// Compiles a verified [`PregelProgram`] into the source text of a
-/// standalone Rust module implementing the runtime's `VertexProgram`
-/// trait natively — monomorphized message enum, native property fields,
-/// inlined combiners — plus a `run` entry point whose argument handling
-/// and outcome shape mirror `gm_interp::run_compiled` bit for bit.
+/// standalone Rust module implementing `gm_interp::Leg` natively —
+/// monomorphized message enum, native property and global fields, inlined
+/// combiners — plus its `SIGNATURE` and a `run` entry point into the shell
+/// `gm_interp::run_compiled` shares, so argument handling, master state
+/// and outcome shape are the interpreter's by construction.
 pub fn emit_rust(program: &PregelProgram) -> Result<String, RustgenError> {
     Gen::new(program)?.emit()
 }
@@ -2114,7 +1782,11 @@ mod tests {
         let rs = rust_of(NBR_SUM);
         assert!(rs.contains("pub struct VertexValue"), "{rs}");
         assert!(rs.contains("pub enum Msg"), "{rs}");
-        assert!(rs.contains("impl VertexProgram for F<'_>"), "{rs}");
+        assert!(rs.contains("impl Leg for F {"), "{rs}");
+        assert!(
+            rs.contains("pub static SIGNATURE: Signature<'static>"),
+            "{rs}"
+        );
         assert!(rs.contains("pub fn run("), "{rs}");
         assert!(rs.contains("impl Persist for VertexValue"), "{rs}");
         assert!(rs.contains("impl Persist for Msg"), "{rs}");
@@ -2159,10 +1831,19 @@ mod tests {
                 Return s;
             }",
         );
-        assert!(rs.contains("ctx.put_global(\"K\""), "{rs}");
+        // The broadcast and the argument come from the signature; the
+        // shell performs both.
+        assert!(rs.contains("params: &[(\"K\", Ty::Int)],"), "{rs}");
+        assert!(rs.contains("kernel: Some(&[0])"), "{rs}");
         assert!(rs.contains("ctx.reduce_global(\"s\""), "{rs}");
-        assert!(rs.contains("missing scalar argument `K`"), "{rs}");
-        assert!(rs.contains("scalar_i64("), "{rs}");
-        assert!(rs.contains("ret: prog.ret.map(Value::Int),"), "{rs}");
+        assert!(rs.contains("m.finish(Some(Value::Int(g.s)));"), "{rs}");
+        for shell_part in [
+            "master_compute",
+            "save_master_state",
+            "put_global",
+            "fn elem_",
+        ] {
+            assert!(!rs.contains(shell_part), "{shell_part}: {rs}");
+        }
     }
 }

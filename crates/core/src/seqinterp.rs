@@ -47,6 +47,51 @@ pub enum ArgValue {
     EdgeProp(Vec<Value>),
 }
 
+/// Binds scalar argument `name` to declared type `ty` by
+/// [`Value::try_coerce`], the argument rule of every execution leg; the
+/// error names a missing, non-scalar or uncoercible argument.
+pub fn scalar_arg(args: &HashMap<String, ArgValue>, name: &str, ty: &Ty) -> Result<Value, String> {
+    match args.get(name) {
+        Some(ArgValue::Scalar(v)) => v.try_coerce(ty).map_err(|e| format!("`{name}`: {e}")),
+        Some(_) => Err(format!("`{name}` must be a scalar")),
+        None => Err(format!("missing scalar argument `{name}`")),
+    }
+}
+
+/// Checks property argument `name` (an edge property when `edge`) against
+/// its kind, its length `len` and its element type `ty`, and returns its
+/// column (`None` when absent). Every element passes
+/// [`Value::try_coerce`], so callers may [`Value::coerce`] each one.
+pub fn property_arg<'a>(
+    args: &'a HashMap<String, ArgValue>,
+    name: &str,
+    ty: &Ty,
+    edge: bool,
+    len: usize,
+) -> Result<Option<&'a [Value]>, String> {
+    let (a, kind, unit) = if edge {
+        ("an", "edge", "edges")
+    } else {
+        ("a", "node", "nodes")
+    };
+    let column = match (args.get(name), edge) {
+        (None, _) => return Ok(None),
+        (Some(ArgValue::NodeProp(v)), false) | (Some(ArgValue::EdgeProp(v)), true) => v,
+        (Some(_), _) => return Err(format!("`{name}` must be {a} {kind} property")),
+    };
+    if column.len() != len {
+        return Err(format!(
+            "{kind} property `{name}` has length {}, graph has {len} {unit}",
+            column.len()
+        ));
+    }
+    for (i, v) in column.iter().enumerate() {
+        v.try_coerce(ty)
+            .map_err(|e| format!("`{name}`[{i}]: {e}"))?;
+    }
+    Ok(Some(column))
+}
+
 /// Result of executing a procedure.
 #[derive(Clone, Debug)]
 pub struct ExecOutcome {
@@ -120,72 +165,33 @@ pub fn run_procedure(
         rng: SplitMix64::new(seed),
     };
 
+    let bad = EvalError::BadArgument;
     for param in &proc.params {
+        let name = &param.name;
         match &param.ty {
             Ty::Graph => {}
-            Ty::NodeProp(inner) => {
-                let values = match args.get(&param.name) {
-                    Some(ArgValue::NodeProp(v)) => {
-                        if v.len() != graph.num_nodes() as usize {
-                            return Err(EvalError::BadArgument(format!(
-                                "node property `{}` has length {}, graph has {} nodes",
-                                param.name,
-                                v.len(),
-                                graph.num_nodes()
-                            )));
-                        }
-                        v.clone()
-                    }
-                    Some(_) => {
-                        return Err(EvalError::BadArgument(format!(
-                            "`{}` must be a node property",
-                            param.name
-                        )))
-                    }
-                    None => vec![Value::default_for(inner); graph.num_nodes() as usize],
+            Ty::NodeProp(inner) | Ty::EdgeProp(inner) => {
+                let edge = matches!(param.ty, Ty::EdgeProp(_));
+                let len = if edge {
+                    graph.num_edges()
+                } else {
+                    graph.num_nodes()
                 };
-                interp.node_props.insert(param.name.clone(), values);
-            }
-            Ty::EdgeProp(inner) => {
-                let values = match args.get(&param.name) {
-                    Some(ArgValue::EdgeProp(v)) => {
-                        if v.len() != graph.num_edges() as usize {
-                            return Err(EvalError::BadArgument(format!(
-                                "edge property `{}` has length {}, graph has {} edges",
-                                param.name,
-                                v.len(),
-                                graph.num_edges()
-                            )));
-                        }
-                        v.clone()
-                    }
-                    Some(_) => {
-                        return Err(EvalError::BadArgument(format!(
-                            "`{}` must be an edge property",
-                            param.name
-                        )))
-                    }
-                    None => vec![Value::default_for(inner); graph.num_edges() as usize],
+                let values = match property_arg(args, name, inner, edge, len as usize) {
+                    Ok(Some(v)) => v.iter().map(|x| x.coerce(inner)).collect(),
+                    Ok(None) => vec![Value::default_for(inner); len as usize],
+                    Err(e) => return Err(bad(e)),
                 };
-                interp.edge_props.insert(param.name.clone(), values);
+                let props = if edge {
+                    &mut interp.edge_props
+                } else {
+                    &mut interp.node_props
+                };
+                props.insert(name.clone(), values);
             }
             scalar_ty => {
-                let v = match args.get(&param.name) {
-                    Some(ArgValue::Scalar(v)) => v.coerce(scalar_ty),
-                    Some(_) => {
-                        return Err(EvalError::BadArgument(format!(
-                            "`{}` must be a scalar",
-                            param.name
-                        )))
-                    }
-                    None => {
-                        return Err(EvalError::BadArgument(format!(
-                            "missing scalar argument `{}`",
-                            param.name
-                        )))
-                    }
-                };
-                interp.scalars.insert(param.name.clone(), v);
+                let v = scalar_arg(args, name, scalar_ty).map_err(bad)?;
+                interp.scalars.insert(name.clone(), v);
             }
         }
     }
@@ -1126,5 +1132,57 @@ mod tests {
             &HashMap::from([("c".to_owned(), ArgValue::Scalar(Value::Int(7)))]),
         );
         assert_eq!(out.ret, Some(Value::Double(3.0))); // 7/2 integer-divides
+    }
+
+    /// Halves `Int` weights into a `Double` property; the column must be
+    /// coerced to `Double` for the division to be one.
+    const HALF: &str = "Procedure half(G: Graph, len: E_P<Double>, r: N_P<Double>) {
+        Foreach (n: G.Nodes) {
+            Foreach (s: n.Nbrs) {
+                Edge e = s.ToEdge();
+                s.r += e.len / 2;
+            }
+        }
+    }";
+
+    fn half_graph() -> Graph {
+        let mut b = gm_graph::GraphBuilder::new(3);
+        b.extend([(0, 1), (0, 2), (1, 2), (2, 0)]);
+        b.build()
+    }
+
+    fn half_args(weights: [Value; 4]) -> HashMap<String, ArgValue> {
+        HashMap::from([("len".to_owned(), ArgValue::EdgeProp(weights.to_vec()))])
+    }
+
+    #[test]
+    fn columns_are_coerced_to_their_element_type() {
+        let out = run_src(
+            &half_graph(),
+            HALF,
+            &half_args([3, 4, 9, 1].map(Value::Int)),
+        );
+        assert_eq!(out.node_props["r"], [0.5, 1.5, 6.5].map(Value::Double));
+    }
+
+    #[test]
+    fn an_uncoercible_argument_is_a_bad_argument() {
+        let mut prog = parse(HALF).expect("parse");
+        let infos = sema::check(&mut prog).expect("sema");
+        let run = |args| run_procedure(&half_graph(), &prog.procedures[0], &infos[0], &args, 0);
+        let err = run(half_args([Value::Bool(true); 4])).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad argument: `len`[0]: cannot coerce Bool(true) to Double"
+        );
+
+        let mut prog = parse("Procedure f(G: Graph, root: Node) { }").expect("parse");
+        let infos = sema::check(&mut prog).expect("sema");
+        let args = HashMap::from([("root".to_owned(), ArgValue::Scalar(Value::Bool(true)))]);
+        let err = run_procedure(&half_graph(), &prog.procedures[0], &infos[0], &args, 0);
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "bad argument: `root`: cannot coerce Bool(true) to Node"
+        );
     }
 }

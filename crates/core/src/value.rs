@@ -171,13 +171,7 @@ pub fn apply_bin(op: BinOp, a: Value, b: Value) -> Value {
                 Add => x.wrapping_add(y),
                 Sub => x.wrapping_sub(y),
                 Mul => x.wrapping_mul(y),
-                Div => {
-                    if y == 0 {
-                        panic!("integer division by zero")
-                    } else {
-                        x / y
-                    }
-                }
+                Div => div_i64(x, y),
                 _ => unreachable!(),
             }),
             (x, y) => {
@@ -192,13 +186,7 @@ pub fn apply_bin(op: BinOp, a: Value, b: Value) -> Value {
             }
         },
         Mod => match (a, b) {
-            (Int(x), Int(y)) => {
-                if y == 0 {
-                    panic!("integer modulo by zero")
-                } else {
-                    Int(x % y)
-                }
-            }
+            (Int(x), Int(y)) => Int(mod_i64(x, y)),
             (x, y) => panic!("% requires integers, found {x:?} and {y:?}"),
         },
         Eq | Ne => {
@@ -229,6 +217,18 @@ pub fn apply_bin(op: BinOp, a: Value, b: Value) -> Value {
         And => Bool(a.as_bool() && b.as_bool()),
         Or => Bool(a.as_bool() || b.as_bool()),
     }
+}
+
+/// Integer division, shared by every execution leg; panics on zero.
+pub fn div_i64(x: i64, y: i64) -> i64 {
+    assert!(y != 0, "integer division by zero");
+    x / y
+}
+
+/// Integer remainder, shared by every execution leg; panics on zero.
+pub fn mod_i64(x: i64, y: i64) -> i64 {
+    assert!(y != 0, "integer modulo by zero");
+    x % y
 }
 
 /// Evaluates a unary operation.

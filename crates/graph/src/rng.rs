@@ -13,6 +13,9 @@
 #[derive(Clone, Debug)]
 pub struct SplitMix64(u64);
 
+/// The golden-ratio increment each draw adds to the counter.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
 impl SplitMix64 {
     /// A stream starting from `seed`.
     pub fn new(seed: u64) -> Self {
@@ -21,11 +24,16 @@ impl SplitMix64 {
 
     /// The next 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        self.0 = self.0.wrapping_add(GAMMA);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
+    }
+
+    /// Skips `draws` draws in constant time: the counter is the only state.
+    pub fn skip(&mut self, draws: u64) {
+        self.0 = self.0.wrapping_add(draws.wrapping_mul(GAMMA));
     }
 
     /// Uniform in `[0, 1)` from the top 53 bits of one draw.
@@ -104,6 +112,17 @@ mod tests {
         assert_eq!(rng.next_u64(), 6457827717110365317);
         assert_eq!(rng.next_u64(), 3203168211198807973);
         assert_eq!(rng.next_u64(), 9817491932198370423);
+    }
+
+    #[test]
+    fn skip_lands_where_stepping_does() {
+        let mut stepped = SplitMix64::new(99);
+        for _ in 0..1000 {
+            stepped.next_u64();
+        }
+        let mut skipped = SplitMix64::new(99);
+        skipped.skip(1000);
+        assert_eq!(skipped.next_u64(), stepped.next_u64());
     }
 
     #[test]

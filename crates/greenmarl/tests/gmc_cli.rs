@@ -412,3 +412,25 @@ fn bad_inputs_fail_with_diagnostics() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+#[test]
+fn a_wrongly_typed_scalar_fails_alike_on_both_backends() {
+    let dir = temp_dir();
+    let edges = dir.join("edges_typed.txt");
+    std::fs::write(&edges, "0 1 2\n1 2 3\n").unwrap();
+    // The builtin source, so `--backend native` finds its compiled-in module.
+    let sssp = concat!(env!("CARGO_MANIFEST_DIR"), "/../algorithms/gm/sssp.gm");
+    for backend in ["interp", "native"] {
+        let out = gmc()
+            .args(["run", sssp, "--graph", edges.to_str().unwrap()])
+            .args(["--backend", backend, "--arg", "root=true"])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{backend}: {err}");
+        assert!(
+            err.contains("gmc run: bad argument: `root`: cannot coerce Bool(true) to Node"),
+            "{backend}: {err}"
+        );
+    }
+}

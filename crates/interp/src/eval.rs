@@ -7,9 +7,9 @@ use gm_graph::rng::SplitMix64;
 /// The seeded RNG behind `G.PickRandom()`, with a draw counter so that
 /// checkpoint snapshots can restore the stream position exactly.
 ///
-/// `PickRandom` is the only consumer and every draw uses the same fixed
-/// range (`0..num_nodes`), so `(seed, draws)` fully determines the RNG
-/// state: [`PickRng::replay`] re-seeds and fast-forwards.
+/// `PickRandom` is the only consumer and every pick takes exactly one
+/// draw, so `(seed, draws)` fully determines the RNG state:
+/// [`PickRng::replay`] re-seeds and skips ahead in constant time.
 pub struct PickRng {
     rng: SplitMix64,
     draws: u64,
@@ -35,14 +35,13 @@ impl PickRng {
         self.draws
     }
 
-    /// Re-seeds and fast-forwards `draws` draws of `0..n`, reproducing
-    /// the exact stream position a snapshot captured.
-    pub fn replay(seed: u64, draws: u64, n: u32) -> Self {
-        let mut rng = PickRng::seed_from_u64(seed);
-        for _ in 0..draws {
-            rng.pick(n);
-        }
-        rng
+    /// Re-seeds and skips `draws` picks, reproducing the exact stream
+    /// position a snapshot captured (in constant time, so a corrupt count
+    /// costs nothing).
+    pub fn replay(seed: u64, draws: u64) -> Self {
+        let mut rng = SplitMix64::new(seed);
+        rng.skip(draws);
+        PickRng { rng, draws }
     }
 }
 
@@ -117,7 +116,7 @@ mod tests {
         for _ in 0..5 {
             a.pick(1000);
         }
-        let mut b = PickRng::replay(99, a.draws(), 1000);
+        let mut b = PickRng::replay(99, a.draws());
         for _ in 0..10 {
             assert_eq!(a.pick(1000), b.pick(1000));
         }

@@ -18,8 +18,7 @@ pub struct EvalCx<'a> {
     pub payload: &'a [Value],
     /// Kernel locals.
     pub locals: &'a [Value],
-    /// Globals by slot: the kernel's broadcast row, or every program
-    /// global in master code.
+    /// Every program global, by slot.
     pub globals: &'a [Value],
     /// The executing vertex.
     pub self_id: u32,

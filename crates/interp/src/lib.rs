@@ -7,11 +7,12 @@
 //! and real global-object traffic, so the measured timesteps and network
 //! I/O are those of the generated program.
 //!
-//! Vertex kernels and master code run in the slot-resolved form of
-//! [`gm_core::kernel::lower`], the same lowering `gm_core::rustgen` prints
-//! as native Rust, so the interpreted and native legs share one set of
-//! name-resolution rules; this crate adds the value-dispatching executor,
-//! the state-machine driver and the argument/outcome plumbing.
+//! Both execution legs run inside one [`shell`]: the master driver,
+//! argument binding, the snapshot's master section and the outcome are
+//! written once there. The interpreter leg ([`run_compiled`]) evaluates
+//! the slot-resolved code of [`gm_core::kernel::lower`]; every
+//! `gm_core::rustgen` module is the other leg, printing the same lowering
+//! as native Rust.
 //!
 //! # Example
 //!
@@ -37,6 +38,8 @@
 mod eval;
 mod exec;
 mod run;
+pub mod shell;
 
 pub use eval::PickRng;
-pub use run::{run_compiled, CompiledOutcome, RunError, TraceStep};
+pub use run::run_compiled;
+pub use shell::{run_leg, CompiledOutcome, RunError, TraceStep};

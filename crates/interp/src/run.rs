@@ -1,32 +1,32 @@
-//! The state-machine driver: implements [`gm_pregel::VertexProgram`] for a
-//! compiled [`PregelProgram`].
+//! The interpreter leg: a compiled [`PregelProgram`] run by the shared
+//! [`crate::shell`].
 //!
 //! The whole machine — vertex kernels, master blocks, post blocks and
 //! transitions — runs in the slot-resolved form of [`gm_core::kernel`],
 //! through the one evaluator [`crate::exec::eval`], so neither the hot
 //! per-vertex path nor the master performs string hashing or map lookups.
-//! Globals live in a slot-indexed row; the ones a kernel reads are
-//! materialized once per superstep by the master; message payloads are
-//! shared via `Arc` so a fan-out to ten thousand neighbors clones a
-//! pointer, not a vector.
+//! Globals live in one slot-indexed row that master and vertex code read
+//! alike; message payloads are shared via `Arc` so a fan-out to ten
+//! thousand neighbors clones a pointer, not a vector.
 
-use crate::eval::PickRng;
 use crate::exec::{eval, EvalCx};
+use crate::shell::{
+    get_values, put_values, run_leg, to_g, with_signature, CompiledOutcome, Leg, Master, Row,
+    RunError,
+};
 use gm_core::ast::AssignOp;
 use gm_core::kernel::{self, CAction, CExpr, CInstr, CMInstr, Lowered};
-use gm_core::pir::{PregelProgram, StateId, Transition, IN_NBRS_TAG};
+use gm_core::pir::{PregelProgram, Transition, IN_NBRS_TAG};
 use gm_core::seqinterp::ArgValue;
 use gm_core::value::{apply_reduce, Value};
-use gm_core::{Compiled, Pullability};
+use gm_core::Compiled;
 use gm_graph::{EdgeId, Graph, NodeId};
 use gm_pregel::{
-    run, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics, Persist,
-    PregelConfig, PregelError, PullMode, ReduceOp, VertexContext, VertexProgram,
+    ByteReader, CkptError, GlobalValue, MasterContext, Persist, PregelConfig, ReduceOp,
+    VertexContext,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::error::Error;
-use std::fmt;
 use std::sync::Arc;
 
 /// Per-vertex state: the property row plus the in-neighbor array.
@@ -43,61 +43,15 @@ pub struct Msg {
     payload: Arc<[Value]>,
 }
 
-// `Value` lives in gm-core and `Persist` in gm-ckpt, so the orphan rule
-// forbids a trait impl; a local tag-byte codec bridges the two.
-fn put_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Int(x) => {
-            0u8.persist(out);
-            x.persist(out);
-        }
-        Value::Double(x) => {
-            1u8.persist(out);
-            x.persist(out);
-        }
-        Value::Bool(x) => {
-            2u8.persist(out);
-            x.persist(out);
-        }
-        Value::Node(x) => {
-            3u8.persist(out);
-            x.persist(out);
-        }
-        Value::Edge(x) => {
-            4u8.persist(out);
-            x.persist(out);
-        }
-    }
-}
-
-fn get_value(r: &mut ByteReader<'_>) -> Result<Value, CkptError> {
-    Ok(match u8::restore(r)? {
-        0 => Value::Int(Persist::restore(r)?),
-        1 => Value::Double(Persist::restore(r)?),
-        2 => Value::Bool(Persist::restore(r)?),
-        3 => Value::Node(Persist::restore(r)?),
-        4 => Value::Edge(Persist::restore(r)?),
-        t => return Err(CkptError::Decode(format!("invalid Value tag {t:#04x}"))),
-    })
-}
-
 impl Persist for VertexData {
     fn persist(&self, out: &mut Vec<u8>) {
-        self.props.len().persist(out);
-        for v in &self.props {
-            put_value(v, out);
-        }
+        put_values(&self.props, out);
         self.in_nbrs.persist(out);
     }
 
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
-        let n = usize::restore(r)?;
-        let mut props = Vec::new();
-        for _ in 0..n {
-            props.push(get_value(r)?);
-        }
         Ok(VertexData {
-            props,
+            props: get_values(r)?,
             in_nbrs: Persist::restore(r)?,
         })
     }
@@ -106,83 +60,19 @@ impl Persist for VertexData {
 impl Persist for Msg {
     fn persist(&self, out: &mut Vec<u8>) {
         self.tag.persist(out);
-        self.payload.len().persist(out);
-        for v in self.payload.iter() {
-            put_value(v, out);
-        }
+        put_values(&self.payload, out);
     }
 
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
-        let tag = u8::restore(r)?;
-        let n = usize::restore(r)?;
-        let mut payload = Vec::new();
-        for _ in 0..n {
-            payload.push(get_value(r)?);
-        }
         Ok(Msg {
-            tag,
-            payload: Arc::from(payload),
+            tag: u8::restore(r)?,
+            payload: Arc::from(get_values(r)?),
         })
     }
 }
 
-/// Errors from [`run_compiled`].
-#[derive(Debug)]
-pub enum RunError {
-    /// Bad or missing procedure argument.
-    BadArgument(String),
-    /// The BSP runtime failed (e.g. superstep limit).
-    Pregel(PregelError),
-}
-
-impl fmt::Display for RunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunError::BadArgument(m) => write!(f, "bad argument: {m}"),
-            RunError::Pregel(e) => write!(f, "pregel runtime error: {e}"),
-        }
-    }
-}
-
-impl Error for RunError {}
-
-impl From<PregelError> for RunError {
-    fn from(e: PregelError) -> Self {
-        RunError::Pregel(e)
-    }
-}
-
-/// One executed superstep, for tracing/debugging generated programs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceStep {
-    /// Which state of the machine ran its vertex phase.
-    pub state: usize,
-    /// Vertices whose kernel executed.
-    pub active_vertices: u32,
-    /// Messages sent during the superstep.
-    pub messages_sent: u64,
-    /// Serialized bytes of those messages.
-    pub message_bytes: u64,
-}
-
-/// Result of executing a compiled program.
-#[derive(Debug, Clone)]
-pub struct CompiledOutcome {
-    /// The `Return` value, if any.
-    pub ret: Option<Value>,
-    /// Final node-property contents by (unique) name.
-    pub node_props: HashMap<String, Vec<Value>>,
-    /// Final master globals.
-    pub globals: HashMap<String, Value>,
-    /// Superstep/message/timing counters from the BSP runtime.
-    pub metrics: Metrics,
-    /// Which machine state each superstep executed (aligned with
-    /// [`Metrics::per_superstep`]) — the execution trace of the generated
-    /// state machine.
-    pub trace: Vec<TraceStep>,
-}
-
-/// Executes `compiled` on `graph` with the given arguments.
+/// Executes `compiled` on `graph` with the given arguments: the
+/// interpreter leg inside the shared [`crate::shell`].
 ///
 /// Arguments use the same convention as the sequential interpreter
 /// ([`gm_core::seqinterp::run_procedure`]), so differential tests can feed
@@ -201,241 +91,131 @@ pub fn run_compiled(
     config: &PregelConfig,
 ) -> Result<CompiledOutcome, RunError> {
     let program = &compiled.program;
-
-    // Initial property columns.
-    let mut prop_tys = Vec::new();
-    let mut columns: Vec<Option<Vec<Value>>> = Vec::new();
-    for (name, ty) in &program.node_props {
-        prop_tys.push(ty.clone());
-        match args.get(name) {
-            Some(ArgValue::NodeProp(v)) => {
-                if v.len() != graph.num_nodes() as usize {
-                    return Err(RunError::BadArgument(format!(
-                        "node property `{name}` has wrong length"
-                    )));
-                }
-                columns.push(Some(v.clone()));
-            }
-            Some(_) => {
-                return Err(RunError::BadArgument(format!(
-                    "`{name}` must be a node property"
-                )))
-            }
-            None => columns.push(None),
-        }
-    }
-
-    let mut edge_cols = Vec::new();
-    for (name, ty) in &program.edge_props {
-        let values = match args.get(name) {
-            Some(ArgValue::EdgeProp(v)) => {
-                if v.len() != graph.num_edges() as usize {
-                    return Err(RunError::BadArgument(format!(
-                        "edge property `{name}` has wrong length"
-                    )));
-                }
-                v.clone()
-            }
-            Some(_) => {
-                return Err(RunError::BadArgument(format!(
-                    "`{name}` must be an edge property"
-                )))
-            }
-            None => vec![Value::default_for(ty); graph.num_edges() as usize],
-        };
-        edge_cols.push(values);
-    }
-
-    // Master globals: params from args, locals at defaults.
-    let mut globals: Vec<Value> = (program.globals.iter())
-        .map(|(_, ty)| Value::default_for(ty))
-        .collect();
-    for (name, ty) in &program.scalar_params {
-        let v = match args.get(name) {
-            Some(ArgValue::Scalar(v)) => v
-                .try_coerce(ty)
-                .map_err(|e| RunError::BadArgument(format!("`{name}`: {e}")))?,
-            Some(_) => return Err(RunError::BadArgument(format!("`{name}` must be a scalar"))),
-            None => {
-                return Err(RunError::BadArgument(format!(
-                    "missing scalar argument `{name}`"
-                )))
-            }
-        };
-        if let Some(slot) = program.globals.iter().position(|(g, _)| g == name) {
-            globals[slot] = v;
-        }
-    }
-
     // Verified PIR always lowers; a failure is a compiler bug.
     let pre = kernel::lower(program).unwrap_or_else(|e| panic!("{e}"));
-
-    let defaults: Vec<Value> = prop_tys.iter().map(Value::default_for).collect();
-    let init = |n: NodeId| VertexData {
-        props: columns
-            .iter()
-            .enumerate()
-            .map(|(i, col)| match col {
-                Some(v) => v[n.index()],
-                None => defaults[i],
-            })
-            .collect(),
-        in_nbrs: Vec::new(),
-    };
-
-    let mut machine = Machine::new(program, &pre, &edge_cols, graph, globals, seed);
-    let result = run(graph, &mut machine, init, config)?;
-
-    let mut node_props: HashMap<String, Vec<Value>> = HashMap::new();
-    for (i, (name, _)) in program.node_props.iter().enumerate() {
-        node_props.insert(
-            name.clone(),
-            result.values.iter().map(|v| v.props[i]).collect(),
-        );
-    }
-    let trace = machine
-        .state_log
-        .iter()
-        .zip(&result.metrics.per_superstep)
-        .map(|(&state, m)| TraceStep {
-            state,
-            active_vertices: m.active_vertices,
-            messages_sent: m.messages_sent,
-            message_bytes: m.message_bytes,
+    with_signature(program, &pre, |sig| {
+        run_leg(sig, graph, args, seed, config, |b| Machine {
+            program,
+            pre: &pre,
+            edge_cols: (0..sig.edge_props.len())
+                .map(|i| b.edge(i).collect())
+                .collect(),
+            graph,
         })
-        .collect();
-    Ok(CompiledOutcome {
-        ret: machine.ret,
-        node_props,
-        globals: (program.globals.iter().map(|(name, _)| name.clone()))
-            .zip(machine.globals)
-            .collect(),
-        metrics: result.metrics,
-        trace,
     })
 }
 
+/// The interpreter leg: lowered code run through [`crate::exec::eval`].
 struct Machine<'a> {
     program: &'a PregelProgram,
     pre: &'a Lowered,
-    /// Pullability verdict per state (aligned with `program.states`).
-    pullable: Vec<Pullability>,
-    edge_cols: &'a [Vec<Value>],
+    edge_cols: Vec<Vec<Value>>,
     graph: &'a Graph,
-    /// Master globals by slot (aligned with `program.globals`).
-    globals: Vec<Value>,
-    seed: u64,
-    rng: PickRng,
-    prev_state: Option<StateId>,
-    /// Set by the master before each vertex phase.
-    cur_state: StateId,
-    /// Broadcast values in the current kernel's slot order.
-    cur_globals: Vec<Value>,
-    /// States visited, one per vertex superstep (the execution trace).
-    state_log: Vec<StateId>,
-    ret: Option<Value>,
-    finished: bool,
 }
 
-impl<'a> Machine<'a> {
-    /// A machine at its entry state, with master globals `globals`.
-    fn new(
-        program: &'a PregelProgram,
-        pre: &'a Lowered,
-        edge_cols: &'a [Vec<Value>],
-        graph: &'a Graph,
-        globals: Vec<Value>,
-        seed: u64,
-    ) -> Self {
-        // Per-state pullability verdicts: recorded by the compiler pass
-        // when it ran, recomputed here otherwise (hand-built PIR in tests).
-        let pullable = if program.pullable.len() == program.states.len() {
-            program.pullable.clone()
-        } else {
-            gm_core::pullability::analyze(program)
-        };
-        Machine {
-            program,
-            pre,
-            pullable,
-            edge_cols,
-            graph,
-            globals,
-            seed,
-            rng: PickRng::seed_from_u64(seed),
-            prev_state: None,
-            cur_state: 0,
-            cur_globals: Vec::new(),
-            state_log: Vec::new(),
-            ret: None,
-            finished: false,
+impl Row for VertexData {
+    fn build(len: usize, value: impl Fn(usize) -> Value) -> Self {
+        VertexData {
+            props: (0..len).map(value).collect(),
+            in_nbrs: Vec::new(),
         }
     }
 
-    /// Evaluates master code: every global by slot, the graph size and
-    /// the master's RNG; no vertex.
-    fn master_eval(&mut self, e: &CExpr) -> Value {
-        let rng = RefCell::new(&mut self.rng);
-        let cx = EvalCx {
-            globals: &self.globals,
-            num_nodes: self.graph.num_nodes(),
-            num_edges: self.graph.num_edges(),
-            rng: Some(&rng),
-            ..EvalCx::default()
-        };
-        eval(e, &cx)
+    fn get(&self, slot: usize) -> Value {
+        self.props[slot]
     }
+}
 
-    fn run_minstrs(&mut self, instrs: &[CMInstr], agg: Option<&MasterContext<'_>>) {
-        for m in instrs {
-            if self.finished {
-                return;
+/// Evaluates master code: every global by slot, the graph size and the
+/// master's RNG; no vertex.
+fn master_eval(e: &CExpr, g: &[Value], m: &mut Master<'_>) -> Value {
+    let (num_nodes, num_edges) = (m.graph.num_nodes(), m.graph.num_edges());
+    let rng = RefCell::new(&mut m.rng);
+    let cx = EvalCx {
+        globals: g,
+        num_nodes,
+        num_edges,
+        rng: Some(&rng),
+        ..EvalCx::default()
+    };
+    eval(e, &cx)
+}
+
+fn run_minstrs(
+    instrs: &[CMInstr],
+    g: &mut Vec<Value>,
+    m: &mut Master<'_>,
+    agg: Option<&MasterContext<'_>>,
+) {
+    for instr in instrs {
+        if m.finished {
+            return;
+        }
+        match instr {
+            CMInstr::Assign {
+                slot,
+                op,
+                value,
+                ty,
+            } => {
+                let v = master_eval(value, g, m).coerce(ty);
+                g[*slot] = apply_reduce(*op, g[*slot], v);
             }
-            match m {
-                CMInstr::Assign {
-                    slot,
-                    op,
-                    value,
-                    ty,
-                } => {
-                    let v = self.master_eval(value).coerce(ty);
-                    self.globals[*slot] = apply_reduce(*op, self.globals[*slot], v);
+            CMInstr::FoldAgg { slot, op, agg_key } => {
+                if let Some(gv) = agg.and_then(|ctx| ctx.agg(agg_key)) {
+                    g[*slot] = apply_reduce(*op, g[*slot], from_g(gv));
                 }
-                CMInstr::FoldAgg { slot, op, agg_key } => {
-                    if let Some(gv) = agg.and_then(|ctx| ctx.agg(agg_key)) {
-                        self.globals[*slot] = apply_reduce(*op, self.globals[*slot], from_g(gv));
-                    }
-                }
-                CMInstr::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => {
-                    if self.master_eval(cond).as_bool() {
-                        self.run_minstrs(then_branch, agg);
-                    } else {
-                        self.run_minstrs(else_branch, agg);
-                    }
-                }
-                CMInstr::SetReturn { value, coerce } => {
-                    self.ret = value.as_ref().map(|e| {
-                        let v = self.master_eval(e);
-                        coerce.as_ref().map_or(v, |t| v.coerce(t))
-                    });
-                    self.finished = true;
-                }
+            }
+            CMInstr::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                let taken = if master_eval(cond, g, m).as_bool() {
+                    then_branch
+                } else {
+                    else_branch
+                };
+                run_minstrs(taken, g, m, agg);
+            }
+            CMInstr::SetReturn { value, coerce } => {
+                let ret = value.as_ref().map(|e| {
+                    let v = master_eval(e, g, m);
+                    coerce.as_ref().map_or(v, |t| v.coerce(t))
+                });
+                m.finish(ret);
             }
         }
     }
+}
 
-    fn eval_transition(&mut self, t: &Transition<CExpr>) -> Option<StateId> {
-        match t {
+impl Leg for Machine<'_> {
+    type Globals = Vec<Value>;
+    type VertexValue = VertexData;
+    type Message = Msg;
+
+    fn master(&self, state: usize, g: &mut Vec<Value>, m: &mut Master<'_>) {
+        run_minstrs(&self.pre.masters[state].master, g, m, None);
+    }
+
+    fn post(
+        &self,
+        state: usize,
+        g: &mut Vec<Value>,
+        m: &mut Master<'_>,
+        agg: Option<&MasterContext<'_>>,
+    ) {
+        run_minstrs(&self.pre.masters[state].post, g, m, agg);
+    }
+
+    fn transition(&self, state: usize, g: &Vec<Value>, m: &mut Master<'_>) -> Option<usize> {
+        match &self.pre.masters[state].transition {
             Transition::Goto(id) => Some(*id),
             Transition::Branch {
                 cond,
                 then_to,
                 else_to,
-            } => Some(if self.master_eval(cond).as_bool() {
+            } => Some(if master_eval(cond, g, m).as_bool() {
                 *then_to
             } else {
                 *else_to
@@ -443,11 +223,6 @@ impl<'a> Machine<'a> {
             Transition::Halt => None,
         }
     }
-}
-
-impl VertexProgram for Machine<'_> {
-    type VertexValue = VertexData;
-    type Message = Msg;
 
     fn message_bytes(&self, m: &Msg) -> u64 {
         if m.tag == IN_NBRS_TAG {
@@ -477,34 +252,16 @@ impl VertexProgram for Machine<'_> {
         })
     }
 
-    fn pull_supported(&self) -> bool {
-        self.pullable
-            .iter()
-            .any(|p| matches!(p, Pullability::Pullable { .. }))
-    }
-
-    fn pull_mode(&self) -> PullMode {
-        // `NoSends` states map to `Unsupported` on purpose: a gather walks
-        // every in-edge, which is wasted work when nothing was sent.
-        match self.pullable.get(self.cur_state) {
-            Some(Pullability::Pullable {
-                edge_dependent: false,
-            }) => PullMode::Captured,
-            Some(Pullability::Pullable {
-                edge_dependent: true,
-            }) => PullMode::Recomputed,
-            _ => PullMode::Unsupported,
-        }
-    }
-
     fn pull_message(
         &self,
+        state: usize,
+        g: &Vec<Value>,
         graph: &Graph,
         src: NodeId,
         edge: EdgeId,
         src_value: &VertexData,
     ) -> Msg {
-        let site = self.pre.kernels[self.cur_state]
+        let site = self.pre.kernels[state]
             .as_ref()
             .and_then(|k| k.send_site.as_ref())
             .expect("Recomputed verdict implies a recorded single send site");
@@ -513,11 +270,11 @@ impl VertexProgram for Machine<'_> {
         // after the sender's kernel ran — reproduces the pushed payload.
         let cx = EvalCx {
             props: &src_value.props,
-            globals: &self.cur_globals,
+            globals: g,
             self_id: src.0,
             out_degree: graph.out_degree(src),
             in_nbrs_len: src_value.in_nbrs.len(),
-            edge_cols: self.edge_cols,
+            edge_cols: &self.edge_cols,
             edge: edge.index(),
             num_nodes: graph.num_nodes(),
             num_edges: graph.num_edges(),
@@ -529,72 +286,15 @@ impl VertexProgram for Machine<'_> {
         }
     }
 
-    fn master_compute(&mut self, ctx: &mut MasterContext<'_>) -> MasterDecision {
-        if self.finished {
-            return MasterDecision::Halt;
-        }
-        let masters = &self.pre.masters;
-        let mut current = match self.prev_state {
-            None => 0,
-            Some(prev) => {
-                self.run_minstrs(&masters[prev].post, Some(ctx));
-                if self.finished {
-                    return MasterDecision::Halt;
-                }
-                match self.eval_transition(&masters[prev].transition) {
-                    Some(id) => id,
-                    None => return MasterDecision::Halt,
-                }
-            }
-        };
-        // Master chain: run through master-only states within this call.
-        let mut steps: u64 = 0;
-        loop {
-            steps += 1;
-            assert!(
-                steps < 10_000_000,
-                "master state machine did not reach a vertex state"
-            );
-            self.run_minstrs(&masters[current].master, None);
-            if self.finished {
-                return MasterDecision::Halt;
-            }
-            if self.pre.kernels[current].is_some() {
-                break;
-            }
-            self.run_minstrs(&masters[current].post, None);
-            match self.eval_transition(&masters[current].transition) {
-                Some(next) => current = next,
-                None => return MasterDecision::Halt,
-            }
-        }
-        // Broadcast the state number (as GPS does) and materialize the
-        // globals the kernel reads, in slot order, for the vertex phase.
-        ctx.put_global("_state", GlobalValue::Int(current as i64));
-        let kernel = self.pre.kernels[current]
-            .as_ref()
-            .expect("loop exits on vertex states");
-        self.cur_globals = kernel
-            .reads_globals
-            .iter()
-            .map(|&g| self.globals[g])
-            .collect();
-        for (&g, v) in kernel.reads_globals.iter().zip(&self.cur_globals) {
-            ctx.put_global(&self.program.globals[g].0, to_g(*v));
-        }
-        self.cur_state = current;
-        self.prev_state = Some(current);
-        self.state_log.push(current);
-        MasterDecision::Continue
-    }
-
     fn vertex_compute(
         &self,
+        state: usize,
+        g: &Vec<Value>,
         ctx: &mut VertexContext<'_, '_, Msg>,
         value: &mut VertexData,
         messages: &[Msg],
     ) {
-        let Some(kernel) = self.pre.kernels[self.cur_state].as_ref() else {
+        let Some(kernel) = self.pre.kernels[state].as_ref() else {
             return;
         };
         let self_id = ctx.id().0;
@@ -621,11 +321,11 @@ impl VertexProgram for Machine<'_> {
                             props,
                             snapshot: snapshot.as_deref(),
                             payload: &msg.payload,
-                            globals: &self.cur_globals,
+                            globals: g,
                             self_id,
                             out_degree,
                             in_nbrs_len,
-                            edge_cols: self.edge_cols,
+                            edge_cols: &self.edge_cols,
                             num_nodes: self.graph.num_nodes(),
                             num_edges: self.graph.num_edges(),
                             ..EvalCx::default()
@@ -678,11 +378,11 @@ impl VertexProgram for Machine<'_> {
                 let cx = EvalCx {
                     props,
                     locals: &locals,
-                    globals: &self.cur_globals,
+                    globals: g,
                     self_id,
                     out_degree,
                     in_nbrs_len: in_nbrs.len(),
-                    edge_cols: self.edge_cols,
+                    edge_cols: &self.edge_cols,
                     num_nodes: self.graph.num_nodes(),
                     num_edges: self.graph.num_edges(),
                     ..EvalCx::default()
@@ -694,6 +394,7 @@ impl VertexProgram for Machine<'_> {
         if filter_ok {
             self.exec_instrs(
                 ctx,
+                g,
                 &kernel.body,
                 props,
                 in_nbrs,
@@ -707,66 +408,6 @@ impl VertexProgram for Machine<'_> {
             props[idx] = v;
         }
     }
-
-    // Snapshots are cut before `master_compute`, so `cur_state` and
-    // `cur_globals` need not be saved — the master recomputes them on the
-    // first post-restore superstep. The RNG is stored as its draw count
-    // and replayed from the seed (see [`PickRng`]).
-    fn save_master_state(&self, out: &mut Vec<u8>) {
-        self.rng.draws().persist(out);
-        self.prev_state.map(|s| s as u64).persist(out);
-        self.finished.persist(out);
-        self.ret.is_some().persist(out);
-        if let Some(v) = &self.ret {
-            put_value(v, out);
-        }
-        // By name, in sorted order: the bytes do not depend on slot order.
-        let names = &self.program.globals;
-        let mut order: Vec<usize> = (0..names.len()).collect();
-        order.sort_by(|&a, &b| names[a].0.cmp(&names[b].0));
-        order.len().persist(out);
-        for slot in order {
-            names[slot].0.persist(out);
-            put_value(&self.globals[slot], out);
-        }
-        self.state_log.len().persist(out);
-        for &s in &self.state_log {
-            (s as u64).persist(out);
-        }
-    }
-
-    fn restore_master_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CkptError> {
-        let draws = u64::restore(r)?;
-        self.rng = PickRng::replay(self.seed, draws, self.graph.num_nodes());
-        let prev: Option<u64> = Persist::restore(r)?;
-        self.prev_state = prev.map(|s| s as StateId);
-        self.finished = Persist::restore(r)?;
-        self.ret = if bool::restore(r)? {
-            Some(get_value(r)?)
-        } else {
-            None
-        };
-        let n = usize::restore(r)?;
-        if n != self.globals.len() {
-            return Err(CkptError::Decode(format!(
-                "snapshot holds {n} globals, the program has {}",
-                self.globals.len()
-            )));
-        }
-        for _ in 0..n {
-            let name = String::restore(r)?;
-            let slot = (self.program.globals.iter().position(|(g, _)| *g == name))
-                .ok_or_else(|| CkptError::Decode(format!("snapshot global `{name}` is unknown")))?;
-            self.globals[slot] = get_value(r)?;
-        }
-        let n = usize::restore(r)?;
-        let mut log = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            log.push(u64::restore(r)? as StateId);
-        }
-        self.state_log = log;
-        Ok(())
-    }
 }
 
 impl Machine<'_> {
@@ -774,6 +415,7 @@ impl Machine<'_> {
     fn exec_instrs(
         &self,
         ctx: &mut VertexContext<'_, '_, Msg>,
+        g: &[Value],
         instrs: &[CInstr],
         props: &mut Vec<Value>,
         in_nbrs: &[u32],
@@ -790,11 +432,11 @@ impl Machine<'_> {
                 EvalCx {
                     props,
                     locals,
-                    globals: &self.cur_globals,
+                    globals: g,
                     self_id,
                     out_degree,
                     in_nbrs_len: in_nbrs.len(),
-                    edge_cols: self.edge_cols,
+                    edge_cols: &self.edge_cols,
                     edge: $edge,
                     num_nodes: self.graph.num_nodes(),
                     num_edges: self.graph.num_edges(),
@@ -902,21 +544,11 @@ impl Machine<'_> {
                     let c = eval(cond, &cx!()).as_bool();
                     let branch = if c { then_branch } else { else_branch };
                     self.exec_instrs(
-                        ctx, branch, props, in_nbrs, locals, deferred, self_id, out_degree,
+                        ctx, g, branch, props, in_nbrs, locals, deferred, self_id, out_degree,
                     );
                 }
             }
         }
-    }
-}
-
-fn to_g(v: Value) -> GlobalValue {
-    match v {
-        Value::Int(x) => GlobalValue::Int(x),
-        Value::Double(x) => GlobalValue::Double(x),
-        Value::Bool(x) => GlobalValue::Bool(x),
-        Value::Node(x) => GlobalValue::Node(x),
-        Value::Edge(x) => GlobalValue::Int(x as i64),
     }
 }
 
@@ -943,7 +575,31 @@ fn to_reduce_op(op: AssignOp) -> ReduceOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shell::MasterSection;
     use gm_core::{compile, CompileOptions};
+
+    /// Halves integer weights into a `Double` property: only a coerced
+    /// column divides as `Double`.
+    const HALF: &str = "Procedure half(G: Graph, len: E_P<Double>, r: N_P<Double>) {
+        Foreach (n: G.Nodes) {
+            Foreach (s: n.Nbrs) {
+                Edge e = s.ToEdge();
+                s.r += e.len / 2;
+            }
+        }
+    }";
+
+    /// Three nodes, four edges weighted 3, 4, 9, 1 — passed as `Int`s, as
+    /// `gmc run` passes a weighted edge list.
+    fn half_fixture() -> (Graph, HashMap<String, ArgValue>) {
+        let mut b = gm_graph::GraphBuilder::new(3);
+        b.extend([(0, 1), (0, 2), (1, 2), (2, 0)]);
+        let weights = [3, 4, 9, 1].map(Value::Int).to_vec();
+        (
+            b.build(),
+            HashMap::from([("len".to_owned(), ArgValue::EdgeProp(weights))]),
+        )
+    }
 
     fn run_src(graph: &Graph, src: &str, args: &HashMap<String, ArgValue>) -> CompiledOutcome {
         let compiled = compile(src, &CompileOptions::default()).expect("compiles");
@@ -1188,31 +844,73 @@ mod tests {
         );
     }
 
+    /// The `master` section of the newest snapshot a run of `src` with a
+    /// checkpoint every superstep writes.
+    fn master_section(src: &str, args: &HashMap<String, ArgValue>) -> Vec<u8> {
+        let dir = std::env::temp_dir().join(format!("gm-interp-master-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = PregelConfig {
+            checkpoint: Some(gm_pregel::CheckpointConfig::new(&dir, 1)),
+            ..PregelConfig::sequential()
+        };
+        let compiled = compile(src, &CompileOptions::default()).unwrap();
+        run_compiled(&gm_graph::gen::path(3), &compiled, args, 0, &config).unwrap();
+        let mut files: Vec<_> = (std::fs::read_dir(&dir).unwrap())
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "gmck"))
+            .collect();
+        files.sort();
+        let snap = gm_pregel::Snapshot::read(files.last().expect("a snapshot")).unwrap();
+        let bytes = snap.section("master").unwrap().to_vec();
+        let _ = std::fs::remove_dir_all(&dir);
+        bytes
+    }
+
     #[test]
     fn master_state_restores_by_name_and_rejects_an_unknown_global() {
-        let g = gm_graph::gen::path(3);
-        let compiled = |src| compile(src, &CompileOptions::default()).unwrap().program;
-        let (a, b) = (
-            compiled("Procedure f(G: Graph, k: Int) : Int { Return k + 1; }"),
-            compiled("Procedure f(G: Graph, j: Int) : Int { Return j + 1; }"),
-        );
-        let (pre_a, pre_b) = (kernel::lower(&a).unwrap(), kernel::lower(&b).unwrap());
-        let row = |p: &PregelProgram, v| vec![Value::Int(v); p.globals.len()];
-        let mut saved = Vec::new();
-        Machine::new(&a, &pre_a, &[], &g, row(&a, 7), 0).save_master_state(&mut saved);
-
-        let mut same = Machine::new(&a, &pre_a, &[], &g, row(&a, 0), 0);
-        same.restore_master_state(&mut ByteReader::new(&saved))
-            .unwrap();
-        assert_eq!(same.globals, row(&a, 7));
-
-        let mut other = Machine::new(&b, &pre_b, &[], &g, row(&b, 0), 0);
-        let err = other
-            .restore_master_state(&mut ByteReader::new(&saved))
-            .unwrap_err();
+        let count = |k| {
+            format!(
+                "Procedure f(G: Graph, {k}: Int, c: N_P<Int>) {{
+                    Foreach (n: G.Nodes) {{ n.c = {k}; }}
+                }}"
+            )
+        };
+        let args = HashMap::from([("k".to_owned(), ArgValue::Scalar(Value::Int(7)))]);
+        let saved = master_section(&count("k"), &args);
+        let decode = |src: &str| {
+            let program = compile(src, &CompileOptions::default()).unwrap().program;
+            let pre = kernel::lower(&program).unwrap();
+            let mut r = ByteReader::new(&saved);
+            with_signature(&program, &pre, |sig| MasterSection::decode(sig, &mut r))
+        };
+        let same = decode(&count("k")).unwrap();
+        assert_eq!(same.globals, vec![Value::Int(7)]);
+        let err = decode(&count("j")).unwrap_err();
         assert!(
-            err.to_string().contains("snapshot global `k` is unknown"),
+            matches!(&err, CkptError::Decode(m) if m.contains("snapshot global `k` is unknown")),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn columns_are_coerced_to_their_element_type() {
+        let (g, args) = half_fixture();
+        let out = run_src(&g, HALF, &args);
+        let half = [0.5, 1.5, 6.5].map(Value::Double);
+        assert_eq!(out.node_props["r"], half);
+        differential(&g, HALF, &args);
+    }
+
+    #[test]
+    fn a_bool_in_a_double_column_is_a_bad_argument() {
+        let (g, mut args) = half_fixture();
+        let bools = vec![Value::Bool(true); 4];
+        args.insert("len".to_owned(), ArgValue::EdgeProp(bools));
+        let compiled = compile(HALF, &CompileOptions::default()).unwrap();
+        let err = run_compiled(&g, &compiled, &args, 0, &PregelConfig::sequential()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad argument: `len`[0]: cannot coerce Bool(true) to Double"
         );
     }
 }
