@@ -6,7 +6,7 @@
 //!   algorithms the paper also coded natively for GPS (Betweenness
 //!   Centrality deliberately has none: the paper's point is that a manual
 //!   Pregel BC is prohibitively difficult);
-//! * [`reference`] — sequential oracles used by the differential tests.
+//! * [`reference`](mod@reference) — sequential oracles used by the differential tests.
 //! * [`native`] — `gm-core::rustgen` output compiled into the binary
 //!   (the `--backend native` modules), bit-identical to the interpreter.
 

@@ -1,68 +1,74 @@
-//! Schedule-axis tests: pullability of the shipped algorithms, and
+//! Schedule-axis tests: pull verdicts of the shipped algorithms, and
 //! differential push/pull/auto equivalence on the runtime.
 
 use gm_algorithms::sources;
+use gm_core::kernel::{lower, CInstr, CPull, Lowered};
 use gm_core::seqinterp::ArgValue;
 use gm_core::value::Value;
-use gm_core::{compile, CompileOptions, Pullability};
+use gm_core::{compile, CompileOptions};
 use gm_graph::gen;
+use gm_interp::shell::with_signature;
 use gm_interp::CompiledOutcome;
+use gm_pregel::PullMode::{self, Captured as C, Recomputed as R, Unsupported as U};
 use gm_pregel::{PregelConfig, Schedule};
 use std::collections::HashMap;
 
-fn verdicts(src: &str) -> Vec<Pullability> {
+/// The lowered program, and each state's pull mode as both legs read it.
+fn verdicts(src: &str) -> (Lowered, Vec<PullMode>) {
     let compiled = compile(src, &CompileOptions::default()).expect("compile");
-    compiled.program.pullable.clone()
+    let lowered = lower(&compiled.program).expect("lower");
+    let modes = with_signature(&compiled.program, &lowered, |sig| {
+        sig.states.iter().map(|s| s.pull).collect()
+    });
+    (lowered, modes)
 }
 
 #[test]
 fn pagerank_send_state_is_captured_pullable() {
-    let v = verdicts(sources::PAGERANK);
-    assert!(
-        v.iter().any(|p| matches!(
-            p,
-            Pullability::Pullable {
-                edge_dependent: false
-            }
-        )),
-        "{v:?}"
-    );
+    let v = verdicts(sources::PAGERANK).1;
+    assert!(v.contains(&C), "{v:?}");
 }
 
 #[test]
 fn sssp_send_state_is_recompute_pullable() {
-    let v = verdicts(sources::SSSP);
-    assert!(
-        v.iter().any(|p| matches!(
-            p,
-            Pullability::Pullable {
-                edge_dependent: true
-            }
-        )),
-        "{v:?}"
-    );
+    let v = verdicts(sources::SSSP).1;
+    assert!(v.contains(&R), "{v:?}");
 }
 
+/// Every shipped algorithm's per-state verdicts, pinned.
 #[test]
 fn every_algorithm_reports_verdicts_for_all_states() {
-    for (name, src) in sources::ALL {
-        let compiled = compile(src, &CompileOptions::default()).expect(name);
-        assert_eq!(
-            compiled.program.pullable.len(),
-            compiled.program.states.len(),
-            "{name}: verdicts not aligned with states"
-        );
-        println!("{name}: {:?}", compiled.program.pullable);
+    let pinned: [&[PullMode]; 6] = [
+        &[C, U, U, U],
+        &[U, U, U, C, C, U],
+        &[C, U, U, U, U, U, U],
+        &[U, U, U, R, U, U],
+        &[U, U, C, U, U, C, U, U],
+        &[C, U, U, U, U, U, C, C, U, U, U, U, U, U, U, U, U],
+    ];
+    for ((name, src), want) in sources::ALL.iter().zip(pinned) {
+        assert_eq!(verdicts(src).1, want, "{name}");
     }
 }
 
 #[test]
 fn bipartite_random_writing_states_are_push_only() {
     // Phases 2-3 of the matching handshake send to computed destinations.
-    let v = verdicts(sources::BIPARTITE_MATCHING);
+    let (lowered, _) = verdicts(sources::BIPARTITE_MATCHING);
+    let mut random_writing = 0;
+    for k in lowered.kernels.iter().flatten() {
+        let mut sends_to = false;
+        CInstr::visit(&k.body, &mut |i| {
+            sends_to |= matches!(i, CInstr::SendTo { .. })
+        });
+        if sends_to {
+            random_writing += 1;
+            assert_eq!(k.pull, CPull::Push);
+        }
+    }
     assert!(
-        v.iter().any(|p| matches!(p, Pullability::PushOnly { .. })),
-        "{v:?}"
+        random_writing >= 2,
+        "{random_writing} random-writing states"
     );
 }
 

@@ -341,6 +341,32 @@ impl Expr {
     pub fn ty(&self) -> &Ty {
         self.ty.as_ref().expect("expression was not type-checked")
     }
+
+    /// Applies `f` to this expression and then, in pre-order, to every
+    /// operand below it: unary, binary and ternary operands and call
+    /// arguments. An aggregate's filter and body are not visited; they
+    /// range over the aggregate's own iterator.
+    pub(crate) fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        match &self.kind {
+            ExprKind::Unary { expr, .. } => expr.visit(f),
+            ExprKind::Binary { lhs, rhs, .. } => {
+                lhs.visit(f);
+                rhs.visit(f);
+            }
+            ExprKind::Ternary {
+                cond,
+                then_val,
+                else_val,
+            } => {
+                cond.visit(f);
+                then_val.visit(f);
+                else_val.visit(f);
+            }
+            ExprKind::Call { args, .. } => args.iter().for_each(|a| a.visit(f)),
+            _ => {}
+        }
+    }
 }
 
 /// Expression variants.

@@ -495,18 +495,9 @@ fn count_expr(e: &Expr) -> usize {
 
 /// Whether an expression contains any aggregate sub-expression.
 pub fn contains_agg(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Agg(_) => true,
-        ExprKind::Unary { expr, .. } => contains_agg(expr),
-        ExprKind::Binary { lhs, rhs, .. } => contains_agg(lhs) || contains_agg(rhs),
-        ExprKind::Ternary {
-            cond,
-            then_val,
-            else_val,
-        } => contains_agg(cond) || contains_agg(then_val) || contains_agg(else_val),
-        ExprKind::Call { args, .. } => args.iter().any(contains_agg),
-        _ => false,
-    }
+    let mut found = false;
+    e.visit(&mut |x| found |= matches!(x.kind, ExprKind::Agg(_)));
+    found
 }
 
 #[cfg(test)]

@@ -188,17 +188,6 @@ pub fn compile_with(
         pregel.num_instrs(),
     );
 
-    // Pullability runs last: state merging and combiner marking reshape
-    // kernels, and the verdicts must describe the final state machine.
-    let started = Instant::now();
-    crate::pullability::annotate(&mut pregel);
-    report.record_timing(
-        "pullability",
-        started.elapsed(),
-        pregel.num_instrs(),
-        pregel.num_instrs(),
-    );
-
     if let Some(t) = tracer {
         emit_pass_spans(t, &report);
     }

@@ -4,7 +4,7 @@
 //! in a state once — vertex kernels, master blocks, post blocks and
 //! transitions — to a slot, folds `INF`/`NIL` literals into constants,
 //! computes the kernel's flags (snapshotting, edge-dependent sends, the
-//! pull send site), and flattens the code into [`CInstr`] and [`CMInstr`]
+//! pull verdict), and flattens the code into [`CInstr`] and [`CMInstr`]
 //! programs over one expression form, [`CExpr`]. `gm-interp` executes the
 //! result allocation-free; [`crate::rustgen`] prints it as native Rust.
 //! Both legs therefore agree on name resolution by construction:
@@ -196,17 +196,37 @@ pub struct CRecv {
     pub steps: Vec<CStep>,
 }
 
-/// A kernel's single neighbor-broadcast site, recorded so gathered (pull)
-/// supersteps can re-evaluate the payload receiver-side. Only present when
-/// the body contains exactly one `SendToNbrs`/`SendIdToNbrs` — the same
-/// condition the pullability analysis requires, so a `Pullable` verdict
-/// implies the site is recorded.
-#[derive(Clone, Debug)]
+/// A kernel's neighbor-broadcast site: what a gathered (pull) superstep
+/// re-evaluates receiver-side.
+#[derive(Clone, Debug, PartialEq)]
 pub struct CSendSite {
-    /// Message tag (`IN_NBRS_TAG` for the preamble's id broadcast).
+    /// Message tag.
     pub tag: u8,
     /// Payload expressions, slot-resolved in the kernel.
     pub payload: Vec<CExpr>,
+}
+
+/// How a kernel's vertex phase may run gather-side, decided from its
+/// lowered body. Pull inverts the loop — each receiver walks its in-edges
+/// and folds its senders' messages in place — which is only sound when the
+/// runtime can obtain, per (sender, edge), the exact message push would
+/// have sent.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CPull {
+    /// Push only: the body sends nothing (a gather would walk every
+    /// in-edge for nothing), sends anything other than exactly one
+    /// neighbor broadcast (`SendTo`, `SendToInNbrs`, several sites), or
+    /// broadcasts an edge-dependent payload that the kernel makes unstable.
+    Push,
+    /// The single broadcast's payload reads no edge: the runtime captures
+    /// the value at the send site, and every out-neighbor receives it.
+    Captured,
+    /// The single broadcast's payload reads the edge, so gather
+    /// re-evaluates it per in-edge against the sender's post-kernel row.
+    /// That is exact because the payload reads no kernel local (gone after
+    /// the kernel) and no property the body writes, immediate or deferred;
+    /// globals and edge properties are read-only in the vertex phase.
+    Recomputed(CSendSite),
 }
 
 /// A lowered vertex kernel.
@@ -229,8 +249,8 @@ pub struct CKernel {
     pub reads_globals: Vec<usize>,
     /// Whether the receive phase reads own properties (snapshot needed).
     pub snapshot_needed: bool,
-    /// The body's single neighbor-broadcast site, if there is exactly one.
-    pub send_site: Option<CSendSite>,
+    /// Whether, and how, the vertex phase may be gathered.
+    pub pull: CPull,
 }
 
 impl CKernel {
@@ -550,7 +570,7 @@ impl Cx<'_> {
                 let payload = self.exprs(payload)?;
                 let edge_dependent = payload
                     .iter()
-                    .any(|e| reads(e, &|l| matches!(l, CExpr::EdgeProp(_))));
+                    .any(|e| reads(e, |l| matches!(l, CExpr::EdgeProp(_))));
                 CInstr::SendToNbrs {
                     tag: *tag,
                     payload,
@@ -616,18 +636,92 @@ impl Cx<'_> {
     }
 }
 
-/// Whether `e` has a leaf satisfying `leaf`.
-fn reads(e: &CExpr, leaf: &impl Fn(&CExpr) -> bool) -> bool {
-    match e {
-        CExpr::Un(_, inner) => reads(inner, leaf),
-        CExpr::Bin(_, a, b) => reads(a, leaf) || reads(b, leaf),
-        CExpr::Ternary {
-            cond,
-            then_val,
-            else_val,
+impl CExpr {
+    /// Applies `f` to this expression and then, in pre-order, to every
+    /// operand below it.
+    pub(crate) fn visit<'a>(&'a self, f: &mut impl FnMut(&'a CExpr)) {
+        f(self);
+        match self {
+            CExpr::Un(_, inner) => inner.visit(f),
+            CExpr::Bin(_, a, b) => {
+                a.visit(f);
+                b.visit(f);
+            }
+            CExpr::Ternary {
+                cond,
+                then_val,
+                else_val,
+                ..
+            } => {
+                cond.visit(f);
+                then_val.visit(f);
+                else_val.visit(f);
+            }
+            _ => {}
+        }
+    }
+}
+
+impl CInstr {
+    /// Applies `f` to every instruction of `body` in pre-order, both
+    /// branches of each `If` included.
+    pub fn visit<'a>(body: &'a [CInstr], f: &mut impl FnMut(&'a CInstr)) {
+        for i in body {
+            f(i);
+            if let CInstr::If {
+                then_branch,
+                else_branch,
+                ..
+            } = i
+            {
+                CInstr::visit(then_branch, f);
+                CInstr::visit(else_branch, f);
+            }
+        }
+    }
+}
+
+/// Whether `e` has a sub-expression satisfying `leaf`.
+fn reads(e: &CExpr, leaf: impl Fn(&CExpr) -> bool) -> bool {
+    let mut hit = false;
+    e.visit(&mut |x| hit |= leaf(x));
+    hit
+}
+
+/// The pull verdict of a lowered kernel body (see [`CPull`]).
+fn pull_verdict(body: &[CInstr]) -> CPull {
+    let mut sends = Vec::new();
+    let mut written = Vec::new();
+    CInstr::visit(body, &mut |i| match i {
+        CInstr::SendToNbrs { .. }
+        | CInstr::SendToInNbrs { .. }
+        | CInstr::SendTo { .. }
+        | CInstr::SendIdToNbrs => sends.push(i),
+        CInstr::WriteOwn { prop, .. } => written.push(*prop),
+        _ => {}
+    });
+    match sends[..] {
+        [CInstr::SendIdToNbrs]
+        | [CInstr::SendToNbrs {
+            edge_dependent: false,
             ..
-        } => reads(cond, leaf) || reads(then_val, leaf) || reads(else_val, leaf),
-        leaf_expr => leaf(leaf_expr),
+        }] => CPull::Captured,
+        [CInstr::SendToNbrs { tag, payload, .. }] => {
+            let unstable = |l: &CExpr| match l {
+                CExpr::Local(_) => true,
+                CExpr::Prop(p) => written.contains(p),
+                _ => false,
+            };
+            if payload.iter().any(|e| reads(e, unstable)) {
+                CPull::Push
+            } else {
+                CPull::Recomputed(CSendSite {
+                    tag: *tag,
+                    payload: payload.clone(),
+                })
+            }
+        }
+        _ => CPull::Push,
     }
 }
 
@@ -680,7 +774,7 @@ fn lower_kernel(mut cx: Cx<'_>, k: &VertexKernel) -> R<CKernel> {
         cx.payload.clear();
     }
 
-    let reads_prop = |e: &CExpr| reads(e, &|l| matches!(l, CExpr::Prop(_)));
+    let reads_prop = |e: &CExpr| reads(e, |l| matches!(l, CExpr::Prop(_)));
     let snapshot_needed = recvs.iter().any(|r| {
         r.guard.as_ref().is_some_and(reads_prop)
             || r.steps.iter().any(|s| {
@@ -696,8 +790,7 @@ fn lower_kernel(mut cx: Cx<'_>, k: &VertexKernel) -> R<CKernel> {
 
     let filter = k.filter.as_ref().map(|f| cx.expr(f)).transpose()?;
     let body = cx.instrs(&k.body)?;
-    let mut sites = nbr_send_sites(&body);
-    let send_site = (sites.len() == 1).then(|| sites.remove(0));
+    let pull = pull_verdict(&body);
 
     Ok(CKernel {
         recvs,
@@ -708,36 +801,8 @@ fn lower_kernel(mut cx: Cx<'_>, k: &VertexKernel) -> R<CKernel> {
         locals: cx.locals,
         reads_globals: cx.reads_globals,
         snapshot_needed,
-        send_site,
+        pull,
     })
-}
-
-/// Every neighbor-broadcast site in `body` (`SendToNbrs`, and the
-/// preamble's `SendIdToNbrs` as an `IN_NBRS_TAG` send of the own id).
-pub fn nbr_send_sites(body: &[CInstr]) -> Vec<CSendSite> {
-    let mut out = Vec::new();
-    for i in body {
-        match i {
-            CInstr::SendToNbrs { tag, payload, .. } => out.push(CSendSite {
-                tag: *tag,
-                payload: payload.clone(),
-            }),
-            CInstr::SendIdToNbrs => out.push(CSendSite {
-                tag: IN_NBRS_TAG,
-                payload: vec![CExpr::SelfId],
-            }),
-            CInstr::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                out.extend(nbr_send_sites(then_branch));
-                out.extend(nbr_send_sites(else_branch));
-            }
-            _ => {}
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -816,7 +881,6 @@ mod tests {
             uses_in_nbrs: false,
             combinable: vec![None, None],
             ret: Some(Ty::Int),
-            pullable: vec![],
             states: vec![state],
         };
         lower(&program)
@@ -973,33 +1037,132 @@ mod tests {
 
     #[test]
     fn the_send_site_is_recorded_only_for_a_single_neighbor_broadcast() {
+        let edge_payload = add(Expr::prop(SELF, "x"), Expr::prop(EDGE, "w"));
         let guarded = VInstr::If {
             cond: Expr::bool(true),
-            then_branch: vec![send_nbrs(Expr::prop(SELF, "x"))],
+            then_branch: vec![send_nbrs(edge_payload)],
             else_branch: vec![],
         };
-        let site = lower_kernel_of(vec![], None, vec![guarded.clone()])
+        let pull = lower_kernel_of(vec![], None, vec![guarded.clone()])
             .unwrap()
-            .send_site
-            .expect("one site");
-        assert_eq!((site.tag, site.payload), (0, vec![CExpr::Prop(0)]));
-
-        let preamble = lower_kernel_of(vec![], None, vec![VInstr::SendIdToNbrs]).unwrap();
-        let site = preamble.send_site.expect("the id broadcast");
-        assert_eq!((site.tag, site.payload), (IN_NBRS_TAG, vec![CExpr::SelfId]));
+            .pull;
+        let site = CSendSite {
+            tag: 0,
+            payload: vec![CExpr::Bin(
+                BinOp::Add,
+                Box::new(CExpr::Prop(0)),
+                Box::new(CExpr::EdgeProp(0)),
+            )],
+        };
+        assert_eq!(pull, CPull::Recomputed(site));
 
         let two = vec![guarded, send_nbrs(Expr::int(1))];
-        assert!(lower_kernel_of(vec![], None, two)
-            .unwrap()
-            .send_site
-            .is_none());
-        let point_to_point = VInstr::SendTo {
-            dst: Expr::var(SELF),
-            tag: 1,
-            payload: vec![],
+        assert_eq!(
+            lower_kernel_of(vec![], None, two).unwrap().pull,
+            CPull::Push
+        );
+    }
+
+    /// One case per rule of the verdict: the kernel body and the verdict
+    /// it must get (`Recomputed` sites are checked above).
+    #[test]
+    fn pull_verdicts_follow_the_lowered_body() {
+        let x = || Expr::prop(SELF, "x");
+        let w = || Expr::prop(EDGE, "w");
+        let write_x = |op| VInstr::WriteOwn {
+            prop: "x".into(),
+            op,
+            value: Expr::int(1),
         };
-        let k = lower_kernel_of(vec![], None, vec![point_to_point]).unwrap();
-        assert!(k.send_site.is_none());
+        let degree = Expr::synth(ExprKind::Call {
+            obj: SELF.into(),
+            method: "Degree".into(),
+            args: vec![],
+        });
+        let guarded = |then_branch| VInstr::If {
+            cond: x(),
+            then_branch,
+            else_branch: vec![],
+        };
+        let cases: Vec<(&str, Vec<VInstr>, &str)> = vec![
+            ("silent", vec![], "push"),
+            ("writes only", vec![write_x(AssignOp::Assign)], "push"),
+            (
+                "PageRank: own write, then x / Degree()",
+                vec![
+                    write_x(AssignOp::Assign),
+                    send_nbrs(Expr::binary(BinOp::Div, x(), degree)),
+                ],
+                "captured",
+            ),
+            ("plain own payload", vec![send_nbrs(x())], "captured"),
+            (
+                "preamble id broadcast",
+                vec![VInstr::SendIdToNbrs],
+                "captured",
+            ),
+            (
+                "SSSP: guarded x + edge, no writes",
+                vec![guarded(vec![send_nbrs(add(x(), w()))])],
+                "recomputed",
+            ),
+            (
+                "edge payload with a global",
+                vec![send_nbrs(add(Expr::var("a"), w()))],
+                "recomputed",
+            ),
+            (
+                "edge payload, write to its property",
+                vec![write_x(AssignOp::Assign), send_nbrs(add(x(), w()))],
+                "push",
+            ),
+            (
+                "edge payload, deferred write after the send",
+                vec![send_nbrs(add(x(), w())), write_x(AssignOp::Defer)],
+                "push",
+            ),
+            (
+                "edge payload reading a local",
+                vec![
+                    local("t", AssignOp::Assign, Expr::int(2)),
+                    send_nbrs(Expr::binary(BinOp::Mul, Expr::var("t"), w())),
+                ],
+                "push",
+            ),
+            (
+                "random writing",
+                vec![VInstr::SendTo {
+                    dst: x(),
+                    tag: 0,
+                    payload: vec![Expr::int(1)],
+                }],
+                "push",
+            ),
+            (
+                "reverse edges",
+                vec![VInstr::SendToInNbrs {
+                    tag: 0,
+                    payload: vec![Expr::int(1)],
+                }],
+                "push",
+            ),
+            (
+                "two send sites",
+                vec![
+                    send_nbrs(Expr::int(1)),
+                    guarded(vec![send_nbrs(Expr::int(2))]),
+                ],
+                "push",
+            ),
+        ];
+        for (name, body, want) in cases {
+            let got = match lower_kernel_of(vec![], None, body).unwrap().pull {
+                CPull::Push => "push",
+                CPull::Captured => "captured",
+                CPull::Recomputed(_) => "recomputed",
+            };
+            assert_eq!(got, want, "{name}");
+        }
     }
 
     #[test]

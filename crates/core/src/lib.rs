@@ -39,7 +39,6 @@ pub mod optimize;
 pub mod parser;
 pub mod pir;
 pub mod pretty;
-pub mod pullability;
 pub mod report;
 pub mod rustgen;
 pub mod sema;
@@ -52,7 +51,6 @@ pub mod verify;
 
 pub use compiler::{compile, compile_with, CompileOptions, Compiled};
 pub use diag::{Diag, Diagnostics, Span};
-pub use pullability::Pullability;
 pub use report::{PassTiming, TransformReport};
 pub use types::Ty;
 pub use value::Value;

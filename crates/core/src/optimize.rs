@@ -3,7 +3,7 @@
 //! program takes; the Pregel framework pays a global synchronization
 //! barrier per timestep, so fewer states means less overhead.
 
-use crate::ast::Expr;
+use crate::ast::{AssignOp, Expr, ExprKind};
 use crate::pir::RecvAction;
 use crate::pir::*;
 use crate::report::{Step, TransformReport};
@@ -65,14 +65,13 @@ pub fn optimize_verified(
 /// `voteToHalt`); it is off by default and enabled by
 /// [`crate::CompileOptions::combiners`].
 pub fn mark_combiners(program: &mut PregelProgram) {
-    use crate::ast::ExprKind;
     use crate::pir::PAYLOAD_PREFIX;
     for tag in 0..program.messages.len() {
         if program.messages[tag].fields.len() != 1 {
             continue;
         }
         let field = format!("{PAYLOAD_PREFIX}{}", program.messages[tag].fields[0].0);
-        let mut op: Option<crate::ast::AssignOp> = None;
+        let mut op: Option<AssignOp> = None;
         let mut ok = true;
         let mut seen = false;
         for state in &program.states {
@@ -93,7 +92,7 @@ pub fn mark_combiners(program: &mut PregelProgram) {
                         value,
                         ..
                     } if write_op.is_reduction()
-                        && !matches!(write_op, crate::ast::AssignOp::Sub)
+                        && !matches!(write_op, AssignOp::Sub)
                         && matches!(&value.kind, ExprKind::Var(v) if *v == field) =>
                     {
                         match op {
@@ -144,12 +143,12 @@ fn find_mergeable(program: &PregelProgram) -> Option<(StateId, StateId)> {
         }
         // Message boundary: if A sends, B's receive handlers consume those
         // messages one superstep later — cannot merge.
-        if kernel_sends(&ka.body) || !kb.recvs.is_empty() {
+        if any_instr(&ka.body, is_send) || !kb.recvs.is_empty() {
             continue;
         }
         // A deferred write in A applies at A's kernel end; fusing B's code
         // in front of that application would change what B reads.
-        if kernel_has_defer(&ka.body) {
+        if any_instr(&ka.body, is_defer) {
             continue;
         }
         // Master-side dependencies.
@@ -312,7 +311,7 @@ fn try_merge_loop(program: &mut PregelProgram, head: StateId) -> bool {
     // A still-deferred write in Vn (or B1) would apply after the fused
     // B1-half has already read the property — reject.
     let kvn = program.states[vn].vertex.as_ref().expect("vertex");
-    if kernel_has_defer(&kvn.body) || kernel_has_defer(&kb1.body) {
+    if any_instr(&kvn.body, is_defer) || any_instr(&kb1.body, is_defer) {
         return false;
     }
     let outside: HashSet<StateId> = (0..program.states.len())
@@ -406,22 +405,10 @@ fn try_merge_loop(program: &mut PregelProgram, head: StateId) -> bool {
 /// (dangling messages are dropped), per-vertex locals are fine, own writes
 /// are fine only to properties never read outside the loop.
 fn speculation_safe(body: &[VInstr], props_read_outside: &HashSet<String>) -> bool {
-    body.iter().all(|i| match i {
-        VInstr::SendToNbrs { .. }
-        | VInstr::SendToInNbrs { .. }
-        | VInstr::SendTo { .. }
-        | VInstr::SendIdToNbrs
-        | VInstr::Local { .. } => true,
-        VInstr::WriteOwn { prop, .. } => !props_read_outside.contains(prop),
-        VInstr::ReduceGlobal { .. } => false,
-        VInstr::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            speculation_safe(then_branch, props_read_outside)
-                && speculation_safe(else_branch, props_read_outside)
-        }
+    !any_instr(body, |i| match i {
+        VInstr::WriteOwn { prop, .. } => props_read_outside.contains(prop),
+        VInstr::ReduceGlobal { .. } => true,
+        _ => false,
     })
 }
 
@@ -431,91 +418,16 @@ fn props_read_in_states(program: &PregelProgram, states: &HashSet<StateId>) -> H
     let mut out = HashSet::new();
     for &s in states {
         if let Some(k) = &program.states[s].vertex {
-            let mut push = |e: &Expr| collect_prop_reads(e, &mut out);
-            if let Some(f) = &k.filter {
-                push(f);
-            }
-            collect_instr_prop_reads(&k.body, &mut out);
-            for r in &k.recvs {
-                if let Some(g) = &r.guard {
-                    collect_prop_reads(g, &mut out);
-                }
-                for step in &r.steps {
-                    if let Some(g) = &step.guard {
-                        collect_prop_reads(g, &mut out);
+            k.visit_exprs(&mut |e| {
+                e.visit(&mut |x| {
+                    if let ExprKind::Prop { prop, .. } = &x.kind {
+                        out.insert(prop.clone());
                     }
-                    match &step.action {
-                        RecvAction::WriteOwn { value, .. }
-                        | RecvAction::ReduceGlobal { value, .. } => {
-                            collect_prop_reads(value, &mut out)
-                        }
-                        RecvAction::StoreInNbr => {}
-                    }
-                }
-            }
+                })
+            });
         }
     }
     out
-}
-
-fn collect_instr_prop_reads(instrs: &[VInstr], out: &mut HashSet<String>) {
-    for i in instrs {
-        match i {
-            VInstr::Local { value, .. }
-            | VInstr::WriteOwn { value, .. }
-            | VInstr::ReduceGlobal { value, .. } => collect_prop_reads(value, out),
-            VInstr::SendToNbrs { payload, .. } | VInstr::SendToInNbrs { payload, .. } => {
-                for p in payload {
-                    collect_prop_reads(p, out);
-                }
-            }
-            VInstr::SendTo { dst, payload, .. } => {
-                collect_prop_reads(dst, out);
-                for p in payload {
-                    collect_prop_reads(p, out);
-                }
-            }
-            VInstr::SendIdToNbrs => {}
-            VInstr::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                collect_prop_reads(cond, out);
-                collect_instr_prop_reads(then_branch, out);
-                collect_instr_prop_reads(else_branch, out);
-            }
-        }
-    }
-}
-
-fn collect_prop_reads(e: &Expr, out: &mut HashSet<String>) {
-    use crate::ast::ExprKind;
-    match &e.kind {
-        ExprKind::Prop { prop, .. } => {
-            out.insert(prop.clone());
-        }
-        ExprKind::Unary { expr, .. } => collect_prop_reads(expr, out),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            collect_prop_reads(lhs, out);
-            collect_prop_reads(rhs, out);
-        }
-        ExprKind::Ternary {
-            cond,
-            then_val,
-            else_val,
-        } => {
-            collect_prop_reads(cond, out);
-            collect_prop_reads(then_val, out);
-            collect_prop_reads(else_val, out);
-        }
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                collect_prop_reads(a, out);
-            }
-        }
-        _ => {}
-    }
 }
 
 // ---- shared helpers ----
@@ -523,145 +435,97 @@ fn collect_prop_reads(e: &Expr, out: &mut HashSet<String>) {
 /// Whether every write to `g` in `instrs` is a plain assignment of a
 /// constant expression (no variable or call reads).
 fn writes_are_const_assign(instrs: &[MInstr], g: &str) -> bool {
-    fn expr_is_const(e: &Expr) -> bool {
-        use crate::ast::ExprKind;
-        match &e.kind {
-            ExprKind::IntLit(_)
-            | ExprKind::FloatLit(_)
-            | ExprKind::BoolLit(_)
-            | ExprKind::Inf { .. }
-            | ExprKind::Nil => true,
-            ExprKind::Unary { expr, .. } => expr_is_const(expr),
-            ExprKind::Binary { lhs, rhs, .. } => expr_is_const(lhs) && expr_is_const(rhs),
-            _ => false,
-        }
-    }
-    fn rec(instrs: &[MInstr], g: &str) -> bool {
-        instrs.iter().all(|i| match i {
+    let is_const = |e: &Expr| {
+        let mut constant = true;
+        e.visit(&mut |x| {
+            constant &= matches!(
+                x.kind,
+                ExprKind::IntLit(_)
+                    | ExprKind::FloatLit(_)
+                    | ExprKind::BoolLit(_)
+                    | ExprKind::Inf { .. }
+                    | ExprKind::Nil
+                    | ExprKind::Unary { .. }
+                    | ExprKind::Binary { .. }
+            )
+        });
+        constant
+    };
+    let mut ok = true;
+    MInstr::visit(instrs, &mut |i| {
+        ok &= match i {
             MInstr::Assign { name, op, value } if name == g => {
-                *op == crate::ast::AssignOp::Assign && expr_is_const(value)
+                *op == AssignOp::Assign && is_const(value)
             }
             MInstr::FoldAgg { name, .. } => name != g,
-            MInstr::If {
-                then_branch,
-                else_branch,
-                ..
-            } => rec(then_branch, g) && rec(else_branch, g),
             _ => true,
-        })
-    }
-    rec(instrs, g)
+        }
+    });
+    ok
 }
 
-/// Whether the body contains a (still) deferred own-write.
-fn kernel_has_defer(body: &[VInstr]) -> bool {
-    use crate::ast::AssignOp;
-    body.iter().any(|i| match i {
+/// Whether any instruction of `body`, `If` branches included, satisfies
+/// `pred`.
+fn any_instr(body: &[VInstr], pred: impl Fn(&VInstr) -> bool) -> bool {
+    let mut hit = false;
+    VInstr::visit(body, &mut |i| hit |= pred(i));
+    hit
+}
+
+fn is_send(i: &VInstr) -> bool {
+    matches!(
+        i,
+        VInstr::SendToNbrs { .. }
+            | VInstr::SendToInNbrs { .. }
+            | VInstr::SendTo { .. }
+            | VInstr::SendIdToNbrs
+    )
+}
+
+/// A (still) deferred own-write.
+fn is_defer(i: &VInstr) -> bool {
+    matches!(
+        i,
         VInstr::WriteOwn {
             op: AssignOp::Defer,
             ..
-        } => true,
-        VInstr::If {
-            then_branch,
-            else_branch,
-            ..
-        } => kernel_has_defer(then_branch) || kernel_has_defer(else_branch),
-        _ => false,
-    })
+        }
+    )
 }
 
-fn kernel_sends(body: &[VInstr]) -> bool {
-    body.iter().any(|i| match i {
-        VInstr::SendToNbrs { .. }
-        | VInstr::SendToInNbrs { .. }
-        | VInstr::SendTo { .. }
-        | VInstr::SendIdToNbrs => true,
-        VInstr::If {
-            then_branch,
-            else_branch,
-            ..
-        } => kernel_sends(then_branch) || kernel_sends(else_branch),
-        _ => false,
-    })
-}
-
+/// The globals a master block assigns or folds into.
 fn master_writes(instrs: &[MInstr]) -> Vec<String> {
     let mut out = Vec::new();
-    fn rec(instrs: &[MInstr], out: &mut Vec<String>) {
-        for i in instrs {
-            match i {
-                MInstr::Assign { name, .. } | MInstr::FoldAgg { name, .. } => {
-                    out.push(name.clone())
-                }
-                MInstr::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    rec(then_branch, out);
-                    rec(else_branch, out);
-                }
-                MInstr::SetReturn(_) => {}
-            }
+    MInstr::visit(instrs, &mut |i| {
+        if let MInstr::Assign { name, .. } | MInstr::FoldAgg { name, .. } = i {
+            out.push(name.clone());
         }
-    }
-    rec(instrs, &mut out);
+    });
     out
 }
 
+/// The globals a master block reads: its expressions' variables, plus the
+/// targets of reductions and folds.
 fn master_reads(instrs: &[MInstr]) -> Vec<String> {
     let mut out = Vec::new();
-    fn expr_vars(e: &Expr, out: &mut Vec<String>) {
-        use crate::ast::ExprKind;
-        match &e.kind {
-            ExprKind::Var(n) => out.push(n.clone()),
-            ExprKind::Unary { expr, .. } => expr_vars(expr, out),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                expr_vars(lhs, out);
-                expr_vars(rhs, out);
+    let vars = |e: &Expr, out: &mut Vec<String>| {
+        e.visit(&mut |x| {
+            if let ExprKind::Var(n) = &x.kind {
+                out.push(n.clone());
             }
-            ExprKind::Ternary {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                expr_vars(cond, out);
-                expr_vars(then_val, out);
-                expr_vars(else_val, out);
+        })
+    };
+    MInstr::visit(instrs, &mut |i| match i {
+        MInstr::Assign { name, op, value } => {
+            if op.is_reduction() {
+                out.push(name.clone());
             }
-            ExprKind::Call { args, .. } => {
-                for a in args {
-                    expr_vars(a, out);
-                }
-            }
-            _ => {}
+            vars(value, &mut out);
         }
-    }
-    fn rec(instrs: &[MInstr], out: &mut Vec<String>) {
-        for i in instrs {
-            match i {
-                MInstr::Assign { name, op, value } => {
-                    if op.is_reduction() {
-                        out.push(name.clone());
-                    }
-                    expr_vars(value, out);
-                }
-                MInstr::FoldAgg { name, .. } => out.push(name.clone()),
-                MInstr::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => {
-                    expr_vars(cond, out);
-                    rec(then_branch, out);
-                    rec(else_branch, out);
-                }
-                MInstr::SetReturn(Some(e)) => expr_vars(e, out),
-                MInstr::SetReturn(None) => {}
-            }
-        }
-    }
-    rec(instrs, &mut out);
+        MInstr::FoldAgg { name, .. } => out.push(name.clone()),
+        MInstr::If { cond: e, .. } | MInstr::SetReturn(Some(e)) => vars(e, &mut out),
+        MInstr::SetReturn(None) => {}
+    });
     out
 }
 

@@ -75,11 +75,6 @@ pub struct PregelProgram {
     pub combinable: Vec<Option<AssignOp>>,
     /// Declared return type.
     pub ret: Option<Ty>,
-    /// Per-state pullability verdicts, index-aligned with
-    /// [`PregelProgram::states`] (see [`crate::pullability`]). Empty until
-    /// the compiler's annotate pass runs; runtimes treat an empty vector
-    /// as "analysis not available" and may run it themselves.
-    pub pullable: Vec<crate::pullability::Pullability>,
     /// The state machine. `states[0]` is the entry.
     pub states: Vec<State>,
 }
@@ -119,22 +114,6 @@ impl PregelProgram {
     /// envelope, one vertex id, plus the tag byte when tagging is on).
     pub fn in_nbrs_message_bytes(&self) -> u64 {
         ENVELOPE_BYTES + Ty::Node.byte_width() + u64::from(self.needs_tag_byte())
-    }
-
-    /// Whether `state` may execute gather-side under a pull schedule
-    /// (also true for master-only or sendless states, whose gather phase
-    /// is empty). `false` when the pullability pass has not run.
-    pub fn state_pullable(&self, state: StateId) -> bool {
-        self.pullable.get(state).is_some_and(|p| p.is_pullable())
-    }
-
-    /// Whether a pull schedule makes sense at all: at least one state's
-    /// sends can run gather-side. Requesting pull on a program where this
-    /// is false is a configuration error, not a silent fallback.
-    pub fn pull_supported(&self) -> bool {
-        self.pullable
-            .iter()
-            .any(|p| matches!(p, crate::pullability::Pullability::Pullable { .. }))
     }
 
     /// A coarse size measure over the state machine: one per state plus
@@ -365,6 +344,84 @@ pub enum VInstr {
     },
 }
 
+impl VertexKernel {
+    /// Applies `f` to every top-level expression the kernel evaluates: the
+    /// filter, each body instruction's own expressions, and each receive
+    /// handler's guards and action values.
+    pub(crate) fn visit_exprs<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        self.filter.iter().for_each(&mut *f);
+        VInstr::visit(&self.body, &mut |i| i.exprs().for_each(&mut *f));
+        for r in &self.recvs {
+            r.guard.iter().for_each(&mut *f);
+            for s in &r.steps {
+                s.guard.iter().for_each(&mut *f);
+                match &s.action {
+                    RecvAction::WriteOwn { value, .. } | RecvAction::ReduceGlobal { value, .. } => {
+                        f(value)
+                    }
+                    RecvAction::StoreInNbr => {}
+                }
+            }
+        }
+    }
+}
+
+impl VInstr {
+    /// Applies `f` to every instruction of `body` in pre-order, both
+    /// branches of each `If` included.
+    pub(crate) fn visit<'a>(body: &'a [VInstr], f: &mut impl FnMut(&'a VInstr)) {
+        for i in body {
+            f(i);
+            if let VInstr::If {
+                then_branch,
+                else_branch,
+                ..
+            } = i
+            {
+                VInstr::visit(then_branch, f);
+                VInstr::visit(else_branch, f);
+            }
+        }
+    }
+
+    /// The expressions this instruction evaluates itself: its value,
+    /// destination, payload or condition (an `If`'s branches are
+    /// instructions of their own).
+    pub(crate) fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        let (head, payload): (Option<&Expr>, &[Expr]) = match self {
+            VInstr::Local { value, .. }
+            | VInstr::WriteOwn { value, .. }
+            | VInstr::ReduceGlobal { value, .. }
+            | VInstr::If { cond: value, .. } => (Some(value), &[]),
+            VInstr::SendToNbrs { payload, .. } | VInstr::SendToInNbrs { payload, .. } => {
+                (None, payload)
+            }
+            VInstr::SendTo { dst, payload, .. } => (Some(dst), payload),
+            VInstr::SendIdToNbrs => (None, &[]),
+        };
+        head.into_iter().chain(payload)
+    }
+}
+
+impl MInstr {
+    /// Applies `f` to every instruction of `block` in pre-order, both
+    /// branches of each `If` included.
+    pub(crate) fn visit<'a>(block: &'a [MInstr], f: &mut impl FnMut(&'a MInstr)) {
+        for i in block {
+            f(i);
+            if let MInstr::If {
+                then_branch,
+                else_branch,
+                ..
+            } = i
+            {
+                MInstr::visit(then_branch, f);
+                MInstr::visit(else_branch, f);
+            }
+        }
+    }
+}
+
 impl fmt::Display for PregelProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -424,7 +481,6 @@ mod tests {
             uses_in_nbrs: false,
             combinable: vec![None, None],
             ret: None,
-            pullable: vec![],
             states: vec![State {
                 master: vec![],
                 vertex: Some(VertexKernel::default()),

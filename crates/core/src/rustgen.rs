@@ -46,9 +46,8 @@
 //! built-in registry by source equality.
 
 use crate::ast::{AssignOp, BinOp, UnOp};
-use crate::kernel::{self, CAction, CExpr, CInstr, CKernel, CMInstr, Lowered};
-use crate::pir::{PregelProgram, Transition, IN_NBRS_TAG};
-use crate::pullability::{self, Pullability};
+use crate::kernel::{self, CAction, CExpr, CInstr, CKernel, CMInstr, CPull, Lowered};
+use crate::pir::{PregelProgram, Transition};
 use crate::types::Ty;
 use crate::value::{Value, NIL_NODE};
 use std::collections::{HashMap, HashSet};
@@ -326,7 +325,6 @@ struct Gen<'a> {
     /// Per message tag: variant name, fields (sanitized name, repr).
     msg_variants: Vec<(String, Vec<(String, Repr)>)>,
     ret_repr: Option<Repr>,
-    pullable: Vec<Pullability>,
     /// Aggregate key → the repr every vertex-side `ReduceGlobal` pushes.
     agg_repr: HashMap<String, Repr>,
     temp: usize,
@@ -360,12 +358,6 @@ impl<'a> Gen<'a> {
             None => None,
         };
 
-        let pullable = if p.pullable.len() == p.states.len() {
-            p.pullable.clone()
-        } else {
-            pullability::analyze(p)
-        };
-
         Ok(Gen {
             struct_name: camel(&p.name),
             prop_fields,
@@ -373,7 +365,6 @@ impl<'a> Gen<'a> {
             global_fields,
             msg_variants,
             ret_repr,
-            pullable,
             agg_repr: HashMap::new(),
             temp: 0,
             p,
@@ -762,12 +753,6 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                 Ok(TE::new(format!("p_{field}"), *repr))
             }
             CExpr::Local(slot) => {
-                if place == VPlace::Pull {
-                    return err(format!(
-                        "pull payload reads kernel local `{}` — pullability bug",
-                        self.local_names[*slot].0
-                    ));
-                }
                 let (field, repr) = &self.locals[*slot];
                 Ok(TE::new(format!("l_{field}"), *repr))
             }
@@ -1095,29 +1080,6 @@ impl<'a, 'g> KernelCx<'a, 'g> {
     }
 }
 
-/// Own-property slots the body writes with `<=` (deferred to kernel end),
-/// in first-write order.
-fn collect_deferred(instrs: &[CInstr], out: &mut Vec<usize>) {
-    for i in instrs {
-        match i {
-            CInstr::WriteOwn {
-                prop,
-                op: AssignOp::Defer,
-                ..
-            } if !out.contains(prop) => out.push(*prop),
-            CInstr::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                collect_deferred(then_branch, out);
-                collect_deferred(else_branch, out);
-            }
-            _ => {}
-        }
-    }
-}
-
 impl<'a> Gen<'a> {
     /// Emits all `vertex_{i}` inherent methods (indent level 1), filling
     /// `agg_repr` along the way.
@@ -1240,8 +1202,17 @@ impl<'a> Gen<'a> {
             .map(|f| cx.cond(f, VPlace::Body, "vertex filter"))
             .transpose()?;
 
+        // Own-property slots the body writes with `<=` (deferred to kernel
+        // end), in first-write order.
         let mut deferred = Vec::new();
-        collect_deferred(&kernel.body, &mut deferred);
+        CInstr::visit(&kernel.body, &mut |i| match i {
+            CInstr::WriteOwn {
+                prop,
+                op: AssignOp::Defer,
+                ..
+            } if !deferred.contains(prop) => deferred.push(*prop),
+            _ => {}
+        });
         let body_ind = b.ind + usize::from(filter_te.is_some());
         let mut body_buf = Buf::new(body_ind);
         cx.emit_vinstrs(&kernel.body, &mut body_buf)?;
@@ -1278,38 +1249,24 @@ impl<'a> Gen<'a> {
     }
 
     /// Emits the `match state` arms of `pull_message` for every
-    /// `Recomputed`-pullable state. Returns `None` when no state needs one.
+    /// `Recomputed` state. Returns `None` when no state needs one.
     fn emit_pull_arms(&mut self, lowered: &Lowered) -> R<Option<Buf>> {
         let mut b = Buf::new(3);
         let mut any = false;
         for (i, kernel) in lowered.kernels.iter().enumerate() {
-            if !matches!(
-                self.pullable[i],
-                Pullability::Pullable {
-                    edge_dependent: true
-                }
-            ) {
-                continue;
-            }
-            any = true;
-            let (Some(kernel), Some(site)) =
-                (kernel, kernel.as_ref().and_then(|k| k.send_site.as_ref()))
+            let Some(
+                kernel @ CKernel {
+                    pull: CPull::Recomputed(site),
+                    ..
+                },
+            ) = kernel
             else {
-                let sites = kernel
-                    .as_ref()
-                    .map_or(0, |k| kernel::nbr_send_sites(&k.body).len());
-                return err(format!(
-                    "state {i} is Recomputed-pullable but has {sites} send sites"
-                ));
+                continue;
             };
-            if site.tag == IN_NBRS_TAG {
-                b.line(&format!("{i} => Msg::InNbr {{ sender: src.0 }},"));
-            } else {
-                let mut cx = KernelCx::new(self, kernel)?;
-                let m =
-                    cx.msg_literal(site.tag, &site.payload, VPlace::Pull, Some("edge.index()"))?;
-                b.line(&format!("{i} => {m},"));
-            }
+            any = true;
+            let mut cx = KernelCx::new(self, kernel)?;
+            let m = cx.msg_literal(site.tag, &site.payload, VPlace::Pull, Some("edge.index()"))?;
+            b.line(&format!("{i} => {m},"));
         }
         Ok(any.then_some(b))
     }
@@ -1441,15 +1398,15 @@ impl<'a> Gen<'a> {
             None => out.line("ret: None,"),
         }
         out.open("states: &[");
-        for (k, pull) in lowered.kernels.iter().zip(&self.pullable) {
+        for k in &lowered.kernels {
             let kernel = match k {
                 Some(k) => format!("Some(&{:?})", k.reads_globals),
                 None => "None".to_owned(),
             };
-            let pull = match pull {
-                Pullability::Pullable { edge_dependent } if *edge_dependent => "Recomputed",
-                Pullability::Pullable { .. } => "Captured",
-                _ => "Unsupported",
+            let pull = match k.as_ref().map(|k| &k.pull) {
+                Some(CPull::Captured) => "Captured",
+                Some(CPull::Recomputed(_)) => "Recomputed",
+                Some(CPull::Push) | None => "Unsupported",
             };
             out.line(&format!(
                 "State {{ kernel: {kernel}, pull: PullMode::{pull} }},"

@@ -102,7 +102,6 @@ pub fn translate(
         uses_in_nbrs: tx.uses_in_nbrs,
         combinable: vec![None; num_tags],
         ret: proc.ret.clone(),
-        pullable: vec![],
         states: tx.states,
     };
 
@@ -142,88 +141,32 @@ pub fn translate(
 
 /// Whether any vertex kernel calls `InDegree()`.
 fn program_calls_in_degree(program: &PregelProgram) -> bool {
-    fn expr_has(e: &Expr) -> bool {
-        match &e.kind {
-            ExprKind::Call { method, .. } => method == "InDegree",
-            ExprKind::Unary { expr, .. } => expr_has(expr),
-            ExprKind::Binary { lhs, rhs, .. } => expr_has(lhs) || expr_has(rhs),
-            ExprKind::Ternary {
-                cond,
-                then_val,
-                else_val,
-            } => expr_has(cond) || expr_has(then_val) || expr_has(else_val),
-            _ => false,
-        }
+    let mut found = false;
+    for k in program.states.iter().flat_map(|s| s.vertex.iter()) {
+        k.visit_exprs(&mut |e| {
+            e.visit(&mut |x| {
+                found |= matches!(&x.kind, ExprKind::Call { method, .. } if method == "InDegree")
+            })
+        });
     }
-    fn instrs_have(instrs: &[VInstr]) -> bool {
-        instrs.iter().any(|i| match i {
-            VInstr::Local { value, .. }
-            | VInstr::WriteOwn { value, .. }
-            | VInstr::ReduceGlobal { value, .. } => expr_has(value),
-            VInstr::SendToNbrs { payload, .. } | VInstr::SendToInNbrs { payload, .. } => {
-                payload.iter().any(expr_has)
-            }
-            VInstr::SendTo { dst, payload, .. } => expr_has(dst) || payload.iter().any(expr_has),
-            VInstr::SendIdToNbrs => false,
-            VInstr::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => expr_has(cond) || instrs_have(then_branch) || instrs_have(else_branch),
-        })
-    }
-    program
-        .states
-        .iter()
-        .flat_map(|s| s.vertex.iter())
-        .any(|k| {
-            k.filter.as_ref().is_some_and(expr_has)
-                || instrs_have(&k.body)
-                || k.recvs.iter().any(|r| {
-                    r.guard.as_ref().is_some_and(expr_has)
-                        || r.steps.iter().any(|s| {
-                            s.guard.as_ref().is_some_and(expr_has)
-                                || match &s.action {
-                                    RecvAction::WriteOwn { value, .. }
-                                    | RecvAction::ReduceGlobal { value, .. } => expr_has(value),
-                                    RecvAction::StoreInNbr => false,
-                                }
-                        })
-                })
-        })
+    found
 }
 
 /// Whether any send payload reads the connecting edge's properties.
 fn program_reads_edge_props(program: &PregelProgram) -> bool {
-    fn expr_has(e: &Expr) -> bool {
-        match &e.kind {
-            ExprKind::Prop { obj, .. } => obj == EDGE,
-            ExprKind::Unary { expr, .. } => expr_has(expr),
-            ExprKind::Binary { lhs, rhs, .. } => expr_has(lhs) || expr_has(rhs),
-            ExprKind::Ternary {
-                cond,
-                then_val,
-                else_val,
-            } => expr_has(cond) || expr_has(then_val) || expr_has(else_val),
-            _ => false,
-        }
+    let mut found = false;
+    for k in program.states.iter().flat_map(|s| s.vertex.iter()) {
+        VInstr::visit(&k.body, &mut |i| {
+            if let VInstr::SendToNbrs { payload, .. } = i {
+                for e in payload {
+                    e.visit(&mut |x| {
+                        found |= matches!(&x.kind, ExprKind::Prop { obj, .. } if obj == EDGE)
+                    });
+                }
+            }
+        });
     }
-    fn instrs_have(instrs: &[VInstr]) -> bool {
-        instrs.iter().any(|i| match i {
-            VInstr::SendToNbrs { payload, .. } => payload.iter().any(expr_has),
-            VInstr::If {
-                then_branch,
-                else_branch,
-                ..
-            } => instrs_have(then_branch) || instrs_have(else_branch),
-            _ => false,
-        })
-    }
-    program
-        .states
-        .iter()
-        .flat_map(|s| s.vertex.iter())
-        .any(|k| instrs_have(&k.body))
+    found
 }
 
 /// Converts a deferred own-write into a plain one when no later
@@ -232,49 +175,17 @@ fn program_reads_edge_props(program: &PregelProgram) -> bool {
 /// precondition for the state-merging optimizations, which fuse later code
 /// into the same kernel.
 fn demote_safe_defers(body: &mut [VInstr]) {
-    fn expr_reads_prop(e: &Expr, prop: &str) -> bool {
-        match &e.kind {
-            ExprKind::Prop { prop: p, .. } => p == prop,
-            ExprKind::Unary { expr, .. } => expr_reads_prop(expr, prop),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                expr_reads_prop(lhs, prop) || expr_reads_prop(rhs, prop)
+    let instrs_read_prop = |instrs: &[VInstr], prop: &str| {
+        let mut found = false;
+        VInstr::visit(instrs, &mut |i| {
+            for e in i.exprs() {
+                e.visit(&mut |x| {
+                    found |= matches!(&x.kind, ExprKind::Prop { prop: p, .. } if p == prop)
+                });
             }
-            ExprKind::Ternary {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                expr_reads_prop(cond, prop)
-                    || expr_reads_prop(then_val, prop)
-                    || expr_reads_prop(else_val, prop)
-            }
-            ExprKind::Call { args, .. } => args.iter().any(|a| expr_reads_prop(a, prop)),
-            _ => false,
-        }
-    }
-    fn instrs_read_prop(instrs: &[VInstr], prop: &str) -> bool {
-        instrs.iter().any(|i| match i {
-            VInstr::Local { value, .. }
-            | VInstr::WriteOwn { value, .. }
-            | VInstr::ReduceGlobal { value, .. } => expr_reads_prop(value, prop),
-            VInstr::SendToNbrs { payload, .. } | VInstr::SendToInNbrs { payload, .. } => {
-                payload.iter().any(|p| expr_reads_prop(p, prop))
-            }
-            VInstr::SendTo { dst, payload, .. } => {
-                expr_reads_prop(dst, prop) || payload.iter().any(|p| expr_reads_prop(p, prop))
-            }
-            VInstr::SendIdToNbrs => false,
-            VInstr::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                expr_reads_prop(cond, prop)
-                    || instrs_read_prop(then_branch, prop)
-                    || instrs_read_prop(else_branch, prop)
-            }
-        })
-    }
+        });
+        found
+    };
     for i in 0..body.len() {
         let prop = match &body[i] {
             VInstr::WriteOwn {
@@ -294,15 +205,9 @@ fn demote_safe_defers(body: &mut [VInstr]) {
 }
 
 fn kernel_has_send_to(body: &[VInstr]) -> bool {
-    body.iter().any(|i| match i {
-        VInstr::SendTo { .. } => true,
-        VInstr::If {
-            then_branch,
-            else_branch,
-            ..
-        } => kernel_has_send_to(then_branch) || kernel_has_send_to(else_branch),
-        _ => false,
-    })
+    let mut found = false;
+    VInstr::visit(body, &mut |i| found |= matches!(i, VInstr::SendTo { .. }));
+    found
 }
 
 /// Inserts the two in-neighbor-construction states at the front and shifts
@@ -1009,57 +914,15 @@ impl Tx<'_> {
 
     fn kernel_global_reads(&self, kernel: &VertexKernel) -> Vec<String> {
         let mut reads = Vec::new();
-        let mut push = |e: &Expr| collect_global_reads(e, &self.global_set, &mut reads);
-        if let Some(f) = &kernel.filter {
-            push(f);
-        }
-        fn walk_instrs(instrs: &[VInstr], push: &mut impl FnMut(&Expr)) {
-            for i in instrs {
-                match i {
-                    VInstr::Local { value, .. }
-                    | VInstr::WriteOwn { value, .. }
-                    | VInstr::ReduceGlobal { value, .. } => push(value),
-                    VInstr::SendToNbrs { payload, .. } | VInstr::SendToInNbrs { payload, .. } => {
-                        for p in payload {
-                            push(p);
-                        }
-                    }
-                    VInstr::SendTo { dst, payload, .. } => {
-                        push(dst);
-                        for p in payload {
-                            push(p);
-                        }
-                    }
-                    VInstr::SendIdToNbrs => {}
-                    VInstr::If {
-                        cond,
-                        then_branch,
-                        else_branch,
-                    } => {
-                        push(cond);
-                        walk_instrs(then_branch, push);
-                        walk_instrs(else_branch, push);
+        kernel.visit_exprs(&mut |e| {
+            e.visit(&mut |x| {
+                if let ExprKind::Var(n) = &x.kind {
+                    if self.global_set.contains(n) {
+                        reads.push(n.clone());
                     }
                 }
-            }
-        }
-        walk_instrs(&kernel.body, &mut push);
-        for r in &kernel.recvs {
-            if let Some(g) = &r.guard {
-                push(g);
-            }
-            for s in &r.steps {
-                if let Some(g) = &s.guard {
-                    push(g);
-                }
-                match &s.action {
-                    RecvAction::WriteOwn { value, .. } | RecvAction::ReduceGlobal { value, .. } => {
-                        push(value)
-                    }
-                    RecvAction::StoreInNbr => {}
-                }
-            }
-        }
+            })
+        });
         reads.sort();
         reads.dedup();
         reads
@@ -1352,25 +1215,12 @@ impl PayloadCx {
 /// kernel, combining the aggregate into the master copy.
 fn fold_instrs(kernel: &VertexKernel) -> Vec<MInstr> {
     let mut folds: Vec<(String, AssignOp)> = Vec::new();
-    fn scan_instrs(instrs: &[VInstr], folds: &mut Vec<(String, AssignOp)>) {
-        for i in instrs {
-            match i {
-                VInstr::ReduceGlobal { name, op, .. } if !folds.iter().any(|(n, _)| n == name) => {
-                    folds.push((name.clone(), *op));
-                }
-                VInstr::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    scan_instrs(then_branch, folds);
-                    scan_instrs(else_branch, folds);
-                }
-                _ => {}
-            }
+    VInstr::visit(&kernel.body, &mut |i| match i {
+        VInstr::ReduceGlobal { name, op, .. } if !folds.iter().any(|(n, _)| n == name) => {
+            folds.push((name.clone(), *op));
         }
-    }
-    scan_instrs(&kernel.body, &mut folds);
+        _ => {}
+    });
     for r in &kernel.recvs {
         for s in &r.steps {
             if let RecvAction::ReduceGlobal { name, op, .. } = &s.action {
@@ -1444,34 +1294,6 @@ fn mentions(e: &Expr, var: &str) -> bool {
         crate::astutil::Place::Scalar(n) => n == var,
         crate::astutil::Place::Prop { obj, .. } => obj == var,
     })
-}
-
-fn collect_global_reads(e: &Expr, globals: &HashSet<String>, out: &mut Vec<String>) {
-    match &e.kind {
-        ExprKind::Var(n) if globals.contains(n) => {
-            out.push(n.clone());
-        }
-        ExprKind::Unary { expr, .. } => collect_global_reads(expr, globals, out),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            collect_global_reads(lhs, globals, out);
-            collect_global_reads(rhs, globals, out);
-        }
-        ExprKind::Ternary {
-            cond,
-            then_val,
-            else_val,
-        } => {
-            collect_global_reads(cond, globals, out);
-            collect_global_reads(then_val, globals, out);
-            collect_global_reads(else_val, globals, out);
-        }
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                collect_global_reads(a, globals, out);
-            }
-        }
-        _ => {}
-    }
 }
 
 fn default_expr_for(ty: &Ty) -> Expr {

@@ -288,11 +288,25 @@ impl Verifier<'_> {
         out
     }
 
+    /// Every send site of `state`'s kernel body, in pre-order.
     fn sends_of(&self, state: StateId) -> Vec<SendSite<'_>> {
         let mut out = Vec::new();
-        if let Some(k) = &self.program.states[state].vertex {
-            collect_sends(&k.body, &mut out);
-        }
+        let Some(k) = &self.program.states[state].vertex else {
+            return out;
+        };
+        VInstr::visit(&k.body, &mut |i| match i {
+            VInstr::SendToNbrs { tag, payload }
+            | VInstr::SendToInNbrs { tag, payload }
+            | VInstr::SendTo { tag, payload, .. } => out.push(SendSite {
+                tag: *tag,
+                payload: Some(payload),
+            }),
+            VInstr::SendIdToNbrs => out.push(SendSite {
+                tag: IN_NBRS_TAG,
+                payload: None,
+            }),
+            _ => {}
+        });
         out
     }
 
@@ -439,8 +453,10 @@ impl Verifier<'_> {
                 if !preamble {
                     let layout = &self.program.messages[tag as usize];
                     let mut check_expr = |e: &Expr, where_: &str| {
-                        for field in payload_refs(e) {
-                            if !layout.fields.iter().any(|(n, _)| *n == field) {
+                        let mut refs = Vec::new();
+                        payload_refs(e, &mut refs);
+                        for field in refs {
+                            if !layout.fields.iter().any(|(n, _)| n == field) {
                                 errors.push((
                                     "unknown-payload-field".to_owned(),
                                     format!(
@@ -468,10 +484,12 @@ impl Verifier<'_> {
             }
             // Payload references outside receive handlers are meaningless:
             // the kernel body runs without a message in scope.
-            let mut body_refs: Vec<String> = Vec::new();
-            walk_vinstr_exprs(&k.body, &mut |e| body_refs.extend(payload_refs(e)));
+            let mut body_refs = Vec::new();
+            VInstr::visit(&k.body, &mut |i| {
+                i.exprs().for_each(|e| payload_refs(e, &mut body_refs))
+            });
             if let Some(f) = &k.filter {
-                body_refs.extend(payload_refs(f));
+                payload_refs(f, &mut body_refs);
             }
             for field in body_refs {
                 errors.push((
@@ -495,16 +513,7 @@ impl Verifier<'_> {
             if !matches!(s.transition, Transition::Halt) {
                 continue;
             }
-            let sends = s
-                .vertex
-                .as_ref()
-                .map(|k| {
-                    let mut out = Vec::new();
-                    collect_sends(&k.body, &mut out);
-                    out
-                })
-                .unwrap_or_default();
-            if let Some(site) = sends.first() {
+            if let Some(site) = self.sends_of(id).first() {
                 let tag = site.tag;
                 self.error(
                     "send-after-halt",
@@ -522,23 +531,11 @@ impl Verifier<'_> {
     /// Globals reduced by the kernel (body or receive steps), with the op.
     fn kernel_reductions(kernel: &VertexKernel) -> Vec<(String, crate::ast::AssignOp)> {
         let mut out = Vec::new();
-        fn scan(instrs: &[VInstr], out: &mut Vec<(String, crate::ast::AssignOp)>) {
-            for i in instrs {
-                match i {
-                    VInstr::ReduceGlobal { name, op, .. } => out.push((name.clone(), *op)),
-                    VInstr::If {
-                        then_branch,
-                        else_branch,
-                        ..
-                    } => {
-                        scan(then_branch, out);
-                        scan(else_branch, out);
-                    }
-                    _ => {}
-                }
+        VInstr::visit(&kernel.body, &mut |i| {
+            if let VInstr::ReduceGlobal { name, op, .. } = i {
+                out.push((name.clone(), *op));
             }
-        }
-        scan(&kernel.body, &mut out);
+        });
         for r in &kernel.recvs {
             for s in &r.steps {
                 if let RecvAction::ReduceGlobal { name, op, .. } = &s.action {
@@ -553,16 +550,14 @@ impl Verifier<'_> {
         for (id, s) in self.program.states.iter().enumerate() {
             // A fold in the arrival-master block would read the aggregate
             // *before* this state's vertex phase has written it.
-            for m in &s.master {
-                if let Some(key) = find_fold(m) {
-                    self.error(
-                        "premature-aggregator-read",
-                        format!(
-                            "state {id} folds aggregate `{key}` in its master block, \
-                             before any vertex has reduced it this superstep"
-                        ),
-                    );
-                }
+            for key in folds(&s.master) {
+                self.error(
+                    "premature-aggregator-read",
+                    format!(
+                        "state {id} folds aggregate `{key}` in its master block, \
+                         before any vertex has reduced it this superstep"
+                    ),
+                );
             }
             let reductions: Vec<(String, crate::ast::AssignOp)> = s
                 .vertex
@@ -588,17 +583,15 @@ impl Verifier<'_> {
             // A post-block fold reads the aggregate the kernel wrote; a
             // fold for a key no vertex can have written reads stale (or
             // absent) data.
-            for m in &s.post {
-                if let Some(key) = find_fold(m) {
-                    if !reductions.iter().any(|(n, _)| n == key) {
-                        self.error(
-                            "premature-aggregator-read",
-                            format!(
-                                "state {id} folds aggregate `{key}` in its post block \
-                                 but its kernel never reduces `{key}`"
-                            ),
-                        );
-                    }
+            for key in folds(&s.post) {
+                if !reductions.iter().any(|(n, _)| n == key) {
+                    self.error(
+                        "premature-aggregator-read",
+                        format!(
+                            "state {id} folds aggregate `{key}` in its post block \
+                             but its kernel never reduces `{key}`"
+                        ),
+                    );
                 }
             }
         }
@@ -617,8 +610,17 @@ impl Verifier<'_> {
         for (id, s) in self.program.states.iter().enumerate() {
             let mut exprs: Vec<(&Expr, &'static str)> = Vec::new();
             let mut targets: Vec<(&str, &'static str)> = Vec::new();
-            for m in s.master.iter().chain(s.post.iter()) {
-                minstr_refs(m, &mut exprs, &mut targets);
+            for block in [&s.master, &s.post] {
+                MInstr::visit(block, &mut |m| match m {
+                    MInstr::Assign { name, value, .. } => {
+                        targets.push((name, "master assignment"));
+                        exprs.push((value, "master expression"));
+                    }
+                    MInstr::FoldAgg { name, .. } => targets.push((name, "aggregate fold")),
+                    MInstr::If { cond, .. } => exprs.push((cond, "master condition")),
+                    MInstr::SetReturn(Some(e)) => exprs.push((e, "return expression")),
+                    MInstr::SetReturn(None) => {}
+                });
             }
             if let Transition::Branch { cond, .. } = &s.transition {
                 exprs.push((cond, "transition condition"));
@@ -636,9 +638,13 @@ impl Verifier<'_> {
             }
             for (e, where_) in exprs {
                 let mut vars = Vec::new();
-                master_vars(e, &mut vars);
+                e.visit(&mut |x| {
+                    if let ExprKind::Var(v) = &x.kind {
+                        vars.push(v.as_str());
+                    }
+                });
                 for v in vars {
-                    if !declared.contains(v.as_str()) && v != graph {
+                    if !declared.contains(v) && v != graph {
                         self.error(
                             "unknown-global",
                             format!(
@@ -666,175 +672,25 @@ impl Verifier<'_> {
     }
 }
 
-/// Collects every expression (with a description of where it sits) and
-/// every written-global target inside a master instruction.
-fn minstr_refs<'m>(
-    m: &'m MInstr,
-    exprs: &mut Vec<(&'m Expr, &'static str)>,
-    targets: &mut Vec<(&'m str, &'static str)>,
-) {
-    match m {
-        MInstr::Assign { name, value, .. } => {
-            targets.push((name, "master assignment"));
-            exprs.push((value, "master expression"));
-        }
-        MInstr::FoldAgg { name, .. } => targets.push((name, "aggregate fold")),
-        MInstr::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            exprs.push((cond, "master condition"));
-            for i in then_branch.iter().chain(else_branch.iter()) {
-                minstr_refs(i, exprs, targets);
-            }
-        }
-        MInstr::SetReturn(Some(e)) => exprs.push((e, "return expression")),
-        MInstr::SetReturn(None) => {}
-    }
-}
-
-/// The `agg_key` of the first aggregate fold inside the instruction
-/// (searching through master `If` branches), if any.
-fn find_fold(m: &MInstr) -> Option<&str> {
-    match m {
-        MInstr::FoldAgg { agg_key, .. } => Some(agg_key),
-        MInstr::If {
-            then_branch,
-            else_branch,
-            ..
-        } => then_branch
-            .iter()
-            .chain(else_branch.iter())
-            .find_map(find_fold),
-        _ => None,
-    }
-}
-
-/// Variable reads in a master-context expression.
-fn master_vars(e: &Expr, out: &mut Vec<String>) {
-    match &e.kind {
-        ExprKind::Var(n) => out.push(n.clone()),
-        ExprKind::Unary { expr, .. } => master_vars(expr, out),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            master_vars(lhs, out);
-            master_vars(rhs, out);
-        }
-        ExprKind::Ternary {
-            cond,
-            then_val,
-            else_val,
-        } => {
-            master_vars(cond, out);
-            master_vars(then_val, out);
-            master_vars(else_val, out);
-        }
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                master_vars(a, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Payload field names (`_pl_<name>` → `name`) referenced by an expression.
-fn payload_refs(e: &Expr) -> Vec<String> {
-    fn rec(e: &Expr, out: &mut Vec<String>) {
-        match &e.kind {
-            ExprKind::Var(n) => {
-                if let Some(field) = n.strip_prefix(PAYLOAD_PREFIX) {
-                    out.push(field.to_owned());
-                }
-            }
-            ExprKind::Unary { expr, .. } => rec(expr, out),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                rec(lhs, out);
-                rec(rhs, out);
-            }
-            ExprKind::Ternary {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                rec(cond, out);
-                rec(then_val, out);
-                rec(else_val, out);
-            }
-            ExprKind::Call { args, .. } => {
-                for a in args {
-                    rec(a, out);
-                }
-            }
-            _ => {}
-        }
-    }
+/// The `agg_key` of every aggregate fold in `block`, `If` branches
+/// included.
+fn folds(block: &[MInstr]) -> Vec<&str> {
     let mut out = Vec::new();
-    rec(e, &mut out);
+    MInstr::visit(block, &mut |m| {
+        if let MInstr::FoldAgg { agg_key, .. } = m {
+            out.push(agg_key.as_str());
+        }
+    });
     out
 }
 
-/// Collects every send site in a kernel body, including nested ones.
-fn collect_sends<'a>(instrs: &'a [VInstr], out: &mut Vec<SendSite<'a>>) {
-    for i in instrs {
-        match i {
-            VInstr::SendToNbrs { tag, payload } | VInstr::SendToInNbrs { tag, payload } => {
-                out.push(SendSite {
-                    tag: *tag,
-                    payload: Some(payload),
-                });
-            }
-            VInstr::SendTo { tag, payload, .. } => out.push(SendSite {
-                tag: *tag,
-                payload: Some(payload),
-            }),
-            VInstr::SendIdToNbrs => out.push(SendSite {
-                tag: IN_NBRS_TAG,
-                payload: None,
-            }),
-            VInstr::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                collect_sends(then_branch, out);
-                collect_sends(else_branch, out);
-            }
-            _ => {}
+/// Appends the payload field names (`_pl_<name>` → `name`) `e` reads.
+fn payload_refs<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
+    e.visit(&mut |x| {
+        if let ExprKind::Var(n) = &x.kind {
+            out.extend(n.strip_prefix(PAYLOAD_PREFIX));
         }
-    }
-}
-
-/// Applies `f` to every expression in a kernel body (not receive handlers).
-fn walk_vinstr_exprs(instrs: &[VInstr], f: &mut impl FnMut(&Expr)) {
-    for i in instrs {
-        match i {
-            VInstr::Local { value, .. }
-            | VInstr::WriteOwn { value, .. }
-            | VInstr::ReduceGlobal { value, .. } => f(value),
-            VInstr::SendToNbrs { payload, .. } | VInstr::SendToInNbrs { payload, .. } => {
-                for p in payload {
-                    f(p);
-                }
-            }
-            VInstr::SendTo { dst, payload, .. } => {
-                f(dst);
-                for p in payload {
-                    f(p);
-                }
-            }
-            VInstr::SendIdToNbrs => {}
-            VInstr::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                f(cond);
-                walk_vinstr_exprs(then_branch, f);
-                walk_vinstr_exprs(else_branch, f);
-            }
-        }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -862,7 +718,6 @@ mod tests {
             uses_in_nbrs: false,
             combinable: vec![None],
             ret: None,
-            pullable: vec![],
             states: vec![
                 State {
                     master: vec![MInstr::Assign {

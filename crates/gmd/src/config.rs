@@ -108,8 +108,8 @@ pub struct DaemonConfig {
     /// Identical failures of one (graph, program) signature before new
     /// submissions of it are refused.
     pub quarantine_threshold: u32,
-    /// How long [`Daemon::drain`] waits for running jobs before
-    /// cancelling them.
+    /// How long [`Daemon::drain`](crate::Daemon::drain) waits for running
+    /// jobs before cancelling them.
     pub drain_timeout: Duration,
     /// Serve programs through the compiled-in `gm-core::rustgen` modules
     /// instead of the PIR interpreter: builtins and inline sources alike.

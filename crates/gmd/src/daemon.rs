@@ -8,7 +8,7 @@
 //! runs *round-robin across tenants, FIFO within a tenant*, and only when
 //! its budget reservation fits beside everything already running.
 //!
-//! A submission that repeats a completed job (same [`crate::cache`] key)
+//! A submission that repeats a completed job (same result-cache key)
 //! is admitted like any other, then completed at once from that job's
 //! result: it never queues or runs.
 

@@ -53,6 +53,20 @@ fn wait_addr(path: &Path) -> SocketAddr {
     }
 }
 
+/// Polls `path` until its JSON body satisfies `done`; `what` names the
+/// failure after 30 s.
+fn wait_for(client: &Client, path: &str, what: &str, done: impl Fn(&Json) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let (_, doc) = client.get_json(path).expect(path);
+        if done(&doc) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn second_signal_escalates_a_stuck_drain_and_leaves_the_journal_terminal() {
     let dir = fresh_dir();
@@ -97,22 +111,20 @@ fn second_signal_escalates_a_stuck_drain_and_leaves_the_journal_terminal() {
     let running = client.submit(long).expect("long job");
     let queued = client.submit(long).expect("queued job");
 
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let (_, doc) = client
-            .get_json(&format!("/v1/jobs/{running}"))
-            .expect("job status");
-        if doc.get("status").and_then(Json::as_str) == Some("running") {
-            break;
-        }
-        assert!(Instant::now() < deadline, "job never started running");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_for(
+        &client,
+        &format!("/v1/jobs/{running}"),
+        "job never started running",
+        |doc| doc.get("status").and_then(Json::as_str) == Some("running"),
+    );
 
     // First SIGTERM: drain begins but the running job will not finish
-    // for hours — the daemon must still be alive shortly after.
+    // for hours — the daemon must still be alive once it reports the
+    // drain.
     sigterm(pid);
-    std::thread::sleep(Duration::from_millis(400));
+    wait_for(&client, "/healthz", "drain never began", |doc| {
+        matches!(doc.get("draining"), Some(Json::Bool(true)))
+    });
     assert!(
         daemon.0.try_wait().expect("try_wait").is_none(),
         "daemon exited on the first signal despite a 60s drain window"

@@ -15,7 +15,7 @@ use crate::shell::{
     RunError,
 };
 use gm_core::ast::AssignOp;
-use gm_core::kernel::{self, CAction, CExpr, CInstr, CMInstr, Lowered};
+use gm_core::kernel::{self, CAction, CExpr, CInstr, CKernel, CMInstr, CPull, Lowered};
 use gm_core::pir::{PregelProgram, Transition, IN_NBRS_TAG};
 use gm_core::seqinterp::ArgValue;
 use gm_core::value::{apply_reduce, Value};
@@ -261,13 +261,16 @@ impl Leg for Machine<'_> {
         edge: EdgeId,
         src_value: &VertexData,
     ) -> Msg {
-        let site = self.pre.kernels[state]
-            .as_ref()
-            .and_then(|k| k.send_site.as_ref())
-            .expect("Recomputed verdict implies a recorded single send site");
-        // The pullability analysis guarantees the payload reads no kernel
-        // locals and no kernel-written properties, so evaluating it here —
-        // after the sender's kernel ran — reproduces the pushed payload.
+        let Some(CKernel {
+            pull: CPull::Recomputed(site),
+            ..
+        }) = &self.pre.kernels[state]
+        else {
+            unreachable!("state {state} is not Recomputed")
+        };
+        // The verdict guarantees the payload reads no kernel locals and no
+        // kernel-written properties, so evaluating it here — after the
+        // sender's kernel ran — reproduces the pushed payload.
         let cx = EvalCx {
             props: &src_value.props,
             globals: g,

@@ -14,9 +14,8 @@
 //! transition code over its own typed globals.
 
 use crate::eval::PickRng;
-use gm_core::kernel::Lowered;
+use gm_core::kernel::{CPull, Lowered};
 use gm_core::pir::PregelProgram;
-use gm_core::pullability::{self, Pullability};
 use gm_core::seqinterp::{property_arg, scalar_arg, ArgValue};
 use gm_core::types::Ty;
 use gm_core::value::Value;
@@ -126,22 +125,13 @@ pub fn with_signature<R>(
     fn names(cols: &[(String, Ty)]) -> Vec<(&str, Ty)> {
         (cols.iter().map(|(n, ty)| (n.as_str(), ty.clone()))).collect()
     }
-    // Verdicts are recorded by the compiler pass when it ran, recomputed
-    // otherwise (hand-built PIR in tests). `NoSends` states stay
-    // `Unsupported` on purpose: a gather walks every in-edge, which is
-    // wasted work when nothing was sent.
-    let pullable = if program.pullable.len() == program.states.len() {
-        program.pullable.clone()
-    } else {
-        pullability::analyze(program)
-    };
-    let states: Vec<State<'_>> = (lowered.kernels.iter().zip(&pullable))
-        .map(|(k, p)| State {
+    let states: Vec<State<'_>> = (lowered.kernels.iter())
+        .map(|k| State {
             kernel: k.as_ref().map(|k| k.reads_globals.as_slice()),
-            pull: match p {
-                Pullability::Pullable { edge_dependent } if *edge_dependent => PullMode::Recomputed,
-                Pullability::Pullable { .. } => PullMode::Captured,
-                _ => PullMode::Unsupported,
+            pull: match k.as_ref().map(|k| &k.pull) {
+                Some(CPull::Captured) => PullMode::Captured,
+                Some(CPull::Recomputed(_)) => PullMode::Recomputed,
+                Some(CPull::Push) | None => PullMode::Unsupported,
             },
         })
         .collect();
@@ -266,7 +256,7 @@ pub trait Leg: Send + Sync {
         src_value: &Self::VertexValue,
     ) -> Self::Message {
         let _ = (g, graph, src, edge, src_value);
-        unreachable!("state {state} is not Recomputed-pullable")
+        unreachable!("state {state} is not Recomputed")
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The observability layer is deliberately zero-dependency, so it carries
 //! its own JSON support: the writer backs the JSONL and Chrome Trace
-//! exporters and [`Metrics::to_json`]-style exports in other crates; the
+//! exporters and `gm_pregel::Metrics::to_json`-style exports in other crates; the
 //! parser exists so tests can validate exporter output structurally
 //! instead of by string comparison.
 //!

@@ -55,7 +55,7 @@ pub const ENV_SPILL_DIR: &str = "GM_SPILL_DIR";
 const SPILL_MAGIC: &[u8; 4] = b"GMSP";
 
 /// Resource limits attached to [`PregelConfig::budget`]
-/// (see [crate-level docs](self) for semantics). The default is fully
+/// (see [crate-level docs](crate) for semantics). The default is fully
 /// unbounded; [`PregelConfig::default`] instead starts from
 /// [`ResourceBudget::from_env`] so an environment-constrained CI job
 /// governs every run in the process.

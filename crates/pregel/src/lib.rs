@@ -61,7 +61,7 @@
 //! reverse CSR and folds the senders' messages in place, with no per-message
 //! routing or allocation — producing bit-identical values and structural
 //! metrics. A program opts in by implementing [`VertexProgram::pull_mode`]
-//! (the Green-Marl compiler derives this from its pullability analysis).
+//! (the Green-Marl compiler decides it per state where it lowers kernels).
 //! `auto` applies the Ligra/GraphIt density heuristic per superstep: gather
 //! when the active frontier's expected out-edges exceed
 //! [`PregelConfig::dense_threshold`] (env `GM_DENSE_THRESHOLD`) of |E|.
