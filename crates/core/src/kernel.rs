@@ -1063,79 +1063,29 @@ mod tests {
         );
     }
 
-    /// One case per rule of the verdict: the kernel body and the verdict
-    /// it must get (`Recomputed` sites are checked above).
+    /// The verdict rules that the one-shape tests of the crate's
+    /// `pullability` test module leave out: the kernel body and the
+    /// verdict it must get (`Recomputed` sites are checked above).
     #[test]
     fn pull_verdicts_follow_the_lowered_body() {
         let x = || Expr::prop(SELF, "x");
         let w = || Expr::prop(EDGE, "w");
-        let write_x = |op| VInstr::WriteOwn {
-            prop: "x".into(),
-            op,
-            value: Expr::int(1),
-        };
-        let degree = Expr::synth(ExprKind::Call {
-            obj: SELF.into(),
-            method: "Degree".into(),
-            args: vec![],
-        });
-        let guarded = |then_branch| VInstr::If {
-            cond: x(),
-            then_branch,
-            else_branch: vec![],
-        };
         let cases: Vec<(&str, Vec<VInstr>, &str)> = vec![
-            ("silent", vec![], "push"),
-            ("writes only", vec![write_x(AssignOp::Assign)], "push"),
-            (
-                "PageRank: own write, then x / Degree()",
-                vec![
-                    write_x(AssignOp::Assign),
-                    send_nbrs(Expr::binary(BinOp::Div, x(), degree)),
-                ],
-                "captured",
-            ),
-            ("plain own payload", vec![send_nbrs(x())], "captured"),
-            (
-                "preamble id broadcast",
-                vec![VInstr::SendIdToNbrs],
-                "captured",
-            ),
-            (
-                "SSSP: guarded x + edge, no writes",
-                vec![guarded(vec![send_nbrs(add(x(), w()))])],
-                "recomputed",
-            ),
             (
                 "edge payload with a global",
                 vec![send_nbrs(add(Expr::var("a"), w()))],
                 "recomputed",
             ),
             (
-                "edge payload, write to its property",
-                vec![write_x(AssignOp::Assign), send_nbrs(add(x(), w()))],
-                "push",
-            ),
-            (
                 "edge payload, deferred write after the send",
-                vec![send_nbrs(add(x(), w())), write_x(AssignOp::Defer)],
-                "push",
-            ),
-            (
-                "edge payload reading a local",
                 vec![
-                    local("t", AssignOp::Assign, Expr::int(2)),
-                    send_nbrs(Expr::binary(BinOp::Mul, Expr::var("t"), w())),
+                    send_nbrs(add(x(), w())),
+                    VInstr::WriteOwn {
+                        prop: "x".into(),
+                        op: AssignOp::Defer,
+                        value: Expr::int(1),
+                    },
                 ],
-                "push",
-            ),
-            (
-                "random writing",
-                vec![VInstr::SendTo {
-                    dst: x(),
-                    tag: 0,
-                    payload: vec![Expr::int(1)],
-                }],
                 "push",
             ),
             (
@@ -1144,14 +1094,6 @@ mod tests {
                     tag: 0,
                     payload: vec![Expr::int(1)],
                 }],
-                "push",
-            ),
-            (
-                "two send sites",
-                vec![
-                    send_nbrs(Expr::int(1)),
-                    guarded(vec![send_nbrs(Expr::int(2))]),
-                ],
                 "push",
             ),
         ];

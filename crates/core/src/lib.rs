@@ -54,3 +54,8 @@ pub use diag::{Diag, Diagnostics, Span};
 pub use report::{PassTiming, TransformReport};
 pub use types::Ty;
 pub use value::Value;
+
+/// Unit cases of the pull verdict [`kernel::lower`] decides per vertex kernel.
+#[cfg(test)]
+#[path = "pull_verdict_tests.rs"]
+mod pullability;
