@@ -161,7 +161,7 @@ fn native_spill_is_invisible_and_matches_interpreter() {
             "{name}: baseline spilled"
         );
         // Gathered supersteps bypass the message budget, so only pushed
-        // messages can spill (`GM_SCHEDULE=auto` may gather them all).
+        // messages can spill (the default auto schedule may gather them all).
         let pushed = |s: &gm_pregel::SuperstepMetrics| !s.pulled && s.messages_sent > 0;
         if base.metrics.per_superstep.iter().any(pushed) {
             assert!(

@@ -11,7 +11,8 @@
 //! `--checkpoint-every N` (with `--checkpoint-dir`/`--keep-snapshots`)
 //! checkpoints every run, putting the snapshot overhead into the measured
 //! times — handy for the fault-tolerance cost table in EXPERIMENTS.md.
-//! `GM_SCHEDULE=auto|pull` selects the message direction (the schedule
+//! Every cell pushes by default, as the manual baselines must;
+//! `GM_SCHEDULE=auto|pull` lets the generated cells gather (the schedule
 //! line and per-superstep direction decisions are printed; structural
 //! parity must hold regardless, since the gather is metered identically).
 //!

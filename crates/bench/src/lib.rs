@@ -11,7 +11,7 @@ use gm_core::value::Value;
 use gm_core::{compile_with, CompileOptions, Compiled};
 use gm_graph::{gen, Graph};
 use gm_obs::{Category, TraceFormat, Tracer};
-use gm_pregel::{CheckpointConfig, Metrics, PregelConfig, RecoveryPolicy};
+use gm_pregel::{CheckpointConfig, Metrics, PregelConfig, RecoveryPolicy, Schedule, ENV_SCHEDULE};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -368,8 +368,16 @@ pub fn time_min<T>(reps: usize, mut f: impl FnMut() -> (T, Metrics)) -> (Duratio
 }
 
 /// The default Pregel configuration for benchmarking (multi-threaded).
+///
+/// The manual baselines cannot gather, so the paper artifacts push unless
+/// `GM_SCHEDULE` asks for a direction: generated and manual cells then
+/// move their messages the same way.
 pub fn bench_config() -> PregelConfig {
-    PregelConfig::default()
+    let mut config = PregelConfig::default();
+    if std::env::var_os(ENV_SCHEDULE).is_none() {
+        config.schedule = Schedule::Push;
+    }
+    config
 }
 
 /// Compact per-superstep direction trail: one character per superstep,

@@ -11,7 +11,7 @@ use gm_core::value::Value;
 use gm_graph::io::LoadedGraph;
 use gm_interp::run_compiled;
 use gm_obs::json::Json;
-use gm_pregel::{PostMortemConfig, PregelConfig, ResourceBudget};
+use gm_pregel::{PostMortemConfig, PregelConfig, ResourceBudget, Schedule};
 use gmd::client::{Client, SubmitError};
 use gmd::{fingerprint_values, Daemon, DaemonConfig, GraphSpec, JournalConfig};
 use std::collections::{BTreeMap, HashMap};
@@ -636,6 +636,54 @@ fn builtin_texts_are_bound_once_and_other_inline_texts_per_submission() {
             assert_eq!(compiles() - before, per_submit, "max_iter {max_iter}");
         }
     }
+}
+
+#[test]
+fn served_pagerank_gathers_and_matches_a_local_push_run() {
+    // Every vertex is active every PageRank superstep, so the default
+    // schedule gathers each one its program can pull.
+    let daemon = Daemon::start(base_config(&[("g", "rmat:400:6000:13")])).expect("daemon starts");
+    let client = Client::new(daemon.addr()).with_timeout(Duration::from_secs(30));
+    let job =
+        format!(r#"{{"tenant":"t","graph":"g","program":"pagerank",{PAGERANK_ARGS},"seed":3}}"#);
+    let status = run_to_end(&client, &job);
+    assert!(completed(&status), "{status:?}");
+    assert_eq!(status.get("backend").and_then(Json::as_str), Some("native"));
+    let exposition = daemon.state().registry().render_prometheus();
+    let pulled = sample(&exposition, "gm_supersteps_total{direction=\"pull\"}");
+    // A suite run under `GM_SCHEDULE=push` pushes every superstep.
+    let pushes =
+        std::env::var(gm_pregel::ENV_SCHEDULE).is_ok_and(|s| s.trim().eq_ignore_ascii_case("push"));
+    assert_eq!(pulled > 0, !pushes, "gathered supersteps: {pulled}");
+
+    // The same native module, run locally with every superstep pushed.
+    let state = daemon.state().clone();
+    let args: HashMap<String, ArgValue> = [
+        ("e", Value::Double(1e-8)),
+        ("d", Value::Double(0.85)),
+        ("max_iter", Value::Int(12)),
+    ]
+    .into_iter()
+    .map(|(k, v)| (k.to_owned(), ArgValue::Scalar(v)))
+    .collect();
+    let config = PregelConfig::with_workers(state.config().default_workers)
+        .with_budget(ResourceBudget::unbounded())
+        .with_schedule(Schedule::Push);
+    let native = gm_algorithms::native::find_by_name("pagerank").expect("compiled in");
+    let out = (native.run)(&state.graphs()["g"].graph, &args, 3, &config).expect("local run");
+    assert_eq!(out.metrics.pull_supersteps, 0);
+    let want: BTreeMap<String, String> = (out.node_props.iter())
+        .map(|(name, col)| (name.clone(), fingerprint_values(col)))
+        .collect();
+    assert!(want.contains_key("pr"), "{want:?}");
+    assert_eq!(fingerprints_of(&status), want, "served run diverged");
+    assert_eq!(
+        status
+            .get("result")
+            .and_then(|r| r.get("supersteps"))
+            .and_then(Json::as_u64),
+        Some(u64::from(out.metrics.supersteps))
+    );
 }
 
 /// Submits `body` and waits for its terminal status document.

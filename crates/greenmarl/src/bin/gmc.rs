@@ -50,13 +50,14 @@
 //! snapshot there, and `--keep-snapshots N` prunes all but the newest N.
 //! `--max-restarts N` lets the run restart itself after worker failures.
 //!
-//! `--schedule` selects the message direction: `push` (the Pregel
-//! default), `pull` (gather every superstep the program supports — rejected
-//! up front if none is pullable), or `auto` (per-superstep density
-//! heuristic, cutoff tunable with `--dense-threshold`, a fraction of |E|).
-//! Both flags default from the `GM_SCHEDULE` / `GM_DENSE_THRESHOLD`
-//! environment variables. With `--steps`, a `dir` column shows which
-//! supersteps were gathered.
+//! `--schedule` selects the message direction: `auto` (the default: a
+//! per-superstep density heuristic, cutoff tunable with
+//! `--dense-threshold`, a fraction of |E|), `push` (the classic Pregel
+//! exchange), or `pull` (gather every superstep the program supports —
+//! rejected up front if none is pullable). Both flags default from the
+//! `GM_SCHEDULE` / `GM_DENSE_THRESHOLD` environment variables. Every run
+//! prints its schedule and pull-superstep count; with `--steps`, a `dir`
+//! column shows which supersteps were gathered.
 //!
 //! `--max-message-bytes N` caps the in-flight message bytes per superstep;
 //! sealed buckets past the cap spill to `--spill-dir` (default: a run
@@ -664,12 +665,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
         "supersteps: {}   messages: {} ({} bytes)",
         out.metrics.supersteps, out.metrics.total_messages, out.metrics.total_message_bytes
     );
-    if config.schedule != Schedule::Push {
-        println!(
-            "schedule: {:?}   pull supersteps: {}   direction switches: {}",
-            config.schedule, out.metrics.pull_supersteps, out.metrics.direction_switches
-        );
-    }
+    println!(
+        "schedule: {:?}   pull supersteps: {}   direction switches: {}",
+        config.schedule, out.metrics.pull_supersteps, out.metrics.direction_switches
+    );
     let rec = &out.metrics.recovery;
     if rec.checkpoints_written > 0 || rec.restores > 0 || rec.restarts > 0 {
         println!(

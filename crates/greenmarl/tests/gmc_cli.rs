@@ -105,6 +105,8 @@ fn run_executes_and_prints_property() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("supersteps:"), "{text}");
+    // The direction line prints whatever the schedule.
+    assert!(text.contains("pull supersteps:"), "{text}");
     // dist: 0, 2, 5, 9 via the weighted path.
     assert!(text.contains("0\t0"), "{text}");
     assert!(text.contains("1\t2"), "{text}");

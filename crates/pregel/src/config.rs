@@ -11,7 +11,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// Environment variable read by [`PregelConfig::default`] for the message
-/// schedule: `"push"` (default), `"pull"`, or `"auto"`.
+/// schedule: `"push"`, `"pull"`, or `"auto"` (default).
 pub const ENV_SCHEDULE: &str = "GM_SCHEDULE";
 /// Environment variable for [`PregelConfig::dense_threshold`], the
 /// `Schedule::Auto` dense-frontier cutoff (a fraction of `|E|`).
@@ -25,8 +25,9 @@ pub const ENV_DENSE_THRESHOLD: &str = "GM_DENSE_THRESHOLD";
 /// ([`VertexProgram::pull_mode`](crate::VertexProgram::pull_mode));
 /// supersteps that cannot always run push. Both directions produce
 /// bit-identical values, supersteps, and message metrics — the schedule is
-/// a pure execution-strategy knob.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// a pure execution-strategy knob, so the runtime picks the direction
+/// itself (`Auto`) unless told otherwise.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Schedule {
     /// Always push: vertices route messages, the exchange delivers them.
     Push,
@@ -37,16 +38,18 @@ pub enum Schedule {
     /// Ligra/GraphIt-style density heuristic, decided per superstep: pull
     /// when the active frontier's expected out-edges exceed
     /// [`PregelConfig::dense_threshold`] × `|E|`, push otherwise.
+    #[default]
     Auto,
 }
 
 impl Schedule {
-    /// Reads `GM_SCHEDULE`; unset or unrecognized values mean `Push`.
+    /// Reads `GM_SCHEDULE`; unset or unrecognized values mean the
+    /// default, `Auto`.
     fn from_env() -> Self {
         std::env::var(ENV_SCHEDULE)
             .ok()
             .and_then(|s| s.parse().ok())
-            .unwrap_or(Schedule::Push)
+            .unwrap_or_default()
     }
 }
 
@@ -98,7 +101,7 @@ pub struct PregelConfig {
     /// unset.
     pub budget: ResourceBudget,
     /// Push/pull/auto message-movement strategy. The default is read from
-    /// `GM_SCHEDULE` (push when unset).
+    /// `GM_SCHEDULE` (auto when unset).
     pub schedule: Schedule,
     /// `Schedule::Auto` cutoff: a superstep gathers when
     /// `active_vertices × avg_degree > dense_threshold × |E|`. The default
@@ -234,5 +237,17 @@ impl PregelConfig {
     pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
         self.cancel = Some(cancel);
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn auto_is_the_default_schedule() {
+        // `Schedule::default()` reads no environment, so this holds
+        // whatever `GM_SCHEDULE` the suite runs under.
+        assert_eq!(Schedule::default(), Schedule::Auto);
     }
 }

@@ -20,6 +20,7 @@ use crate::supervise::FailedRun;
 use crate::worker::{read_lock, write_lock, Executor, Pending, Shared, Step, WorkerState};
 use gm_ckpt::{CheckpointStore, Persist};
 use gm_obs::{Category, Tracer};
+use std::cell::Cell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -89,13 +90,18 @@ where
         mut agg_prev,
     } = init;
     let start = Instant::now();
-    // Work past this attempt's entry point is lost on failure: a restart
-    // re-executes it from the resume superstep (or from scratch).
-    let first_superstep = superstep;
-    let fail = |error: PregelError, at: u32| FailedRun {
-        error,
-        wasted_supersteps: at - first_superstep,
-        wasted_time: start.elapsed(),
+    // Work past the newest recovery point is lost on failure: a restart
+    // re-executes it from there. The point starts at this attempt's entry
+    // (the resume superstep, or scratch) and advances with every snapshot
+    // written intact.
+    let recovery_point = Cell::new((superstep, start));
+    let fail = |error: PregelError, at: u32| {
+        let (since, since_at) = recovery_point.get();
+        FailedRun {
+            error,
+            wasted_supersteps: at - since,
+            wasted_time: since_at.elapsed(),
+        }
     };
 
     // Empty outbox buckets recycled from the previous exchange, per sender.
@@ -195,6 +201,7 @@ where
                                 }
                             }
                             if !corrupted {
+                                recovery_point.set((superstep, Instant::now()));
                                 if let Some(cb) = &ck.on_write {
                                     cb(superstep);
                                 }

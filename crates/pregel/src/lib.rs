@@ -55,13 +55,14 @@
 //! activity is reported in [`SpillStats`].
 //!
 //! The runtime is **direction aware**: [`PregelConfig::schedule`] (or the
-//! `GM_SCHEDULE` environment variable) selects push (the Pregel default),
-//! pull, or auto. In a **gathered** (pull) superstep the exchange is
-//! replaced by a gather phase — each vertex walks its in-edges via the
-//! reverse CSR and folds the senders' messages in place, with no per-message
-//! routing or allocation — producing bit-identical values and structural
-//! metrics. A program opts in by implementing [`VertexProgram::pull_mode`]
-//! (the Green-Marl compiler decides it per state where it lowers kernels).
+//! `GM_SCHEDULE` environment variable) selects push (the classic Pregel
+//! exchange), pull, or auto (the default). In a **gathered** (pull)
+//! superstep the exchange is replaced by a gather phase — each vertex walks
+//! its in-edges via the reverse CSR and folds the senders' messages in
+//! place, with no per-message routing or allocation — producing
+//! bit-identical values and structural metrics. A program opts in by
+//! implementing [`VertexProgram::pull_mode`] (the Green-Marl compiler
+//! decides it per state where it lowers kernels).
 //! `auto` applies the Ligra/GraphIt density heuristic per superstep: gather
 //! when the active frontier's expected out-edges exceed
 //! [`PregelConfig::dense_threshold`] (env `GM_DENSE_THRESHOLD`) of |E|.

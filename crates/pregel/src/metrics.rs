@@ -138,11 +138,13 @@ pub struct RecoveryStats {
     /// Times the recovery supervisor restarted the job after a failure.
     pub restarts: u32,
     /// Supersteps executed by failed attempts whose work was thrown away —
-    /// accumulated across supervised [`run`](crate::run)
-    /// restarts, so the cost of recovering is visible, not just the fact
-    /// that it happened.
+    /// those past each attempt's newest intact snapshot (or its start),
+    /// which the restart re-executes — accumulated across supervised
+    /// [`run`](crate::run) restarts, so the cost of recovering is visible,
+    /// not just the fact that it happened.
     pub wasted_supersteps: u32,
-    /// Wall-clock burned by failed attempts (accumulated across restarts).
+    /// Wall-clock those thrown-away supersteps took (accumulated across
+    /// restarts).
     pub wasted_time: Duration,
     /// Wall-clock spent capturing and writing snapshots.
     pub checkpoint_time: Duration,

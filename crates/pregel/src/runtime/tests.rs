@@ -480,11 +480,13 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Runs a fixed number of supersteps on a cycle, accumulating mutable
-/// master state (`total`) from an aggregate — so an exact resume must
-/// restore both vertex values and the master's memory.
+/// Runs a fixed number of supersteps on a cycle (halting at superstep
+/// `last`), accumulating mutable master state (`total`) from an aggregate
+/// — so an exact resume must restore both vertex values and the master's
+/// memory.
 struct Rounds {
     total: i64,
+    last: u32,
 }
 
 impl VertexProgram for Rounds {
@@ -497,7 +499,7 @@ impl VertexProgram for Rounds {
 
     fn master_compute(&mut self, ctx: &mut MasterContext<'_>) -> MasterDecision {
         self.total += ctx.agg_or("n", GlobalValue::Int(0)).as_int();
-        if ctx.superstep() == 8 {
+        if ctx.superstep() == self.last {
             MasterDecision::Halt
         } else {
             MasterDecision::Continue
@@ -528,7 +530,11 @@ impl VertexProgram for Rounds {
 
 impl Rounds {
     fn new() -> Self {
-        Rounds { total: 0 }
+        Rounds::until(8)
+    }
+
+    fn until(last: u32) -> Self {
+        Rounds { total: 0, last }
     }
 
     fn baseline(workers: usize) -> (PregelResult<u32>, i64) {
@@ -822,6 +828,23 @@ fn wasted_work_is_accounted_across_restarts() {
     // nothing.
     assert_eq!(r.metrics.recovery.wasted_supersteps, 5);
     assert!(r.metrics.recovery.wasted_time > Duration::ZERO);
+}
+
+#[test]
+fn wasted_work_counts_from_the_newest_snapshot() {
+    let g = gen::cycle(12);
+    let dir = fresh_dir("wasted");
+    let cfg = PregelConfig::with_workers(2)
+        .with_checkpoints(CheckpointConfig::new(&dir, 4))
+        .with_faults(FaultPlan::builder().panic_in_compute(9, None).build())
+        .with_recovery(RecoveryPolicy::with_max_restarts(1));
+    let r = run(&g, &mut Rounds::until(12), |_| 0, &cfg).unwrap();
+    assert_eq!(r.metrics.recovery.restarts, 1);
+    assert_eq!(r.metrics.recovery.restores, 1);
+    // The failed attempt wrote snapshots at 4 and 8, and the restart
+    // resumes from 8: only superstep 8 ran for nothing.
+    assert_eq!(r.metrics.recovery.wasted_supersteps, 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -197,8 +197,9 @@ fn quarantine(error: &PregelError, attempts: u32) -> PregelError {
 }
 
 /// A failed attempt, carrying the cost the supervisor must account for:
-/// the supersteps this attempt executed past its resume point (work that a
-/// restart re-executes) and the wall-clock it burned.
+/// the supersteps this attempt executed past its newest recovery point —
+/// the last snapshot it wrote intact, else its resume point (work that a
+/// restart re-executes) — and the wall-clock they took.
 pub(crate) struct FailedRun {
     pub error: PregelError,
     pub wasted_supersteps: u32,
