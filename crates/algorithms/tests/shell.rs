@@ -5,20 +5,23 @@
 //! the table `gm-interp` derives from the same PIR; a native and an
 //! interpreted run checkpointed at the same supersteps write
 //! byte-identical `master` sections; a section restores only into the
-//! program that wrote it; and the section decoder returns an error, never
-//! a panic, on random, truncated and bit-flipped bytes.
+//! program that wrote it; and the section decoders — `master` and the
+//! vertex-indexed `values`, `halted` and `inbox` of both legs — return an
+//! error, never a panic, on random, truncated and bit-flipped bytes.
 
 mod common;
 
 use common::{algorithm_cases, compiled_for, fresh_dir, native_for, snapshots, Case};
 use gm_algorithms::native;
+use gm_ckpt::SnapshotBuilder;
 use gm_core::pir::PregelProgram;
 use gm_core::seqinterp::ArgValue;
 use gm_core::value::Value;
 use gm_graph::rng::{check, SplitMix64};
-use gm_interp::shell::{with_signature, MasterSection, Signature};
+use gm_interp::shell::{program_identity, with_signature, MasterSection, Signature};
 use gm_interp::{run_compiled, RunError};
 use gm_pregel::{ByteReader, CheckpointConfig, CkptError, PregelConfig, Snapshot};
+use std::path::Path;
 
 /// The native `SIGNATURE` of each algorithm, in [`algorithm_cases`] order.
 const SIGNATURES: [&Signature<'static>; 6] = [
@@ -73,6 +76,24 @@ fn native_signatures_equal_the_interpreters() {
         let program = compiled_for(name, src).program;
         let lowered = gm_core::kernel::lower(&program).unwrap();
         with_signature(&program, &lowered, |sig| assert_eq!(sig, native, "{name}"));
+    }
+}
+
+#[test]
+fn program_identities_name_the_program_and_the_leg() {
+    let identity = |sig: &Signature<'_>, encoding| {
+        String::from_utf8(program_identity(sig, encoding)).expect("text")
+    };
+    let mut seen = std::collections::BTreeSet::new();
+    for ((name, src, ..), native) in algorithm_cases().iter().zip(SIGNATURES) {
+        let program = compiled_for(name, src).program;
+        let lowered = gm_core::kernel::lower(&program).unwrap();
+        let interp = with_signature(&program, &lowered, |sig| identity(sig, "interp"));
+        let native = identity(native, "native");
+        // One signature hash, two encodings.
+        assert_eq!(native.strip_prefix("native"), interp.strip_prefix("interp"));
+        assert!(native.starts_with("native/v1/"), "{name}: {native}");
+        assert!(seen.insert(native) && seen.insert(interp), "{name}");
     }
 }
 
@@ -176,6 +197,119 @@ fn the_master_section_decoder_never_panics() {
             assert!(states.into_iter().all(|&st| st < sig.states.len()));
         }
     });
+}
+
+/// A checkpointed run of `case`'s program on one leg, from the start or
+/// resuming from `dir`, returning its restore count; runs stop at 400
+/// supersteps, so that no mutated snapshot can loop forever.
+fn run_checkpointed(
+    case: &Case,
+    native: bool,
+    dir: &Path,
+    every: u32,
+    resume: bool,
+) -> Result<u32, RunError> {
+    let (name, src, graph, args, seed) = case;
+    let config = PregelConfig {
+        checkpoint: Some(CheckpointConfig::new(dir, every).with_resume(resume)),
+        max_supersteps: 400,
+        ..PregelConfig::with_workers(2)
+    };
+    let out = if native {
+        (native_for(src).run)(graph, args, *seed, &config)
+    } else {
+        run_compiled(graph, &compiled_for(name, src), args, *seed, &config)
+    };
+    out.map(|o| o.metrics.recovery.restores)
+}
+
+#[test]
+fn the_vertex_section_decoders_never_panic() {
+    let cases = algorithm_cases();
+    // Real snapshots, first, middle and last of a checkpoint-every-
+    // superstep run, of every algorithm on each leg: (case, leg, snapshot).
+    let mut corpus: Vec<(usize, bool, Snapshot)> = Vec::new();
+    for (alg, case) in cases.iter().enumerate() {
+        for native in [true, false] {
+            let dir = fresh_dir("vertex-corpus");
+            run_checkpointed(case, native, &dir, 1, false)
+                .unwrap_or_else(|e| panic!("{}: {e}", case.0));
+            let files = snapshots(&dir);
+            for i in [0, files.len() / 2, files.len() - 1] {
+                let snap = Snapshot::read(&files[i].1).expect("read snapshot");
+                corpus.push((alg, native, snap));
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    let pick = |rng: &mut SplitMix64, n: usize| rng.below(n.max(1) as u64) as usize;
+    let (mut restored, mut errors) = (0, 0);
+    check("vertex_section_decoders", 96, |rng| {
+        let (alg, native, snap) = &corpus[pick(rng, corpus.len())];
+        let section = ["values", "halted", "inbox"][pick(rng, 3)];
+        let mut bytes = snap.section(section).expect("a vertex section").to_vec();
+        match rng.below(6) {
+            0 => {
+                bytes = (0..pick(rng, 2 * bytes.len()))
+                    .map(|_| rng.next_u64() as u8)
+                    .collect()
+            }
+            1 => bytes.truncate(pick(rng, bytes.len() + 1)),
+            // A small value lands on tags, flags, counts and ids.
+            2 if !bytes.is_empty() => {
+                let at = pick(rng, bytes.len());
+                bytes[at] = rng.below(6) as u8;
+            }
+            // Well-formed bytes, wrong content: the same section of
+            // another snapshot on this leg, of any algorithm.
+            3 => {
+                let same_leg: Vec<_> = corpus.iter().filter(|(_, n, _)| n == native).collect();
+                let (_, _, other) = same_leg[pick(rng, same_leg.len())];
+                bytes = other.section(section).expect("a vertex section").to_vec();
+            }
+            4 => bytes.extend((0..=pick(rng, 16)).map(|_| rng.next_u64() as u8)),
+            _ if !bytes.is_empty() => {
+                for _ in 0..=rng.below(4) {
+                    let bit = pick(rng, bytes.len() * 8);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            _ => {}
+        }
+        // The mutated section in a container whose checksum passes, as the
+        // only snapshot the home leg finds.
+        let rebuilt = (snap.section_names()).fold(
+            SnapshotBuilder::new(snap.superstep, snap.num_nodes),
+            |b, name| {
+                let payload = if name == section {
+                    bytes.clone()
+                } else {
+                    snap.section(name).expect("listed").to_vec()
+                };
+                b.section(name, payload)
+            },
+        );
+        let dir = fresh_dir("vertex-mutant");
+        std::fs::create_dir_all(&dir).expect("mutant dir");
+        rebuilt
+            .write_atomic(&dir.join(format!("snapshot-{:08}.gmck", snap.superstep)))
+            .expect("write mutant");
+        // `Ok` or a runtime error; a panic unwinding out of `run` fails
+        // the case.
+        match run_checkpointed(&cases[*alg], *native, &dir, u32::MAX, true) {
+            Ok(restores) => restored += restores,
+            Err(e) => {
+                assert!(matches!(e, RunError::Pregel(_)), "{e}");
+                errors += 1;
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+    // Both outcomes occur: the mutants reach the decoders.
+    assert!(
+        restored > 0 && errors > 0,
+        "{restored} restored, {errors} errors"
+    );
 }
 
 #[test]

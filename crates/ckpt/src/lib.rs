@@ -13,7 +13,8 @@
 //!   sections with a trailing CRC-32 over the whole file, written with
 //!   an atomic temp-file-then-rename protocol.
 //! - [`CheckpointStore`] — a directory of snapshots, one per superstep,
-//!   with newest-valid recovery that discards corrupt files by checksum.
+//!   with newest-valid recovery that discards corrupt files by checksum
+//!   and removes the valid ones its caller refuses.
 //! - [`FaultPlan`] — deterministic fault injection (panic at superstep k
 //!   on worker w, failed or corrupted checkpoint writes) used by the
 //!   recovery test matrix.
@@ -33,4 +34,4 @@ pub use crc::{crc32, Crc32};
 pub use error::CkptError;
 pub use fault::{FaultKind, FaultPlan, FaultPlanBuilder};
 pub use snapshot::{Snapshot, SnapshotBuilder, FORMAT_VERSION, MAGIC};
-pub use store::{CheckpointStore, RecoveredSnapshot};
+pub use store::{CheckpointStore, Scan};

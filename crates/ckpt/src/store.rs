@@ -2,8 +2,8 @@
 //!
 //! Files are named `snapshot-NNNNNNNN.gmck` (zero-padded superstep), so
 //! lexicographic order equals superstep order. Recovery scans newest to
-//! oldest, discarding anything that fails checksum validation, and
-//! restores the most recent valid snapshot.
+//! oldest, discarding anything that fails checksum validation or that the
+//! caller refuses, and restores the most recent snapshot left.
 
 use std::path::{Path, PathBuf};
 
@@ -14,11 +14,13 @@ const EXTENSION: &str = "gmck";
 
 /// Outcome of a [`CheckpointStore::latest_valid`] scan.
 #[derive(Debug)]
-pub struct RecoveredSnapshot {
-    pub snapshot: Snapshot,
-    pub path: PathBuf,
-    /// Snapshots newer than the restored one that failed validation and
-    /// were skipped (torn writes, flipped bytes, bad framing).
+pub struct Scan {
+    /// The newest snapshot that validated and was accepted; `None` when
+    /// no file qualified.
+    pub newest: Option<Snapshot>,
+    /// Files newer than it (all of them, when there is none) that were
+    /// skipped: torn writes, flipped bytes and bad framing, plus the valid
+    /// snapshots the caller refused.
     pub discarded: u32,
 }
 
@@ -76,24 +78,32 @@ impl CheckpointStore {
         Ok(out)
     }
 
-    /// Scan newest→oldest and return the most recent snapshot that
-    /// passes validation, counting how many newer ones were discarded.
-    /// Returns `Ok(None)` when no valid snapshot exists at all.
-    pub fn latest_valid(&self) -> Result<Option<RecoveredSnapshot>, CkptError> {
+    /// Scan newest→oldest for the most recent snapshot that passes
+    /// validation and that `accept` takes, counting the files skipped on
+    /// the way. A valid snapshot `accept` refuses is removed: it can never
+    /// be resumed by this caller, and left in place it would outlive the
+    /// caller's own snapshots under [`prune`](CheckpointStore::prune).
+    pub fn latest_valid(&self, accept: impl Fn(&Snapshot) -> bool) -> Result<Scan, CkptError> {
         let mut discarded = 0u32;
         for (_, path) in self.list()?.into_iter().rev() {
             match Snapshot::read(&path) {
-                Ok(snapshot) => {
-                    return Ok(Some(RecoveredSnapshot {
-                        snapshot,
-                        path,
+                Ok(snapshot) if accept(&snapshot) => {
+                    return Ok(Scan {
+                        newest: Some(snapshot),
                         discarded,
-                    }));
+                    });
+                }
+                Ok(_) => {
+                    std::fs::remove_file(&path)?;
+                    discarded += 1;
                 }
                 Err(_) => discarded += 1,
             }
         }
-        Ok(None)
+        Ok(Scan {
+            newest: None,
+            discarded,
+        })
     }
 
     /// Delete all but the newest `keep` snapshots. `keep == 0` keeps
@@ -147,9 +157,9 @@ mod tests {
         }
         let listed: Vec<u32> = store.list().unwrap().into_iter().map(|(s, _)| s).collect();
         assert_eq!(listed, vec![2, 4, 6]);
-        let rec = store.latest_valid().unwrap().unwrap();
-        assert_eq!(rec.snapshot.superstep, 6);
-        assert_eq!(rec.discarded, 0);
+        let scan = store.latest_valid(|_| true).unwrap();
+        assert_eq!(scan.newest.unwrap().superstep, 6);
+        assert_eq!(scan.discarded, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -167,9 +177,9 @@ mod tests {
         bytes[mid] ^= 0xFF;
         std::fs::write(&newest, bytes).unwrap();
 
-        let rec = store.latest_valid().unwrap().unwrap();
-        assert_eq!(rec.snapshot.superstep, 2);
-        assert_eq!(rec.discarded, 1);
+        let scan = store.latest_valid(|_| true).unwrap();
+        assert_eq!(scan.newest.unwrap().superstep, 2);
+        assert_eq!(scan.discarded, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -177,9 +187,29 @@ mod tests {
     fn all_corrupt_yields_none() {
         let dir = fresh_dir("allbad");
         let store = CheckpointStore::create(&dir).unwrap();
-        store.write(&snap(1), 1).unwrap();
-        std::fs::write(store.path_for(1), b"garbage").unwrap();
-        assert!(store.latest_valid().unwrap().is_none());
+        for step in [1u32, 2] {
+            store.write(&snap(step), step).unwrap();
+            std::fs::write(store.path_for(step), b"garbage").unwrap();
+        }
+        let scan = store.latest_valid(|_| true).unwrap();
+        assert!(scan.newest.is_none());
+        assert_eq!(scan.discarded, 2);
+        assert_eq!(store.list().unwrap().len(), 2, "torn files stay");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn refused_snapshots_are_counted_and_removed() {
+        let dir = fresh_dir("refused");
+        let store = CheckpointStore::create(&dir).unwrap();
+        for step in [1u32, 2, 3] {
+            store.write(&snap(step), step).unwrap();
+        }
+        let scan = store.latest_valid(|s| s.superstep == 1).unwrap();
+        assert_eq!(scan.newest.unwrap().superstep, 1);
+        assert_eq!(scan.discarded, 2);
+        let listed: Vec<u32> = store.list().unwrap().into_iter().map(|(s, _)| s).collect();
+        assert_eq!(listed, vec![1]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -188,7 +218,7 @@ mod tests {
         let dir = fresh_dir("missing");
         let store = CheckpointStore { dir: dir.clone() };
         assert!(store.list().unwrap().is_empty());
-        assert!(store.latest_valid().unwrap().is_none());
+        assert!(store.latest_valid(|_| true).unwrap().newest.is_none());
     }
 
     #[test]

@@ -147,13 +147,13 @@ fn ms_since(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
-fn new_record(id: &str, spec: &JobSpec, backend: &'static str, attempts: u32) -> Box<JobRecord> {
+fn new_record(id: &str, spec: &JobSpec, backend: &str, attempts: u32) -> Box<JobRecord> {
     Box::new(JobRecord {
         id: id.to_owned(),
         tenant: spec.tenant.clone(),
         graph: spec.graph.clone(),
         program: spec.program.label(),
-        backend,
+        backend: backend.to_owned(),
         state: JobState::Queued,
         wall_ms: None,
         attempts,
@@ -695,17 +695,13 @@ impl State {
 
     /// Applies the journal replay at startup: terminal jobs become
     /// history; the rest are re-resolved and re-queued (pre-admitted —
-    /// they passed admission before the crash) on the backend their
-    /// `accepted` record names, or failed when their graph or program is
-    /// gone.
+    /// they passed admission before the crash) on whichever backend binds
+    /// now, or failed when their graph or program is gone. A job that
+    /// changed backend finds its snapshots refused by the runtime, which
+    /// removes them and re-runs it from superstep 0.
     fn apply_replay(&self, replay: Replay) {
         for job in replay.jobs {
-            let backend = if job.backend == "native" {
-                "native"
-            } else {
-                "interp"
-            };
-            let mut record = new_record(&job.id, &job.spec, backend, job.attempts);
+            let mut record = new_record(&job.id, &job.spec, &job.backend, job.attempts);
             if !job.needs_requeue() {
                 record.state = job.state;
                 record.wall_ms = job.wall_ms;
@@ -714,15 +710,11 @@ impl State {
                 jobs.history.push_back(job.id);
                 continue;
             }
-            let resolved = self.resolve(job.spec).and_then(|mut queued| {
-                queued.id = job.id.clone();
-                queued.attempt = job.attempts;
-                self.rebind(&mut queued, backend)?;
-                Ok(queued)
-            });
-            match resolved {
-                Ok(queued) => {
-                    record.backend = queued.payload.backend();
+            match self.resolve(job.spec) {
+                Ok(mut queued) => {
+                    queued.id = job.id.clone();
+                    queued.attempt = job.attempts;
+                    record.backend = queued.payload.backend().to_owned();
                     self.lock_jobs().records.insert(queued.id.clone(), record);
                     self.lock_sched().enqueue(queued);
                 }
@@ -738,9 +730,6 @@ impl State {
                         Reject::CompileError(message) | Reject::BadRequest(message) => {
                             message.clone()
                         }
-                        Reject::JournalUnavailable(e) => {
-                            format!("could not journal the move to the interpreter: {e}")
-                        }
                         other => format!("{other:?}"),
                     };
                     let wall_ms = job.wall_ms.unwrap_or(0.0);
@@ -749,31 +738,6 @@ impl State {
             }
         }
         self.publish(&self.lock_sched());
-    }
-
-    /// Puts a replayed job back on its `journalled` backend, which its
-    /// checkpoints are encoded for. The interpreter runs any program; a
-    /// `native` job whose module no longer binds (native serving turned
-    /// off, or a changed emitter) loses its checkpoints and is journalled
-    /// again as `interp` before it runs. When that append fails the job
-    /// must not run: its interpreter snapshots would sit beside a
-    /// `native` acceptance.
-    fn rebind(&self, job: &mut QueuedJob, journalled: &str) -> Result<(), Reject> {
-        match (journalled, job.payload.backend(), &self.journal) {
-            ("interp", "native", _) => job.payload = job.payload.interpreted(),
-            ("native", "interp", Some(journal)) => {
-                journal.remove_checkpoints(&job.id);
-                let accepted = JournalRecord::Accepted {
-                    id: job.id.clone(),
-                    backend: "interp".to_owned(),
-                    spec: job.spec.clone(),
-                };
-                (journal.append(&accepted))
-                    .map_err(|e| Reject::JournalUnavailable(e.to_string()))?;
-            }
-            _ => {}
-        }
-        Ok(())
     }
 }
 

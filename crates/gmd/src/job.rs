@@ -432,9 +432,12 @@ pub struct JobRecord {
     pub graph: String,
     /// Program label (builtin name or source fingerprint).
     pub program: String,
-    /// Execution backend: `"interp"`, or `"native"` for builtins served
-    /// by a compiled-in `gm-core::rustgen` module.
-    pub backend: &'static str,
+    /// Execution backend: `"interp"`, or `"native"` for programs served
+    /// by a compiled-in `gm-core::rustgen` module. For a live job this is
+    /// what it runs on now: a job replayed after a restart runs on
+    /// whichever backend binds then, not the one its `accepted` record
+    /// names.
+    pub backend: String,
     /// Current state.
     pub state: JobState,
     /// Execution attempts started so far (1 for a job that never
@@ -465,7 +468,7 @@ impl JobRecord {
             ("tenant".to_owned(), Json::Str(self.tenant.clone())),
             ("graph".to_owned(), Json::Str(self.graph.clone())),
             ("program".to_owned(), Json::Str(self.program.clone())),
-            ("backend".to_owned(), Json::Str(self.backend.to_owned())),
+            ("backend".to_owned(), Json::Str(self.backend.clone())),
             (
                 "status".to_owned(),
                 Json::Str(self.state.status().to_owned()),
@@ -628,7 +631,7 @@ mod tests {
             tenant: "t".to_owned(),
             graph: "g".to_owned(),
             program: "pagerank".to_owned(),
-            backend: "interp",
+            backend: "interp".to_owned(),
             state: JobState::Failed {
                 kind: "deadline_exceeded".to_owned(),
                 message: "superstep 3 exceeded its deadline".to_owned(),

@@ -94,7 +94,8 @@ impl JournalConfig {
 #[derive(Clone, Debug)]
 pub enum JournalRecord {
     /// The job passed admission; the full spec is persisted so a
-    /// restarted daemon can re-admit it through the normal path.
+    /// restarted daemon can re-admit it through the normal path. `backend`
+    /// is the one it was accepted on, a report only: replay binds afresh.
     Accepted {
         id: String,
         backend: String,
@@ -351,7 +352,8 @@ impl JournalRecord {
 pub struct ReplayedJob {
     /// Wire id (`"job-<n>"`).
     pub id: String,
-    /// Backend recorded at acceptance (`"interp"` / `"native"`).
+    /// Backend recorded at acceptance (`"interp"` / `"native"`); what
+    /// terminal jobs report, while re-queued ones bind afresh.
     pub backend: String,
     /// The spec, exactly as accepted.
     pub spec: JobSpec,

@@ -43,7 +43,10 @@
 //! text is compiled at submit time. Both go through the same library
 //! pipeline as `gmc`, with the PIR verifier forced on — malformed tenant
 //! programs become structured `400`s, not daemon crashes — and a program
-//! runs natively when its emitted Rust matches a compiled-in module.
+//! runs natively when its emitted Rust matches a compiled-in module. A
+//! job's `backend` is what it runs on now: after a restart a replayed job
+//! runs on whichever backend binds, and if that is not the one that wrote
+//! its snapshots, the runtime refuses them and re-runs it from superstep 0.
 //!
 //! Layers: [`sched`] decides (admission, fairness, retry, quarantine,
 //! brownout, drain — pure, no locks, clocks or I/O); [`daemon`] locks it,

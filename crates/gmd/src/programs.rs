@@ -50,14 +50,6 @@ impl Program {
             "interp"
         }
     }
-
-    /// The same compiled program, on the interpreter.
-    pub(crate) fn interpreted(&self) -> Arc<Program> {
-        Arc::new(Program {
-            compiled: self.compiled.clone(),
-            native: None,
-        })
-    }
 }
 
 /// The builtin catalogue: short job-spec names for the paper's six

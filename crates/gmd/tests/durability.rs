@@ -134,7 +134,7 @@ fn restart_requeues_journalled_jobs_bit_identically_and_resumes_ids() {
 /// `park`, a worker panic in superstep 5 sends a running job to an
 /// hour-long retry backoff, so a restart finds it queued with snapshots;
 /// without, a failure is final.
-fn rebind_config(dir: &Path, native: bool, park: bool) -> DaemonConfig {
+fn flip_config(dir: &Path, native: bool, park: bool) -> DaemonConfig {
     let mut config = base_config(&[("g", "rmat:600:3000:7")]);
     config.native_builtins = native;
     let mut journal = JournalConfig::new(dir.join("journal"));
@@ -198,37 +198,40 @@ fn wait_parked(state: &std::sync::Arc<gmd::daemon::State>, dir: &Path) -> gmd::j
 }
 
 #[test]
-fn a_replayed_job_resumes_on_the_backend_its_checkpoints_were_written_by() {
+fn a_replayed_job_runs_on_the_backend_bound_now() {
     // job-1, a checkpointed inline PageRank, snapshots supersteps 2 and 4
     // and parks in every life but the last, which runs it to the end.
-    // Forward: accepted as `interp`, then restarted with native binding;
-    // it must resume its interpreter-encoded snapshots on the interpreter.
-    // Reverse: accepted as `native`, then restarted without native
-    // binding; its native snapshots are dropped and it is journalled
-    // again as `interp`, so the third life, native binding back on,
-    // resumes the second life's snapshots on the interpreter too.
+    // Each life runs it on the backend that life binds. A life on another
+    // backend than the one before finds snapshots it cannot decode: the
+    // runtime discards them and re-runs from superstep 0. A life on the
+    // same backend resumes from them.
     let job = checkpointed_pagerank();
-    for lives in [&[false, true][..], &[true, false, true]] {
-        let dir = fresh_dir("rebind");
+    let leg = |native| if native { "native" } else { "interp" };
+    for lives in [&[false, true][..], &[true, false, true], &[true, true]] {
+        let dir = fresh_dir("flip");
         let (&last, parked) = lives.split_last().expect("lives");
         for (i, &native) in parked.iter().enumerate() {
-            let daemon = Daemon::start(rebind_config(&dir, native, true)).expect("start");
+            let daemon = Daemon::start(flip_config(&dir, native, true)).expect("start");
             let state = daemon.state().clone();
             if i == 0 {
                 assert_eq!(state.submit(spec(&job)).expect("submit"), "job-1");
             }
             let rec = wait_parked(&state, &dir);
-            let want = if i == 0 && native { "native" } else { "interp" };
-            assert_eq!(rec.backend, want, "{lives:?}, life {i}");
+            assert_eq!(rec.backend, leg(native), "{lives:?}, life {i}");
         }
 
-        let daemon = Daemon::start(rebind_config(&dir, last, false)).expect("last start");
+        let daemon = Daemon::start(flip_config(&dir, last, false)).expect("last start");
         let state = daemon.state().clone();
         let rec = wait_terminal(&state, "job-1");
-        assert_eq!(rec.backend, "interp", "{lives:?}: replay keeps the backend");
+        assert_eq!(rec.backend, leg(last), "{lives:?}: runs where it binds");
         assert_eq!(rec.attempts, lives.len() as u32);
         let want = interp_reference(&state.graphs()["g"]);
         assert_eq!(fingerprints_of(&rec), want, "{lives:?}: diverged");
+        let restores = (state.registry())
+            .counter("gm_restores_total", "successful snapshot restores")
+            .get();
+        let same_leg = parked.last() == Some(&last);
+        assert_eq!(restores, u64::from(same_leg), "{lives:?}: restores");
 
         // A fresh submission of the same text binds natively and agrees.
         let fresh = state.submit(spec(&job)).expect("submit");
@@ -238,48 +241,6 @@ fn a_replayed_job_resumes_on_the_backend_its_checkpoints_were_written_by() {
         drop(daemon);
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-#[test]
-fn a_replayed_job_whose_rebind_cannot_be_journalled_fails_unrun() {
-    // job-1 is accepted as `native` and parks with native snapshots. The
-    // next life binds it to the interpreter, but the `accepted` append
-    // that says so fails: the job must fail without running, its
-    // snapshots gone, so no interpreter snapshot can sit beside the
-    // `native` acceptance.
-    let dir = fresh_dir("rebind-append");
-    let daemon = Daemon::start(rebind_config(&dir, true, true)).expect("start");
-    let state = daemon.state().clone();
-    assert_eq!(
-        state
-            .submit(spec(&checkpointed_pagerank()))
-            .expect("submit"),
-        "job-1"
-    );
-    let parked = wait_parked(&state, &dir);
-    assert_eq!(parked.backend, "native");
-    drop((daemon, state));
-
-    let mut config = rebind_config(&dir, false, false);
-    if let Some(journal) = &mut config.journal {
-        journal.faults = FaultPlan::builder().fail_journal_append(0).build();
-    }
-    let daemon = Daemon::start(config).expect("restart");
-    let rec = wait_terminal(daemon.state(), "job-1");
-    match &rec.state {
-        gmd::job::JobState::Failed { kind, message, .. } => {
-            assert_eq!(kind, "journal_unavailable");
-            assert!(
-                message.contains("injected journal append failure"),
-                "{message}"
-            );
-        }
-        other => panic!("expected a failure, got {other:?}"),
-    }
-    assert_eq!(rec.attempts, parked.attempts, "it ran again");
-    assert!(!dir.join("journal").join("ckpt").join("job-1").exists());
-    drop(daemon);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -47,7 +47,9 @@
 //! `--checkpoint-every N` snapshots the full BSP frontier into
 //! `--checkpoint-dir` (default `gm-ckpt/` in the temp dir) every N
 //! supersteps; `--resume` continues a previous run from the newest valid
-//! snapshot there, and `--keep-snapshots N` prunes all but the newest N.
+//! snapshot there that the same program wrote on the same backend (other
+//! files are removed, and the `checkpoints:` line counts them as
+//! `discarded`), and `--keep-snapshots N` prunes all but the newest N.
 //! `--max-restarts N` lets the run restart itself after worker failures.
 //!
 //! `--schedule` selects the message direction: `auto` (the default: a
@@ -670,10 +672,18 @@ fn cmd_run(args: &[String]) -> ExitCode {
         config.schedule, out.metrics.pull_supersteps, out.metrics.direction_switches
     );
     let rec = &out.metrics.recovery;
-    if rec.checkpoints_written > 0 || rec.restores > 0 || rec.restarts > 0 {
+    if rec.checkpoints_written > 0
+        || rec.restores > 0
+        || rec.restarts > 0
+        || rec.corrupt_snapshots_discarded > 0
+    {
         println!(
-            "checkpoints: {} written ({} bytes)   restores: {}   restarts: {}",
-            rec.checkpoints_written, rec.snapshot_bytes, rec.restores, rec.restarts
+            "checkpoints: {} written ({} bytes)   restores: {}   restarts: {}   discarded: {}",
+            rec.checkpoints_written,
+            rec.snapshot_bytes,
+            rec.restores,
+            rec.restarts,
+            rec.corrupt_snapshots_discarded
         );
     }
     let spill = &out.metrics.spill;

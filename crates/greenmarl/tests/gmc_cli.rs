@@ -436,3 +436,72 @@ fn a_wrongly_typed_scalar_fails_alike_on_both_backends() {
         );
     }
 }
+
+#[test]
+fn resume_restores_its_own_legs_snapshots_and_reruns_over_the_others() {
+    let dir = temp_dir();
+    let edges = dir.join("edges_resume.txt");
+    // Uneven degrees, so PageRank runs all ten iterations.
+    let graph = "0 1\n0 2\n0 3\n1 2\n2 0\n3 0\n3 1\n4 0\n4 3\n5 4\n1 5\n2 5\n";
+    std::fs::write(&edges, graph).unwrap();
+    let ckpt = dir.join("resume-ckpt");
+    let _ = std::fs::remove_dir_all(&ckpt);
+    // The builtin source, so `--backend native` finds its compiled-in module.
+    let pagerank = concat!(env!("CARGO_MANIFEST_DIR"), "/../algorithms/gm/pagerank.gm");
+    // Each step is its own process: a resume depends on the program
+    // identity being the same in every process that derives it.
+    let step = |backend: &str, resume: bool| {
+        let mut cmd = gmc();
+        cmd.args(["run", pagerank, "--graph", edges.to_str().unwrap()])
+            .args(["--arg", "e=0.0", "--arg", "d=0.85", "--arg", "max_iter=10"])
+            .args(["--backend", backend, "--workers", "2", "--print", "pr"])
+            .args(["--checkpoint-every", "2", "--checkpoint-dir"])
+            .arg(&ckpt);
+        if resume {
+            cmd.arg("--resume");
+        }
+        let out = cmd.output().unwrap();
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "{backend}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let pr: Vec<String> = (text.lines())
+            .filter(|l| l.contains('\t'))
+            .map(str::to_owned)
+            .collect();
+        assert_eq!(pr.len(), 6, "{text}");
+        (text, pr)
+    };
+    let snapshots = || std::fs::read_dir(&ckpt).unwrap().count();
+
+    let (text, reference) = step("native", false);
+    assert!(
+        text.contains("restores: 0   restarts: 0   discarded: 0"),
+        "{text}"
+    );
+    let (text, pr) = step("native", true);
+    assert!(
+        text.contains("restores: 1   restarts: 0   discarded: 0"),
+        "{text}"
+    );
+    assert_eq!(pr, reference, "a native resume diverged");
+
+    // The interpreter cannot decode native snapshots: it discards and
+    // removes every one, then runs from superstep 0 to the same result.
+    let native_files = snapshots();
+    assert!(native_files > 0);
+    let (text, pr) = step("interp", true);
+    let discarded = format!("restores: 0   restarts: 0   discarded: {native_files}");
+    assert!(text.contains(&discarded), "{text}");
+    assert_eq!(pr, reference, "the interpreter's re-run diverged");
+
+    // What is left is the interpreter's own, and it resumes from it. The
+    // counters are the job's: they carry the discards from the snapshot.
+    let (text, pr) = step("interp", true);
+    let restored = format!("restores: 1   restarts: 0   discarded: {native_files}");
+    assert!(text.contains(&restored), "{text}");
+    assert_eq!(pr, reference);
+    let _ = std::fs::remove_dir_all(&ckpt);
+}

@@ -194,6 +194,8 @@ impl Leg for Machine<'_> {
     type VertexValue = VertexData;
     type Message = Msg;
 
+    const ENCODING: &'static str = "interp";
+
     fn master(&self, state: usize, g: &mut Vec<Value>, m: &mut Master<'_>) {
         run_minstrs(&self.pre.masters[state].master, g, m, None);
     }

@@ -6,7 +6,8 @@
 //! ([`run_leg`]). The shell owns, once, everything that runs per superstep
 //! or per job rather than per vertex: the master driver loop with its
 //! state log, `PickRandom` stream and `Return` slot; argument binding; the
-//! snapshot's `master` section; and the [`CompiledOutcome`]. It reads the
+//! snapshot's `master` section and program identity
+//! ([`program_identity`]); and the [`CompiledOutcome`]. It reads the
 //! program's interface from a [`Signature`], which the interpreter derives
 //! from PIR ([`with_signature`]) and rustgen prints as a `static`. A leg
 //! supplies its data layout, its vertex side (statically dispatched, so
@@ -203,6 +204,12 @@ pub trait Leg: Send + Sync {
     /// A message.
     type Message: Clone + Send + Sync + Persist;
 
+    /// The name of how this leg persists vertex values and messages, part
+    /// of the program identity every snapshot carries. The default names
+    /// the layout every `gm-core::rustgen` module writes: each slot's raw
+    /// field, untagged. The interpreter's tagged values override it.
+    const ENCODING: &'static str = "native";
+
     /// Runs the master block of `state`.
     fn master(&self, state: usize, g: &mut Self::Globals, m: &mut Master<'_>);
 
@@ -336,6 +343,7 @@ pub fn run_leg<'a, L: Leg>(
     let bound = Bound::new(sig, graph, args)?;
     let mut shell = Shell {
         sig,
+        identity: program_identity(sig, L::ENCODING),
         leg: leg(&bound),
         globals: L::Globals::build(sig.globals.len(), |slot| bound.globals[slot]),
         master: Master {
@@ -380,9 +388,46 @@ pub fn run_leg<'a, L: Leg>(
     })
 }
 
+/// Version of the legs' vertex-value and message encodings, part of the
+/// program identity every snapshot carries. Bump it whenever a leg
+/// changes how it persists a vertex value or a message, so that older
+/// snapshots start the run afresh instead of being misread.
+pub const ENCODING_VERSION: u32 = 1;
+
+/// The [`VertexProgram::program_identity`] of the program `sig` describes,
+/// run on a leg whose [`Leg::ENCODING`] is `encoding`:
+/// `<encoding>/v<ENCODING_VERSION>/<hash>`, where the hash is FNV-1a 64
+/// over every name, type, kernel read list and pull mode in `sig`.
+pub fn program_identity(sig: &Signature<'_>, encoding: &str) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for cols in [sig.globals, sig.node_props, sig.edge_props, sig.params] {
+        cols.len().persist(&mut bytes);
+        for (name, ty) in cols {
+            (name.to_string(), ty.to_string()).persist(&mut bytes);
+        }
+    }
+    sig.ret.as_ref().map(Ty::to_string).persist(&mut bytes);
+    sig.states.len().persist(&mut bytes);
+    for state in sig.states {
+        let reads = state.kernel.map(|reads| reads.to_vec());
+        let pull = match state.pull {
+            PullMode::Unsupported => 0u8,
+            PullMode::Captured => 1,
+            PullMode::Recomputed => 2,
+        };
+        (reads, pull).persist(&mut bytes);
+    }
+    let hash = (bytes.iter()).fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    format!("{encoding}/v{ENCODING_VERSION}/{hash:016x}").into_bytes()
+}
+
 /// The leg-independent [`VertexProgram`]: the master driver around a leg.
 struct Shell<'a, L: Leg> {
     sig: &'a Signature<'a>,
+    /// Derived once per run from `sig` and the leg's encoding.
+    identity: Vec<u8>,
     leg: L,
     globals: L::Globals,
     master: Master<'a>,
@@ -521,6 +566,10 @@ impl<L: Leg> VertexProgram for Shell<'_, L> {
         self.prev_state = s.prev_state;
         self.state_log = s.state_log;
         Ok(())
+    }
+
+    fn program_identity(&self) -> &[u8] {
+        &self.identity
     }
 }
 

@@ -8,6 +8,7 @@
 //!
 //! | section   | contents                                                    |
 //! |-----------|-------------------------------------------------------------|
+//! | `program` | [`VertexProgram::program_identity`] of the program that wrote it |
 //! | `coord`   | active-vertex count, pending-message count, previous-superstep [`AggMap`], broadcast [`Globals`] |
 //! | `master`  | opaque [`VertexProgram::save_master_state`] bytes           |
 //! | `values`  | per-vertex values in vertex-id order                        |
@@ -27,7 +28,13 @@
 //! (metrics contain measured wall-clock durations); the determinism test
 //! in `gm-algorithms` pins that property.
 //!
+//! A resume restores only a snapshot whose `program` section equals the
+//! running program's identity ([`written_by`]). Any other file is treated
+//! like one that fails its checksum: skipped, counted as discarded, and —
+//! since it can never resume this program — removed.
+//!
 //! [`VertexProgram::save_master_state`]: crate::VertexProgram::save_master_state
+//! [`VertexProgram::program_identity`]: crate::VertexProgram::program_identity
 
 use std::path::PathBuf;
 
@@ -38,6 +45,7 @@ use gm_ckpt::{ByteReader, CkptError, Persist, Snapshot, SnapshotBuilder};
 use gm_graph::Graph;
 
 /// Section names of the snapshot container.
+pub(crate) const SEC_PROGRAM: &str = "program";
 pub(crate) const SEC_COORD: &str = "coord";
 pub(crate) const SEC_MASTER: &str = "master";
 pub(crate) const SEC_VALUES: &str = "values";
@@ -166,6 +174,12 @@ pub(crate) struct ResumeState<P: VertexProgram> {
     pub inboxes: Vec<Vec<P::Message>>,
 }
 
+/// Whether `snap` can resume the program whose
+/// [`VertexProgram::program_identity`] is `identity`.
+pub(crate) fn written_by(snap: &Snapshot, identity: &[u8]) -> bool {
+    snap.section(SEC_PROGRAM) == Some(identity)
+}
+
 /// Decodes a validated snapshot back into runtime state, restoring the
 /// program's master state in the process. Fails if the snapshot was taken
 /// for a different graph size or any section is malformed.
@@ -252,18 +266,20 @@ impl VertexSections {
     }
 }
 
-/// Assembles the snapshot container from the coordinator state, the
-/// program's master bytes, the whole graph's vertex sections, and the
-/// metrics so far.
+/// Assembles the snapshot container from the program's identity, the
+/// coordinator state, the program's master bytes, the whole graph's vertex
+/// sections, and the metrics so far.
 pub(crate) fn build_snapshot(
     superstep: u32,
     num_nodes: u32,
+    identity: &[u8],
     coord: &CoordState,
     master: Vec<u8>,
     vertices: VertexSections,
     metrics: &Metrics,
 ) -> SnapshotBuilder {
     SnapshotBuilder::new(superstep, num_nodes)
+        .section(SEC_PROGRAM, identity.to_vec())
         .section(SEC_COORD, encode_coord(coord))
         .section(SEC_MASTER, master)
         .section(SEC_VALUES, vertices.values)

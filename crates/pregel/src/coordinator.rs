@@ -48,6 +48,8 @@ impl DriveInit {
 /// Coordinator-side checkpoint machinery for one run.
 pub(crate) struct CkptRunner {
     pub store: CheckpointStore,
+    /// The program's identity, written into every snapshot.
+    pub identity: Vec<u8>,
     pub every: u32,
     pub keep: usize,
     /// The superstep this run resumed at, whose snapshot (just read) must
@@ -171,6 +173,7 @@ where
                     let builder = build_snapshot(
                         superstep,
                         num_nodes,
+                        &ck.identity,
                         &coord,
                         master,
                         vertices,

@@ -132,8 +132,10 @@ pub struct RecoveryStats {
     pub snapshot_bytes: u64,
     /// Successful restores from a snapshot (resume paths taken).
     pub restores: u32,
-    /// Snapshots rejected during recovery scans because they failed
-    /// checksum or framing validation.
+    /// Snapshots rejected during recovery scans, whether or not an older
+    /// one was then restored: files that failed checksum or framing
+    /// validation, and valid ones another program wrote (a missing or
+    /// different `program` section).
     pub corrupt_snapshots_discarded: u32,
     /// Times the recovery supervisor restarted the job after a failure.
     pub restarts: u32,

@@ -169,6 +169,16 @@ pub trait VertexProgram {
         let _ = r;
         Ok(())
     }
+
+    /// Names this program and the encoding of its vertex values and
+    /// messages. Every snapshot carries it in its `program` section, and a
+    /// resume skips and removes any snapshot whose section is missing or
+    /// different: another program, or another encoding of this one, wrote
+    /// it. Must not vary between processes. Hand-written programs keep the
+    /// empty default; compiled programs derive theirs from their signature.
+    fn program_identity(&self) -> &[u8] {
+        &[]
+    }
 }
 
 /// Context handed to [`VertexProgram::master_compute`].

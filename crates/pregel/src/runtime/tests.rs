@@ -466,7 +466,7 @@ fn tracer_captures_per_worker_superstep_events() {
 // ---- checkpointing / fault injection / recovery ----
 
 use crate::checkpoint::{CheckpointConfig, RecoveryPolicy};
-use gm_ckpt::{CheckpointStore, FaultPlan};
+use gm_ckpt::{CheckpointStore, FaultPlan, SnapshotBuilder};
 
 fn fresh_dir(tag: &str) -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -710,6 +710,73 @@ fn snapshot_keep_prunes_older_files() {
     let listed = store.list().unwrap();
     assert_eq!(listed.len(), 1);
     assert_eq!(listed[0].0, 8, "only the newest snapshot survives");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_resume_over_only_torn_snapshots_starts_fresh_and_counts_them() {
+    let (base, base_total) = Rounds::baseline(2);
+    let g = gen::cycle(12);
+    let dir = fresh_dir("alltorn");
+    let cfg = PregelConfig::with_workers(2).with_checkpoints(CheckpointConfig::new(&dir, 2));
+    run(&g, &mut Rounds::new(), |_| 0, &cfg).unwrap();
+    let files = CheckpointStore::create(&dir).unwrap().list().unwrap();
+    assert_eq!(files.len(), 4, "snapshots at 2, 4, 6 and 8");
+    for (_, path) in &files {
+        let mut bytes = std::fs::read(path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    let cfg = PregelConfig::with_workers(2)
+        .with_checkpoints(CheckpointConfig::new(&dir, 2).with_resume(true));
+    let mut p = Rounds::new();
+    let r = run(&g, &mut p, |_| 0, &cfg).unwrap();
+    assert_eq!(r.values, base.values);
+    assert_eq!(p.total, base_total);
+    assert_eq!(r.metrics.recovery.restores, 0);
+    assert_eq!(r.metrics.recovery.corrupt_snapshots_discarded, 4);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn foreign_snapshots_are_removed_before_a_prune_can_keep_them() {
+    let (base, base_total) = Rounds::baseline(2);
+    let g = gen::cycle(12);
+    let dir = fresh_dir("foreign");
+    // Past any superstep this run reaches: another program's snapshot,
+    // and one without a `program` section at all. Left in place, the
+    // newest-two prune would keep them and delete the run's own.
+    let store = CheckpointStore::create(&dir).unwrap();
+    let other = SnapshotBuilder::new(20, 12).section("program", b"another program".to_vec());
+    store.write(&other, 20).unwrap();
+    store.write(&SnapshotBuilder::new(30, 12), 30).unwrap();
+
+    // Crash at 5, after snapshots at 2 and 4; the restart restores 4,
+    // writes 6 and crashes at 7; the second restart must restore 6.
+    let cfg = PregelConfig::with_workers(2)
+        .with_checkpoints(
+            CheckpointConfig::new(&dir, 2)
+                .with_resume(true)
+                .with_keep(2),
+        )
+        .with_faults(
+            FaultPlan::builder()
+                .panic_in_compute(5, None)
+                .panic_in_compute(7, None)
+                .build(),
+        )
+        .with_recovery(RecoveryPolicy::with_max_restarts(2));
+    let mut p = Rounds::new();
+    let r = run(&g, &mut p, |_| 0, &cfg).unwrap();
+    assert_eq!(r.values, base.values);
+    assert_eq!(p.total, base_total);
+    assert_eq!(r.metrics.recovery.restarts, 2);
+    assert_eq!(r.metrics.recovery.restores, 2);
+    assert_eq!(r.metrics.recovery.corrupt_snapshots_discarded, 2);
+    let listed: Vec<u32> = store.list().unwrap().into_iter().map(|(s, _)| s).collect();
+    assert_eq!(listed, vec![6, 8], "only the run's own snapshots remain");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

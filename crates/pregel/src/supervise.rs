@@ -5,7 +5,7 @@
 //! restarts the job after recoverable failures, quarantining failures that
 //! reproduce identically across the whole restart budget.
 
-use crate::checkpoint::{decode_snapshot, ResumeState};
+use crate::checkpoint::{decode_snapshot, written_by, ResumeState};
 use crate::config::{PregelConfig, Schedule};
 use crate::coordinator::{drive, CkptRunner, DriveInit};
 use crate::error::{failure_site, PregelError};
@@ -46,7 +46,9 @@ pub struct PregelResult<V> {
 /// directory and — if a valid snapshot exists — skips `init` entirely and
 /// re-enters the superstep loop exactly where the snapshot was taken;
 /// corrupt snapshots are discarded by checksum in favor of the newest valid
-/// one. A resumed run continues as if uninterrupted: final vertex values,
+/// one. Snapshots another program wrote (see
+/// [`VertexProgram::program_identity`]) are discarded and removed the same
+/// way. A resumed run continues as if uninterrupted: final vertex values,
 /// superstep count, and message counters are identical to a run that never
 /// stopped (for a fixed worker count; see Determinism).
 ///
@@ -312,14 +314,17 @@ where
     let tracer = tracer_handle.as_ref();
     let governor = Governor::new(&config.budget, num_workers)?;
 
-    // Resume path: locate and decode the newest valid snapshot before any
-    // state is initialized. Also opens the store for checkpoint writes.
+    // Resume path: locate and decode the newest snapshot this program
+    // wrote before any state is initialized. Also opens the store for
+    // checkpoint writes.
     let mut resume: Option<ResumeState<P>> = None;
     let mut ckpt: Option<CkptRunner> = None;
+    let mut discarded = 0;
     if let Some(c) = &config.checkpoint {
         let store = CheckpointStore::create(&c.dir)?;
         let mut runner = CkptRunner {
             store,
+            identity: program.program_identity().to_vec(),
             every: c.every,
             keep: c.keep,
             skip: None,
@@ -328,15 +333,16 @@ where
         if c.resume {
             let restore_started = Instant::now();
             let restore_start_us = tracer.map(Tracer::now_us);
-            if let Some(rec) = runner.store.latest_valid()? {
-                let mut rs = decode_snapshot::<P>(&rec.snapshot, graph, program)?;
+            let scan = (runner.store).latest_valid(|snap| written_by(snap, &runner.identity))?;
+            discarded = scan.discarded;
+            if let Some(snapshot) = scan.newest {
+                let mut rs = decode_snapshot::<P>(&snapshot, graph, program)?;
                 rs.metrics.recovery.restores += 1;
                 if let Some(registry) = &config.registry {
                     registry
                         .counter("gm_restores_total", "successful snapshot restores")
                         .inc();
                 }
-                rs.metrics.recovery.corrupt_snapshots_discarded += rec.discarded;
                 rs.metrics.recovery.restore_time += restore_started.elapsed();
                 if let (Some(t), Some(ts)) = (tracer, restore_start_us) {
                     t.span_at(
@@ -347,15 +353,20 @@ where
                         restore_started.elapsed().as_micros() as u64,
                         vec![
                             ("superstep", rs.superstep.into()),
-                            ("discarded", rec.discarded.into()),
+                            ("discarded", discarded.into()),
                         ],
                     );
                 }
                 runner.skip = Some(rs.superstep);
                 resume = Some(rs);
             } else if let Some(t) = tracer {
-                // Nothing valid to resume from: start from scratch.
-                t.instant("restore_empty", Category::Ckpt, 0, Vec::new());
+                // Nothing to resume from: start from scratch.
+                t.instant(
+                    "restore_empty",
+                    Category::Ckpt,
+                    0,
+                    vec![("discarded", discarded.into())],
+                );
             }
         }
         ckpt = Some(runner);
@@ -418,6 +429,7 @@ where
             (states, stores, coord.globals, drive_init, metrics)
         }
     };
+    metrics.recovery.corrupt_snapshots_discarded += discarded;
 
     let shared = Shared {
         graph,
