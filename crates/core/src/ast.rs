@@ -65,6 +65,16 @@ impl Block {
     pub fn of(stmts: Vec<Stmt>) -> Self {
         Block { stmts }
     }
+
+    /// [`Node::walk`] over every statement of the block, in order.
+    pub(crate) fn visit<'a>(&'a self, f: &mut impl FnMut(Node<'a>) -> bool) {
+        self.stmts.iter().for_each(|s| Node::Stmt(s).walk(f));
+    }
+
+    /// [`NodeMut::walk`] over every statement of the block, in order.
+    pub(crate) fn visit_mut(&mut self, f: &mut impl FnMut(NodeMut<'_>) -> bool) {
+        self.stmts.iter_mut().for_each(|s| NodeMut::Stmt(s).walk(f));
+    }
 }
 
 /// A statement with its source span.
@@ -198,6 +208,17 @@ pub enum IterSource {
 impl IterSource {
     /// The variable the source hangs off (graph or node).
     pub fn base(&self) -> &str {
+        match self {
+            IterSource::Nodes { graph } => graph,
+            IterSource::OutNbrs { of }
+            | IterSource::InNbrs { of }
+            | IterSource::UpNbrs { of }
+            | IterSource::DownNbrs { of } => of,
+        }
+    }
+
+    /// [`IterSource::base`], for renaming it.
+    pub fn base_mut(&mut self) -> &mut String {
         match self {
             IterSource::Nodes { graph } => graph,
             IterSource::OutNbrs { of }
@@ -342,30 +363,26 @@ impl Expr {
         self.ty.as_ref().expect("expression was not type-checked")
     }
 
-    /// Applies `f` to this expression and then, in pre-order, to every
-    /// operand below it: unary, binary and ternary operands and call
-    /// arguments. An aggregate's filter and body are not visited; they
-    /// range over the aggregate's own iterator.
+    /// Applies `f` to this expression and every expression below it, in
+    /// the order of [`Node::walk`]: aggregate filters and bodies and call
+    /// arguments included.
     pub(crate) fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
-        f(self);
-        match &self.kind {
-            ExprKind::Unary { expr, .. } => expr.visit(f),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                lhs.visit(f);
-                rhs.visit(f);
+        Node::Expr(self).walk(&mut |n| {
+            if let Node::Expr(e) = n {
+                f(e);
             }
-            ExprKind::Ternary {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                cond.visit(f);
-                then_val.visit(f);
-                else_val.visit(f);
+            true
+        });
+    }
+
+    /// [`Expr::visit`] for a walk that rewrites expressions in place.
+    pub(crate) fn visit_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        NodeMut::Expr(self).walk(&mut |n| {
+            if let NodeMut::Expr(e) = n {
+                f(e);
             }
-            ExprKind::Call { args, .. } => args.iter().for_each(|a| a.visit(f)),
-            _ => {}
-        }
+            true
+        });
     }
 }
 
@@ -543,6 +560,155 @@ impl BinOp {
     }
 }
 
+/// A statement or an expression: what the read-only walk ([`Node::walk`])
+/// hands its callback.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Node<'a> {
+    /// A statement.
+    Stmt(&'a Stmt),
+    /// An expression.
+    Expr(&'a Expr),
+}
+
+/// A statement or an expression, mutably: what the rewriting walk
+/// ([`NodeMut::walk`]) hands its callback.
+#[derive(Debug)]
+pub(crate) enum NodeMut<'a> {
+    /// A statement.
+    Stmt(&'a mut Stmt),
+    /// An expression.
+    Expr(&'a mut Expr),
+}
+
+impl<'a> Node<'a> {
+    /// The one read-only traversal of the AST. Calls `f` on this node and
+    /// then, in pre-order and source order, on every node below it. The
+    /// walk enters every child: a statement's expressions and nested
+    /// blocks, a `Foreach` filter, a BFS root and both BFS bodies, an
+    /// aggregate's filter and body, and call arguments. `f` returns whether
+    /// to enter the children of the node it was given; a walker that must
+    /// skip a subtree returns `false` there.
+    pub(crate) fn walk(self, f: &mut impl FnMut(Node<'a>) -> bool) {
+        fn exprs<'a>(es: impl IntoIterator<Item = &'a Expr>, f: &mut impl FnMut(Node<'a>) -> bool) {
+            es.into_iter().for_each(|e| Node::Expr(e).walk(f));
+        }
+        fn blocks<'a>(
+            bs: impl IntoIterator<Item = &'a Block>,
+            f: &mut impl FnMut(Node<'a>) -> bool,
+        ) {
+            bs.into_iter().for_each(|b| b.visit(f));
+        }
+        if !f(self) {
+            return;
+        }
+        match self {
+            Node::Stmt(s) => match &s.kind {
+                StmtKind::VarDecl { init: e, .. } | StmtKind::Return(e) => exprs(e, f),
+                StmtKind::Assign { value, .. } => exprs([value], f),
+                StmtKind::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                } => {
+                    exprs([cond], f);
+                    blocks([then_branch].into_iter().chain(else_branch), f);
+                }
+                StmtKind::While { cond, body, .. } => {
+                    exprs([cond], f);
+                    blocks([body], f);
+                }
+                StmtKind::Foreach(l) => {
+                    exprs(&l.filter, f);
+                    blocks([&l.body], f);
+                }
+                StmtKind::InBfs(b) => {
+                    exprs([&b.root], f);
+                    blocks([&b.body].into_iter().chain(&b.reverse_body), f);
+                }
+                StmtKind::Block(b) => blocks([b], f),
+            },
+            Node::Expr(e) => match &e.kind {
+                ExprKind::Unary { expr, .. } => exprs([&**expr], f),
+                ExprKind::Binary { lhs, rhs, .. } => exprs([&**lhs, rhs], f),
+                ExprKind::Ternary {
+                    cond,
+                    then_val,
+                    else_val,
+                } => exprs([&**cond, then_val, else_val], f),
+                ExprKind::Agg(a) => exprs(a.filter.iter().chain(&a.body), f),
+                ExprKind::Call { args, .. } => exprs(args, f),
+                _ => {}
+            },
+        }
+    }
+}
+
+impl NodeMut<'_> {
+    /// [`Node::walk`] for a walk that rewrites the tree: the same order and
+    /// the same children, entered after `f` has seen (and possibly
+    /// replaced) their parent.
+    pub(crate) fn walk(mut self, f: &mut impl FnMut(NodeMut<'_>) -> bool) {
+        fn exprs<'a>(
+            es: impl IntoIterator<Item = &'a mut Expr>,
+            f: &mut impl FnMut(NodeMut<'_>) -> bool,
+        ) {
+            es.into_iter().for_each(|e| NodeMut::Expr(e).walk(f));
+        }
+        fn blocks<'a>(
+            bs: impl IntoIterator<Item = &'a mut Block>,
+            f: &mut impl FnMut(NodeMut<'_>) -> bool,
+        ) {
+            bs.into_iter().for_each(|b| b.visit_mut(f));
+        }
+        let enter = f(match &mut self {
+            NodeMut::Stmt(s) => NodeMut::Stmt(s),
+            NodeMut::Expr(e) => NodeMut::Expr(e),
+        });
+        if !enter {
+            return;
+        }
+        match self {
+            NodeMut::Stmt(s) => match &mut s.kind {
+                StmtKind::VarDecl { init: e, .. } | StmtKind::Return(e) => exprs(e, f),
+                StmtKind::Assign { value, .. } => exprs([value], f),
+                StmtKind::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                } => {
+                    exprs([cond], f);
+                    blocks([then_branch].into_iter().chain(else_branch), f);
+                }
+                StmtKind::While { cond, body, .. } => {
+                    exprs([cond], f);
+                    blocks([body], f);
+                }
+                StmtKind::Foreach(l) => {
+                    exprs(&mut l.filter, f);
+                    blocks([&mut l.body], f);
+                }
+                StmtKind::InBfs(b) => {
+                    exprs([&mut b.root], f);
+                    blocks([&mut b.body].into_iter().chain(&mut b.reverse_body), f);
+                }
+                StmtKind::Block(b) => blocks([b], f),
+            },
+            NodeMut::Expr(e) => match &mut e.kind {
+                ExprKind::Unary { expr, .. } => exprs([&mut **expr], f),
+                ExprKind::Binary { lhs, rhs, .. } => exprs([&mut **lhs, rhs], f),
+                ExprKind::Ternary {
+                    cond,
+                    then_val,
+                    else_val,
+                } => exprs([&mut **cond, then_val, else_val], f),
+                ExprKind::Agg(a) => exprs(a.filter.iter_mut().chain(&mut a.body), f),
+                ExprKind::Call { args, .. } => exprs(args, f),
+                _ => {}
+            },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,6 +753,59 @@ mod tests {
         assert!(BinOp::Le.is_comparison());
         assert!(!BinOp::Add.is_comparison());
         assert!(BinOp::And.is_logical());
+    }
+
+    fn bfs_body() -> Block {
+        let src = "Procedure f(G: Graph, s: Node, p: N_P<Int>) {
+            InBFS (v: G.Nodes From s) {
+                v.p = Sum(t: v.UpNbrs)(t.p > 3){t.p};
+            }
+            InReverse {
+                v.p += G.NumNodes(7);
+            }
+        }";
+        crate::parser::parse(src).unwrap().procedures.remove(0).body
+    }
+
+    /// Every expression the walk reaches, printed, declining to enter an
+    /// aggregate when `enter_aggs` is false.
+    fn reached(body: &Block, enter_aggs: bool) -> Vec<String> {
+        let mut out = Vec::new();
+        body.visit(&mut |n| match n {
+            Node::Stmt(_) => true,
+            Node::Expr(e) => {
+                out.push(crate::pretty::expr_to_string(e));
+                enter_aggs || !matches!(e.kind, ExprKind::Agg(_))
+            }
+        });
+        out
+    }
+
+    #[test]
+    fn the_walk_enters_every_child_unless_declined() {
+        let body = bfs_body();
+        // Root, aggregate (filter, its operands, body), call, argument.
+        let all = reached(&body, true);
+        assert_eq!(all.len(), 8, "{all:?}");
+        for e in ["s", "(t.p > 3)", "3", "G.NumNodes(7)", "7"] {
+            assert!(all.contains(&e.to_owned()), "{e} not in {all:?}");
+        }
+        let shallow = reached(&body, false);
+        assert_eq!(shallow.len(), 4, "{shallow:?}");
+        assert!(!shallow.contains(&"(t.p > 3)".to_owned()));
+
+        let mut rewritten = body.clone();
+        rewritten.visit_mut(&mut |n| {
+            if let NodeMut::Expr(e) = n {
+                if let ExprKind::IntLit(v) = &mut e.kind {
+                    *v += 1;
+                }
+            }
+            true
+        });
+        let printed = reached(&rewritten, true);
+        assert!(printed.contains(&"(t.p > 4)".to_owned()), "{printed:?}");
+        assert!(printed.contains(&"8".to_owned()), "{printed:?}");
     }
 
     #[test]

@@ -130,45 +130,38 @@ impl Check<'_> {
         }
     }
 
+    /// Expressions in sequential context. An aggregate is reported and
+    /// not entered.
     fn seq_expr(&mut self, e: &Expr) {
-        match &e.kind {
-            ExprKind::Prop { .. } => {
-                self.diags.error(
-                    e.span,
-                    "random reading of a vertex property is not allowed (\u{a7}3.2)",
-                );
-            }
-            ExprKind::Agg(_) => {
-                self.diags.error(
-                    e.span,
-                    "aggregate remains after lowering (unsupported position)",
-                );
-            }
-            ExprKind::Call { obj, method, .. } => {
-                let graph_methods = ["NumNodes", "NumEdges", "PickRandom"];
-                if !graph_methods.contains(&method.as_str()) {
+        Node::Expr(e).walk(&mut |n| {
+            let Node::Expr(e) = n else { return true };
+            match &e.kind {
+                ExprKind::Prop { .. } => {
                     self.diags.error(
                         e.span,
-                        format!("`{obj}.{method}()` is not available in a sequential phase"),
+                        "random reading of a vertex property is not allowed (\u{a7}3.2)",
                     );
                 }
+                ExprKind::Agg(_) => {
+                    self.diags.error(
+                        e.span,
+                        "aggregate remains after lowering (unsupported position)",
+                    );
+                    return false;
+                }
+                ExprKind::Call { obj, method, .. } => {
+                    let graph_methods = ["NumNodes", "NumEdges", "PickRandom"];
+                    if !graph_methods.contains(&method.as_str()) {
+                        self.diags.error(
+                            e.span,
+                            format!("`{obj}.{method}()` is not available in a sequential phase"),
+                        );
+                    }
+                }
+                _ => {}
             }
-            ExprKind::Unary { expr, .. } => self.seq_expr(expr),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.seq_expr(lhs);
-                self.seq_expr(rhs);
-            }
-            ExprKind::Ternary {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                self.seq_expr(cond);
-                self.seq_expr(then_val);
-                self.seq_expr(else_val);
-            }
-            _ => {}
-        }
+            true
+        });
     }
 
     // ---- vertex-parallel context (outer loop body) ----
@@ -375,64 +368,56 @@ impl Check<'_> {
         }
     }
 
-    /// Expressions in vertex context: aggregates must be gone; calls are
-    /// degree-like only; property reads are checked by the translator.
+    /// Expressions in vertex context: aggregates must be gone (one is
+    /// reported and not entered); calls are degree-like only; property
+    /// reads are checked by the translator.
     fn vertex_expr(&mut self, e: &Expr, outer: &str, inner: Option<&str>) {
-        match &e.kind {
-            ExprKind::Agg(_) => {
-                self.diags.error(e.span, "aggregate remains after lowering");
-            }
-            ExprKind::Prop { obj, .. } => {
-                let known = obj == outer
-                    || inner == Some(obj.as_str())
-                    || self
-                        .info
-                        .symbol(obj)
-                        .is_some_and(|s| matches!(s.ty, Ty::Edge | Ty::Node));
-                if !known {
-                    self.diags
-                        .error(e.span, format!("cannot read property through `{obj}`"));
+        Node::Expr(e).walk(&mut |n| {
+            let Node::Expr(e) = n else { return true };
+            match &e.kind {
+                ExprKind::Agg(_) => {
+                    self.diags.error(e.span, "aggregate remains after lowering");
+                    return false;
                 }
-                // Reads through arbitrary (non-iterator) node variables are
-                // random reads; allowed only when reading *own* data via a
-                // local alias is impossible to distinguish syntactically, so
-                // the translator performs the precise payload analysis and
-                // rejects what it cannot ship.
-            }
-            ExprKind::Call { obj, method, .. } => {
-                let vertex_methods = ["Degree", "OutDegree", "NumNbrs", "InDegree", "ToEdge"];
-                let graph_methods = ["NumNodes", "NumEdges"];
-                if !vertex_methods.contains(&method.as_str())
-                    && !graph_methods.contains(&method.as_str())
-                {
-                    self.diags.error(
-                        e.span,
-                        format!("`{obj}.{method}()` is not available in a vertex phase"),
-                    );
+                ExprKind::Prop { obj, .. } => {
+                    let known = obj == outer
+                        || inner == Some(obj.as_str())
+                        || self
+                            .info
+                            .symbol(obj)
+                            .is_some_and(|s| matches!(s.ty, Ty::Edge | Ty::Node));
+                    if !known {
+                        self.diags
+                            .error(e.span, format!("cannot read property through `{obj}`"));
+                    }
+                    // Reads through arbitrary (non-iterator) node variables
+                    // are random reads; allowed only when reading *own*
+                    // data via a local alias is impossible to distinguish
+                    // syntactically, so the translator performs the precise
+                    // payload analysis and rejects what it cannot ship.
                 }
-                if method == "PickRandom" {
-                    self.diags.error(
-                        e.span,
-                        "PickRandom is a sequential-phase (master) operation",
-                    );
+                ExprKind::Call { obj, method, .. } => {
+                    let vertex_methods = ["Degree", "OutDegree", "NumNbrs", "InDegree", "ToEdge"];
+                    let graph_methods = ["NumNodes", "NumEdges"];
+                    if !vertex_methods.contains(&method.as_str())
+                        && !graph_methods.contains(&method.as_str())
+                    {
+                        self.diags.error(
+                            e.span,
+                            format!("`{obj}.{method}()` is not available in a vertex phase"),
+                        );
+                    }
+                    if method == "PickRandom" {
+                        self.diags.error(
+                            e.span,
+                            "PickRandom is a sequential-phase (master) operation",
+                        );
+                    }
                 }
+                _ => {}
             }
-            ExprKind::Unary { expr, .. } => self.vertex_expr(expr, outer, inner),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.vertex_expr(lhs, outer, inner);
-                self.vertex_expr(rhs, outer, inner);
-            }
-            ExprKind::Ternary {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                self.vertex_expr(cond, outer, inner);
-                self.vertex_expr(then_val, outer, inner);
-                self.vertex_expr(else_val, outer, inner);
-            }
-            _ => {}
-        }
+            true
+        });
     }
 }
 

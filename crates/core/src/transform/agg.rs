@@ -128,39 +128,18 @@ fn process_block(block: &mut Block, names: &mut NameGen, changed: &mut bool) {
 }
 
 /// Replaces aggregate sub-expressions of `e` with accumulator variables,
-/// appending the accumulation statements to `out`.
+/// appending the accumulation statements to `out`. Aggregates nested in
+/// one move into its loop, for the next round of the fixpoint.
 fn hoist_expr(e: &mut Expr, names: &mut NameGen, out: &mut Vec<Stmt>, changed: &mut bool) {
-    match &mut e.kind {
-        ExprKind::Agg(_) => {
-            let agg = match std::mem::replace(&mut e.kind, ExprKind::Nil) {
-                ExprKind::Agg(a) => *a,
-                _ => unreachable!("checked above"),
+    e.visit_mut(&mut |x| {
+        if let ExprKind::Agg(_) = x.kind {
+            let ExprKind::Agg(agg) = std::mem::replace(&mut x.kind, ExprKind::Nil) else {
+                unreachable!("checked above")
             };
             *changed = true;
-            let replacement = lower_agg(agg, e.ty.clone(), names, out);
-            *e = replacement;
+            *x = lower_agg(*agg, x.ty.clone(), names, out);
         }
-        ExprKind::Unary { expr, .. } => hoist_expr(expr, names, out, changed),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            hoist_expr(lhs, names, out, changed);
-            hoist_expr(rhs, names, out, changed);
-        }
-        ExprKind::Ternary {
-            cond,
-            then_val,
-            else_val,
-        } => {
-            hoist_expr(cond, names, out, changed);
-            hoist_expr(then_val, names, out, changed);
-            hoist_expr(else_val, names, out, changed);
-        }
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                hoist_expr(a, names, out, changed);
-            }
-        }
-        _ => {}
-    }
+    });
 }
 
 /// Emits `T _ag = identity; Foreach (it: src)(filter) { _ag op= body; }`

@@ -136,9 +136,9 @@ fn expand_bfs(mut bfs: BfsStmt, graph: &str, names: &mut NameGen) -> Vec<Stmt> {
     ];
 
     // Rewrite Up/DownNbrs in the user bodies.
-    rewrite_updown_block(&mut bfs.body, &lev, &cur);
+    rewrite_updown(&mut bfs.body, &lev, &cur);
     if let Some(rb) = &mut bfs.reverse_body {
-        rewrite_updown_block(rb, &lev, &cur);
+        rewrite_updown(rb, &lev, &cur);
     }
 
     // Frontier expansion, fused at the end of the forward body.
@@ -239,102 +239,41 @@ fn expand_bfs(mut bfs: BfsStmt, graph: &str, names: &mut NameGen) -> Vec<Stmt> {
 }
 
 /// Rewrites `UpNbrs`/`DownNbrs` sources into `InNbrs`/`Nbrs` with level
-/// filters, in `Foreach` statements and aggregate expressions.
-fn rewrite_updown_block(block: &mut Block, lev: &str, cur: &str) {
-    for stmt in &mut block.stmts {
-        rewrite_updown_stmt(stmt, lev, cur);
-    }
-}
-
-fn rewrite_updown_stmt(stmt: &mut Stmt, lev: &str, cur: &str) {
-    match &mut stmt.kind {
-        StmtKind::VarDecl { init, .. } => {
-            if let Some(e) = init {
-                rewrite_updown_expr(e, lev, cur);
+/// filters, in `Foreach` statements and aggregate expressions. The root of
+/// an `InBFS` nested in the body is left as it is; its bodies are
+/// rewritten.
+fn rewrite_updown(block: &mut Block, lev: &str, cur: &str) {
+    block.visit_mut(&mut |n| {
+        let (source, iter, filter) = match n {
+            NodeMut::Stmt(Stmt {
+                kind: StmtKind::Foreach(f),
+                ..
+            }) => (&mut f.source, &f.iter, &mut f.filter),
+            NodeMut::Expr(Expr {
+                kind: ExprKind::Agg(a),
+                ..
+            }) => (&mut a.source, &a.iter, &mut a.filter),
+            NodeMut::Stmt(Stmt {
+                kind: StmtKind::InBfs(b),
+                ..
+            }) => {
+                rewrite_updown(&mut b.body, lev, cur);
+                if let Some(rb) = &mut b.reverse_body {
+                    rewrite_updown(rb, lev, cur);
+                }
+                return false;
             }
+            _ => return true,
+        };
+        if let Some((new_source, level_filter)) = rewrite_source(source, iter, lev, cur) {
+            *source = new_source;
+            *filter = Some(match filter.take() {
+                Some(existing) => Expr::binary(BinOp::And, level_filter, existing),
+                None => level_filter,
+            });
         }
-        StmtKind::Assign { value, .. } => rewrite_updown_expr(value, lev, cur),
-        StmtKind::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            rewrite_updown_expr(cond, lev, cur);
-            rewrite_updown_block(then_branch, lev, cur);
-            if let Some(eb) = else_branch {
-                rewrite_updown_block(eb, lev, cur);
-            }
-        }
-        StmtKind::While { cond, body, .. } => {
-            rewrite_updown_expr(cond, lev, cur);
-            rewrite_updown_block(body, lev, cur);
-        }
-        StmtKind::Foreach(f) => {
-            if let Some((new_source, level_filter)) = rewrite_source(&f.source, &f.iter, lev, cur) {
-                f.source = new_source;
-                f.filter = Some(match f.filter.take() {
-                    Some(existing) => Expr::binary(BinOp::And, level_filter, existing),
-                    None => level_filter,
-                });
-            }
-            if let Some(filt) = &mut f.filter {
-                rewrite_updown_expr(filt, lev, cur);
-            }
-            rewrite_updown_block(&mut f.body, lev, cur);
-        }
-        StmtKind::InBfs(b) => {
-            rewrite_updown_block(&mut b.body, lev, cur);
-            if let Some(rb) = &mut b.reverse_body {
-                rewrite_updown_block(rb, lev, cur);
-            }
-        }
-        StmtKind::Return(e) => {
-            if let Some(e) = e {
-                rewrite_updown_expr(e, lev, cur);
-            }
-        }
-        StmtKind::Block(b) => rewrite_updown_block(b, lev, cur),
-    }
-}
-
-fn rewrite_updown_expr(e: &mut Expr, lev: &str, cur: &str) {
-    match &mut e.kind {
-        ExprKind::Unary { expr, .. } => rewrite_updown_expr(expr, lev, cur),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            rewrite_updown_expr(lhs, lev, cur);
-            rewrite_updown_expr(rhs, lev, cur);
-        }
-        ExprKind::Ternary {
-            cond,
-            then_val,
-            else_val,
-        } => {
-            rewrite_updown_expr(cond, lev, cur);
-            rewrite_updown_expr(then_val, lev, cur);
-            rewrite_updown_expr(else_val, lev, cur);
-        }
-        ExprKind::Agg(a) => {
-            if let Some((new_source, level_filter)) = rewrite_source(&a.source, &a.iter, lev, cur) {
-                a.source = new_source;
-                a.filter = Some(match a.filter.take() {
-                    Some(existing) => Expr::binary(BinOp::And, level_filter, existing),
-                    None => level_filter,
-                });
-            }
-            if let Some(f) = &mut a.filter {
-                rewrite_updown_expr(f, lev, cur);
-            }
-            if let Some(b) = &mut a.body {
-                rewrite_updown_expr(b, lev, cur);
-            }
-        }
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                rewrite_updown_expr(a, lev, cur);
-            }
-        }
-        _ => {}
-    }
+        true
+    });
 }
 
 /// `UpNbrs` → in-neighbors at level `_cur - 1`; `DownNbrs` → out-neighbors

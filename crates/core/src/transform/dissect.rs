@@ -12,7 +12,7 @@
 //!    [`crate::transform::flip`].
 
 use crate::ast::*;
-use crate::astutil::{subst_var_block, writes_in_block, NameGen, Place};
+use crate::astutil::{writes_in_block, NameGen, Place};
 use crate::sema::ProcInfo;
 use crate::types::Ty;
 use crate::value::Value;
@@ -185,136 +185,38 @@ fn default_expr(ty: &Ty) -> Expr {
 }
 
 /// Replaces reads/writes of scalar `name` with `obj._prop` in a block.
+///
+/// Targets inside an `InBFS` statement stay as they are (an `InBFS`
+/// nested in another is never lowered, so it can reach this pass); its
+/// reads are replaced like any other.
 fn replace_scalar_with_prop(block: &mut Block, name: &str, obj: &str, prop: &str) {
-    // First rewrite assignment targets, then expression reads.
-    rewrite_targets(block, name, obj, prop);
-    // Expression positions: a scalar read becomes a Prop read. The generic
-    // substitution in astutil renames variables only, so walk manually.
-    rewrite_exprs_in_block(block, &mut |e: &mut Expr| {
-        if matches!(&e.kind, ExprKind::Var(v) if v == name) {
+    block.visit_mut(&mut |n| match n {
+        NodeMut::Stmt(Stmt {
+            kind: StmtKind::InBfs(_),
+            ..
+        }) => false,
+        NodeMut::Stmt(Stmt {
+            kind: StmtKind::Assign { target, .. },
+            ..
+        }) if matches!(&*target, Target::Scalar(n) if n == name) => {
+            *target = Target::Prop {
+                obj: obj.to_owned(),
+                prop: prop.to_owned(),
+            };
+            true
+        }
+        _ => true,
+    });
+    block.visit_mut(&mut |n| match n {
+        NodeMut::Expr(e) if matches!(&e.kind, ExprKind::Var(v) if v == name) => {
             e.kind = ExprKind::Prop {
                 obj: obj.to_owned(),
                 prop: prop.to_owned(),
             };
+            true
         }
+        _ => true,
     });
-    let _ = subst_var_block; // keep the import meaningful for future passes
-}
-
-fn rewrite_targets(block: &mut Block, name: &str, obj: &str, prop: &str) {
-    for s in &mut block.stmts {
-        match &mut s.kind {
-            StmtKind::Assign { target, .. } => {
-                if matches!(target, Target::Scalar(n) if n == name) {
-                    *target = Target::Prop {
-                        obj: obj.to_owned(),
-                        prop: prop.to_owned(),
-                    };
-                }
-            }
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                rewrite_targets(then_branch, name, obj, prop);
-                if let Some(eb) = else_branch {
-                    rewrite_targets(eb, name, obj, prop);
-                }
-            }
-            StmtKind::While { body, .. } => rewrite_targets(body, name, obj, prop),
-            StmtKind::Foreach(f) => rewrite_targets(&mut f.body, name, obj, prop),
-            StmtKind::Block(b) => rewrite_targets(b, name, obj, prop),
-            _ => {}
-        }
-    }
-}
-
-/// Applies `f` to every expression in the block, recursively (post-order on
-/// sub-expressions is not needed for variable replacement).
-fn rewrite_exprs_in_block(block: &mut Block, f: &mut impl FnMut(&mut Expr)) {
-    for s in &mut block.stmts {
-        rewrite_exprs_in_stmt(s, f);
-    }
-}
-
-fn rewrite_exprs_in_stmt(s: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
-    match &mut s.kind {
-        StmtKind::VarDecl { init, .. } => {
-            if let Some(e) = init {
-                rewrite_expr(e, f);
-            }
-        }
-        StmtKind::Assign { value, .. } => rewrite_expr(value, f),
-        StmtKind::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            rewrite_expr(cond, f);
-            rewrite_exprs_in_block(then_branch, f);
-            if let Some(eb) = else_branch {
-                rewrite_exprs_in_block(eb, f);
-            }
-        }
-        StmtKind::While { cond, body, .. } => {
-            rewrite_expr(cond, f);
-            rewrite_exprs_in_block(body, f);
-        }
-        StmtKind::Foreach(fe) => {
-            if let Some(filt) = &mut fe.filter {
-                rewrite_expr(filt, f);
-            }
-            rewrite_exprs_in_block(&mut fe.body, f);
-        }
-        StmtKind::InBfs(b) => {
-            rewrite_expr(&mut b.root, f);
-            rewrite_exprs_in_block(&mut b.body, f);
-            if let Some(rb) = &mut b.reverse_body {
-                rewrite_exprs_in_block(rb, f);
-            }
-        }
-        StmtKind::Return(e) => {
-            if let Some(e) = e {
-                rewrite_expr(e, f);
-            }
-        }
-        StmtKind::Block(b) => rewrite_exprs_in_block(b, f),
-    }
-}
-
-fn rewrite_expr(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    f(e);
-    match &mut e.kind {
-        ExprKind::Unary { expr, .. } => rewrite_expr(expr, f),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            rewrite_expr(lhs, f);
-            rewrite_expr(rhs, f);
-        }
-        ExprKind::Ternary {
-            cond,
-            then_val,
-            else_val,
-        } => {
-            rewrite_expr(cond, f);
-            rewrite_expr(then_val, f);
-            rewrite_expr(else_val, f);
-        }
-        ExprKind::Agg(a) => {
-            if let Some(filt) = &mut a.filter {
-                rewrite_expr(filt, f);
-            }
-            if let Some(b) = &mut a.body {
-                rewrite_expr(b, f);
-            }
-        }
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                rewrite_expr(a, f);
-            }
-        }
-        _ => {}
-    }
 }
 
 #[cfg(test)]

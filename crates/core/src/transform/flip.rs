@@ -16,7 +16,7 @@
 //! new inner loop.
 
 use crate::ast::*;
-use crate::astutil::{reads_in_expr, writes_in_block, Place};
+use crate::astutil::{mentions, writes_in_block, Place};
 use crate::sema::ProcInfo;
 
 /// Flips every pull-style nested loop in `proc`. Returns whether any loop
@@ -116,7 +116,7 @@ fn try_flip(outer: &ForeachStmt, _info: &ProcInfo) -> Option<ForeachStmt> {
         });
     };
     if let Some(ft) = &inner.filter {
-        if mentions_var(ft, &outer.iter) {
+        if mentions(ft, &outer.iter) {
             push_inner(ft.clone());
         } else {
             new_outer_filter = Some(ft.clone());
@@ -140,15 +140,6 @@ fn try_flip(outer: &ForeachStmt, _info: &ProcInfo) -> Option<ForeachStmt> {
             },
         )))]),
         parallel: true,
-    })
-}
-
-fn mentions_var(e: &Expr, var: &str) -> bool {
-    let mut places = Vec::new();
-    reads_in_expr(e, &mut places);
-    places.iter().any(|p| match p {
-        Place::Scalar(n) => n == var,
-        Place::Prop { obj, .. } => obj == var,
     })
 }
 

@@ -24,6 +24,7 @@
 //!   array.
 
 use crate::ast::*;
+use crate::astutil::mentions;
 use crate::diag::{Diagnostics, Span};
 use crate::pir::*;
 use crate::report::{Step, TransformReport};
@@ -1007,38 +1008,31 @@ impl PayloadCx {
 
     /// Whether `e` reads anything scoped to the receiving (inner) vertex or
     /// a payload-requiring name, versus anything scoped to the sender.
-    /// Returns `(uses_inner, uses_sender)`.
+    /// Returns `(uses_inner, uses_sender)`. Aggregates are not entered.
     fn scopes(&self, e: &Expr) -> (bool, bool) {
-        match &e.kind {
-            ExprKind::Prop { obj, .. } | ExprKind::Call { obj, .. } if *obj == self.inner => {
-                (true, false)
-            }
-            ExprKind::Var(n) if *n == self.inner => (true, false),
-            ExprKind::Prop { obj, .. } if *obj == self.outer => (false, true),
-            ExprKind::Call { obj, .. } if *obj == self.outer => (false, true),
-            ExprKind::Var(n) if *n == self.outer => (false, true),
-            ExprKind::Prop { obj, .. } if self.edge_vars.contains(obj) => (false, true),
-            ExprKind::Var(n) if self.sender_locals.contains_key(n) => (false, true),
-            ExprKind::Var(n) if self.global_set.contains(n) => (false, false),
-            ExprKind::Var(_) => (false, true), // outer-body vertex local
-            ExprKind::Unary { expr, .. } => self.scopes(expr),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                let (i1, s1) = self.scopes(lhs);
-                let (i2, s2) = self.scopes(rhs);
-                (i1 || i2, s1 || s2)
-            }
-            ExprKind::Ternary {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                let (i1, s1) = self.scopes(cond);
-                let (i2, s2) = self.scopes(then_val);
-                let (i3, s3) = self.scopes(else_val);
-                (i1 || i2 || i3, s1 || s2 || s3)
-            }
-            _ => (false, false),
-        }
+        let (mut uses_inner, mut uses_sender) = (false, false);
+        Node::Expr(e).walk(&mut |n| {
+            let Node::Expr(e) = n else { return true };
+            let (inner, sender) = match &e.kind {
+                ExprKind::Prop { obj, .. } | ExprKind::Call { obj, .. } if *obj == self.inner => {
+                    (true, false)
+                }
+                ExprKind::Var(n) if *n == self.inner => (true, false),
+                ExprKind::Prop { obj, .. } if *obj == self.outer => (false, true),
+                ExprKind::Call { obj, .. } if *obj == self.outer => (false, true),
+                ExprKind::Var(n) if *n == self.outer => (false, true),
+                ExprKind::Prop { obj, .. } if self.edge_vars.contains(obj) => (false, true),
+                ExprKind::Var(n) if self.sender_locals.contains_key(n) => (false, true),
+                ExprKind::Var(n) if self.global_set.contains(n) => (false, false),
+                ExprKind::Var(_) => (false, true), // outer-body vertex local
+                ExprKind::Agg(_) => return false,
+                _ => (false, false),
+            };
+            uses_inner |= inner;
+            uses_sender |= sender;
+            true
+        });
+        (uses_inner, uses_sender)
     }
 
     /// Rewrites an inner-body expression into receiver context:
@@ -1285,15 +1279,6 @@ fn conjoin(mut parts: Vec<Expr>) -> Expr {
         );
     }
     acc
-}
-
-fn mentions(e: &Expr, var: &str) -> bool {
-    let mut places = Vec::new();
-    crate::astutil::reads_in_expr(e, &mut places);
-    places.iter().any(|p| match p {
-        crate::astutil::Place::Scalar(n) => n == var,
-        crate::astutil::Place::Prop { obj, .. } => obj == var,
-    })
 }
 
 fn default_expr_for(ty: &Ty) -> Expr {
