@@ -34,9 +34,7 @@ impl ProgramSpec {
         match self {
             ProgramSpec::Builtin(name) => name.clone(),
             ProgramSpec::Source(src) => {
-                let mut h = crate::Fnv1a::default();
-                h.update(src.as_bytes());
-                format!("source-{:016x}", h.finish())
+                format!("source-{:016x}", crate::Fnv1a::hash(src.as_bytes()))
             }
         }
     }

@@ -71,37 +71,13 @@ mod programs;
 pub mod sched;
 
 pub use daemon::{Daemon, DaemonConfig, GraphSpec};
+/// FNV-1a 64: result fingerprints are made of it.
+pub use gm_graph::hash::Fnv1a;
 pub use job::{JobSpec, ProgramSpec};
 pub use journal::{Journal, JournalConfig, JournalRecord, Replay};
 pub use sched::RetryPolicy;
 
 use gm_core::value::Value;
-
-/// FNV-1a 64-bit over a byte stream — the stable, dependency-free hash
-/// used to fingerprint result columns.
-#[derive(Clone, Copy)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv1a {
-    /// Folds `bytes` into the running hash.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Renders a [`Value`] into the canonical tagged form fingerprints hash.
 /// `f64` goes through Rust's shortest-roundtrip `Display`, so two runs

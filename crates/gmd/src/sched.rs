@@ -415,9 +415,7 @@ impl<P> Scheduler<P> {
             && !self.draining
             && self.take_token(&job.spec.tenant, now)
         {
-            let mut h = crate::Fnv1a::default();
-            h.update(job.id.as_bytes());
-            let delay = policy.delay(job.attempt, h.finish());
+            let delay = policy.delay(job.attempt, crate::Fnv1a::hash(job.id.as_bytes()));
             self.delayed.push((now + delay, job));
             return Decision::Retry { delay };
         }

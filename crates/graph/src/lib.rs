@@ -13,6 +13,7 @@
 //!   network, uniform random bipartite, a copying model for the sk-2005 web
 //!   graph) plus small structured graphs for tests.
 //! * [`io`] — a plain-text edge-list reader/writer.
+//! * [`hash`] — FNV-1a 64, the one stable hash of the workspace.
 //! * [`props`] — dense property vectors aligned with node/edge ids, the
 //!   shared-memory analogue of Green-Marl's `Node_Prop` / `Edge_Prop`.
 //!
@@ -33,6 +34,7 @@
 
 mod csr;
 pub mod gen;
+pub mod hash;
 pub mod io;
 pub mod props;
 pub mod rng;

@@ -78,9 +78,7 @@ fn case_count(env: Option<&str>, default: u32) -> u32 {
 /// The seed of case `case` of property `name`: FNV-1a of the name, mixed
 /// with the case index. Fixed for ever, so every run draws the same cases.
 fn case_seed(name: &str, case: u32) -> u64 {
-    let fnv = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    });
+    let fnv = crate::hash::Fnv1a::hash(name.as_bytes());
     SplitMix64::new(fnv ^ u64::from(case)).next_u64()
 }
 

@@ -417,9 +417,7 @@ pub fn program_identity(sig: &Signature<'_>, encoding: &str) -> Vec<u8> {
         };
         (reads, pull).persist(&mut bytes);
     }
-    let hash = (bytes.iter()).fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    });
+    let hash = gm_graph::hash::Fnv1a::hash(&bytes);
     format!("{encoding}/v{ENCODING_VERSION}/{hash:016x}").into_bytes()
 }
 
