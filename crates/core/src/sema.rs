@@ -6,8 +6,9 @@
 //! annotates every expression with its [`Ty`].
 //!
 //! It also enforces the structural constraints the paper assumes: exactly
-//! one `Graph` parameter, `UpNbrs`/`DownNbrs` only inside BFS bodies, and
-//! `ToEdge()` only on neighborhood iterators.
+//! one `Graph` parameter, `UpNbrs`/`DownNbrs` only inside BFS bodies, no
+//! `InBFS` inside a vertex-parallel body (a `Foreach` or another `InBFS`),
+//! and `ToEdge()` only on neighborhood iterators.
 
 use crate::ast::*;
 use crate::diag::{Diagnostics, Span};
@@ -103,6 +104,7 @@ pub fn check_procedure(proc: &mut Procedure) -> Result<ProcInfo, Diagnostics> {
         info: ProcInfo::default(),
         ret: proc.ret.clone(),
         bfs_iters: Vec::new(),
+        parallel: 0,
     };
 
     let graphs: Vec<&Param> = proc.params.iter().filter(|p| p.ty == Ty::Graph).collect();
@@ -143,6 +145,8 @@ struct Checker {
     ret: Option<Ty>,
     /// BFS iterator names currently in scope (for Up/DownNbrs checks).
     bfs_iters: Vec<String>,
+    /// Enclosing vertex-parallel bodies: `Foreach` and `InBFS` bodies.
+    parallel: usize,
 }
 
 impl Checker {
@@ -278,10 +282,19 @@ impl Checker {
                 if let Some(filter) = &mut f.filter {
                     self.expect_bool(filter);
                 }
+                let parallel = usize::from(f.parallel);
+                self.parallel += parallel;
                 self.check_block(&mut f.body, false);
+                self.parallel -= parallel;
                 self.pop_scope();
             }
             StmtKind::InBfs(b) => {
+                // A traversal is a sequence of supersteps; one vertex's
+                // phase cannot run another.
+                if self.parallel > 0 {
+                    self.diags
+                        .error(span, "InBFS inside a vertex-parallel phase");
+                }
                 match self.resolve(&b.graph.clone(), span) {
                     Some((unique, info)) if info.ty == Ty::Graph => b.graph = unique,
                     Some(_) => self
@@ -294,10 +307,12 @@ impl Checker {
                 let unique = self.bind(&b.iter, Ty::Node, SymKind::BfsIter, span);
                 b.iter = unique.clone();
                 self.bfs_iters.push(unique);
+                self.parallel += 1;
                 self.check_block(&mut b.body, false);
                 if let Some(rb) = &mut b.reverse_body {
                     self.check_block(rb, false);
                 }
+                self.parallel -= 1;
                 self.bfs_iters.pop();
                 self.pop_scope();
             }
@@ -818,6 +833,34 @@ mod tests {
             }",
         );
         assert!(d.to_string().contains("InBFS"));
+    }
+
+    #[test]
+    fn in_bfs_inside_a_vertex_parallel_body_rejected() {
+        for src in [
+            "Procedure f(G: Graph, s: Node, p: N_P<Int>) {
+                InBFS (v: G.Nodes From s) {
+                    Int c = 0;
+                    InBFS (u: G.Nodes From v) { c += 1; u.p = 1; }
+                    v.p = c;
+                }
+            }",
+            "Procedure f(G: Graph, s: Node, p: N_P<Int>) {
+                InBFS (v: G.Nodes From s) { v.p = 1; }
+                InReverse {
+                    InBFS (u: G.Nodes From v) { u.p = Sum(w: v.UpNbrs){1}; }
+                }
+            }",
+            "Procedure f(G: Graph, s: Node, p: N_P<Int>) {
+                Foreach (n: G.Nodes) {
+                    InBFS (u: G.Nodes From n) { u.p = 1; }
+                }
+            }",
+        ] {
+            let d = check_err(src).to_string();
+            assert!(d.contains("InBFS inside a vertex-parallel phase"), "{d}");
+            assert!(!d.contains("undeclared") && !d.contains("UpNbrs"), "{d}");
+        }
     }
 
     #[test]

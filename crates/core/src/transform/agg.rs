@@ -4,7 +4,8 @@
 //! expressions into explicit accumulation loops, which the later passes
 //! (dissection, edge flipping) then shape into Pregel-canonical form. A
 //! `While` condition containing an aggregate is re-evaluated at the end of
-//! every iteration through a fresh condition variable.
+//! every iteration through a fresh condition variable, and a `Foreach`
+//! filter containing one becomes an `If` around the loop body.
 
 use crate::ast::*;
 use crate::astutil::{contains_agg, NameGen};
@@ -34,6 +35,19 @@ pub fn desugar_aggregates(proc: &mut Procedure, _info: &ProcInfo) -> bool {
 fn process_block(block: &mut Block, names: &mut NameGen, changed: &mut bool) {
     let stmts = std::mem::take(&mut block.stmts);
     for mut stmt in stmts {
+        // A `Foreach` filter holding an aggregate becomes an `If` around
+        // the body, whose condition is hoisted like any other below.
+        if let StmtKind::Foreach(f) = &mut stmt.kind {
+            if let Some(cond) = f.filter.take_if(|c| contains_agg(c)) {
+                let then_branch = std::mem::take(&mut f.body);
+                f.body.stmts.push(Stmt::synth(StmtKind::If {
+                    cond,
+                    then_branch,
+                    else_branch: None,
+                }));
+                *changed = true;
+            }
+        }
         // Recurse into nested structures first.
         match &mut stmt.kind {
             StmtKind::If {

@@ -239,9 +239,7 @@ fn expand_bfs(mut bfs: BfsStmt, graph: &str, names: &mut NameGen) -> Vec<Stmt> {
 }
 
 /// Rewrites `UpNbrs`/`DownNbrs` sources into `InNbrs`/`Nbrs` with level
-/// filters, in `Foreach` statements and aggregate expressions. The root of
-/// an `InBFS` nested in the body is left as it is; its bodies are
-/// rewritten.
+/// filters, in `Foreach` statements and aggregate expressions.
 fn rewrite_updown(block: &mut Block, lev: &str, cur: &str) {
     block.visit_mut(&mut |n| {
         let (source, iter, filter) = match n {
@@ -253,16 +251,6 @@ fn rewrite_updown(block: &mut Block, lev: &str, cur: &str) {
                 kind: ExprKind::Agg(a),
                 ..
             }) => (&mut a.source, &a.iter, &mut a.filter),
-            NodeMut::Stmt(Stmt {
-                kind: StmtKind::InBfs(b),
-                ..
-            }) => {
-                rewrite_updown(&mut b.body, lev, cur);
-                if let Some(rb) = &mut b.reverse_body {
-                    rewrite_updown(rb, lev, cur);
-                }
-                return false;
-            }
             _ => return true,
         };
         if let Some((new_source, level_filter)) = rewrite_source(source, iter, lev, cur) {

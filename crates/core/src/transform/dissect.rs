@@ -185,16 +185,8 @@ fn default_expr(ty: &Ty) -> Expr {
 }
 
 /// Replaces reads/writes of scalar `name` with `obj._prop` in a block.
-///
-/// Targets inside an `InBFS` statement stay as they are (an `InBFS`
-/// nested in another is never lowered, so it can reach this pass); its
-/// reads are replaced like any other.
 fn replace_scalar_with_prop(block: &mut Block, name: &str, obj: &str, prop: &str) {
     block.visit_mut(&mut |n| match n {
-        NodeMut::Stmt(Stmt {
-            kind: StmtKind::InBfs(_),
-            ..
-        }) => false,
         NodeMut::Stmt(Stmt {
             kind: StmtKind::Assign { target, .. },
             ..

@@ -373,6 +373,52 @@ fn verify_rejects_malformed_program_nonzero() {
 }
 
 #[test]
+fn compile_lowers_an_aggregate_filter_and_names_a_nested_in_bfs() {
+    let dir = temp_dir();
+    let compile = |name: &str, src: &str| {
+        let gm = dir.join(format!("{name}.gm"));
+        std::fs::write(&gm, src).unwrap();
+        gmc()
+            .args(["compile", gm.to_str().unwrap()])
+            .output()
+            .unwrap()
+    };
+
+    let out = compile(
+        "agg_filter",
+        "Procedure agg_filter(G: Graph, x: N_P<Int>) {
+            Foreach (n: G.Nodes)(Sum(t: n.Nbrs){t.x} > 0) { n.x = 1; }
+        }",
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("pregel program `agg_filter`"), "{text}");
+
+    let out = compile(
+        "nested_bfs",
+        "Procedure nested_bfs(G: Graph, s: Node, p: N_P<Int>) {
+            InBFS (v: G.Nodes From s) {
+                Int c = 0;
+                Foreach (t: v.Nbrs) { c += 1; }
+                InBFS (u: G.Nodes From v) { c += 1; u.p = 1; }
+                v.p = c;
+            }
+        }",
+    );
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("InBFS inside a vertex-parallel phase"),
+        "{err}"
+    );
+    assert!(!err.contains("undeclared"), "{err}");
+}
+
+#[test]
 fn compile_accepts_no_verify_flag() {
     let dir = temp_dir();
     let gm = dir.join("sssp_noverify.gm");
