@@ -9,8 +9,8 @@
 use super::ENVELOPE;
 use gm_graph::{Graph, NodeId};
 use gm_pregel::{
-    run, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics, Persist,
-    PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
+    run, ByteReader, CkptError, GlobalValue, Inbox, MasterContext, MasterDecision, Metrics,
+    Persist, PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
 };
 
 /// Per-vertex state.
@@ -59,7 +59,12 @@ impl VertexProgram for AvgTeen {
         }
     }
 
-    fn vertex_compute(&self, ctx: &mut VertexContext<'_, '_, ()>, value: &mut V, messages: &[()]) {
+    fn vertex_compute(
+        &self,
+        ctx: &mut VertexContext<'_, '_, ()>,
+        value: &mut V,
+        messages: Inbox<'_, ()>,
+    ) {
         match ctx.superstep() {
             0 => {
                 if (13..20).contains(&value.age) {

@@ -15,8 +15,8 @@
 use super::ENVELOPE;
 use gm_graph::{Graph, NodeId};
 use gm_pregel::{
-    run, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics, Persist,
-    PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
+    run, ByteReader, CkptError, GlobalValue, Inbox, MasterContext, MasterDecision, Metrics,
+    Persist, PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
 };
 
 const NIL: u32 = u32::MAX;
@@ -118,7 +118,7 @@ impl VertexProgram for Matching {
         &self,
         ctx: &mut VertexContext<'_, '_, Msg>,
         value: &mut V,
-        messages: &[Msg],
+        messages: Inbox<'_, Msg>,
     ) {
         let t = ctx.superstep();
         if t == 0 {

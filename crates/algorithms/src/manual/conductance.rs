@@ -9,8 +9,8 @@
 use super::ENVELOPE;
 use gm_graph::{Graph, NodeId};
 use gm_pregel::{
-    run, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics, Persist,
-    PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
+    run, ByteReader, CkptError, GlobalValue, Inbox, MasterContext, MasterDecision, Metrics,
+    Persist, PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
 };
 
 /// Messages: the id announcement of the preamble, or a crossing-edge mark.
@@ -108,7 +108,7 @@ impl VertexProgram for Conductance {
         &self,
         ctx: &mut VertexContext<'_, '_, Msg>,
         value: &mut V,
-        messages: &[Msg],
+        messages: Inbox<'_, Msg>,
     ) {
         match ctx.superstep() {
             0 => {

@@ -6,8 +6,8 @@
 use super::ENVELOPE;
 use gm_graph::{Graph, NodeId};
 use gm_pregel::{
-    run, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics, Persist,
-    PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
+    run, ByteReader, CkptError, GlobalValue, Inbox, MasterContext, MasterDecision, Metrics,
+    Persist, PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
 };
 
 struct Pagerank {
@@ -44,7 +44,7 @@ impl VertexProgram for Pagerank {
         &self,
         ctx: &mut VertexContext<'_, '_, f64>,
         value: &mut f64,
-        messages: &[f64],
+        messages: Inbox<'_, f64>,
     ) {
         match ctx.superstep() {
             0 => *value = 1.0 / self.n,

@@ -4,8 +4,8 @@
 use super::ENVELOPE;
 use gm_graph::{Graph, NodeId};
 use gm_pregel::{
-    run, ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics, Persist,
-    PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
+    run, ByteReader, CkptError, GlobalValue, Inbox, MasterContext, MasterDecision, Metrics,
+    Persist, PregelConfig, PregelError, ReduceOp, VertexContext, VertexProgram,
 };
 
 /// Per-vertex state.
@@ -69,7 +69,7 @@ impl VertexProgram for Sssp<'_> {
         &self,
         ctx: &mut VertexContext<'_, '_, i64>,
         value: &mut V,
-        messages: &[i64],
+        messages: Inbox<'_, i64>,
     ) {
         match ctx.superstep() {
             0 => {

@@ -326,7 +326,7 @@ fn auto_with_zero_threshold_gathers_every_pullable_superstep() {
 #[test]
 fn forced_pull_on_push_only_program_is_a_structured_error() {
     use gm_pregel::{
-        run, MasterContext, MasterDecision, PregelError, VertexContext, VertexProgram,
+        run, Inbox, MasterContext, MasterDecision, PregelError, VertexContext, VertexProgram,
     };
 
     /// Sends to a computed destination (vertex 0) — never pullable, and the
@@ -353,7 +353,7 @@ fn forced_pull_on_push_only_program_is_a_structured_error() {
             &self,
             ctx: &mut VertexContext<'_, '_, ()>,
             value: &mut u32,
-            messages: &[()],
+            messages: Inbox<'_, ()>,
         ) {
             if ctx.superstep() == 0 {
                 ctx.send(gm_graph::NodeId(0), ());

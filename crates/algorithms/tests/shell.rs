@@ -20,7 +20,7 @@ use gm_core::value::Value;
 use gm_graph::rng::{check, SplitMix64};
 use gm_interp::shell::{program_identity, with_signature, MasterSection, Signature};
 use gm_interp::{run_compiled, RunError};
-use gm_pregel::{ByteReader, CheckpointConfig, CkptError, PregelConfig, Snapshot};
+use gm_pregel::{ByteReader, CheckpointConfig, CkptError, Persist, PregelConfig, Snapshot};
 use std::path::Path;
 
 /// The native `SIGNATURE` of each algorithm, in [`algorithm_cases`] order.
@@ -310,6 +310,77 @@ fn the_vertex_section_decoders_never_panic() {
         restored > 0 && errors > 0,
         "{restored} restored, {errors} errors"
     );
+}
+
+#[test]
+fn a_snapshot_naming_a_vertex_past_the_graph_is_refused_at_decode() {
+    use native::conductance::{Msg, VertexValue};
+    let case = algorithm_cases().swap_remove(2);
+    assert_eq!(case.0, "conductance");
+    let dir = fresh_dir("past-the-graph");
+    run_checkpointed(&case, true, &dir, 1, false).expect("checkpointed run");
+    let files = snapshots(&dir);
+    let n = case.2.num_nodes();
+    // The first snapshot holds the in-neighbour preamble's ids in flight;
+    // the last one holds them stored in the rows.
+    let in_flight = |bytes: &[u8]| {
+        let mut r = ByteReader::new(bytes);
+        let mut inboxes: Vec<Vec<Msg>> =
+            (0..n).map(|_| Persist::restore(&mut r).unwrap()).collect();
+        let sender = inboxes.iter_mut().flatten().find_map(|m| match m {
+            Msg::InNbr { sender } => Some(sender),
+            _ => None,
+        });
+        *sender.expect("an in-neighbour message") = n + 5;
+        let mut out = Vec::new();
+        inboxes.iter().for_each(|inbox| inbox.persist(&mut out));
+        out
+    };
+    let stored = |bytes: &[u8]| {
+        let mut r = ByteReader::new(bytes);
+        let mut values: Vec<VertexValue> =
+            (0..n).map(|_| Persist::restore(&mut r).unwrap()).collect();
+        values[0].in_nbrs.push(n + 5);
+        let mut out = Vec::new();
+        values.iter().for_each(|v| v.persist(&mut out));
+        out
+    };
+    // Resumes from `snap` with `section` replaced by `bytes`.
+    let resume_over = |snap: &Snapshot, section: &str, bytes: Vec<u8>| {
+        let rebuilt = (snap.section_names()).fold(
+            SnapshotBuilder::new(snap.superstep, snap.num_nodes),
+            |b, name| {
+                let kept = snap.section(name).expect("listed");
+                b.section(
+                    name,
+                    if name == section {
+                        bytes.clone()
+                    } else {
+                        kept.to_vec()
+                    },
+                )
+            },
+        );
+        let mutant = fresh_dir("past-the-graph-mutant");
+        std::fs::create_dir_all(&mutant).expect("mutant dir");
+        rebuilt
+            .write_atomic(&mutant.join(format!("snapshot-{:08}.gmck", snap.superstep)))
+            .expect("write mutant");
+        let err = run_checkpointed(&case, true, &mutant, u32::MAX, true).unwrap_err();
+        let _ = std::fs::remove_dir_all(&mutant);
+        err.to_string()
+    };
+    let want = format!(
+        "snapshot holds n{} where a vertex of the {n}-vertex graph",
+        n + 5
+    );
+    let first = Snapshot::read(&files[0].1).expect("read snapshot");
+    let err = resume_over(&first, "inbox", in_flight(first.section("inbox").unwrap()));
+    assert!(err.contains(&want), "inbox: {err}");
+    let last = Snapshot::read(&files[files.len() - 1].1).expect("read snapshot");
+    let err = resume_over(&last, "values", stored(last.section("values").unwrap()));
+    assert!(err.contains(&want), "values: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

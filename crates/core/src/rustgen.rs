@@ -1094,7 +1094,7 @@ impl<'a> Gen<'a> {
             b.line("    g: &Globals,");
             b.line("    ctx: &mut VertexContext<'_, '_, Msg>,");
             b.line("    value: &mut VertexValue,");
-            b.line("    messages: &[Msg],");
+            b.line("    messages: Inbox<'_, Msg>,");
             b.open(") {");
             b.line("let self_id: u32 = ctx.id().0;");
             b.line("let out_degree: u32 = ctx.out_degree();");
@@ -1124,7 +1124,7 @@ impl<'a> Gen<'a> {
                     ));
                 }
             }
-            b.open("for msg in messages.iter() {");
+            b.open("messages.for_each(|msg| {");
             b.line("let in_deg: i64 = value.in_nbrs.len() as i64;");
             b.open("match *msg {");
             for h in &kernel.recvs {
@@ -1146,7 +1146,7 @@ impl<'a> Gen<'a> {
                 if let Some(g) = &h.guard {
                     let g = cx.cond(g, place, "receive guard")?;
                     b.open(&format!("if !({g}) {{"));
-                    b.line("continue;");
+                    b.line("return;");
                     b.close("}");
                 }
                 for st in &h.steps {
@@ -1193,7 +1193,7 @@ impl<'a> Gen<'a> {
             }
             b.line("_ => {}");
             b.close("}");
-            b.close("}");
+            b.close("});");
             b.close("}");
         }
 
@@ -1326,8 +1326,10 @@ impl<'a> Gen<'a> {
         out.line("use gm_interp::shell::{Leg, Master, Row, Signature, State};");
         out.line("use gm_interp::{CompiledOutcome, RunError};");
         out.line("use gm_pregel::{");
-        out.line("    ByteReader, CkptError, GlobalValue, MasterContext, Persist, PregelConfig, PullMode,");
-        out.line("    ReduceOp, VertexContext,");
+        out.line(
+            "    ByteReader, CkptError, GlobalValue, Inbox, MasterContext, Persist, PregelConfig,",
+        );
+        out.line("    PullMode, ReduceOp, VertexContext,");
         out.line("};");
         out.line("use std::collections::HashMap;");
         out.line("");
@@ -1564,6 +1566,15 @@ impl<'a> Gen<'a> {
             out.line("match *m {}");
         }
         out.close("}");
+        if p.uses_in_nbrs {
+            out.line("");
+            out.open("fn in_nbr(&self, m: &Msg) -> Option<u32> {");
+            out.open("match *m {");
+            out.line("Msg::InNbr { sender } => Some(sender),");
+            out.line("_ => None,");
+            out.close("}");
+            out.close("}");
+        }
 
         let combinable: Vec<(usize, AssignOp)> = p
             .combinable
@@ -1626,7 +1637,7 @@ impl<'a> Gen<'a> {
         out.line("    g: &Globals,");
         out.line("    ctx: &mut VertexContext<'_, '_, Msg>,");
         out.line("    value: &mut VertexValue,");
-        out.line("    messages: &[Msg],");
+        out.line("    messages: Inbox<'_, Msg>,");
         out.open(") {");
         out.open("match state {");
         for (i, s) in p.states.iter().enumerate() {
@@ -1702,6 +1713,12 @@ fn emit_row(out: &mut Buf, name: &str, fields: &[(String, Repr)], in_nbrs: bool)
     out.line("_ => unreachable!(),");
     out.close("}");
     out.close("}");
+    if in_nbrs {
+        out.line("");
+        out.open("fn in_nbrs(&self) -> &[u32] {");
+        out.line("&self.in_nbrs");
+        out.close("}");
+    }
     out.close("}");
     out.line("");
 }

@@ -22,7 +22,7 @@ use gm_core::value::{apply_reduce, Value};
 use gm_core::Compiled;
 use gm_graph::{EdgeId, Graph, NodeId};
 use gm_pregel::{
-    ByteReader, CkptError, GlobalValue, MasterContext, Persist, PregelConfig, ReduceOp,
+    ByteReader, CkptError, GlobalValue, Inbox, MasterContext, Persist, PregelConfig, ReduceOp,
     VertexContext,
 };
 use std::cell::RefCell;
@@ -123,6 +123,14 @@ impl Row for VertexData {
 
     fn get(&self, slot: usize) -> Value {
         self.props[slot]
+    }
+
+    fn in_nbrs(&self) -> &[u32] {
+        &self.in_nbrs
+    }
+
+    fn has_slots(&self, len: usize) -> bool {
+        self.props.len() == len
     }
 }
 
@@ -234,6 +242,14 @@ impl Leg for Machine<'_> {
         }
     }
 
+    fn in_nbr(&self, m: &Msg) -> Option<u32> {
+        (m.tag == IN_NBRS_TAG).then(|| match m.payload.first() {
+            Some(Value::Node(id)) => *id,
+            // Malformed: refused like an id past the last vertex.
+            _ => u32::MAX,
+        })
+    }
+
     fn has_combiner(&self) -> bool {
         self.program.combinable.iter().any(Option::is_some)
     }
@@ -297,7 +313,7 @@ impl Leg for Machine<'_> {
         g: &Vec<Value>,
         ctx: &mut VertexContext<'_, '_, Msg>,
         value: &mut VertexData,
-        messages: &[Msg],
+        messages: Inbox<'_, Msg>,
     ) {
         let Some(kernel) = self.pre.kernels[state].as_ref() else {
             return;
@@ -308,15 +324,15 @@ impl Leg for Machine<'_> {
         // ---- receive phase (messages from the previous superstep) ----
         if !messages.is_empty() {
             let snapshot: Option<Vec<Value>> = kernel.snapshot_needed.then(|| value.props.clone());
-            for msg in messages {
+            messages.for_each(|msg| {
                 if msg.tag == IN_NBRS_TAG {
                     if kernel.stores_in_nbrs {
                         value.in_nbrs.push(msg.payload[0].as_node());
                     }
-                    continue;
+                    return;
                 }
                 let Some(handler) = kernel.handler(msg.tag) else {
-                    continue; // dangling message — dropped, as in the paper
+                    return; // dangling message — dropped, as in the paper
                 };
                 let in_nbrs_len = value.in_nbrs.len();
                 let eval_recv = |props: &[Value], e: &CExpr| -> Value {
@@ -339,7 +355,7 @@ impl Leg for Machine<'_> {
                 };
                 if let Some(g) = &handler.guard {
                     if !eval_recv(&value.props, g).as_bool() {
-                        continue;
+                        return;
                     }
                 }
                 for step in &handler.steps {
@@ -371,7 +387,7 @@ impl Leg for Machine<'_> {
                         }
                     }
                 }
-            }
+            });
         }
 
         // ---- body phase ----

@@ -19,10 +19,10 @@ use gm_core::kernel::{CPull, Lowered};
 use gm_core::pir::PregelProgram;
 use gm_core::seqinterp::{property_arg, scalar_arg, ArgValue};
 use gm_core::types::Ty;
-use gm_core::value::Value;
+use gm_core::value::{Value, NIL_NODE};
 use gm_graph::{EdgeId, Graph, NodeId};
 use gm_pregel::{
-    ByteReader, CkptError, GlobalValue, MasterContext, MasterDecision, Metrics, Persist,
+    ByteReader, CkptError, GlobalValue, Inbox, MasterContext, MasterDecision, Metrics, Persist,
     PregelConfig, PregelError, PullMode, VertexContext, VertexProgram,
 };
 use std::collections::HashMap;
@@ -155,6 +155,19 @@ pub trait Row {
 
     /// The value in `slot`.
     fn get(&self, slot: usize) -> Value;
+
+    /// The in-neighbour ids a vertex row collected for `InNbrs`; none for
+    /// a row of globals.
+    fn in_nbrs(&self) -> &[u32] {
+        &[]
+    }
+
+    /// Whether the row holds exactly `len` slots: always, for a row of
+    /// typed fields; a row decoded as a list may hold any number.
+    fn has_slots(&self, len: usize) -> bool {
+        let _ = len;
+        true
+    }
 }
 
 impl Row for Vec<Value> {
@@ -234,11 +247,18 @@ pub trait Leg: Send + Sync {
         g: &Self::Globals,
         ctx: &mut VertexContext<'_, '_, Self::Message>,
         value: &mut Self::VertexValue,
-        messages: &[Self::Message],
+        messages: Inbox<'_, Self::Message>,
     );
 
     /// See [`VertexProgram::message_bytes`].
     fn message_bytes(&self, m: &Self::Message) -> u64;
+
+    /// The sender id `m` carries if it is an in-neighbour preamble
+    /// message, whose receiver stores the id in its row.
+    fn in_nbr(&self, m: &Self::Message) -> Option<u32> {
+        let _ = m;
+        None
+    }
 
     /// See [`VertexProgram::has_combiner`].
     fn has_combiner(&self) -> bool {
@@ -532,7 +552,7 @@ impl<L: Leg> VertexProgram for Shell<'_, L> {
         &self,
         ctx: &mut VertexContext<'_, '_, L::Message>,
         value: &mut L::VertexValue,
-        messages: &[L::Message],
+        messages: Inbox<'_, L::Message>,
     ) {
         (self.leg).vertex_compute(self.cur_state, &self.globals, ctx, value, messages);
     }
@@ -564,6 +584,43 @@ impl<L: Leg> VertexProgram for Shell<'_, L> {
         self.prev_state = s.prev_state;
         self.state_log = s.state_log;
         Ok(())
+    }
+
+    // Vertex ids a kernel may send to: stored in-neighbours, whether
+    // already in a row or still in flight in the in-neighbour preamble's
+    // messages, and node-valued properties, which may also be NIL.
+    fn check_restored(
+        &self,
+        graph: &Graph,
+        values: &[L::VertexValue],
+        inboxes: &[Vec<L::Message>],
+    ) -> Result<(), CkptError> {
+        let slots = self.sig.node_props.len();
+        if !values.iter().all(|v| v.has_slots(slots)) {
+            return Err(CkptError::Decode(format!(
+                "a snapshot vertex row does not hold the program's {slots} properties"
+            )));
+        }
+        let n = graph.num_nodes();
+        let node_slots: Vec<usize> = (self.sig.node_props.iter().enumerate())
+            .filter(|(_, (_, ty))| *ty == Ty::Node)
+            .map(|(slot, _)| slot)
+            .collect();
+        let stored = values.iter().flat_map(|v| v.in_nbrs().iter().copied());
+        let in_flight = inboxes.iter().flatten().filter_map(|m| self.leg.in_nbr(m));
+        let bad_id = stored.chain(in_flight).find(|&id| id >= n).map(Value::Node);
+        let bad_prop = || {
+            (values.iter())
+                .flat_map(|v| node_slots.iter().map(|&slot| v.get(slot)))
+                .find(|v| !matches!(*v, Value::Node(id) if id < n || id == NIL_NODE))
+        };
+        let bad = bad_id.or_else(bad_prop);
+        match bad {
+            Some(v) => Err(CkptError::Decode(format!(
+                "snapshot holds {v} where a vertex of the {n}-vertex graph belongs"
+            ))),
+            None => Ok(()),
+        }
     }
 
     fn program_identity(&self) -> &[u8] {

@@ -231,6 +231,7 @@ where
         inboxes.push(Vec::<P::Message>::restore(&mut r)?);
     }
     r.expect_end()?;
+    program.check_restored(graph, &values, &inboxes)?;
 
     let mut r = ByteReader::new(snap.require(SEC_MASTER)?);
     program.restore_master_state(&mut r)?;

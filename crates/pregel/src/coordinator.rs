@@ -12,7 +12,7 @@
 use crate::checkpoint::{build_snapshot, CoordState, VertexSections};
 use crate::config::{PregelConfig, Schedule};
 use crate::error::PregelError;
-use crate::exchange::{RawOutbox, RoutedBucket};
+use crate::exchange::{read_in_place, RawOutbox, RoutedBucket};
 use crate::globals::AggMap;
 use crate::metrics::{Metrics, RegistryFeed, SuperstepMetrics};
 use crate::program::{MasterContext, MasterDecision, PullMode, VertexProgram};
@@ -109,7 +109,8 @@ where
     // Empty outbox buckets recycled from the previous exchange, per sender.
     let mut spares: Vec<RawOutbox<P::Message>> = (0..num_workers).map(|_| Vec::new()).collect();
     // A fresh run has nothing pending and a resumed one restored its
-    // inboxes, so only a captured superstep leaves messages outside them.
+    // inboxes, so only an uncombined captured superstep leaves messages
+    // outside them.
     let mut pending = Pending::Delivered;
 
     loop {
@@ -493,9 +494,10 @@ where
             );
         }
         active_vertices = not_halted + reactivated;
-        pending = match mode {
-            PullMode::Captured => Pending::Captured(superstep),
-            PullMode::Unsupported | PullMode::Recomputed => Pending::Delivered,
+        pending = if read_in_place(&**read_lock(&shared.program), mode) {
+            Pending::Captured(superstep)
+        } else {
+            Pending::Delivered
         };
 
         // ---- barrier governance checks (coordinator) ----

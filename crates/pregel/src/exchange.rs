@@ -11,19 +11,20 @@
 //! * **pull** — a gathered superstep replaces the transpose and delivery
 //!   with a [`gather`](WorkerState::gather): every worker walks its
 //!   vertices' in-edges over the reverse CSR and reads the senders' side
-//!   through one routine, [`Fill`]. Under [`PullMode::Recomputed`] the
-//!   walk re-evaluates each payload and writes the folded messages into
-//!   `inbox_out`, because the next compute overwrites the sender values it
-//!   reads. Under [`PullMode::Captured`] the payloads stay in the senders'
-//!   [`Captured`] columns and the barrier only meters, writing no message
-//!   (without a combiner compute already metered the broadcasts
-//!   sender-side, so only halted receivers are walked); the next compute
-//!   folds each receiver's inbox on demand. Either way the meters, pending
-//!   count and reactivations are the ones a push superstep would produce,
-//!   at the same barrier.
+//!   through one routine, [`Fill`]. Where the gathered messages are new
+//!   values — re-evaluated under [`PullMode::Recomputed`], or folded by a
+//!   combiner — the walk writes them into `inbox_out`. Uncombined
+//!   [`PullMode::Captured`] payloads are copied nowhere: they stay in the
+//!   senders' [`Captured`] columns, compute already metered them
+//!   sender-side, and the barrier only counts the halted receivers they
+//!   wake. The next compute hands each kernel an [`Inbox`] view that
+//!   folds them in place. Either way the meters, pending count and
+//!   reactivations are the ones a push superstep would produce, at the
+//!   same barrier.
 
 use crate::error::WorkerFailure;
 use crate::govern::{read_spill_into, write_spill};
+use crate::inbox::{Captured, Columns, Inbox};
 use crate::metrics::SuperstepMetrics;
 use crate::program::{PullMode, VertexProgram};
 use crate::worker::{check_deadline, read_lock, Shared, Step, VertexStore, WorkerState};
@@ -305,51 +306,6 @@ pub(crate) struct GatherOut {
     pub meter: Meter,
 }
 
-/// One worker's broadcast payloads from one [`PullMode::Captured`]
-/// superstep, by local vertex: a payload column plus a presence bitset, so
-/// the gather's random reads touch one bit and the payload itself rather
-/// than an `Option` up to twice its size.
-pub(crate) struct Captured<M> {
-    /// Meaningful only where `present` is set; other slots hold stale or
-    /// filler payloads.
-    payloads: Vec<M>,
-    present: Vec<u64>,
-}
-
-impl<M> Default for Captured<M> {
-    fn default() -> Self {
-        Captured {
-            payloads: Vec::new(),
-            present: Vec::new(),
-        }
-    }
-}
-
-impl<M: Clone> Captured<M> {
-    /// Forgets every capture, for a range of `len` vertices; both
-    /// allocations are kept.
-    pub fn reset(&mut self, len: usize) {
-        self.present.clear();
-        self.present.resize(len.div_ceil(64), 0);
-    }
-
-    pub fn set(&mut self, local: usize, m: M) {
-        self.present[local / 64] |= 1u64 << (local % 64);
-        match self.payloads.get_mut(local) {
-            Some(slot) => *slot = m,
-            // Slots skipped on the way take `m` as filler; their presence
-            // bits stay clear.
-            None => self.payloads.resize(local + 1, m),
-        }
-    }
-
-    /// The presence bitset and the payload column, for a hot loop that
-    /// tests a vertex's bit before reading its payload.
-    fn parts(&self) -> (&[u64], &[M]) {
-        (&self.present, &self.payloads)
-    }
-}
-
 /// The senders' side of a gathered superstep, one entry per worker.
 enum Senders<'s, P: VertexProgram> {
     Captured(Vec<RwLockReadGuard<'s, Captured<P::Message>>>),
@@ -359,9 +315,9 @@ enum Senders<'s, P: VertexProgram> {
 }
 
 /// Rebuilds any receiver's inbox of a gathered superstep from the senders'
-/// side. The one routine behind the gather phase, the inbox that compute
-/// folds after a [`PullMode::Captured`] superstep, and that inbox's
-/// checkpoint.
+/// side: the one routine behind the gather phase, and behind the inbox
+/// view compute and checkpoints read after a [`PullMode::Captured`]
+/// superstep ([`Fill::inbox`]).
 ///
 /// Determinism mirrors push exactly. `in_sources` lists in-edges in
 /// forward-edge-id order — (sender ascending, adjacency position
@@ -388,24 +344,50 @@ impl<'s, P: VertexProgram> Fill<'s, P> {
             .iter()
             .map(read_lock)
             .collect();
-        Self::new(shared, program, Senders::Captured(columns))
+        Self::new(
+            shared.graph,
+            &shared.starts,
+            program,
+            Senders::Captured(columns),
+        )
     }
 
     /// Re-evaluates the payloads of this superstep's fired send sites.
     /// Read-locks every worker's store until dropped.
     pub fn recomputed(shared: &'s Shared<'_, P>, program: &'s P) -> Self {
         let stores = shared.stores.iter().map(read_lock).collect();
-        Self::new(shared, program, Senders::Recomputed(stores))
+        Self::new(
+            shared.graph,
+            &shared.starts,
+            program,
+            Senders::Recomputed(stores),
+        )
     }
 
-    fn new(shared: &'s Shared<'_, P>, program: &'s P, senders: Senders<'s, P>) -> Self {
+    fn new(graph: &'s Graph, starts: &'s [u32], program: &'s P, senders: Senders<'s, P>) -> Self {
         Fill {
-            graph: shared.graph,
-            starts: &shared.starts,
+            graph,
+            starts,
             program,
             combining: program.has_combiner(),
             senders,
         }
+    }
+
+    /// `receiver`'s captured messages, read in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics for recomputed payloads, which exist only once folded.
+    pub fn inbox(&self, receiver: u32) -> Inbox<'_, P::Message> {
+        let Senders::Captured(columns) = &self.senders else {
+            unreachable!("only captured payloads can be read in place")
+        };
+        let columns = Columns {
+            columns,
+            starts: self.starts,
+        };
+        Inbox::gathered(self.graph.in_sources(NodeId(receiver)), columns)
     }
 
     /// Appends `receiver`'s messages to `inbox` in push delivery order,
@@ -418,7 +400,35 @@ impl<'s, P: VertexProgram> Fill<'s, P> {
         mut segment: impl FnMut(usize, &[P::Message]),
     ) {
         let sources = self.graph.in_sources(NodeId(receiver));
-        // In step with `sources`; only recomputed payloads need edge ids.
+        let stores = match &self.senders {
+            Senders::Captured(columns) => {
+                let columns = Columns {
+                    columns,
+                    starts: self.starts,
+                };
+                // The open segment: its sender worker and where it starts.
+                let mut open: Option<(usize, usize)> = None;
+                columns.walk(sources, |w, m| {
+                    let seg = match open {
+                        Some((at, seg)) if at == w => seg,
+                        _ => {
+                            if let Some((at, seg)) = open {
+                                segment(at, &inbox[seg..]);
+                            }
+                            open = Some((w, inbox.len()));
+                            inbox.len()
+                        }
+                    };
+                    self.fold(inbox, seg, m.clone());
+                });
+                if let Some((at, seg)) = open {
+                    segment(at, &inbox[seg..]);
+                }
+                return;
+            }
+            Senders::Recomputed(stores) => stores,
+        };
+        // In step with `sources`, for the edge ids payloads depend on.
         let mut in_edges = self.graph.in_neighbors(NodeId(receiver));
         let (mut at, mut w) = (0, 0);
         while let Some(&first) = sources.get(at) {
@@ -430,26 +440,13 @@ impl<'s, P: VertexProgram> Fill<'s, P> {
             let (lo, hi) = (self.starts[w], self.starts[w + 1]);
             let end = at + sources[at..].iter().take_while(|&&s| s < hi).count();
             let seg = inbox.len();
-            match &self.senders {
-                Senders::Captured(columns) => {
-                    let (present, payloads) = columns[w].parts();
-                    for &src in &sources[at..end] {
-                        let local = (src - lo) as usize;
-                        if present[local / 64] & (1u64 << (local % 64)) != 0 {
-                            self.fold(inbox, seg, payloads[local].clone());
-                        }
-                    }
-                }
-                Senders::Recomputed(stores) => {
-                    let store = &stores[w];
-                    for (src, edge) in in_edges.by_ref().take(end - at) {
-                        let local = (src.0 - lo) as usize;
-                        if store.sent[local] {
-                            let value = &store.values[local];
-                            let m = self.program.pull_message(self.graph, src, edge, value);
-                            self.fold(inbox, seg, m);
-                        }
-                    }
+            let store = &stores[w];
+            for (src, edge) in in_edges.by_ref().take(end - at) {
+                let local = (src.0 - lo) as usize;
+                if store.sent[local] {
+                    let value = &store.values[local];
+                    let m = self.program.pull_message(self.graph, src, edge, value);
+                    self.fold(inbox, seg, m);
                 }
             }
             segment(w, &inbox[seg..]);
@@ -473,21 +470,29 @@ impl<'s, P: VertexProgram> Fill<'s, P> {
     }
 }
 
+/// Whether the messages of a superstep gathered in `mode` stay in the
+/// senders' [`Captured`] columns until the next compute reads them in
+/// place. Only uncombined captured payloads do: a combiner's fold and a
+/// recomputed payload are new values, which the gather writes into the
+/// receivers' inboxes.
+pub(crate) fn read_in_place<P: VertexProgram>(program: &P, mode: PullMode) -> bool {
+    mode == PullMode::Captured && !program.has_combiner()
+}
+
 impl<P: VertexProgram> WorkerState<P> {
     /// A gathered superstep's replacement for exchange + delivery: walks
     /// every owned vertex's in-edges through [`Fill`] and meters each
     /// sender-worker segment as the messages that worker would have put
-    /// on the wire. A [`PullMode::Recomputed`] walk writes the messages
-    /// into `inbox_out` and swaps the double buffer, as delivery does. A
-    /// [`PullMode::Captured`] walk folds each inbox into the reused scratch
-    /// vector and drops it: the next compute folds it again from the
-    /// captured columns, which nothing overwrites until the superstep
-    /// after.
+    /// on the wire, writing the folded messages into `inbox_out` and
+    /// swapping the double buffer, as delivery does.
     ///
-    /// Without a combiner, every captured payload reaches each of its
-    /// sender's out-neighbours unchanged, so compute already metered the
-    /// broadcasts sender-side ([`WorkerState::broadcasts`]) and the walk
-    /// visits only halted vertices, to count those a message wakes.
+    /// Payloads [`read_in_place`] are neither folded nor copied here: they
+    /// stay in the captured columns, which nothing overwrites until the
+    /// superstep after, and the next compute reads them through an
+    /// [`Inbox`] view. Every such payload reaches each of its sender's
+    /// out-neighbours unchanged, so compute already metered the broadcasts
+    /// sender-side ([`WorkerState::broadcasts`]) and the walk visits only
+    /// halted vertices, to count those a message wakes.
     pub fn gather(
         &mut self,
         shared: &Shared<'_, P>,
@@ -507,45 +512,37 @@ impl<P: VertexProgram> WorkerState<P> {
         // Safe to read-lock every store or column for the whole phase:
         // compute and gather are barrier-separated, so no worker holds its
         // write lock here.
-        let (fill, eager) = match mode {
-            PullMode::Captured => (Fill::captured(shared, program, superstep), false),
-            PullMode::Recomputed => (Fill::recomputed(shared, program), true),
+        let fill = match mode {
+            PullMode::Captured => Fill::captured(shared, program, superstep),
+            PullMode::Recomputed => Fill::recomputed(shared, program),
             PullMode::Unsupported => unreachable!("gather phase dispatched with no pull mode"),
         };
-        let sender_metered = !eager && !program.has_combiner();
+        let in_place = read_in_place(program, mode);
         let mut meter = std::mem::take(&mut self.broadcasts);
         let mut delivered = meter.messages;
         let mut reactivated: u32 = 0;
-        let mut scratch = std::mem::take(&mut self.scratch);
         for local in 0..self.halted.len() {
             // Cooperative watchdog, same cadence as the compute loop.
             if local & 0xFF == 0 {
                 check_deadline(deadline_at, worker as u32)?;
             }
-            if sender_metered && !self.halted[local] {
-                continue;
-            }
-            let inbox = if eager {
-                &mut self.inbox_out[local]
+            let receiver = self.base + local as u32;
+            let received = if in_place {
+                self.halted[local] && !fill.inbox(receiver).is_empty()
             } else {
-                scratch.clear();
-                &mut scratch
-            };
-            debug_assert!(!eager || inbox.is_empty());
-            fill.fill(self.base + local as u32, inbox, |w, segment| {
-                if !sender_metered {
+                let inbox = &mut self.inbox_out[local];
+                debug_assert!(inbox.is_empty());
+                fill.fill(receiver, inbox, |w, segment| {
                     meter.segment(program, segment, w != worker);
-                }
-            });
-            if !sender_metered {
+                });
                 delivered += inbox.len() as u64;
-            }
-            if self.halted[local] && !inbox.is_empty() {
+                !inbox.is_empty()
+            };
+            if self.halted[local] && received {
                 reactivated += 1;
             }
         }
         drop(fill);
-        self.scratch = scratch;
         if let Some(t) = tracer {
             t.span(
                 "gather",
@@ -560,7 +557,7 @@ impl<P: VertexProgram> WorkerState<P> {
                 ],
             );
         }
-        if eager {
+        if !in_place {
             // Same double-buffer handoff as delivery: the gathered messages
             // become the next superstep's `inbox_in`.
             std::mem::swap(&mut self.inbox_in, &mut self.inbox_out);
@@ -666,3 +663,6 @@ impl<P: VertexProgram> WorkerState<P> {
         })
     }
 }
+
+#[cfg(test)]
+mod tests;

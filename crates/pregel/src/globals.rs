@@ -95,6 +95,7 @@ impl AggMap {
     ///
     /// Panics if a previous write to `key` used a different operator, or if
     /// the operand types disagree.
+    #[inline]
     pub fn reduce(&mut self, key: &str, op: ReduceOp, value: GlobalValue) {
         match self.map.get_mut(key) {
             Some((prev_op, acc)) => {

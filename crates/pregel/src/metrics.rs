@@ -66,8 +66,8 @@ pub struct SuperstepMetrics {
     /// Whether this superstep ran gathered (pull): the exchange was
     /// replaced by receiver-side in-edge gathering. When `true`,
     /// `exchange_time` measures the gather phase and `combine_time` is
-    /// zero (folding happens inside the gather, or — for captured
-    /// payloads — in the next superstep's compute).
+    /// zero (folding happens inside the gather, or — for uncombined
+    /// captured payloads — in place, in the next superstep's kernels).
     pub pulled: bool,
 }
 

@@ -1,6 +1,7 @@
 //! The vertex-program trait and the master/vertex execution contexts.
 
 use crate::globals::{AggMap, Globals};
+use crate::inbox::Inbox;
 use crate::value::{GlobalValue, ReduceOp};
 use gm_ckpt::{ByteReader, CkptError};
 use gm_graph::{EdgeId, Graph, NodeId, OutNeighbors};
@@ -18,8 +19,8 @@ pub enum PullMode {
     Unsupported,
     /// The kernel's single neighbor-broadcast payload is independent of
     /// the connecting edge: the sender evaluates it once, the runtime
-    /// captures it in a per-vertex slot, and each receiver clones it from
-    /// that slot when its inbox is folded, just before its next kernel.
+    /// captures it in a per-vertex slot, and each receiver's next kernel
+    /// reads it from that slot in place, through its [`Inbox`].
     Captured,
     /// The payload depends on the connecting edge (e.g. SSSP's
     /// `dist + e.len`): the sender only marks that its send fired, and
@@ -101,12 +102,20 @@ pub trait VertexProgram {
 
     /// Vertex-parallel computation (GPS's `vertex.compute()`), invoked once
     /// per active vertex per superstep with the messages sent to this vertex
-    /// in the previous superstep.
+    /// in the previous superstep, in push delivery order whatever the
+    /// schedule.
+    ///
+    /// After a push superstep `messages` views this vertex's delivered
+    /// inbox. After a [`PullMode::Captured`] superstep without a combiner
+    /// it walks this vertex's in-edges and reads each sender's captured
+    /// payload in place: nothing is copied into an inbox first, so a
+    /// kernel that folds its messages with [`Inbox::for_each`] folds the
+    /// senders' payloads directly.
     fn vertex_compute(
         &self,
         ctx: &mut VertexContext<'_, '_, Self::Message>,
         value: &mut Self::VertexValue,
-        messages: &[Self::Message],
+        messages: Inbox<'_, Self::Message>,
     );
 
     /// Whether *any* superstep of this program can run as a gathered
@@ -167,6 +176,22 @@ pub trait VertexProgram {
     /// exactly the bytes its counterpart wrote.
     fn restore_master_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CkptError> {
         let _ = r;
+        Ok(())
+    }
+
+    /// Checks the vertex values and pending messages decoded from a
+    /// snapshot against the graph the run resumes on, so that well-formed
+    /// but wrong sections are refused at decode, as a [`CkptError`],
+    /// rather than failing a worker later. Programs whose values or
+    /// messages hold vertex ids they later send to override it; the
+    /// default accepts everything.
+    fn check_restored(
+        &self,
+        graph: &Graph,
+        values: &[Self::VertexValue],
+        inboxes: &[Vec<Self::Message>],
+    ) -> Result<(), CkptError> {
+        let _ = (graph, values, inboxes);
         Ok(())
     }
 

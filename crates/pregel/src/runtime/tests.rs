@@ -1,8 +1,8 @@
 use crate::value::{GlobalValue, ReduceOp};
 use crate::worker::partition;
 use crate::{
-    run, ByteReader, CkptError, MasterContext, MasterDecision, Persist, PregelConfig, PregelError,
-    PregelResult, PullMode, ResourceBudget, Schedule, VertexContext, VertexProgram,
+    run, ByteReader, CkptError, Inbox, MasterContext, MasterDecision, Persist, PregelConfig,
+    PregelError, PregelResult, PullMode, ResourceBudget, Schedule, VertexContext, VertexProgram,
 };
 use gm_graph::{gen, EdgeId, Graph, NodeId};
 use gm_obs::Tracer;
@@ -35,7 +35,7 @@ impl VertexProgram for SumIds {
         &self,
         ctx: &mut VertexContext<'_, '_, ()>,
         _value: &mut (),
-        _messages: &[()],
+        _messages: Inbox<'_, ()>,
     ) {
         let id = ctx.id().0 as i64;
         ctx.reduce_global("S", ReduceOp::Sum, GlobalValue::Int(id));
@@ -79,7 +79,7 @@ impl VertexProgram for Token {
         &self,
         ctx: &mut VertexContext<'_, '_, u64>,
         value: &mut u32,
-        messages: &[u64],
+        messages: Inbox<'_, u64>,
     ) {
         let has_token = (ctx.superstep() == 0 && ctx.id().0 == 0) || !messages.is_empty();
         if has_token {
@@ -154,13 +154,13 @@ impl VertexProgram for Collect {
         &self,
         ctx: &mut VertexContext<'_, '_, u32>,
         value: &mut Vec<u32>,
-        messages: &[u32],
+        messages: Inbox<'_, u32>,
     ) {
         if ctx.superstep() == 0 {
             let id = ctx.id().0;
             ctx.send_to_nbrs(id);
         } else {
-            value.extend_from_slice(messages);
+            value.extend(messages.iter().copied());
         }
     }
 }
@@ -258,7 +258,7 @@ fn float_sum_merges_partials_in_worker_order() {
             &self,
             ctx: &mut VertexContext<'_, '_, ()>,
             _value: &mut (),
-            _messages: &[()],
+            _messages: Inbox<'_, ()>,
         ) {
             ctx.reduce_global(
                 "F",
@@ -324,7 +324,7 @@ fn superstep_limit_is_enforced() {
             &self,
             _ctx: &mut VertexContext<'_, '_, ()>,
             _value: &mut (),
-            _messages: &[()],
+            _messages: Inbox<'_, ()>,
         ) {
         }
     }
@@ -510,7 +510,7 @@ impl VertexProgram for Rounds {
         &self,
         ctx: &mut VertexContext<'_, '_, u32>,
         value: &mut u32,
-        messages: &[u32],
+        messages: Inbox<'_, u32>,
     ) {
         ctx.reduce_global("n", ReduceOp::Sum, GlobalValue::Int(1));
         *value += messages.iter().sum::<u32>();
@@ -850,7 +850,7 @@ fn caught_panic_is_attributed_to_worker_and_vertex() {
             &self,
             ctx: &mut VertexContext<'_, '_, u32>,
             _value: &mut u32,
-            _messages: &[u32],
+            _messages: Inbox<'_, u32>,
         ) {
             if ctx.superstep() == 2 && ctx.id().0 == 7 {
                 panic!("poisoned vertex kernel");
@@ -996,7 +996,7 @@ impl VertexProgram for Wave {
         &self,
         ctx: &mut VertexContext<'_, '_, u32>,
         value: &mut u32,
-        messages: &[u32],
+        messages: Inbox<'_, u32>,
     ) {
         let reached = if ctx.superstep() == 0 {
             ctx.id().0.is_multiple_of(17).then_some(1)
@@ -1057,6 +1057,80 @@ fn halting_receivers_wake_identically_under_captured_pull() {
 }
 
 #[test]
+fn a_halted_vertex_woken_by_one_captured_payload_computes() {
+    /// Superstep 0: vertex 7 broadcasts, and every vertex halts. Later, a
+    /// woken vertex records what woke it and halts again.
+    struct OneSender;
+    impl VertexProgram for OneSender {
+        type VertexValue = Vec<u64>;
+        type Message = u64;
+        fn message_bytes(&self, _m: &u64) -> u64 {
+            8
+        }
+        fn master_compute(&mut self, _ctx: &mut MasterContext<'_>) -> MasterDecision {
+            MasterDecision::Continue
+        }
+        fn vertex_compute(
+            &self,
+            ctx: &mut VertexContext<'_, '_, u64>,
+            value: &mut Vec<u64>,
+            messages: Inbox<'_, u64>,
+        ) {
+            if ctx.superstep() == 0 && ctx.id().0 == 7 {
+                ctx.send_to_nbrs(100);
+            } else if ctx.superstep() > 0 {
+                value.push(messages.len() as u64);
+                value.extend(messages.iter().copied());
+            }
+            ctx.vote_to_halt();
+        }
+        fn pull_supported(&self) -> bool {
+            true
+        }
+        fn pull_mode(&self) -> PullMode {
+            PullMode::Captured
+        }
+    }
+
+    // 2 and 4 hear from 7 and from silent senders; 5 and 6 only from
+    // silent ones. The sender has the highest id, so every silent sender's
+    // slot in its column holds a filler payload, which only the presence
+    // test keeps out.
+    let edges = [
+        (7, 2),
+        (7, 4),
+        (0, 2),
+        (1, 2),
+        (3, 2),
+        (5, 4),
+        (0, 6),
+        (1, 5),
+        (3, 6),
+    ];
+    let mut b = gm_graph::GraphBuilder::new(8);
+    for (s, t) in edges {
+        b.add_edge(s, t);
+    }
+    let g = b.build();
+    for workers in [1usize, 2, 4] {
+        let cfg = PregelConfig {
+            max_supersteps: 10,
+            ..PregelConfig::with_workers(workers).with_schedule(Schedule::Pull)
+        };
+        let r = run(&g, &mut OneSender, |_| Vec::new(), &cfg).unwrap();
+        let mut want = vec![Vec::new(); 8];
+        want[2] = vec![1, 100];
+        want[4] = vec![1, 100];
+        assert_eq!(r.values, want, "workers = {workers}");
+        let active: Vec<u32> = (r.metrics.per_superstep.iter())
+            .map(|s| s.active_vertices)
+            .collect();
+        assert_eq!(active, [8, 2], "workers = {workers}");
+        assert_eq!(r.metrics.pull_supersteps, 2, "workers = {workers}");
+    }
+}
+
+#[test]
 fn gather_panic_is_attributed_to_the_worker_not_a_vertex() {
     /// Gathers every superstep; recomputing a payload at superstep 3
     /// panics, outside any vertex kernel.
@@ -1077,7 +1151,7 @@ fn gather_panic_is_attributed_to_the_worker_not_a_vertex() {
             &self,
             ctx: &mut VertexContext<'_, '_, u32>,
             value: &mut u32,
-            messages: &[u32],
+            messages: Inbox<'_, u32>,
         ) {
             *value += messages.iter().sum::<u32>();
             ctx.mark_send();

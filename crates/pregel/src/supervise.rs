@@ -9,9 +9,9 @@ use crate::checkpoint::{decode_snapshot, written_by, ResumeState};
 use crate::config::{PregelConfig, Schedule};
 use crate::coordinator::{drive, CkptRunner, DriveInit};
 use crate::error::{failure_site, PregelError};
-use crate::exchange::Captured;
 use crate::globals::Globals;
 use crate::govern::Governor;
+use crate::inbox::Captured;
 use crate::metrics::Metrics;
 use crate::postmortem::write_bundle;
 use crate::program::VertexProgram;

@@ -121,6 +121,7 @@ impl ReduceOp {
     ///
     /// Panics if the operand types disagree or the operator does not apply
     /// to the operand type (e.g. `Or` on `Int`).
+    #[inline]
     pub fn combine(self, a: GlobalValue, b: GlobalValue) -> GlobalValue {
         use GlobalValue::*;
         match (self, a, b) {

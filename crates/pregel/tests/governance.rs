@@ -8,8 +8,8 @@
 
 use gm_graph::gen;
 use gm_pregel::{
-    run, CheckpointConfig, FaultPlan, MasterContext, MasterDecision, PregelConfig, PregelError,
-    RecoveryPolicy, ResourceBudget, VertexContext, VertexProgram,
+    run, CheckpointConfig, FaultPlan, Inbox, MasterContext, MasterDecision, PregelConfig,
+    PregelError, RecoveryPolicy, ResourceBudget, VertexContext, VertexProgram,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -53,7 +53,7 @@ impl VertexProgram for Rounds {
         &self,
         ctx: &mut VertexContext<'_, '_, u64>,
         value: &mut u64,
-        messages: &[u64],
+        messages: Inbox<'_, u64>,
     ) {
         *value += messages.iter().sum::<u64>();
         ctx.send_to_nbrs(*value + u64::from(ctx.id().0) + 1);

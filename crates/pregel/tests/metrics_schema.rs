@@ -13,7 +13,7 @@
 
 use gm_obs::json::{parse, Json};
 use gm_pregel::{
-    run, CheckpointConfig, MasterContext, MasterDecision, Metrics, PregelConfig, PullMode,
+    run, CheckpointConfig, Inbox, MasterContext, MasterDecision, Metrics, PregelConfig, PullMode,
     ResourceBudget, Schedule, VertexContext, VertexProgram,
 };
 use std::collections::BTreeSet;
@@ -58,7 +58,7 @@ impl VertexProgram for Rounds {
         &self,
         ctx: &mut VertexContext<'_, '_, u64>,
         value: &mut u64,
-        messages: &[u64],
+        messages: Inbox<'_, u64>,
     ) {
         *value += messages.iter().sum::<u64>();
         ctx.send_to_nbrs(*value + u64::from(ctx.id().0) + 1);

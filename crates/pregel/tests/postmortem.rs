@@ -7,7 +7,7 @@
 use gm_obs::json::{parse, Json};
 use gm_obs::metrics::MetricsRegistry;
 use gm_pregel::{
-    run, CheckpointConfig, FaultPlan, MasterContext, MasterDecision, PostMortemConfig,
+    run, CheckpointConfig, FaultPlan, Inbox, MasterContext, MasterDecision, PostMortemConfig,
     PregelConfig, PregelError, RecoveryPolicy, ResourceBudget, VertexContext, VertexProgram,
 };
 use std::path::{Path, PathBuf};
@@ -53,7 +53,7 @@ impl VertexProgram for Rounds {
         &self,
         ctx: &mut VertexContext<'_, '_, u64>,
         value: &mut u64,
-        messages: &[u64],
+        messages: Inbox<'_, u64>,
     ) {
         *value += messages.iter().sum::<u64>();
         ctx.send_to_nbrs(*value + u64::from(ctx.id().0) + 1);

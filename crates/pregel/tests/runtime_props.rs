@@ -3,7 +3,7 @@
 use gm_graph::rng::check;
 use gm_graph::{gen, GraphBuilder, NodeId};
 use gm_pregel::{
-    run, GlobalValue, MasterContext, MasterDecision, PregelConfig, ReduceOp, VertexContext,
+    run, GlobalValue, Inbox, MasterContext, MasterDecision, PregelConfig, ReduceOp, VertexContext,
     VertexProgram,
 };
 
@@ -45,7 +45,7 @@ impl VertexProgram for RelaySum {
         &self,
         ctx: &mut VertexContext<'_, '_, i64>,
         value: &mut i64,
-        messages: &[i64],
+        messages: Inbox<'_, i64>,
     ) {
         for m in messages {
             *value += *m;
@@ -135,7 +135,7 @@ fn aggregate_invariance() {
                 &self,
                 ctx: &mut VertexContext<'_, '_, ()>,
                 _value: &mut (),
-                _messages: &[()],
+                _messages: Inbox<'_, ()>,
             ) {
                 let id = ctx.id().0 as i64;
                 ctx.reduce_global("m", ReduceOp::Min, GlobalValue::Int(id * 3 - 7));
@@ -184,7 +184,7 @@ fn combining_is_per_worker_like_pregel() {
             &self,
             ctx: &mut VertexContext<'_, '_, i64>,
             value: &mut i64,
-            messages: &[i64],
+            messages: Inbox<'_, i64>,
         ) {
             if ctx.superstep() == 0 {
                 if ctx.id().0 != 0 {

@@ -3,7 +3,9 @@
 //! must never clone a message.
 
 use gm_graph::{gen, NodeId};
-use gm_pregel::{run, MasterContext, MasterDecision, PregelConfig, VertexContext, VertexProgram};
+use gm_pregel::{
+    run, Inbox, MasterContext, MasterDecision, PregelConfig, VertexContext, VertexProgram,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -34,7 +36,7 @@ impl VertexProgram for PageRank {
         &self,
         ctx: &mut VertexContext<'_, '_, f64>,
         value: &mut f64,
-        messages: &[f64],
+        messages: Inbox<'_, f64>,
     ) {
         if ctx.superstep() == 0 {
             *value = 1.0 / self.n;
@@ -197,7 +199,7 @@ impl VertexProgram for RingRelay {
         &self,
         ctx: &mut VertexContext<'_, '_, CountingMsg>,
         value: &mut u64,
-        messages: &[CountingMsg],
+        messages: Inbox<'_, CountingMsg>,
     ) {
         for m in messages {
             *value += m.0;
