@@ -1,7 +1,7 @@
 //! AST analysis and rewriting helpers shared by the transformation passes.
 //!
 //! Every helper here is a closure over the one AST walk in [`crate::ast`]
-//! ([`Node::walk`] and its mutable twin): pre-order, source order, and
+//! (`Node::walk` and its mutable twin): pre-order, source order, and
 //! entering every child — aggregate filters and bodies, call arguments, a
 //! BFS root and both BFS bodies. A walker that must skip a subtree says so
 //! in its own closure by declining to descend.
