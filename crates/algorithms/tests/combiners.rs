@@ -3,6 +3,8 @@
 //! reducing message traffic, and must leave supersteps unchanged.
 
 use gm_algorithms::sources;
+use gm_core::ast::AssignOp;
+use gm_core::kernel;
 use gm_core::seqinterp::ArgValue;
 use gm_core::value::Value;
 use gm_core::{compile, CompileOptions};
@@ -11,16 +13,23 @@ use gm_interp::run_compiled;
 use gm_pregel::PregelConfig;
 use std::collections::HashMap;
 
+/// The lowered combiner verdict per message tag of `src` under `options`.
+fn combine(src: &str, options: &CompileOptions) -> Vec<Option<AssignOp>> {
+    let c = compile(src, options).unwrap();
+    kernel::lower(&c.program).unwrap().combine
+}
+
 #[test]
-fn sssp_is_marked_combinable() {
-    let c = compile(sources::SSSP, &CompileOptions::with_combiners()).unwrap();
+fn sssp_messages_combine() {
     assert!(
-        c.program.combinable.iter().any(Option::is_some),
-        "SSSP's min-relaxation messages should be combinable"
+        combine(sources::SSSP, &CompileOptions::with_combiners())
+            .iter()
+            .any(Option::is_some),
+        "SSSP's min-relaxation messages should combine"
     );
-    // Without the option the marks stay clear (paper-faithful default).
-    let plain = compile(sources::SSSP, &CompileOptions::default()).unwrap();
-    assert!(plain.program.combinable.iter().all(Option::is_none));
+    // Without the option no tag combines (paper-faithful default).
+    let plain = combine(sources::SSSP, &CompileOptions::default());
+    assert!(plain.iter().all(Option::is_none));
 }
 
 #[test]
@@ -56,22 +65,21 @@ fn sssp_with_combiners_same_result_fewer_messages() {
 }
 
 #[test]
-fn avg_teen_is_not_combinable() {
+fn avg_teen_messages_do_not_combine() {
     // AvgTeen's messages are empty (the receiver counts them), so
     // combining would change the count — the compiler must not mark them.
-    let c = compile(sources::AVG_TEEN, &CompileOptions::with_combiners()).unwrap();
-    assert!(c.program.combinable.iter().all(Option::is_none));
+    let c = combine(sources::AVG_TEEN, &CompileOptions::with_combiners());
+    assert!(c.iter().all(Option::is_none));
 }
 
 #[test]
-fn bipartite_is_not_combinable() {
+fn bipartite_messages_do_not_combine() {
     // Plain (non-reduction) assignment receives cannot be combined.
-    let c = compile(
+    let c = combine(
         sources::BIPARTITE_MATCHING,
         &CompileOptions::with_combiners(),
-    )
-    .unwrap();
-    assert!(c.program.combinable.iter().all(Option::is_none));
+    );
+    assert!(c.iter().all(Option::is_none));
 }
 
 #[test]

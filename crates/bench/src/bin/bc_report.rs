@@ -12,7 +12,8 @@ use gm_core::CompileOptions;
 use gm_interp::run_compiled;
 
 fn main() {
-    let compiled = gm_bench::compile_source(sources::BC_APPROX, &CompileOptions::default());
+    let options = CompileOptions::default().verified();
+    let compiled = gm_bench::compile_source(sources::BC_APPROX, &options);
     let p = &compiled.program;
     // The tagged wire format counts the in-neighbor preamble as one more
     // distinct message kind, which is how the paper's four types add up.
@@ -22,7 +23,10 @@ fn main() {
         "  Green-Marl LoC:        {}",
         gm_algorithms::sources::loc(sources::BC_APPROX)
     );
-    println!("  generated Java LoC:    {}", count_loc(&emit_java(p)));
+    println!(
+        "  generated Java LoC:    {}",
+        count_loc(&emit_java(p).expect("verified PIR lowers"))
+    );
     println!(
         "  vertex-centric kernels: {} (paper: 9)",
         p.num_vertex_kernels()

@@ -31,9 +31,10 @@ fn main() {
     );
     for ((name, src), (plabel, p_gm, p_gps)) in sources::ALL.iter().zip(PAPER) {
         assert_eq!(*name, plabel, "row order must match the paper");
-        let compiled = gm_core::compile_with(src, &CompileOptions::default(), tracer.as_ref())
+        let options = CompileOptions::default().verified();
+        let compiled = gm_core::compile_with(src, &options, tracer.as_ref())
             .expect("embedded source compiles");
-        let java = emit_java(&compiled.program);
+        let java = emit_java(&compiled.program).expect("verified PIR lowers");
         let gps_loc = count_loc(&java);
         println!(
             "{:<42} {:>8} {:>8} | {:>9} {:>10}",

@@ -22,9 +22,9 @@ pub struct CompileOptions {
     pub state_merging: bool,
     /// §4.2 Intra-Loop State Merging.
     pub intra_loop_merging: bool,
-    /// Extension beyond the paper: mark single-reduction message tags as
-    /// combinable so the runtime can fold them sender-side (off by
-    /// default, like the paper's compiler).
+    /// Extension beyond the paper: let `kernel::lower` give
+    /// single-reduction message tags a combiner, so the runtime folds them
+    /// sender-side (off by default, like the paper's compiler).
     pub combiners: bool,
     /// Run the [`crate::verify`] PIR well-formedness checks after
     /// translation and after every optimization pass, turning internal
@@ -171,16 +171,7 @@ pub fn compile_with(
             &mut report,
         );
     }
-    if options.combiners {
-        crate::optimize::mark_combiners(&mut pregel);
-        if options.verify {
-            crate::verify::verify_stage(
-                &pregel,
-                "mark_combiners",
-                &crate::verify::VerifyOptions::strict(),
-            )?;
-        }
-    }
+    pregel.combiners = options.combiners;
     report.record_timing(
         "optimize",
         started.elapsed(),

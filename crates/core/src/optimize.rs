@@ -4,7 +4,6 @@
 //! barrier per timestep, so fewer states means less overhead.
 
 use crate::ast::{AssignOp, Expr, ExprKind};
-use crate::pir::RecvAction;
 use crate::pir::*;
 use crate::report::{Step, TransformReport};
 use std::collections::HashSet;
@@ -54,61 +53,6 @@ pub fn optimize_verified(
     }
     compact(program);
     verify_stage(program, "compact", &VerifyOptions::strict())
-}
-
-// ---- Combiners (extension; Pregel's combiner API) ----
-
-/// Marks message tags whose receive handling is a single unguarded
-/// commutative reduction of a single payload field — those messages can be
-/// combined sender-side without changing results. This is an extension
-/// beyond the paper (its compiler leaves combiners unused, like
-/// `voteToHalt`); it is off by default and enabled by
-/// [`crate::CompileOptions::combiners`].
-pub fn mark_combiners(program: &mut PregelProgram) {
-    use crate::pir::PAYLOAD_PREFIX;
-    for tag in 0..program.messages.len() {
-        if program.messages[tag].fields.len() != 1 {
-            continue;
-        }
-        let field = format!("{PAYLOAD_PREFIX}{}", program.messages[tag].fields[0].0);
-        let mut op: Option<AssignOp> = None;
-        let mut ok = true;
-        let mut seen = false;
-        for state in &program.states {
-            let Some(k) = &state.vertex else { continue };
-            for r in &k.recvs {
-                if r.tag as usize != tag {
-                    continue;
-                }
-                seen = true;
-                let single = r.guard.is_none() && r.steps.len() == 1 && r.steps[0].guard.is_none();
-                if !single {
-                    ok = false;
-                    continue;
-                }
-                match &r.steps[0].action {
-                    RecvAction::WriteOwn {
-                        op: write_op,
-                        value,
-                        ..
-                    } if write_op.is_reduction()
-                        && !matches!(write_op, AssignOp::Sub)
-                        && matches!(&value.kind, ExprKind::Var(v) if *v == field) =>
-                    {
-                        match op {
-                            None => op = Some(*write_op),
-                            Some(prev) if prev == *write_op => {}
-                            Some(_) => ok = false,
-                        }
-                    }
-                    _ => ok = false,
-                }
-            }
-        }
-        if seen && ok {
-            program.combinable[tag] = op;
-        }
-    }
 }
 
 // ---- State Merging ----

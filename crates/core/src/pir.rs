@@ -68,11 +68,9 @@ pub struct PregelProgram {
     pub messages: Vec<MessageLayout>,
     /// Whether the two-superstep in-neighbor-array preamble is required.
     pub uses_in_nbrs: bool,
-    /// Per-tag combiner operator, when the receive handler is a single
-    /// unguarded commutative reduction of a single payload field (Pregel's
-    /// combiner optimization; populated only when the compiler option is
-    /// on).
-    pub combinable: Vec<Option<AssignOp>>,
+    /// Whether lowering may give message tags a combiner (the compiler
+    /// option; the verdict per tag is `kernel::Lowered::combine`).
+    pub combiners: bool,
     /// Declared return type.
     pub ret: Option<Ty>,
     /// The state machine. `states[0]` is the entry.
@@ -479,7 +477,7 @@ mod tests {
                 },
             ],
             uses_in_nbrs: false,
-            combinable: vec![None, None],
+            combiners: false,
             ret: None,
             states: vec![State {
                 master: vec![],

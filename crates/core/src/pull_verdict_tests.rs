@@ -27,7 +27,7 @@ mod tests {
                 fields: vec![("v".into(), Ty::Double)],
             }],
             uses_in_nbrs: false,
-            combinable: vec![None],
+            combiners: false,
             ret: None,
             states: vec![State {
                 master: vec![],

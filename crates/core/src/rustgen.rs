@@ -1358,7 +1358,13 @@ impl<'a> Gen<'a> {
         out.push_buf(&vertex_fns);
         out.close("}");
         out.line("");
-        self.emit_leg_impl(&mut out, &name, &master_fns, pull_arms.as_ref())?;
+        self.emit_leg_impl(
+            &mut out,
+            &name,
+            &master_fns,
+            pull_arms.as_ref(),
+            &lowered.combine,
+        )?;
         out.line("");
         self.emit_run_fn(&mut out, &name);
 
@@ -1536,6 +1542,7 @@ impl<'a> Gen<'a> {
         name: &str,
         master_fns: &Buf,
         pull_arms: Option<&Buf>,
+        combine: &[Option<AssignOp>],
     ) -> R<()> {
         let p = self.p;
         let has_msgs = !self.msg_variants.is_empty() || p.uses_in_nbrs;
@@ -1576,14 +1583,13 @@ impl<'a> Gen<'a> {
             out.close("}");
         }
 
-        let combinable: Vec<(usize, AssignOp)> = p
-            .combinable
+        let combining: Vec<(usize, AssignOp)> = combine
             .iter()
             .copied()
             .enumerate()
             .filter_map(|(t, op)| op.map(|o| (t, o)))
             .collect();
-        if !combinable.is_empty() {
+        if !combining.is_empty() {
             out.line("");
             out.open("fn has_combiner(&self) -> bool {");
             out.line("true");
@@ -1591,14 +1597,9 @@ impl<'a> Gen<'a> {
             out.line("");
             out.open("fn combine(&self, a: &Msg, b: &Msg) -> Option<Msg> {");
             out.open("match (*a, *b) {");
-            for &(t, op) in &combinable {
+            for &(t, op) in &combining {
+                // A combining tag has exactly one payload field.
                 let (variant, fields) = &self.msg_variants[t];
-                if fields.len() != 1 {
-                    return err(format!(
-                        "combinable message {t} has {} payload fields",
-                        fields.len()
-                    ));
-                }
                 let (f, r) = &fields[0];
                 let red = self.reduce_expr(op, "x", "y", *r)?;
                 out.open(&format!(

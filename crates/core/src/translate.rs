@@ -91,7 +91,6 @@ pub fn translate(
         return Err(tx.diags);
     }
 
-    let num_tags = tx.messages.len();
     let mut program = PregelProgram {
         name: proc.name.clone(),
         graph_param: graph,
@@ -101,7 +100,7 @@ pub fn translate(
         globals: tx.globals,
         messages: tx.messages,
         uses_in_nbrs: tx.uses_in_nbrs,
-        combinable: vec![None; num_tags],
+        combiners: false,
         ret: proc.ret.clone(),
         states: tx.states,
     };

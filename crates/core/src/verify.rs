@@ -200,7 +200,6 @@ impl Verifier<'_> {
                 Transition::Halt => {}
             }
         }
-        let tags = self.program.messages.len();
         for (i, m) in self.program.messages.iter().enumerate() {
             if m.tag as usize != i {
                 self.error(
@@ -208,16 +207,6 @@ impl Verifier<'_> {
                     format!("message layout at index {i} declares tag {}", m.tag),
                 );
             }
-        }
-        if self.program.combinable.len() != tags {
-            self.error(
-                "combinable-table-mismatch",
-                format!(
-                    "combinable table has {} entries for {} message types",
-                    self.program.combinable.len(),
-                    tags
-                ),
-            );
         }
     }
 
@@ -716,7 +705,7 @@ mod tests {
                 fields: vec![("v".into(), Ty::Int)],
             }],
             uses_in_nbrs: false,
-            combinable: vec![None],
+            combiners: false,
             ret: None,
             states: vec![
                 State {

@@ -207,7 +207,13 @@ fn cmd_compile(args: &[String]) -> ExitCode {
         }
     };
     match emit {
-        "java" => print!("{}", gm_core::javagen::emit_java(&compiled.program)),
+        "java" => match gm_core::javagen::emit_java(&compiled.program) {
+            Ok(java) => print!("{java}"),
+            Err(e) => {
+                eprintln!("gmc compile: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
         "canonical" => print!("{}", compiled.canonical_source),
         "states" => {
             print!("{}", compiled.program);

@@ -1,5 +1,5 @@
-//! The interpreter leg: a compiled [`PregelProgram`] run by the shared
-//! [`crate::shell`].
+//! The interpreter leg: a compiled [`gm_core::pir::PregelProgram`] run by
+//! the shared [`crate::shell`].
 //!
 //! The whole machine — vertex kernels, master blocks, post blocks and
 //! transitions — runs in the slot-resolved form of [`gm_core::kernel`],
@@ -16,7 +16,7 @@ use crate::shell::{
 };
 use gm_core::ast::AssignOp;
 use gm_core::kernel::{self, CAction, CExpr, CInstr, CKernel, CMInstr, CPull, Lowered};
-use gm_core::pir::{PregelProgram, Transition, IN_NBRS_TAG};
+use gm_core::pir::{Transition, IN_NBRS_TAG};
 use gm_core::seqinterp::ArgValue;
 use gm_core::value::{apply_reduce, Value};
 use gm_core::Compiled;
@@ -95,7 +95,6 @@ pub fn run_compiled(
     let pre = kernel::lower(program).unwrap_or_else(|e| panic!("{e}"));
     with_signature(program, &pre, |sig| {
         run_leg(sig, graph, args, seed, config, |b| Machine {
-            program,
             pre: &pre,
             edge_cols: (0..sig.edge_props.len())
                 .map(|i| b.edge(i).collect())
@@ -107,7 +106,6 @@ pub fn run_compiled(
 
 /// The interpreter leg: lowered code run through [`crate::exec::eval`].
 struct Machine<'a> {
-    program: &'a PregelProgram,
     pre: &'a Lowered,
     edge_cols: Vec<Vec<Value>>,
     graph: &'a Graph,
@@ -251,19 +249,14 @@ impl Leg for Machine<'_> {
     }
 
     fn has_combiner(&self) -> bool {
-        self.program.combinable.iter().any(Option::is_some)
+        self.pre.combine.iter().any(Option::is_some)
     }
 
     fn combine(&self, a: &Msg, b: &Msg) -> Option<Msg> {
         if a.tag != b.tag || a.tag == IN_NBRS_TAG {
             return None;
         }
-        let op = self
-            .program
-            .combinable
-            .get(a.tag as usize)
-            .copied()
-            .flatten()?;
+        let op = self.pre.combine.get(a.tag as usize).copied().flatten()?;
         Some(Msg {
             tag: a.tag,
             payload: Arc::from(vec![apply_reduce(op, a.payload[0], b.payload[0])]),

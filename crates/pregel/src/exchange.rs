@@ -142,8 +142,8 @@ where
     let tracer = shared.tracer.as_ref();
     // Sender-side combining (Pregel's combiner API): fold same-
     // destination messages within each bucket before they hit the wire.
-    // A stable sort keeps the per-destination order of uncombinable
-    // messages intact.
+    // A stable sort keeps the per-destination order of messages that do
+    // not combine intact.
     let combine_start_us = tracer.map(Tracer::now_us);
     let combine_started = Instant::now();
     if program.has_combiner() {

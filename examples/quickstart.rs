@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // 4. The generated GPS-style Java is available for inspection too.
-    let java = greenmarl::core::javagen::emit_java(&compiled.program);
+    let java = greenmarl::core::javagen::emit_java(&compiled.program)?;
     println!(
         "\ngenerated GPS-style Java: {} lines (vs {} lines of Green-Marl)",
         greenmarl::core::javagen::count_loc(&java),

@@ -189,7 +189,7 @@ fn worker_count_invariance_for_integer_algorithms() {
 fn generated_java_is_emitted_for_all_six() {
     for (name, src) in gm_algorithms::sources::ALL {
         let compiled = compile(src, &CompileOptions::default()).unwrap();
-        let java = gm_core::javagen::emit_java(&compiled.program);
+        let java = gm_core::javagen::emit_java(&compiled.program).unwrap();
         assert!(java.contains("class GMMaster"), "{name}");
         assert!(java.contains("class GMVertex"), "{name}");
         assert!(
