@@ -333,6 +333,71 @@ fn admission_rejects_structurally_and_over_capacity() {
     assert!(exposition.contains("gm_jobs_rejected_total{reason=\"over_capacity\"}"));
 }
 
+/// A procedure returning `x` after `n` nested blocks assign it.
+fn nested_blocks(n: usize) -> String {
+    format!(
+        "Procedure deep(G: Graph) : Int {{ Int x = 0; {}x = 1;{} Return x; }}",
+        "{ ".repeat(n),
+        " }".repeat(n)
+    )
+}
+
+fn inline_job(source: &str) -> String {
+    Json::obj([
+        ("graph".to_owned(), Json::Str("g".to_owned())),
+        ("source".to_owned(), Json::Str(source.to_owned())),
+    ])
+    .to_string()
+}
+
+#[test]
+fn hostile_nesting_is_refused_and_the_daemon_stays_up() {
+    use gm_core::parser::MAX_NESTING;
+    let daemon = Daemon::start(base_config(&[("g", "rmat:100:400:5")])).expect("daemon starts");
+    let client = Client::new(daemon.addr());
+    let healthy = |after: &str| {
+        let (status, health) = client.get_json("/healthz").unwrap();
+        assert_eq!(status, 200, "after {after}");
+        assert_eq!(health.get("ok"), Some(&Json::Bool(true)), "after {after}");
+    };
+
+    // 100 KB of `[`, under the body cap: the JSON parser refuses it
+    // instead of overflowing the connection thread's stack.
+    let (status, body) = client.post("/v1/jobs", &"[".repeat(100_000)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("bad_request"), "{body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+    healthy("a deep JSON body");
+
+    // The same for Green-Marl: 500 nested parentheses, and one block past
+    // the front end's cap, are diagnostics.
+    let parens = format!(
+        "Procedure deep(G: Graph) : Int {{ Return {}1{}; }}",
+        "(".repeat(500),
+        ")".repeat(500)
+    );
+    // `Int x` and `x = 1` are two more levels around the blocks.
+    for source in [parens, nested_blocks(MAX_NESTING - 1)] {
+        match client.submit(&inline_job(&source)) {
+            Err(SubmitError::Rejected { status, body }) => {
+                assert_eq!(status, 400);
+                assert_eq!(
+                    body.get("error").and_then(Json::as_str),
+                    Some("compile_error")
+                );
+                let diagnostics = body.get("diagnostics").and_then(Json::as_str).unwrap();
+                assert!(diagnostics.contains("nesting deeper than"), "{diagnostics}");
+            }
+            other => panic!("expected compile_error, got {other:?}"),
+        }
+        healthy("deep Green-Marl");
+    }
+
+    // At the cap, the program compiles, runs and returns.
+    let status = run_to_end(&client, &inline_job(&nested_blocks(MAX_NESTING - 2)));
+    assert!(completed(&status), "{status:?}");
+}
+
 #[test]
 fn queue_cap_bounds_accepted_work() {
     let mut config = base_config(&[("g", "rmat:300:1200:7")]);

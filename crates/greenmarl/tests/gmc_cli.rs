@@ -462,6 +462,39 @@ fn bad_inputs_fail_with_diagnostics() {
 }
 
 #[test]
+fn nesting_past_the_cap_is_a_diagnostic_not_an_abort() {
+    use gm_core::parser::MAX_NESTING;
+    let dir = temp_dir();
+    let compile = |name: &str, body: String| {
+        let src = format!("Procedure deep(G: Graph) : Int {{ Int x = 0; {body} Return x; }}");
+        let gm = dir.join(format!("{name}.gm"));
+        std::fs::write(&gm, src).unwrap();
+        gmc()
+            .args(["compile", gm.to_str().unwrap(), "--emit", "java"])
+            .output()
+            .unwrap()
+    };
+    let blocks = |n: usize| format!("{}x = 1;{}", "{ ".repeat(n), " }".repeat(n));
+    // `Int x` and `x = 1` are two more levels around the blocks.
+    let out = compile("at_cap", blocks(MAX_NESTING - 2));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("class GMMaster"));
+    // One block more, or 2,000 parentheses (which used to abort), fail
+    // with a diagnostic and exit code 1.
+    let parens = format!("x = {}1{};", "(".repeat(2_000), ")".repeat(2_000));
+    for (name, body) in [("past_cap", blocks(MAX_NESTING - 1)), ("parens", parens)] {
+        let out = compile(name, body);
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("nesting deeper than"), "{name}: {err}");
+    }
+}
+
+#[test]
 fn a_wrongly_typed_scalar_fails_alike_on_both_backends() {
     let dir = temp_dir();
     let edges = dir.join("edges_typed.txt");
