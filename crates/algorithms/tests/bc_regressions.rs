@@ -63,3 +63,32 @@ fn bc_compiled_matches_seqinterp_small() {
     assert_eq!(seq_bc, out_bc, "compiled vs seqinterp");
     assert_eq!(seq.ret, out.ret);
 }
+
+/// BC is the one preamble program without a hand-written twin, so its
+/// structural counters are pinned as literals: supersteps, messages and
+/// bytes of the whole run, and of the preamble superstep alone (one
+/// 9-byte id message per in-edge: envelope, id and tag byte). Both legs,
+/// at one and two workers, must read the same numbers.
+#[test]
+fn bc_structural_counters_are_pinned_on_both_legs() {
+    let g = gm_graph::gen::rmat(64, 256, 7);
+    assert_eq!(g.num_edges(), 256);
+    let args = HashMap::from([("K".to_owned(), ArgValue::Scalar(Value::Int(2)))]);
+    let compiled = gm_core::compile(sources::BC_APPROX, &OPTS).unwrap();
+    let native = gm_algorithms::native::find_by_name("bc_approx").unwrap();
+    for workers in [1, 2] {
+        let config = gm_pregel::PregelConfig::with_workers(workers);
+        let interp = gm_interp::run_compiled(&g, &compiled, &args, 1, &config).unwrap();
+        let native = (native.run)(&g, &args, 1, &config).unwrap();
+        for (leg, m) in [("interp", &interp.metrics), ("native", &native.metrics)] {
+            let at = format!("{leg} at {workers} worker(s)");
+            assert_eq!(m.supersteps, 61, "{at}");
+            assert_eq!(m.total_messages, 1705, "{at}");
+            assert_eq!(m.total_message_bytes, 21_205, "{at}");
+            let preamble = &m.per_superstep[0];
+            assert_eq!(preamble.messages_sent, 256, "{at}");
+            assert_eq!(preamble.message_bytes, 256 * 9, "{at}");
+        }
+        assert_eq!(interp.node_props["bc"], native.node_props["bc"]);
+    }
+}
