@@ -154,7 +154,7 @@ pub enum Msg {
     M0 { sigma: f64 },
     M1 {},
     M2 { sigma: f64, _x0: f64 },
-    InNbr { sender: u32 },
+    M3 { sender: u32 },
 }
 
 impl Persist for Msg {
@@ -172,8 +172,8 @@ impl Persist for Msg {
                 sigma.persist(out);
                 _x0.persist(out);
             }
-            Msg::InNbr { sender } => {
-                255u8.persist(out);
+            Msg::M3 { sender } => {
+                3u8.persist(out);
                 sender.persist(out);
             }
         }
@@ -184,7 +184,7 @@ impl Persist for Msg {
             0u8 => Msg::M0 { sigma: Persist::restore(r)? },
             1u8 => Msg::M1 {},
             2u8 => Msg::M2 { sigma: Persist::restore(r)?, _x0: Persist::restore(r)? },
-            255u8 => Msg::InNbr { sender: Persist::restore(r)? },
+            3u8 => Msg::M3 { sender: Persist::restore(r)? },
             t => return Err(CkptError::Decode(format!("invalid Msg tag {t:#04x}"))),
         })
     }
@@ -203,7 +203,7 @@ impl BcApprox {
     ) {
         let self_id: u32 = ctx.id().0;
         let out_degree: u32 = ctx.out_degree();
-        ctx.send_to_nbrs(Msg::InNbr { sender: self_id });
+        ctx.send_to_nbrs(Msg::M3 { sender: self_id });
     }
 
     fn vertex_1(
@@ -219,7 +219,7 @@ impl BcApprox {
             messages.for_each(|msg| {
                 let in_deg: i64 = value.in_nbrs.len() as i64;
                 match *msg {
-                    Msg::InNbr { sender: p_sender } => {
+                    Msg::M3 { sender: p_sender } => {
                         value.in_nbrs.push(p_sender);
                     }
                     _ => {}
@@ -515,13 +515,13 @@ impl Leg for BcApprox {
             Msg::M0 { .. } => 13u64,
             Msg::M1 { .. } => 5u64,
             Msg::M2 { .. } => 21u64,
-            Msg::InNbr { .. } => 9u64,
+            Msg::M3 { .. } => 9u64,
         }
     }
 
     fn in_nbr(&self, m: &Msg) -> Option<u32> {
         match *m {
-            Msg::InNbr { sender } => Some(sender),
+            Msg::M3 { sender } => Some(sender),
             _ => None,
         }
     }

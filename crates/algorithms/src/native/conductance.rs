@@ -122,7 +122,7 @@ impl Row for Globals {
 #[derive(Clone, Copy, Debug)]
 pub enum Msg {
     M0 {},
-    InNbr { sender: u32 },
+    M1 { sender: u32 },
 }
 
 impl Persist for Msg {
@@ -131,8 +131,8 @@ impl Persist for Msg {
             Msg::M0 {} => {
                 0u8.persist(out);
             }
-            Msg::InNbr { sender } => {
-                255u8.persist(out);
+            Msg::M1 { sender } => {
+                1u8.persist(out);
                 sender.persist(out);
             }
         }
@@ -141,7 +141,7 @@ impl Persist for Msg {
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, CkptError> {
         Ok(match u8::restore(r)? {
             0u8 => Msg::M0 {},
-            255u8 => Msg::InNbr { sender: Persist::restore(r)? },
+            1u8 => Msg::M1 { sender: Persist::restore(r)? },
             t => return Err(CkptError::Decode(format!("invalid Msg tag {t:#04x}"))),
         })
     }
@@ -160,7 +160,7 @@ impl Conductance {
     ) {
         let self_id: u32 = ctx.id().0;
         let out_degree: u32 = ctx.out_degree();
-        ctx.send_to_nbrs(Msg::InNbr { sender: self_id });
+        ctx.send_to_nbrs(Msg::M1 { sender: self_id });
     }
 
     fn vertex_1(
@@ -176,7 +176,7 @@ impl Conductance {
             messages.for_each(|msg| {
                 let in_deg: i64 = value.in_nbrs.len() as i64;
                 match *msg {
-                    Msg::InNbr { sender: p_sender } => {
+                    Msg::M1 { sender: p_sender } => {
                         value.in_nbrs.push(p_sender);
                     }
                     _ => {}
@@ -342,13 +342,13 @@ impl Leg for Conductance {
     fn message_bytes(&self, m: &Msg) -> u64 {
         match *m {
             Msg::M0 { .. } => 5u64,
-            Msg::InNbr { .. } => 9u64,
+            Msg::M1 { .. } => 9u64,
         }
     }
 
     fn in_nbr(&self, m: &Msg) -> Option<u32> {
         match *m {
-            Msg::InNbr { sender } => Some(sender),
+            Msg::M1 { sender } => Some(sender),
             _ => None,
         }
     }

@@ -92,7 +92,7 @@ fn program_identities_name_the_program_and_the_leg() {
         let native = identity(native, "native");
         // One signature hash, two encodings.
         assert_eq!(native.strip_prefix("native"), interp.strip_prefix("interp"));
-        assert!(native.starts_with("native/v1/"), "{name}: {native}");
+        assert!(native.starts_with("native/v2/"), "{name}: {native}");
         assert!(seen.insert(native) && seen.insert(interp), "{name}");
     }
 }
@@ -328,7 +328,7 @@ fn a_snapshot_naming_a_vertex_past_the_graph_is_refused_at_decode() {
         let mut inboxes: Vec<Vec<Msg>> =
             (0..n).map(|_| Persist::restore(&mut r).unwrap()).collect();
         let sender = inboxes.iter_mut().flatten().find_map(|m| match m {
-            Msg::InNbr { sender } => Some(sender),
+            Msg::M1 { sender } => Some(sender),
             _ => None,
         });
         *sender.expect("an in-neighbour message") = n + 5;

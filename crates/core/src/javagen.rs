@@ -7,9 +7,13 @@
 //! `vertex.compute()` with a per-state switch, and a `master.compute()`
 //! managing the state machine and the global objects map. Slots print as
 //! the names the program gives them: `PregelProgram`'s columns, a
-//! kernel's locals and a handler's payload fields. It exists for the
-//! Table 2 lines-of-code comparison and for human inspection of generated
-//! code — execution happens through the `gm-interp` crate.
+//! kernel's locals and a handler's payload fields. The §4.3 in-neighbor
+//! preamble prints as the paper's code: its message is the tag whose
+//! handler stores in-neighbors ([`Lowered::in_nbr_tag`]), which gets no
+//! `GMMessage` case, sends as `sendToNbrs` and is collected into
+//! `in_nbrs`. It exists for the Table 2 lines-of-code comparison and for
+//! human inspection of generated code — execution happens through the
+//! `gm-interp` crate.
 
 use crate::ast::{AssignOp, BinOp, UnOp};
 use crate::kernel::{self, CAction, CExpr, CInstr, CKernel, CMInstr, Lowered};
@@ -46,7 +50,7 @@ pub fn emit_java(p: &PregelProgram) -> Result<String, String> {
         "import gps.graph.*;\nimport gps.globalobjects.*;\nimport gps.writable.*;\n"
     );
 
-    emit_message_class(w, p);
+    emit_message_class(w, p, lowered.in_nbr_tag());
     emit_vertex_value_class(w, p);
     emit_vertex_class(w, p, &lowered);
     emit_master_class(w, p, &lowered);
@@ -71,12 +75,17 @@ fn java_ty(ty: &Ty) -> &'static str {
     }
 }
 
-fn emit_message_class(w: &mut String, p: &PregelProgram) {
+/// `GMMessage`: the tag byte and every field of every layout but the
+/// preamble's, whose `sender` field prints as the §4.3 code.
+fn emit_message_class(w: &mut String, p: &PregelProgram, preamble: Option<u8>) {
     let _ = writeln!(w, "class GMMessage extends MessageWritable {{");
     if p.needs_tag_byte() {
         let _ = writeln!(w, "    byte tag;");
     }
-    for m in &p.messages {
+    let layouts: Vec<&MessageLayout> = (p.messages.iter())
+        .filter(|m| Some(m.tag) != preamble)
+        .collect();
+    for m in &layouts {
         for (name, ty) in &m.fields {
             let _ = writeln!(
                 w,
@@ -87,12 +96,17 @@ fn emit_message_class(w: &mut String, p: &PregelProgram) {
             );
         }
     }
-    emit_serializer(w, p, "write", "buf.writeByte(tag);", |name, _| {
+    emit_serializer(w, p, &layouts, "write", "buf.writeByte(tag);", |name, _| {
         format!("buf.write({name});")
     });
-    emit_serializer(w, p, "read", "tag = buf.readByte();", |name, ty| {
-        format!("{name} = buf.read{}();", reader_suffix(ty))
-    });
+    emit_serializer(
+        w,
+        p,
+        &layouts,
+        "read",
+        "tag = buf.readByte();",
+        |name, ty| format!("{name} = buf.read{}();", reader_suffix(ty)),
+    );
     let _ = writeln!(w, "}}\n");
 }
 
@@ -101,6 +115,7 @@ fn emit_message_class(w: &mut String, p: &PregelProgram) {
 fn emit_serializer(
     w: &mut String,
     p: &PregelProgram,
+    layouts: &[&MessageLayout],
     method: &str,
     tag_line: &str,
     field: impl Fn(String, &Ty) -> String,
@@ -112,7 +127,7 @@ fn emit_serializer(
         let _ = writeln!(w, "        switch (tag) {{");
     }
     let pad = if tagged { "            " } else { "        " };
-    for m in &p.messages {
+    for m in layouts {
         if tagged {
             let _ = writeln!(w, "        case {}:", m.tag);
         }
@@ -169,6 +184,7 @@ fn emit_vertex_class(w: &mut String, p: &PregelProgram, lowered: &Lowered) {
         "        int _state = ((IntOverwriteGlobal) getGlobal(\"_state\")).getValue();"
     );
     let _ = writeln!(w, "        switch (_state) {{");
+    let preamble = lowered.in_nbr_tag();
     for (i, k) in lowered.kernels.iter().enumerate() {
         if k.is_some() {
             let _ = writeln!(w, "        case {i}: do_state_{i}(messages); break;");
@@ -183,25 +199,26 @@ fn emit_vertex_class(w: &mut String, p: &PregelProgram, lowered: &Lowered) {
             w,
             "    private void do_state_{i}(Iterable<GMMessage> messages) {{"
         );
-        // The preamble's collecting state receives nothing else.
-        if k.stores_in_nbrs {
-            let _ = writeln!(
-                w,
-                "        // build the incoming-neighbor array (\u{a7}4.3)"
-            );
-            let _ = writeln!(w, "        int _i = 0;");
-            let _ = writeln!(
-                w,
-                "        getValue().in_nbrs = new int[numMessages(messages)];"
-            );
-            let _ = writeln!(w, "        for (GMMessage msg : messages) {{");
-            let _ = writeln!(w, "            getValue().in_nbrs[_i++] = msg.sender;");
-            let _ = writeln!(w, "        }}");
-        }
         for r in &k.recvs {
+            // The preamble's collecting state receives nothing else.
+            if Some(r.tag) == preamble {
+                let _ = writeln!(
+                    w,
+                    "        // build the incoming-neighbor array (\u{a7}4.3)"
+                );
+                let _ = writeln!(w, "        int _i = 0;");
+                let _ = writeln!(
+                    w,
+                    "        getValue().in_nbrs = new int[numMessages(messages)];"
+                );
+                let _ = writeln!(w, "        for (GMMessage msg : messages) {{");
+                let _ = writeln!(w, "            getValue().in_nbrs[_i++] = msg.sender;");
+                let _ = writeln!(w, "        }}");
+                continue;
+            }
             let names = Names {
                 fields: &p.messages[r.tag as usize].fields,
-                ..Names::kernel(p, k)
+                ..Names::kernel(p, preamble, k)
             };
             let _ = writeln!(w, "        for (GMMessage msg : messages) {{");
             if p.needs_tag_byte() {
@@ -218,7 +235,7 @@ fn emit_vertex_class(w: &mut String, p: &PregelProgram, lowered: &Lowered) {
                     CAction::ReduceGlobal { name, op, value } => {
                         put_global(name, &names.expr(value), *op)
                     }
-                    CAction::StoreInNbr => "/* handled above */".to_owned(),
+                    CAction::StoreInNbr => unreachable!("only the preamble stores in-neighbors"),
                 };
                 match &step.guard {
                     Some(g) => {
@@ -231,7 +248,7 @@ fn emit_vertex_class(w: &mut String, p: &PregelProgram, lowered: &Lowered) {
             }
             let _ = writeln!(w, "        }}");
         }
-        let names = Names::kernel(p, k);
+        let names = Names::kernel(p, preamble, k);
         match &k.filter {
             Some(f) => {
                 let _ = writeln!(w, "        if ({}) {{", names.expr(f));
@@ -282,6 +299,7 @@ fn emit_master_class(w: &mut String, p: &PregelProgram, lowered: &Lowered) {
     }
     let names = Names {
         p,
+        preamble: None,
         locals: &[],
         fields: &[],
     };
@@ -354,6 +372,8 @@ fn emit_master_class(w: &mut String, p: &PregelProgram, lowered: &Lowered) {
 #[derive(Clone, Copy)]
 struct Names<'a> {
     p: &'a PregelProgram,
+    /// The preamble's tag, whose send prints as the §4.3 code.
+    preamble: Option<u8>,
     /// The kernel's locals (none in master code).
     locals: &'a [(String, Ty)],
     /// The current handler's payload fields (none outside a handler).
@@ -361,9 +381,10 @@ struct Names<'a> {
 }
 
 impl<'a> Names<'a> {
-    fn kernel(p: &'a PregelProgram, k: &'a CKernel) -> Self {
+    fn kernel(p: &'a PregelProgram, preamble: Option<u8>, k: &'a CKernel) -> Self {
         Names {
             p,
+            preamble,
             locals: &k.locals,
             fields: &[],
         }
@@ -399,6 +420,15 @@ impl<'a> Names<'a> {
                 CInstr::ReduceGlobal { name, op, value } => {
                     let _ = writeln!(w, "{pad}{}", put_global(name, &self.expr(value), *op));
                 }
+                CInstr::SendToNbrs { tag, .. } if Some(*tag) == self.preamble => {
+                    let _ = writeln!(
+                        w,
+                        "{pad}// \u{a7}4.3: send own id so receivers learn their in-neighbors"
+                    );
+                    let _ = writeln!(w, "{pad}GMMessage m = new GMMessage();");
+                    let _ = writeln!(w, "{pad}m.sender = getId();");
+                    let _ = writeln!(w, "{pad}sendToNbrs(m);");
+                }
                 CInstr::SendToNbrs { tag, payload, .. } => {
                     let open = "for (Edge edge : getOutgoingEdges()) {";
                     self.send(w, &pad, open, *tag, payload, "edge.getTargetId()");
@@ -409,15 +439,6 @@ impl<'a> Names<'a> {
                 }
                 CInstr::SendTo { dst, tag, payload } => {
                     self.send(w, &pad, "{", *tag, payload, &self.expr(dst));
-                }
-                CInstr::SendIdToNbrs => {
-                    let _ = writeln!(
-                        w,
-                        "{pad}// \u{a7}4.3: send own id so receivers learn their in-neighbors"
-                    );
-                    let _ = writeln!(w, "{pad}GMMessage m = new GMMessage();");
-                    let _ = writeln!(w, "{pad}m.sender = getId();");
-                    let _ = writeln!(w, "{pad}sendToNbrs(m);");
                 }
                 CInstr::If {
                     cond,

@@ -26,8 +26,7 @@
 
 use crate::ast::{AssignOp, BinOp, Expr, ExprKind, UnOp};
 use crate::pir::{
-    MInstr, PregelProgram, RecvAction, Transition, VInstr, VertexKernel, EDGE, IN_NBRS_TAG,
-    PAYLOAD_PREFIX, SELF,
+    MInstr, PregelProgram, RecvAction, Transition, VInstr, VertexKernel, EDGE, PAYLOAD_PREFIX, SELF,
 };
 use crate::types::Ty;
 use crate::value::{Value, NIL_NODE};
@@ -138,8 +137,6 @@ pub enum CInstr {
         /// Payload expressions.
         payload: Vec<CExpr>,
     },
-    /// Preamble: ship the own id to out-neighbors.
-    SendIdToNbrs,
     /// Conditional.
     If {
         /// Condition.
@@ -183,7 +180,7 @@ pub enum CAction {
         /// Value.
         value: CExpr,
     },
-    /// Store the sender id into the in-neighbor array.
+    /// Append payload field 0, a sender id, to the in-neighbor array.
     StoreInNbr,
 }
 
@@ -234,12 +231,10 @@ pub enum CPull {
 /// A lowered vertex kernel.
 #[derive(Clone, Debug)]
 pub struct CKernel {
-    /// Receive handlers in PIR order, the `IN_NBRS_TAG` preamble excluded.
+    /// Receive handlers in PIR order.
     pub recvs: Vec<CRecv>,
     /// Index into `recvs` per tag (`None` = drop).
     pub recv_by_tag: Vec<Option<usize>>,
-    /// Whether `IN_NBRS_TAG` messages are stored.
-    pub stores_in_nbrs: bool,
     /// Body gate.
     pub filter: Option<CExpr>,
     /// Body program.
@@ -326,8 +321,6 @@ pub struct Lowered {
     pub masters: Vec<CMaster>,
     /// Serialized size per tag.
     pub msg_bytes: Vec<u64>,
-    /// Serialized size of preamble messages.
-    pub in_nbrs_bytes: u64,
     /// Per tag, the operator that folds two messages into one (Pregel's
     /// combiner), or `None` when messages must arrive one by one. A tag
     /// combines only under `PregelProgram::combiners`, when it has exactly
@@ -394,9 +387,18 @@ pub fn lower(program: &PregelProgram) -> Result<Lowered, String> {
         msg_bytes: (0..program.messages.len())
             .map(|t| program.message_bytes(t as u8))
             .collect(),
-        in_nbrs_bytes: program.in_nbrs_message_bytes(),
         combine,
     })
+}
+
+impl Lowered {
+    /// The tag whose handler stores in-neighbors (the §4.3 preamble's
+    /// message), if any handler does.
+    pub fn in_nbr_tag(&self) -> Option<u8> {
+        let mut handlers = self.kernels.iter().flatten().flat_map(|k| &k.recvs);
+        let stores = |r: &&CRecv| (r.steps.iter()).any(|s| matches!(s.action, CAction::StoreInNbr));
+        handlers.find(stores).map(|r| r.tag)
+    }
 }
 
 /// The combiner of message `tag` (see [`Lowered::combine`]).
@@ -629,7 +631,6 @@ impl Cx<'_> {
                 tag: *tag,
                 payload: self.exprs(payload)?,
             },
-            VInstr::SendIdToNbrs => CInstr::SendIdToNbrs,
             VInstr::If {
                 cond,
                 then_branch,
@@ -736,16 +737,14 @@ fn pull_verdict(body: &[CInstr]) -> CPull {
     let mut sends = Vec::new();
     let mut written = Vec::new();
     CInstr::visit(body, &mut |i| match i {
-        CInstr::SendToNbrs { .. }
-        | CInstr::SendToInNbrs { .. }
-        | CInstr::SendTo { .. }
-        | CInstr::SendIdToNbrs => sends.push(i),
+        CInstr::SendToNbrs { .. } | CInstr::SendToInNbrs { .. } | CInstr::SendTo { .. } => {
+            sends.push(i)
+        }
         CInstr::WriteOwn { prop, .. } => written.push(*prop),
         _ => {}
     });
     match sends[..] {
-        [CInstr::SendIdToNbrs]
-        | [CInstr::SendToNbrs {
+        [CInstr::SendToNbrs {
             edge_dependent: false,
             ..
         }] => CPull::Captured,
@@ -772,12 +771,7 @@ fn lower_kernel(mut cx: Cx<'_>, k: &VertexKernel) -> R<CKernel> {
     let program = cx.program;
     let mut recvs = Vec::new();
     let mut recv_by_tag: Vec<Option<usize>> = vec![None; program.messages.len()];
-    let mut stores_in_nbrs = false;
     for r in &k.recvs {
-        if r.tag == IN_NBRS_TAG {
-            stores_in_nbrs = true;
-            continue;
-        }
         cx.payload = program.messages[r.tag as usize]
             .fields
             .iter()
@@ -838,7 +832,6 @@ fn lower_kernel(mut cx: Cx<'_>, k: &VertexKernel) -> R<CKernel> {
     Ok(CKernel {
         recvs,
         recv_by_tag,
-        stores_in_nbrs,
         filter,
         body,
         locals: cx.locals,

@@ -419,10 +419,7 @@ fn any_instr(body: &[VInstr], pred: impl Fn(&VInstr) -> bool) -> bool {
 fn is_send(i: &VInstr) -> bool {
     matches!(
         i,
-        VInstr::SendToNbrs { .. }
-            | VInstr::SendToInNbrs { .. }
-            | VInstr::SendTo { .. }
-            | VInstr::SendIdToNbrs
+        VInstr::SendToNbrs { .. } | VInstr::SendToInNbrs { .. } | VInstr::SendTo { .. }
     )
 }
 

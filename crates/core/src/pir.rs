@@ -38,9 +38,6 @@ pub const EDGE: &str = "_edge";
 /// Prefix for message-payload field references inside receive handlers.
 pub const PAYLOAD_PREFIX: &str = "_pl_";
 
-/// Message tag reserved for the incoming-neighbors construction preamble.
-pub const IN_NBRS_TAG: u8 = u8::MAX;
-
 /// Per-message wire envelope: the destination vertex id, as GPS serializes
 /// it ahead of the payload. Manual baselines use the same constant so the
 /// network-I/O comparison is apples-to-apples.
@@ -64,9 +61,11 @@ pub struct PregelProgram {
     pub edge_props: Vec<(String, Ty)>,
     /// Master-side variables: scalar params plus sequential locals.
     pub globals: Vec<(String, Ty)>,
-    /// Message layouts, indexed by tag.
+    /// Message layouts, indexed by tag: the program's own, then, when
+    /// [`PregelProgram::uses_in_nbrs`], the preamble's one `Node` field.
     pub messages: Vec<MessageLayout>,
-    /// Whether the two-superstep in-neighbor-array preamble is required.
+    /// Whether the two-superstep in-neighbor-array preamble is required;
+    /// its message layout is the last of [`PregelProgram::messages`].
     pub uses_in_nbrs: bool,
     /// Whether lowering may give message tags a combiner (the compiler
     /// option; the verdict per tag is `kernel::Lowered::combine`).
@@ -84,9 +83,10 @@ impl PregelProgram {
         self.states.iter().filter(|s| s.vertex.is_some()).count()
     }
 
-    /// Number of distinct message types (§5.1 reports four for BC).
+    /// Number of the program's own message types, the preamble's not
+    /// counted (§5.1 reports four for BC: three plus the preamble).
     pub fn num_message_types(&self) -> usize {
-        self.messages.len()
+        self.messages.len() - usize::from(self.uses_in_nbrs)
     }
 
     /// Serialized byte size of one message with the given tag: the
@@ -105,13 +105,7 @@ impl PregelProgram {
     /// Whether messages carry an explicit tag byte (aka the paper's
     /// Multiple Communication pattern fired).
     pub fn needs_tag_byte(&self) -> bool {
-        self.messages.len() + usize::from(self.uses_in_nbrs) > 1
-    }
-
-    /// Byte size of the in-neighbor-construction preamble message (the
-    /// envelope, one vertex id, plus the tag byte when tagging is on).
-    pub fn in_nbrs_message_bytes(&self) -> u64 {
-        ENVELOPE_BYTES + Ty::Node.byte_width() + u64::from(self.needs_tag_byte())
+        self.messages.len() > 1
     }
 
     /// A coarse size measure over the state machine: one per state plus
@@ -268,8 +262,8 @@ pub enum RecvAction {
         /// Expression as in [`RecvAction::WriteOwn`].
         value: Expr,
     },
-    /// Store the payload's sender id into the in-neighbor array
-    /// (preamble state only).
+    /// Append the payload's one `Node` field, the sender's id, to the
+    /// in-neighbor array (the preamble's collecting handler).
     StoreInNbr,
 }
 
@@ -329,8 +323,6 @@ pub enum VInstr {
         /// Payload expressions.
         payload: Vec<Expr>,
     },
-    /// Send this vertex's id to all out-neighbors (preamble state).
-    SendIdToNbrs,
     /// Conditional vertex code.
     If {
         /// Vertex-context condition.
@@ -395,7 +387,6 @@ impl VInstr {
                 (None, payload)
             }
             VInstr::SendTo { dst, payload, .. } => (Some(dst), payload),
-            VInstr::SendIdToNbrs => (None, &[]),
         };
         head.into_iter().chain(payload)
     }
@@ -507,10 +498,14 @@ mod tests {
     #[test]
     fn in_nbrs_preamble_counts_as_a_type() {
         let mut p = tiny_program();
-        p.messages.pop();
+        p.messages[1] = MessageLayout {
+            tag: 1,
+            fields: vec![("sender".into(), Ty::Node)],
+        };
         p.uses_in_nbrs = true;
         assert!(p.needs_tag_byte());
-        assert_eq!(p.in_nbrs_message_bytes(), ENVELOPE_BYTES + 4 + 1);
+        assert_eq!(p.message_bytes(1), ENVELOPE_BYTES + 4 + 1);
+        assert_eq!(p.num_message_types(), 1);
     }
 
     #[test]

@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn in_nbrs_preamble_send_id_is_pullable() {
-        assert_eq!(verdict(vec![VInstr::SendIdToNbrs]), CPull::Captured);
+        assert_eq!(verdict(vec![send(vec![Expr::var(SELF)])]), CPull::Captured);
     }
 
     #[test]

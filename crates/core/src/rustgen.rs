@@ -1054,9 +1054,6 @@ impl<'a, 'g> KernelCx<'a, 'g> {
                     let m = self.msg_literal(*tag, payload, VPlace::Body, None)?;
                     buf.line(&format!("ctx.send(NodeId({tmp}), {m});"));
                 }
-                CInstr::SendIdToNbrs => {
-                    buf.line("ctx.send_to_nbrs(Msg::InNbr { sender: self_id });");
-                }
                 CInstr::If {
                     cond,
                     then_branch,
@@ -1114,7 +1111,7 @@ impl<'a> Gen<'a> {
         };
 
         // ---- receive phase ----
-        if !kernel.recvs.is_empty() || kernel.stores_in_nbrs {
+        if !kernel.recvs.is_empty() {
             b.open("if !messages.is_empty() {");
             if kernel.snapshot_needed {
                 for (field, repr) in &cx.g.prop_fields {
@@ -1171,24 +1168,14 @@ impl<'a> Gen<'a> {
                             b.line(&format!("ctx.reduce_global(\"{name}\", {opname}, {gv});"));
                         }
                         CAction::StoreInNbr => {
-                            let Some((fname, frepr)) = cx.payload.first() else {
-                                return err("StoreInNbr on a message with no payload");
-                            };
-                            if *frepr != Repr::Node {
-                                return err("StoreInNbr payload is not a node id");
-                            }
-                            b.line(&format!("value.in_nbrs.push(p_{fname});"));
+                            // Verified PIR: the payload is one node id.
+                            b.line(&format!("value.in_nbrs.push(p_{});", cx.payload[0].0));
                         }
                     }
                     if guard.is_some() {
                         b.close("}");
                     }
                 }
-                b.close("}");
-            }
-            if kernel.stores_in_nbrs {
-                b.open("Msg::InNbr { sender: p_sender } => {");
-                b.line("value.in_nbrs.push(p_sender);");
                 b.close("}");
             }
             b.line("_ => {}");
@@ -1358,13 +1345,7 @@ impl<'a> Gen<'a> {
         out.push_buf(&vertex_fns);
         out.close("}");
         out.line("");
-        self.emit_leg_impl(
-            &mut out,
-            &name,
-            &master_fns,
-            pull_arms.as_ref(),
-            &lowered.combine,
-        )?;
+        self.emit_leg_impl(&mut out, &name, &master_fns, pull_arms.as_ref(), &lowered)?;
         out.line("");
         self.emit_run_fn(&mut out, &name);
 
@@ -1448,7 +1429,7 @@ impl<'a> Gen<'a> {
     }
 
     fn emit_msg_enum(&self, out: &mut Buf) {
-        let has_msgs = !self.msg_variants.is_empty() || self.p.uses_in_nbrs;
+        let has_msgs = !self.msg_variants.is_empty();
         out.line("/// Messages: one monomorphized variant per tag.");
         out.line("#[derive(Clone, Copy, Debug)]");
         if has_msgs {
@@ -1464,9 +1445,6 @@ impl<'a> Gen<'a> {
                         .join(", ");
                     out.line(&format!("{variant} {{ {list} }},"));
                 }
-            }
-            if self.p.uses_in_nbrs {
-                out.line("InNbr { sender: u32 },");
             }
             out.close("}");
         } else {
@@ -1494,12 +1472,6 @@ impl<'a> Gen<'a> {
                 }
                 out.close("}");
             }
-            if self.p.uses_in_nbrs {
-                out.open("Msg::InNbr { sender } => {");
-                out.line("255u8.persist(out);");
-                out.line("sender.persist(out);");
-                out.close("}");
-            }
             out.close("}");
             out.close("}");
             out.line("");
@@ -1516,9 +1488,6 @@ impl<'a> Gen<'a> {
                         .join(", ");
                     out.line(&format!("{tag}u8 => Msg::{variant} {{ {inits} }},"));
                 }
-            }
-            if self.p.uses_in_nbrs {
-                out.line("255u8 => Msg::InNbr { sender: Persist::restore(r)? },");
             }
             out.line("t => return Err(CkptError::Decode(format!(\"invalid Msg tag {t:#04x}\"))),");
             out.close("})");
@@ -1542,10 +1511,10 @@ impl<'a> Gen<'a> {
         name: &str,
         master_fns: &Buf,
         pull_arms: Option<&Buf>,
-        combine: &[Option<AssignOp>],
+        lowered: &Lowered,
     ) -> R<()> {
         let p = self.p;
-        let has_msgs = !self.msg_variants.is_empty() || p.uses_in_nbrs;
+        let has_msgs = !self.msg_variants.is_empty();
         out.open(&format!("impl Leg for {name} {{"));
         out.line("type Globals = Globals;");
         out.line("type VertexValue = VertexValue;");
@@ -1562,29 +1531,24 @@ impl<'a> Gen<'a> {
                     p.message_bytes(tag as u8)
                 ));
             }
-            if p.uses_in_nbrs {
-                out.line(&format!(
-                    "Msg::InNbr {{ .. }} => {}u64,",
-                    p.in_nbrs_message_bytes()
-                ));
-            }
             out.close("}");
         } else {
             out.line("match *m {}");
         }
         out.close("}");
-        if p.uses_in_nbrs {
+        if let Some(tag) = lowered.in_nbr_tag() {
+            let (variant, fields) = &self.msg_variants[tag as usize];
+            let sender = &fields[0].0;
             out.line("");
             out.open("fn in_nbr(&self, m: &Msg) -> Option<u32> {");
             out.open("match *m {");
-            out.line("Msg::InNbr { sender } => Some(sender),");
+            out.line(&format!("Msg::{variant} {{ {sender} }} => Some({sender}),"));
             out.line("_ => None,");
             out.close("}");
             out.close("}");
         }
 
-        let combining: Vec<(usize, AssignOp)> = combine
-            .iter()
+        let combining: Vec<(usize, AssignOp)> = (lowered.combine.iter())
             .copied()
             .enumerate()
             .filter_map(|(t, op)| op.map(|o| (t, o)))

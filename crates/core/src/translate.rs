@@ -86,12 +86,19 @@ pub fn translate(
 
     tx.build_block(&proc.body);
     tx.finalize();
+    // `InDegree()` in vertex code also needs the in-neighbor array: GPS
+    // vertices only know their out-edges.
+    tx.uses_in_nbrs |= calls_in_degree(&tx.states);
+    if tx.uses_in_nbrs {
+        tx.prepend_in_nbrs_preamble();
+        report.record(Step::IncomingNeighbors);
+    }
 
     if tx.diags.has_errors() {
         return Err(tx.diags);
     }
 
-    let mut program = PregelProgram {
+    let program = PregelProgram {
         name: proc.name.clone(),
         graph_param: graph,
         scalar_params,
@@ -104,16 +111,6 @@ pub fn translate(
         ret: proc.ret.clone(),
         states: tx.states,
     };
-
-    // `InDegree()` in vertex code also needs the in-neighbor array: GPS
-    // vertices only know their out-edges.
-    if !program.uses_in_nbrs && program_calls_in_degree(&program) {
-        program.uses_in_nbrs = true;
-    }
-    if program.uses_in_nbrs {
-        prepend_in_nbrs_preamble(&mut program);
-        report.record(Step::IncomingNeighbors);
-    }
 
     // Table 3 bookkeeping.
     report.record(Step::StateMachine);
@@ -140,9 +137,9 @@ pub fn translate(
 }
 
 /// Whether any vertex kernel calls `InDegree()`.
-fn program_calls_in_degree(program: &PregelProgram) -> bool {
+fn calls_in_degree(states: &[State]) -> bool {
     let mut found = false;
-    for k in program.states.iter().flat_map(|s| s.vertex.iter()) {
+    for k in states.iter().flat_map(|s| s.vertex.iter()) {
         k.visit_exprs(&mut |e| {
             e.visit(&mut |x| {
                 found |= matches!(&x.kind, ExprKind::Call { method, .. } if method == "InDegree")
@@ -208,54 +205,6 @@ fn kernel_has_send_to(body: &[VInstr]) -> bool {
     let mut found = false;
     VInstr::visit(body, &mut |i| found |= matches!(i, VInstr::SendTo { .. }));
     found
-}
-
-/// Inserts the two in-neighbor-construction states at the front and shifts
-/// all state ids by two.
-fn prepend_in_nbrs_preamble(program: &mut PregelProgram) {
-    for state in &mut program.states {
-        match &mut state.transition {
-            Transition::Goto(t) => *t += 2,
-            Transition::Branch {
-                then_to, else_to, ..
-            } => {
-                *then_to += 2;
-                *else_to += 2;
-            }
-            Transition::Halt => {}
-        }
-    }
-    let collect = State {
-        master: vec![],
-        vertex: Some(VertexKernel {
-            recvs: vec![RecvHandler {
-                tag: IN_NBRS_TAG,
-                guard: None,
-                steps: vec![RecvStep {
-                    guard: None,
-                    action: RecvAction::StoreInNbr,
-                }],
-            }],
-            filter: None,
-            body: vec![],
-            reads_globals: vec![],
-        }),
-        post: vec![],
-        transition: Transition::Goto(2),
-    };
-    let send_ids = State {
-        master: vec![],
-        vertex: Some(VertexKernel {
-            recvs: vec![],
-            filter: None,
-            body: vec![VInstr::SendIdToNbrs],
-            reads_globals: vec![],
-        }),
-        post: vec![],
-        transition: Transition::Goto(1),
-    };
-    program.states.insert(0, collect);
-    program.states.insert(0, send_ids);
 }
 
 /// Which transition slot of a state is awaiting its successor id.
@@ -885,23 +834,65 @@ impl Tx<'_> {
     }
 
     fn new_tag(&mut self, fields: Vec<(String, Ty)>) -> u8 {
-        // Tags are a u8 with IN_NBRS_TAG (255) reserved for the preamble;
-        // a program with more send sites than that would silently alias
-        // tags and miscompile, so reject it instead.
-        if self.messages.len() >= usize::from(IN_NBRS_TAG) {
+        // Tags are a u8, the preamble's included; a program with more send
+        // sites than that would silently alias tags and miscompile, so
+        // reject it instead.
+        let Ok(tag) = u8::try_from(self.messages.len()) else {
             self.error(
                 Span::synthetic(),
-                format!(
-                    "program requires more than {} message types; the wire \
-                     format's tag byte cannot represent them",
-                    IN_NBRS_TAG - 1
-                ),
+                "program requires more than 256 message types; the wire \
+                 format's tag byte cannot represent them",
             );
-            return IN_NBRS_TAG - 1;
-        }
-        let tag = self.messages.len() as u8;
+            return u8::MAX;
+        };
         self.messages.push(MessageLayout { tag, fields });
         tag
+    }
+
+    /// Inserts the two in-neighbor-construction states at the front,
+    /// shifting all state ids by two: every vertex sends its id to its
+    /// out-neighbors on a tag appended after the program's own, and every
+    /// receiver stores the ids.
+    fn prepend_in_nbrs_preamble(&mut self) {
+        let tag = self.new_tag(vec![("sender".into(), Ty::Node)]);
+        for state in &mut self.states {
+            match &mut state.transition {
+                Transition::Goto(t) => *t += 2,
+                Transition::Branch {
+                    then_to, else_to, ..
+                } => {
+                    *then_to += 2;
+                    *else_to += 2;
+                }
+                Transition::Halt => {}
+            }
+        }
+        let state = |recvs, body, next| State {
+            master: vec![],
+            vertex: Some(VertexKernel {
+                recvs,
+                filter: None,
+                body,
+                reads_globals: vec![],
+            }),
+            post: vec![],
+            transition: Transition::Goto(next),
+        };
+        let send_id = VInstr::SendToNbrs {
+            tag,
+            payload: vec![Expr::typed(ExprKind::Var(SELF.into()), Ty::Node)],
+        };
+        let store = RecvHandler {
+            tag,
+            guard: None,
+            steps: vec![RecvStep {
+                guard: None,
+                action: RecvAction::StoreInNbr,
+            }],
+        };
+        let send_ids = state(vec![], vec![send_id], 1);
+        let collect = state(vec![store], vec![], 2);
+        self.states.splice(0..0, [send_ids, collect]);
     }
 
     /// Rewrites a vertex-context expression: outer-iterator references

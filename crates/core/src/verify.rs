@@ -18,7 +18,8 @@
 //!   but a tag *no* successor consumes is a miscompile); every receive
 //!   handler has a sender in some previous vertex state (no orphan tags);
 //!   payload field references resolve against the tag's layout and never
-//!   leak outside receive handlers.
+//!   leak outside receive handlers; a handler that stores in-neighbors
+//!   handles a layout of exactly one `Node` field, the sender's id.
 //! * **Halt discipline** — a state whose kernel sends messages must not
 //!   unconditionally halt: those messages could never be delivered.
 //! * **Aggregators** — an aggregate fold reads the value vertices reduced
@@ -29,13 +30,14 @@
 //! * **Globals** — master code, transition conditions, and broadcast-read
 //!   lists reference only declared globals.
 //!
-//! [`verify`] runs after translation and after every optimization pass in
-//! debug/test builds (see [`crate::CompileOptions::verify`]) and is exposed
-//! to users as `gmc verify <file>`.
+//! [`verify`] runs after translation and after every optimization pass of
+//! every compile ([`crate::compile`]) and is exposed to users as
+//! `gmc verify <file>`.
 
 use crate::ast::{Expr, ExprKind};
 use crate::diag::{Diagnostics, Span};
 use crate::pir::*;
+use crate::types::Ty;
 use std::collections::HashSet;
 
 /// Verification strictness knobs.
@@ -121,7 +123,7 @@ pub fn verify_stage(
             Span::synthetic(),
             format!(
                 "internal compiler error: PIR verification failed after `{stage}` \
-                 (please report this; `gmc compile --no-verify` skips the check)"
+                 (please report this)"
             ),
         );
         out.errors.extend(inner.errors);
@@ -151,11 +153,10 @@ pub fn summary(program: &PregelProgram) -> String {
     )
 }
 
-/// One send site: the tag plus its payload expressions (`None` for the
-/// payload-free preamble send).
+/// One send site: the tag plus its payload expressions.
 struct SendSite<'a> {
     tag: u8,
-    payload: Option<&'a [Expr]>,
+    payload: &'a [Expr],
 }
 
 struct Verifier<'a> {
@@ -286,14 +287,7 @@ impl Verifier<'_> {
         VInstr::visit(&k.body, &mut |i| match i {
             VInstr::SendToNbrs { tag, payload }
             | VInstr::SendToInNbrs { tag, payload }
-            | VInstr::SendTo { tag, payload, .. } => out.push(SendSite {
-                tag: *tag,
-                payload: Some(payload),
-            }),
-            VInstr::SendIdToNbrs => out.push(SendSite {
-                tag: IN_NBRS_TAG,
-                payload: None,
-            }),
+            | VInstr::SendTo { tag, payload, .. } => out.push(SendSite { tag: *tag, payload }),
             _ => {}
         });
         out
@@ -312,19 +306,7 @@ impl Verifier<'_> {
             let mut errors: Vec<(String, String)> = Vec::new();
             for site in self.sends_of(id) {
                 let tag = site.tag;
-                let preamble = tag == IN_NBRS_TAG && site.payload.is_none();
-                if preamble {
-                    if !self.program.uses_in_nbrs {
-                        errors.push((
-                            "unknown-message-tag".to_owned(),
-                            format!(
-                                "state {id} sends the in-neighbor preamble tag but the \
-                                 program does not use the preamble"
-                            ),
-                        ));
-                        continue;
-                    }
-                } else if tag as usize >= num_tags {
+                if tag as usize >= num_tags {
                     errors.push((
                         "unknown-message-tag".to_owned(),
                         format!(
@@ -334,33 +316,31 @@ impl Verifier<'_> {
                     ));
                     continue;
                 }
-                if let Some(payload) = site.payload {
-                    let layout = &self.program.messages[tag as usize];
-                    if payload.len() != layout.fields.len() {
-                        errors.push((
-                            "payload-arity-mismatch".to_owned(),
-                            format!(
-                                "state {id} sends tag {tag} with {} payload values but \
-                                 the layout declares {} fields",
-                                payload.len(),
-                                layout.fields.len()
-                            ),
-                        ));
-                    } else {
-                        for (i, (expr, (fname, fty))) in
-                            payload.iter().zip(&layout.fields).enumerate()
-                        {
-                            if let Some(ety) = &expr.ty {
-                                if ety != fty {
-                                    errors.push((
-                                        "payload-type-mismatch".to_owned(),
-                                        format!(
-                                            "state {id} sends tag {tag} field {i} \
-                                             (`{fname}`: {fty:?}) with a {ety:?}-typed \
-                                             expression"
-                                        ),
-                                    ));
-                                }
+                let payload = site.payload;
+                let layout = &self.program.messages[tag as usize];
+                if payload.len() != layout.fields.len() {
+                    errors.push((
+                        "payload-arity-mismatch".to_owned(),
+                        format!(
+                            "state {id} sends tag {tag} with {} payload values but \
+                             the layout declares {} fields",
+                            payload.len(),
+                            layout.fields.len()
+                        ),
+                    ));
+                } else {
+                    for (i, (expr, (fname, fty))) in payload.iter().zip(&layout.fields).enumerate()
+                    {
+                        if let Some(ety) = &expr.ty {
+                            if ety != fty {
+                                errors.push((
+                                    "payload-type-mismatch".to_owned(),
+                                    format!(
+                                        "state {id} sends tag {tag} field {i} \
+                                         (`{fname}`: {fty:?}) with a {ety:?}-typed \
+                                         expression"
+                                    ),
+                                ));
                             }
                         }
                     }
@@ -414,8 +394,7 @@ impl Verifier<'_> {
                         format!("state {id} has two receive handlers for tag {tag}"),
                     ));
                 }
-                let preamble = tag == IN_NBRS_TAG && self.program.uses_in_nbrs;
-                if !preamble && tag as usize >= num_tags {
+                if tag as usize >= num_tags {
                     errors.push((
                         "unknown-message-tag".to_owned(),
                         format!(
@@ -437,37 +416,47 @@ impl Verifier<'_> {
                         ),
                     ));
                 }
+                // A stored in-neighbor is the payload's one field, a
+                // vertex id.
+                let layout = &self.program.messages[tag as usize];
+                let stores = (r.steps.iter()).any(|s| matches!(s.action, RecvAction::StoreInNbr));
+                if stores && !matches!(layout.fields[..], [(_, Ty::Node)]) {
+                    errors.push((
+                        "store-in-nbr-layout".to_owned(),
+                        format!(
+                            "state {id} tag {tag} stores an in-neighbor but its layout \
+                             is not exactly one Node field"
+                        ),
+                    ));
+                }
                 // Payload slot agreement: every `_pl_<name>` reference in
                 // the handler resolves against this tag's layout.
-                if !preamble {
-                    let layout = &self.program.messages[tag as usize];
-                    let mut check_expr = |e: &Expr, where_: &str| {
-                        let mut refs = Vec::new();
-                        payload_refs(e, &mut refs);
-                        for field in refs {
-                            if !layout.fields.iter().any(|(n, _)| n == field) {
-                                errors.push((
-                                    "unknown-payload-field".to_owned(),
-                                    format!(
-                                        "state {id} tag {tag} {where_} references payload \
-                                         field `{field}` absent from the layout"
-                                    ),
-                                ));
-                            }
+                let mut check_expr = |e: &Expr, where_: &str| {
+                    let mut refs = Vec::new();
+                    payload_refs(e, &mut refs);
+                    for field in refs {
+                        if !layout.fields.iter().any(|(n, _)| n == field) {
+                            errors.push((
+                                "unknown-payload-field".to_owned(),
+                                format!(
+                                    "state {id} tag {tag} {where_} references payload \
+                                     field `{field}` absent from the layout"
+                                ),
+                            ));
                         }
-                    };
-                    if let Some(g) = &r.guard {
-                        check_expr(g, "guard");
                     }
-                    for step in &r.steps {
-                        if let Some(g) = &step.guard {
-                            check_expr(g, "step guard");
-                        }
-                        match &step.action {
-                            RecvAction::WriteOwn { value, .. }
-                            | RecvAction::ReduceGlobal { value, .. } => check_expr(value, "action"),
-                            RecvAction::StoreInNbr => {}
-                        }
+                };
+                if let Some(g) = &r.guard {
+                    check_expr(g, "guard");
+                }
+                for step in &r.steps {
+                    if let Some(g) = &step.guard {
+                        check_expr(g, "step guard");
+                    }
+                    match &step.action {
+                        RecvAction::WriteOwn { value, .. }
+                        | RecvAction::ReduceGlobal { value, .. } => check_expr(value, "action"),
+                        RecvAction::StoreInNbr => {}
                     }
                 }
             }
@@ -906,6 +895,20 @@ mod tests {
                 value: Expr::typed(ExprKind::Var(format!("{PAYLOAD_PREFIX}v")), Ty::Int),
             });
         expect_reject(&p, "payload-ref-outside-receive");
+    }
+
+    #[test]
+    fn mutant_store_in_nbr_outside_a_node_id_layout_rejected() {
+        let mut p = well_formed();
+        let store = RecvStep {
+            guard: None,
+            action: RecvAction::StoreInNbr,
+        };
+        p.states[1].vertex.as_mut().unwrap().recvs[0]
+            .steps
+            .push(store);
+        // Tag 0's one field is an `Int`, not a vertex id.
+        expect_reject(&p, "store-in-nbr-layout");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::shell::{
 };
 use gm_core::ast::AssignOp;
 use gm_core::kernel::{self, CAction, CExpr, CInstr, CKernel, CMInstr, CPull, Lowered};
-use gm_core::pir::{Transition, IN_NBRS_TAG};
+use gm_core::pir::Transition;
 use gm_core::seqinterp::ArgValue;
 use gm_core::value::{apply_reduce, Value};
 use gm_core::Compiled;
@@ -96,6 +96,7 @@ pub fn run_compiled(
     with_signature(program, &pre, |sig| {
         run_leg(sig, graph, args, seed, config, |b| Machine {
             pre: &pre,
+            in_nbr_tag: pre.in_nbr_tag(),
             edge_cols: (0..sig.edge_props.len())
                 .map(|i| b.edge(i).collect())
                 .collect(),
@@ -107,6 +108,8 @@ pub fn run_compiled(
 /// The interpreter leg: lowered code run through [`crate::exec::eval`].
 struct Machine<'a> {
     pre: &'a Lowered,
+    /// The tag whose handler stores in-neighbors.
+    in_nbr_tag: Option<u8>,
     edge_cols: Vec<Vec<Value>>,
     graph: &'a Graph,
 }
@@ -233,15 +236,11 @@ impl Leg for Machine<'_> {
     }
 
     fn message_bytes(&self, m: &Msg) -> u64 {
-        if m.tag == IN_NBRS_TAG {
-            self.pre.in_nbrs_bytes
-        } else {
-            self.pre.msg_bytes[m.tag as usize]
-        }
+        self.pre.msg_bytes[m.tag as usize]
     }
 
     fn in_nbr(&self, m: &Msg) -> Option<u32> {
-        (m.tag == IN_NBRS_TAG).then(|| match m.payload.first() {
+        (Some(m.tag) == self.in_nbr_tag).then(|| match m.payload.first() {
             Some(Value::Node(id)) => *id,
             // Malformed: refused like an id past the last vertex.
             _ => u32::MAX,
@@ -253,7 +252,7 @@ impl Leg for Machine<'_> {
     }
 
     fn combine(&self, a: &Msg, b: &Msg) -> Option<Msg> {
-        if a.tag != b.tag || a.tag == IN_NBRS_TAG {
+        if a.tag != b.tag {
             return None;
         }
         let op = self.pre.combine.get(a.tag as usize).copied().flatten()?;
@@ -318,12 +317,6 @@ impl Leg for Machine<'_> {
         if !messages.is_empty() {
             let snapshot: Option<Vec<Value>> = kernel.snapshot_needed.then(|| value.props.clone());
             messages.for_each(|msg| {
-                if msg.tag == IN_NBRS_TAG {
-                    if kernel.stores_in_nbrs {
-                        value.in_nbrs.push(msg.payload[0].as_node());
-                    }
-                    return;
-                }
                 let Some(handler) = kernel.handler(msg.tag) else {
                     return; // dangling message — dropped, as in the paper
                 };
@@ -542,13 +535,6 @@ impl Machine<'_> {
                             payload: values,
                         },
                     );
-                }
-                CInstr::SendIdToNbrs => {
-                    let payload: Arc<[Value]> = Arc::from(vec![Value::Node(self_id)]);
-                    ctx.send_to_nbrs(Msg {
-                        tag: IN_NBRS_TAG,
-                        payload,
-                    });
                 }
                 CInstr::If {
                     cond,

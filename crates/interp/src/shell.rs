@@ -253,8 +253,8 @@ pub trait Leg: Send + Sync {
     /// See [`VertexProgram::message_bytes`].
     fn message_bytes(&self, m: &Self::Message) -> u64;
 
-    /// The sender id `m` carries if it is an in-neighbour preamble
-    /// message, whose receiver stores the id in its row.
+    /// The sender id `m` carries if its tag's handler stores in-neighbours
+    /// (the preamble's message): the receiver stores the id in its row.
     fn in_nbr(&self, m: &Self::Message) -> Option<u32> {
         let _ = m;
         None
@@ -411,8 +411,10 @@ pub fn run_leg<'a, L: Leg>(
 /// Version of the legs' vertex-value and message encodings, part of the
 /// program identity every snapshot carries. Bump it whenever a leg
 /// changes how it persists a vertex value or a message, so that older
-/// snapshots start the run afresh instead of being misread.
-pub const ENCODING_VERSION: u32 = 1;
+/// snapshots start the run afresh instead of being misread. Version 2:
+/// the in-neighbor preamble's message carries its ordinary tag, no
+/// longer 255.
+pub const ENCODING_VERSION: u32 = 2;
 
 /// The [`VertexProgram::program_identity`] of the program `sig` describes,
 /// run on a leg whose [`Leg::ENCODING`] is `encoding`:
