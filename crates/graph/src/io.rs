@@ -7,7 +7,8 @@
 //! weight, returned as an aligned weight vector.
 //!
 //! Malformed lines (non-numeric ids, a missing endpoint, ids overflowing
-//! `u32`, extra columns) are reported with their 1-based line number and a
+//! `u32` or equal to `u32::MAX`, which the runtime reserves for NIL, extra
+//! columns) are reported with their 1-based line number and a
 //! reason. Under the default [`LoadPolicy::Strict`] the first such line
 //! aborts the load; [`LoadPolicy::SkipAndCount`] skips them, counting the
 //! damage in [`LoadStats`] so callers can decide whether a partially-dirty
@@ -120,10 +121,12 @@ pub struct LoadedGraph {
 
 /// Parses one vertex id, distinguishing "not a number" from "a number that
 /// does not fit a `u32` id" (SNAP files with 64-bit ids would otherwise be
-/// reported as garbage).
+/// reported as garbage). `u32::MAX` is refused too: it is the runtime's
+/// NIL, and the vertex count `1 + max id` must fit a `u32`.
 fn parse_id(tok: &str) -> Result<u32, &'static str> {
     match tok.parse::<u64>() {
-        Ok(v) if v <= u32::MAX as u64 => Ok(v as u32),
+        Ok(v) if v < u32::MAX as u64 => Ok(v as u32),
+        Ok(v) if v == u32::MAX as u64 => Err("vertex id 4294967295 is reserved for NIL"),
         Ok(_) => Err("vertex id overflows u32"),
         Err(e) if *e.kind() == IntErrorKind::PosOverflow => Err("vertex id overflows u32"),
         Err(_) => Err("vertex id is not an unsigned integer"),
@@ -449,6 +452,32 @@ mod tests {
                 ParseGraphError::Malformed { reason, .. } => assert_eq!(reason, want, "{text:?}"),
                 other => panic!("unexpected error for {text:?}: {other}"),
             }
+        }
+    }
+
+    #[test]
+    fn the_nil_id_is_a_malformed_line() {
+        let cases = [
+            ("4294967295 0\n", 1),
+            ("0 4294967295\n", 1),
+            ("0 1\n1 2\n2 4294967295\n3 0\n", 3),
+        ];
+        for (text, line) in cases {
+            match read_edge_list(text.as_bytes()).unwrap_err() {
+                ParseGraphError::Malformed {
+                    line: at, reason, ..
+                } => {
+                    assert_eq!(
+                        reason, "vertex id 4294967295 is reserved for NIL",
+                        "{text:?}"
+                    );
+                    assert_eq!(at, line, "{text:?}");
+                }
+                other => panic!("unexpected error for {text:?}: {other}"),
+            }
+            let loaded = read_edge_list_with(text.as_bytes(), LoadPolicy::SkipAndCount).unwrap();
+            assert_eq!(loaded.stats.lines_skipped, 1, "{text:?}");
+            assert_eq!(loaded.stats.first_skipped.unwrap().line, line, "{text:?}");
         }
     }
 
