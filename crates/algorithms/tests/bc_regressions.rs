@@ -12,7 +12,6 @@ const OPTS: gm_core::CompileOptions = gm_core::CompileOptions {
     state_merging: true,
     intra_loop_merging: true,
     combiners: false,
-    verify: true,
 };
 
 #[test]

@@ -31,7 +31,7 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 fn generate(src: &str) -> String {
-    let compiled = compile(src, &CompileOptions::default().verified())
+    let compiled = compile(src, &CompileOptions::default())
         .unwrap_or_else(|e| panic!("compile failed:\n{}", e.render(src)));
     emit_java(&compiled.program).expect("verified PIR lowers")
 }

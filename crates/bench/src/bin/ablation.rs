@@ -15,7 +15,6 @@ const VARIANTS: [(&str, CompileOptions); 4] = [
             state_merging: false,
             intra_loop_merging: false,
             combiners: false,
-            verify: false,
         },
     ),
     (
@@ -24,7 +23,6 @@ const VARIANTS: [(&str, CompileOptions); 4] = [
             state_merging: true,
             intra_loop_merging: false,
             combiners: false,
-            verify: false,
         },
     ),
     (
@@ -33,7 +31,6 @@ const VARIANTS: [(&str, CompileOptions); 4] = [
             state_merging: true,
             intra_loop_merging: true,
             combiners: false,
-            verify: false,
         },
     ),
     (
@@ -42,7 +39,6 @@ const VARIANTS: [(&str, CompileOptions); 4] = [
             state_merging: true,
             intra_loop_merging: true,
             combiners: true,
-            verify: false,
         },
     ),
 ];

@@ -12,7 +12,7 @@ use gm_core::CompileOptions;
 use gm_interp::run_compiled;
 
 fn main() {
-    let options = CompileOptions::default().verified();
+    let options = CompileOptions::default();
     let compiled = gm_bench::compile_source(sources::BC_APPROX, &options);
     let p = &compiled.program;
     // The tagged wire format counts the in-neighbor preamble as one more

@@ -31,7 +31,7 @@ fn main() {
     );
     for ((name, src), (plabel, p_gm, p_gps)) in sources::ALL.iter().zip(PAPER) {
         assert_eq!(*name, plabel, "row order must match the paper");
-        let options = CompileOptions::default().verified();
+        let options = CompileOptions::default();
         let compiled = gm_core::compile_with(src, &options, tracer.as_ref())
             .expect("embedded source compiles");
         let java = emit_java(&compiled.program).expect("verified PIR lowers");

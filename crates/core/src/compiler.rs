@@ -15,7 +15,11 @@ use crate::translate::translate;
 use gm_obs::{Category, Tracer};
 use std::time::Instant;
 
-/// Compilation switches (the ablation benches flip these).
+/// Compilation switches (the ablation benches flip these). Every compile
+/// runs the [`crate::verify`] PIR well-formedness checks after translation
+/// and after every optimization pass, turning internal compiler bugs into
+/// structured diagnostics instead of downstream panics or silent
+/// miscompiles.
 #[derive(Clone, Copy, Debug)]
 pub struct CompileOptions {
     /// §4.2 State Merging.
@@ -26,12 +30,6 @@ pub struct CompileOptions {
     /// single-reduction message tags a combiner, so the runtime folds them
     /// sender-side (off by default, like the paper's compiler).
     pub combiners: bool,
-    /// Run the [`crate::verify`] PIR well-formedness checks after
-    /// translation and after every optimization pass, turning internal
-    /// compiler bugs into structured diagnostics instead of downstream
-    /// panics or silent miscompiles. On by default in debug/test builds,
-    /// off in release builds; `gmc verify` forces it on.
-    pub verify: bool,
 }
 
 impl Default for CompileOptions {
@@ -40,7 +38,6 @@ impl Default for CompileOptions {
             state_merging: true,
             intra_loop_merging: true,
             combiners: false,
-            verify: cfg!(debug_assertions),
         }
     }
 }
@@ -61,12 +58,6 @@ impl CompileOptions {
             combiners: true,
             ..Self::default()
         }
-    }
-
-    /// Forces the PIR verifier on regardless of build profile.
-    pub fn verified(mut self) -> Self {
-        self.verify = true;
-        self
     }
 }
 
@@ -89,7 +80,8 @@ pub struct Compiled {
 ///
 /// Pipeline: parse → bulk-assignment desugar → type check → §4.1
 /// transformations → §3.2 canonical check → §3.1 translation → §4.2
-/// optimization.
+/// optimization, with the PIR verified after translation and after every
+/// optimization pass.
 ///
 /// # Errors
 ///
@@ -146,31 +138,20 @@ pub fn compile_with(
         ast_nodes,
         pregel.num_instrs(),
     );
-    if options.verify {
-        crate::verify::verify_stage(
-            &pregel,
-            "translate",
-            &crate::verify::VerifyOptions::strict(),
-        )?;
-    }
+    crate::verify::verify_stage(
+        &pregel,
+        "translate",
+        &crate::verify::VerifyOptions::strict(),
+    )?;
 
     let instrs_before = pregel.num_instrs();
     let started = Instant::now();
-    if options.verify {
-        crate::optimize::optimize_verified(
-            &mut pregel,
-            options.state_merging,
-            options.intra_loop_merging,
-            &mut report,
-        )?;
-    } else {
-        crate::optimize::optimize(
-            &mut pregel,
-            options.state_merging,
-            options.intra_loop_merging,
-            &mut report,
-        );
-    }
+    crate::optimize::optimize(
+        &mut pregel,
+        options.state_merging,
+        options.intra_loop_merging,
+        &mut report,
+    )?;
     pregel.combiners = options.combiners;
     report.record_timing(
         "optimize",

@@ -15,9 +15,9 @@
 //!    state machine: master/vertex states, inferred message payloads and
 //!    tags, global broadcasts/reductions.
 //! 5. **Optimization** (§4.2) — [`optimize`] merges consecutive states and
-//!    applies intra-loop state merging. In debug/test builds, [`verify`]
-//!    re-checks PIR well-formedness after translation and after every
-//!    optimization pass (see [`CompileOptions::verify`]).
+//!    applies intra-loop state merging. [`verify`] re-checks PIR
+//!    well-formedness after translation and after every optimization
+//!    pass of every compile.
 //! 6. **Backends** — [`javagen`] emits GPS-style Java source. Vertex
 //!    kernels are lowered once into slot-resolved form ([`kernel`]); the
 //!    `gm-interp` crate executes that form directly and [`rustgen`] prints

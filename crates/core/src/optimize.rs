@@ -9,33 +9,17 @@ use crate::report::{Step, TransformReport};
 use std::collections::HashSet;
 
 /// Runs both optimizations (honoring the flags) and compacts unreachable
-/// states afterwards.
-pub fn optimize(
-    program: &mut PregelProgram,
-    state_merging: bool,
-    intra_loop: bool,
-    report: &mut TransformReport,
-) {
-    if state_merging && merge_states(program) {
-        report.record(Step::StateMerging);
-    }
-    if intra_loop && intra_loop_merge(program) {
-        report.record(Step::IntraLoopMerge);
-    }
-    compact(program);
-}
-
-/// [`optimize`] with PIR verification after every pass (translation
-/// validation, [`crate::CompileOptions::verify`]). Between the merge
-/// passes the verifier tolerates unreachable states — a merged-away state
-/// lingers with a neutralized transition until `compact` removes it — and
-/// goes fully strict after `compact`.
+/// states afterwards, verifying the PIR after every pass (translation
+/// validation). Between the merge passes the verifier tolerates
+/// unreachable states — a merged-away state lingers with a neutralized
+/// transition until `compact` removes it — and goes fully strict after
+/// `compact`.
 ///
 /// # Errors
 ///
 /// The verifier's diagnostics, prefixed with the pass that broke the
 /// program.
-pub fn optimize_verified(
+pub fn optimize(
     program: &mut PregelProgram,
     state_merging: bool,
     intra_loop: bool,
@@ -548,7 +532,7 @@ mod tests {
         let infos = crate::sema::check(&mut p).unwrap();
         let mut report = TransformReport::new();
         let mut prog = translate(&p.procedures[0], &infos[0], &mut report).unwrap();
-        optimize(&mut prog, state_merging, intra, &mut report);
+        optimize(&mut prog, state_merging, intra, &mut report).unwrap();
         prog
     }
 

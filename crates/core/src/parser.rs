@@ -1297,7 +1297,7 @@ mod tests {
             let run = std::thread::Builder::new()
                 .stack_size(2 << 20)
                 .spawn(move || {
-                    let options = crate::CompileOptions::default().verified();
+                    let options = crate::CompileOptions::default();
                     let compiled = crate::compile(&at_cap, &options)
                         .unwrap_or_else(|e| panic!("{}", e.render(&at_cap)));
                     crate::kernel::lower(&compiled.program).unwrap();

@@ -41,7 +41,7 @@
 //! algorithms) or inline Green-Marl **source**. Builtins are compiled
 //! once at startup, under their name and their text; any other inline
 //! text is compiled at submit time. Both go through the same library
-//! pipeline as `gmc`, with the PIR verifier forced on — malformed tenant
+//! pipeline as `gmc`, which verifies the PIR of every compile — malformed tenant
 //! programs become structured `400`s, not daemon crashes — and a program
 //! runs natively when its emitted Rust matches a compiled-in module. A
 //! job's `backend` is what it runs on now: after a restart a replayed job

@@ -1,7 +1,7 @@
 //! `gmc` — the Green-Marl → Pregel compiler driver.
 //!
 //! ```text
-//! gmc compile <file.gm> [--emit java|canonical|states] [--no-opt] [--no-verify]
+//! gmc compile <file.gm> [--emit java|canonical|states] [--no-opt]
 //!             [--timing] [--trace <path>] [--trace-format jsonl|chrome]
 //! gmc verify <file.gm> [--no-opt]
 //! gmc emit-rust <file.gm> [--no-opt] [-o <file.rs>]
@@ -18,13 +18,12 @@
 //!         [--post-mortem-dir <dir>]
 //! ```
 //!
-//! `gmc verify` compiles with the PIR well-formedness verifier forced on
-//! (after translation and after every optimization pass), prints the
-//! verified state-machine summary on success, and exits non-zero with the
-//! diagnostics on failure. `gmc compile --no-verify` skips the verifier in
-//! debug builds (it is off by default in release builds).
+//! Every compile runs the PIR well-formedness verifier after translation
+//! and after every optimization pass. `gmc verify` prints the verified
+//! state-machine summary on success, and exits non-zero with the
+//! diagnostics on failure.
 //!
-//! `gmc emit-rust` compiles a procedure (verifier forced on) and prints a
+//! `gmc emit-rust` compiles a procedure and prints a
 //! standalone Rust module implementing the runtime's `VertexProgram` trait
 //! natively — monomorphized message enum, native property fields, inlined
 //! combiners — bit-identical in results to the interpreter. `gmc run
@@ -102,8 +101,7 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         _ => {
             eprintln!("usage: gmc compile <file.gm> [--emit java|canonical|states] [--no-opt]");
-            eprintln!("               [--no-verify] [--timing] [--trace <path>]");
-            eprintln!("               [--trace-format jsonl|chrome]");
+            eprintln!("               [--timing] [--trace <path>] [--trace-format jsonl|chrome]");
             eprintln!("       gmc verify <file.gm> [--no-opt]");
             eprintln!("       gmc emit-rust <file.gm> [--no-opt] [-o <file.rs>]");
             eprintln!("       gmc run <file.gm> --graph <edges.txt> [--backend interp|native]");
@@ -125,12 +123,11 @@ fn main() -> ExitCode {
 fn load_and_compile(
     path: &str,
     optimize: bool,
-    verify: Option<bool>,
     tracer: Option<&Tracer>,
 ) -> Result<gm_core::Compiled, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     // Same library pipeline `gmd` compiles tenant source through.
-    greenmarl::service::compile_source_with(&src, optimize, verify, tracer)
+    greenmarl::service::compile_source_with(&src, optimize, tracer)
         .map_err(|rendered| format!("compilation failed:\n{rendered}"))
 }
 
@@ -151,7 +148,6 @@ fn cmd_compile(args: &[String]) -> ExitCode {
     };
     let mut emit = "states";
     let mut optimize = true;
-    let mut verify: Option<bool> = None;
     let mut timing = false;
     let mut trace_path: Option<String> = None;
     let mut trace_format = TraceFormat::Jsonl;
@@ -166,7 +162,6 @@ fn cmd_compile(args: &[String]) -> ExitCode {
                 }
             },
             "--no-opt" => optimize = false,
-            "--no-verify" => verify = Some(false),
             "--timing" => timing = true,
             "--trace" => match it.next() {
                 Some(p) => trace_path = Some(p.clone()),
@@ -199,7 +194,7 @@ fn cmd_compile(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let compiled = match load_and_compile(path, optimize, verify, tracer.as_ref()) {
+    let compiled = match load_and_compile(path, optimize, tracer.as_ref()) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("{e}");
@@ -251,7 +246,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             }
         }
     }
-    let compiled = match load_and_compile(path, optimize, Some(true), None) {
+    let compiled = match load_and_compile(path, optimize, None) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("{e}");
@@ -287,8 +282,7 @@ fn cmd_emit_rust(args: &[String]) -> ExitCode {
             }
         }
     }
-    // Codegen input is always re-verified, like `gmc verify`.
-    let compiled = match load_and_compile(path, optimize, Some(true), None) {
+    let compiled = match load_and_compile(path, optimize, None) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("{e}");
@@ -493,7 +487,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let compiled = match load_and_compile(path, true, None, tracer.as_ref()) {
+    let compiled = match load_and_compile(path, true, tracer.as_ref()) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("{e}");

@@ -5,40 +5,30 @@
 //! into structured API errors instead of stderr + exit codes. This
 //! module is the one entry point both `gmc` and `gmd` share, so a
 //! program accepted by one is byte-for-byte the program the other runs.
-//!
-//! The PIR well-formedness verifier is **forced on** here regardless of
-//! build profile: a daemon compiling tenant-supplied source wants the
-//! translation re-checked after every optimization pass, not just in
-//! debug builds.
 
 use gm_core::{compile_with, CompileOptions, Compiled};
 use gm_obs::Tracer;
 
-/// Compiles Green-Marl source with default optimizations and the PIR
-/// verifier on, rendering diagnostics into the returned error string.
-/// This is the entry `gmd` compiles tenant-supplied source through.
+/// Compiles Green-Marl source with default optimizations, rendering
+/// diagnostics into the returned error string. This is the entry `gmd`
+/// compiles tenant-supplied source through.
 pub fn compile_source(src: &str) -> Result<Compiled, String> {
-    compile_source_with(src, true, Some(true), None)
+    compile_source_with(src, true, None)
 }
 
 /// Compiles Green-Marl source with explicit knobs: `optimize` selects the
-/// standard pass pipeline vs. none, `verify` forces the PIR verifier on
-/// or off (`None` keeps the build-profile default `gmc` documents), and
-/// `tracer` receives per-pass compile spans.
+/// standard pass pipeline vs. none, and `tracer` receives per-pass compile
+/// spans.
 pub fn compile_source_with(
     src: &str,
     optimize: bool,
-    verify: Option<bool>,
     tracer: Option<&Tracer>,
 ) -> Result<Compiled, String> {
-    let mut options = if optimize {
+    let options = if optimize {
         CompileOptions::default()
     } else {
         CompileOptions::unoptimized()
     };
-    if let Some(v) = verify {
-        options.verify = v;
-    }
     compile_with(src, &options, tracer).map_err(|d| d.render(src))
 }
 
@@ -61,8 +51,7 @@ mod tests {
 
     #[test]
     fn unoptimized_compile_is_also_verified() {
-        let compiled =
-            compile_source_with(gm_algorithms::sources::SSSP, false, Some(true), None).unwrap();
+        let compiled = compile_source_with(gm_algorithms::sources::SSSP, false, None).unwrap();
         assert!(!compiled.program.states.is_empty());
     }
 }

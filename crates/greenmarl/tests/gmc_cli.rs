@@ -419,7 +419,8 @@ fn compile_lowers_an_aggregate_filter_and_names_a_nested_in_bfs() {
 }
 
 #[test]
-fn compile_accepts_no_verify_flag() {
+fn compile_refuses_the_no_verify_flag() {
+    // Every compile is verified; there is no switch to skip it.
     let dir = temp_dir();
     let gm = dir.join("sssp_noverify.gm");
     std::fs::write(&gm, SSSP).unwrap();
@@ -427,13 +428,9 @@ fn compile_accepts_no_verify_flag() {
         .args(["compile", gm.to_str().unwrap(), "--no-verify"])
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("pregel program `sssp`"), "{text}");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --no-verify"), "{err}");
 }
 
 #[test]

@@ -229,10 +229,7 @@ fn check_translation_validation(
     };
 
     let mut gathered = [false; 2];
-    for opts in [
-        CompileOptions::default().verified(),
-        CompileOptions::unoptimized().verified(),
-    ] {
+    for opts in [CompileOptions::default(), CompileOptions::unoptimized()] {
         let tag = if opts.state_merging { "opt" } else { "unopt" };
         let compiled = compile(&src, &opts)
             .unwrap_or_else(|e| panic!("compile failed:\n{}\n{src}", e.render(&src)));

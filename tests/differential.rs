@@ -120,7 +120,7 @@ fn conductance(g: &Graph, seed: u64, opts: &CompileOptions) {
 /// stays pinned deterministically on every CI run.
 fn check_regression_seed(n: u32, m_per_n: usize, seed: u64) {
     let g = gen::uniform_random(n, n as usize * m_per_n, seed);
-    let opts = CompileOptions::default().verified();
+    let opts = CompileOptions::default();
     avg_teen(&g, seed, &opts);
     sssp(&g, seed, &opts);
     pagerank(&g, &opts);
