@@ -41,12 +41,13 @@
 //! algorithms) or inline Green-Marl **source**. Builtins are compiled
 //! once at startup, under their name and their text; any other inline
 //! text is compiled at submit time. Both go through the same library
-//! pipeline as `gmc`, which verifies the PIR of every compile — malformed tenant
-//! programs become structured `400`s, not daemon crashes — and a program
-//! runs natively when its emitted Rust matches a compiled-in module. A
-//! job's `backend` is what it runs on now: after a restart a replayed job
-//! runs on whichever backend binds, and if that is not the one that wrote
-//! its snapshots, the runtime refuses them and re-runs it from superstep 0.
+//! pipeline as `gmc`, which verifies the PIR of every compile — malformed
+//! tenant programs become structured `400`s, not daemon crashes — and a
+//! program runs natively when its emitted Rust matches a compiled-in
+//! module. A job's `backend` is what it runs on now: after a restart a
+//! replayed job runs on whichever backend binds, and if that is not the
+//! one that wrote its snapshots, the runtime refuses them and re-runs it
+//! from superstep 0.
 //!
 //! Layers: [`sched`] decides (admission, fairness, retry, quarantine,
 //! brownout, drain — pure, no locks, clocks or I/O); [`daemon`] locks it,
