@@ -1357,6 +1357,40 @@ mod tests {
         assert!(prog.states[1].vertex.is_some());
     }
 
+    /// A program with one send site, so one tag, per neighbor loop: `ins`
+    /// loops along in-edges (each needs the preamble) and `outs` along
+    /// out-edges.
+    fn sends(ins: usize, outs: usize) -> String {
+        let mut src = "Procedure f(G: Graph, a: N_P<Int>) {\n Foreach (n: G.Nodes) {\n".to_owned();
+        for dir in ["InNbrs"]
+            .repeat(ins)
+            .into_iter()
+            .chain(["Nbrs"].repeat(outs))
+        {
+            src += &format!("  Foreach (t: n.{dir}) {{ t.a += 1; }}\n");
+        }
+        src + " }\n}\n"
+    }
+
+    #[test]
+    fn the_tag_byte_holds_256_wire_tags_the_preamble_included() {
+        use crate::CompileOptions;
+        let opts = CompileOptions::default();
+        let p = crate::compile(&sends(0, 256), &opts).unwrap().program;
+        assert_eq!((p.num_message_types(), p.messages.len()), (256, 256));
+        crate::kernel::lower(&p).unwrap();
+        crate::rustgen::emit_rust(&p).unwrap();
+
+        let p = crate::compile(&sends(1, 254), &opts).unwrap().program;
+        assert_eq!((p.num_message_types(), p.messages.len()), (255, 256));
+        assert_eq!(p.messages[255].fields, [("sender".to_owned(), Ty::Node)]);
+
+        for src in [sends(0, 257), sends(1, 255)] {
+            let err = crate::compile(&src, &opts).unwrap_err().to_string();
+            assert!(err.contains("more than 256 message types"), "{err}");
+        }
+    }
+
     #[test]
     fn while_loop_builds_branch_junction() {
         let prog = translated(
