@@ -22,7 +22,9 @@
 //!   the body;
 //! * in master code every variable is a program global, and vertex-only
 //!   leaves (properties, aggregates) are errors; `PickRandom` is
-//!   master-only.
+//!   master-only;
+//! * the §4.3 in-neighbor preamble lowers like any message: its tag is the
+//!   one whose handler stores in-neighbors ([`Lowered::in_nbr_tag`]).
 
 use crate::ast::{AssignOp, BinOp, Expr, ExprKind, UnOp};
 use crate::pir::{

@@ -20,6 +20,11 @@
 //! * Messages sent by a state's kernel are consumed by the
 //!   [`VertexKernel::recvs`] handlers of the next vertex state executed.
 //!
+//! The §4.3 in-neighbor preamble is ordinary PIR: its message is the last
+//! layout of [`PregelProgram::messages`], sent by a [`VInstr::SendToNbrs`]
+//! of [`SELF`] and stored by a handler whose only step is
+//! [`RecvAction::StoreInNbr`].
+//!
 //! Expressions reuse [`crate::ast::Expr`] with a naming convention:
 //! property reads through [`SELF`] refer to the executing vertex, and
 //! variables starting with [`PAYLOAD_PREFIX`] refer to message fields.

@@ -13,6 +13,8 @@
 //!   (`i64`/`f64`/`bool`/`u32`), plus the in-neighbor array;
 //! * a `Msg` enum with one **monomorphized variant per message tag** and
 //!   native payload fields — no `Arc<[Value]>`, no tag byte at runtime;
+//!   the in-neighbor preamble's message is one more variant, and
+//!   `Leg::in_nbr` reads the tag whose handler stores in-neighbors;
 //! * a typed `Globals` struct, one native field per master global;
 //! * vertex kernels and per-state master/post/transition code with all
 //!   expressions **inlined at their native types**, combiners and

@@ -19,9 +19,12 @@
 //!   `sendToVertex` messages carrying the reduced value.
 //! * **Edge properties** — reads through `ToEdge()` locals are evaluated
 //!   per edge at send time and shipped in the payload.
-//! * **Incoming neighbors** (§4.3) — a send along in-edges switches on the
-//!   two-superstep preamble that materializes each vertex's in-neighbor
-//!   array.
+//! * **Incoming neighbors** (§4.3) — a send along in-edges (or an
+//!   `InDegree()` read) switches on the two-superstep preamble that
+//!   materializes each vertex's in-neighbor array. It is an ordinary
+//!   message: a `sender: Node` layout appended after the program's own
+//!   tags, a state sending `SELF` to all out-neighbors, and a state whose
+//!   handler stores the payload with `StoreInNbr`.
 
 use crate::ast::*;
 use crate::astutil::mentions;
