@@ -304,8 +304,7 @@ impl Verifier<'_> {
             // Collect errors first; `self` is immutably borrowed by the
             // send sites.
             let mut errors: Vec<(String, String)> = Vec::new();
-            for site in self.sends_of(id) {
-                let tag = site.tag;
+            for SendSite { tag, payload } in self.sends_of(id) {
                 if tag as usize >= num_tags {
                     errors.push((
                         "unknown-message-tag".to_owned(),
@@ -316,7 +315,6 @@ impl Verifier<'_> {
                     ));
                     continue;
                 }
-                let payload = site.payload;
                 let layout = &self.program.messages[tag as usize];
                 if payload.len() != layout.fields.len() {
                     errors.push((
