@@ -20,7 +20,7 @@ use common::{algorithm_cases, compiled_for, fresh_dir, native_for, snapshots};
 use gm_core::seqinterp::{run_procedure, ArgValue, ExecOutcome};
 use gm_core::value::Value;
 use gm_graph::Graph;
-use gm_interp::{run_compiled, CompiledOutcome, TraceStep};
+use gm_interp::{run_compiled, CompiledOutcome};
 use gm_pregel::{
     CheckpointConfig, FaultPlan, PregelConfig, RecoveryPolicy, ResourceBudget, Schedule, Snapshot,
 };
@@ -41,7 +41,7 @@ struct Outcome {
     total_message_bytes: u64,
     pull_supersteps: u32,
     per_superstep: Vec<(u32, u64, u64)>,
-    trace: Vec<TraceStep>,
+    states: Vec<usize>,
 }
 
 fn outcome(out: &CompiledOutcome) -> Outcome {
@@ -68,7 +68,7 @@ fn outcome(out: &CompiledOutcome) -> Outcome {
             .iter()
             .map(|s| (s.active_vertices, s.messages_sent, s.message_bytes))
             .collect(),
-        trace: out.trace.clone(),
+        states: out.states.clone(),
     }
 }
 

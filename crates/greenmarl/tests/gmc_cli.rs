@@ -581,3 +581,83 @@ fn resume_restores_its_own_legs_snapshots_and_reruns_over_the_others() {
     assert_eq!(pr, reference);
     let _ = std::fs::remove_dir_all(&ckpt);
 }
+
+#[test]
+fn every_paper_artifact_runs_and_makes_its_checks() {
+    let dir = temp_dir().join("paper");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("f6.json");
+    for artifact in [
+        "table1",
+        "table2",
+        "table3",
+        "figure6",
+        "bc-report",
+        "ablation",
+    ] {
+        let mut cmd = gmc();
+        cmd.args(["paper", artifact]);
+        if artifact == "figure6" {
+            cmd.arg("--trace").arg(&trace);
+        }
+        let out = cmd
+            .env("GM_SCALE", "0.01")
+            .env("GM_REPS", "1")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{artifact}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        match artifact {
+            "figure6" => assert!(text.contains("network I/O'): EXACT"), "{text}"),
+            "bc-report" => {
+                assert!(text.contains("match=yes"), "{text}");
+                assert!(!text.contains("match=NO"), "{text}");
+            }
+            _ => assert!(!text.is_empty()),
+        }
+    }
+    // Without --trace-format the trace is written twice, JSONL and Chrome,
+    // and figure6 puts each row's metrics beside it.
+    for file in [
+        "f6.json",
+        "f6.chrome.json",
+        "f6.pagerank.twitter.metrics.json",
+    ] {
+        assert!(dir.join(file).is_file(), "{file} missing");
+    }
+}
+
+#[test]
+fn paper_refuses_flags_that_do_not_parse_or_apply() {
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["--chekpoint-every", "2"],
+            "unknown flag --chekpoint-every",
+        ),
+        // 2^32 + 2 does not fit the u32 interval; it used to wrap to 2.
+        (
+            &["--checkpoint-every", "4294967298"],
+            "bad value for --checkpoint-every",
+        ),
+        // `run`'s own flags mean nothing to `paper`.
+        (&["--graph", "edges.txt"], "unknown flag --graph"),
+        (&["--resume"], "needs --checkpoint-every"),
+        (&["--keep-snapshots"], "--keep-snapshots needs a value"),
+    ];
+    for (flags, named) in cases {
+        let out = gmc()
+            .args(["paper", "figure6"])
+            .args(flags)
+            .env("GM_SCALE", "0.01")
+            .env("GM_REPS", "1")
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {err}");
+        assert!(err.contains(named), "{err}");
+    }
+}

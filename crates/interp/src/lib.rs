@@ -42,4 +42,4 @@ pub mod shell;
 
 pub use eval::PickRng;
 pub use run::run_compiled;
-pub use shell::{run_leg, CompiledOutcome, RunError, TraceStep};
+pub use shell::{run_leg, CompiledOutcome, RunError};

@@ -55,19 +55,6 @@ impl From<PregelError> for RunError {
     }
 }
 
-/// One executed superstep, for tracing/debugging generated programs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceStep {
-    /// Which state of the machine ran its vertex phase.
-    pub state: usize,
-    /// Vertices whose kernel executed.
-    pub active_vertices: u32,
-    /// Messages sent during the superstep.
-    pub messages_sent: u64,
-    /// Serialized bytes of those messages.
-    pub message_bytes: u64,
-}
-
 /// Result of executing a compiled program.
 #[derive(Debug, Clone)]
 pub struct CompiledOutcome {
@@ -79,10 +66,10 @@ pub struct CompiledOutcome {
     pub globals: HashMap<String, Value>,
     /// Superstep/message/timing counters from the BSP runtime.
     pub metrics: Metrics,
-    /// Which machine state each superstep executed (aligned with
-    /// [`Metrics::per_superstep`]) — the execution trace of the generated
+    /// Which machine state each vertex superstep executed, aligned with
+    /// [`Metrics::per_superstep`]: the execution trace of the generated
     /// state machine.
-    pub trace: Vec<TraceStep>,
+    pub states: Vec<usize>,
 }
 
 /// One state of the machine, as the shell sees it.
@@ -381,14 +368,6 @@ pub fn run_leg<'a, L: Leg>(
     let init = |n: NodeId| L::VertexValue::build(props, |slot| bound.node(slot, n));
     let result = gm_pregel::run(graph, &mut shell, init, config)?;
 
-    let trace = (shell.state_log.iter().zip(&result.metrics.per_superstep))
-        .map(|(&state, m)| TraceStep {
-            state,
-            active_vertices: m.active_vertices,
-            messages_sent: m.messages_sent,
-            message_bytes: m.message_bytes,
-        })
-        .collect();
     let values = &result.values;
     Ok(CompiledOutcome {
         ret: shell.master.ret,
@@ -404,7 +383,7 @@ pub fn run_leg<'a, L: Leg>(
             .map(|(slot, (name, _))| (name.to_string(), shell.globals.get(slot)))
             .collect(),
         metrics: result.metrics,
-        trace,
+        states: shell.state_log,
     })
 }
 

@@ -1,5 +1,5 @@
-//! The execution trace: one entry per vertex superstep, aligned with the
-//! metrics, recording which machine state ran.
+//! The execution trace: one state per vertex superstep, aligned with the
+//! metrics' per-superstep counters.
 
 use gm_core::seqinterp::ArgValue;
 use gm_core::value::Value;
@@ -34,22 +34,18 @@ fn trace_follows_the_state_machine() {
     )]);
     let out = run_compiled(&g, &compiled, &args, 0, &PregelConfig::sequential()).unwrap();
 
-    // One trace entry per vertex superstep (the final halt superstep has
-    // no vertex phase and no entry).
-    assert_eq!(out.trace.len() as u32 + 1, out.metrics.supersteps);
+    // One state per vertex superstep (the final halt superstep has no
+    // vertex phase and no entry).
+    assert_eq!(out.states.len() as u32 + 1, out.metrics.supersteps);
     // The intra-loop-merged steady state repeats one self-looping state.
-    let steady = out.trace.last().unwrap().state;
-    let repeats = out.trace.iter().filter(|t| t.state == steady).count();
-    assert!(repeats >= 2, "steady state should repeat: {:?}", out.trace);
-    // Every entry's counters match the runtime's per-superstep metrics.
-    for (t, m) in out.trace.iter().zip(&out.metrics.per_superstep) {
-        assert_eq!(t.active_vertices, m.active_vertices);
-        assert_eq!(t.messages_sent, m.messages_sent);
-        assert_eq!(t.message_bytes, m.message_bytes);
-    }
+    let steady = *out.states.last().unwrap();
+    let repeats = out.states.iter().filter(|&&s| s == steady).count();
+    assert!(repeats >= 2, "steady state should repeat: {:?}", out.states);
+    // Every entry has the runtime's per-superstep counters beside it.
+    let steps = &out.metrics.per_superstep[..out.states.len()];
     // All vertices were active every superstep (no voteToHalt, as in the
     // paper's generated code).
-    assert!(out.trace.iter().all(|t| t.active_vertices == 6));
+    assert!(steps.iter().all(|m| m.active_vertices == 6));
 }
 
 const SSSP: &str = "Procedure sssp(G: Graph, root: Node, len: E_P<Int>, dist: N_P<Int>) {
@@ -90,9 +86,9 @@ fn trace_shows_active_vertex_tail_for_sssp() {
     let out = run_compiled(&g, &compiled, &args, 0, &PregelConfig::sequential()).unwrap();
     // Each wave moves one hop: messages per superstep drop to 1 while all
     // 12 vertices keep computing.
-    let tail = &out.trace[out.trace.len() - 3..];
-    for t in tail {
-        assert_eq!(t.active_vertices, 12);
-        assert!(t.messages_sent <= 1);
+    let steps = &out.metrics.per_superstep[..out.states.len()];
+    for m in &steps[steps.len() - 3..] {
+        assert_eq!(m.active_vertices, 12);
+        assert!(m.messages_sent <= 1);
     }
 }

@@ -265,8 +265,8 @@ fn check_translation_validation(
         let out = run_compiled(&g, &compiled, &args, 0, &cfg).expect("gathered pregel run");
         agree(&out, &format!("{tag}/gathered"));
         let kernels = lower(&compiled.program).expect("lowering").kernels;
-        for (step, metrics) in out.trace.iter().zip(&out.metrics.per_superstep) {
-            match kernels[step.state].as_ref().map(|k| &k.pull) {
+        for (&state, metrics) in out.states.iter().zip(&out.metrics.per_superstep) {
+            match kernels[state].as_ref().map(|k| &k.pull) {
                 Some(CPull::Captured) if metrics.pulled => gathered[0] = true,
                 Some(CPull::Recomputed(_)) if metrics.pulled => gathered[1] = true,
                 _ => {}
