@@ -11,7 +11,6 @@ use std::collections::HashMap;
 const OPTS: gm_core::CompileOptions = gm_core::CompileOptions {
     state_merging: true,
     intra_loop_merging: true,
-    combiners: false,
 };
 
 #[test]

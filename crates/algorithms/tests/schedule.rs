@@ -79,7 +79,9 @@ fn bipartite_random_writing_states_are_push_only() {
 // ---------------------------------------------------------------------------
 
 /// Structural fingerprint of a run: everything the paper treats as the
-/// program's observable behavior, down to per-superstep activity.
+/// program's observable behavior, down to per-superstep activity, plus
+/// the share of the traffic that crosses workers. That share depends on
+/// the partition, so it is compared only at one worker count.
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     node_props: Vec<(String, Vec<Value>)>,
@@ -88,6 +90,9 @@ struct Fingerprint {
     total_messages: u64,
     total_message_bytes: u64,
     per_superstep: Vec<(u32, u64, u64)>,
+    /// Remote messages and their bytes, in total and per superstep.
+    remote: (u64, u64),
+    remote_per_superstep: Vec<(u64, u64)>,
 }
 
 fn fingerprint(out: &CompiledOutcome) -> Fingerprint {
@@ -109,6 +114,16 @@ fn fingerprint(out: &CompiledOutcome) -> Fingerprint {
             .iter()
             .map(|s| (s.active_vertices, s.messages_sent, s.message_bytes))
             .collect(),
+        remote: (
+            out.metrics.remote_messages,
+            out.metrics.remote_message_bytes,
+        ),
+        remote_per_superstep: out
+            .metrics
+            .per_superstep
+            .iter()
+            .map(|s| (s.remote_messages, s.remote_message_bytes))
+            .collect(),
     }
 }
 
@@ -118,7 +133,6 @@ type Case = (
     gm_graph::Graph,
     HashMap<String, ArgValue>,
     u64,
-    CompileOptions,
 );
 
 fn algorithm_cases() -> Vec<Case> {
@@ -186,36 +200,13 @@ fn algorithm_cases() -> Vec<Case> {
         77,
     ));
 
-    let mut cases: Vec<Case> = cases
-        .into_iter()
-        .map(|(name, src, graph, args, seed)| {
-            (name, src, graph, args, seed, CompileOptions::default())
-        })
-        .collect();
-    // The combiner extension, on the two algorithms whose messages
-    // combine: under pull the combine-with-last fold runs receiver-side.
-    for (plain, combined) in [
-        ("pagerank", "pagerank+combiners"),
-        ("sssp", "sssp+combiners"),
-    ] {
-        let case = cases.iter().find(|c| c.0 == plain).expect(plain);
-        let case = (
-            combined,
-            case.1,
-            case.2.clone(),
-            case.3.clone(),
-            case.4,
-            CompileOptions::with_combiners(),
-        );
-        cases.push(case);
-    }
     cases
 }
 
 #[test]
 fn all_algorithms_bit_identical_across_schedules_and_workers() {
-    for (name, src, graph, args, seed, options) in algorithm_cases() {
-        let compiled = compile(src, &options).expect(name);
+    for (name, src, graph, args, seed) in algorithm_cases() {
+        let compiled = compile(src, &CompileOptions::default()).expect(name);
         let seq = gm_interp::run_compiled(
             &graph,
             &compiled,
@@ -245,24 +236,20 @@ fn all_algorithms_bit_identical_across_schedules_and_workers() {
             // worker order, so a float Sum can round differently. That is
             // a pre-existing property of the partitioning, not of the
             // schedule — node values and structural metrics stay exact.
-            // Combiners fold per sender worker, so with them neither the
-            // message counts nor float values are worker-count independent.
-            if !options.combiners {
-                assert_eq!(push_fp.node_props, seq_fp.node_props, "{name}×{workers}");
-                assert_eq!(push_fp.supersteps, seq_fp.supersteps, "{name}×{workers}");
-                assert_eq!(
-                    push_fp.total_messages, seq_fp.total_messages,
-                    "{name}×{workers}"
-                );
-                assert_eq!(
-                    push_fp.total_message_bytes, seq_fp.total_message_bytes,
-                    "{name}×{workers}"
-                );
-                assert_eq!(
-                    push_fp.per_superstep, seq_fp.per_superstep,
-                    "{name}×{workers}"
-                );
-            }
+            assert_eq!(push_fp.node_props, seq_fp.node_props, "{name}×{workers}");
+            assert_eq!(push_fp.supersteps, seq_fp.supersteps, "{name}×{workers}");
+            assert_eq!(
+                push_fp.total_messages, seq_fp.total_messages,
+                "{name}×{workers}"
+            );
+            assert_eq!(
+                push_fp.total_message_bytes, seq_fp.total_message_bytes,
+                "{name}×{workers}"
+            );
+            assert_eq!(
+                push_fp.per_superstep, seq_fp.per_superstep,
+                "{name}×{workers}"
+            );
 
             for schedule in [Schedule::Pull, Schedule::Auto] {
                 let config = PregelConfig::with_workers(workers).with_schedule(schedule);
@@ -295,8 +282,16 @@ fn auto_with_zero_threshold_gathers_every_pullable_superstep() {
         ("d".to_owned(), ArgValue::Scalar(Value::Double(0.85))),
         ("max_iter".to_owned(), ArgValue::Scalar(Value::Int(30))),
     ]);
-    let push =
-        gm_interp::run_compiled(&g, &compiled, &args, 0, &PregelConfig::sequential()).unwrap();
+    // At the same worker count: the fingerprint's remote split depends on
+    // the partition.
+    let push = gm_interp::run_compiled(
+        &g,
+        &compiled,
+        &args,
+        0,
+        &PregelConfig::with_workers(4).with_schedule(Schedule::Push),
+    )
+    .unwrap();
     let auto = gm_interp::run_compiled(
         &g,
         &compiled,

@@ -26,10 +26,6 @@ pub struct CompileOptions {
     pub state_merging: bool,
     /// §4.2 Intra-Loop State Merging.
     pub intra_loop_merging: bool,
-    /// Extension beyond the paper: let `kernel::lower` give
-    /// single-reduction message tags a combiner, so the runtime folds them
-    /// sender-side (off by default, like the paper's compiler).
-    pub combiners: bool,
 }
 
 impl Default for CompileOptions {
@@ -37,7 +33,6 @@ impl Default for CompileOptions {
         CompileOptions {
             state_merging: true,
             intra_loop_merging: true,
-            combiners: false,
         }
     }
 }
@@ -48,15 +43,6 @@ impl CompileOptions {
         CompileOptions {
             state_merging: false,
             intra_loop_merging: false,
-            ..Self::default()
-        }
-    }
-
-    /// Everything on, including the combiner extension.
-    pub fn with_combiners() -> Self {
-        CompileOptions {
-            combiners: true,
-            ..Self::default()
         }
     }
 }
@@ -152,7 +138,6 @@ pub fn compile_with(
         options.intra_loop_merging,
         &mut report,
     )?;
-    pregel.combiners = options.combiners;
     report.record_timing(
         "optimize",
         started.elapsed(),

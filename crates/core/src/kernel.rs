@@ -4,7 +4,7 @@
 //! in a state once — vertex kernels, master blocks, post blocks and
 //! transitions — to a slot, folds `INF`/`NIL` literals into constants,
 //! computes the kernel's flags (snapshotting, edge-dependent sends, the
-//! pull verdict) and each message tag's combiner, and flattens the code
+//! pull verdict), and flattens the code
 //! into [`CInstr`] and [`CMInstr`] programs over one expression form,
 //! [`CExpr`]. `gm-interp` executes the result allocation-free;
 //! [`crate::rustgen`] prints it as native Rust and [`crate::javagen`] as
@@ -323,13 +323,6 @@ pub struct Lowered {
     pub masters: Vec<CMaster>,
     /// Serialized size per tag.
     pub msg_bytes: Vec<u64>,
-    /// Per tag, the operator that folds two messages into one (Pregel's
-    /// combiner), or `None` when messages must arrive one by one. A tag
-    /// combines only under `PregelProgram::combiners`, when it has exactly
-    /// one payload field and a handler, and every handler of it is one
-    /// unguarded `WriteOwn` of that field by the same reduction (`-=` is
-    /// not commutative).
-    pub combine: Vec<Option<AssignOp>>,
 }
 
 /// Lowers every state of `program`. Fails on a name that does not
@@ -380,16 +373,12 @@ pub fn lower(program: &PregelProgram) -> Result<Lowered, String> {
             },
         });
     }
-    let combine = (0..program.messages.len())
-        .map(|tag| combiner(program, &kernels, tag))
-        .collect();
     Ok(Lowered {
         kernels,
         masters,
         msg_bytes: (0..program.messages.len())
             .map(|t| program.message_bytes(t as u8))
             .collect(),
-        combine,
     })
 }
 
@@ -401,36 +390,6 @@ impl Lowered {
         let stores = |r: &&CRecv| (r.steps.iter()).any(|s| matches!(s.action, CAction::StoreInNbr));
         handlers.find(stores).map(|r| r.tag)
     }
-}
-
-/// The combiner of message `tag` (see [`Lowered::combine`]).
-fn combiner(program: &PregelProgram, kernels: &[Option<CKernel>], tag: usize) -> Option<AssignOp> {
-    if !program.combiners || program.messages[tag].fields.len() != 1 {
-        return None;
-    }
-    // A handler's operator, if the handler is one unguarded reduction of
-    // the bare payload into an own property.
-    let op = |r: &CRecv| match (&r.guard, &r.steps[..]) {
-        (
-            None,
-            [CStep {
-                guard: None,
-                action,
-            }],
-        ) => match action {
-            CAction::WriteOwn {
-                op,
-                value: CExpr::Payload(0),
-                ..
-            } if op.is_reduction() && *op != AssignOp::Sub => Some(*op),
-            _ => None,
-        },
-        _ => None,
-    };
-    let handlers = kernels.iter().flatten().flat_map(|k| &k.recvs);
-    let mut ops = handlers.filter(|r| r.tag as usize == tag).map(op);
-    let first = ops.next()??;
-    ops.all(|op| op == Some(first)).then_some(first)
 }
 
 /// `INF` (or `-INF`) at the checker's annotated type.
@@ -893,11 +852,11 @@ mod tests {
         }
     }
 
-    /// A program around `states`: property `x`, edge property `w`,
-    /// [`GLOBALS`], message tag 0 with field `v`, tag 1 empty, tag 2 with
-    /// fields `v` and `u`, and an `Int` return.
-    fn program_of(states: Vec<State>) -> PregelProgram {
-        PregelProgram {
+    /// Lowers the one-state program around `state`: property `x`, edge
+    /// property `w`, [`GLOBALS`], message tag 0 with field `v`, tag 1
+    /// empty, and an `Int` return.
+    fn lower_state(state: State) -> Result<Lowered, String> {
+        lower(&PregelProgram {
             name: "p".into(),
             graph_param: "G".into(),
             scalar_params: vec![],
@@ -915,34 +874,11 @@ mod tests {
                     tag: 1,
                     fields: vec![],
                 },
-                MessageLayout {
-                    tag: 2,
-                    fields: vec![("v".into(), Ty::Int), ("u".into(), Ty::Int)],
-                },
             ],
             uses_in_nbrs: false,
-            combiners: false,
             ret: Some(Ty::Int),
-            states,
-        }
-    }
-
-    /// Lowers the one-state program around `state`.
-    fn lower_state(state: State) -> Result<Lowered, String> {
-        lower(&program_of(vec![state]))
-    }
-
-    /// A vertex state with receive handlers `recvs` and nothing else.
-    fn receiving(recvs: Vec<RecvHandler>) -> State {
-        State {
-            master: vec![],
-            vertex: Some(VertexKernel {
-                recvs,
-                ..VertexKernel::default()
-            }),
-            post: vec![],
-            transition: Transition::Halt,
-        }
+            states: vec![state],
+        })
     }
 
     /// Lowers a one-state program around the given kernel parts.
@@ -1163,105 +1099,6 @@ mod tests {
                 CPull::Recomputed(_) => "recomputed",
             };
             assert_eq!(got, want, "{name}");
-        }
-    }
-
-    /// A handler for `tag` whose one step folds `value` into `x` by `op`.
-    fn reduce_recv(tag: u8, op: AssignOp, value: Expr) -> RecvHandler {
-        RecvHandler {
-            tag,
-            guard: None,
-            steps: vec![RecvStep {
-                guard: None,
-                action: RecvAction::WriteOwn {
-                    prop: "x".into(),
-                    op,
-                    value,
-                },
-            }],
-        }
-    }
-
-    /// Every rule of the combiner verdict, one case each: the handlers of
-    /// each kernel, the tag, and the verdict it must get.
-    #[test]
-    fn a_tag_combines_only_when_every_handler_is_one_unguarded_payload_reduction() {
-        use AssignOp::{Add, Assign, Min, Sub};
-        let pl_v = || Expr::var(&format!("{PAYLOAD_PREFIX}v"));
-        let min = || reduce_recv(0, Min, pl_v());
-        let guarded = RecvHandler {
-            guard: Some(Expr::bool(true)),
-            ..min()
-        };
-        let mut step_guarded = min();
-        step_guarded.steps[0].guard = Some(Expr::bool(true));
-        let mut two_steps = min();
-        two_steps.steps.extend(min().steps);
-        let to_global = RecvHandler {
-            steps: vec![RecvStep {
-                guard: None,
-                action: RecvAction::ReduceGlobal {
-                    name: "a".into(),
-                    op: Min,
-                    value: pl_v(),
-                },
-            }],
-            ..min()
-        };
-        type Case = (&'static str, u8, Vec<Vec<RecvHandler>>, Option<AssignOp>);
-        let cases: Vec<Case> = vec![
-            ("one reduction", 0, vec![vec![min()]], Some(Min)),
-            (
-                "two kernels agree",
-                0,
-                vec![vec![min()], vec![min()]],
-                Some(Min),
-            ),
-            (
-                "two kernels disagree",
-                0,
-                vec![vec![min()], vec![reduce_recv(0, Add, pl_v())]],
-                None,
-            ),
-            ("no handler", 0, vec![vec![]], None),
-            ("guarded handler", 0, vec![vec![guarded]], None),
-            ("guarded step", 0, vec![vec![step_guarded]], None),
-            ("two steps", 0, vec![vec![two_steps]], None),
-            (
-                "subtraction",
-                0,
-                vec![vec![reduce_recv(0, Sub, pl_v())]],
-                None,
-            ),
-            (
-                "assignment",
-                0,
-                vec![vec![reduce_recv(0, Assign, pl_v())]],
-                None,
-            ),
-            (
-                "not the bare payload",
-                0,
-                vec![vec![reduce_recv(0, Min, add(pl_v(), Expr::int(1)))]],
-                None,
-            ),
-            ("a global reduction", 0, vec![vec![to_global]], None),
-            (
-                "two payload fields",
-                2,
-                vec![vec![reduce_recv(2, Min, pl_v())]],
-                None,
-            ),
-        ];
-        for (name, tag, kernels, want) in cases {
-            let mut program = program_of(kernels.into_iter().map(receiving).collect());
-            program.combiners = true;
-            let combine = lower(&program).unwrap().combine;
-            assert_eq!(combine[tag as usize], want, "{name}");
-            // Without the compile option nothing combines.
-            program.combiners = false;
-            let combine = lower(&program).unwrap().combine;
-            assert!(combine.iter().all(Option::is_none), "{name}");
         }
     }
 

@@ -72,9 +72,6 @@ pub struct PregelProgram {
     /// Whether the two-superstep in-neighbor-array preamble is required;
     /// its message layout is the last of [`PregelProgram::messages`].
     pub uses_in_nbrs: bool,
-    /// Whether lowering may give message tags a combiner (the compiler
-    /// option; the verdict per tag is `kernel::Lowered::combine`).
-    pub combiners: bool,
     /// Declared return type.
     pub ret: Option<Ty>,
     /// The state machine. `states[0]` is the entry.
@@ -473,7 +470,6 @@ mod tests {
                 },
             ],
             uses_in_nbrs: false,
-            combiners: false,
             ret: None,
             states: vec![State {
                 master: vec![],

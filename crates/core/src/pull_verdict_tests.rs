@@ -27,7 +27,6 @@ mod tests {
                 fields: vec![("v".into(), Ty::Double)],
             }],
             uses_in_nbrs: false,
-            combiners: false,
             ret: None,
             states: vec![State {
                 master: vec![],

@@ -17,8 +17,8 @@
 //!   `Leg::in_nbr` reads the tag whose handler stores in-neighbors;
 //! * a typed `Globals` struct, one native field per master global;
 //! * vertex kernels and per-state master/post/transition code with all
-//!   expressions **inlined at their native types**, combiners and
-//!   aggregator folds included;
+//!   expressions **inlined at their native types**, aggregator folds
+//!   included;
 //! * `pull_message` for the compiler's `Recomputed` states, so
 //!   `Schedule::Pull` and `Schedule::Auto` keep working natively;
 //! * a `SIGNATURE` table — names, scalar types, vertex states, kernel
@@ -1550,35 +1550,6 @@ impl<'a> Gen<'a> {
             out.close("}");
         }
 
-        let combining: Vec<(usize, AssignOp)> = (lowered.combine.iter())
-            .copied()
-            .enumerate()
-            .filter_map(|(t, op)| op.map(|o| (t, o)))
-            .collect();
-        if !combining.is_empty() {
-            out.line("");
-            out.open("fn has_combiner(&self) -> bool {");
-            out.line("true");
-            out.close("}");
-            out.line("");
-            out.open("fn combine(&self, a: &Msg, b: &Msg) -> Option<Msg> {");
-            out.open("match (*a, *b) {");
-            for &(t, op) in &combining {
-                // A combining tag has exactly one payload field.
-                let (variant, fields) = &self.msg_variants[t];
-                let (f, r) = &fields[0];
-                let red = self.reduce_expr(op, "x", "y", *r)?;
-                out.open(&format!(
-                    "(Msg::{variant} {{ {f}: x }}, Msg::{variant} {{ {f}: y }}) => {{"
-                ));
-                out.line(&format!("Some(Msg::{variant} {{ {f}: {red} }})"));
-                out.close("}");
-            }
-            out.line("_ => None,");
-            out.close("}");
-            out.close("}");
-        }
-
         if let Some(arms) = pull_arms {
             out.line("");
             out.line("fn pull_message(");
@@ -1693,7 +1664,7 @@ fn emit_row(out: &mut Buf, name: &str, fields: &[(String, Repr)], in_nbrs: bool)
 /// Compiles a verified [`PregelProgram`] into the source text of a
 /// standalone Rust module implementing `gm_interp::Leg` natively —
 /// monomorphized message enum, native property and global fields, inlined
-/// combiners — plus its `SIGNATURE` and a `run` entry point into the shell
+/// expressions — plus its `SIGNATURE` and a `run` entry point into the shell
 /// `gm_interp::run_compiled` shares, so argument handling, master state
 /// and outcome shape are the interpreter's by construction.
 pub fn emit_rust(program: &PregelProgram) -> Result<String, RustgenError> {
@@ -1736,18 +1707,6 @@ mod tests {
     #[test]
     fn emission_is_deterministic() {
         assert_eq!(rust_of(NBR_SUM), rust_of(NBR_SUM));
-    }
-
-    #[test]
-    fn combiner_is_inlined_for_reducible_messages() {
-        let options = CompileOptions {
-            combiners: true,
-            ..Default::default()
-        };
-        let compiled = compile(NBR_SUM, &options).expect("compiles");
-        let rs = emit_rust(&compiled.program).expect("emits");
-        assert!(rs.contains("fn has_combiner"), "{rs}");
-        assert!(rs.contains("wrapping_add"), "{rs}");
     }
 
     #[test]

@@ -110,7 +110,6 @@ pub fn translate(
         globals: tx.globals,
         messages: tx.messages,
         uses_in_nbrs: tx.uses_in_nbrs,
-        combiners: false,
         ret: proc.ret.clone(),
         states: tx.states,
     };

@@ -692,7 +692,6 @@ mod tests {
                 fields: vec![("v".into(), Ty::Int)],
             }],
             uses_in_nbrs: false,
-            combiners: false,
             ret: None,
             states: vec![
                 State {
@@ -948,7 +947,6 @@ mod tests {
             for opts in [
                 crate::CompileOptions::default(),
                 crate::CompileOptions::unoptimized(),
-                crate::CompileOptions::with_combiners(),
             ] {
                 let compiled = crate::compile(src, &opts).expect("compiles");
                 verify(&compiled.program).unwrap_or_else(|e| {

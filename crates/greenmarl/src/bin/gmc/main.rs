@@ -29,7 +29,7 @@
 //! `gmc emit-rust` compiles a procedure and prints a
 //! standalone Rust module implementing the runtime's `VertexProgram` trait
 //! natively — monomorphized message enum, native property fields, inlined
-//! combiners — bit-identical in results to the interpreter. `gmc run
+//! expressions — bit-identical in results to the interpreter. `gmc run
 //! --backend native` executes such a module compiled into the binary
 //! (`gm_algorithms::native`), selected by byte-equality of the generated
 //! source, instead of interpreting the PIR.

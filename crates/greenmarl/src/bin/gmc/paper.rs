@@ -12,6 +12,8 @@
 //! Its tracer receives one span per generated graph, every compile's
 //! passes and every interpreted run; figure6 also writes
 //! `<stem>.<alg>.<graph>.metrics.json` beside the trace for each row.
+//! With `--checkpoint-every`, every run snapshots into its own
+//! `<checkpoint-dir>/<alg>.<graph>.<leg or level>` (see [`for_run`]).
 //! An artifact panics when a check it makes fails.
 
 use gm_algorithms::{manual, native, reference, sources};
@@ -53,6 +55,19 @@ struct Workload {
 
 /// Baseline scale factor (vertices of the twitter-like graph at scale 1).
 const BASE_TWITTER_N: f64 = 30_000.0;
+
+/// `config` for one run of an artifact, named `<alg>.<graph>.<leg or
+/// level>`: its checkpoints, if any, go to that subdirectory of
+/// `--checkpoint-dir`. Pruning (`--keep-snapshots`) and `--resume` go by
+/// superstep number alone, so runs sharing a directory would prune and
+/// resume each other's snapshots.
+fn for_run(config: &PregelConfig, run: &str) -> PregelConfig {
+    let mut config = config.clone();
+    if let Some(checkpoint) = &mut config.checkpoint {
+        checkpoint.dir = checkpoint.dir.join(run);
+    }
+    config
+}
 
 /// The environment variable `name`, or `default` when it is unset or
 /// does not parse.
@@ -362,8 +377,9 @@ fn time_manual(alg: &str, g: &Graph, cfg: &PregelConfig, reps: usize) -> (Durati
 ///
 /// The generated side runs both interpreted, traced, and natively; the
 /// native and manual runs are untraced. `--checkpoint-every N` puts the
-/// snapshot overhead into every measured time. Every cell pushes by
-/// default, as the manual baselines must; `GM_SCHEDULE=auto|pull` lets
+/// snapshot overhead into every measured time; each leg of each cell
+/// snapshots into its own subdirectory of `--checkpoint-dir`. Every cell
+/// pushes by default, as the manual baselines must; `GM_SCHEDULE=auto|pull` lets
 /// the generated cells gather (structural parity must hold regardless,
 /// since the gather is metered identically).
 ///
@@ -403,6 +419,14 @@ fn figure6(config: &PregelConfig, trace: Option<&Path>) {
         for &(algorithm, alg) in cells {
             let nat = native_entry(alg);
             let args = args_for(alg, g);
+            let run_cfg = |config: &PregelConfig, leg: &str| {
+                for_run(config, &format!("{alg}.{}.{leg}", w.name))
+            };
+            let (interp_cfg, native_cfg, manual_cfg) = (
+                run_cfg(config, "interp"),
+                run_cfg(&untraced, "native"),
+                run_cfg(&untraced, "manual"),
+            );
             let compiled = compile_with(
                 nat.source,
                 &CompileOptions::default(),
@@ -410,7 +434,7 @@ fn figure6(config: &PregelConfig, trace: Option<&Path>) {
             )
             .expect("embedded source compiles");
             let generated = ms(time_min(reps, || {
-                (run_compiled(g, &compiled, &args, 7, config).expect("generated run")).metrics
+                (run_compiled(g, &compiled, &args, 7, &interp_cfg).expect("generated run")).metrics
             }));
             if let Some(trace) = trace {
                 let dest = super::beside(trace, &format!("{alg}.{}.metrics.json", w.name));
@@ -418,9 +442,9 @@ fn figure6(config: &PregelConfig, trace: Option<&Path>) {
                     .unwrap_or_else(|e| panic!("cannot write {}: {e}", dest.display()));
             }
             let native = ms(time_min(reps, || {
-                ((nat.run)(g, &args, 7, &untraced).expect("native run")).metrics
+                ((nat.run)(g, &args, 7, &native_cfg).expect("native run")).metrics
             }));
-            let manual = ms(time_manual(alg, g, &untraced, reps));
+            let manual = ms(time_manual(alg, g, &manual_cfg, reps));
             rows.push(Row {
                 algorithm,
                 graph: w.name,
@@ -579,8 +603,9 @@ fn bc_report(config: &PregelConfig, _trace: Option<&Path>) {
         }
         let g = &w.graph;
         let args = args_for("bc", g);
+        let run_cfg = for_run(config, &format!("bc.{}.interp", w.name));
         let start = Instant::now();
-        let out = run_compiled(g, &compiled, &args, seed, config).expect("bc runs");
+        let out = run_compiled(g, &compiled, &args, seed, &run_cfg).expect("bc runs");
         let elapsed = start.elapsed();
         let (_, ref_sum) = reference::bc_approx(g, k, seed);
         let got = out.ret.expect("bc returns a sum").as_f64();
@@ -603,32 +628,33 @@ fn bc_report(config: &PregelConfig, _trace: Option<&Path>) {
 }
 
 /// The §4.2 optimization levels the ablation compares.
-const ABLATION_LEVELS: [CompileOptions; 4] = [
-    CompileOptions {
-        state_merging: false,
-        intra_loop_merging: false,
-        combiners: false,
-    },
-    CompileOptions {
-        state_merging: true,
-        intra_loop_merging: false,
-        combiners: false,
-    },
-    CompileOptions {
-        state_merging: true,
-        intra_loop_merging: true,
-        combiners: false,
-    },
-    CompileOptions {
-        state_merging: true,
-        intra_loop_merging: true,
-        combiners: true,
-    },
+const ABLATION_LEVELS: [(&str, CompileOptions); 3] = [
+    (
+        "none",
+        CompileOptions {
+            state_merging: false,
+            intra_loop_merging: false,
+        },
+    ),
+    (
+        "merge",
+        CompileOptions {
+            state_merging: true,
+            intra_loop_merging: false,
+        },
+    ),
+    (
+        "merge+intra",
+        CompileOptions {
+            state_merging: true,
+            intra_loop_merging: true,
+        },
+    ),
 ];
 
 /// **Ablation** of the §4.2 optimizations: supersteps, messages and run
-/// time of each generated program with State Merging, Intra-Loop State
-/// Merging and combiners toggled. The paper motivates the first two as
+/// time of each generated program with State Merging and Intra-Loop State
+/// Merging toggled. The paper motivates the first two as
 /// timestep reducers; this quantifies them on every algorithm.
 fn ablation(config: &PregelConfig, _trace: Option<&Path>) {
     let algorithms: [(&str, &str); 6] = [
@@ -641,9 +667,10 @@ fn ablation(config: &PregelConfig, _trace: Option<&Path>) {
     ];
     let workloads = table1_graphs(config.tracer.as_ref());
     println!("Ablation: supersteps / run-time by optimization level");
+    let [none, merge, intra] = ABLATION_LEVELS.map(|(level, _)| level);
     println!(
-        "{:<12} {:<12} {:>12} {:>12} {:>12} {:>16}",
-        "Algorithm", "Graph", "none", "merge", "merge+intra", "+combiners(ext)"
+        "{:<12} {:<12} {:>12} {:>12} {:>12}",
+        "Algorithm", "Graph", none, merge, intra
     );
     for (alg, src) in algorithms {
         for w in &workloads {
@@ -653,11 +680,12 @@ fn ablation(config: &PregelConfig, _trace: Option<&Path>) {
             }
             let g = &w.graph;
             let args = args_for(alg, g);
-            let cells = ABLATION_LEVELS.map(|opts| {
+            let cells = ABLATION_LEVELS.map(|(level, opts)| {
                 let compiled = compile_with(src, &opts, config.tracer.as_ref())
                     .expect("embedded source compiles");
+                let run_cfg = for_run(config, &format!("{alg}.{}.{level}", w.name));
                 let start = Instant::now();
-                let out = run_compiled(g, &compiled, &args, 7, config).expect("run");
+                let out = run_compiled(g, &compiled, &args, 7, &run_cfg).expect("run");
                 format!(
                     "{}ss/{}m/{:.0}ms",
                     out.metrics.supersteps,
@@ -666,8 +694,8 @@ fn ablation(config: &PregelConfig, _trace: Option<&Path>) {
                 )
             });
             println!(
-                "{:<12} {:<12} {:>12} {:>12} {:>12} {:>16}",
-                alg, w.name, cells[0], cells[1], cells[2], cells[3]
+                "{:<12} {:<12} {:>12} {:>12} {:>12}",
+                alg, w.name, cells[0], cells[1], cells[2]
             );
         }
     }

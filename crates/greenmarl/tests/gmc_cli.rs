@@ -632,6 +632,54 @@ fn every_paper_artifact_runs_and_makes_its_checks() {
 }
 
 #[test]
+fn each_paper_run_snapshots_into_its_own_directory() {
+    let dir = temp_dir().join("paper-ckpt");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = gmc()
+        .args(["paper", "figure6", "--checkpoint-every", "2"])
+        .args(["--keep-snapshots", "1", "--checkpoint-dir"])
+        .arg(&dir)
+        .env("GM_SCALE", "0.01")
+        .env("GM_REPS", "1")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Nine cells, three legs each: every run prunes only its own files.
+    let mut want = Vec::new();
+    for graph in ["twitter", "sk-2005"] {
+        for alg in ["avg_teen", "pagerank", "conductance", "sssp"] {
+            want.push(format!("{alg}.{graph}"));
+        }
+    }
+    want.push("bipartite.bipartite".to_owned());
+    let mut want: Vec<String> = (want.iter())
+        .flat_map(|cell| ["interp", "native", "manual"].map(|leg| format!("{cell}.{leg}")))
+        .collect();
+    want.sort();
+    let mut got = Vec::new();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let entry = entry.unwrap();
+        let name = entry.file_name().to_string_lossy().into_owned();
+        assert!(
+            entry.file_type().unwrap().is_dir(),
+            "{name} is not a run's directory"
+        );
+        let snapshots = (std::fs::read_dir(entry.path()).unwrap())
+            .filter(|f| f.as_ref().unwrap().path().extension() == Some("gmck".as_ref()))
+            .count();
+        assert!(snapshots >= 1, "{name}: no snapshot");
+        got.push(name);
+    }
+    got.sort();
+    assert_eq!(got, want);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn paper_refuses_flags_that_do_not_parse_or_apply() {
     let cases: [(&[&str], &str); 5] = [
         (

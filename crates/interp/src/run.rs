@@ -247,21 +247,6 @@ impl Leg for Machine<'_> {
         })
     }
 
-    fn has_combiner(&self) -> bool {
-        self.pre.combine.iter().any(Option::is_some)
-    }
-
-    fn combine(&self, a: &Msg, b: &Msg) -> Option<Msg> {
-        if a.tag != b.tag {
-            return None;
-        }
-        let op = self.pre.combine.get(a.tag as usize).copied().flatten()?;
-        Some(Msg {
-            tag: a.tag,
-            payload: Arc::from(vec![apply_reduce(op, a.payload[0], b.payload[0])]),
-        })
-    }
-
     fn pull_message(
         &self,
         state: usize,

@@ -247,17 +247,6 @@ pub trait Leg: Send + Sync {
         None
     }
 
-    /// See [`VertexProgram::has_combiner`].
-    fn has_combiner(&self) -> bool {
-        false
-    }
-
-    /// See [`VertexProgram::combine`].
-    fn combine(&self, a: &Self::Message, b: &Self::Message) -> Option<Self::Message> {
-        let _ = (a, b);
-        None
-    }
-
     /// The message `src` sent along `edge` in `Recomputed` state `state`
     /// (see [`VertexProgram::pull_message`]).
     fn pull_message(
@@ -445,16 +434,6 @@ impl<L: Leg> VertexProgram for Shell<'_, L> {
     #[inline]
     fn message_bytes(&self, m: &L::Message) -> u64 {
         self.leg.message_bytes(m)
-    }
-
-    #[inline]
-    fn has_combiner(&self) -> bool {
-        self.leg.has_combiner()
-    }
-
-    #[inline]
-    fn combine(&self, a: &L::Message, b: &L::Message) -> Option<L::Message> {
-        self.leg.combine(a, b)
     }
 
     fn pull_supported(&self) -> bool {

@@ -12,7 +12,7 @@
 use crate::checkpoint::{build_snapshot, CoordState, VertexSections};
 use crate::config::{PregelConfig, Schedule};
 use crate::error::PregelError;
-use crate::exchange::{read_in_place, RawOutbox, RoutedBucket};
+use crate::exchange::{RawOutbox, RoutedBucket};
 use crate::globals::AggMap;
 use crate::metrics::{Metrics, RegistryFeed, SuperstepMetrics};
 use crate::program::{MasterContext, MasterDecision, PullMode, VertexProgram};
@@ -109,8 +109,7 @@ where
     // Empty outbox buckets recycled from the previous exchange, per sender.
     let mut spares: Vec<RawOutbox<P::Message>> = (0..num_workers).map(|_| Vec::new()).collect();
     // A fresh run has nothing pending and a resumed one restored its
-    // inboxes, so only an uncombined captured superstep leaves messages
-    // outside them.
+    // inboxes, so only a captured superstep leaves messages outside them.
     let mut pending = Pending::Delivered;
 
     loop {
@@ -343,7 +342,7 @@ where
             deadline_at,
         };
 
-        // ---- vertex + combine phase (parallel) ----
+        // ---- vertex + metering phase (parallel) ----
         let inputs = std::mem::take(&mut spares)
             .into_iter()
             .map(|spare| (step_in, spare))
@@ -440,7 +439,7 @@ where
                 reactivated += out.reactivated;
                 out.meter.record(&mut step);
             }
-            // Gathered messages never sit in a combine→delivery window, so
+            // Gathered messages never sit in a seal→delivery window, so
             // they bypass the in-flight budget entirely; account for what
             // the governor never saw.
             if shared.governor.share_per_worker.is_some() {
@@ -494,7 +493,7 @@ where
             );
         }
         active_vertices = not_halted + reactivated;
-        pending = if read_in_place(&**read_lock(&shared.program), mode) {
+        pending = if mode == PullMode::Captured {
             Pending::Captured(superstep)
         } else {
             Pending::Delivered
@@ -533,7 +532,7 @@ where
         // The residual between the measured superstep wall-clock and the
         // four metered phases: job dispatch, reply collection, and barrier
         // waiting. Saturating because the per-worker maxima of compute and
-        // combine can land on different workers.
+        // metering can land on different workers.
         let wall = master_started.elapsed();
         step.barrier_time = wall.saturating_sub(
             step.master_time + step.compute_time + step.combine_time + step.exchange_time,

@@ -1,9 +1,9 @@
 //! The message exchange: what happens to a superstep's messages between
 //! the kernels that send them and the inboxes that receive them.
 //!
-//! * **push** — the compute phase ends in [`seal`]: each worker combines
-//!   and meters its per-destination-worker buckets and spills those past
-//!   its budget share. The coordinator then transposes the sealed buckets
+//! * **push** — the compute phase ends in [`seal`]: each worker meters
+//!   its per-destination-worker buckets and spills those past its budget
+//!   share. The coordinator then transposes the sealed buckets
 //!   (a worker-count-squared pointer move, no message is copied) and every
 //!   destination worker [`deliver`](WorkerState::deliver)s them — moving
 //!   each message into its `inbox_out` in ascending sender-worker order,
@@ -11,9 +11,9 @@
 //! * **pull** — a gathered superstep replaces the transpose and delivery
 //!   with a [`gather`](WorkerState::gather): every worker walks its
 //!   vertices' in-edges over the reverse CSR and reads the senders' side
-//!   through one routine, [`Fill`]. Where the gathered messages are new
-//!   values — re-evaluated under [`PullMode::Recomputed`], or folded by a
-//!   combiner — the walk writes them into `inbox_out`. Uncombined
+//!   through one routine, [`Fill`]. Payloads re-evaluated under
+//!   [`PullMode::Recomputed`] are new values: the walk writes them into
+//!   `inbox_out` and meters them per sender-worker segment.
 //!   [`PullMode::Captured`] payloads are copied nowhere: they stay in the
 //!   senders' [`Captured`] columns, compute already metered them
 //!   sender-side, and the barrier only counts the halted receivers they
@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 /// shape of recycled spare buckets.
 pub(crate) type RawOutbox<M> = Vec<Vec<(u32, M)>>;
 
-/// A sealed destination bucket after combine + metering: either resident
+/// A sealed destination bucket after metering: either resident
 /// in memory, or spilled to a CRC-checked file with its (emptied) bucket
 /// carried along so the capacity survives the round trip.
 pub(crate) enum RoutedBucket<M> {
@@ -85,7 +85,7 @@ impl Meter {
         }
     }
 
-    /// Meters one uncombined broadcast of a `bytes`-byte payload as the
+    /// Meters one broadcast of a `bytes`-byte payload as the
     /// copies push would route: `local` to the sender's own worker,
     /// `remote` to others.
     pub fn broadcast(&mut self, local: u64, remote: u64, bytes: u64) {
@@ -126,43 +126,24 @@ pub(crate) struct Sealed<M> {
     pub spill_write_time: Duration,
 }
 
-/// Seals worker `worker`'s routed outgoing buckets: sender-side combining,
-/// metering, and — past the worker's share of the message budget —
-/// spilling whole buckets to disk.
+/// Seals worker `worker`'s routed outgoing buckets: the metering pass
+/// (timed and traced as the `combine` phase) and — past the worker's share
+/// of the message budget — spilling whole buckets to disk.
 pub(crate) fn seal<P: VertexProgram>(
     program: &P,
     shared: &Shared<'_, P>,
     worker: usize,
     superstep: u32,
-    mut outbox: RawOutbox<P::Message>,
+    outbox: RawOutbox<P::Message>,
 ) -> Result<Sealed<P::Message>, WorkerFailure>
 where
     P::Message: Persist,
 {
     let tracer = shared.tracer.as_ref();
-    // Sender-side combining (Pregel's combiner API): fold same-
-    // destination messages within each bucket before they hit the wire.
-    // A stable sort keeps the per-destination order of messages that do
-    // not combine intact.
+    // Metering, inside the worker: every routed message is what would
+    // cross the wire.
     let combine_start_us = tracer.map(Tracer::now_us);
     let combine_started = Instant::now();
-    if program.has_combiner() {
-        for bucket in &mut outbox {
-            bucket.sort_by_key(|(dst, _)| *dst);
-            let drained = std::mem::take(bucket);
-            for (dst, m) in drained {
-                match bucket.last_mut() {
-                    Some((prev_dst, prev)) if *prev_dst == dst => match program.combine(prev, &m) {
-                        Some(combined) => *prev = combined,
-                        None => bucket.push((dst, m)),
-                    },
-                    _ => bucket.push((dst, m)),
-                }
-            }
-        }
-    }
-    // Metering happens after combining (combined messages are what
-    // would cross the wire), inside the worker.
     let mut meter = Meter::default();
     for (dest, bucket) in outbox.iter().enumerate() {
         for (_, m) in bucket {
@@ -205,7 +186,7 @@ where
         return Ok(sealed);
     };
     // ---- spill: enforce this worker's share of the message budget ----
-    // Runs strictly after combining and metering, so every structural
+    // Runs strictly after metering, so every structural
     // metric (messages, bytes, per-superstep counts) is bit-identical
     // whether or not a bucket spills. Sealed buckets are pushed to disk
     // largest-first (ties by destination index — deterministic for a
@@ -295,8 +276,8 @@ pub(crate) struct DeliverOut<M> {
 
 /// Per-worker results of one gather phase (a gathered superstep's
 /// replacement for exchange + delivery). The meter counts what the
-/// equivalent push superstep would have put on the wire, per sender-worker
-/// segment, so structural metrics stay bit-identical across schedules.
+/// equivalent push superstep would have put on the wire, so structural
+/// metrics stay bit-identical across schedules.
 pub(crate) struct GatherOut {
     /// Messages pending for this worker's vertices (next superstep's
     /// pending), whether written to its inboxes or left captured.
@@ -321,18 +302,16 @@ enum Senders<'s, P: VertexProgram> {
 ///
 /// Determinism mirrors push exactly. `in_sources` lists in-edges in
 /// forward-edge-id order — (sender ascending, adjacency position
-/// ascending) — which is precisely the order the push path's stable
-/// sort-by-destination leaves a sender bucket in, and the walk splits them
+/// ascending) — which is precisely the order a sender worker's broadcasts
+/// fill its push bucket in, and the walk splits them
 /// into ascending sender-worker segments just like delivery appends
-/// buckets in ascending sender-worker order. The combiner folds within a
-/// segment only (push combines within one sender's bucket only), so the
-/// inbox contents, message/byte meters and reactivation counts are
-/// bit-identical to a push superstep's.
+/// buckets in ascending sender-worker order. So the inbox contents,
+/// message/byte meters and reactivation counts are bit-identical to a push
+/// superstep's.
 pub(crate) struct Fill<'s, P: VertexProgram> {
     graph: &'s Graph,
     starts: &'s [u32],
     program: &'s P,
-    combining: bool,
     senders: Senders<'s, P>,
 }
 
@@ -369,7 +348,6 @@ impl<'s, P: VertexProgram> Fill<'s, P> {
             graph,
             starts,
             program,
-            combining: program.has_combiner(),
             senders,
         }
     }
@@ -378,7 +356,8 @@ impl<'s, P: VertexProgram> Fill<'s, P> {
     ///
     /// # Panics
     ///
-    /// Panics for recomputed payloads, which exist only once folded.
+    /// Panics for recomputed payloads, which exist only once
+    /// [`fill`](Fill::fill) evaluates them.
     pub fn inbox(&self, receiver: u32) -> Inbox<'_, P::Message> {
         let Senders::Captured(columns) = &self.senders else {
             unreachable!("only captured payloads can be read in place")
@@ -390,44 +369,23 @@ impl<'s, P: VertexProgram> Fill<'s, P> {
         Inbox::gathered(self.graph.in_sources(NodeId(receiver)), columns)
     }
 
-    /// Appends `receiver`'s messages to `inbox` in push delivery order,
-    /// and hands `segment` each sender worker's share of them after the
-    /// combiner fold.
+    /// Appends `receiver`'s re-evaluated messages to `inbox` in push
+    /// delivery order, and hands `segment` each sender worker's share of
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics for captured payloads, which are read in place instead.
     pub fn fill(
         &self,
         receiver: u32,
         inbox: &mut Vec<P::Message>,
         mut segment: impl FnMut(usize, &[P::Message]),
     ) {
-        let sources = self.graph.in_sources(NodeId(receiver));
-        let stores = match &self.senders {
-            Senders::Captured(columns) => {
-                let columns = Columns {
-                    columns,
-                    starts: self.starts,
-                };
-                // The open segment: its sender worker and where it starts.
-                let mut open: Option<(usize, usize)> = None;
-                columns.walk(sources, |w, m| {
-                    let seg = match open {
-                        Some((at, seg)) if at == w => seg,
-                        _ => {
-                            if let Some((at, seg)) = open {
-                                segment(at, &inbox[seg..]);
-                            }
-                            open = Some((w, inbox.len()));
-                            inbox.len()
-                        }
-                    };
-                    self.fold(inbox, seg, m.clone());
-                });
-                if let Some((at, seg)) = open {
-                    segment(at, &inbox[seg..]);
-                }
-                return;
-            }
-            Senders::Recomputed(stores) => stores,
+        let Senders::Recomputed(stores) = &self.senders else {
+            unreachable!("captured payloads are read in place")
         };
+        let sources = self.graph.in_sources(NodeId(receiver));
         // In step with `sources`, for the edge ids payloads depend on.
         let mut in_edges = self.graph.in_neighbors(NodeId(receiver));
         let (mut at, mut w) = (0, 0);
@@ -445,48 +403,24 @@ impl<'s, P: VertexProgram> Fill<'s, P> {
                 let local = (src.0 - lo) as usize;
                 if store.sent[local] {
                     let value = &store.values[local];
-                    let m = self.program.pull_message(self.graph, src, edge, value);
-                    self.fold(inbox, seg, m);
+                    inbox.push(self.program.pull_message(self.graph, src, edge, value));
                 }
             }
             segment(w, &inbox[seg..]);
             at = end;
         }
     }
-
-    /// Appends `m` to the segment starting at `seg`, folding it into the
-    /// segment's last message when the program's combiner allows.
-    #[inline]
-    fn fold(&self, inbox: &mut Vec<P::Message>, seg: usize, m: P::Message) {
-        if self.combining && inbox.len() > seg {
-            if let Some(prev) = inbox.last_mut() {
-                if let Some(combined) = self.program.combine(prev, &m) {
-                    *prev = combined;
-                    return;
-                }
-            }
-        }
-        inbox.push(m);
-    }
-}
-
-/// Whether the messages of a superstep gathered in `mode` stay in the
-/// senders' [`Captured`] columns until the next compute reads them in
-/// place. Only uncombined captured payloads do: a combiner's fold and a
-/// recomputed payload are new values, which the gather writes into the
-/// receivers' inboxes.
-pub(crate) fn read_in_place<P: VertexProgram>(program: &P, mode: PullMode) -> bool {
-    mode == PullMode::Captured && !program.has_combiner()
 }
 
 impl<P: VertexProgram> WorkerState<P> {
-    /// A gathered superstep's replacement for exchange + delivery: walks
-    /// every owned vertex's in-edges through [`Fill`] and meters each
-    /// sender-worker segment as the messages that worker would have put
-    /// on the wire, writing the folded messages into `inbox_out` and
-    /// swapping the double buffer, as delivery does.
+    /// A gathered superstep's replacement for exchange + delivery. Under
+    /// [`PullMode::Recomputed`] it walks every owned vertex's in-edges
+    /// through [`Fill`] and meters each sender-worker segment as the
+    /// messages that worker would have put on the wire, writing the
+    /// re-evaluated messages into `inbox_out` and swapping the double
+    /// buffer, as delivery does.
     ///
-    /// Payloads [`read_in_place`] are neither folded nor copied here: they
+    /// [`PullMode::Captured`] payloads are not copied here: they
     /// stay in the captured columns, which nothing overwrites until the
     /// superstep after, and the next compute reads them through an
     /// [`Inbox`] view. Every such payload reaches each of its sender's
@@ -517,7 +451,7 @@ impl<P: VertexProgram> WorkerState<P> {
             PullMode::Recomputed => Fill::recomputed(shared, program),
             PullMode::Unsupported => unreachable!("gather phase dispatched with no pull mode"),
         };
-        let in_place = read_in_place(program, mode);
+        let in_place = mode == PullMode::Captured;
         let mut meter = std::mem::take(&mut self.broadcasts);
         let mut delivered = meter.messages;
         let mut reactivated: u32 = 0;

@@ -1,42 +1,46 @@
-//! The captured-payload walker against push delivery order: an [`Inbox`]
-//! view, read every way a kernel can read it, and [`Fill::fill`] must both
-//! yield exactly the messages a push superstep would deliver, in the same
-//! order, on random graphs, worker counts and presence patterns.
+//! The gather's two readers against push delivery order: an [`Inbox`]
+//! view over captured payloads, read every way a kernel can read it, and
+//! [`Fill::fill`] over recomputed ones must both yield exactly the
+//! messages a push superstep would deliver, in the same order, on random
+//! graphs, worker counts and presence patterns.
 
 use super::{Fill, Senders};
 use crate::inbox::{Captured, Inbox};
 use crate::program::{MasterContext, MasterDecision, VertexContext, VertexProgram};
-use crate::worker::{partition, read_lock};
+use crate::worker::{partition, read_lock, VertexStore};
 use gm_graph::rng::{check, SplitMix64};
-use gm_graph::{gen, Graph, NodeId};
+use gm_graph::{gen, EdgeId, Graph, NodeId};
 use std::sync::RwLock;
 
-/// Only the message type and the combiner matter to the walker.
-struct Payloads {
-    combining: bool,
+/// Only the message type and the re-evaluated payload matter to the
+/// walkers.
+struct Payloads;
+
+impl Payloads {
+    /// What a recomputed send of `value` along `edge` carries: distinct per
+    /// edge, so a payload re-evaluated against the wrong edge shows.
+    fn along(value: u64, edge: EdgeId) -> u64 {
+        (value << 32) | u64::from(edge.0)
+    }
 }
 
 impl VertexProgram for Payloads {
-    type VertexValue = ();
+    type VertexValue = u64;
     type Message = u64;
 
     fn message_bytes(&self, _m: &u64) -> u64 {
         8
     }
 
-    fn has_combiner(&self) -> bool {
-        self.combining
-    }
-
-    fn combine(&self, a: &u64, b: &u64) -> Option<u64> {
-        Some(a.wrapping_add(*b))
-    }
-
     fn master_compute(&mut self, _ctx: &mut MasterContext<'_>) -> MasterDecision {
         MasterDecision::Halt
     }
 
-    fn vertex_compute(&self, _: &mut VertexContext<'_, '_, u64>, _: &mut (), _: Inbox<'_, u64>) {}
+    fn vertex_compute(&self, _: &mut VertexContext<'_, '_, u64>, _: &mut u64, _: Inbox<'_, u64>) {}
+
+    fn pull_message(&self, _: &Graph, _: NodeId, edge: EdgeId, value: &u64) -> u64 {
+        Self::along(*value, edge)
+    }
 }
 
 /// A random graph and which vertices sent what: every vertex, or a random
@@ -77,19 +81,39 @@ impl Case {
             .collect()
     }
 
+    /// One store per worker range: every vertex's value, and whether its
+    /// send site fired.
+    fn stores(&self, starts: &[u32]) -> Vec<RwLock<VertexStore<Payloads>>> {
+        (starts.windows(2))
+            .map(|range| {
+                let (lo, hi) = (range[0] as usize, range[1] as usize);
+                let values = (lo..hi).map(|v| 1000 + v as u64).collect();
+                let mut store = VertexStore::from_values(values);
+                store.sent = self.sent[lo..hi].iter().map(Option::is_some).collect();
+                RwLock::new(store)
+            })
+            .collect()
+    }
+
     /// What push delivers to `r`: senders in ascending id order, each once
-    /// per out-edge into `r`, cut into sender-worker segments.
-    fn pushed(&self, starts: &[u32], r: u32) -> Vec<(usize, Vec<u64>)> {
+    /// per out-edge into `r`, cut into sender-worker segments. Recomputed
+    /// sends carry [`Payloads::along`] their edge.
+    fn pushed(&self, starts: &[u32], r: u32, recomputed: bool) -> Vec<(usize, Vec<u64>)> {
         let mut segments: Vec<(usize, Vec<u64>)> = Vec::new();
         for src in 0..self.graph.num_nodes() {
             let Some(m) = self.sent[src as usize] else {
                 continue;
             };
             let w = starts.partition_point(|&s| s <= src) - 1;
-            for (t, _) in self.graph.out_neighbors(NodeId(src)) {
+            for (t, edge) in self.graph.out_neighbors(NodeId(src)) {
                 if t.0 != r {
                     continue;
                 }
+                let m = if recomputed {
+                    Payloads::along(m, edge)
+                } else {
+                    m
+                };
                 match segments.last_mut() {
                     Some((at, segment)) if *at == w => segment.push(m),
                     _ => segments.push((w, vec![m])),
@@ -99,21 +123,27 @@ impl Case {
         segments
     }
 
-    /// Runs `check` on every receiver and what push delivers to it, with the captured columns read
-    /// through a [`Fill`] for `program`, at 1, 2 and 4 workers.
+    /// Runs `check` on every receiver and what push delivers to it, with
+    /// the senders' side — captured columns, or stores to recompute from —
+    /// read through a [`Fill`], at 1, 2 and 4 workers.
     fn each_receiver(
         &self,
-        program: &Payloads,
+        recomputed: bool,
         mut check: impl FnMut(&Fill<'_, Payloads>, u32, Vec<(usize, Vec<u64>)>, String),
     ) {
         for workers in [1, 2, 4] {
             let starts = partition(&self.graph, workers);
             let columns = self.columns(&starts);
-            let guards = columns.iter().map(read_lock).collect();
-            let fill = Fill::new(&self.graph, &starts, program, Senders::Captured(guards));
+            let stores = self.stores(&starts);
+            let senders = if recomputed {
+                Senders::Recomputed(stores.iter().map(read_lock).collect())
+            } else {
+                Senders::Captured(columns.iter().map(read_lock).collect())
+            };
+            let fill = Fill::new(&self.graph, &starts, &Payloads, senders);
             for r in 0..self.graph.num_nodes() {
                 let tag = format!("receiver {r}, {workers} workers");
-                check(&fill, r, self.pushed(&starts, r), tag);
+                check(&fill, r, self.pushed(&starts, r, recomputed), tag);
             }
         }
     }
@@ -122,8 +152,7 @@ impl Case {
 #[test]
 fn inbox_views_yield_push_delivery_order() {
     check("inbox_views_yield_push_delivery_order", 64, |rng| {
-        let program = Payloads { combining: false };
-        Case::draw(rng).each_receiver(&program, |fill, r, pushed, tag| {
+        Case::draw(rng).each_receiver(false, |fill, r, pushed, tag| {
             let want: Vec<u64> = pushed.into_iter().flat_map(|(_, s)| s).collect();
             let view = fill.inbox(r);
             let iterated: Vec<u64> = view.iter().copied().collect();
@@ -133,32 +162,25 @@ fn inbox_views_yield_push_delivery_order() {
             assert_eq!(folded, want, "{tag}: for_each");
             assert_eq!(view.len(), want.len(), "{tag}: len");
             assert_eq!(view.is_empty(), want.is_empty(), "{tag}: is_empty");
-            let mut filled = Vec::new();
-            fill.fill(r, &mut filled, |_, _| {});
-            assert_eq!(filled, want, "{tag}: fill");
         });
     });
 }
 
 #[test]
-fn inbox_fill_folds_and_meters_each_sender_worker_apart() {
+fn inbox_fill_recomputes_and_meters_each_sender_worker_apart() {
     check(
-        "inbox_fill_folds_and_meters_each_sender_worker_apart",
+        "inbox_fill_recomputes_and_meters_each_sender_worker_apart",
         64,
         |rng| {
-            let program = Payloads { combining: true };
-            Case::draw(rng).each_receiver(&program, |fill, r, pushed, tag| {
-                // Push combines within one sender worker's bucket: one sum per
-                // segment.
-                let want: Vec<(usize, Vec<u64>)> = (pushed.into_iter())
-                    .map(|(w, s)| (w, vec![s.into_iter().fold(0, u64::wrapping_add)]))
-                    .collect();
+            Case::draw(rng).each_receiver(true, |fill, r, pushed, tag| {
                 let mut inbox = Vec::new();
                 let mut segments = Vec::new();
                 fill.fill(r, &mut inbox, |w, s| segments.push((w, s.to_vec())));
-                assert_eq!(segments, want, "{tag}: segments");
-                let sums: Vec<u64> = want.into_iter().flat_map(|(_, s)| s).collect();
-                assert_eq!(inbox, sums, "{tag}: inbox");
+                let want: Vec<u64> = pushed.iter().flat_map(|(_, s)| s.clone()).collect();
+                assert_eq!(inbox, want, "{tag}: inbox");
+                // A sender worker none of whose senders fired meters nothing.
+                segments.retain(|(_, s)| !s.is_empty());
+                assert_eq!(segments, pushed, "{tag}: segments");
             });
         },
     );

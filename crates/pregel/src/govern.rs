@@ -6,7 +6,7 @@
 //! A [`ResourceBudget`] bounds three resources:
 //!
 //! * **in-flight message bytes** (`max_message_bytes`) — metered message
-//!   bytes buffered between a superstep's combine and its delivery. The
+//!   bytes buffered between a superstep's metering and its delivery. The
 //!   budget is split evenly across workers; when a worker's sealed
 //!   destination buckets would exceed its share, whole buckets are
 //!   *spilled* to disk and replayed (CRC-checked, in the same
@@ -64,7 +64,7 @@ const SPILL_MAGIC: &[u8; 4] = b"GMSP";
 /// [`PregelConfig::default`]: crate::PregelConfig
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ResourceBudget {
-    /// Maximum metered message bytes held in memory between combine and
+    /// Maximum metered message bytes held in memory between metering and
     /// delivery, across all workers. Exceeding it spills sealed buckets
     /// to disk. `None` = unbounded.
     pub max_message_bytes: Option<u64>,

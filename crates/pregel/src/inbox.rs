@@ -2,9 +2,9 @@
 //! the previous superstep, and the [`Captured`] columns a gathered inbox
 //! reads them from.
 //!
-//! After a push superstep, or a gathered one the runtime folded eagerly,
-//! a receiver's messages sit in its own inbox slot and the view is that
-//! slice. After a [`PullMode::Captured`] superstep without a combiner they
+//! After a push superstep, or a [`PullMode::Recomputed`] one the runtime
+//! gathered eagerly, a receiver's messages sit in its own inbox slot and
+//! the view is that slice. After a [`PullMode::Captured`] superstep they
 //! sit in no inbox at all: each sender's payload is still in its worker's
 //! [`Captured`] column, and the view walks the receiver's in-edges over
 //! those columns, yielding references in place. One walker serves the
@@ -12,6 +12,7 @@
 //! three see the same messages in the same order.
 //!
 //! [`PullMode::Captured`]: crate::PullMode::Captured
+//! [`PullMode::Recomputed`]: crate::PullMode::Recomputed
 
 use std::sync::RwLockReadGuard;
 
@@ -113,12 +114,11 @@ impl<'a, M> Columns<'a, M> {
     /// Calls `f` with the sender worker and the payload of every message
     /// captured for the receiver whose in-sources are `sources`, in push
     /// delivery order. The one walker over captured payloads: compute,
-    /// snapshots and the gather meter all read through it.
+    /// snapshots and the gather's reactivation count all read through it.
     ///
     /// `sources` lists in-edges in forward-edge-id order — sender
     /// ascending, adjacency position ascending — which is exactly the
-    /// order push's stable sort by destination leaves one sender bucket
-    /// in. Senders ascend, so the walk visits sender workers in ascending
+    /// order a sender worker's broadcasts fill its push bucket in. Senders ascend, so the walk visits sender workers in ascending
     /// order, as delivery appends their buckets.
     #[inline]
     pub fn walk(self, sources: &'a [u32], mut f: impl FnMut(usize, &'a M)) {

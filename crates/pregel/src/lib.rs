@@ -29,8 +29,8 @@
 //!
 //! Because the paper's headline metrics are *structural* — number of
 //! timesteps and network I/O — the runtime meters every superstep,
-//! including per-phase wall-clock (master / compute / combine / exchange):
-//! see [`Metrics`].
+//! including per-phase wall-clock (master, compute, the metering pass
+//! named `combine`, and exchange): see [`Metrics`].
 //!
 //! The runtime is **fault tolerant** at superstep granularity: with
 //! [`CheckpointConfig`] attached, the coordinator snapshots the complete
@@ -129,7 +129,7 @@
 //! | `supervise` | [`run`]: validation, resume, restart loop, post-mortems |
 //! | `coordinator` | the superstep loop: checkpoint, master, direction, barrier merge, governance checks |
 //! | `worker` | worker state, the compute and snapshot phases, the executor (inline or pool), partitioning |
-//! | `exchange` | combine, meter, spill, deliver, gather |
+//! | `exchange` | meter, spill, deliver, gather |
 //! | `inbox` | the [`Inbox`] view a kernel reads, and the captured columns it walks |
 //! | `checkpoint`, `govern`, `postmortem`, `metrics` | snapshot mapping, budgets and spill files, crash bundles, counters |
 

@@ -11,8 +11,8 @@
 //!
 //! * **master** — the sequential [`master_compute`] kernel;
 //! * **compute** — the vertex kernels (slowest worker's kernel loop);
-//! * **combine** — sender-side combining plus message metering, run inside
-//!   worker threads (slowest worker);
+//! * **combine** — the metering pass over each worker's sealed outgoing
+//!   buckets, run inside worker threads (slowest worker);
 //! * **exchange** — routing the per-destination-worker buckets and the
 //!   parallel zero-copy delivery into the destination inboxes.
 //!
@@ -50,7 +50,7 @@ pub struct SuperstepMetrics {
     pub remote_message_bytes: u64,
     /// Wall-clock of the slowest worker's vertex kernel loop.
     pub compute_time: Duration,
-    /// Wall-clock of the slowest worker's combining + metering pass.
+    /// Wall-clock of the slowest worker's metering pass.
     pub combine_time: Duration,
     /// Wall-clock of the message exchange: bucket routing plus parallel
     /// delivery into the destination workers' inboxes.
@@ -65,9 +65,10 @@ pub struct SuperstepMetrics {
     pub barrier_time: Duration,
     /// Whether this superstep ran gathered (pull): the exchange was
     /// replaced by receiver-side in-edge gathering. When `true`,
-    /// `exchange_time` measures the gather phase and `combine_time` is
-    /// zero (folding happens inside the gather, or — for uncombined
-    /// captured payloads — in place, in the next superstep's kernels).
+    /// `exchange_time` measures the gather phase and `combine_time` meters
+    /// only empty buckets (recomputed payloads are metered inside the
+    /// gather, captured ones by compute, and the next superstep's kernels
+    /// read those in place).
     pub pulled: bool,
 }
 
@@ -196,7 +197,7 @@ pub struct SpillStats {
     /// Destination buckets diverted to disk instead of staying resident.
     pub buckets_spilled: u64,
     /// Metered message bytes of the spilled buckets (the amount kept out
-    /// of memory between combine and delivery).
+    /// of memory between metering and delivery).
     pub spilled_message_bytes: u64,
     /// Bytes written to spill files (payload + framing).
     pub spill_file_bytes: u64,
@@ -274,7 +275,7 @@ pub struct Metrics {
     /// Total vertex-kernel time (sum over supersteps of the slowest
     /// worker's kernel loop).
     pub compute_time: Duration,
-    /// Total combining + metering time (sum of slowest-worker times).
+    /// Total metering time (sum of slowest-worker times).
     pub combine_time: Duration,
     /// Total message-exchange time (routing + parallel delivery).
     pub exchange_time: Duration,

@@ -78,22 +78,6 @@ pub trait VertexProgram {
     /// produce for this payload.
     fn message_bytes(&self, m: &Self::Message) -> u64;
 
-    /// Whether the runtime should attempt sender-side message combining
-    /// (Pregel's combiner API). When `true`, the runtime groups each
-    /// worker's outgoing messages by destination and folds pairs through
-    /// [`VertexProgram::combine`] before they are delivered (and before
-    /// they are metered).
-    fn has_combiner(&self) -> bool {
-        false
-    }
-
-    /// Combines two messages addressed to the same vertex, if possible.
-    /// Must be commutative and associative; return `None` to keep both.
-    fn combine(&self, a: &Self::Message, b: &Self::Message) -> Option<Self::Message> {
-        let _ = (a, b);
-        None
-    }
-
     /// Sequential computation at the start of each superstep (GPS's
     /// `master.compute()`). Sees the aggregates written by vertices in the
     /// *previous* superstep, and broadcasts globals visible to vertices in
@@ -106,8 +90,7 @@ pub trait VertexProgram {
     /// schedule.
     ///
     /// After a push superstep `messages` views this vertex's delivered
-    /// inbox. After a [`PullMode::Captured`] superstep without a combiner
-    /// it walks this vertex's in-edges and reads each sender's captured
+    /// inbox. After a [`PullMode::Captured`] superstep it walks this vertex's in-edges and reads each sender's captured
     /// payload in place: nothing is copied into an inbox first, so a
     /// kernel that folds its messages with [`Inbox::for_each`] folds the
     /// senders' payloads directly.

@@ -968,9 +968,7 @@ fn distinct_failures_exhausting_restarts_are_not_quarantined() {
 /// A wave from every 17th vertex: each vertex votes to halt every
 /// superstep and is woken only by a neighbour's captured broadcast, which
 /// carries the hop count it reached the sender with.
-struct Wave {
-    combining: bool,
-}
+struct Wave;
 
 impl VertexProgram for Wave {
     type VertexValue = u32; // hops from the nearest seed; 0 = not reached
@@ -978,14 +976,6 @@ impl VertexProgram for Wave {
 
     fn message_bytes(&self, _m: &u32) -> u64 {
         4
-    }
-
-    fn has_combiner(&self) -> bool {
-        self.combining
-    }
-
-    fn combine(&self, a: &u32, b: &u32) -> Option<u32> {
-        Some(*a.min(b))
     }
 
     fn master_compute(&mut self, _ctx: &mut MasterContext<'_>) -> MasterDecision {
@@ -1029,30 +1019,28 @@ fn halting_receivers_wake_identically_under_captured_pull() {
             .map(|s| (s.active_vertices, s.messages_sent, s.message_bytes))
             .collect()
     };
-    for combining in [false, true] {
-        for workers in [1usize, 2, 4] {
-            let run_as = |schedule| {
-                let cfg = PregelConfig {
-                    max_supersteps: 100,
-                    ..PregelConfig::with_workers(workers).with_schedule(schedule)
-                };
-                run(&g, &mut Wave { combining }, |_| 0, &cfg).unwrap()
+    for workers in [1usize, 2, 4] {
+        let run_as = |schedule| {
+            let cfg = PregelConfig {
+                max_supersteps: 100,
+                ..PregelConfig::with_workers(workers).with_schedule(schedule)
             };
-            let push = run_as(Schedule::Push);
-            let pull = run_as(Schedule::Pull);
-            let tag = format!("combining = {combining}, workers = {workers}");
-            assert_eq!(pull.values, push.values, "{tag}");
-            assert_eq!(pull.metrics.supersteps, push.metrics.supersteps, "{tag}");
-            assert_eq!(series(&pull), series(&push), "{tag}");
-            assert_eq!(push.metrics.pull_supersteps, 0, "{tag}");
-            assert!(pull.metrics.pull_supersteps > 2, "{tag}");
-            // Halted vertices were skipped and some were woken again.
-            assert!(
-                series(&push)[1..].iter().any(|s| s.0 > 0 && s.0 < 300),
-                "{tag}: {:?}",
-                series(&push)
-            );
-        }
+            run(&g, &mut Wave, |_| 0, &cfg).unwrap()
+        };
+        let push = run_as(Schedule::Push);
+        let pull = run_as(Schedule::Pull);
+        let tag = format!("workers = {workers}");
+        assert_eq!(pull.values, push.values, "{tag}");
+        assert_eq!(pull.metrics.supersteps, push.metrics.supersteps, "{tag}");
+        assert_eq!(series(&pull), series(&push), "{tag}");
+        assert_eq!(push.metrics.pull_supersteps, 0, "{tag}");
+        assert!(pull.metrics.pull_supersteps > 2, "{tag}");
+        // Halted vertices were skipped and some were woken again.
+        assert!(
+            series(&push)[1..].iter().any(|s| s.0 > 0 && s.0 < 300),
+            "{tag}: {:?}",
+            series(&push)
+        );
     }
 }
 

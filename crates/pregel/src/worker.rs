@@ -7,11 +7,10 @@
 //! `inbox_out`). The vertex values live apart, in [`Shared::stores`], so a
 //! gathered superstep can read every range. Each superstep's compute phase
 //! runs the kernels against `inbox_in` and routes outgoing messages into
-//! per-destination-worker buckets, which the exchange layer seals (combine,
-//! meter, spill) and later delivers into `inbox_out` before the buffers
-//! swap.
+//! per-destination-worker buckets, which the exchange layer seals (meter,
+//! spill) and later delivers into `inbox_out` before the buffers swap.
 //!
-//! After a [`PullMode::Captured`] superstep without a combiner the pending
+//! After a [`PullMode::Captured`] superstep the pending
 //! messages are in no inbox: they are still the senders' payloads in
 //! [`Shared::captured`] ([`Pending::Captured`]). The next compute hands
 //! each kernel an [`Inbox`] view that walks the receiver's in-edges and
@@ -30,7 +29,7 @@
 
 use crate::checkpoint::VertexSections;
 use crate::error::{PregelError, WorkerFailure};
-use crate::exchange::{read_in_place, seal, Fill, Meter, RawOutbox, Sealed};
+use crate::exchange::{seal, Fill, Meter, RawOutbox, Sealed};
 use crate::globals::{AggMap, Globals};
 use crate::govern::Governor;
 use crate::inbox::{Captured, Inbox};
@@ -111,8 +110,7 @@ impl<P: VertexProgram> VertexStore<P> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Pending {
     /// In every worker's `inbox_in`: delivered by push, gathered eagerly
-    /// under [`PullMode::Recomputed`] or a combiner, or restored from a
-    /// snapshot.
+    /// under [`PullMode::Recomputed`], or restored from a snapshot.
     Delivered,
     /// Still in the columns captured at this superstep, read in place
     /// through each receiver's [`Inbox`] view.
@@ -158,7 +156,7 @@ pub(crate) struct WorkerState<P: VertexProgram> {
     /// at the end of each delivery, retaining both buffers' capacity.
     pub inbox_out: Vec<Vec<P::Message>>,
     /// This superstep's captured broadcasts, metered sender-side by
-    /// compute when the program has no combiner; handed to the gather.
+    /// compute; handed to the gather.
     pub broadcasts: Meter,
     /// Per owned vertex, its out-edges into this worker's own range: the
     /// local share of a broadcast. Built at the first captured superstep.
@@ -176,8 +174,7 @@ pub(crate) struct ComputeOut<M> {
     /// Vertices in this range left unhalted after the kernel ran.
     pub not_halted: u32,
     pub compute_time: Duration,
-    /// The outgoing messages, combined, metered and (past the budget)
-    /// spilled.
+    /// The outgoing messages, metered and (past the budget) spilled.
     pub sealed: Sealed<M>,
 }
 
@@ -329,14 +326,13 @@ impl<P: VertexProgram> WorkerState<P> {
         // superstep's gather phase. A vertex the loop below skips sends
         // nothing, exactly like push.
         let mut captured = None;
-        let meter_broadcasts = read_in_place(&**program, mode);
         match mode {
             PullMode::Unsupported => {}
             PullMode::Captured => {
                 let mut column = write_lock(&shared.captured[superstep as usize % 2][self.index]);
                 column.reset(len);
                 captured = Some(column);
-                if meter_broadcasts && self.local_out.len() != len {
+                if self.local_out.len() != len {
                     let own = self.base..self.base + len as u32;
                     self.local_out = own
                         .clone()
@@ -400,13 +396,11 @@ impl<P: VertexProgram> WorkerState<P> {
                 voted_halt += 1;
             }
             if let (Some(column), Some(m)) = (captured.as_mut(), slot) {
-                if meter_broadcasts {
-                    let local_copies = self.local_out[local];
-                    let remote_copies = shared.graph.out_degree(NodeId(id)) - local_copies;
-                    let bytes = program.message_bytes(&m);
-                    self.broadcasts
-                        .broadcast(local_copies.into(), remote_copies.into(), bytes);
-                }
+                let local_copies = self.local_out[local];
+                let remote_copies = shared.graph.out_degree(NodeId(id)) - local_copies;
+                let bytes = program.message_bytes(&m);
+                self.broadcasts
+                    .broadcast(local_copies.into(), remote_copies.into(), bytes);
                 column.set(local, m);
             }
             // Drain the slot but keep its capacity for the next delivery.

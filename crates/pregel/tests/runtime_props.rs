@@ -1,7 +1,7 @@
 //! Property-based and feature tests for the BSP runtime itself.
 
+use gm_graph::gen;
 use gm_graph::rng::check;
-use gm_graph::{gen, GraphBuilder, NodeId};
 use gm_pregel::{
     run, GlobalValue, Inbox, MasterContext, MasterDecision, PregelConfig, ReduceOp, VertexContext,
     VertexProgram,
@@ -10,11 +10,9 @@ use gm_pregel::{
 /// Cases per property: each runs several whole BSP jobs.
 const CASES: u32 = 24;
 
-/// Sums incoming integer messages for a fixed number of rounds; generic
-/// over combining.
+/// Sums incoming integer messages for a fixed number of rounds.
 struct RelaySum {
     rounds: u32,
-    combining: bool,
 }
 
 impl VertexProgram for RelaySum {
@@ -23,14 +21,6 @@ impl VertexProgram for RelaySum {
 
     fn message_bytes(&self, _m: &i64) -> u64 {
         8
-    }
-
-    fn has_combiner(&self) -> bool {
-        self.combining
-    }
-
-    fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
-        Some(a + b)
     }
 
     fn master_compute(&mut self, ctx: &mut MasterContext<'_>) -> MasterDecision {
@@ -62,10 +52,7 @@ fn worker_count_invariance() {
         let (n, m) = (rng.range(1..60) as u32, rng.below(300) as usize);
         let (seed, rounds) = (rng.below(500), rng.range(1..4) as u32);
         let g = gen::uniform_random(n, m, seed);
-        let relay = || RelaySum {
-            rounds,
-            combining: false,
-        };
+        let relay = || RelaySum { rounds };
         let base = run(&g, &mut relay(), |_| 0i64, &PregelConfig::sequential()).unwrap();
         for workers in [2usize, 5] {
             let r = run(
@@ -81,31 +68,6 @@ fn worker_count_invariance() {
                 r.metrics.total_message_bytes,
                 base.metrics.total_message_bytes
             );
-        }
-    });
-}
-
-/// Combining preserves the summed results while never increasing the
-/// message count.
-#[test]
-fn combining_preserves_sums() {
-    check("combining_preserves_sums", CASES, |rng| {
-        let (n, m, seed) = (
-            rng.range(1..60) as u32,
-            rng.below(300) as usize,
-            rng.below(500),
-        );
-        let g = gen::uniform_random(n, m, seed);
-        let relay = |combining| RelaySum {
-            rounds: 2,
-            combining,
-        };
-        for workers in [1usize, 3] {
-            let config = PregelConfig::with_workers(workers);
-            let plain = run(&g, &mut relay(false), |_| 0i64, &config).unwrap();
-            let combined = run(&g, &mut relay(true), |_| 0i64, &config).unwrap();
-            assert_eq!(&plain.values, &combined.values);
-            assert!(combined.metrics.total_messages <= plain.metrics.total_messages);
         }
     });
 }
@@ -154,66 +116,4 @@ fn aggregate_invariance() {
         }
         assert_eq!(expected.flatten(), Some(-7));
     });
-}
-
-#[test]
-fn combining_is_per_worker_like_pregel() {
-    // A star hub receiving from every spoke: with one worker, everything
-    // combines into a single message; with two workers, at most two.
-    struct ToHub;
-    impl VertexProgram for ToHub {
-        type VertexValue = i64;
-        type Message = i64;
-        fn message_bytes(&self, _m: &i64) -> u64 {
-            8
-        }
-        fn has_combiner(&self) -> bool {
-            true
-        }
-        fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
-            Some(a + b)
-        }
-        fn master_compute(&mut self, ctx: &mut MasterContext<'_>) -> MasterDecision {
-            if ctx.superstep() == 2 {
-                MasterDecision::Halt
-            } else {
-                MasterDecision::Continue
-            }
-        }
-        fn vertex_compute(
-            &self,
-            ctx: &mut VertexContext<'_, '_, i64>,
-            value: &mut i64,
-            messages: Inbox<'_, i64>,
-        ) {
-            if ctx.superstep() == 0 {
-                if ctx.id().0 != 0 {
-                    ctx.send(NodeId(0), 1);
-                }
-            } else {
-                for m in messages {
-                    *value += *m;
-                }
-            }
-        }
-    }
-    // 0 is the hub; vertices 1..=8 send to it.
-    let mut b = GraphBuilder::new(9);
-    for i in 1..9 {
-        b.add_edge(0, i);
-    }
-    let g = b.build();
-    let one = run(&g, &mut ToHub, |_| 0, &PregelConfig::sequential()).unwrap();
-    assert_eq!(one.values[0], 8);
-    assert_eq!(
-        one.metrics.total_messages, 1,
-        "fully combined on one worker"
-    );
-    let two = run(&g, &mut ToHub, |_| 0, &PregelConfig::with_workers(2)).unwrap();
-    assert_eq!(two.values[0], 8);
-    assert!(
-        (1..=2).contains(&two.metrics.total_messages),
-        "per-worker combining: {} messages",
-        two.metrics.total_messages
-    );
 }
