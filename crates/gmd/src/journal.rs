@@ -825,294 +825,4 @@ impl Journal {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    fn fresh_dir(tag: &str) -> PathBuf {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "gmd-journal-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn spec(tenant: &str) -> JobSpec {
-        let doc = parse(&format!(
-            r#"{{"tenant":"{tenant}","graph":"g","program":"pagerank",
-                "args":{{"d":0.85,"root":"n:3"}},"seed":7,"workers":2,
-                "priority":1,"checkpoint_every":2}}"#
-        ))
-        .unwrap();
-        JobSpec::from_json(&doc).unwrap()
-    }
-
-    /// The bytes the commit before the slicing-by-8 CRC framed for this
-    /// payload (dumped there): the GMJL record format did not move, and a
-    /// daemon upgraded in place replays the segments it wrote before.
-    #[test]
-    fn framed_bytes_match_the_pre_slicing_golden() {
-        const PAYLOAD: &[u8] = br#"{"type":"started","id":"j-000001","attempt":1}"#;
-        const GOLDEN: &[u8] = b"\x2e\0\0\0\
-            {\"type\":\"started\",\"id\":\"j-000001\",\"attempt\":1}\
-            \x33\x5d\xa3\xc7";
-        assert_eq!(frame(PAYLOAD), GOLDEN);
-
-        // An `accepted` record long enough (203 bytes) for the folding
-        // CRC kernel, framed with the slicing-by-8 table kernel at commit
-        // 6064121: folding did not move the format either.
-        const ACCEPTED: &[u8] = br#"{"backend":"interp","id":"j-000002","spec":{"args":{"d":0.85,"root":"n:3"},"checkpoint_every":2,"graph":"g","priority":1,"program":"pagerank","seed":7,"tenant":"acme-labs","workers":2},"type":"accepted"}"#;
-        let accepted_golden = [&b"\xcb\0\0\0"[..], ACCEPTED, b"\x05\x89\x81\x30"].concat();
-        assert_eq!(frame(ACCEPTED), accepted_golden);
-
-        let dir = fresh_dir("golden");
-        fs::create_dir_all(&dir).unwrap();
-        let path = segment_path(&dir, 1);
-        let mut segment = MAGIC.to_vec();
-        segment.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        segment.extend_from_slice(GOLDEN);
-        segment.extend_from_slice(&accepted_golden);
-        fs::write(&path, &segment).unwrap();
-        let (records, dropped) = read_segment(&path);
-        assert_eq!(dropped, 0);
-        assert_eq!(records.len(), 2);
-        assert_eq!(
-            records[0].get("id").and_then(Json::as_str),
-            Some("j-000001")
-        );
-        assert_eq!(
-            records[1].get("id").and_then(Json::as_str),
-            Some("j-000002")
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    fn registry() -> Arc<MetricsRegistry> {
-        Arc::new(MetricsRegistry::new())
-    }
-
-    fn completed(id: &str) -> JournalRecord {
-        JournalRecord::Completed {
-            id: id.to_owned(),
-            wall_ms: 12.5,
-            result: Arc::new(JobResult {
-                ret: Some(gm_core::value::Value::Double(0.25)),
-                globals: [("diff".to_owned(), gm_core::value::Value::Double(1e-9))]
-                    .into_iter()
-                    .collect(),
-                fingerprints: [("rank".to_owned(), "00000000deadbeef".to_owned())]
-                    .into_iter()
-                    .collect(),
-                props: None,
-                supersteps: 13,
-                total_messages: 42,
-                total_message_bytes: 1234,
-            }),
-        }
-    }
-
-    fn accept(id: &str, tenant: &str) -> JournalRecord {
-        JournalRecord::Accepted {
-            id: id.to_owned(),
-            backend: "interp".to_owned(),
-            spec: spec(tenant),
-        }
-    }
-
-    #[test]
-    fn replay_folds_transitions_and_resumes_the_id_sequence() {
-        let dir = fresh_dir("fold");
-        let config = JournalConfig::new(&dir);
-        {
-            let (journal, replay) = Journal::open(&config, 0, registry()).unwrap();
-            assert!(replay.jobs.is_empty());
-            journal.append(&accept("job-1", "acme")).unwrap();
-            journal
-                .append(&JournalRecord::Started {
-                    id: "job-1".to_owned(),
-                    attempt: 1,
-                })
-                .unwrap();
-            journal
-                .append(&JournalRecord::Checkpointed {
-                    id: "job-1".to_owned(),
-                    superstep: 4,
-                })
-                .unwrap();
-            journal.append(&accept("job-2", "zeta")).unwrap();
-            journal.append(&completed("job-2")).unwrap();
-            journal.append(&accept("job-7", "acme")).unwrap();
-        }
-        let (_, replay) = Journal::open(&config, 0, registry()).unwrap();
-        assert_eq!(replay.dropped, 0);
-        assert_eq!(replay.max_job_seq, 7);
-        let ids: Vec<&str> = replay.jobs.iter().map(|j| j.id.as_str()).collect();
-        assert_eq!(ids, ["job-1", "job-2", "job-7"], "acceptance order");
-        let j1 = &replay.jobs[0];
-        assert!(j1.needs_requeue());
-        assert_eq!(j1.attempts, 1);
-        assert_eq!(j1.last_checkpoint, Some(4));
-        assert_eq!(j1.spec, spec("acme"));
-        let j2 = &replay.jobs[1];
-        assert!(!j2.needs_requeue());
-        let JobState::Completed(r) = &j2.state else {
-            panic!("job-2 should be completed, got {:?}", j2.state);
-        };
-        assert_eq!(r.fingerprints["rank"], "00000000deadbeef");
-        assert_eq!(r.supersteps, 13);
-        assert_eq!(r.ret, Some(gm_core::value::Value::Double(0.25)));
-        assert_eq!(j2.wall_ms, Some(12.5));
-        assert!(replay.jobs[2].needs_requeue());
-
-        // Compaction rewrote history into exactly one segment.
-        let segs = list_segments(&dir).unwrap();
-        assert_eq!(segs.len(), 1);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn torn_tail_is_dropped_without_losing_earlier_records() {
-        let dir = fresh_dir("torn");
-        let config = JournalConfig::new(&dir);
-        {
-            let (journal, _) = Journal::open(&config, 0, registry()).unwrap();
-            journal.append(&accept("job-1", "acme")).unwrap();
-            journal.append(&completed("job-1")).unwrap();
-            journal.append(&accept("job-2", "acme")).unwrap();
-        }
-        // Tear the final record: chop a few bytes off the segment.
-        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let (_, replay) = Journal::open(&config, 0, registry()).unwrap();
-        assert_eq!(replay.dropped, 1, "exactly the torn tail");
-        assert_eq!(replay.jobs.len(), 1, "job-2's acceptance was torn away");
-        assert!(!replay.jobs[0].needs_requeue());
-
-        // Corrupt a record body: CRC must reject it.
-        let (journal, _) = Journal::open(&config, 0, registry()).unwrap();
-        journal.append(&accept("job-3", "acme")).unwrap();
-        drop(journal);
-        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() - 20;
-        bytes[mid] ^= 0xFF;
-        fs::write(&path, bytes).unwrap();
-        let (_, replay) = Journal::open(&config, 0, registry()).unwrap();
-        assert!(replay.dropped >= 1);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn segments_rotate_and_compact_back_to_one() {
-        let dir = fresh_dir("rotate");
-        let mut config = JournalConfig::new(&dir);
-        config.rotate_bytes = 256; // force rotation nearly every append
-        {
-            let (journal, _) = Journal::open(&config, 0, registry()).unwrap();
-            for i in 1..=6 {
-                journal
-                    .append(&accept(&format!("job-{i}"), "acme"))
-                    .unwrap();
-            }
-            assert!(
-                list_segments(&dir).unwrap().len() > 1,
-                "rotation must have produced several segments"
-            );
-        }
-        let (_, replay) = Journal::open(&config, 0, registry()).unwrap();
-        assert_eq!(replay.jobs.len(), 6);
-        assert!(replay.segments_read > 1);
-        assert_eq!(list_segments(&dir).unwrap().len(), 1, "compacted");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn history_keep_prunes_oldest_terminal_jobs_only() {
-        let dir = fresh_dir("gc");
-        let config = JournalConfig::new(&dir);
-        {
-            let (journal, _) = Journal::open(&config, 0, registry()).unwrap();
-            for i in 1..=4 {
-                let id = format!("job-{i}");
-                journal.append(&accept(&id, "acme")).unwrap();
-                if i <= 3 {
-                    journal.append(&completed(&id)).unwrap();
-                }
-            }
-        }
-        let (_, replay) = Journal::open(&config, 2, registry()).unwrap();
-        let ids: Vec<&str> = replay.jobs.iter().map(|j| j.id.as_str()).collect();
-        // job-1 (oldest terminal) pruned; the non-terminal job-4 kept.
-        assert_eq!(ids, ["job-2", "job-3", "job-4"]);
-        assert_eq!(replay.max_job_seq, 4);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn injected_append_failure_surfaces_as_io_error() {
-        let dir = fresh_dir("fault");
-        let mut config = JournalConfig::new(&dir);
-        config.faults = FaultPlan::builder().fail_journal_append(1).build();
-        let (journal, _) = Journal::open(&config, 0, registry()).unwrap();
-        journal.append(&accept("job-1", "acme")).unwrap();
-        let err = journal.append(&accept("job-2", "acme")).unwrap_err();
-        assert!(err.to_string().contains("injected"));
-        // The failed append wrote nothing; the next one proceeds.
-        journal.append(&accept("job-3", "acme")).unwrap();
-        drop(journal);
-        let (_, replay) = Journal::open(&config, 0, registry()).unwrap();
-        let ids: Vec<&str> = replay.jobs.iter().map(|j| j.id.as_str()).collect();
-        assert_eq!(ids, ["job-1", "job-3"]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_batch_is_one_append_that_fails_whole_on_any_injected_index() {
-        let dir = fresh_dir("batch");
-        let mut config = JournalConfig::new(&dir);
-        config.faults = FaultPlan::builder().fail_journal_append(3).build();
-        let (journal, _) = Journal::open(&config, 0, registry()).unwrap();
-        journal
-            .append_all(&[accept("job-1", "acme"), completed("job-1")])
-            .unwrap();
-        // Indices 2 and 3: the second record's index trips, so neither
-        // record of the batch is written.
-        let batch = [accept("job-2", "acme"), completed("job-2")];
-        let err = journal.append_all(&batch).unwrap_err();
-        assert!(err.to_string().contains("record 3"), "{err}");
-        journal
-            .append_all(&[accept("job-3", "acme"), completed("job-3")])
-            .unwrap();
-        drop(journal);
-        let (_, replay) = Journal::open(&config, 0, registry()).unwrap();
-        assert_eq!(replay.dropped, 0);
-        let ids: Vec<&str> = replay.jobs.iter().map(|j| j.id.as_str()).collect();
-        assert_eq!(ids, ["job-1", "job-3"]);
-        assert!(replay.jobs.iter().all(|j| !j.needs_requeue()));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_dirs_of_finished_jobs_are_swept_at_open() {
-        let dir = fresh_dir("sweep");
-        let config = JournalConfig::new(&dir);
-        {
-            let (journal, _) = Journal::open(&config, 0, registry()).unwrap();
-            journal.append(&accept("job-1", "acme")).unwrap();
-            journal.append(&accept("job-2", "acme")).unwrap();
-            journal.append(&completed("job-2")).unwrap();
-            fs::create_dir_all(journal.checkpoint_dir("job-1")).unwrap();
-            fs::create_dir_all(journal.checkpoint_dir("job-2")).unwrap();
-            fs::create_dir_all(journal.checkpoint_dir("job-stale")).unwrap();
-        }
-        let (journal, _) = Journal::open(&config, 0, registry()).unwrap();
-        assert!(journal.checkpoint_dir("job-1").is_dir(), "still queued");
-        assert!(!journal.checkpoint_dir("job-2").exists(), "terminal");
-        assert!(!journal.checkpoint_dir("job-stale").exists(), "orphan");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-}
+mod tests;

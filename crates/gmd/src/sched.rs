@@ -8,7 +8,9 @@
 //!
 //! Retries: real serving failures split into *transient* (a deadline
 //! blip under load, a spill-write hiccup, a wedged worker) and
-//! *deterministic* (bad arguments, a program that always overruns). A
+//! *deterministic* (bad arguments, a program that always overruns);
+//! transient is [`gm_pregel::PregelError::is_recoverable`], the
+//! runtime's one definition, which this module never widens. A
 //! transiently-failed job is re-queued after
 //! `uniform(0, min(cap, base·2^(attempt-1)))` — AWS-style full jitter,
 //! so synchronized failures do not retry in lockstep — while a
@@ -23,7 +25,6 @@ use crate::daemon::Reject;
 use crate::job::JobSpec;
 use gm_graph::rng::SplitMix64;
 use gm_interp::RunError;
-use gm_pregel::PregelError;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -102,24 +103,19 @@ pub(crate) struct Failure {
 
 impl From<RunError> for Failure {
     fn from(err: RunError) -> Failure {
-        let (kind, message, bundle, retryable) = match err {
-            RunError::BadArgument(message) => ("bad_argument", message, None, false),
-            RunError::Pregel(e) => {
-                let message = e.to_string();
-                let (e, bundle) = e.detach_post_mortem();
-                // The runtime's recoverable set, plus checkpoint failures:
-                // a gmd job resumes from snapshots it wrote itself, so an
-                // unreadable one is an I/O fault worth one more try.
-                let retryable = e.is_recoverable() || matches!(e, PregelError::Checkpoint(_));
-                (e.kind(), message, bundle, retryable)
-            }
-        };
-        let kind = kind.to_owned();
-        Failure {
-            kind,
-            message,
-            bundle,
-            retryable,
+        match err {
+            RunError::BadArgument(message) => Failure {
+                kind: "bad_argument".to_owned(),
+                message,
+                bundle: None,
+                retryable: false,
+            },
+            RunError::Pregel(e) => Failure {
+                kind: e.kind().to_owned(),
+                message: e.to_string(),
+                bundle: e.post_mortem_bundle().map(PathBuf::from),
+                retryable: e.is_recoverable(),
+            },
         }
     }
 }

@@ -3,6 +3,7 @@ use crate::config::BrownoutConfig;
 use gm_ckpt::CkptError;
 use gm_graph::rng::SplitMix64;
 use gm_obs::json::parse;
+use gm_pregel::PregelError;
 use std::collections::HashSet;
 use std::path::PathBuf;
 
@@ -36,77 +37,17 @@ fn job(id: u64, spec: JobSpec, msg_bytes: u64, res_bytes: u64, now: Instant) -> 
 
 #[test]
 fn transient_kinds_are_the_recoverable_ones() {
-    let io = || CkptError::Io(std::io::Error::other("disk"));
-    let panicked = || PregelError::WorkerPanicked {
-        superstep: 3,
-        worker: Some(1),
-        vertex: None,
-        detail: "boom".to_owned(),
+    // Failure::from forwards the runtime's one predicate (pinned variant
+    // by variant in gm-pregel), through a post-mortem wrap too.
+    let io = PregelError::Checkpoint(CkptError::Io(std::io::Error::other("disk")));
+    let wrapped = PregelError::PostMortem {
+        bundle: PathBuf::from("bundle"),
+        source: Box::new(io),
     };
-    let table = [
-        (PregelError::SuperstepLimitExceeded { limit: 9 }, false),
-        (PregelError::InvalidConfig("zero workers".to_owned()), false),
-        (
-            PregelError::NotPullable {
-                detail: "random write".to_owned(),
-            },
-            false,
-        ),
-        (
-            PregelError::DeadlineExceeded {
-                superstep: 1,
-                worker: None,
-                deadline: Duration::from_millis(5),
-            },
-            true,
-        ),
-        (
-            PregelError::BudgetExceeded {
-                superstep: 1,
-                what: "resident value-store bytes",
-                used: 10,
-                budget: 5,
-            },
-            true,
-        ),
-        (
-            PregelError::SpillFailed {
-                superstep: 1,
-                worker: 0,
-                op: "write",
-                source: io(),
-            },
-            true,
-        ),
-        (
-            PregelError::Quarantined {
-                superstep: 1,
-                worker: None,
-                vertex: None,
-                attempts: 3,
-                detail: "again".to_owned(),
-            },
-            false,
-        ),
-        (PregelError::Cancelled { superstep: 2 }, false),
-        // gmd's one addition to the runtime's recoverable set.
-        (PregelError::Checkpoint(io()), true),
-        (
-            PregelError::PostMortem {
-                bundle: PathBuf::from("bundle"),
-                source: Box::new(panicked()),
-            },
-            true,
-        ),
-        (panicked(), true),
-    ];
-    for (err, expected) in table {
-        let kind = err.kind();
-        assert_eq!(
-            Failure::from(RunError::Pregel(err)).retryable,
-            expected,
-            "{kind}"
-        );
+    let decode = PregelError::Checkpoint(CkptError::Decode("bad".to_owned()));
+    for (err, expected) in [(wrapped, true), (decode, false)] {
+        assert_eq!(err.is_recoverable(), expected, "{err}");
+        assert_eq!(Failure::from(RunError::Pregel(err)).retryable, expected);
     }
     let bad_argument = Failure::from(RunError::BadArgument("no such arg".to_owned()));
     assert!(!bad_argument.retryable);

@@ -121,30 +121,6 @@ impl CheckpointConfig {
     }
 }
 
-/// Restart policy [`run`](crate::run) supervises with, attached to
-/// [`PregelConfig::recovery`](crate::PregelConfig). Restarts follow each
-/// other immediately: a restart resumes from a snapshot in-process, so
-/// there is nothing to wait out.
-#[derive(Clone, Debug)]
-pub struct RecoveryPolicy {
-    /// Maximum restarts after recoverable failures before giving up and
-    /// returning the error.
-    pub max_restarts: u32,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy { max_restarts: 3 }
-    }
-}
-
-impl RecoveryPolicy {
-    /// Policy with an explicit restart budget.
-    pub fn with_max_restarts(max_restarts: u32) -> Self {
-        RecoveryPolicy { max_restarts }
-    }
-}
-
 /// Coordinator-side state captured in the `coord` section.
 pub(crate) struct CoordState {
     pub active_vertices: u32,

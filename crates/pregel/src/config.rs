@@ -1,9 +1,10 @@
 //! What a run is asked to do: [`PregelConfig`] and the message
 //! [`Schedule`].
 
-use crate::checkpoint::{CheckpointConfig, RecoveryPolicy};
+use crate::checkpoint::CheckpointConfig;
 use crate::govern::ResourceBudget;
 use crate::postmortem::PostMortemConfig;
+use crate::supervise::RecoveryPolicy;
 use gm_ckpt::FaultPlan;
 use gm_obs::metrics::MetricsRegistry;
 use gm_obs::Tracer;

@@ -61,7 +61,7 @@ pub enum PregelError {
     },
     /// A resource budget other than the spillable message budget was
     /// exhausted (currently: the resident value-store estimate).
-    /// Recoverable, though a deterministic overrun will quarantine.
+    /// Recoverable.
     BudgetExceeded {
         /// Superstep at whose barrier the check failed.
         superstep: u32,
@@ -85,22 +85,6 @@ pub enum PregelError {
         /// The underlying codec/IO error.
         source: CkptError,
     },
-    /// A recoverable failure reproduced identically on every attempt until
-    /// the restart budget ran out — a deterministically-poisoned vertex or
-    /// a sticky resource overrun. Restarting again would loop forever, so
-    /// the supervisor aborts with the failure's context instead.
-    Quarantined {
-        /// Superstep of the repeated failure.
-        superstep: u32,
-        /// Worker of the repeated failure, when attributed.
-        worker: Option<u32>,
-        /// Vertex of the repeated failure, when attributed.
-        vertex: Option<u32>,
-        /// Total attempts made (initial run + restarts).
-        attempts: u32,
-        /// Rendered form of the repeated underlying error.
-        detail: String,
-    },
     /// The run was cancelled through
     /// [`PregelConfig::cancel`](crate::PregelConfig::cancel) — the
     /// coordinator saw the token at a superstep boundary and stopped. Not
@@ -113,8 +97,10 @@ pub enum PregelError {
     /// A checkpoint or resume operation failed in a way the run cannot
     /// proceed past (an unreadable mandatory snapshot section, a graph
     /// mismatch, or an I/O failure opening the checkpoint directory).
-    /// Failed snapshot *writes* are not fatal and are only counted in
-    /// [`RecoveryStats`](crate::RecoveryStats).
+    /// Recoverable only when the cause is I/O ([`CkptError::Io`]): a
+    /// snapshot that passed its checksum but does not decode reads the
+    /// same on every try. Failed snapshot *writes* are not fatal and are
+    /// only counted in [`RecoveryStats`](crate::RecoveryStats).
     Checkpoint(CkptError),
     /// A failure for which a post-mortem bundle was written
     /// ([`PregelConfig::post_mortem`](crate::PregelConfig::post_mortem)):
@@ -188,25 +174,6 @@ impl fmt::Display for PregelError {
                 f,
                 "spill {op} failed on worker {worker} during superstep {superstep}: {source}"
             ),
-            PregelError::Quarantined {
-                superstep,
-                worker,
-                vertex,
-                attempts,
-                detail,
-            } => {
-                write!(
-                    f,
-                    "quarantined after {attempts} identical failures at superstep {superstep}"
-                )?;
-                if let Some(w) = worker {
-                    write!(f, " on worker {w}")?;
-                }
-                if let Some(v) = vertex {
-                    write!(f, " at vertex {v}")?;
-                }
-                write!(f, ": {detail}")
-            }
             PregelError::Cancelled { superstep } => {
                 write!(f, "run cancelled at superstep {superstep}")
             }
@@ -230,9 +197,10 @@ impl Error for PregelError {
 }
 
 impl PregelError {
-    /// Failures the [`run`](crate::run) supervisor may retry: everything
-    /// caused by a worker or a resource limit, nothing caused by bad
-    /// configuration, cancellation or an unreadable checkpoint.
+    /// Failures worth another try — by the [`run`](crate::run) supervisor
+    /// and by any host that retries jobs: everything caused by a worker, a
+    /// resource limit or checkpoint I/O; nothing caused by bad
+    /// configuration, cancellation or a snapshot that does not decode.
     pub fn is_recoverable(&self) -> bool {
         match self {
             PregelError::PostMortem { source, .. } => source.is_recoverable(),
@@ -242,6 +210,7 @@ impl PregelError {
                     | PregelError::DeadlineExceeded { .. }
                     | PregelError::BudgetExceeded { .. }
                     | PregelError::SpillFailed { .. }
+                    | PregelError::Checkpoint(CkptError::Io(_))
             ),
         }
     }
@@ -258,7 +227,6 @@ impl PregelError {
             PregelError::DeadlineExceeded { .. } => "deadline_exceeded",
             PregelError::BudgetExceeded { .. } => "budget_exceeded",
             PregelError::SpillFailed { .. } => "spill_failed",
-            PregelError::Quarantined { .. } => "quarantined",
             PregelError::Cancelled { .. } => "cancelled",
             PregelError::Checkpoint(_) => "checkpoint",
             PregelError::PostMortem { source, .. } => source.kind(),
@@ -276,24 +244,10 @@ impl PregelError {
 
     /// Splits a [`PregelError::PostMortem`] wrapper into the underlying
     /// failure and its bundle path; other errors pass through with `None`.
-    /// The recovery supervisor compares failure *signatures* across
-    /// attempts — bundle paths differ per attempt, so signatures must be
-    /// computed on the detached error.
     pub fn detach_post_mortem(self) -> (PregelError, Option<PathBuf>) {
         match self {
             PregelError::PostMortem { bundle, source } => (*source, Some(bundle)),
             other => (other, None),
-        }
-    }
-
-    /// Re-wraps an error with a previously detached bundle path.
-    pub(crate) fn with_post_mortem(self, bundle: Option<PathBuf>) -> PregelError {
-        match bundle {
-            Some(bundle) => PregelError::PostMortem {
-                bundle,
-                source: Box::new(self),
-            },
-            None => self,
         }
     }
 }
@@ -373,9 +327,8 @@ impl WorkerFailure {
     }
 }
 
-/// The superstep-independent attribution of an error: (superstep, worker,
-/// vertex), used by the restart tracer, the quarantine wrapper, and
-/// post-mortem manifests.
+/// The attribution of an error: (superstep, worker, vertex), used by the
+/// restart tracer and post-mortem manifests.
 pub(crate) fn failure_site(error: &PregelError) -> (u32, Option<u32>, Option<u32>) {
     match error {
         PregelError::WorkerPanicked {
@@ -391,14 +344,61 @@ pub(crate) fn failure_site(error: &PregelError) -> (u32, Option<u32>, Option<u32
         PregelError::SpillFailed {
             superstep, worker, ..
         } => (*superstep, Some(*worker), None),
-        PregelError::Quarantined {
-            superstep,
-            worker,
-            vertex,
-            ..
-        } => (*superstep, *worker, *vertex),
         PregelError::Cancelled { superstep } => (*superstep, None, None),
         PregelError::PostMortem { source, .. } => failure_site(source),
         _ => (0, None, None),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn recoverability_of_every_variant() {
+        let panicked = || WorkerFailure::from_panic(0, None, Box::new("boom")).at(1, None);
+        let ckpt = PregelError::Checkpoint;
+        let wrapped = |source| PregelError::PostMortem {
+            bundle: PathBuf::from("bundle"),
+            source: Box::new(source),
+        };
+        let budget = PregelError::BudgetExceeded {
+            superstep: 1,
+            what: "resident value-store bytes",
+            used: 10,
+            budget: 5,
+        };
+        let spill = WorkerFailure::Spill {
+            worker: 0,
+            op: "write",
+            source: CkptError::Truncated,
+        };
+        let recoverable = [
+            panicked(),
+            WorkerFailure::Deadline { worker: 0 }.at(1, None),
+            budget,
+            spill.at(1, None),
+            ckpt(CkptError::Io(std::io::Error::other("disk"))),
+            wrapped(panicked()),
+        ];
+        // A checksum-valid snapshot that does not decode reads the same on
+        // every try.
+        let terminal = [
+            PregelError::SuperstepLimitExceeded { limit: 9 },
+            PregelError::InvalidConfig("zero workers".to_owned()),
+            PregelError::NotPullable {
+                detail: "push".to_owned(),
+            },
+            PregelError::Cancelled { superstep: 2 },
+            ckpt(CkptError::Decode("bad".to_owned())),
+            ckpt(CkptError::MissingSection("values")),
+            wrapped(ckpt(CkptError::Decode("bad".to_owned()))),
+        ];
+        for err in recoverable {
+            assert!(err.is_recoverable(), "{err}");
+        }
+        for err in terminal {
+            assert!(!err.is_recoverable(), "{err}");
+        }
     }
 }

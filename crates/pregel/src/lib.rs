@@ -50,9 +50,9 @@
 //! watchdog) and resident value-store bytes. Worker failures of every kind
 //! (kernel panics, spill I/O, deadline overruns) surface as typed
 //! [`PregelError`] values with superstep/worker/vertex attribution instead of
-//! aborting the process; deterministic failures that survive the whole
-//! restart budget are reported as [`PregelError::Quarantined`]. Spill
-//! activity is reported in [`SpillStats`].
+//! aborting the process; a failure that survives the whole restart budget
+//! is reported as the last attempt's own error. Spill activity is reported
+//! in [`SpillStats`].
 //!
 //! The runtime is **direction aware**: [`PregelConfig::schedule`] (or the
 //! `GM_SCHEDULE` environment variable) selects push (the classic Pregel
@@ -149,7 +149,7 @@ mod supervise;
 mod value;
 mod worker;
 
-pub use checkpoint::{CheckpointConfig, RecoveryPolicy};
+pub use checkpoint::CheckpointConfig;
 pub use config::{PregelConfig, Schedule, ENV_DENSE_THRESHOLD, ENV_SCHEDULE};
 pub use error::PregelError;
 pub use globals::{AggMap, Globals};
@@ -163,7 +163,7 @@ pub use postmortem::{
     PostMortemConfig, ENV_FLIGHT_RECORDER_EVENTS, ENV_POST_MORTEM_DIR, ENV_POST_MORTEM_KEEP,
 };
 pub use program::{MasterContext, MasterDecision, PullMode, VertexContext, VertexProgram};
-pub use supervise::{run, PregelResult};
+pub use supervise::{run, PregelResult, RecoveryPolicy};
 pub use value::{GlobalValue, ReduceOp};
 
 // Checkpointing building blocks, re-exported so programs implementing

@@ -56,7 +56,7 @@ pub struct PostMortemConfig {
     pub capacity: usize,
     /// Maximum `bundle-*` directories retained under `dir` (oldest
     /// removed first after each new bundle); `0` means unlimited. A
-    /// long-lived daemon stuck in a quarantine loop would otherwise fill
+    /// long-lived daemon stuck in a crash loop would otherwise fill
     /// the disk one bundle per failure.
     pub keep: usize,
 }

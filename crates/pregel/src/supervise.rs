@@ -2,8 +2,9 @@
 //! config, sets up each attempt (partition, worker states, resume from the
 //! newest valid snapshot), hands it to the coordinator, seals a failed
 //! attempt's post-mortem, and — when [`PregelConfig::recovery`] is set —
-//! restarts the job after recoverable failures, quarantining failures that
-//! reproduce identically across the whole restart budget.
+//! restarts the job after recoverable failures. Whether a failure that
+//! keeps repeating is poison is the host's call (gmd quarantines); the
+//! runtime only restarts.
 
 use crate::checkpoint::{decode_snapshot, written_by, ResumeState};
 use crate::config::{PregelConfig, Schedule};
@@ -56,20 +57,14 @@ pub struct PregelResult<V> {
 ///
 /// With [`PregelConfig::recovery`] set, a recoverable failure (see
 /// [`PregelError::is_recoverable`] — worker panics, deadline overruns,
-/// budget exhaustion, spill I/O) restarts the job — resuming from the
-/// newest valid snapshot when checkpointing is configured, from scratch
-/// otherwise — up to
-/// [`RecoveryPolicy::max_restarts`](crate::RecoveryPolicy::max_restarts)
-/// times. The program's master state is rolled back to its pre-run
-/// baseline before each retry so the resume path replays it exactly.
-///
-/// A failure that reproduces *identically* on the initial run and on every
-/// restart is deterministic — a poisoned vertex kernel, a sticky resource
-/// overrun — and restarting again would loop forever. When the restart
-/// budget runs out on such a streak, the supervisor returns
-/// [`PregelError::Quarantined`] carrying the repeated failure's
-/// superstep/worker/vertex attribution instead of the bare error. Restart
-/// counts and the work thrown away by failed attempts are reported in
+/// budget exhaustion, spill and checkpoint I/O) restarts the job —
+/// resuming from the newest valid snapshot when checkpointing is
+/// configured, from scratch otherwise — up to
+/// [`RecoveryPolicy::max_restarts`] times. The program's master state is
+/// rolled back to its pre-run baseline before each retry so the resume
+/// path replays it exactly. When the budget is spent, the last attempt's
+/// own error escapes, with its own post-mortem bundle. Restart counts and
+/// the work thrown away by failed attempts are reported in
 /// [`RecoveryStats`](crate::RecoveryStats) (`restarts`,
 /// `wasted_supersteps`, `wasted_time`). Without a policy every run is a
 /// single attempt.
@@ -103,9 +98,7 @@ where
     P::VertexValue: Persist,
     P::Message: Persist,
 {
-    let Some(policy) = &config.recovery else {
-        return attempt(graph, program, &init, config).map_err(|failed| failed.error);
-    };
+    let max_restarts = config.recovery.as_ref().map_or(0, |p| p.max_restarts);
     // The master state must roll back together with the snapshot: a retry
     // that falls back to an older snapshot (or a fresh start) must not see
     // a master already mutated by the failed attempt.
@@ -116,11 +109,6 @@ where
     let mut attempt_no: u32 = 0;
     let mut wasted_supersteps: u32 = 0;
     let mut wasted_time = Duration::ZERO;
-    // Rendered form of the last failure, and how many consecutive attempts
-    // produced exactly it. A streak spanning every attempt is the
-    // quarantine signal.
-    let mut signature: Option<String> = None;
-    let mut streak: u32 = 0;
     loop {
         let failed = match attempt(graph, program, &init, &config) {
             Ok(mut result) => {
@@ -131,42 +119,17 @@ where
             }
             Err(failed) => failed,
         };
-        if !failed.error.is_recoverable() {
+        if !failed.error.is_recoverable() || attempt_no >= max_restarts {
             return Err(failed.error);
         }
         wasted_supersteps += failed.wasted_supersteps;
         wasted_time += failed.wasted_time;
-        // Detach any post-mortem bundle before comparing failure
-        // signatures: each attempt writes a fresh bundle directory, which
-        // would make identical failures look distinct. The newest bundle is
-        // re-attached to whatever error escapes.
-        let (error, bundle) = failed.error.detach_post_mortem();
-        let rendered = error.to_string();
-        if signature.as_deref() == Some(rendered.as_str()) {
-            streak += 1;
-        } else {
-            signature = Some(rendered);
-            streak = 1;
-        }
-        if attempt_no >= policy.max_restarts {
-            // Restart budget exhausted. If every attempt failed identically
-            // the failure is deterministic: quarantine it so callers can
-            // tell "retrying cannot help" apart from "ran out of luck".
-            if streak == attempt_no + 1 {
-                if let Some(r) = &config.registry {
-                    r.counter("gm_quarantines_total", "deterministic failures quarantined")
-                        .inc();
-                }
-                return Err(quarantine(&error, attempt_no + 1).with_post_mortem(bundle));
-            }
-            return Err(error.with_post_mortem(bundle));
-        }
         attempt_no += 1;
         if let Some(r) = &config.registry {
             r.counter("gm_restarts_total", "recovery restarts").inc();
         }
         if let Some(t) = config.tracer.as_ref() {
-            let (superstep, _, _) = failure_site(&error);
+            let (superstep, _, _) = failure_site(&failed.error);
             t.instant(
                 "restart",
                 Category::Ckpt,
@@ -185,16 +148,21 @@ where
     }
 }
 
-/// Wraps a failure that reproduced identically across the whole restart
-/// budget in [`PregelError::Quarantined`], preserving its attribution.
-fn quarantine(error: &PregelError, attempts: u32) -> PregelError {
-    let (superstep, worker, vertex) = failure_site(error);
-    PregelError::Quarantined {
-        superstep,
-        worker,
-        vertex,
-        attempts,
-        detail: error.to_string(),
+/// Restart policy [`run`] supervises with, attached to
+/// [`PregelConfig::recovery`]. Restarts follow each other immediately: a
+/// restart resumes from a snapshot in-process, so there is nothing to
+/// wait out.
+#[derive(Clone, Debug)]
+pub struct RecoveryPolicy {
+    /// Maximum restarts after recoverable failures before giving up and
+    /// returning the last attempt's error.
+    pub max_restarts: u32,
+}
+
+impl RecoveryPolicy {
+    /// Policy with an explicit restart budget.
+    pub fn with_max_restarts(max_restarts: u32) -> Self {
+        RecoveryPolicy { max_restarts }
     }
 }
 
@@ -250,7 +218,10 @@ fn seal_failure(
     };
     match write_bundle(pm, &failed.error, config, graph, metrics, recorder) {
         Ok(bundle) => FailedRun {
-            error: failed.error.with_post_mortem(Some(bundle)),
+            error: PregelError::PostMortem {
+                bundle,
+                source: Box::new(failed.error),
+            },
             ..failed
         },
         Err(_) => failed,

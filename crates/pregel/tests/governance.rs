@@ -1,18 +1,20 @@
 //! Resource-governance integration tests, driven entirely through the
 //! public API: the superstep deadline watchdog kills an injected
 //! infinite-loop compute kernel, checkpointed recovery survives a
-//! transient hang, a deterministic poison exhausts the restart budget
-//! into [`PregelError::Quarantined`], spill-write failures surface as
+//! transient hang, a deterministic hang exhausts the restart budget and
+//! returns the last attempt's deadline error, spill-write failures surface as
 //! structured errors and are themselves recoverable, and the resident
 //! budget trips [`PregelError::BudgetExceeded`] at the barrier.
 
 use gm_graph::gen;
+use gm_obs::metrics::MetricsRegistry;
 use gm_pregel::{
     run, CheckpointConfig, FaultPlan, Inbox, MasterContext, MasterDecision, PregelConfig,
     PregelError, RecoveryPolicy, ResourceBudget, VertexContext, VertexProgram,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -124,35 +126,31 @@ fn transient_hang_is_recovered_from_checkpoint() {
 }
 
 #[test]
-fn deterministic_hang_is_quarantined() {
+fn deterministic_hang_exhausts_the_restart_budget() {
     let g = gen::cycle(12);
     let dir = fresh_dir("poison");
+    let registry = Arc::new(MetricsRegistry::new());
     let cfg = PregelConfig::with_workers(2)
         .with_budget(deadline_only(Duration::from_millis(30)))
         .with_checkpoints(CheckpointConfig::new(&dir, 2))
         .with_faults(
-            // Pinned to worker 0 so every attempt fails with an identical
-            // signature — the definition of a deterministic poison.
             FaultPlan::builder()
                 .hang_in_compute(4, Some(0))
                 .times(u32::MAX)
                 .build(),
         )
-        .with_recovery(RecoveryPolicy::with_max_restarts(2));
+        .with_recovery(RecoveryPolicy::with_max_restarts(2))
+        .with_registry(registry.clone());
     let (err, _) = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg)
         .unwrap_err()
         .detach_post_mortem();
-    match err {
-        PregelError::Quarantined {
-            superstep,
-            attempts,
-            ..
-        } => {
-            assert_eq!(superstep, 4);
-            assert_eq!(attempts, 3, "initial attempt + 2 restarts");
-        }
-        other => panic!("expected quarantine, got {other}"),
-    }
+    assert!(
+        matches!(err, PregelError::DeadlineExceeded { superstep: 4, .. }),
+        "expected the last attempt's deadline error, got {err}"
+    );
+    // Initial attempt + 2 restarts, then the budget stops the loop.
+    let restarts = registry.counter("gm_restarts_total", "recovery restarts");
+    assert_eq!(restarts.get(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -280,7 +278,6 @@ fn governed_run_with_all_limits_set_still_matches_baseline() {
 #[test]
 fn cancellation_token_stops_the_run_at_a_superstep_boundary() {
     use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
 
     let g = gen::cycle(16);
     let cancel = Arc::new(AtomicBool::new(true));
@@ -288,12 +285,12 @@ fn cancellation_token_stops_the_run_at_a_superstep_boundary() {
         .with_budget(ResourceBudget::unbounded())
         .with_cancel(cancel.clone());
     let err = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap_err();
-    match err {
+    assert_eq!(err.kind(), "cancelled");
+    assert!(!err.is_recoverable(), "hosts cancel on purpose");
+    match err.detach_post_mortem().0 {
         PregelError::Cancelled { superstep } => assert_eq!(superstep, 0),
         other => panic!("expected Cancelled, got {other}"),
     }
-    assert_eq!(err.kind(), "cancelled");
-    assert!(!err.is_recoverable(), "hosts cancel on purpose");
 
     // A cleared token is inert: the same config runs to completion.
     cancel.store(false, Ordering::Relaxed);
@@ -301,10 +298,11 @@ fn cancellation_token_stops_the_run_at_a_superstep_boundary() {
     assert_eq!(r.metrics.supersteps, 9);
 
     // And a supervised run must not retry a cancellation: it is not
-    // recoverable, so the error comes back directly (no quarantine
-    // wrapper from exhausted restarts).
+    // recoverable, so the error comes back directly.
     cancel.store(true, Ordering::Relaxed);
     let cfg = cfg.with_recovery(RecoveryPolicy::with_max_restarts(3));
-    let err = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap_err();
+    let (err, _) = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg)
+        .unwrap_err()
+        .detach_post_mortem();
     assert!(matches!(err, PregelError::Cancelled { .. }), "{err}");
 }

@@ -206,10 +206,10 @@ fn deadline_overrun_is_bundled_too() {
 }
 
 #[test]
-fn quarantine_keeps_the_newest_bundle_and_a_clean_signature() {
+fn exhausted_restarts_return_the_newest_bundle() {
     let g = gm_graph::gen::cycle(12);
-    let dir = fresh_dir("quarantine");
-    let ckpt_dir = fresh_dir("quarantine-ckpt");
+    let dir = fresh_dir("exhausted");
+    let ckpt_dir = fresh_dir("exhausted-ckpt");
     let cfg = PregelConfig::with_workers(2)
         .with_budget(ResourceBudget::unbounded().with_superstep_deadline(Duration::from_millis(30)))
         .with_checkpoints(CheckpointConfig::new(&ckpt_dir, 2))
@@ -223,24 +223,29 @@ fn quarantine_keeps_the_newest_bundle_and_a_clean_signature() {
         .with_post_mortem(PostMortemConfig::new(&dir));
     let err = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap_err();
 
-    // Each attempt wrote its own bundle; the distinct paths must not stop
-    // the supervisor from recognising the identical failure signature.
+    // The last attempt's own error escapes, wrapped in its own bundle.
     let bundle = err
         .post_mortem_bundle()
-        .expect("quarantine keeps a bundle")
+        .expect("the last attempt keeps its bundle")
         .to_path_buf();
     match &err {
-        PregelError::PostMortem { source, .. } => {
-            assert!(
-                matches!(**source, PregelError::Quarantined { attempts: 3, .. }),
-                "expected quarantine after 3 identical attempts, got {source}"
-            );
-        }
-        other => panic!("expected PostMortem-wrapped quarantine, got {other}"),
+        PregelError::PostMortem { source, .. } => assert!(
+            matches!(**source, PregelError::DeadlineExceeded { superstep: 4, .. }),
+            "expected the deadline error, got {source}"
+        ),
+        other => panic!("expected a PostMortem-wrapped error, got {other}"),
     }
     assert!(bundle.is_dir());
-    let bundles = std::fs::read_dir(&dir).unwrap().count();
-    assert_eq!(bundles, 3, "one bundle per attempt");
+    // One bundle per attempt (initial + 2 restarts); the error names the
+    // newest, the one with the highest process-wide sequence number.
+    let seq = |name: &str| name.rsplit('-').next().and_then(|s| s.parse::<u64>().ok());
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names.len(), 3, "one bundle per attempt: {names:?}");
+    let newest = names.iter().max_by_key(|n| seq(n)).unwrap();
+    assert_eq!(bundle.file_name().unwrap().to_str(), Some(newest.as_str()));
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 }
