@@ -4,7 +4,10 @@
 //! Concurrency model: `max_concurrent` runner threads block on a condvar
 //! over the one scheduler mutex. Submission, dispatch, the end of an
 //! attempt and drain each take that lock, ask the scheduler, then do the
-//! journal, job-record and metrics side effects its answer names. Work
+//! journal, job-record and metrics side effects its answer names. Every
+//! journalled job transition goes through `State::transition`, which
+//! appends the record and applies it to the job table with
+//! [`JobRecord::apply`] — the table is the fold of the journal. Work
 //! runs *round-robin across tenants, FIFO within a tenant*, and only when
 //! its budget reservation fits beside everything already running.
 //!
@@ -147,20 +150,6 @@ fn ms_since(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
-fn new_record(id: &str, spec: &JobSpec, backend: &str, attempts: u32) -> Box<JobRecord> {
-    Box::new(JobRecord {
-        id: id.to_owned(),
-        tenant: spec.tenant.clone(),
-        graph: spec.graph.clone(),
-        program: spec.program.label(),
-        backend: backend.to_owned(),
-        state: JobState::Queued,
-        wall_ms: None,
-        attempts,
-        cached: false,
-    })
-}
-
 /// Shared daemon state; HTTP handlers and runners both hold an `Arc`.
 ///
 /// Two locks, always taken in this order: `sched` (every scheduling
@@ -230,10 +219,54 @@ impl State {
         self.jobs.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn update_record(&self, id: &str, update: impl FnOnce(&mut JobRecord)) {
-        if let Some(rec) = self.lock_jobs().records.get_mut(id) {
-            update(rec);
+    /// Journals a job transition and applies it to the job table: the one
+    /// path of every journalled transition. `recs` (one job's records) go
+    /// to the journal under one write and one fsync, then through
+    /// [`JobRecord::apply`] under one job-table lock, so no reader sees
+    /// them half applied; a job they end gets `index` run on the result
+    /// cache, then retires into the history. Only an `accepted` batch can
+    /// fail: a daemon that cannot journal must not accept. A later record
+    /// that fails to append is counted, not propagated — replay re-runs
+    /// the job, which is safe because results are deterministic.
+    fn transition(
+        &self,
+        recs: &[JournalRecord],
+        index: impl FnOnce(&mut ResultCache),
+    ) -> Result<(), Reject> {
+        if let Some(Err(e)) = self.journal.as_ref().map(|j| j.append_all(recs)) {
+            if let Some(JournalRecord::Accepted { .. }) = recs.first() {
+                return Err(Reject::JournalUnavailable(e.to_string()));
+            }
+            for rec in recs {
+                self.count(
+                    "gm_journal_append_errors_total",
+                    "journal appends that failed after acceptance",
+                    &[("type", rec.kind())],
+                );
+            }
         }
+        let mut jobs = self.lock_jobs();
+        let mut ended = None;
+        for rec in recs {
+            let id = rec.id();
+            let job = match rec {
+                JournalRecord::Accepted { .. } => {
+                    Some(jobs.records.entry(id.to_owned()).or_default())
+                }
+                _ => jobs.records.get_mut(id),
+            };
+            if let Some(job) = job.filter(|job| !job.state.is_terminal()) {
+                job.apply(rec);
+                if job.state.is_terminal() {
+                    ended = Some(id);
+                }
+            }
+        }
+        if let Some(id) = ended {
+            index(&mut jobs.cache);
+            jobs.retire(id, self.config.job_history_keep);
+        }
+        Ok(())
     }
 
     /// Resolves a spec into a runnable job (id unassigned): graph and
@@ -295,9 +328,9 @@ impl State {
                 let hit = key.and_then(|key| self.lock_jobs().cached(&key));
                 cached = hit.is_some();
                 match hit {
-                    Some(result) => {
+                    Some(hit) => {
                         drop(sched);
-                        self.complete_cached(job, result)
+                        self.complete_cached(job, hit)
                     }
                     None => self.enqueue(sched, job),
                 }
@@ -312,7 +345,6 @@ impl State {
             );
             self.fail_unrun(
                 &job.id,
-                job.attempt,
                 ms_since(job.submitted),
                 "shed",
                 "brownout: shed under sustained saturation",
@@ -344,19 +376,13 @@ impl State {
         job: QueuedJob,
     ) -> Result<(String, String), Reject> {
         // Write-ahead discipline: the acceptance is journalled *before*
-        // it becomes observable; if the journal cannot persist it, the
-        // daemon must not accept.
-        if let Some(journal) = &self.journal {
-            journal
-                .append(&JournalRecord::Accepted {
-                    id: job.id.clone(),
-                    backend: job.payload.backend().to_owned(),
-                    spec: job.spec.clone(),
-                })
-                .map_err(|e| Reject::JournalUnavailable(e.to_string()))?;
-        }
-        let record = new_record(&job.id, &job.spec, job.payload.backend(), 0);
-        self.lock_jobs().records.insert(job.id.clone(), record);
+        // it becomes observable.
+        let accepted = JournalRecord::Accepted {
+            id: job.id.clone(),
+            backend: job.payload.backend().to_owned(),
+            spec: job.spec.clone(),
+        };
+        self.transition(&[accepted], |_| {})?;
         let (id, tenant) = (job.id.clone(), job.spec.tenant.clone());
         sched.enqueue(job);
         self.publish(&sched);
@@ -373,36 +399,25 @@ impl State {
         job: QueuedJob,
         (source, result): (String, Arc<JobResult>),
     ) -> Result<(String, String), Reject> {
-        let backend = job.payload.backend();
         let wall_ms = ms_since(job.submitted);
-        let mut record = new_record(&job.id, &job.spec, backend, 0);
-        record.state = JobState::Completed(result.clone());
-        record.wall_ms = Some(wall_ms);
-        record.cached = true;
-        let QueuedJob { id, spec, .. } = job;
-        if let Some(journal) = &self.journal {
-            let records = [
-                JournalRecord::Accepted {
-                    id: id.clone(),
-                    backend: backend.to_owned(),
-                    spec,
-                },
-                JournalRecord::Completed {
-                    id: id.clone(),
-                    wall_ms,
-                    result,
-                },
-            ];
-            (journal.append_all(&records))
-                .map_err(|e| Reject::JournalUnavailable(e.to_string()))?;
-        }
-        let tenant = record.tenant.clone();
-        {
-            let mut jobs = self.lock_jobs();
-            jobs.records.insert(id.clone(), record);
-            jobs.cache.repoint(&source, &id);
-            jobs.retire(&id, self.config.job_history_keep);
-        }
+        let QueuedJob {
+            id, spec, payload, ..
+        } = job;
+        let tenant = spec.tenant.clone();
+        let records = [
+            JournalRecord::Accepted {
+                id: id.clone(),
+                backend: payload.backend().to_owned(),
+                spec,
+            },
+            JournalRecord::Completed {
+                id: id.clone(),
+                wall_ms,
+                result,
+                cached: true,
+            },
+        ];
+        self.transition(&records, |cache| cache.repoint(&source, &id))?;
         let labels = [("tenant", tenant.as_str())];
         self.count(
             "gm_jobs_cache_hits_total",
@@ -420,67 +435,24 @@ impl State {
 
     /// Fails a job that never ran — shed by the brownout, flushed by
     /// drain (`kind` "cancelled"), or replayed but no longer runnable.
-    fn fail_unrun(&self, id: &str, attempts: u32, wall_ms: f64, kind: &str, message: &str) {
-        let (id_, message_) = (id.to_owned(), message.to_owned());
-        self.journal_append(&if kind == "cancelled" {
+    fn fail_unrun(&self, id: &str, wall_ms: f64, kind: &str, message: &str) {
+        let (id, message) = (id.to_owned(), message.to_owned());
+        let rec = if kind == "cancelled" {
             JournalRecord::Cancelled {
-                id: id_,
+                id,
                 wall_ms,
-                message: message_,
+                message,
             }
         } else {
             JournalRecord::Failed {
-                id: id_,
+                id,
                 wall_ms,
                 kind: kind.to_owned(),
-                message: message_,
+                message,
                 bundle: None,
             }
-        });
-        let state = JobState::Failed {
-            kind: kind.to_owned(),
-            message: message.to_owned(),
-            bundle: None,
         };
-        self.finish_job(id, state, wall_ms, attempts, None);
-    }
-
-    /// Best-effort journal append for transitions that must not fail the
-    /// job they describe (terminal records, checkpoints): an error is
-    /// counted, not propagated — replay will re-run the job, which is
-    /// safe because results are deterministic.
-    fn journal_append(&self, rec: &JournalRecord) {
-        let Some(journal) = &self.journal else { return };
-        if journal.append(rec).is_err() {
-            self.count(
-                "gm_journal_append_errors_total",
-                "journal appends that failed after acceptance",
-                &[("type", rec.kind())],
-            );
-        }
-    }
-
-    /// Moves a job to a terminal state (its terminal record already
-    /// journalled) and retires it into the history. `key`, the cache key
-    /// of a completed cacheable run, becomes an entry pointing at it.
-    fn finish_job(
-        &self,
-        id: &str,
-        state: JobState,
-        wall_ms: f64,
-        attempts: u32,
-        key: Option<CacheKey>,
-    ) {
-        let mut jobs = self.lock_jobs();
-        if let Some(rec) = jobs.records.get_mut(id) {
-            rec.state = state;
-            rec.wall_ms = Some(wall_ms);
-            rec.attempts = attempts;
-            if let Some(key) = key {
-                jobs.cache.point(key, id);
-            }
-        }
-        jobs.retire(id, self.config.job_history_keep);
+        let _ = self.transition(&[rec], |_| {});
     }
 
     fn observe_latency(&self, tenant: &str, wall_ms: f64) {
@@ -519,7 +491,9 @@ impl State {
             }
             let now = Instant::now();
             for id in sched.promote_due(now) {
-                self.update_record(&id, |rec| rec.state = JobState::Queued);
+                if let Some(rec) = self.lock_jobs().records.get_mut(&id) {
+                    rec.state = JobState::Queued;
+                }
             }
             if let Some(job) = sched.pick() {
                 self.publish(&sched);
@@ -551,14 +525,11 @@ impl State {
     /// applies the decision: journal record, job record, metrics.
     fn execute(self: &Arc<Self>, job: QueuedJob) {
         let attempt = job.attempt;
-        self.journal_append(&JournalRecord::Started {
+        let started = JournalRecord::Started {
             id: job.id.clone(),
             attempt,
-        });
-        self.update_record(&job.id, |rec| {
-            rec.state = JobState::Running;
-            rec.attempts = attempt;
-        });
+        };
+        let _ = self.transition(&[started], |_| {});
         let graph = self.graphs[&job.spec.graph].clone();
         let program = &job.payload;
         let mut args = job.spec.arg_values();
@@ -585,8 +556,7 @@ impl State {
             config.faults = journal.faults.clone();
         }
         // Arm crash checkpoints when journalling: a later attempt (or a
-        // restarted daemon) resumes from the newest valid snapshot, and
-        // each durable snapshot is echoed into the journal.
+        // restarted daemon) resumes from the newest valid snapshot.
         if let Some(journal) = &self.journal {
             let every = job.spec.checkpoint_every.or_else(|| {
                 self.config
@@ -595,18 +565,10 @@ impl State {
                     .and_then(|j| j.checkpoint_every)
             });
             if let Some(every) = every {
-                let me = self.clone();
-                let id = job.id.clone();
                 config = config.with_checkpoints(
                     CheckpointConfig::new(journal.checkpoint_dir(&job.id), every)
                         .with_resume(true)
-                        .with_keep(2)
-                        .with_on_write(move |superstep| {
-                            me.journal_append(&JournalRecord::Checkpointed {
-                                id: id.clone(),
-                                superstep,
-                            });
-                        }),
+                        .with_keep(2),
                 );
             }
         }
@@ -634,14 +596,13 @@ impl State {
         if let (Decision::Retry { delay }, Err(f)) = (&decision, &outcome) {
             // Recorded under the scheduler lock: a drain must not flush
             // the parked job before its `retrying` record lands.
-            self.journal_append(&JournalRecord::Retrying {
+            let retrying = JournalRecord::Retrying {
                 id: id.clone(),
                 attempt,
                 kind: f.kind.clone(),
                 delay_ms: delay.as_millis() as u64,
-            });
-            let kind = f.kind.clone();
-            self.update_record(&id, |rec| rec.state = JobState::Retrying { attempt, kind });
+            };
+            let _ = self.transition(&[retrying], |_| {});
             drop(sched);
             let labels = [("tenant", tenant.as_str()), ("kind", f.kind.as_str())];
             self.count(
@@ -653,33 +614,27 @@ impl State {
         }
         drop(sched);
         let labels = [("tenant", tenant.as_str())];
-        let state = match outcome {
+        let ended = match outcome {
             Ok(result) => {
-                let result = Arc::new(result);
-                self.journal_append(&JournalRecord::Completed {
-                    id: id.clone(),
-                    wall_ms,
-                    result: result.clone(),
-                });
                 self.count(
                     "gm_jobs_completed_total",
                     "jobs finished successfully",
                     &labels,
                 );
-                JobState::Completed(result)
-            }
-            Err(f) => {
-                // A running job stopped by a drain's cancel is journalled
-                // as `failed` (kind "cancelled"), keeping its bundle.
-                self.journal_append(&JournalRecord::Failed {
+                JournalRecord::Completed {
                     id: id.clone(),
                     wall_ms,
-                    kind: f.kind.clone(),
-                    message: f.message.clone(),
-                    bundle: f.bundle.clone(),
-                });
+                    result: Arc::new(result),
+                    cached: false,
+                }
+            }
+            // A running job stopped by a drain's cancel is journalled as
+            // `failed` (kind "cancelled"), keeping its bundle.
+            Err(f) => {
                 self.count("gm_jobs_failed_total", "jobs finished in failure", &labels);
-                JobState::Failed {
+                JournalRecord::Failed {
+                    id: id.clone(),
+                    wall_ms,
                     kind: f.kind,
                     message: f.message,
                     bundle: f.bundle,
@@ -687,7 +642,11 @@ impl State {
             }
         };
         self.observe_latency(&tenant, wall_ms);
-        self.finish_job(&id, state, wall_ms, attempt, key);
+        let _ = self.transition(&[ended], |cache| {
+            if let Some(key) = key {
+                cache.point(key, &id);
+            }
+        });
         if let Some(journal) = &self.journal {
             journal.remove_checkpoints(&id);
         }
@@ -699,27 +658,26 @@ impl State {
     /// now, or failed when their graph or program is gone. A job that
     /// changed backend finds its snapshots refused by the runtime, which
     /// removes them and re-runs it from superstep 0.
-    fn apply_replay(&self, replay: Replay) {
-        for job in replay.jobs {
-            let mut record = new_record(&job.id, &job.spec, &job.backend, job.attempts);
-            if !job.needs_requeue() {
-                record.state = job.state;
-                record.wall_ms = job.wall_ms;
+    fn apply_replay(&self, mut replay: Replay) {
+        for record in replay.jobs {
+            let id = record.id.clone();
+            let Some(spec) = replay.requeue.remove(&id) else {
                 let mut jobs = self.lock_jobs();
-                jobs.records.insert(job.id.clone(), record);
-                jobs.history.push_back(job.id);
+                jobs.records.insert(id.clone(), Box::new(record));
+                jobs.history.push_back(id);
                 continue;
-            }
-            match self.resolve(job.spec) {
+            };
+            let mut record = Box::new(record);
+            match self.resolve(spec) {
                 Ok(mut queued) => {
-                    queued.id = job.id.clone();
-                    queued.attempt = job.attempts;
+                    queued.id = id.clone();
+                    queued.attempt = record.attempts;
                     record.backend = queued.payload.backend().to_owned();
-                    self.lock_jobs().records.insert(queued.id.clone(), record);
+                    self.lock_jobs().records.insert(id, record);
                     self.lock_sched().enqueue(queued);
                 }
                 Err(reject) => {
-                    self.lock_jobs().records.insert(job.id.clone(), record);
+                    self.lock_jobs().records.insert(id.clone(), record);
                     let message = match &reject {
                         Reject::UnknownGraph(g) => {
                             format!("graph {g:?} is not loaded after restart")
@@ -732,8 +690,7 @@ impl State {
                         }
                         other => format!("{other:?}"),
                     };
-                    let wall_ms = job.wall_ms.unwrap_or(0.0);
-                    self.fail_unrun(&job.id, job.attempts, wall_ms, reject.slug(), &message);
+                    self.fail_unrun(&id, 0.0, reject.slug(), &message);
                 }
             }
         }
@@ -845,13 +802,7 @@ impl Daemon {
         };
         for job in flushed {
             let wall_ms = ms_since(job.submitted);
-            state.fail_unrun(
-                &job.id,
-                job.attempt,
-                wall_ms,
-                "cancelled",
-                "daemon draining",
-            );
+            state.fail_unrun(&job.id, wall_ms, "cancelled", "daemon draining");
         }
 
         let mut graceful = true;

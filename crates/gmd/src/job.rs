@@ -6,6 +6,7 @@
 //! shape (unknown graphs, bad arg types, negative budgets are structured
 //! `400`s) because specs arrive from untrusted tenants.
 
+use crate::journal::JournalRecord;
 use crate::{fingerprint_values, render_value};
 use gm_core::seqinterp::ArgValue;
 use gm_core::value::Value;
@@ -373,9 +374,10 @@ impl JobResult {
 }
 
 /// Where a job is in its lifetime.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub enum JobState {
     /// Accepted, waiting for a runner slot.
+    #[default]
     Queued,
     /// Executing on a runner.
     Running,
@@ -419,8 +421,9 @@ impl JobState {
     }
 }
 
-/// The daemon's record of one job.
-#[derive(Clone, Debug)]
+/// The daemon's record of one job: the fold of its journal records
+/// through [`JobRecord::apply`], starting from `JobRecord::default()`.
+#[derive(Clone, Debug, Default)]
 pub struct JobRecord {
     /// Wire id (`"job-<n>"`).
     pub id: String,
@@ -459,6 +462,73 @@ fn value_json(v: &Value) -> Json {
 }
 
 impl JobRecord {
+    /// The job state machine, and the only place a record gains a state,
+    /// `attempts` or `wall_ms`: the live daemon, journal replay and
+    /// compaction all build records by applying journal records here.
+    /// `accepted` names the job; `started` and `retrying` move it and
+    /// count its attempts; `completed`, `failed` and `cancelled` end it.
+    /// A terminal state is final, and a repeated record changes nothing,
+    /// so a replay that reads a record twice folds to the same job.
+    pub fn apply(&mut self, rec: &JournalRecord) {
+        if self.state.is_terminal() {
+            return;
+        }
+        match rec {
+            JournalRecord::Accepted { id, backend, spec } => {
+                self.id.clone_from(id);
+                self.tenant.clone_from(&spec.tenant);
+                self.graph.clone_from(&spec.graph);
+                self.program = spec.program.label();
+                self.backend.clone_from(backend);
+            }
+            JournalRecord::Started { attempt, .. } => {
+                self.state = JobState::Running;
+                self.attempts = self.attempts.max(*attempt);
+            }
+            JournalRecord::Retrying { attempt, kind, .. } => {
+                self.state = JobState::Retrying {
+                    attempt: *attempt,
+                    kind: kind.clone(),
+                };
+                self.attempts = self.attempts.max(*attempt);
+            }
+            JournalRecord::Completed {
+                wall_ms,
+                result,
+                cached,
+                ..
+            } => {
+                self.state = JobState::Completed(result.clone());
+                self.wall_ms = Some(*wall_ms);
+                self.cached = *cached;
+            }
+            JournalRecord::Failed {
+                wall_ms,
+                kind,
+                message,
+                bundle,
+                ..
+            } => {
+                self.state = JobState::Failed {
+                    kind: kind.clone(),
+                    message: message.clone(),
+                    bundle: bundle.clone(),
+                };
+                self.wall_ms = Some(*wall_ms);
+            }
+            JournalRecord::Cancelled {
+                wall_ms, message, ..
+            } => {
+                self.state = JobState::Failed {
+                    kind: "cancelled".to_owned(),
+                    message: message.clone(),
+                    bundle: None,
+                };
+                self.wall_ms = Some(*wall_ms);
+            }
+        }
+    }
+
     /// Renders the status document.
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![
@@ -624,21 +694,29 @@ mod tests {
 
     #[test]
     fn record_renders_terminal_states() {
-        let rec = JobRecord {
-            id: "job-1".to_owned(),
-            tenant: "t".to_owned(),
-            graph: "g".to_owned(),
-            program: "pagerank".to_owned(),
-            backend: "interp".to_owned(),
-            state: JobState::Failed {
+        let id = "job-1".to_owned();
+        let spec = parse(r#"{"tenant":"t","graph":"g","program":"pagerank"}"#).unwrap();
+        let mut rec = JobRecord::default();
+        for transition in [
+            JournalRecord::Accepted {
+                id: id.clone(),
+                backend: "interp".to_owned(),
+                spec: JobSpec::from_json(&spec).unwrap(),
+            },
+            JournalRecord::Started {
+                id: id.clone(),
+                attempt: 1,
+            },
+            JournalRecord::Failed {
+                id,
+                wall_ms: 12.5,
                 kind: "deadline_exceeded".to_owned(),
                 message: "superstep 3 exceeded its deadline".to_owned(),
                 bundle: Some(PathBuf::from("/tmp/b/bundle-1-0")),
             },
-            attempts: 1,
-            wall_ms: Some(12.5),
-            cached: false,
-        };
+        ] {
+            rec.apply(&transition);
+        }
         let doc = rec.to_json();
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("failed"));
         assert_eq!(doc.get("cached"), Some(&Json::Bool(false)));

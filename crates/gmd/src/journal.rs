@@ -5,9 +5,14 @@
 //! CRC-framed — *before* the in-memory state changes become observable,
 //! so a `kill -9` loses at most the record being written, never an
 //! acknowledged acceptance. On boot [`Journal::open`] replays every
-//! segment, folds the records into per-job outcomes, compacts the
-//! surviving history into a fresh segment, and hands the daemon a
-//! [`Replay`] from which it re-queues non-terminal jobs.
+//! segment, folds the records into job records, compacts the surviving
+//! history into a fresh segment, and hands the daemon a [`Replay`] from
+//! which it re-queues non-terminal jobs.
+//!
+//! The job table is the fold of the journal: the live daemon, replay and
+//! compaction all turn records into a [`JobRecord`] through
+//! [`JobRecord::apply`], the one job state machine, so a replayed job
+//! equals the one the daemon served before the crash.
 //!
 //! # On-disk format
 //!
@@ -23,9 +28,12 @@
 //!
 //! A payload is one compact JSON object (the same dependency-free
 //! `gm_obs::json` codec the API uses) with a `type` tag:
-//! `accepted` (carries the full [`JobSpec`]), `started`, `checkpointed`,
-//! `retrying`, `completed` (fingerprints and globals, never full
-//! property columns), `failed`, and `cancelled`.
+//! `accepted` (carries the full [`JobSpec`]), `started`, `retrying`,
+//! `completed` (fingerprints and globals, never full property columns;
+//! `"cached": true` when the result came from the result cache),
+//! `failed`, and `cancelled`. Segments written before checkpoints stopped
+//! being journalled may hold `checkpointed` records; replay reads them as
+//! no-ops.
 //!
 //! [`Journal::append_all`] writes several records with one write and
 //! one fsync — a result-cache hit's `accepted` + `completed` pair. They
@@ -38,16 +46,17 @@
 //! append-only log interrupted by `kill -9` needs.
 //!
 //! Segments rotate once they pass `rotate_bytes`; startup compaction
-//! rewrites the fold into one fresh segment (accepted + terminal record
-//! per surviving job) and only then deletes the old segments, so a
-//! crash *during* compaction replays duplicated records, which the fold
-//! absorbs idempotently.
+//! rewrites each surviving job as the shortest record list whose fold is
+//! that job — `accepted`, `started` with its attempt count when it has
+//! one, and its terminal record — into one fresh segment, and only then
+//! deletes the old segments, so a crash *during* compaction replays
+//! duplicated records, which the fold absorbs idempotently.
 
-use crate::job::{JobResult, JobSpec, JobState};
+use crate::job::{JobRecord, JobResult, JobSpec, JobState};
 use gm_ckpt::{crc32, FaultPlan};
 use gm_obs::json::{parse, Json};
 use gm_obs::metrics::MetricsRegistry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -103,8 +112,6 @@ pub enum JournalRecord {
     },
     /// An execution attempt began (1-based).
     Started { id: String, attempt: u32 },
-    /// A checkpoint snapshot for the job was durably written.
-    Checkpointed { id: String, superstep: u32 },
     /// A transient failure; the job waits `delay_ms` then requeues.
     Retrying {
         id: String,
@@ -113,11 +120,13 @@ pub enum JournalRecord {
         delay_ms: u64,
     },
     /// Terminal success (fingerprints et al., never property columns).
-    /// The result is shared with the job record, never copied.
+    /// The result is shared with the job record, never copied. `cached`
+    /// marks a result served from the result cache instead of a run.
     Completed {
         id: String,
         wall_ms: f64,
         result: Arc<JobResult>,
+        cached: bool,
     },
     /// Terminal failure.
     Failed {
@@ -203,7 +212,6 @@ impl JournalRecord {
         match self {
             JournalRecord::Accepted { .. } => "accepted",
             JournalRecord::Started { .. } => "started",
-            JournalRecord::Checkpointed { .. } => "checkpointed",
             JournalRecord::Retrying { .. } => "retrying",
             JournalRecord::Completed { .. } => "completed",
             JournalRecord::Failed { .. } => "failed",
@@ -216,7 +224,6 @@ impl JournalRecord {
         match self {
             JournalRecord::Accepted { id, .. }
             | JournalRecord::Started { id, .. }
-            | JournalRecord::Checkpointed { id, .. }
             | JournalRecord::Retrying { id, .. }
             | JournalRecord::Completed { id, .. }
             | JournalRecord::Failed { id, .. }
@@ -237,9 +244,6 @@ impl JournalRecord {
             JournalRecord::Started { attempt, .. } => {
                 pairs.push(("attempt".to_owned(), Json::UInt(u64::from(*attempt))));
             }
-            JournalRecord::Checkpointed { superstep, .. } => {
-                pairs.push(("superstep".to_owned(), Json::UInt(u64::from(*superstep))));
-            }
             JournalRecord::Retrying {
                 attempt,
                 kind,
@@ -251,10 +255,16 @@ impl JournalRecord {
                 pairs.push(("delay_ms".to_owned(), Json::UInt(*delay_ms)));
             }
             JournalRecord::Completed {
-                wall_ms, result, ..
+                wall_ms,
+                result,
+                cached,
+                ..
             } => {
                 pairs.push(("wall_ms".to_owned(), Json::Num(*wall_ms)));
                 pairs.push(("result".to_owned(), Json::Obj(result.journal_fields())));
+                if *cached {
+                    pairs.push(("cached".to_owned(), Json::Bool(true)));
+                }
             }
             JournalRecord::Failed {
                 wall_ms,
@@ -284,7 +294,9 @@ impl JournalRecord {
         Json::obj(pairs)
     }
 
-    fn from_json(doc: &Json) -> Result<JournalRecord, String> {
+    /// Decodes one record; `Ok(None)` for a `checkpointed` record, which
+    /// older segments hold and replay ignores.
+    fn from_json(doc: &Json) -> Result<Option<JournalRecord>, String> {
         let str_field = |key: &str| -> Result<String, String> {
             doc.get(key)
                 .and_then(Json::as_str)
@@ -302,85 +314,57 @@ impl JournalRecord {
                 .ok_or_else(|| "record missing `wall_ms`".to_owned())
         };
         let id = str_field("id")?;
-        match str_field("type")?.as_str() {
-            "accepted" => Ok(JournalRecord::Accepted {
+        Ok(Some(match str_field("type")?.as_str() {
+            "accepted" => JournalRecord::Accepted {
                 id,
                 backend: str_field("backend")?,
                 spec: JobSpec::from_json(doc.get("spec").ok_or("accepted record missing `spec`")?)?,
-            }),
-            "started" => Ok(JournalRecord::Started {
+            },
+            "started" => JournalRecord::Started {
                 id,
                 attempt: uint("attempt")? as u32,
-            }),
-            "checkpointed" => Ok(JournalRecord::Checkpointed {
-                id,
-                superstep: uint("superstep")? as u32,
-            }),
-            "retrying" => Ok(JournalRecord::Retrying {
+            },
+            "checkpointed" => return Ok(None),
+            "retrying" => JournalRecord::Retrying {
                 id,
                 attempt: uint("attempt")? as u32,
                 kind: str_field("kind")?,
                 delay_ms: uint("delay_ms")?,
-            }),
-            "completed" => Ok(JournalRecord::Completed {
+            },
+            "completed" => JournalRecord::Completed {
                 id,
                 wall_ms: wall()?,
                 result: Arc::new(result_from_json(
                     doc.get("result")
                         .ok_or("completed record missing `result`")?,
                 )?),
-            }),
-            "failed" => Ok(JournalRecord::Failed {
+                cached: matches!(doc.get("cached"), Some(Json::Bool(true))),
+            },
+            "failed" => JournalRecord::Failed {
                 id,
                 wall_ms: wall()?,
                 kind: str_field("kind")?,
                 message: str_field("message")?,
                 bundle: doc.get("bundle").and_then(Json::as_str).map(PathBuf::from),
-            }),
-            "cancelled" => Ok(JournalRecord::Cancelled {
+            },
+            "cancelled" => JournalRecord::Cancelled {
                 id,
                 wall_ms: wall()?,
                 message: str_field("message")?,
-            }),
-            other => Err(format!("unknown record type {other:?}")),
-        }
-    }
-}
-
-/// One job as reconstructed by replay.
-#[derive(Clone, Debug)]
-pub struct ReplayedJob {
-    /// Wire id (`"job-<n>"`).
-    pub id: String,
-    /// Backend recorded at acceptance (`"interp"` / `"native"`); what
-    /// terminal jobs report, while re-queued ones bind afresh.
-    pub backend: String,
-    /// The spec, exactly as accepted.
-    pub spec: JobSpec,
-    /// Execution attempts started before the crash.
-    pub attempts: u32,
-    /// Newest journalled checkpoint superstep, when any.
-    pub last_checkpoint: Option<u32>,
-    /// [`JobState::Queued`] for a job that must be re-queued; a
-    /// terminal state otherwise (`cancelled` records fold into
-    /// [`JobState::Failed`] with kind `"cancelled"`).
-    pub state: JobState,
-    /// Journalled wall time, for terminal jobs.
-    pub wall_ms: Option<f64>,
-}
-
-impl ReplayedJob {
-    /// Whether the job still needs to run.
-    pub fn needs_requeue(&self) -> bool {
-        !self.state.is_terminal()
+            },
+            other => return Err(format!("unknown record type {other:?}")),
+        }))
     }
 }
 
 /// The outcome of replaying every segment at startup.
 #[derive(Debug, Default)]
 pub struct Replay {
-    /// Surviving jobs in original acceptance order.
-    pub jobs: Vec<ReplayedJob>,
+    /// Surviving jobs in original acceptance order, each the fold of its
+    /// records; a job that must run again is reset to `queued`.
+    pub jobs: Vec<JobRecord>,
+    /// The spec, exactly as accepted, of every job that must run again.
+    pub requeue: HashMap<String, JobSpec>,
     /// Torn/corrupt/unparseable records dropped during replay.
     pub dropped: u64,
     /// Highest numeric suffix among replayed `job-<n>` ids (0 when
@@ -496,92 +480,75 @@ fn le_u32(buf: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
 }
 
-/// Folds raw records into per-job outcomes. Idempotent under record
-/// duplication (compaction interrupted by a crash replays both the
-/// original and compacted copies).
-fn fold(records: Vec<Json>, dropped: &mut u64) -> Vec<ReplayedJob> {
-    let mut order: Vec<String> = Vec::new();
-    let mut map: BTreeMap<String, ReplayedJob> = BTreeMap::new();
+/// One job as the fold leaves it.
+struct Folded {
+    job: JobRecord,
+    /// The spec, exactly as accepted.
+    spec: JobSpec,
+    /// The record that ended the job, once one did.
+    terminal: Option<JournalRecord>,
+}
+
+impl Folded {
+    /// The shortest record list whose fold is this job: what compaction
+    /// writes back.
+    fn compacted(&self) -> impl Iterator<Item = JournalRecord> {
+        let Folded { job, spec, .. } = self;
+        let accepted = JournalRecord::Accepted {
+            id: job.id.clone(),
+            backend: job.backend.clone(),
+            spec: spec.clone(),
+        };
+        let started = (job.attempts > 0).then(|| JournalRecord::Started {
+            id: job.id.clone(),
+            attempt: job.attempts,
+        });
+        std::iter::once(accepted)
+            .chain(started)
+            .chain(self.terminal.clone())
+    }
+}
+
+/// Folds raw records into jobs, in acceptance order, through
+/// [`JobRecord::apply`]. Idempotent under record duplication (compaction
+/// interrupted by a crash replays both the original and compacted copies).
+fn fold(records: Vec<Json>, dropped: &mut u64) -> Vec<Folded> {
+    let mut jobs: Vec<Folded> = Vec::new();
+    let mut index: HashMap<String, usize> = HashMap::new();
     for doc in records {
         let rec = match JournalRecord::from_json(&doc) {
-            Ok(rec) => rec,
+            Ok(Some(rec)) => rec,
+            Ok(None) => continue,
             Err(_) => {
                 *dropped += 1;
                 continue;
             }
         };
-        if let JournalRecord::Accepted { id, backend, spec } = rec {
-            if let Some(job) = map.get_mut(&id) {
-                job.backend = backend;
-                job.spec = spec;
-            } else {
-                order.push(id.clone());
-                map.insert(
-                    id.clone(),
-                    ReplayedJob {
-                        id,
-                        backend,
-                        spec,
-                        attempts: 0,
-                        last_checkpoint: None,
-                        state: JobState::Queued,
-                        wall_ms: None,
-                    },
-                );
+        let at = match (&rec, index.get(rec.id())) {
+            (_, Some(&at)) => at,
+            (JournalRecord::Accepted { id, spec, .. }, None) => {
+                index.insert(id.clone(), jobs.len());
+                jobs.push(Folded {
+                    job: JobRecord::default(),
+                    spec: spec.clone(),
+                    terminal: None,
+                });
+                jobs.len() - 1
             }
-            continue;
-        }
-        // Transition records for an id whose acceptance was lost (torn
-        // away with its segment) are orphans: drop them.
-        let Some(job) = map.get_mut(rec.id()) else {
-            *dropped += 1;
-            continue;
+            // Transition records for an id whose acceptance was lost (torn
+            // away with its segment) are orphans: drop them.
+            (_, None) => {
+                *dropped += 1;
+                continue;
+            }
         };
-        match rec {
-            JournalRecord::Accepted { .. } => unreachable!("handled above"),
-            JournalRecord::Started { attempt, .. } => {
-                job.attempts = job.attempts.max(attempt);
-            }
-            JournalRecord::Checkpointed { superstep, .. } => {
-                job.last_checkpoint = Some(superstep);
-            }
-            JournalRecord::Retrying { attempt, .. } => {
-                job.attempts = job.attempts.max(attempt);
-            }
-            JournalRecord::Completed {
-                wall_ms, result, ..
-            } => {
-                job.state = JobState::Completed(result);
-                job.wall_ms = Some(wall_ms);
-            }
-            JournalRecord::Failed {
-                wall_ms,
-                kind,
-                message,
-                bundle,
-                ..
-            } => {
-                job.state = JobState::Failed {
-                    kind,
-                    message,
-                    bundle,
-                };
-                job.wall_ms = Some(wall_ms);
-            }
-            JournalRecord::Cancelled {
-                wall_ms, message, ..
-            } => {
-                job.state = JobState::Failed {
-                    kind: "cancelled".to_owned(),
-                    message,
-                    bundle: None,
-                };
-                job.wall_ms = Some(wall_ms);
-            }
+        let folded = &mut jobs[at];
+        folded.job.apply(&rec);
+        if folded.terminal.is_none() && folded.job.state.is_terminal() {
+            folded.terminal = Some(rec);
         }
     }
-    // `order` lists each key of `map` once, so nothing is skipped.
-    order.into_iter().filter_map(|id| map.remove(&id)).collect()
+    jobs
 }
 
 /// One framed record on its own (the byte-golden tests pin it).
@@ -657,10 +624,10 @@ impl Journal {
         // Oldest-first GC of terminal history, mirrored into the
         // compacted segment so restarts do not resurrect pruned jobs.
         if history_keep > 0 {
-            let terminal = jobs.iter().filter(|j| j.state.is_terminal()).count();
+            let terminal = jobs.iter().filter(|j| j.terminal.is_some()).count();
             let mut excess = terminal.saturating_sub(history_keep);
             jobs.retain(|j| {
-                if excess > 0 && j.state.is_terminal() {
+                if excess > 0 && j.terminal.is_some() {
                     excess -= 1;
                     return false;
                 }
@@ -670,7 +637,7 @@ impl Journal {
 
         let max_job_seq = jobs
             .iter()
-            .filter_map(|j| j.id.strip_prefix("job-"))
+            .filter_map(|j| j.job.id.strip_prefix("job-"))
             .filter_map(|n| n.parse::<u64>().ok())
             .max()
             .unwrap_or(0);
@@ -679,53 +646,32 @@ impl Journal {
         // crash in between replays duplicates, which fold() absorbs.
         let next_seq = segments.last().map(|(s, _)| s + 1).unwrap_or(1);
         let mut writer = Writer::create(&config.dir, next_seq)?;
-        for job in &jobs {
-            writer.append_raw(&[JournalRecord::Accepted {
-                id: job.id.clone(),
-                backend: job.backend.clone(),
-                spec: job.spec.clone(),
-            }])?;
-            match &job.state {
-                JobState::Completed(result) => {
-                    writer.append_raw(&[JournalRecord::Completed {
-                        id: job.id.clone(),
-                        wall_ms: job.wall_ms.unwrap_or(0.0),
-                        result: result.clone(),
-                    }])?;
-                }
-                JobState::Failed {
-                    kind,
-                    message,
-                    bundle,
-                } => {
-                    writer.append_raw(&[JournalRecord::Failed {
-                        id: job.id.clone(),
-                        wall_ms: job.wall_ms.unwrap_or(0.0),
-                        kind: kind.clone(),
-                        message: message.clone(),
-                        bundle: bundle.clone(),
-                    }])?;
-                }
-                _ => {}
-            }
-        }
+        let compacted: Vec<JournalRecord> = jobs.iter().flat_map(Folded::compacted).collect();
+        writer.append_raw(&compacted)?;
         for (_, path) in &segments {
             let _ = fs::remove_file(path);
         }
         sync_dir(&config.dir);
 
+        let mut requeue = HashMap::new();
+        let jobs = (jobs.into_iter())
+            .map(|folded| {
+                let mut job = folded.job;
+                if folded.terminal.is_none() {
+                    job.state = JobState::Queued;
+                    requeue.insert(job.id.clone(), folded.spec);
+                }
+                job
+            })
+            .collect();
+
         // Checkpoint directories of jobs that no longer need them
         // (terminal, pruned, or never journalled) are garbage.
-        let keep: std::collections::HashSet<&str> = jobs
-            .iter()
-            .filter(|j| j.needs_requeue())
-            .map(|j| j.id.as_str())
-            .collect();
         let ckpt_root = config.dir.join("ckpt");
         if let Ok(entries) = fs::read_dir(&ckpt_root) {
             for entry in entries.flatten() {
                 let name = entry.file_name();
-                if name.to_str().is_none_or(|n| !keep.contains(n)) {
+                if name.to_str().is_none_or(|n| !requeue.contains_key(n)) {
                     let _ = fs::remove_dir_all(entry.path());
                 }
             }
@@ -736,6 +682,7 @@ impl Journal {
             max_job_seq,
             segments_read: segments.len() as u64,
             jobs,
+            requeue,
         };
         registry
             .counter(

@@ -68,9 +68,13 @@ fn registry() -> Arc<MetricsRegistry> {
 }
 
 fn completed(id: &str) -> JournalRecord {
+    completed_in(id, 12.5, false)
+}
+
+fn completed_in(id: &str, wall_ms: f64, cached: bool) -> JournalRecord {
     JournalRecord::Completed {
         id: id.to_owned(),
-        wall_ms: 12.5,
+        wall_ms,
         result: Arc::new(JobResult {
             ret: Some(gm_core::value::Value::Double(0.25)),
             globals: [("diff".to_owned(), gm_core::value::Value::Double(1e-9))]
@@ -84,6 +88,7 @@ fn completed(id: &str) -> JournalRecord {
             total_messages: 42,
             total_message_bytes: 1234,
         }),
+        cached,
     }
 }
 
@@ -109,12 +114,6 @@ fn replay_folds_transitions_and_resumes_the_id_sequence() {
                 attempt: 1,
             })
             .unwrap();
-        journal
-            .append(&JournalRecord::Checkpointed {
-                id: "job-1".to_owned(),
-                superstep: 4,
-            })
-            .unwrap();
         journal.append(&accept("job-2", "zeta")).unwrap();
         journal.append(&completed("job-2")).unwrap();
         journal.append(&accept("job-7", "acme")).unwrap();
@@ -125,12 +124,11 @@ fn replay_folds_transitions_and_resumes_the_id_sequence() {
     let ids: Vec<&str> = replay.jobs.iter().map(|j| j.id.as_str()).collect();
     assert_eq!(ids, ["job-1", "job-2", "job-7"], "acceptance order");
     let j1 = &replay.jobs[0];
-    assert!(j1.needs_requeue());
+    assert!(replay.requeue.contains_key(&j1.id));
     assert_eq!(j1.attempts, 1);
-    assert_eq!(j1.last_checkpoint, Some(4));
-    assert_eq!(j1.spec, spec("acme"));
+    assert_eq!(replay.requeue[&j1.id], spec("acme"));
     let j2 = &replay.jobs[1];
-    assert!(!j2.needs_requeue());
+    assert!(!replay.requeue.contains_key(&j2.id));
     let JobState::Completed(r) = &j2.state else {
         panic!("job-2 should be completed, got {:?}", j2.state);
     };
@@ -138,7 +136,7 @@ fn replay_folds_transitions_and_resumes_the_id_sequence() {
     assert_eq!(r.supersteps, 13);
     assert_eq!(r.ret, Some(gm_core::value::Value::Double(0.25)));
     assert_eq!(j2.wall_ms, Some(12.5));
-    assert!(replay.jobs[2].needs_requeue());
+    assert!(replay.requeue.contains_key(&replay.jobs[2].id));
 
     // Compaction rewrote history into exactly one segment.
     let segs = list_segments(&dir).unwrap();
@@ -269,7 +267,7 @@ fn replay_of_damaged_segments_never_panics_and_keeps_the_intact_prefix() {
         };
         let replay = open(&bytes);
         // Byte damage ends the segment: a job accepted past it is gone.
-        let begun = |j: &&ReplayedJob| spans.iter().any(|s| s.2 == j.id && s.1 <= damaged_at);
+        let begun = |j: &&JobRecord| spans.iter().any(|s| s.2 == j.id && s.1 <= damaged_at);
         if drops == (1..2) {
             assert_eq!(replay.jobs.len(), intact.jobs.iter().filter(begun).count());
         }
@@ -311,7 +309,7 @@ fn torn_tail_is_dropped_without_losing_earlier_records() {
     let (_, replay) = Journal::open(&config, 0, registry()).unwrap();
     assert_eq!(replay.dropped, 1, "exactly the torn tail");
     assert_eq!(replay.jobs.len(), 1, "job-2's acceptance was torn away");
-    assert!(!replay.jobs[0].needs_requeue());
+    assert!(!replay.requeue.contains_key(&replay.jobs[0].id));
 
     // Corrupt a record body: CRC must reject it.
     let (journal, _) = Journal::open(&config, 0, registry()).unwrap();
@@ -413,7 +411,7 @@ fn a_batch_is_one_append_that_fails_whole_on_any_injected_index() {
     assert_eq!(replay.dropped, 0);
     let ids: Vec<&str> = replay.jobs.iter().map(|j| j.id.as_str()).collect();
     assert_eq!(ids, ["job-1", "job-3"]);
-    assert!(replay.jobs.iter().all(|j| !j.needs_requeue()));
+    assert!(replay.requeue.is_empty());
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -435,4 +433,181 @@ fn checkpoint_dirs_of_finished_jobs_are_swept_at_open() {
     assert!(!journal.checkpoint_dir("job-2").exists(), "terminal");
     assert!(!journal.checkpoint_dir("job-stale").exists(), "orphan");
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Compaction writes each job back with its attempts: a journal opened
+/// twice with no run in between replays the same count both times, so a
+/// parked job keeps its spent retry budget and a finished job's status
+/// document keeps its `attempts`.
+#[test]
+fn attempts_survive_a_second_open() {
+    let dir = fresh_dir("attempts");
+    let config = JournalConfig::new(&dir);
+    {
+        let (journal, _) = Journal::open(&config, 0, registry()).unwrap();
+        let started = |id: &str, attempt| JournalRecord::Started {
+            id: id.to_owned(),
+            attempt,
+        };
+        let retrying = |attempt| JournalRecord::Retrying {
+            id: "job-1".to_owned(),
+            attempt,
+            kind: "spill_failed".to_owned(),
+            delay_ms: 4,
+        };
+        journal.append(&accept("job-1", "acme")).unwrap();
+        journal.append(&started("job-1", 1)).unwrap();
+        journal.append(&retrying(1)).unwrap();
+        journal.append(&started("job-1", 2)).unwrap();
+        journal.append(&retrying(2)).unwrap();
+        journal.append(&accept("job-2", "acme")).unwrap();
+        journal.append(&started("job-2", 1)).unwrap();
+        journal.append(&completed("job-2")).unwrap();
+    }
+    for open in ["first", "second"] {
+        let (_, replay) = Journal::open(&config, 0, registry()).unwrap();
+        let attempts: Vec<u32> = replay.jobs.iter().map(|j| j.attempts).collect();
+        assert_eq!(attempts, [2, 1], "{open} open");
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Segments written before checkpoints stopped being journalled hold
+/// `checkpointed` records; replay reads them as no-ops, not as damage.
+#[test]
+fn an_old_checkpointed_record_replays_as_a_no_op() {
+    let dir = fresh_dir("checkpointed");
+    fs::create_dir_all(&dir).unwrap();
+    let mut segment = MAGIC.to_vec();
+    segment.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    for payload in [
+        accept("job-1", "acme").to_json().to_string(),
+        r#"{"type":"started","id":"job-1","attempt":1}"#.to_owned(),
+        r#"{"type":"checkpointed","id":"job-1","superstep":4}"#.to_owned(),
+        r#"{"type":"checkpointed","id":"job-9","superstep":2}"#.to_owned(),
+    ] {
+        frame_into(&mut segment, payload.as_bytes());
+    }
+    fs::write(segment_path(&dir, 1), segment).unwrap();
+    let (_, replay) = Journal::open(&JournalConfig::new(&dir), 0, registry()).unwrap();
+    assert_eq!(replay.dropped, 0);
+    assert_eq!(replay.jobs.len(), 1);
+    assert_eq!(replay.jobs[0].attempts, 1);
+    assert!(replay.requeue.contains_key("job-1"));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One job's journalled history: a random walk of the daemon's state
+/// machine (`accepted`, then attempts that start and may park for a
+/// retry, then perhaps an end), or a result-cache hit's `accepted` +
+/// `completed` pair. A history that stops short of an end is a job the
+/// crash caught queued, running or parked.
+fn history(id: &str, tenant: &str, rng: &mut SplitMix64) -> Vec<JournalRecord> {
+    let mut recs = vec![accept(id, tenant)];
+    let wall_ms = rng.next_f64() * 1e3;
+    if rng.chance(0.2) {
+        recs.push(completed_in(id, wall_ms, true));
+        return recs;
+    }
+    let id = id.to_owned();
+    for attempt in 1..=rng.below(4) as u32 {
+        recs.push(JournalRecord::Started {
+            id: id.clone(),
+            attempt,
+        });
+        if rng.chance(0.5) {
+            break;
+        }
+        recs.push(JournalRecord::Retrying {
+            id: id.clone(),
+            attempt,
+            kind: "spill_failed".to_owned(),
+            delay_ms: rng.below(100),
+        });
+    }
+    // Only a run completes; a job fails or is cancelled anywhere.
+    let running = matches!(recs.last(), Some(JournalRecord::Started { .. }));
+    match rng.below(4) {
+        0 => {}
+        1 if running => recs.push(completed_in(&id, wall_ms, false)),
+        1 | 2 => recs.push(JournalRecord::Failed {
+            id,
+            wall_ms,
+            kind: "deadline_exceeded".to_owned(),
+            message: "superstep 3 exceeded its deadline".to_owned(),
+            bundle: rng.chance(0.5).then(|| PathBuf::from("bundle-1-0")),
+        }),
+        _ => recs.push(JournalRecord::Cancelled {
+            id,
+            wall_ms,
+            message: "daemon draining".to_owned(),
+        }),
+    }
+    recs
+}
+
+/// The job table is the fold of its journal. Random histories over
+/// several jobs, interleaved, are applied live through `JobRecord::apply`
+/// and appended through the journal in random batches; two opens then
+/// replay every terminal job exactly as the live table holds it, every
+/// other job `queued` with its live attempts, and the second replay
+/// equals the first (compaction preserves the fold).
+#[test]
+fn replay_is_the_fold_of_the_live_table_and_compaction_keeps_it() {
+    gm_graph::rng::check("journal_replay_is_the_live_fold", 24, |rng| {
+        let dir = fresh_dir("fold-prop");
+        let config = JournalConfig::new(&dir);
+        let mut pending: Vec<std::collections::VecDeque<JournalRecord>> = (0..1 + rng.below(5))
+            .map(|i| {
+                let tenant = ["acme", "zeta"][i as usize % 2];
+                history(&format!("job-{}", i + 1), tenant, rng).into()
+            })
+            .collect();
+        let mut order = Vec::new();
+        while pending.iter().any(|h| !h.is_empty()) {
+            let live: Vec<usize> = (0..pending.len())
+                .filter(|&i| !pending[i].is_empty())
+                .collect();
+            let at = live[rng.below(live.len() as u64) as usize];
+            order.extend(pending[at].pop_front());
+        }
+        let mut live: Vec<JobRecord> = Vec::new();
+        for rec in &order {
+            let job = match rec {
+                JournalRecord::Accepted { .. } => {
+                    live.push(JobRecord::default());
+                    live.last_mut()
+                }
+                _ => live.iter_mut().find(|j| j.id == rec.id()),
+            };
+            job.expect("a history starts with its acceptance")
+                .apply(rec);
+        }
+        {
+            let (journal, _) = Journal::open(&config, 0, registry()).unwrap();
+            let mut rest = &order[..];
+            while !rest.is_empty() {
+                let (batch, tail) = rest.split_at(1 + rng.below(rest.len().min(4) as u64) as usize);
+                journal.append_all(batch).unwrap();
+                rest = tail;
+            }
+        }
+        let (_, first) = Journal::open(&config, 0, registry()).unwrap();
+        let (_, second) = Journal::open(&config, 0, registry()).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(first.dropped, 0);
+        assert_eq!(first.jobs.len(), live.len());
+        for (replayed, live) in first.jobs.iter().zip(&live) {
+            if live.state.is_terminal() {
+                assert_eq!(replayed.to_json(), live.to_json(), "{}", live.id);
+                assert!(!first.requeue.contains_key(&live.id));
+            } else {
+                assert_eq!(replayed.state.status(), "queued", "{}", live.id);
+                assert_eq!(replayed.attempts, live.attempts, "{}", live.id);
+                assert!(first.requeue.contains_key(&live.id));
+            }
+        }
+        assert_eq!(format!("{:?}", second.jobs), format!("{:?}", first.jobs));
+        assert_eq!(second.requeue, first.requeue);
+    });
 }

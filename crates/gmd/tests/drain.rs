@@ -158,7 +158,7 @@ fn second_signal_escalates_a_stuck_drain_and_leaves_the_journal_terminal() {
     assert_eq!(replay.jobs.len(), 2);
     for job in &replay.jobs {
         assert!(
-            !job.needs_requeue(),
+            !replay.requeue.contains_key(&job.id),
             "job {} left non-terminal by the abort",
             job.id
         );

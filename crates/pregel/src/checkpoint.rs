@@ -55,7 +55,7 @@ pub(crate) const SEC_METRICS: &str = "metrics";
 
 /// Checkpointing configuration, attached to
 /// [`PregelConfig::checkpoint`](crate::PregelConfig).
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct CheckpointConfig {
     /// Snapshot interval in supersteps (must be ≥ 1): a snapshot is
     /// written at the top of every superstep `k` with `k % every == 0`,
@@ -70,24 +70,6 @@ pub struct CheckpointConfig {
     /// Keep only the newest `keep` snapshots, pruning older ones after
     /// each write; `0` keeps everything.
     pub keep: usize,
-    /// Called with the superstep number after each snapshot is durably
-    /// written (and survived any post-write fault injection). `gmd`'s job
-    /// journal hooks this to record `checkpointed` transitions; must not
-    /// block for long — it runs on the coordinator thread between
-    /// supersteps.
-    pub on_write: Option<std::sync::Arc<dyn Fn(u32) + Send + Sync>>,
-}
-
-impl std::fmt::Debug for CheckpointConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CheckpointConfig")
-            .field("every", &self.every)
-            .field("dir", &self.dir)
-            .field("resume", &self.resume)
-            .field("keep", &self.keep)
-            .field("on_write", &self.on_write.as_ref().map(|_| "<fn>"))
-            .finish()
-    }
 }
 
 impl CheckpointConfig {
@@ -98,7 +80,6 @@ impl CheckpointConfig {
             dir: dir.into(),
             resume: false,
             keep: 0,
-            on_write: None,
         }
     }
 
@@ -111,12 +92,6 @@ impl CheckpointConfig {
     /// Keeps only the newest `keep` snapshots.
     pub fn with_keep(mut self, keep: usize) -> Self {
         self.keep = keep;
-        self
-    }
-
-    /// Registers a callback invoked after every durable snapshot write.
-    pub fn with_on_write(mut self, f: impl Fn(u32) + Send + Sync + 'static) -> Self {
-        self.on_write = Some(std::sync::Arc::new(f));
         self
     }
 }

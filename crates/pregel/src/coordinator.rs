@@ -22,7 +22,6 @@ use gm_ckpt::{CheckpointStore, Persist};
 use gm_obs::{Category, Tracer};
 use std::cell::Cell;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Where the superstep loop starts: superstep 0 with everything active for
@@ -55,8 +54,6 @@ pub(crate) struct CkptRunner {
     /// The superstep this run resumed at, whose snapshot (just read) must
     /// not be immediately rewritten.
     pub skip: Option<u32>,
-    /// Invoked after each durable snapshot write (post fault injection).
-    pub on_write: Option<Arc<dyn Fn(u32) + Send + Sync>>,
 }
 
 /// The BSP superstep loop. Every phase runs through `exec`, which returns
@@ -205,9 +202,6 @@ where
                             }
                             if !corrupted {
                                 recovery_point.set((superstep, Instant::now()));
-                                if let Some(cb) = &ck.on_write {
-                                    cb(superstep);
-                                }
                             }
                             // A failed prune never fails the run.
                             let _ = ck.store.prune(ck.keep);

@@ -242,12 +242,12 @@ impl PregelError {
         }
     }
 
-    /// Splits a [`PregelError::PostMortem`] wrapper into the underlying
-    /// failure and its bundle path; other errors pass through with `None`.
-    pub fn detach_post_mortem(self) -> (PregelError, Option<PathBuf>) {
+    /// The failure itself: the source of a [`PregelError::PostMortem`]
+    /// wrapper, any other error as it is.
+    pub fn root(&self) -> &PregelError {
         match self {
-            PregelError::PostMortem { bundle, source } => (*source, Some(bundle)),
-            other => (other, None),
+            PregelError::PostMortem { source, .. } => source.root(),
+            other => other,
         }
     }
 }

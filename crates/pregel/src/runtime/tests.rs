@@ -337,9 +337,8 @@ fn superstep_limit_is_enforced() {
         };
         // Variant assertions below look through any post-mortem wrap so
         // the suite also passes with GM_POST_MORTEM_DIR armed (as CI does).
-        let (err, _) = run(&g, &mut Forever, |_| (), &cfg)
-            .unwrap_err()
-            .detach_post_mortem();
+        let err = run(&g, &mut Forever, |_| (), &cfg).unwrap_err();
+        let err = err.root();
         assert!(matches!(
             err,
             PregelError::SuperstepLimitExceeded { limit: 5 }
@@ -561,9 +560,8 @@ fn injected_panic_surfaces_as_worker_panicked() {
     for workers in [1usize, 3] {
         let mut cfg = PregelConfig::with_workers(workers);
         cfg.faults = FaultPlan::builder().panic_in_compute(4, None).build();
-        let (err, _) = run(&g, &mut Rounds::new(), |_| 0, &cfg)
-            .unwrap_err()
-            .detach_post_mortem();
+        let err = run(&g, &mut Rounds::new(), |_| 0, &cfg).unwrap_err();
+        let err = err.root();
         assert!(
             matches!(
                 err,
@@ -588,9 +586,8 @@ fn resume_continues_exactly_where_snapshot_left_off() {
     let cfg = PregelConfig::with_workers(2)
         .with_checkpoints(CheckpointConfig::new(&dir, 3))
         .with_faults(FaultPlan::builder().panic_in_compute(5, None).build());
-    let (err, _) = run(&g, &mut Rounds::new(), |_| 0, &cfg)
-        .unwrap_err()
-        .detach_post_mortem();
+    let err = run(&g, &mut Rounds::new(), |_| 0, &cfg).unwrap_err();
+    let err = err.root();
     assert!(matches!(
         err,
         PregelError::WorkerPanicked { superstep: 5, .. }
@@ -864,22 +861,21 @@ fn caught_panic_is_attributed_to_worker_and_vertex() {
     for workers in [1usize, 2] {
         let mut cfg = PregelConfig::with_workers(workers);
         cfg.max_supersteps = 10;
-        let (err, _) = run(&g, &mut PoisonedVertex, |_| 0, &cfg)
-            .unwrap_err()
-            .detach_post_mortem();
-        match err {
+        let err = run(&g, &mut PoisonedVertex, |_| 0, &cfg).unwrap_err();
+        let err = err.root();
+        match *err {
             PregelError::WorkerPanicked {
                 superstep,
                 worker,
                 vertex,
-                detail,
+                ref detail,
             } => {
                 assert_eq!(superstep, 2, "workers = {workers}");
                 assert!(worker.is_some());
                 assert_eq!(vertex, Some(7), "cursor attributes the vertex");
                 assert!(detail.contains("poisoned vertex"), "got detail {detail:?}");
             }
-            other => panic!("expected WorkerPanicked, got {other}"),
+            ref other => panic!("expected WorkerPanicked, got {other}"),
         }
     }
 }
@@ -1157,9 +1153,8 @@ fn gather_panic_is_attributed_to_the_worker_not_a_vertex() {
             max_supersteps: 10,
             ..PregelConfig::with_workers(workers).with_schedule(Schedule::Pull)
         };
-        let (err, _) = run(&g, &mut PoisonedPull { superstep: 0 }, |_| 0, &cfg)
-            .unwrap_err()
-            .detach_post_mortem();
+        let err = run(&g, &mut PoisonedPull { superstep: 0 }, |_| 0, &cfg).unwrap_err();
+        let err = err.root();
         assert!(
             matches!(
                 err,

@@ -299,7 +299,6 @@ where
             every: c.every,
             keep: c.keep,
             skip: None,
-            on_write: c.on_write.clone(),
         };
         if c.resume {
             let restore_started = Instant::now();

@@ -78,10 +78,9 @@ fn watchdog_kills_a_hung_compute_kernel() {
             .with_faults(FaultPlan::builder().hang_in_compute(3, None).build());
         // Variant matches look through any post-mortem wrap so the suite
         // also passes with GM_POST_MORTEM_DIR armed (as CI does).
-        let (err, _) = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg)
-            .unwrap_err()
-            .detach_post_mortem();
-        match err {
+        let err = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap_err();
+        let err = err.root();
+        match *err {
             PregelError::DeadlineExceeded {
                 superstep,
                 deadline,
@@ -90,7 +89,7 @@ fn watchdog_kills_a_hung_compute_kernel() {
                 assert_eq!(superstep, 3, "workers = {workers}");
                 assert_eq!(deadline, Duration::from_millis(50));
             }
-            other => panic!("workers = {workers}: expected deadline error, got {other}"),
+            ref other => panic!("workers = {workers}: expected deadline error, got {other}"),
         }
     }
 }
@@ -141,9 +140,8 @@ fn deterministic_hang_exhausts_the_restart_budget() {
         )
         .with_recovery(RecoveryPolicy::with_max_restarts(2))
         .with_registry(registry.clone());
-    let (err, _) = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg)
-        .unwrap_err()
-        .detach_post_mortem();
+    let err = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap_err();
+    let err = err.root();
     assert!(
         matches!(err, PregelError::DeadlineExceeded { superstep: 4, .. }),
         "expected the last attempt's deadline error, got {err}"
@@ -165,15 +163,14 @@ fn spill_write_failure_is_structured_and_recoverable() {
         let cfg = PregelConfig::with_workers(workers)
             .with_budget(spilling.clone())
             .with_faults(FaultPlan::builder().fail_spill_write(3).build());
-        let (err, _) = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg)
-            .unwrap_err()
-            .detach_post_mortem();
-        match err {
+        let err = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap_err();
+        let err = err.root();
+        match *err {
             PregelError::SpillFailed { superstep, op, .. } => {
                 assert_eq!(superstep, 3, "workers = {workers}");
                 assert_eq!(op, "write");
             }
-            other => panic!("workers = {workers}: expected spill failure, got {other}"),
+            ref other => panic!("workers = {workers}: expected spill failure, got {other}"),
         }
     }
 
@@ -210,10 +207,9 @@ fn resident_budget_trips_at_the_barrier() {
     let cfg = PregelConfig::with_workers(2)
         .with_budget(ResourceBudget::unbounded().with_max_resident_bytes(1 << 30))
         .with_faults(FaultPlan::builder().oom_at_barrier(2).build());
-    let (err, _) = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg)
-        .unwrap_err()
-        .detach_post_mortem();
-    match err {
+    let err = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap_err();
+    let err = err.root();
+    match *err {
         PregelError::BudgetExceeded {
             superstep,
             what,
@@ -224,15 +220,14 @@ fn resident_budget_trips_at_the_barrier() {
             assert_eq!(what, "resident value-store bytes");
             assert!(used > budget, "reported usage must exceed the budget");
         }
-        other => panic!("expected budget error, got {other}"),
+        ref other => panic!("expected budget error, got {other}"),
     }
 
     // A genuinely tiny budget trips without any injected fault.
     let cfg = PregelConfig::with_workers(2)
         .with_budget(ResourceBudget::unbounded().with_max_resident_bytes(8));
-    let (err, _) = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg)
-        .unwrap_err()
-        .detach_post_mortem();
+    let err = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap_err();
+    let err = err.root();
     assert!(
         matches!(err, PregelError::BudgetExceeded { .. }),
         "got {err}"
@@ -287,9 +282,9 @@ fn cancellation_token_stops_the_run_at_a_superstep_boundary() {
     let err = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap_err();
     assert_eq!(err.kind(), "cancelled");
     assert!(!err.is_recoverable(), "hosts cancel on purpose");
-    match err.detach_post_mortem().0 {
+    match *err.root() {
         PregelError::Cancelled { superstep } => assert_eq!(superstep, 0),
-        other => panic!("expected Cancelled, got {other}"),
+        ref other => panic!("expected Cancelled, got {other}"),
     }
 
     // A cleared token is inert: the same config runs to completion.
@@ -301,8 +296,7 @@ fn cancellation_token_stops_the_run_at_a_superstep_boundary() {
     // recoverable, so the error comes back directly.
     cancel.store(true, Ordering::Relaxed);
     let cfg = cfg.with_recovery(RecoveryPolicy::with_max_restarts(3));
-    let (err, _) = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg)
-        .unwrap_err()
-        .detach_post_mortem();
+    let err = run(&g, &mut Rounds { rounds: 8 }, |_| 0, &cfg).unwrap_err();
+    let err = err.root();
     assert!(matches!(err, PregelError::Cancelled { .. }), "{err}");
 }

@@ -90,17 +90,14 @@ fn worker_panic_produces_a_complete_bundle() {
         err.to_string().contains("post-mortem bundle"),
         "rendered error must point at the bundle: {err}"
     );
-    match &err {
-        PregelError::PostMortem { source, .. } => match **source {
-            PregelError::WorkerPanicked {
-                superstep, worker, ..
-            } => {
-                assert_eq!(superstep, 2);
-                assert_eq!(worker, Some(1));
-            }
-            ref other => panic!("expected a worker panic inside the wrapper, got {other}"),
-        },
-        other => panic!("expected PostMortem, got {other}"),
+    match *err.root() {
+        PregelError::WorkerPanicked {
+            superstep, worker, ..
+        } => {
+            assert_eq!(superstep, 2);
+            assert_eq!(worker, Some(1));
+        }
+        ref other => panic!("expected a worker panic inside the wrapper, got {other}"),
     }
 
     // MANIFEST.json names the failing superstep and worker, and every file
@@ -228,13 +225,13 @@ fn exhausted_restarts_return_the_newest_bundle() {
         .post_mortem_bundle()
         .expect("the last attempt keeps its bundle")
         .to_path_buf();
-    match &err {
-        PregelError::PostMortem { source, .. } => assert!(
-            matches!(**source, PregelError::DeadlineExceeded { superstep: 4, .. }),
-            "expected the deadline error, got {source}"
+    assert!(
+        matches!(
+            err.root(),
+            PregelError::DeadlineExceeded { superstep: 4, .. }
         ),
-        other => panic!("expected a PostMortem-wrapped error, got {other}"),
-    }
+        "expected the deadline error, got {err}"
+    );
     assert!(bundle.is_dir());
     // One bundle per attempt (initial + 2 restarts); the error names the
     // newest, the one with the highest process-wide sequence number.
