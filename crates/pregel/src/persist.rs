@@ -310,6 +310,37 @@ mod tests {
         assert_eq!(back.get("sum"), Some(GlobalValue::Int(42)));
     }
 
+    /// The GMCK `coord` section carries the previous superstep's
+    /// aggregates, so these bytes are part of the snapshot format: count,
+    /// then per key in byte order its length, bytes, op tag and tagged
+    /// value, whatever order the keys were written in.
+    #[test]
+    fn agg_map_bytes_match_the_golden() {
+        const GOLDEN: &[u8] = b"\x03\0\0\0\0\0\0\0\
+            \x01\0\0\0\0\0\0\0S\x00\x00\x07\0\0\0\0\0\0\0\
+            \x01\0\0\0\0\0\0\0m\x01\x01\0\0\0\0\0\0\x04\x40\
+            \x02\0\0\0\0\0\0\0or\x03\x02\x01";
+        let mut a = AggMap::new();
+        a.reduce("or", ReduceOp::Or, GlobalValue::Bool(false));
+        a.reduce("S", ReduceOp::Sum, GlobalValue::Int(5));
+        a.reduce("m", ReduceOp::Min, GlobalValue::Double(4.0));
+        a.reduce("or", ReduceOp::Or, GlobalValue::Bool(true));
+        a.reduce("m", ReduceOp::Min, GlobalValue::Double(2.5));
+        a.reduce("S", ReduceOp::Sum, GlobalValue::Int(2));
+        assert_eq!(a.to_bytes(), GOLDEN);
+        let back = AggMap::from_bytes(GOLDEN).unwrap();
+        assert_eq!(back, a);
+        let entries: Vec<_> = back.iter().collect();
+        assert_eq!(
+            entries,
+            [
+                ("S", ReduceOp::Sum, GlobalValue::Int(7)),
+                ("m", ReduceOp::Min, GlobalValue::Double(2.5)),
+                ("or", ReduceOp::Or, GlobalValue::Bool(true)),
+            ]
+        );
+    }
+
     #[test]
     fn metrics_round_trip() {
         let mut m = Metrics {
