@@ -71,7 +71,7 @@ impl std::str::FromStr for Schedule {
 #[derive(Clone, Debug)]
 pub struct PregelConfig {
     /// Number of workers (≥ 1). Vertices are split into this many
-    /// contiguous, edge-balanced ranges; with more than one worker the
+    /// contiguous ranges of equal cost; with more than one worker the
     /// vertex and exchange phases run on a persistent pool of threads.
     pub num_workers: usize,
     /// Safety limit on supersteps; exceeding it returns

@@ -313,6 +313,8 @@ pub(crate) struct Fill<'s, P: VertexProgram> {
     starts: &'s [u32],
     program: &'s P,
     senders: Senders<'s, P>,
+    /// Every captured column is full (see [`Columns::full`]).
+    full: bool,
 }
 
 impl<'s, P: VertexProgram> Fill<'s, P> {
@@ -344,11 +346,16 @@ impl<'s, P: VertexProgram> Fill<'s, P> {
     }
 
     fn new(graph: &'s Graph, starts: &'s [u32], program: &'s P, senders: Senders<'s, P>) -> Self {
+        let full = match &senders {
+            Senders::Captured(columns) => columns.iter().all(|c| c.full()),
+            Senders::Recomputed(_) => false,
+        };
         Fill {
             graph,
             starts,
             program,
             senders,
+            full,
         }
     }
 
@@ -365,6 +372,7 @@ impl<'s, P: VertexProgram> Fill<'s, P> {
         let columns = Columns {
             columns,
             starts: self.starts,
+            full: self.full,
         };
         Inbox::gathered(self.graph.in_sources(NodeId(receiver)), columns)
     }

@@ -80,7 +80,10 @@ impl Globals {
 /// panics).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AggMap {
-    map: BTreeMap<String, (ReduceOp, GlobalValue)>,
+    /// Entries in key order. A superstep writes a handful of keys, and
+    /// every vertex that writes one pays the lookup: a short sorted vector
+    /// finds it faster than a tree.
+    entries: Vec<(String, ReduceOp, GlobalValue)>,
 }
 
 impl AggMap {
@@ -97,18 +100,26 @@ impl AggMap {
     /// the operand types disagree.
     #[inline]
     pub fn reduce(&mut self, key: &str, op: ReduceOp, value: GlobalValue) {
-        match self.map.get_mut(key) {
-            Some((prev_op, acc)) => {
-                assert_eq!(
-                    *prev_op, op,
-                    "conflicting reduce ops for global {key:?}: {prev_op} vs {op}"
-                );
-                *acc = op.combine(*acc, value);
-            }
-            None => {
-                self.map.insert(key.to_owned(), (op, value));
-            }
+        // Small enough to inline into a kernel, where a literal `key`
+        // makes the comparison a load or two.
+        match self.entries.iter_mut().find(|(k, ..)| k == key) {
+            Some((_, prev_op, acc)) if *prev_op == op => *acc = op.combine(*acc, value),
+            _ => self.first_write(key, op, value),
         }
+    }
+
+    /// The first write of `key` this superstep, or a conflicting one.
+    #[cold]
+    #[inline(never)]
+    fn first_write(&mut self, key: &str, op: ReduceOp, value: GlobalValue) {
+        let at = self.entries.partition_point(|(k, ..)| k.as_str() < key);
+        if let Some((k, prev_op, _)) = self.entries.get(at) {
+            assert!(
+                k != key,
+                "conflicting reduce ops for global {key:?}: {prev_op} vs {op}"
+            );
+        }
+        self.entries.insert(at, (key.to_owned(), op, value));
     }
 
     /// Merges another worker's map into this one (barrier-time merge).
@@ -129,14 +140,17 @@ impl AggMap {
     ///
     /// Panics on operator or type conflicts, as in [`AggMap::reduce`].
     pub fn merge(&mut self, other: &AggMap) {
-        for (key, (op, value)) in &other.map {
-            self.reduce(key, *op, *value);
+        for (key, op, value) in other.iter() {
+            self.reduce(key, op, value);
         }
     }
 
     /// Reads the aggregate for `key`, if any vertex wrote it.
     pub fn get(&self, key: &str) -> Option<GlobalValue> {
-        self.map.get(key).map(|(_, v)| *v)
+        self.entries
+            .iter()
+            .find(|(k, ..)| k == key)
+            .map(|&(_, _, v)| v)
     }
 
     /// Reads the aggregate for `key`, falling back to `default` when no
@@ -148,22 +162,22 @@ impl AggMap {
 
     /// Removes every entry (called by the runtime between supersteps).
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.entries.clear();
     }
 
     /// Number of keys written this superstep.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// Whether nothing was aggregated.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 
     /// Iterates `(key, op, value)` in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, ReduceOp, GlobalValue)> {
-        self.map.iter().map(|(k, (op, v))| (k.as_str(), *op, *v))
+        self.entries.iter().map(|(k, op, v)| (k.as_str(), *op, *v))
     }
 }
 

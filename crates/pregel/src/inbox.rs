@@ -77,7 +77,7 @@ impl<M> Captured<M> {
 
     /// Whether every vertex of the range captured a payload.
     #[inline]
-    fn full(&self) -> bool {
+    pub fn full(&self) -> bool {
         self.count == self.len
     }
 
@@ -100,6 +100,9 @@ pub(crate) struct Columns<'a, M> {
     pub columns: &'a [RwLockReadGuard<'a, Captured<M>>],
     /// Worker `w` owns ids `starts[w]..starts[w + 1]`.
     pub starts: &'a [u32],
+    /// Every column is [`full`](Captured::full): each in-edge carries a
+    /// message, so a receiver's count is its in-degree.
+    pub full: bool,
 }
 
 impl<M> Clone for Columns<'_, M> {
@@ -122,7 +125,9 @@ impl<'a, M> Columns<'a, M> {
     /// order, as delivery appends their buckets.
     #[inline]
     pub fn walk(self, sources: &'a [u32], mut f: impl FnMut(usize, &'a M)) {
-        let Columns { columns, starts } = self;
+        let Columns {
+            columns, starts, ..
+        } = self;
         let (mut rest, mut w) = (sources, 0);
         while let Some(&first) = rest.first() {
             // The segment of sender worker `w`: the run of sources below
@@ -232,10 +237,11 @@ impl<'a, M> Inbox<'a, M> {
     }
 
     /// The number of messages. A walk over the in-edges for a captured
-    /// inbox.
+    /// inbox, unless every sender captured a payload.
     pub fn len(&self) -> usize {
         match self.0 {
             Form::Delivered(messages) => messages.len(),
+            Form::Gathered { sources, columns } if columns.full => sources.len(),
             Form::Gathered { sources, columns } => {
                 let mut n = 0;
                 columns.walk(sources, |_, _| n += 1);
@@ -245,9 +251,11 @@ impl<'a, M> Inbox<'a, M> {
     }
 
     /// Whether no message arrived.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         match self.0 {
             Form::Delivered(messages) => messages.is_empty(),
+            Form::Gathered { sources, columns } if columns.full => sources.is_empty(),
             Form::Gathered { .. } => self.iter().next().is_none(),
         }
     }
@@ -288,7 +296,9 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
                 columns,
                 worker,
             } => loop {
-                let Columns { columns, starts } = *columns;
+                let Columns {
+                    columns, starts, ..
+                } = *columns;
                 let (&src, rest) = sources.split_first()?;
                 *sources = rest;
                 while src >= starts[*worker + 1] {

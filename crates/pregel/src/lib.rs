@@ -16,8 +16,9 @@
 //! * vertices may [`vote to halt`](VertexContext::vote_to_halt) and are
 //!   reactivated by incoming messages.
 //!
-//! The runtime is multi-threaded — vertices are partitioned into contiguous,
-//! edge-balanced ranges, each owned by a worker on a **persistent thread
+//! The runtime is multi-threaded — vertices are partitioned into contiguous
+//! ranges of equal cost (a fixed cost per vertex plus one unit per
+//! in-edge), each owned by a worker on a **persistent thread
 //! pool** (threads live for the whole run; one worker runs inline). Messages
 //! cross workers through a **zero-copy exchange**: senders bucket messages
 //! by destination worker, buckets are routed at the barrier as whole `Vec`s,
@@ -178,5 +179,6 @@ pub use gm_ckpt::{
 /// they sit beside the layers rather than inside one of them.
 #[cfg(test)]
 mod runtime {
+    mod cuts;
     mod tests;
 }

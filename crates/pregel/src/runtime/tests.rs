@@ -1,5 +1,5 @@
 use crate::value::{GlobalValue, ReduceOp};
-use crate::worker::partition;
+use crate::worker::{partition, vertex_cost};
 use crate::{
     run, ByteReader, CkptError, Inbox, MasterContext, MasterDecision, Persist, PregelConfig,
     PregelError, PregelResult, PullMode, ResourceBudget, Schedule, VertexContext, VertexProgram,
@@ -376,15 +376,45 @@ fn default_config_uses_available_parallelism() {
     assert_eq!(PregelConfig::with_workers(4).num_workers, 4);
 }
 
+/// Every cut covers the vertex range in ascending order, and each worker's
+/// cost is within one vertex's cost of the even share: on skewed, hub,
+/// uniform and empty graphs, and with more workers than vertices.
 #[test]
 fn partition_covers_all_vertices() {
-    let g = gen::rmat(100, 1000, 5);
-    for w in 1..10 {
-        let starts = partition(&g, w);
-        assert_eq!(starts.len(), w + 1);
-        assert_eq!(starts[0], 0);
-        assert_eq!(*starts.last().unwrap(), 100);
-        assert!(starts.windows(2).all(|s| s[0] <= s[1]));
+    // Every spoke sends to the hub: one vertex holds all the in-edges.
+    let mut into_hub = gm_graph::GraphBuilder::new(41);
+    for spoke in 1..41 {
+        into_hub.add_edge(spoke, 0);
+    }
+    let graphs = [
+        ("rmat", gen::rmat(1000, 36_000, 5)),
+        ("star", gen::star(40)),
+        ("into_hub", into_hub.build()),
+        ("grid", gen::grid(20, 30)),
+        ("empty", gen::path(0)),
+        ("three", gen::path(3)),
+    ];
+    for (name, g) in &graphs {
+        let n = g.num_nodes();
+        let costs: Vec<u64> = (0..n).map(|v| vertex_cost(g, NodeId(v))).collect();
+        let total: u64 = costs.iter().sum();
+        let heaviest = costs.iter().copied().max().unwrap_or(0);
+        for w in [1, 2, 3, 4, 8] {
+            let starts = partition(g, w);
+            let tag = format!("{name}, {w} workers: {starts:?}");
+            assert_eq!(starts.len(), w + 1, "{tag}");
+            assert_eq!(starts[0], 0, "{tag}");
+            assert_eq!(*starts.last().unwrap(), n, "{tag}");
+            assert!(starts.windows(2).all(|s| s[0] <= s[1]), "{tag}");
+            let share = total as f64 / w as f64;
+            for range in starts.windows(2) {
+                let cost: u64 = costs[range[0] as usize..range[1] as usize].iter().sum();
+                assert!(
+                    (cost as f64 - share).abs() <= heaviest as f64,
+                    "{tag}: range {range:?} costs {cost}, share {share}, heaviest vertex {heaviest}"
+                );
+            }
+        }
     }
 }
 

@@ -98,6 +98,27 @@ where
     P::VertexValue: Persist,
     P::Message: Persist,
 {
+    let n = graph.num_nodes() as usize;
+    let starts = partition(graph, config.num_workers.clamp(1, n.max(1)));
+    run_cut(graph, program, init, config, &starts)
+}
+
+/// [`run`] over a given cut of the vertex range: worker `w` owns
+/// `starts[w]..starts[w + 1]`, so there are `starts.len() - 1` workers.
+/// `run` passes [`partition`]'s cut; tests pass arbitrary ones, since no
+/// value, superstep or message count may depend on where the cut falls.
+pub(crate) fn run_cut<P>(
+    graph: &Graph,
+    program: &mut P,
+    init: impl Fn(NodeId) -> P::VertexValue,
+    config: &PregelConfig,
+    starts: &[u32],
+) -> Result<PregelResult<P::VertexValue>, PregelError>
+where
+    P: VertexProgram + Send + Sync,
+    P::VertexValue: Persist,
+    P::Message: Persist,
+{
     let max_restarts = config.recovery.as_ref().map_or(0, |p| p.max_restarts);
     // The master state must roll back together with the snapshot: a retry
     // that falls back to an older snapshot (or a fresh start) must not see
@@ -110,7 +131,7 @@ where
     let mut wasted_supersteps: u32 = 0;
     let mut wasted_time = Duration::ZERO;
     loop {
-        let failed = match attempt(graph, program, &init, &config) {
+        let failed = match attempt(graph, program, &init, &config, starts) {
             Ok(mut result) => {
                 result.metrics.recovery.restarts += attempt_no;
                 result.metrics.recovery.wasted_supersteps += wasted_supersteps;
@@ -258,6 +279,7 @@ fn attempt<P>(
     program: &mut P,
     init: &impl Fn(NodeId) -> P::VertexValue,
     config: &PregelConfig,
+    starts: &[u32],
 ) -> Result<PregelResult<P::VertexValue>, FailedRun>
 where
     P: VertexProgram + Send + Sync,
@@ -268,8 +290,7 @@ where
         return Err(FailedRun::early(error));
     }
     let n = graph.num_nodes() as usize;
-    let num_workers = config.num_workers.min(n.max(1));
-    let starts = partition(graph, num_workers);
+    let num_workers = starts.len() - 1;
     // Post-mortem capture: tee a bounded flight recorder behind whatever
     // tracer the caller configured (or trace into the recorder alone), so
     // the final moments of a crashed run are always on hand for the bundle.
@@ -350,7 +371,7 @@ where
     let (states, stores, globals, drive_init, mut metrics) = match resume {
         None => (
             (0..num_workers)
-                .map(|w| WorkerState::new(w, &starts))
+                .map(|w| WorkerState::new(w, starts))
                 .collect(),
             (0..num_workers)
                 .map(|w| {
@@ -411,7 +432,7 @@ where
                 .map(|_| RwLock::new(Captured::default()))
                 .collect()
         }),
-        starts,
+        starts: starts.to_vec(),
         tracer: tracer_handle.clone(),
         faults: config.faults.clone(),
         governor,
