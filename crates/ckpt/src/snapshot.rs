@@ -22,10 +22,13 @@
 //! and atomically renamed into place, so a crash mid-write never leaves
 //! a file that passes validation.
 
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use crate::codec::ByteReader;
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 use crate::error::CkptError;
 
 pub const MAGIC: &[u8; 4] = b"GMCK";
@@ -36,7 +39,8 @@ pub const FORMAT_VERSION: u32 = 1;
 pub struct SnapshotBuilder {
     superstep: u32,
     num_nodes: u32,
-    sections: Vec<(String, Vec<u8>)>,
+    /// Each section's payload is its parts back to back.
+    sections: Vec<(String, Vec<Vec<u8>>)>,
 }
 
 impl SnapshotBuilder {
@@ -48,64 +52,98 @@ impl SnapshotBuilder {
         }
     }
 
-    pub fn section(mut self, name: &str, payload: Vec<u8>) -> Self {
+    pub fn section(self, name: &str, payload: Vec<u8>) -> Self {
+        self.section_parts(name, vec![payload])
+    }
+
+    /// Adds a section whose payload is `parts` back to back, such as the
+    /// workers' ranges of a vertex-indexed section, without joining them:
+    /// the bytes are those of one section holding the concatenation.
+    pub fn section_parts(mut self, name: &str, parts: Vec<Vec<u8>>) -> Self {
         debug_assert!(name.len() <= u8::MAX as usize, "section name too long");
-        self.sections.push((name.to_string(), payload));
+        self.sections.push((name.to_string(), parts));
         self
+    }
+
+    /// The encoded size, checksum included.
+    fn encoded_len(&self) -> usize {
+        let sections: usize = self
+            .sections
+            .iter()
+            .map(|(n, parts)| 9 + n.len() + parts.iter().map(Vec::len).sum::<usize>())
+            .sum();
+        20 + sections + 4
     }
 
     /// Serialize the container, including the trailing checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let payload_total: usize = self
-            .sections
-            .iter()
-            .map(|(n, p)| 9 + n.len() + p.len())
-            .sum();
-        let mut out = Vec::with_capacity(20 + payload_total + 4);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.superstep.to_le_bytes());
-        out.extend_from_slice(&self.num_nodes.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for (name, payload) in &self.sections {
-            out.push(name.len() as u8);
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(payload);
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.write_to(&mut out)
+            .expect("writing into a Vec does not fail");
         out
+    }
+
+    /// Streams the encoding into `out`, checksumming it on the way, so
+    /// writing a snapshot never holds a second copy of its sections.
+    fn write_to<W: Write>(&self, out: &mut W) -> std::io::Result<()> {
+        let mut crc = Crc32::new();
+        let mut put = |out: &mut W, bytes: &[u8]| {
+            crc = crc.update(bytes);
+            out.write_all(bytes)
+        };
+        put(out, MAGIC)?;
+        put(out, &FORMAT_VERSION.to_le_bytes())?;
+        put(out, &self.superstep.to_le_bytes())?;
+        put(out, &self.num_nodes.to_le_bytes())?;
+        put(out, &(self.sections.len() as u32).to_le_bytes())?;
+        for (name, parts) in &self.sections {
+            let len: usize = parts.iter().map(Vec::len).sum();
+            put(out, &[name.len() as u8])?;
+            put(out, name.as_bytes())?;
+            put(out, &(len as u64).to_le_bytes())?;
+            for part in parts {
+                put(out, part)?;
+            }
+        }
+        out.write_all(&crc.finish().to_le_bytes())
     }
 
     /// Write the snapshot to `path` atomically (write `.tmp` sibling,
     /// fsync, rename). Returns the number of bytes written.
     pub fn write_atomic(&self, path: &Path) -> Result<u64, CkptError> {
-        let bytes = self.encode();
         let tmp = path.with_extension("tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            use std::io::Write as _;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-        }
+        let mut file = BufWriter::new(File::create(&tmp)?);
+        self.write_to(&mut file)?;
+        file.into_inner().map_err(|e| e.into_error())?.sync_all()?;
         std::fs::rename(&tmp, path)?;
-        Ok(bytes.len() as u64)
+        Ok(self.encoded_len() as u64)
     }
 }
 
-/// A decoded, checksum-validated snapshot.
+/// A decoded, checksum-validated snapshot. Sections are read in place
+/// from the file's bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     pub superstep: u32,
     pub num_nodes: u32,
-    sections: Vec<(String, Vec<u8>)>,
+    bytes: Vec<u8>,
+    /// Each section's name and its payload's place in `bytes`.
+    sections: Vec<(String, Range<usize>)>,
 }
 
 impl Snapshot {
     /// Decode a container from raw bytes, validating magic, version,
     /// framing, and the trailing CRC-32.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, CkptError> {
+        Snapshot::parse(bytes.to_vec())
+    }
+
+    /// Read and validate a snapshot file.
+    pub fn read(path: &Path) -> Result<Snapshot, CkptError> {
+        Snapshot::parse(std::fs::read(path)?)
+    }
+
+    fn parse(bytes: Vec<u8>) -> Result<Snapshot, CkptError> {
         if bytes.len() < 24 {
             return Err(CkptError::Truncated);
         }
@@ -136,28 +174,24 @@ impl Snapshot {
                 .map_err(|_| CkptError::Decode("non-utf8 section name".into()))?
                 .to_string();
             let payload_len = r.read_len(1)?;
-            let payload = r.take(payload_len)?.to_vec();
-            sections.push((name, payload));
+            r.take(payload_len)?;
+            let end = body.len() - r.remaining();
+            sections.push((name, end - payload_len..end));
         }
         r.expect_end()?;
         Ok(Snapshot {
             superstep,
             num_nodes,
+            bytes,
             sections,
         })
-    }
-
-    /// Read and validate a snapshot file.
-    pub fn read(path: &Path) -> Result<Snapshot, CkptError> {
-        let bytes = std::fs::read(path)?;
-        Snapshot::decode(&bytes)
     }
 
     pub fn section(&self, name: &str) -> Option<&[u8]> {
         self.sections
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, p)| p.as_slice())
+            .map(|(_, at)| &self.bytes[at.clone()])
     }
 
     pub fn require(&self, name: &'static str) -> Result<&[u8], CkptError> {
@@ -254,6 +288,7 @@ mod tests {
         let path = dir.join("s.gmck");
         let written = sample().write_atomic(&path).unwrap();
         assert_eq!(written, std::fs::metadata(&path).unwrap().len());
+        assert_eq!(std::fs::read(&path).unwrap(), sample().encode());
         assert!(!path.with_extension("tmp").exists());
         let snap = Snapshot::read(&path).unwrap();
         assert_eq!(snap.superstep, 7);
@@ -298,6 +333,26 @@ mod tests {
         let snap = Snapshot::decode(&folded).unwrap();
         assert_eq!((snap.superstep, snap.num_nodes), (9, 300));
         assert_eq!(snap.section("values"), Some(&values[..]));
+    }
+
+    /// A section given in parts is the section of their concatenation,
+    /// empty parts included, in memory and on disk.
+    #[test]
+    fn parts_encode_as_their_concatenation() {
+        let long = long_section();
+        let parts = SnapshotBuilder::new(7, 100)
+            .section_parts("values", vec![vec![1, 2], Vec::new(), vec![3, 4]])
+            .section_parts("halted", vec![vec![0, 1]])
+            .section_parts("empty", Vec::new())
+            .section_parts("long", vec![long[..100].to_vec(), long[100..].to_vec()]);
+        assert_eq!(parts.encode(), sample().encode());
+        let dir = std::env::temp_dir().join(format!("gm-ckpt-parts-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("s.gmck");
+        let written = parts.write_atomic(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), sample().encode());
+        assert_eq!(written, sample().encode().len() as u64);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -200,42 +200,40 @@ where
     })
 }
 
-/// The vertex-indexed sections of a snapshot, each in vertex order: one
-/// worker's range, or all of them concatenated in ascending worker order.
-#[derive(Default)]
+/// One worker's range of the vertex-indexed sections of a snapshot, each
+/// in vertex order.
 pub(crate) struct VertexSections {
     pub values: Vec<u8>,
     pub halted: Vec<u8>,
     pub inbox: Vec<u8>,
 }
 
-impl VertexSections {
-    /// Appends the next worker's range.
-    pub fn append(&mut self, next: &VertexSections) {
-        self.values.extend_from_slice(&next.values);
-        self.halted.extend_from_slice(&next.halted);
-        self.inbox.extend_from_slice(&next.inbox);
-    }
-}
-
 /// Assembles the snapshot container from the program's identity, the
-/// coordinator state, the program's master bytes, the whole graph's vertex
-/// sections, and the metrics so far.
+/// coordinator state, the program's master bytes, every worker's vertex
+/// sections in ascending worker order, and the metrics so far. Each
+/// vertex-indexed section is written as the workers' ranges back to back,
+/// never joined in memory.
 pub(crate) fn build_snapshot(
     superstep: u32,
     num_nodes: u32,
     identity: &[u8],
     coord: &CoordState,
     master: Vec<u8>,
-    vertices: VertexSections,
+    workers: Vec<VertexSections>,
     metrics: &Metrics,
 ) -> SnapshotBuilder {
+    let (mut values, mut halted, mut inbox) = (Vec::new(), Vec::new(), Vec::new());
+    for w in workers {
+        values.push(w.values);
+        halted.push(w.halted);
+        inbox.push(w.inbox);
+    }
     SnapshotBuilder::new(superstep, num_nodes)
         .section(SEC_PROGRAM, identity.to_vec())
         .section(SEC_COORD, encode_coord(coord))
         .section(SEC_MASTER, master)
-        .section(SEC_VALUES, vertices.values)
-        .section(SEC_HALTED, vertices.halted)
-        .section(SEC_INBOX, vertices.inbox)
+        .section_parts(SEC_VALUES, values)
+        .section_parts(SEC_HALTED, halted)
+        .section_parts(SEC_INBOX, inbox)
         .section(SEC_METRICS, metrics.to_bytes())
 }

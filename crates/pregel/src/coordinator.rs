@@ -9,7 +9,7 @@
 //! buckets to a delivery phase (push) or runs a gather phase (pull), and
 //! finally applies the barrier's governance checks.
 
-use crate::checkpoint::{build_snapshot, CoordState, VertexSections};
+use crate::checkpoint::{build_snapshot, CoordState};
 use crate::config::{PregelConfig, Schedule};
 use crate::error::PregelError;
 use crate::exchange::{RawOutbox, RoutedBucket};
@@ -137,10 +137,6 @@ where
                 let outs = exec
                     .each(superstep, WorkerState::snapshot, vec![pending; num_workers])
                     .map_err(lost)?;
-                let mut vertices = VertexSections::default();
-                for out in &outs {
-                    vertices.append(out);
-                }
                 let mut master = Vec::new();
                 read_lock(&shared.program).save_master_state(&mut master);
                 let coord = CoordState {
@@ -173,7 +169,7 @@ where
                         &ck.identity,
                         &coord,
                         master,
-                        vertices,
+                        outs,
                         &snap_metrics,
                     );
                     match ck.store.write(&builder, superstep) {
