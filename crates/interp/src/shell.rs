@@ -553,7 +553,7 @@ impl<L: Leg> VertexProgram for Shell<'_, L> {
         &self,
         graph: &Graph,
         values: &[L::VertexValue],
-        inboxes: &[Vec<L::Message>],
+        messages: &[L::Message],
     ) -> Result<(), CkptError> {
         let slots = self.sig.node_props.len();
         if !values.iter().all(|v| v.has_slots(slots)) {
@@ -567,7 +567,7 @@ impl<L: Leg> VertexProgram for Shell<'_, L> {
             .map(|(slot, _)| slot)
             .collect();
         let stored = values.iter().flat_map(|v| v.in_nbrs().iter().copied());
-        let in_flight = inboxes.iter().flatten().filter_map(|m| self.leg.in_nbr(m));
+        let in_flight = messages.iter().filter_map(|m| self.leg.in_nbr(m));
         let bad_id = stored.chain(in_flight).find(|&id| id >= n).map(Value::Node);
         let bad_prop = || {
             (values.iter())

@@ -39,6 +39,7 @@
 use std::path::PathBuf;
 
 use crate::globals::{AggMap, Globals};
+use crate::inbox::Inboxes;
 use crate::metrics::Metrics;
 use crate::program::VertexProgram;
 use gm_ckpt::{ByteReader, CkptError, Persist, Snapshot, SnapshotBuilder};
@@ -122,7 +123,7 @@ pub(crate) struct ResumeState<P: VertexProgram> {
     pub metrics: Metrics,
     pub values: Vec<P::VertexValue>,
     pub halted: Vec<bool>,
-    pub inboxes: Vec<Vec<P::Message>>,
+    pub inboxes: Inboxes<P::Message>,
 }
 
 /// Whether `snap` can resume the program whose
@@ -177,12 +178,9 @@ where
     r.expect_end()?;
 
     let mut r = ByteReader::new(snap.require(SEC_INBOX)?);
-    let mut inboxes = Vec::with_capacity(n);
-    for _ in 0..n {
-        inboxes.push(Vec::<P::Message>::restore(&mut r)?);
-    }
+    let inboxes = Inboxes::restore(&mut r, n)?;
     r.expect_end()?;
-    program.check_restored(graph, &values, &inboxes)?;
+    program.check_restored(graph, &values, inboxes.messages())?;
 
     let mut r = ByteReader::new(snap.require(SEC_MASTER)?);
     program.restore_master_state(&mut r)?;

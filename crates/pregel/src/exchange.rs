@@ -1,19 +1,22 @@
 //! The message exchange: what happens to a superstep's messages between
 //! the kernels that send them and the inboxes that receive them.
 //!
-//! * **push** — the compute phase ends in [`seal`]: each worker meters
-//!   its per-destination-worker buckets and spills those past its budget
-//!   share. The coordinator then transposes the sealed buckets
-//!   (a worker-count-squared pointer move, no message is copied) and every
-//!   destination worker [`deliver`](WorkerState::deliver)s them — moving
-//!   each message into its `inbox_out` in ascending sender-worker order,
-//!   replaying spill files in place — before swapping the double buffer.
+//! * **push** — the compute phase routes each message into a bucket per
+//!   destination worker and ends in [`seal`]: each worker meters its
+//!   buckets and spills those past its budget share. The coordinator then
+//!   transposes the sealed buckets (a worker-count-squared pointer move,
+//!   no message is copied) and every destination worker
+//!   [`deliver`](WorkerState::deliver)s them: it replays spill files in
+//!   place, then moves every message into its flat inbox by a counting
+//!   sort on the receiver, in ascending sender-worker order
+//!   ([`Inboxes::scatter`](crate::inbox::Inboxes::scatter)).
 //! * **pull** — a gathered superstep replaces the transpose and delivery
 //!   with a [`gather`](WorkerState::gather): every worker walks its
 //!   vertices' in-edges over the reverse CSR and reads the senders' side
 //!   through one routine, [`Fill`]. Payloads re-evaluated under
-//!   [`PullMode::Recomputed`] are new values: the walk writes them into
-//!   `inbox_out` and meters them per sender-worker segment.
+//!   [`PullMode::Recomputed`] are new values: the walk appends them to
+//!   the inbox receiver by receiver and meters them per sender-worker
+//!   segment.
 //!   [`PullMode::Captured`] payloads are copied nowhere: they stay in the
 //!   senders' [`Captured`] columns, compute already metered them
 //!   sender-side, and the barrier only counts the halted receivers they
@@ -145,10 +148,12 @@ where
     let combine_start_us = tracer.map(Tracer::now_us);
     let combine_started = Instant::now();
     let mut meter = Meter::default();
-    for (dest, bucket) in outbox.iter().enumerate() {
-        for (_, m) in bucket {
-            meter.add(1, program.message_bytes(m), dest != worker);
-        }
+    let bucket_bytes: Vec<u64> = outbox
+        .iter()
+        .map(|b| b.iter().map(|(_, m)| program.message_bytes(m)).sum())
+        .collect();
+    for (dest, (bucket, &bytes)) in outbox.iter().zip(&bucket_bytes).enumerate() {
+        meter.add(bucket.len() as u64, bytes, dest != worker);
     }
     let combine_time = combine_started.elapsed();
     let tid = worker as u32 + 1;
@@ -192,10 +197,6 @@ where
     // largest-first (ties by destination index — deterministic for a
     // fixed budget and worker count) until the resident outgoing bytes
     // fit the share.
-    let bucket_bytes: Vec<u64> = outbox
-        .iter()
-        .map(|b| b.iter().map(|(_, m)| program.message_bytes(m)).sum())
-        .collect();
     let mut resident: u64 = bucket_bytes.iter().sum();
     let mut order: Vec<usize> = (0..outbox.len()).collect();
     order.sort_by_key(|&d| (std::cmp::Reverse(bucket_bytes[d]), d));
@@ -424,9 +425,8 @@ impl<P: VertexProgram> WorkerState<P> {
     /// A gathered superstep's replacement for exchange + delivery. Under
     /// [`PullMode::Recomputed`] it walks every owned vertex's in-edges
     /// through [`Fill`] and meters each sender-worker segment as the
-    /// messages that worker would have put on the wire, writing the
-    /// re-evaluated messages into `inbox_out` and swapping the double
-    /// buffer, as delivery does.
+    /// messages that worker would have put on the wire, appending the
+    /// re-evaluated messages to the inbox, which compute has read.
     ///
     /// [`PullMode::Captured`] payloads are not copied here: they
     /// stay in the captured columns, which nothing overwrites until the
@@ -460,29 +460,30 @@ impl<P: VertexProgram> WorkerState<P> {
             PullMode::Unsupported => unreachable!("gather phase dispatched with no pull mode"),
         };
         let in_place = mode == PullMode::Captured;
+        if !in_place {
+            self.inbox.clear();
+        }
         let mut meter = std::mem::take(&mut self.broadcasts);
         let mut delivered = meter.messages;
         let mut reactivated: u32 = 0;
-        for local in 0..self.halted.len() {
+        for (local, &halted) in self.halted.iter().enumerate() {
             // Cooperative watchdog, same cadence as the compute loop.
             if local & 0xFF == 0 {
                 check_deadline(deadline_at, worker as u32)?;
             }
             let receiver = self.base + local as u32;
             let received = if in_place {
-                self.halted[local] && !fill.inbox(receiver).is_empty()
+                halted && !fill.inbox(receiver).is_empty()
             } else {
-                let inbox = &mut self.inbox_out[local];
-                debug_assert!(inbox.is_empty());
-                fill.fill(receiver, inbox, |w, segment| {
-                    meter.segment(program, segment, w != worker);
+                let appended = self.inbox.append(|column| {
+                    fill.fill(receiver, column, |w, segment| {
+                        meter.segment(program, segment, w != worker);
+                    });
                 });
-                delivered += inbox.len() as u64;
-                !inbox.is_empty()
+                delivered += appended as u64;
+                appended > 0
             };
-            if self.halted[local] && received {
-                reactivated += 1;
-            }
+            reactivated += u32::from(halted && received);
         }
         drop(fill);
         if let Some(t) = tracer {
@@ -499,11 +500,6 @@ impl<P: VertexProgram> WorkerState<P> {
                 ],
             );
         }
-        if !in_place {
-            // Same double-buffer handoff as delivery: the gathered messages
-            // become the next superstep's `inbox_in`.
-            std::mem::swap(&mut self.inbox_in, &mut self.inbox_out);
-        }
         Ok(GatherOut {
             delivered,
             reactivated,
@@ -511,13 +507,13 @@ impl<P: VertexProgram> WorkerState<P> {
         })
     }
 
-    /// Moves incoming messages into this worker's out-buffer inbox — zero
-    /// clones on the exchange path — preserving ascending sender-worker
-    /// order, then swaps the double buffer. Spilled buckets are replayed
-    /// from disk (into their carried-along spare, so the file contents land
-    /// in the same allocation a resident bucket would occupy) at the exact
-    /// position their sender holds in the order, so delivery order is
-    /// identical to an unspilled run; each replayed file is deleted.
+    /// Moves incoming messages into this worker's inbox — zero clones on
+    /// the exchange path — in ascending sender-worker order. Spilled
+    /// buckets are first replayed from disk into their carried-along
+    /// spare, so the file contents land in the same allocation a resident
+    /// bucket would occupy and keep their sender's place in the order:
+    /// delivery order is identical to an unspilled run. Each replayed file
+    /// is deleted.
     pub fn deliver(
         &mut self,
         shared: &Shared<'_, P>,
@@ -529,20 +525,13 @@ impl<P: VertexProgram> WorkerState<P> {
         let worker = self.index as u32;
         let tracer = shared.tracer.as_ref();
         let start_us = tracer.map(Tracer::now_us);
-        let mut delivered: u64 = 0;
-        let mut reactivated: u32 = 0;
         let mut files_replayed: u64 = 0;
         let mut spill_read_time = Duration::ZERO;
-        // Largest single inbox after delivery — the per-vertex memory
-        // high-water mark. Only tracked when traced.
-        let mut inbox_hwm: usize = 0;
-        let traced = tracer.is_some();
-        let base = self.base as usize;
-        let mut spent: RawOutbox<P::Message> = Vec::with_capacity(incoming.len());
+        let mut buckets: RawOutbox<P::Message> = Vec::with_capacity(incoming.len());
         for routed in incoming {
             // Cooperative watchdog, once per sender bucket.
             check_deadline(step.deadline_at, worker)?;
-            let mut bucket = match routed {
+            buckets.push(match routed {
                 RoutedBucket::Mem(bucket) => bucket,
                 RoutedBucket::Spilled {
                     path,
@@ -564,20 +553,10 @@ impl<P: VertexProgram> WorkerState<P> {
                     let _ = std::fs::remove_file(&path);
                     spare
                 }
-            };
-            for (dst, m) in bucket.drain(..) {
-                let local = dst as usize - base;
-                if self.halted[local] && self.inbox_out[local].is_empty() {
-                    reactivated += 1;
-                }
-                self.inbox_out[local].push(m);
-                if traced {
-                    inbox_hwm = inbox_hwm.max(self.inbox_out[local].len());
-                }
-                delivered += 1;
-            }
-            spent.push(bucket);
+            });
         }
+        let reactivated = self.inbox.scatter(self.base, &mut buckets, &self.halted);
+        let delivered = self.inbox.messages().len() as u64;
         if let Some(t) = tracer {
             t.span(
                 "deliver",
@@ -587,19 +566,17 @@ impl<P: VertexProgram> WorkerState<P> {
                 vec![
                     ("delivered", delivered.into()),
                     ("reactivated", reactivated.into()),
-                    ("inbox_hwm", inbox_hwm.into()),
+                    // The largest single inbox: the per-vertex memory
+                    // high-water mark. Only computed when traced.
+                    ("inbox_hwm", self.inbox.longest().into()),
                     ("files_replayed", files_replayed.into()),
                 ],
             );
         }
-        // `inbox_in` was fully drained during the vertex phase; after the
-        // swap it holds the next superstep's messages and the drained
-        // buffer (capacity intact) becomes the next delivery target.
-        std::mem::swap(&mut self.inbox_in, &mut self.inbox_out);
         Ok(DeliverOut {
             delivered,
             reactivated,
-            spent,
+            spent: buckets,
             files_replayed,
             spill_read_time,
         })

@@ -22,7 +22,8 @@
 //! pool** (threads live for the whole run; one worker runs inline). Messages
 //! cross workers through a **zero-copy exchange**: senders bucket messages
 //! by destination worker, buckets are routed at the barrier as whole `Vec`s,
-//! and destination workers *move* each message into double-buffered inboxes.
+//! and each destination worker *moves* every message into one flat inbox
+//! (a message column plus per-vertex offsets) by a counting sort.
 //! Execution stays **deterministic**: each vertex receives its messages
 //! ordered by sending vertex id regardless of the worker count, and
 //! aggregator merges happen in ascending worker order (see

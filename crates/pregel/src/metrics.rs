@@ -52,8 +52,10 @@ pub struct SuperstepMetrics {
     pub compute_time: Duration,
     /// Wall-clock of the slowest worker's metering pass.
     pub combine_time: Duration,
-    /// Wall-clock of the message exchange: bucket routing plus parallel
-    /// delivery into the destination workers' inboxes.
+    /// Wall-clock of the message exchange: the bucket transpose plus
+    /// parallel delivery into the destination workers' inboxes. Routing
+    /// each message into its destination worker's bucket happens in
+    /// compute and counts in `compute_time`.
     pub exchange_time: Duration,
     /// Wall-clock of the sequential master kernel that opened this superstep.
     pub master_time: Duration,
@@ -277,7 +279,8 @@ pub struct Metrics {
     pub compute_time: Duration,
     /// Total metering time (sum of slowest-worker times).
     pub combine_time: Duration,
-    /// Total message-exchange time (routing + parallel delivery).
+    /// Total message-exchange time (bucket transpose + parallel delivery;
+    /// routing is part of compute).
     pub exchange_time: Duration,
     /// Total sequential master time, including the final master-only
     /// superstep in which the computation halts.

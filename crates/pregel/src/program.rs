@@ -3,6 +3,7 @@
 use crate::globals::{AggMap, Globals};
 use crate::inbox::Inbox;
 use crate::value::{GlobalValue, ReduceOp};
+use crate::worker::worker_of;
 use gm_ckpt::{ByteReader, CkptError};
 use gm_graph::{EdgeId, Graph, NodeId, OutNeighbors};
 
@@ -165,16 +166,17 @@ pub trait VertexProgram {
     /// Checks the vertex values and pending messages decoded from a
     /// snapshot against the graph the run resumes on, so that well-formed
     /// but wrong sections are refused at decode, as a [`CkptError`],
-    /// rather than failing a worker later. Programs whose values or
-    /// messages hold vertex ids they later send to override it; the
-    /// default accepts everything.
+    /// rather than failing a worker later. `messages` holds every
+    /// vertex's pending messages back to back, in vertex order. Programs
+    /// whose values or messages hold vertex ids they later send to
+    /// override it; the default accepts everything.
     fn check_restored(
         &self,
         graph: &Graph,
         values: &[Self::VertexValue],
-        inboxes: &[Vec<Self::Message>],
+        messages: &[Self::Message],
     ) -> Result<(), CkptError> {
-        let _ = (graph, values, inboxes);
+        let _ = (graph, values, messages);
         Ok(())
     }
 
@@ -256,8 +258,8 @@ pub struct VertexContext<'a, 'g, M> {
     pub(crate) agg: &'a mut AggMap,
     /// One bucket per destination worker.
     pub(crate) outbox: &'a mut [Vec<(u32, M)>],
-    /// Worker range starts; worker `w` owns `starts[w]..starts[w+1]`.
-    pub(crate) range_starts: &'a [u32],
+    /// The interior worker range cuts, which [`worker_of`] reads.
+    pub(crate) cuts: &'a [u32],
     pub(crate) halted: &'a mut bool,
     /// Where sends go this superstep (push routing or a pull sink).
     pub(crate) pull: PullSink<'a, M>,
@@ -318,10 +320,10 @@ impl<'g, M: Clone> VertexContext<'_, 'g, M> {
             }
             PullSink::Route => {}
         }
-        // Clone per edge; route each copy to its destination's worker.
-        let nbrs: OutNeighbors<'g> = self.graph.out_neighbors(self.id);
-        for (t, _) in nbrs {
-            self.send(t, m.clone());
+        // Clone per edge; route each copy to its destination's worker. The
+        // sink is checked once above, and every out-neighbour is in range.
+        for (t, _) in self.graph.out_neighbors(self.id) {
+            self.outbox[worker_of(self.cuts, t.0)].push((t.0, m.clone()));
         }
     }
 
@@ -375,8 +377,7 @@ impl<'g, M: Clone> VertexContext<'_, 'g, M> {
             dst.0 < self.graph.num_nodes(),
             "message destination {dst} out of range"
         );
-        let w = self.range_starts.partition_point(|&s| s <= dst.0) - 1;
-        self.outbox[w].push((dst.0, m));
+        self.outbox[worker_of(self.cuts, dst.0)].push((dst.0, m));
     }
 
     /// Reads a master broadcast for this superstep.

@@ -3,12 +3,13 @@
 //! phase on every worker.
 //!
 //! A run owns one [`WorkerState`] per worker: the worker's contiguous vertex
-//! range (halted flags) plus a **double-buffered inbox** (`inbox_in` /
-//! `inbox_out`). The vertex values live apart, in [`Shared::stores`], so a
-//! gathered superstep can read every range. Each superstep's compute phase
-//! runs the kernels against `inbox_in` and routes outgoing messages into
-//! per-destination-worker buckets, which the exchange layer seals (meter,
-//! spill) and later delivers into `inbox_out` before the buffers swap.
+//! range (halted flags) plus one **flat inbox** ([`Inboxes`]: a message
+//! column and per-vertex offsets). The vertex values live apart, in
+//! [`Shared::stores`], so a gathered superstep can read every range. Each
+//! superstep's compute phase runs the kernels against the inbox and routes
+//! outgoing messages into per-destination-worker buckets, which the
+//! exchange layer seals (meter, spill) and later delivers into the same
+//! inbox: compute has read it by then, so it needs no second buffer.
 //!
 //! After a [`PullMode::Captured`] superstep the pending
 //! messages are in no inbox: they are still the senders' payloads in
@@ -32,7 +33,7 @@ use crate::error::{PregelError, WorkerFailure};
 use crate::exchange::{seal, Fill, Meter, RawOutbox, Sealed};
 use crate::globals::{AggMap, Globals};
 use crate::govern::Governor;
-use crate::inbox::{Captured, Inbox};
+use crate::inbox::{Captured, Inbox, Inboxes};
 use crate::program::{PullMode, PullSink, VertexContext, VertexProgram};
 use gm_ckpt::{FaultPlan, Persist};
 use gm_graph::{Graph, NodeId};
@@ -109,7 +110,7 @@ impl<P: VertexProgram> VertexStore<P> {
 /// Where the messages a superstep consumes are.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Pending {
-    /// In every worker's `inbox_in`: delivered by push, gathered eagerly
+    /// In every worker's `inbox`: delivered by push, gathered eagerly
     /// under [`PullMode::Recomputed`], or restored from a snapshot.
     Delivered,
     /// Still in the columns captured at this superstep, read in place
@@ -142,19 +143,16 @@ pub(crate) fn check_deadline(
 }
 
 /// A worker's share of the computation: a contiguous vertex range with its
-/// halted flags and double-buffered inboxes. Owned by one pool thread for
-/// the whole run (or by the calling thread when single-worker). The vertex
-/// values live apart in [`Shared::stores`] so gathered supersteps can read
-/// every range.
+/// halted flags and inbox. Owned by one pool thread for the whole run (or
+/// by the calling thread when single-worker). The vertex values live apart
+/// in [`Shared::stores`] so gathered supersteps can read every range.
 pub(crate) struct WorkerState<P: VertexProgram> {
     pub index: usize,
     pub base: u32,
     pub halted: Vec<bool>,
-    /// Messages being consumed by this superstep's vertex kernels.
-    pub inbox_in: Vec<Vec<P::Message>>,
-    /// Messages delivered for the next superstep; swapped with `inbox_in`
-    /// at the end of each delivery, retaining both buffers' capacity.
-    pub inbox_out: Vec<Vec<P::Message>>,
+    /// The messages this superstep's kernels consume, when
+    /// [`Pending::Delivered`]; the next delivery or gather overwrites them.
+    pub inbox: Inboxes<P::Message>,
     /// This superstep's captured broadcasts, metered sender-side by
     /// compute; handed to the gather.
     pub broadcasts: Meter,
@@ -182,30 +180,23 @@ impl<P: VertexProgram> WorkerState<P> {
     pub fn new(index: usize, starts: &[u32]) -> Self {
         let base = starts[index];
         let len = (starts[index + 1] - base) as usize;
-        WorkerState::from_restored(
-            index,
-            base,
-            vec![false; len],
-            (0..len).map(|_| Vec::new()).collect(),
-        )
+        WorkerState::from_restored(index, base, vec![false; len], Inboxes::empty(len))
     }
 
     /// Rebuilds a worker's state from a snapshot's vertex-indexed slices.
-    /// The restored inbox becomes `inbox_in`: it holds the messages the
-    /// checkpointed superstep was about to consume.
+    /// The restored inbox holds the messages the checkpointed superstep
+    /// was about to consume.
     pub fn from_restored(
         index: usize,
         base: u32,
         halted: Vec<bool>,
-        inbox_in: Vec<Vec<P::Message>>,
+        inbox: Inboxes<P::Message>,
     ) -> Self {
-        let len = halted.len();
         WorkerState {
             index,
             base,
             halted,
-            inbox_in,
-            inbox_out: (0..len).map(|_| Vec::new()).collect(),
+            inbox,
             broadcasts: Meter::default(),
             local_out: Vec::new(),
             running: None,
@@ -238,7 +229,7 @@ impl<P: VertexProgram> WorkerState<P> {
             h.persist(&mut halted);
         }
         let messages: usize = match pending {
-            Pending::Delivered => self.inbox_in.iter().map(Vec::len).sum(),
+            Pending::Delivered => self.inbox.messages().len(),
             // At most one per in-edge.
             Pending::Captured(_) => (self.base..self.base + len as u32)
                 .map(|v| shared.graph.in_degree(NodeId(v)) as usize)
@@ -247,11 +238,7 @@ impl<P: VertexProgram> WorkerState<P> {
         // A `u64` length per vertex, then the messages.
         let mut inbox = Vec::with_capacity(len * 8 + messages * size_of::<P::Message>());
         match pending {
-            Pending::Delivered => {
-                for slot in &self.inbox_in {
-                    slot.persist(&mut inbox);
-                }
-            }
+            Pending::Delivered => self.inbox.persist(&mut inbox),
             // Read through the view the next compute would get, and
             // written as `Vec<M>` persists (length, then each message), so
             // the bytes do not depend on the schedule.
@@ -361,11 +348,12 @@ impl<P: VertexProgram> WorkerState<P> {
             }
         }
         // Messages still captured by the previous superstep never land in
-        // `inbox_in`: each kernel reads them in place.
+        // the inbox: each kernel reads them in place.
         let fill = match pending {
             Pending::Delivered => None,
             Pending::Captured(at) => Some(Fill::captured(shared, &**program, at)),
         };
+        let cuts = &shared.starts[1..shared.starts.len() - 1];
         let mut agg = AggMap::new();
         let mut computed: u32 = 0;
         let mut voted_halt: u32 = 0;
@@ -373,7 +361,7 @@ impl<P: VertexProgram> WorkerState<P> {
             let id = self.base + local as u32;
             self.running = Some(id);
             let messages = match &fill {
-                None => Inbox::from(&self.inbox_in[local][..]),
+                None => Inbox::from(self.inbox.get(local)),
                 Some(fill) => fill.inbox(id),
             };
             if self.halted[local] && messages.is_empty() {
@@ -395,7 +383,7 @@ impl<P: VertexProgram> WorkerState<P> {
                 broadcast: &globals,
                 agg: &mut agg,
                 outbox: &mut outbox,
-                range_starts: &shared.starts,
+                cuts,
                 halted: &mut self.halted[local],
                 pull: match mode {
                     PullMode::Unsupported => PullSink::Route,
@@ -414,11 +402,6 @@ impl<P: VertexProgram> WorkerState<P> {
                 self.broadcasts
                     .broadcast(local_copies.into(), remote_copies.into(), bytes);
                 column.set(local, m);
-            }
-            // Drain the slot but keep its capacity for the next delivery.
-            // A captured inbox never was in it.
-            if fill.is_none() {
-                self.inbox_in[local].clear();
             }
         }
         self.running = None;
@@ -601,16 +584,28 @@ fn guarded<'a, P: VertexProgram, I, O>(
 /// at one worker spends about 29 ns per vertex and 1.1 ns per in-edge of
 /// a pulled superstep (EXPERIMENTS.md, "Cost-balanced partition"). The
 /// constant is tuned for pulled supersteps. A pushed message costs about
-/// twenty pulled in-edges, and the out-edges a sender routes are not
-/// weighed, so push runs balance worse under this weight: max ÷ mean
-/// compute 1.13–1.20 on `dense_pagerank`'s graph, against 1.09–1.11 under
-/// `1 + out_degree`.
+/// 17 ns end to end on the same graphs under `Schedule::Push` (14–18 ns;
+/// EXPERIMENTS.md, "A flat inbox"), about fifteen pulled in-edges, and the
+/// out-edges a sender routes are not weighed, so push runs balance worse
+/// under this weight: max ÷ mean compute 1.13–1.20 on `dense_pagerank`'s
+/// graph, against 1.09–1.11 under `1 + out_degree`.
 const VERTEX_COST: u64 = 26;
 
 /// The weight [`partition`] balances: [`VERTEX_COST`] plus one unit per
 /// in-edge, the messages the vertex's inbox holds, pushed or pulled.
 pub(crate) fn vertex_cost(graph: &Graph, v: NodeId) -> u64 {
     VERTEX_COST + u64::from(graph.in_degree(v))
+}
+
+/// The worker that owns vertex `v`, given the interior range cuts
+/// (`starts[1..num_workers]` of [`partition`]): how many cuts are at or
+/// below `v`. A count over every cut rather than a binary search, because
+/// routed destinations arrive in random order, which a search's branch
+/// mispredicts about half the time; the count's trip count is the worker
+/// count, so nothing in it depends on `v`.
+#[inline]
+pub(crate) fn worker_of(cuts: &[u32], v: u32) -> usize {
+    cuts.iter().map(|&cut| usize::from(v >= cut)).sum()
 }
 
 /// Splits vertices into `num_workers` contiguous ranges balanced by
@@ -636,4 +631,38 @@ pub(crate) fn partition(graph: &Graph, num_workers: usize) -> Vec<u32> {
     starts.push(n);
     debug_assert_eq!(starts.len(), num_workers + 1);
     starts
+}
+
+#[cfg(test)]
+mod tests {
+    use super::worker_of;
+    use gm_graph::rng::check;
+
+    #[test]
+    fn worker_of_matches_a_binary_search_over_the_starts() {
+        check(
+            "worker_of_matches_a_binary_search_over_the_starts",
+            256,
+            |rng| {
+                let n = 1 + rng.below(100) as u32;
+                let workers = 1 + rng.below(8) as usize;
+                // Nondecreasing cuts: equal neighbours, or a cut at 0 or `n`,
+                // leave a range empty.
+                let mut cuts: Vec<u32> = (1..workers)
+                    .map(|_| rng.below(u64::from(n) + 1) as u32)
+                    .collect();
+                for at in 1..cuts.len() {
+                    if rng.chance(0.3) {
+                        cuts[at] = cuts[at - 1];
+                    }
+                }
+                cuts.sort_unstable();
+                let starts: Vec<u32> = [0].into_iter().chain(cuts.clone()).chain([n]).collect();
+                for v in 0..n {
+                    let want = starts.partition_point(|&s| s <= v) - 1;
+                    assert_eq!(worker_of(&cuts, v), want, "vertex {v}, starts {starts:?}");
+                }
+            },
+        );
+    }
 }
